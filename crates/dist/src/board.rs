@@ -591,17 +591,20 @@ impl Heartbeat {
         let thread = {
             let shared = Arc::clone(&shared);
             let lost = Arc::clone(&lost);
+            let tele = belenos_telemetry::global();
             std::thread::spawn(move || {
-                let tele = belenos_telemetry::global();
                 let mut stopped = shared.stop.lock().unwrap();
                 loop {
-                    let (guard, timeout) = shared.wake.wait_timeout(stopped, interval).unwrap();
+                    // Checks `stop` before the first wait too: a job that
+                    // ends before this thread gets here has already sent
+                    // its one notification.
+                    let (guard, _) = shared
+                        .wake
+                        .wait_timeout_while(stopped, interval, |stop| !*stop)
+                        .unwrap();
                     stopped = guard;
                     if *stopped {
                         return;
-                    }
-                    if !timeout.timed_out() {
-                        continue;
                     }
                     match touch(&path) {
                         Ok(()) => tele.counter("dist_heartbeats", 1, &[]),
@@ -850,6 +853,18 @@ mod tests {
         backdate(&slow.lease_path(11), Duration::from_secs(1)).unwrap();
         assert!(claim_expired(&thief).is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn heartbeat_dropped_at_once_does_not_wait_out_its_interval() {
+        // No lease file needed: the thread must never get as far as
+        // touching one.
+        let cfg = DistConfig::new(temp_dist("heartbeat-drop"), "quick")
+            .with_heartbeat(Duration::from_secs(5));
+        let started = std::time::Instant::now();
+        drop(Heartbeat::start(&cfg, 12));
+        let joined = started.elapsed();
+        assert!(joined < Duration::from_secs(1), "drop took {joined:?}");
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::worker::{run_worker, WorkerSummary};
 use belenos::report::{Cell, Report};
 use belenos_runner::cache::{decode_stats, entry_file_name};
 use belenos_runner::{CacheStats, DistExecutor, DistJob};
+use belenos_telemetry::percentile;
 use belenos_uarch::SimStats;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -63,14 +64,12 @@ impl MergedSummary {
         self.per_worker.values().map(|t| t.stolen).sum()
     }
 
-    /// Nearest-rank percentile of the job walls (`p` in 0..=100).
-    pub fn wall_percentile(&self, p: usize) -> f64 {
-        if self.walls_s.is_empty() {
-            return 0.0;
-        }
+    /// The job walls in ascending order, ready for
+    /// [`belenos_telemetry::percentile`].
+    pub fn sorted_walls(&self) -> Vec<f64> {
         let mut sorted = self.walls_s.clone();
         sorted.sort_by(f64::total_cmp);
-        sorted[(sorted.len() - 1) * p / 100]
+        sorted
     }
 
     fn record(&mut self, done: &DoneDoc) {
@@ -142,6 +141,7 @@ impl Coordinator {
                 tally.jobs, tally.stolen, tally.failed, tally.busy_s
             );
         }
+        let walls = merged.sorted_walls();
         eprintln!(
             "dist: {} worker(s), {} job(s), {} stolen, {} cache-resolved, \
              p50 {:.3}s, p95 {:.3}s",
@@ -149,8 +149,8 @@ impl Coordinator {
             merged.jobs(),
             merged.stolen(),
             merged.cache_resolved,
-            merged.wall_percentile(50),
-            merged.wall_percentile(95),
+            percentile(&walls, 50),
+            percentile(&walls, 95),
         );
     }
 
@@ -178,6 +178,7 @@ impl Coordinator {
                 Cell::text("-"),
             ]);
         }
+        let walls = merged.sorted_walls();
         section.row(vec![
             Cell::text("(all)"),
             Cell::num(merged.jobs() as f64, 0),
@@ -187,8 +188,8 @@ impl Coordinator {
                 0,
             ),
             Cell::num(merged.walls_s.iter().sum::<f64>(), 2),
-            Cell::num(merged.wall_percentile(50), 3),
-            Cell::num(merged.wall_percentile(95), 3),
+            Cell::num(percentile(&walls, 50), 3),
+            Cell::num(percentile(&walls, 95), 3),
             Cell::num(cache.lookups() as f64, 0),
             Cell::num(cache.hits as f64, 0),
         ]);
@@ -289,7 +290,11 @@ impl DistExecutor for Coordinator {
                     ..cfg.clone()
                 };
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || run_worker(&cfg, &stop, None))
+                let tele = tele.clone();
+                std::thread::spawn(move || {
+                    let _tele = tele.scope();
+                    run_worker(&cfg, &stop, None)
+                })
             })
             .collect();
 
@@ -452,9 +457,7 @@ mod tests {
         assert_eq!(merged.stolen(), 1);
         assert_eq!(merged.per_worker["w1"].jobs, 2);
         assert_eq!(merged.per_worker["w2"].failed, 1);
-        assert_eq!(merged.wall_percentile(50), 0.2);
-        assert_eq!(merged.wall_percentile(100), 0.3);
-        assert_eq!(MergedSummary::default().wall_percentile(95), 0.0);
+        assert_eq!(merged.sorted_walls(), [0.1, 0.2, 0.3]);
     }
 
     #[test]

@@ -72,6 +72,7 @@ pub mod pool;
 pub use cache::{Cache, CacheKey, CacheStats};
 pub use pool::{PoolFull, WorkerPool};
 
+use belenos_telemetry::percentile;
 use belenos_uarch::{CoreConfig, SamplingConfig, SimStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -294,14 +295,6 @@ impl RunSummary {
             self.cache_hits as f64 / self.jobs as f64
         }
     }
-}
-
-/// Nearest-rank percentile of the executed-job wall times (`p` in 0..=100).
-fn percentile(sorted: &[Duration], p: usize) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    sorted[(sorted.len() - 1) * p / 100]
 }
 
 impl std::fmt::Display for RunSummary {
@@ -711,6 +704,9 @@ impl Runner {
                         guard.len() - 1
                     };
                     let job = &plan.jobs()[idx];
+                    // `simulate` emits through `global()`: the batch's
+                    // handle is this worker's current one for the job.
+                    let _tele = tele.scope();
                     let job_span = tele.span_at(
                         batch_span,
                         "job",
@@ -862,6 +858,7 @@ where
                 let queue_wait = picked.duration_since(start);
                 let item = &items[idx];
                 let name = label(item);
+                let _tele = tele.scope();
                 let job_span = tele.span_at(
                     batch.id(),
                     "job",
@@ -958,18 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_and_percentiles_handle_empty_batches() {
-        let s = RunSummary::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(percentile(&[], 95), Duration::ZERO);
-        let walls = [
-            Duration::from_millis(10),
-            Duration::from_millis(20),
-            Duration::from_millis(30),
-            Duration::from_millis(40),
-        ];
-        assert_eq!(percentile(&walls, 50), Duration::from_millis(20));
-        assert_eq!(percentile(&walls, 95), Duration::from_millis(30));
-        assert_eq!(percentile(&walls, 100), Duration::from_millis(40));
+    fn hit_rate_handles_empty_batches() {
+        assert_eq!(RunSummary::default().hit_rate(), 0.0);
     }
 }

@@ -19,7 +19,8 @@
 //!   pool. `belenos serve` relies on this for graceful SIGTERM shutdown.
 //!
 //! Task panics are contained per task (a panicking task must not
-//! permanently shrink the pool).
+//! permanently shrink the pool). Workers run under the telemetry handle
+//! that was current where the pool was built; a task may scope its own.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,12 +91,17 @@ impl WorkerPool {
             panicked: AtomicUsize::new(0),
             capacity,
         });
+        let tele = belenos_telemetry::global();
         let workers = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
+                let tele = tele.clone();
                 std::thread::Builder::new()
                     .name(format!("{name}-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        let _tele = tele.scope();
+                        worker_loop(&shared)
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
@@ -290,11 +296,19 @@ mod tests {
 
     #[test]
     fn a_panicking_task_does_not_kill_the_worker() {
-        let pool = WorkerPool::new("t", 1, 8);
-        pool.try_submit(|| panic!("task boom")).unwrap();
+        use belenos_telemetry::{capture, global, Telemetry};
+        let (pool, _) = capture(|| WorkerPool::new("t", 1, 8));
+        // The doomed task scopes a telemetry handle of its own (a
+        // disabled one), as a served job does; unwinding must hand the
+        // worker back the recording one the pool was built under.
+        pool.try_submit(|| {
+            let _own = Telemetry::disabled().scope();
+            panic!("task boom")
+        })
+        .unwrap();
         let ran = Arc::new(AtomicBool::new(false));
         let flag = ran.clone();
-        pool.try_submit(move || flag.store(true, Ordering::SeqCst))
+        pool.try_submit(move || flag.store(global().enabled(), Ordering::SeqCst))
             .unwrap();
         pool.drain();
         assert!(ran.load(Ordering::SeqCst));

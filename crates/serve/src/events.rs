@@ -1,31 +1,24 @@
-//! Per-job telemetry event routing.
+//! Per-job telemetry event feeds.
 //!
 //! The simulation stack already narrates everything that happens —
-//! spans, counters, gauges, progress — through the process-global
-//! telemetry handle. A server with concurrent jobs needs those events
-//! *demultiplexed*: `GET /v1/jobs/{id}/events` must stream exactly the
-//! subtree of the job it names. [`EventRouter`] does this without
-//! touching the emitting layers: the server installs a callback sink
-//! (`Telemetry::to_callback`) whose lines all land in
-//! [`EventRouter::route`], which
+//! spans, counters, gauges, progress — through the thread's current
+//! telemetry handle. The job worker runs each job under a handle of its
+//! own ([`JobFeeds::job_handle`], made current with `Telemetry::scope`;
+//! the runner passes it on to its worker threads), whose every line
+//! lands in that job's feed here and in the sink the server was bound
+//! under. So `GET /v1/jobs/{id}/events` streams exactly the subtree of
+//! the job it names without anyone inspecting a line: [`JobFeeds`] only
+//! buffers lines per job and fans them out to subscribed watchers.
 //!
-//! 1. tees every line to the sink that was installed before the server
-//!    started (`--telemetry` keeps working unchanged, via
-//!    `Telemetry::emit_raw`), and
-//! 2. follows the span parent chain from each job's root `serve_job`
-//!    span (opened by the job worker with the job id as a field) to tag
-//!    descendant events with their job, buffering them and fanning them
-//!    out to any subscribed watchers.
-//!
-//! Lock discipline: `route` runs under the telemetry sink's line lock
-//! and takes only the router's own lock plus the *upstream* sink's lock
-//! — never the new global sink again — so there is no cycle.
+//! Lock discipline: a line is pushed under the emitting handle's line
+//! lock and takes only the registry's own lock, which is never held
+//! while emitting — so there is no cycle.
 
 use belenos_json::Json;
 use belenos_telemetry::Telemetry;
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Per-job buffers hold at most this many lines; older watchers that
 /// connect late still see the whole story for any sane job, while a
@@ -39,22 +32,16 @@ pub const JOB_ROOT_SPAN: &str = "serve_job";
 struct JobEvents {
     lines: Vec<String>,
     watchers: Vec<Sender<String>>,
-    dropped: usize,
     closed: bool,
 }
 
-#[derive(Default)]
-struct RouterInner {
-    /// Open span id → owning job, seeded by `serve_job` roots and grown
-    /// along `span_open.parent` edges; entries retire on `span_close`.
-    span_to_job: HashMap<u64, u64>,
-    jobs: HashMap<u64, JobEvents>,
-}
-
-/// Demultiplexes the global telemetry stream into per-job event feeds.
-pub struct EventRouter {
-    inner: Mutex<RouterInner>,
-    upstream: Mutex<Telemetry>,
+/// The event feeds of one server's jobs, keyed by job id.
+pub struct JobFeeds {
+    /// What every job's handle taps: one span-id space and one `t_s`
+    /// epoch for all of this server's jobs, whether or not the handle
+    /// it forwards to records.
+    tele: Telemetry,
+    jobs: Mutex<HashMap<u64, JobEvents>>,
 }
 
 /// A subscription to one job's event feed: everything buffered so far,
@@ -68,60 +55,60 @@ pub struct Subscription {
     pub live: Option<Receiver<String>>,
 }
 
-impl EventRouter {
-    /// A router with no upstream sink (installed separately, because the
-    /// router must exist before the callback sink replaces the global
-    /// handle that becomes its upstream).
-    pub fn new() -> EventRouter {
-        EventRouter {
-            inner: Mutex::new(RouterInner::default()),
-            upstream: Mutex::new(Telemetry::disabled()),
+impl JobFeeds {
+    /// An empty registry whose jobs' events also reach `upstream`, as
+    /// one coherent stream.
+    pub fn new(upstream: &Telemetry) -> JobFeeds {
+        JobFeeds {
+            tele: upstream.tap(|_| {}),
+            jobs: Mutex::default(),
         }
     }
 
-    /// Sets the sink every line is teed to (the pre-server global).
-    pub fn set_upstream(&self, upstream: Telemetry) {
-        *self.upstream.lock().unwrap() = upstream;
+    /// The handle to run `job` under: every event it emits is appended
+    /// to the job's feed (dropped if the feed is not open).
+    pub fn job_handle(self: &Arc<Self>, job: u64) -> Telemetry {
+        let feeds = Arc::clone(self);
+        self.tele.tap(move |line| {
+            if let Some(feed) = feeds.jobs.lock().unwrap().get_mut(&job) {
+                push_line(feed, line);
+            }
+        })
     }
 
     /// Creates the event feed for a job; called at submission so events
     /// (and subscribers) can never race the feed's existence.
-    pub fn open_job(&self, job: u64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .jobs
-            .insert(job, JobEvents::default());
+    pub fn open(&self, job: u64) {
+        self.jobs.lock().unwrap().insert(job, JobEvents::default());
     }
 
     /// Marks a job's feed complete: delivers one final synthetic
     /// `job_state` line, then disconnects the watchers so their streams
     /// end. The backlog stays readable for late subscribers until
-    /// [`EventRouter::evict_job`].
-    pub fn finish_job(&self, job: u64, state: &str) {
+    /// [`JobFeeds::evict`].
+    pub fn finish(&self, job: u64, state: &str) {
         let line = Json::obj(vec![
             ("ev", Json::Str("job_state".into())),
             ("job", Json::Num(job as f64)),
             ("state", Json::Str(state.to_string())),
         ])
         .render();
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(feed) = inner.jobs.get_mut(&job) {
-            push_line(feed, line);
+        if let Some(feed) = self.jobs.lock().unwrap().get_mut(&job) {
+            push_line(feed, &line);
             feed.closed = true;
             feed.watchers.clear();
         }
     }
 
     /// Drops a finished job's buffered feed (record eviction).
-    pub fn evict_job(&self, job: u64) {
-        self.inner.lock().unwrap().jobs.remove(&job);
+    pub fn evict(&self, job: u64) {
+        self.jobs.lock().unwrap().remove(&job);
     }
 
     /// Subscribes to a job's feed; `None` for unknown jobs.
     pub fn subscribe(&self, job: u64) -> Option<Subscription> {
-        let mut inner = self.inner.lock().unwrap();
-        let feed = inner.jobs.get_mut(&job)?;
+        let mut jobs = self.jobs.lock().unwrap();
+        let feed = jobs.get_mut(&job)?;
         let backlog = feed.lines.clone();
         let live = if feed.closed {
             None
@@ -132,115 +119,63 @@ impl EventRouter {
         };
         Some(Subscription { backlog, live })
     }
-
-    /// The callback-sink entry point: one rendered JSONL event line.
-    pub fn route(&self, line: &str) {
-        self.upstream.lock().unwrap().emit_raw(line);
-        let Ok(event) = Json::parse(line) else { return };
-        let num = |key: &str| event.get(key).and_then(Json::as_f64).map(|n| n as u64);
-        let mut inner = self.inner.lock().unwrap();
-        let job = match event.get("ev").and_then(Json::as_str) {
-            Some("span_open") => {
-                let (Some(id), Some(parent)) = (num("id"), num("parent")) else {
-                    return;
-                };
-                let job = if event.get("name").and_then(Json::as_str) == Some(JOB_ROOT_SPAN) {
-                    num("job")
-                } else {
-                    inner.span_to_job.get(&parent).copied()
-                };
-                if let Some(job) = job {
-                    inner.span_to_job.insert(id, job);
-                }
-                job
-            }
-            Some("span_close") => num("id").and_then(|id| inner.span_to_job.remove(&id)),
-            // counter / gauge / progress carry the owning span.
-            Some(_) => num("span").and_then(|span| inner.span_to_job.get(&span).copied()),
-            None => None,
-        };
-        if let Some(job) = job {
-            if let Some(feed) = inner.jobs.get_mut(&job) {
-                push_line(feed, line.to_string());
-            }
-        }
-    }
 }
 
-impl Default for EventRouter {
-    fn default() -> Self {
-        EventRouter::new()
+fn push_line(feed: &mut JobEvents, line: &str) {
+    if feed.lines.len() < MAX_BUFFERED_LINES {
+        feed.lines.push(line.to_string());
     }
-}
-
-fn push_line(feed: &mut JobEvents, line: String) {
-    if feed.lines.len() >= MAX_BUFFERED_LINES {
-        feed.dropped += 1;
-    } else {
-        feed.lines.push(line.clone());
-    }
-    feed.watchers.retain(|w| w.send(line.clone()).is_ok());
+    feed.watchers.retain(|w| w.send(line.to_string()).is_ok());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn open_line(id: u64, parent: u64, name: &str, job: Option<u64>) -> String {
-        let mut fields = vec![
-            ("ev", Json::Str("span_open".into())),
-            ("id", Json::Num(id as f64)),
-            ("parent", Json::Num(parent as f64)),
-            ("name", Json::Str(name.to_string())),
-        ];
-        if let Some(job) = job {
-            fields.push(("job", Json::Num(job as f64)));
-        }
-        Json::obj(fields).render()
-    }
-
     #[test]
-    fn routes_a_job_subtree_and_ignores_other_events() {
-        let router = EventRouter::new();
-        router.open_job(7);
-        router.route(&open_line(1, 0, JOB_ROOT_SPAN, Some(7)));
-        router.route(&open_line(2, 1, "campaign", None));
-        router.route(r#"{"ev":"counter","name":"cache_hits","value":1,"span":2}"#);
-        // A root span of some unrelated work: not routed anywhere.
-        router.route(&open_line(9, 0, "batch", None));
-        router.route(r#"{"ev":"counter","name":"noise","value":1,"span":9}"#);
-        let sub = router.subscribe(7).unwrap();
-        assert_eq!(sub.backlog.len(), 3);
-        assert!(sub.backlog[2].contains("cache_hits"));
+    fn each_handle_feeds_its_own_job_and_the_upstream_sink() {
+        let (base, upstream) = Telemetry::to_buffer();
+        let feeds = Arc::new(JobFeeds::new(&base));
+        feeds.open(7);
+        feeds.open(8);
+        let (seven, eight) = (feeds.job_handle(7), feeds.job_handle(8));
+        let root7 = seven.span_at(0, JOB_ROOT_SPAN, &[("job", 7u64.into())]);
+        let root8 = eight.span_at(0, JOB_ROOT_SPAN, &[("job", 8u64.into())]);
+        seven.counter("cache_hits", 1, &[]);
+        // Never opened (or already evicted): not buffered anywhere.
+        feeds.job_handle(9).counter("noise", 1, &[]);
+        let sub = feeds.subscribe(7).unwrap();
+        assert_eq!(sub.backlog.len(), 2);
+        assert!(sub.backlog[1].contains("cache_hits"));
         assert!(sub.live.is_some());
-        assert!(router.subscribe(8).is_none());
+        assert_eq!(feeds.subscribe(8).unwrap().backlog.len(), 1);
+        assert!(feeds.subscribe(9).is_none());
+        // One id space across jobs, and every line reached upstream.
+        assert_ne!(root7.id(), root8.id());
+        assert_eq!(upstream.lines().len(), 4);
+        feeds.evict(8);
+        assert!(feeds.subscribe(8).is_none());
     }
 
     #[test]
     fn live_watchers_get_lines_then_disconnect_on_finish() {
-        let router = EventRouter::new();
-        router.open_job(3);
-        router.route(&open_line(1, 0, JOB_ROOT_SPAN, Some(3)));
-        let sub = router.subscribe(3).unwrap();
+        let feeds = Arc::new(JobFeeds::new(&Telemetry::disabled()));
+        feeds.open(3);
+        let tele = feeds.job_handle(3);
+        let root = tele.span_at(0, JOB_ROOT_SPAN, &[("job", 3u64.into())]);
+        let sub = feeds.subscribe(3).unwrap();
         let live = sub.live.unwrap();
-        router.route(r#"{"ev":"progress","msg":"working","span":1}"#);
+        tele.progress("working");
         assert!(live.recv().unwrap().contains("working"));
-        router.finish_job(3, "completed");
+        drop(root);
+        assert!(live.recv().unwrap().contains("span_close"));
+        feeds.finish(3, "completed");
         // The synthetic terminal line arrives, then the channel closes.
         assert!(live.recv().unwrap().contains("job_state"));
         assert!(live.recv().is_err());
         // Late subscribers get the backlog and no live channel.
-        let late = router.subscribe(3).unwrap();
+        let late = feeds.subscribe(3).unwrap();
         assert!(late.live.is_none());
-        assert_eq!(late.backlog.len(), 3);
-    }
-
-    #[test]
-    fn tees_every_line_upstream() {
-        let (upstream, buf) = Telemetry::to_buffer();
-        let router = EventRouter::new();
-        router.set_upstream(upstream);
-        router.route(r#"{"ev":"warn","msg":"not job-scoped"}"#);
-        assert_eq!(buf.lines().len(), 1);
+        assert_eq!(late.backlog.len(), 4);
     }
 }

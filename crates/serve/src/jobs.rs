@@ -20,7 +20,7 @@
 //! Completed jobs keep their report (and their event feed) available
 //! for polling until evicted by the retention cap.
 
-use crate::events::{EventRouter, JOB_ROOT_SPAN};
+use crate::events::{JobFeeds, JOB_ROOT_SPAN};
 use crate::stats::ServeStats;
 use belenos::campaign::CampaignSpec;
 use belenos::figures::{scenario_row, SCENARIO_COLUMNS};
@@ -226,7 +226,7 @@ pub enum Reject {
 pub struct JobManager {
     pool: WorkerPool,
     runner: Runner,
-    router: Arc<EventRouter>,
+    feeds: Arc<JobFeeds>,
     stats: Arc<ServeStats>,
     inner: Arc<Mutex<ManagerInner>>,
     op_budget_ceiling: usize,
@@ -235,10 +235,11 @@ pub struct JobManager {
 impl JobManager {
     /// A manager executing jobs on `workers` pool threads with a queue
     /// of `queue_depth`, simulating through `runner` (whose own thread
-    /// count governs intra-job parallelism).
+    /// count governs intra-job parallelism). The pool workers run under
+    /// the calling thread's current telemetry handle.
     pub fn new(
         runner: Runner,
-        router: Arc<EventRouter>,
+        feeds: Arc<JobFeeds>,
         stats: Arc<ServeStats>,
         workers: usize,
         queue_depth: usize,
@@ -247,7 +248,7 @@ impl JobManager {
         JobManager {
             pool: WorkerPool::new("serve-job", workers, queue_depth),
             runner,
-            router,
+            feeds,
             stats,
             inner: Arc::new(Mutex::new(ManagerInner::default())),
             op_budget_ceiling,
@@ -329,7 +330,7 @@ impl JobManager {
         let job = inner.next_id;
         // Open the event feed before the job can possibly run, so no
         // event or subscriber can race its existence.
-        self.router.open_job(job);
+        self.feeds.open(job);
         inner.jobs.insert(
             job,
             JobRecord {
@@ -347,15 +348,15 @@ impl JobManager {
         );
         inner.inflight.insert(digest, job);
         inner.order.push(job);
-        evict_old_jobs(&mut inner, &self.router);
+        evict_old_jobs(&mut inner, &self.feeds);
         drop(inner);
 
         let task = {
             let inner = self.inner.clone();
             let runner = self.runner.clone();
-            let router = self.router.clone();
+            let feeds = self.feeds.clone();
             let stats = self.stats.clone();
-            move || execute_job(job, &kind, &inner, &runner, &router, &stats)
+            move || execute_job(job, &kind, &inner, &runner, &feeds, &stats)
         };
         if let Err(full) = self.pool.try_submit(task) {
             // Roll the record back: the submission was never accepted.
@@ -363,7 +364,7 @@ impl JobManager {
             inner.jobs.remove(&job);
             inner.inflight.remove(&digest);
             inner.order.retain(|&id| id != job);
-            self.router.evict_job(job);
+            self.feeds.evict(job);
             self.stats.note_rejected_busy();
             tele.counter("serve_jobs_rejected", 1, &[("reason", "queue_full".into())]);
             return Err(Reject::Busy {
@@ -426,7 +427,7 @@ impl JobManager {
     }
 }
 
-fn evict_old_jobs(inner: &mut ManagerInner, router: &EventRouter) {
+fn evict_old_jobs(inner: &mut ManagerInner, feeds: &JobFeeds) {
     while inner.order.len() > MAX_RETAINED_JOBS {
         // Evict the oldest *finished* job; never a live one.
         let Some(pos) = inner
@@ -438,7 +439,7 @@ fn evict_old_jobs(inner: &mut ManagerInner, router: &EventRouter) {
         };
         let id = inner.order.remove(pos);
         inner.jobs.remove(&id);
-        router.evict_job(id);
+        feeds.evict(id);
     }
 }
 
@@ -450,7 +451,7 @@ fn execute_job(
     kind: &JobKind,
     inner: &Mutex<ManagerInner>,
     runner: &Runner,
-    router: &EventRouter,
+    feeds: &Arc<JobFeeds>,
     stats: &Arc<ServeStats>,
 ) {
     let queue_wait_s = {
@@ -464,11 +465,13 @@ fn execute_job(
         wait
     };
     stats.record_queue_wait_s(queue_wait_s);
-    let tele = belenos_telemetry::global();
     let started = Instant::now();
     let result = {
-        // The job's subtree root: the router keys every descendant span,
-        // counter and progress event off this span's `job` field.
+        // The job's own handle, current on this thread (and, through the
+        // runner, on its workers) for exactly the job's extent: whatever
+        // the stack emits meanwhile is this job's feed, root span first.
+        let tele = feeds.job_handle(job);
+        let _tele = tele.scope();
         let _root = tele.span_at(
             0,
             JOB_ROOT_SPAN,
@@ -514,7 +517,7 @@ fn execute_job(
         JobState::Completed => stats.note_completed(),
         _ => stats.note_failed(),
     }
-    tele.counter(
+    belenos_telemetry::global().counter(
         if state == JobState::Completed {
             "serve_jobs_completed"
         } else {
@@ -523,7 +526,7 @@ fn execute_job(
         1,
         &[("job", job.into())],
     );
-    router.finish_job(job, state.as_str());
+    feeds.finish(job, state.as_str());
 }
 
 /// Executes the work itself, returning the report document.
@@ -532,8 +535,8 @@ fn run_kind(kind: &JobKind, runner: &Runner) -> Result<Json, String> {
         JobKind::Campaign(spec) => {
             let campaign = spec.prepare().map_err(|e| e.to_string())?;
             let mut report = campaign.run(runner);
-            // The server always has a telemetry sink installed (the event
-            // router), which makes `Campaign::run` attach a rollup section.
+            // A job always runs under a recording telemetry handle (its
+            // event feed), which makes `Campaign::run` attach a rollup section.
             // Job reports promise byte-equivalence with the CLI's
             // `campaign run --json` in its default telemetry-off form, so
             // the rollup is dropped before rendering.

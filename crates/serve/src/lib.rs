@@ -40,7 +40,7 @@ pub mod jobs;
 pub mod signal;
 pub mod stats;
 
-pub use events::EventRouter;
+pub use events::JobFeeds;
 pub use jobs::{JobKind, JobManager, JobSnapshot, JobState, Reject, Submission};
 pub use stats::ServeStats;
 
@@ -55,7 +55,7 @@ use http::{read_request, respond_error, respond_json, start_ndjson, write_ndjson
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything tunable about a server, with serving-friendly defaults.
@@ -104,14 +104,14 @@ struct ServerState {
     config: ServeConfig,
     addr: SocketAddr,
     manager: JobManager,
-    router: Arc<EventRouter>,
+    feeds: Arc<JobFeeds>,
     stats: Arc<ServeStats>,
     runner: Runner,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    /// The telemetry handle displaced by the router's callback sink,
-    /// reinstalled on shutdown.
-    prev_telemetry: Mutex<Option<Telemetry>>,
+    /// The handle that was current at [`Server::bind`]: every thread the
+    /// server starts runs under it, wherever [`Server::run`] is called.
+    telemetry: Telemetry,
 }
 
 /// A bound, not-yet-running server. [`Server::run`] blocks until a
@@ -156,10 +156,11 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds the listener, builds the persistent runner, and replaces
-    /// the process-global telemetry handle with the event router's
-    /// callback sink (the displaced handle keeps receiving every line,
-    /// so `--telemetry` output is unchanged by serving).
+    /// Binds the listener and builds the persistent runner. The calling
+    /// thread's current telemetry handle becomes the server's: it
+    /// receives the server's own counters and every job's events (so
+    /// `--telemetry` output is unchanged by serving), while each job's
+    /// event feed sees only that job.
     ///
     /// # Errors
     ///
@@ -176,15 +177,12 @@ impl Server {
             runner_config.threads = Some(config.runner_threads);
         }
         let runner = runner_config.build();
-        let router = Arc::new(EventRouter::new());
-        let sink_router = router.clone();
-        let prev =
-            belenos_telemetry::install(Telemetry::to_callback(move |line| sink_router.route(line)));
-        router.set_upstream(prev.clone());
+        let telemetry = belenos_telemetry::global();
+        let feeds = Arc::new(JobFeeds::new(&telemetry));
         let stats = Arc::new(ServeStats::new());
         let manager = JobManager::new(
             runner.clone(),
-            router.clone(),
+            feeds.clone(),
             stats.clone(),
             config.workers,
             config.queue_depth,
@@ -194,12 +192,12 @@ impl Server {
             config,
             addr,
             manager,
-            router,
+            feeds,
             stats,
             runner,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            prev_telemetry: Mutex::new(Some(prev)),
+            telemetry,
         });
         Ok(Server { listener, state })
     }
@@ -217,8 +215,8 @@ impl Server {
     }
 
     /// Serves until shutdown is requested, then drains: every accepted
-    /// job runs to completion, event streams end, connection handlers
-    /// are joined, and the pre-server telemetry handle is reinstalled.
+    /// job runs to completion, event streams end, and connection
+    /// handlers are joined.
     ///
     /// # Errors
     ///
@@ -231,6 +229,7 @@ impl Server {
                 Ok((stream, _peer)) => {
                     let state = self.state.clone();
                     handlers.push(std::thread::spawn(move || {
+                        let _tele = state.telemetry.scope();
                         handle_connection(&state, stream)
                     }));
                 }
@@ -255,9 +254,6 @@ impl Server {
         if let Some(handle) = gc_thread {
             let _ = handle.join();
         }
-        if let Some(prev) = self.state.prev_telemetry.lock().unwrap().take() {
-            belenos_telemetry::install(prev);
-        }
         Ok(())
     }
 }
@@ -274,15 +270,14 @@ fn spawn_gc_sweeper(state: &Arc<ServerState>) -> Option<std::thread::JoinHandle<
         std::thread::Builder::new()
             .name("serve-gc".into())
             .spawn(move || {
+                let _tele = state.telemetry.scope();
                 let interval = Duration::from_secs(state.config.gc_interval_s.max(1));
                 loop {
                     match gc::gc_dirs(&state.config.gc_dirs, budget) {
                         Ok(outcome) => state
                             .stats
                             .note_gc_sweep(outcome.deleted_files as u64, outcome.deleted_bytes),
-                        Err(e) => {
-                            belenos_telemetry::global().warn(&format!("cache gc sweep failed: {e}"))
-                        }
+                        Err(e) => state.telemetry.warn(&format!("cache gc sweep failed: {e}")),
                     }
                     // Sleep in short slices so shutdown isn't held up by
                     // a long sweep interval.
@@ -622,7 +617,7 @@ fn job_report(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) -> std:
 /// NDJSON event stream: buffered backlog first, then live lines until
 /// the job finishes (the stream then ends) or the client hangs up.
 fn job_events(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) -> std::io::Result<()> {
-    let Some(subscription) = state.router.subscribe(id) else {
+    let Some(subscription) = state.feeds.subscribe(id) else {
         return respond_error(stream, 404, &format!("no such job {id}"), None, &[]);
     };
     // Live delivery can idle while a long simulation computes; don't
@@ -633,7 +628,7 @@ fn job_events(state: &Arc<ServerState>, stream: &mut TcpStream, id: u64) -> std:
         write_ndjson_line(stream, line)?;
     }
     if let Some(live) = subscription.live {
-        // Ends when the router disconnects the watchers (job finished)
+        // Ends when the feed disconnects its watchers (job finished)
         // or the write fails (client gone).
         while let Ok(line) = live.recv() {
             write_ndjson_line(stream, &line)?;

@@ -6,6 +6,7 @@
 //! straight from the runner's [`belenos_runner::CacheStats`] at
 //! snapshot time instead of being mirrored here.
 
+use belenos_telemetry::percentile;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -174,18 +175,9 @@ fn push_sample(series: &mut Vec<f64>, value: f64) {
 }
 
 fn percentiles(series: &[f64]) -> (f64, f64) {
-    if series.is_empty() {
-        return (0.0, 0.0);
-    }
     let mut sorted = series.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    // Nearest-rank: the smallest value with at least p of the mass at
-    // or below it.
-    let at = |p: f64| {
-        let rank = (sorted.len() as f64 * p).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
-    };
-    (at(0.50), at(0.95))
+    sorted.sort_by(f64::total_cmp);
+    (percentile(&sorted, 50), percentile(&sorted, 95))
 }
 
 #[cfg(test)]

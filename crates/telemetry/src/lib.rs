@@ -23,10 +23,13 @@
 //!   `job` level (parented explicitly across worker threads with
 //!   [`Telemetry::span_at`]), and the experiment layer the `phase`
 //!   level — nesting follows automatically.
-//! * **One process-wide handle.** Layers that cannot thread a handle
-//!   through their call graph (the `Simulate` trait, `ModelKind::from_env`)
-//!   use [`global`]; the CLI [`install`]s the `--telemetry` selection
-//!   before running a command.
+//! * **One current handle per thread.** Layers that cannot thread a
+//!   handle through their call graph (the `Simulate` trait,
+//!   `ModelKind::from_env`) use [`global`]: the innermost handle a
+//!   [`Telemetry::scope`] guard made current on this thread, else the
+//!   process-wide one the CLI [`install`]s from `--telemetry`. Code that
+//!   starts a thread hands its current handle to it, so a test, a served
+//!   job and a dist worker each observe their own run and no other.
 //!
 //! ## Event schema
 //!
@@ -43,8 +46,9 @@
 //! | `progress`   | `msg`, `span`                                       |
 
 use belenos_json::Json;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::io::Write;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -118,15 +122,19 @@ enum Output {
     Stderr,
     File(std::fs::File),
     Buffer(Arc<Mutex<Vec<u8>>>),
-    /// Each rendered line is handed (without its newline) to a callback
-    /// — the serve layer's per-job event router. The callback runs under
-    /// the sink lock, so it must not emit telemetry back into this sink.
-    Callback(Box<dyn Fn(&str) + Send + Sync>),
+    /// [`Telemetry::tap`]: `feed` sees each rendered line (without its
+    /// newline), then the tapped sink writes it.
+    Tap {
+        feed: Box<dyn Fn(&str) + Send + Sync>,
+        upstream: Option<Arc<Sink>>,
+    },
 }
 
 struct Sink {
     out: Mutex<Output>,
-    next_id: AtomicU64,
+    /// Span ids and the `t_s` epoch; a tap shares its upstream's, so
+    /// the two streams agree on both.
+    next_id: Arc<AtomicU64>,
     start: Instant,
 }
 
@@ -138,8 +146,11 @@ impl Sink {
             Output::Stderr => writeln!(std::io::stderr(), "{line}"),
             Output::File(f) => writeln!(f, "{line}"),
             Output::Buffer(buf) => writeln!(buf.lock().unwrap(), "{line}"),
-            Output::Callback(f) => {
-                f(line);
+            Output::Tap { feed, upstream } => {
+                feed(line);
+                if let Some(upstream) = upstream {
+                    upstream.write_line(line);
+                }
                 Ok(())
             }
         };
@@ -156,6 +167,9 @@ thread_local! {
     /// The innermost open span on this thread (0 = none). New spans
     /// parent under it; [`Span`] guards maintain it as a stack.
     static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
+    /// The innermost handle a [`Scope`] made current on this thread;
+    /// `None` falls through to the process-wide handle.
+    static CURRENT: RefCell<Option<Telemetry>> = const { RefCell::new(None) };
 }
 
 /// A cheap, cloneable handle to the telemetry sink.
@@ -185,6 +199,12 @@ impl TelemetryBuffer {
     pub fn lines(&self) -> Vec<String> {
         self.contents().lines().map(str::to_string).collect()
     }
+
+    /// The emitted events, parsed (every line this crate writes is JSON).
+    pub fn events(&self) -> Vec<Json> {
+        let parse = |l: &str| Json::parse(l).expect("event lines are JSON");
+        self.contents().lines().map(parse).collect()
+    }
 }
 
 impl Telemetry {
@@ -208,7 +228,7 @@ impl Telemetry {
 
     /// A handle writing JSONL events to stderr.
     pub fn to_stderr() -> Telemetry {
-        Telemetry::with_output(Output::Stderr)
+        Telemetry::with_output(Output::Stderr, None)
     }
 
     /// A handle appending JSONL events to the file at `path` (created or
@@ -220,48 +240,58 @@ impl Telemetry {
     pub fn to_path(path: &str) -> Result<Telemetry, String> {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("telemetry: could not create {path}: {e}"))?;
-        Ok(Telemetry::with_output(Output::File(file)))
+        Ok(Telemetry::with_output(Output::File(file), None))
     }
 
     /// A handle writing into an in-memory buffer, plus the buffer —
     /// the test harness for span-nesting and round-trip assertions.
     pub fn to_buffer() -> (Telemetry, TelemetryBuffer) {
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let t = Telemetry::with_output(Output::Buffer(buf.clone()));
+        let t = Telemetry::with_output(Output::Buffer(buf.clone()), None);
         (t, TelemetryBuffer(buf))
     }
 
-    /// A handle delivering each rendered JSONL line (without its
-    /// newline) to `f` — how the serve layer routes every event through
-    /// its per-job dispatcher while the simulation stack keeps emitting
-    /// through the ordinary [`global`] handle.
+    /// A handle that forwards every event to this one and also hands
+    /// the rendered JSONL line (without its newline) to `feed` — how the
+    /// serve layer fills a job's event feed. Span ids and `t_s` come from
+    /// this handle's counter and clock, so both views are one coherent
+    /// stream; a disabled handle's tap starts its own and forwards nowhere.
     ///
-    /// `f` runs under the sink's line lock: lines arrive whole and in
-    /// emission order, and `f` must not emit telemetry back into this
-    /// same handle (forwarding to a *different* handle via
-    /// [`Telemetry::emit_raw`] is fine).
-    pub fn to_callback(f: impl Fn(&str) + Send + Sync + 'static) -> Telemetry {
-        Telemetry::with_output(Output::Callback(Box::new(f)))
+    /// `feed` runs under the tap's line lock: lines arrive whole and in
+    /// emission order, and `feed` must not emit into the tap itself.
+    pub fn tap(&self, feed: impl Fn(&str) + Send + Sync + 'static) -> Telemetry {
+        let out = Output::Tap {
+            feed: Box::new(feed),
+            upstream: self.sink.clone(),
+        };
+        Telemetry::with_output(out, self.sink.as_deref())
     }
 
-    /// Writes an already-rendered JSONL event line verbatim (no-op when
-    /// disabled). This is the fan-out primitive: a callback sink that
-    /// also wants events in a file/stderr/buffer sink forwards each line
-    /// here instead of re-rendering it.
-    pub fn emit_raw(&self, line: &str) {
-        if let Some(sink) = &self.sink {
-            sink.write_line(line);
-        }
-    }
-
-    fn with_output(out: Output) -> Telemetry {
+    /// A recording handle; `clock` lends its id counter and epoch.
+    fn with_output(out: Output, clock: Option<&Sink>) -> Telemetry {
+        let (next_id, start) = match clock {
+            Some(sink) => (sink.next_id.clone(), sink.start),
+            None => (Arc::new(AtomicU64::new(1)), Instant::now()),
+        };
         Telemetry {
             sink: Some(Arc::new(Sink {
                 out: Mutex::new(out),
-                next_id: AtomicU64::new(1),
-                start: Instant::now(),
+                next_id,
+                start,
             })),
             quiet: false,
+        }
+    }
+
+    /// Makes this handle the calling thread's current one — what
+    /// [`global`] returns — until the guard drops, which restores the
+    /// previous one (also on unwind). Guards nest as a stack. A thread
+    /// started inside the scope does not inherit it: pass the handle
+    /// and open a scope there.
+    pub fn scope(&self) -> Scope {
+        Scope {
+            prev: CURRENT.with(|c| c.replace(Some(self.clone()))),
+            _this_thread: PhantomData,
         }
     }
 
@@ -445,24 +475,67 @@ impl Drop for Span {
     }
 }
 
+/// A [`Telemetry::scope`] in effect on the thread that opened it.
+#[derive(Debug)]
+pub struct Scope {
+    prev: Option<Telemetry>,
+    /// The guard restores a thread-local, so it must not change threads.
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        // `try_with`: a guard dropped during thread teardown has nothing
+        // left to restore, and `Drop` must not panic.
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = self.prev.take());
+    }
+}
+
 static GLOBAL: OnceLock<Mutex<Telemetry>> = OnceLock::new();
 
 fn global_slot() -> &'static Mutex<Telemetry> {
     GLOBAL.get_or_init(|| Mutex::new(Telemetry::from_env()))
 }
 
-/// The process-wide telemetry handle, initialized from
-/// `BELENOS_TELEMETRY` on first access. Layers that cannot thread a
+/// The calling thread's current handle: the innermost
+/// [`Telemetry::scope`], else the process-wide handle (initialized from
+/// `BELENOS_TELEMETRY` on first access). Layers that cannot thread a
 /// handle through their call graph (the runner's `Simulate` trait, the
 /// uarch env parser) emit through this.
 pub fn global() -> Telemetry {
-    global_slot().lock().unwrap().clone()
+    CURRENT
+        .with(|c| c.borrow().clone())
+        .unwrap_or_else(|| global_slot().lock().unwrap().clone())
 }
 
-/// Replaces the process-wide handle (the CLI's `--telemetry` flag, test
-/// buffer sinks), returning the previous one so tests can restore it.
+/// Replaces the process-wide handle (the CLI's `--telemetry` flag),
+/// returning the previous one. Threads inside a [`Telemetry::scope`]
+/// are unaffected.
 pub fn install(t: Telemetry) -> Telemetry {
     std::mem::replace(&mut *global_slot().lock().unwrap(), t)
+}
+
+/// Runs `f` with a fresh buffer sink as this thread's current handle
+/// and returns its result with the events it emitted — how tests (and
+/// embedders) observe one run without touching any other.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<Json>) {
+    let (sink, buf) = Telemetry::to_buffer();
+    let out = {
+        let _scope = sink.scope();
+        f()
+    };
+    (out, buf.events())
+}
+
+/// The `p`-th percentile (`p` in 0..=100) of an ascending slice, by
+/// lower nearest rank: element `(n - 1) * p / 100`. The one routine
+/// behind the runner summary, the dist merged summary and `/v1/stats`;
+/// an empty slice yields `T::default()`.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: usize) -> T {
+    match sorted.len() {
+        0 => T::default(),
+        n => sorted[(n - 1) * p / 100],
+    }
 }
 
 #[cfg(test)]
@@ -494,12 +567,8 @@ mod tests {
             drop(analysis);
             drop(campaign);
         }
-        let lines = buf.lines();
-        assert_eq!(lines.len(), 6);
-        let events: Vec<Json> = lines
-            .iter()
-            .map(|l| Json::parse(l).expect("every event line is valid JSON"))
-            .collect();
+        let events = buf.events();
+        assert_eq!(events.len(), 6);
         // Open order and parent chain: campaign is a root, analysis its
         // child, and the counter/gauge attach to the analysis span.
         let id = |e: &Json, k: &str| e.get(k).unwrap().as_f64().unwrap() as u64;
@@ -532,11 +601,7 @@ mod tests {
             });
         });
         drop(batch);
-        let events: Vec<Json> = buf
-            .lines()
-            .iter()
-            .map(|l| Json::parse(l).unwrap())
-            .collect();
+        let events = buf.events();
         let id = |e: &Json, k: &str| e.get(k).unwrap().as_f64().unwrap() as u64;
         let job_open = events
             .iter()
@@ -557,8 +622,7 @@ mod tests {
     fn warn_goes_to_the_sink_when_enabled() {
         let (t, buf) = Telemetry::to_buffer();
         t.warn("BELENOS_MODEL=x86 not understood");
-        let line = &buf.lines()[0];
-        let e = Json::parse(line).unwrap();
+        let e = &buf.events()[0];
         assert_eq!(e.get("ev").unwrap().as_str(), Some("warn"));
         assert!(e.get("msg").unwrap().as_str().unwrap().contains("x86"));
     }
@@ -579,44 +643,62 @@ mod tests {
     }
 
     #[test]
-    fn callback_sink_sees_whole_lines_in_order() {
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
-        let sink = seen.clone();
-        let t = Telemetry::to_callback(move |line| sink.lock().unwrap().push(line.to_string()));
-        assert!(t.enabled());
-        let span = t.span("batch", &[("jobs", 2usize.into())]);
-        t.counter("cache_hits", 1, &[]);
-        drop(span);
-        let lines = seen.lock().unwrap().clone();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            let e = Json::parse(line).expect("callback lines are single JSON events");
-            assert!(e.get("ev").is_some());
-        }
-        assert_eq!(
-            Json::parse(&lines[1])
-                .unwrap()
-                .get("name")
-                .unwrap()
-                .as_str(),
-            Some("cache_hits")
-        );
+    fn tap_feeds_whole_lines_and_shares_ids_and_clock_with_its_upstream() {
+        let (base, buf) = Telemetry::to_buffer();
+        let fed = Arc::new(Mutex::new(Vec::<String>::new()));
+        let feed = fed.clone();
+        let tap = base.tap(move |line| feed.lock().unwrap().push(line.to_string()));
+        let outside = base.span("outside", &[]);
+        let tapped = tap.span("tapped", &[("jobs", 2usize.into())]);
+        tap.counter("cache_hits", 1, &[]);
+        // One id counter: the tap's span is the second, under the first.
+        assert_eq!((outside.id(), tapped.id()), (1, 2));
+        drop((tapped, outside));
+        // The feed holds the tap's three events verbatim; the upstream
+        // holds them too, between its own two.
+        let all = buf.lines();
+        assert_eq!(all.len(), 5);
+        assert_eq!(fed.lock().unwrap()[..], all[1..4]);
+        // A disabled upstream still yields a recording tap.
+        assert!(Telemetry::disabled().tap(|_| {}).enabled());
     }
 
     #[test]
-    fn emit_raw_forwards_lines_verbatim() {
-        let (t, buf) = Telemetry::to_buffer();
-        t.emit_raw(r#"{"ev":"counter","name":"x","value":1}"#);
-        assert_eq!(buf.lines(), [r#"{"ev":"counter","name":"x","value":1}"#]);
-        // Disabled handles stay no-ops.
-        Telemetry::disabled().emit_raw("dropped");
+    fn scope_is_per_thread_nests_and_unwinds() {
+        let ((), outer) = capture(|| {
+            global().counter("outer", 1, &[]);
+            // Another thread is not inside this scope (and the test
+            // process has no process-wide sink).
+            let elsewhere = std::thread::scope(|s| s.spawn(|| global().enabled()).join());
+            assert!(!elsewhere.unwrap());
+            let inner = std::panic::catch_unwind(|| {
+                capture(|| {
+                    global().counter("inner", 1, &[]);
+                    panic!("unwinds through the inner guard");
+                })
+            });
+            assert!(inner.is_err());
+            global().counter("outer_again", 1, &[]);
+        });
+        let names: Vec<&str> = outer
+            .iter()
+            .filter_map(|e| e.get("name")?.as_str())
+            .collect();
+        assert_eq!(names, ["outer", "outer_again"]);
+    }
+
+    #[test]
+    fn percentile_is_the_lower_nearest_rank() {
+        assert_eq!(percentile::<f64>(&[], 95), 0.0);
+        let at = |p| percentile(&[10, 20, 30, 40], p);
+        assert_eq!((at(50), at(95), at(100)), (20, 30, 40));
     }
 
     #[test]
     fn progress_events_carry_the_message() {
         let (t, buf) = Telemetry::to_buffer();
         t.progress("runner: 1/2 simulated");
-        let e = Json::parse(&buf.lines()[0]).unwrap();
+        let e = &buf.events()[0];
         assert_eq!(e.get("ev").unwrap().as_str(), Some("progress"));
         assert_eq!(
             e.get("msg").unwrap().as_str(),

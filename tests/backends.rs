@@ -196,8 +196,8 @@ fn o3_full_trace_is_bit_identical_to_pre_refactor_capture() {
 fn telemetry_is_purely_observational() {
     // The pinned pd prefix digest must come out bit-identical whether
     // telemetry is disabled (the default in tests) or recording to a
-    // buffer sink — instrumentation may observe a simulation but can
-    // never perturb it.
+    // buffer sink scoped to this thread — instrumentation may observe a
+    // simulation but can never perturb it.
     let exp = Experiment::prepare(&by_id("pd").expect("pd")).unwrap();
     let cfg = CoreConfig::gem5_baseline();
     let expected = O3_DIGESTS
@@ -207,19 +207,18 @@ fn telemetry_is_purely_observational() {
         .1;
     assert_eq!(digest(&exp.simulate(&cfg, 40_000)), expected);
 
-    let (sink, buf) = belenos_telemetry::Telemetry::to_buffer();
-    let previous = belenos_telemetry::install(sink);
-    let with_telemetry = digest(&exp.simulate(&cfg, 40_000));
-    belenos_telemetry::install(previous);
+    let (with_telemetry, events) =
+        belenos_telemetry::capture(|| digest(&exp.simulate(&cfg, 40_000)));
 
     assert_eq!(
         with_telemetry, expected,
         "o3 digest drifted with a telemetry sink installed"
     );
     assert!(
-        buf.lines()
-            .iter()
-            .any(|l| l.contains("\"span_open\"") && l.contains("\"phase\"")),
+        events.iter().any(|e| {
+            let is = |k, v| e.get(k).and_then(belenos_json::Json::as_str) == Some(v);
+            is("ev", "span_open") && is("name", "phase")
+        }),
         "the instrumented run must actually have emitted phase spans"
     );
 }

@@ -7,24 +7,29 @@
 //! cases — in-flight dedup, queue-full 429 — deterministic instead of
 //! timing-dependent.
 //!
-//! The tests are serialized by a process-wide lock: binding a server
-//! swaps the global telemetry handle for the event router's callback
-//! sink, which concurrent servers would contend over.
+//! The tests run on parallel threads, several servers alive at once: a
+//! server observes its jobs through telemetry handles of its own and
+//! never touches the process-wide one. (They do share the runner's
+//! process-wide result cache; nothing here asserts on its counters.)
 
 use belenos::campaign::CampaignSpec;
 use belenos_json::{Json, ToJson};
 use belenos_runner::Runner;
 use belenos_serve::{ServeConfig, Server, ServerHandle};
+use belenos_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn smoke_spec_text() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/smoke.json");
     std::fs::read_to_string(path).expect("read examples/smoke.json")
+}
+
+/// The smoke campaign under another name: different work as far as
+/// dedup is concerned.
+fn named_smoke(name: &str) -> String {
+    smoke_spec_text().replace("\"name\": \"smoke\"", &format!("\"name\": \"{name}\""))
 }
 
 fn test_config() -> ServeConfig {
@@ -127,6 +132,35 @@ fn poll_until_state(addr: SocketAddr, job: u64, want: &str) -> Json {
     }
 }
 
+/// Submits a campaign spec, returning the accepted job's id.
+fn submit(addr: SocketAddr, spec: &str) -> u64 {
+    let (status, _, body) = request(addr, "POST", "/v1/campaigns", Some(spec));
+    assert_eq!(status, 202, "submit: {body}");
+    num(&json(&body), "job") as u64
+}
+
+/// Opens a job's NDJSON event stream (the request is sent; nothing read).
+fn open_events(addr: SocketAddr, job: u64) -> TcpStream {
+    let mut events = TcpStream::connect(addr).expect("connect events");
+    events
+        .write_all(format!("GET /v1/jobs/{job}/events HTTP/1.1\r\nhost: test\r\n\r\n").as_bytes())
+        .expect("request events");
+    events
+}
+
+/// Reads an event stream to its end (the job finishing): the body lines.
+fn read_events(mut events: TcpStream) -> Vec<String> {
+    let mut raw = Vec::new();
+    events.read_to_end(&mut raw).expect("read event stream");
+    let (status, headers, body) = parse_response(&raw);
+    assert_eq!(status, 200);
+    assert_eq!(
+        header(&headers, "content-type"),
+        Some("application/x-ndjson")
+    );
+    body.lines().map(str::to_string).collect()
+}
+
 fn shutdown(addr: SocketAddr, thread: std::thread::JoinHandle<()>) {
     let (status, _, _) = request(addr, "POST", "/v1/shutdown", None);
     assert_eq!(status, 200);
@@ -139,7 +173,6 @@ fn shutdown(addr: SocketAddr, thread: std::thread::JoinHandle<()>) {
 /// `belenos campaign run --json` prints).
 #[test]
 fn submit_stream_and_report_byte_equivalence() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let text = smoke_spec_text();
     // The reference run happens before the server exists: telemetry is
     // off, so the report carries no rollup — the exact document the CLI
@@ -166,24 +199,13 @@ fn submit_stream_and_report_byte_equivalence() {
     assert_eq!(accepted.get("joined").and_then(Json::as_bool), Some(false));
     assert_eq!(accepted.get("state").and_then(Json::as_str), Some("queued"));
 
-    let mut events = TcpStream::connect(addr).expect("connect events");
-    events
-        .write_all(format!("GET /v1/jobs/{job}/events HTTP/1.1\r\nhost: test\r\n\r\n").as_bytes())
-        .expect("request events");
+    let events = open_events(addr, job);
     handle.pause_workers(false);
     // The stream ends when the job finishes; EOF bounds the read.
-    let mut raw = Vec::new();
-    events.read_to_end(&mut raw).expect("read event stream");
-    let (status, headers, stream_body) = parse_response(&raw);
-    assert_eq!(status, 200);
-    assert_eq!(
-        header(&headers, "content-type"),
-        Some("application/x-ndjson")
-    );
-    let lines: Vec<&str> = stream_body.lines().collect();
+    let lines = read_events(events);
     assert!(
-        lines.iter().any(|l| l.contains("serve_job")),
-        "stream should carry the job's root span: {stream_body}"
+        lines[0].contains("span_open") && lines[0].contains("serve_job"),
+        "stream should open with the job's root span: {lines:?}"
     );
     let last = lines.last().expect("at least one event line");
     assert!(
@@ -208,15 +230,11 @@ fn submit_stream_and_report_byte_equivalence() {
 /// server's counters pin exactly one simulation.
 #[test]
 fn duplicate_submission_joins_the_inflight_job() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let text = smoke_spec_text();
     let (addr, handle, thread) = start(test_config());
 
     handle.pause_workers(true);
-    let (status, _, body) = request(addr, "POST", "/v1/campaigns", Some(&text));
-    assert_eq!(status, 202, "first submit: {body}");
-    let first = json(&body);
-    let job = num(&first, "job") as u64;
+    let job = submit(addr, &text);
 
     let (status, _, body) = request(addr, "POST", "/v1/campaigns", Some(&text));
     assert_eq!(status, 202, "duplicate submit: {body}");
@@ -254,9 +272,8 @@ fn duplicate_submission_joins_the_inflight_job() {
 /// buffering without bound.
 #[test]
 fn full_queue_rejects_with_429_and_retry_after() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let text = smoke_spec_text();
-    let other = text.replace("\"name\": \"smoke\"", "\"name\": \"smoke-overflow\"");
+    let other = named_smoke("smoke-overflow");
     assert_ne!(text, other, "overflow spec must differ");
     let config = ServeConfig {
         queue_depth: 1,
@@ -265,9 +282,7 @@ fn full_queue_rejects_with_429_and_retry_after() {
     let (addr, handle, thread) = start(config);
 
     handle.pause_workers(true);
-    let (status, _, body) = request(addr, "POST", "/v1/campaigns", Some(&text));
-    assert_eq!(status, 202, "first submit fills the queue: {body}");
-    let job = num(&json(&body), "job") as u64;
+    let job = submit(addr, &text); // fills the queue
 
     let (status, headers, body) = request(addr, "POST", "/v1/campaigns", Some(&other));
     assert_eq!(status, 429, "queue-full submit: {body}");
@@ -294,7 +309,6 @@ fn full_queue_rejects_with_429_and_retry_after() {
 /// batch within budget runs end to end.
 #[test]
 fn budget_rejection_names_the_field_and_scenarios_run() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let text = smoke_spec_text();
     let config = ServeConfig {
         op_budget_ceiling: 10_000, // smoke asks for 20_000
@@ -341,4 +355,79 @@ fn budget_rejection_names_the_field_and_scenarios_run() {
     );
 
     shutdown(addr, thread);
+}
+
+/// Two servers alive at once, each bound under its own scoped sink;
+/// one runs two different jobs at the same time on two workers. Each
+/// event stream is exactly its own job's subtree — one `serve_job` root,
+/// every span (including the `phase` spans emitted on runner worker
+/// threads) parented inside the stream — with ids and `t_s` from one
+/// per-server counter and clock; each sink holds its own server's
+/// counters and job subtrees and nothing of the other server's.
+#[test]
+fn concurrent_jobs_and_servers_stay_apart() {
+    let bound = |config| {
+        let (sink, buf) = Telemetry::to_buffer();
+        let _tele = sink.scope();
+        (buf, start(config))
+    };
+    let (sink, (addr, handle, thread)) = bound(ServeConfig {
+        workers: 2,
+        ..test_config()
+    });
+    let (other_sink, (other_addr, _, other_thread)) = bound(test_config());
+    handle.pause_workers(true);
+    let streams = ["smoke-left", "smoke-right"].map(|name| {
+        let job = submit(addr, &named_smoke(name));
+        (job, open_events(addr, job))
+    });
+    let other_job = submit(other_addr, &named_smoke("smoke-elsewhere"));
+    handle.pause_workers(false);
+
+    let mut seen = std::collections::HashSet::new();
+    let mut extents = Vec::new();
+    let mut streamed = Vec::new();
+    for (job, stream) in streams {
+        let lines = read_events(stream);
+        // Root span open, ..., root span close, terminal state.
+        let [first, .., close, last] = &lines[..] else {
+            panic!("job {job}: short stream {lines:?}")
+        };
+        assert!(first.contains("serve_job") && close.contains("serve_job"));
+        assert!(last.contains("job_state"), "{last}");
+        let root = json(first);
+        assert_eq!((num(&root, "job") as u64, num(&root, "parent")), (job, 0.0));
+        extents.push((num(&root, "t_s"), num(&json(close), "t_s")));
+        let opens = lines.iter().filter(|l| l.contains("\"span_open\""));
+        let opens: Vec<Json> = opens.map(|l| json(l)).collect();
+        let ids: Vec<u64> = opens.iter().map(|e| num(e, "id") as u64).collect();
+        // Spans open after their parents, so "every parent is in this
+        // stream" means "every chain ends at this stream's root".
+        for e in &opens[1..] {
+            let parent = num(e, "parent") as u64;
+            assert!(ids.contains(&parent), "job {job}: stray {e:?}");
+        }
+        assert!(
+            lines.iter().any(|l| l.contains("\"simulate\"")),
+            "job {job}: phase spans from runner worker threads must reach the stream"
+        );
+        assert!(ids.iter().all(|id| seen.insert(*id)), "ids repeat");
+        streamed.extend_from_slice(&lines[..lines.len() - 1]);
+    }
+    assert!(
+        extents[0].0 < extents[1].1 && extents[1].0 < extents[0].1,
+        "the two jobs should have overlapped on the server's clock: {extents:?}"
+    );
+    poll_until_state(other_addr, other_job, "completed");
+    shutdown(addr, thread);
+    shutdown(other_addr, other_thread);
+
+    let (mine, theirs) = (sink.lines(), other_sink.lines());
+    assert!(streamed.iter().all(|l| mine.contains(l)));
+    assert!(mine.iter().any(|l| l.contains("serve_jobs_submitted")));
+    let opened = mine.iter().filter(|l| l.contains("span_open")).count();
+    assert_eq!(opened, seen.len(), "the sink saw foreign spans");
+    let mentions = |lines: &[String], name: &str| lines.iter().any(|l| l.contains(name));
+    assert!(mentions(&theirs, "smoke-elsewhere") && !mentions(&mine, "smoke-elsewhere"));
+    assert!(mentions(&mine, "smoke-left") && !mentions(&theirs, "smoke-left"));
 }

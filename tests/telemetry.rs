@@ -6,36 +6,16 @@
 //! pre-telemetry output (the golden tests in `tests/campaign.rs` pin
 //! that; here we pin the rollup's absence).
 //!
-//! These tests swap the process-wide telemetry handle, so they are
-//! serialized through a lock — the other integration-test files never
-//! install a sink and are unaffected.
+//! Events are captured with `belenos_telemetry::capture`, which scopes
+//! a buffer sink to the calling thread (the runner hands it on to its
+//! workers), so the tests run on parallel threads without seeing each
+//! other's events, and a test that wants no sink simply captures nothing.
 
 use belenos::campaign::{Analysis, CampaignSpec, WorkloadSet};
 use belenos::options::SimOptions;
 use belenos_json::Json;
 use belenos_runner::Runner;
-use belenos_telemetry::{install, Telemetry, TelemetryBuffer};
-use std::sync::Mutex;
-
-/// Serializes tests that install a global sink (tests in one binary run
-/// on parallel threads).
-static GLOBAL_SINK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with a buffer sink installed globally, restoring the
-/// previous handle afterwards, and returns the captured events.
-fn with_buffer_sink<T>(f: impl FnOnce() -> T) -> (T, Vec<Json>) {
-    let _guard = GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner());
-    let (sink, buf): (Telemetry, TelemetryBuffer) = Telemetry::to_buffer();
-    let previous = install(sink);
-    let out = f();
-    install(previous);
-    let events = buf
-        .lines()
-        .iter()
-        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("unparseable event `{l}`: {e}")))
-        .collect();
-    (out, events)
-}
+use belenos_telemetry::capture;
 
 fn tiny_campaign() -> CampaignSpec {
     CampaignSpec::new("telemetry-smoke")
@@ -59,7 +39,7 @@ fn num(e: &Json, k: &str) -> u64 {
 
 #[test]
 fn campaign_run_emits_the_full_span_hierarchy() {
-    let (report, events) = with_buffer_sink(|| {
+    let (report, events) = capture(|| {
         let campaign = tiny_campaign().prepare().expect("pd solves");
         campaign.run(&Runner::isolated(2))
     });
@@ -147,7 +127,7 @@ fn campaign_run_emits_the_full_span_hierarchy() {
 
 #[test]
 fn rollup_appears_only_when_telemetry_is_enabled() {
-    let (enabled_report, _) = with_buffer_sink(|| {
+    let (enabled_report, _) = capture(|| {
         let campaign = tiny_campaign().prepare().expect("pd solves");
         campaign.run(&Runner::isolated(1))
     });
@@ -168,7 +148,6 @@ fn rollup_appears_only_when_telemetry_is_enabled() {
 
     // Without a sink: no rollup, renderings identical to the historical
     // schema (the golden byte-for-byte pins live in tests/campaign.rs).
-    let _guard = GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner());
     let disabled_report = tiny_campaign()
         .prepare()
         .expect("pd solves")
@@ -180,7 +159,7 @@ fn rollup_appears_only_when_telemetry_is_enabled() {
 
 #[test]
 fn runner_progress_and_warn_events_reach_the_sink() {
-    let ((), events) = with_buffer_sink(|| {
+    let ((), events) = capture(|| {
         let campaign = tiny_campaign().prepare().expect("pd solves");
         // progress(false) runner: stderr stays silent, but the sink
         // still receives structured progress events.
@@ -209,7 +188,6 @@ fn runner_progress_and_warn_events_reach_the_sink() {
 fn summary_carries_the_new_observability_fields() {
     // Through the real experiment path (not synthetic summaries): an
     // executed batch reports positive percentile walls and a hit-rate.
-    let _guard = GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner());
     let spec = belenos_workloads::by_id("pd").expect("pd");
     let exp = belenos::experiment::Experiment::prepare(&spec).expect("solves");
     let mut plan = belenos_runner::RunPlan::new();

@@ -6,36 +6,17 @@
 //! section — must degrade to a recompute-and-overwrite with a
 //! structured `warn`, never a panic or a wrong trace.
 //!
-//! These tests swap the process-wide telemetry handle to capture
-//! events, so they serialize through a lock (tests in one binary run on
-//! parallel threads).
+//! Events are captured with `belenos_telemetry::capture`, which scopes
+//! a buffer sink to the calling thread, so tests running on parallel
+//! threads — and prepares outside any capture — never see each other's.
 
 use belenos::experiment::Experiment;
 use belenos::trace_store::TraceStore;
 use belenos_json::Json;
-use belenos_telemetry::{install, Telemetry, TelemetryBuffer};
+use belenos_telemetry::capture;
 use belenos_trace::{StoreHeader, HEADER_LEN};
 use belenos_workloads::ScenarioSpec;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
-static GLOBAL_SINK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with a buffer sink installed globally, restoring the
-/// previous handle afterwards, and returns the captured events.
-fn with_buffer_sink<T>(f: impl FnOnce() -> T) -> (T, Vec<Json>) {
-    let _guard = GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner());
-    let (sink, buf): (Telemetry, TelemetryBuffer) = Telemetry::to_buffer();
-    let previous = install(sink);
-    let out = f();
-    install(previous);
-    let events = buf
-        .lines()
-        .iter()
-        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("unparseable event `{l}`: {e}")))
-        .collect();
-    (out, events)
-}
 
 /// Counter totals for `name` across the captured events.
 fn counter_total(events: &[Json], name: &str) -> u64 {
@@ -96,21 +77,46 @@ fn assert_repaired(path: &Path, fingerprint: u64, ctx: &str) {
     assert_eq!(artifact.trace_fingerprint, fingerprint, "{ctx}");
 }
 
+/// Runs for two scenarios at once, the cold prepares provably
+/// overlapping, each thread capturing on its own: every count below is
+/// exact only if a capture holds nothing of the other thread's run.
 #[test]
 fn warm_prepare_skips_fem_and_reproduces_the_experiment() {
-    let spec = small_scenario("warm");
-    let dir = fresh_store_dir("warm");
+    let both = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| warm_prepare_case("warm-a", &both));
+        warm_prepare_case("warm-b", &both);
+    });
+}
+
+fn warm_prepare_case(tag: &str, both: &std::sync::Barrier) {
+    let spec = small_scenario(tag);
+    let dir = fresh_store_dir(tag);
     let store = TraceStore::at(&dir);
 
-    let (cold, cold_events) =
-        with_buffer_sink(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
+    let (cold, cold_events) = capture(|| {
+        both.wait();
+        let cold = Experiment::prepare_with_store(&spec, Some(&store)).unwrap();
+        // Neither capture ends before both prepares have.
+        both.wait();
+        cold
+    });
+    let phases: Vec<&str> = cold_events
+        .iter()
+        .filter(|e| e.get("name").and_then(Json::as_str) == Some("phase"))
+        .filter_map(|e| e.get("workload").and_then(Json::as_str))
+        .collect();
+    assert!(
+        !phases.is_empty() && phases.iter().all(|w| *w == spec.id),
+        "{phases:?}"
+    );
     assert_eq!(counter_total(&cold_events, "trace_store_miss"), 1);
     assert_eq!(counter_total(&cold_events, "trace_store_hit"), 0);
     assert!(counter_total(&cold_events, "trace_store_write_bytes") > 0);
     assert!(entry_path(&store, &spec).exists());
 
     let (warm, warm_events) =
-        with_buffer_sink(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
+        capture(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
     assert_eq!(counter_total(&warm_events, "trace_store_miss"), 0);
     assert_eq!(counter_total(&warm_events, "trace_store_hit"), 1);
     assert!(warnings(&warm_events).is_empty(), "{warm_events:?}");
@@ -150,7 +156,7 @@ fn truncated_entries_recompute_and_overwrite() {
     for cut in cuts {
         std::fs::write(&path, &intact[..cut]).unwrap();
         let (exp, events) =
-            with_buffer_sink(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
+            capture(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
         assert_eq!(exp.trace_fingerprint(), baseline.trace_fingerprint());
         assert_eq!(counter_total(&events, "trace_store_miss"), 1, "cut {cut}");
         assert_eq!(counter_total(&events, "trace_store_hit"), 0, "cut {cut}");
@@ -176,8 +182,7 @@ fn wrong_version_recomputes_and_overwrites() {
     let mut skewed = intact.clone();
     skewed[12] = 99; // version field follows the 12-byte magic
     std::fs::write(&path, &skewed).unwrap();
-    let (exp, events) =
-        with_buffer_sink(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
+    let (exp, events) = capture(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
     assert_eq!(exp.trace_fingerprint(), baseline.trace_fingerprint());
     assert_eq!(counter_total(&events, "trace_store_miss"), 1);
     let warns = warnings(&events);
@@ -206,7 +211,7 @@ fn key_and_fingerprint_mismatches_recompute_and_overwrite() {
         corrupt[offset] ^= 0xff;
         std::fs::write(&path, &corrupt).unwrap();
         let (exp, events) =
-            with_buffer_sink(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
+            capture(|| Experiment::prepare_with_store(&spec, Some(&store)).unwrap());
         assert_eq!(exp.trace_fingerprint(), baseline.trace_fingerprint());
         assert_eq!(counter_total(&events, "trace_store_miss"), 1, "{needle}");
         let warns = warnings(&events);
@@ -241,7 +246,7 @@ fn corrupt_flat_section_still_simulates_identically() {
     bytes[idx] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
 
-    let ((warm, stats), events) = with_buffer_sink(|| {
+    let ((warm, stats), events) = capture(|| {
         let warm = Experiment::prepare_with_store(&spec, Some(&store)).unwrap();
         let stats = warm.simulate_baseline(20_000);
         (warm, stats)
