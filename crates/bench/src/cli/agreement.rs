@@ -9,18 +9,15 @@
 //! backend, per-backend IPC, top-1 agreement with the detailed o3
 //! model, mean pairwise rank agreement, and wall-time totals.
 //!
-//! Workload selection: `--workloads` (or the historical
-//! `BELENOS_AGREEMENT_WORKLOADS` id list), default the full catalog.
-//! Emits `BENCH_model_agreement.json`.
+//! Workload selection: `--workloads`, default the full catalog.
 
 use super::Invocation;
-use crate::{emit_bench_json, prepare_or_die, BenchRecord};
+use crate::prepare_or_die;
 use belenos::campaign::PaperSet;
 use belenos::figures::{bottleneck_rank, TMA_CATEGORIES};
 use belenos_profiler::report::{fmt, Table};
 use belenos_runner::run_caught;
 use belenos_uarch::{CoreConfig, ModelKind, SimStats};
-use belenos_workloads::ScenarioSpec;
 use std::time::Instant;
 
 /// Fraction of the 6 pairwise category orderings two rankings share.
@@ -46,29 +43,13 @@ struct Run {
     wall_s: f64,
 }
 
-fn selected_specs(inv: &Invocation) -> Vec<ScenarioSpec> {
-    if let Some(set) = &inv.workloads {
-        return set.resolve(PaperSet::Catalog);
-    }
-    match std::env::var("BELENOS_AGREEMENT_WORKLOADS") {
-        Ok(ids) => ids
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|id| belenos_workloads::by_id(id).unwrap_or_else(|| panic!("unknown id {id}")))
-            .collect(),
-        Err(_) => belenos_workloads::catalog(),
-    }
-}
-
 /// `belenos agreement`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
     let opts = inv.overrides().options();
-    let exps = prepare_or_die(&selected_specs(inv));
+    let exps = prepare_or_die(&inv.workload_set().resolve(PaperSet::Catalog));
 
     // workload-major → backend-major grid of runs.
     let mut grid: Vec<Vec<Option<Run>>> = Vec::new();
-    let mut records = Vec::new();
     for exp in &exps {
         let mut row = Vec::new();
         for kind in ModelKind::ALL {
@@ -79,16 +60,7 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
                 (stats, t0.elapsed().as_secs_f64())
             });
             row.push(match outcome {
-                Ok((stats, wall_s)) => {
-                    records.push(BenchRecord {
-                        workload: exp.id.clone(),
-                        backend: kind.label().to_string(),
-                        wall_s,
-                        ipc: stats.ipc(),
-                        mips: stats.committed_ops as f64 / wall_s.max(1e-9) / 1e6,
-                    });
-                    Some(Run { stats, wall_s })
-                }
+                Ok((stats, wall_s)) => Some(Run { stats, wall_s }),
                 Err(e) => {
                     eprintln!("SIMULATION FAILED: {e}");
                     None
@@ -181,6 +153,5 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
             wall[0] / wall[b].max(1e-9),
         );
     }
-    emit_bench_json("model_agreement", &records);
     Ok(())
 }

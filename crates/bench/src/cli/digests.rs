@@ -5,14 +5,8 @@
 
 use super::Invocation;
 use belenos::experiment::Experiment;
-use belenos_runner::cache::encode_stats;
-use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig};
-
-fn digest(stats: &belenos_uarch::SimStats) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(&encode_stats(stats));
-    h.finish()
-}
+use belenos_runner::cache::stats_digest as digest;
+use belenos_uarch::{CoreConfig, SamplingConfig};
 
 /// `belenos digests`.
 pub fn run(_inv: &Invocation) -> Result<(), String> {

@@ -15,8 +15,6 @@
 //! belenos digests                      o3 SimStats digests (regression capture)
 //! belenos sampling                     SMARTS sampling accuracy harness
 //! belenos ablation <rcm|rob-iq>        reordering / instruction-window ablations
-//! belenos bench capture|compare        perf baseline capture / regression gate
-//! belenos bench prepare                cold vs warm-store prepare walls
 //! ```
 //!
 //! Every subcommand shares one option layer: the `BELENOS_*`
@@ -28,7 +26,6 @@
 
 mod ablation;
 mod agreement;
-mod bench_cmd;
 mod cache_cmd;
 mod campaign_cmd;
 mod digests;
@@ -75,9 +72,6 @@ pub struct Invocation {
     /// `--telemetry V`: structured-event sink (`off`, `stderr`, or a
     /// JSONL path). `None` = leave the `BELENOS_TELEMETRY` selection.
     pub telemetry: Option<String>,
-    /// `--note TEXT`: recapture note recorded in a `bench capture`
-    /// baseline document.
-    pub note: Option<String>,
     /// `--trace-dir PATH`: persistent trace store directory. `None` =
     /// leave the `BELENOS_TRACE_DIR` selection.
     pub trace_dir: Option<String>,
@@ -241,7 +235,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
             "--telemetry" => inv.telemetry = Some(value(&mut it, "--telemetry")?),
             "--trace-dir" => inv.trace_dir = Some(value(&mut it, "--trace-dir")?),
             "--cache-dir" => inv.cache_dir = Some(value(&mut it, "--cache-dir")?),
-            "--note" => inv.note = Some(value(&mut it, "--note")?),
             "--addr" => inv.addr = Some(value(&mut it, "--addr")?),
             "--serve-workers" => {
                 let v = value(&mut it, "--serve-workers")?;
@@ -333,14 +326,6 @@ SUBCOMMANDS
   digests                     o3 SimStats digests (backend regression capture)
   sampling                    SMARTS sampling accuracy/speed harness
   ablation <rcm|rob-iq>       RCM reordering / ROB-IQ window ablations
-  bench capture [path]        measure the fixed perf bench, write a baseline
-                              (--note TEXT records why it was recaptured)
-  bench compare [path]        gate current perf against a committed baseline
-                              (default path BENCH_baseline.json, 15% threshold;
-                              >3x unexplained improvement also fails — stale
-                              baseline, recapture with --note)
-  bench prepare               cold-vs-warm trace-store prepare walls over a
-                              preset set (default gem5; --workloads narrows)
   serve                       long-running HTTP simulation server: submit
                               campaign/scenario specs, poll jobs, stream
                               NDJSON telemetry (see README \"Serving\")
@@ -440,7 +425,6 @@ pub fn main(args: Vec<String>) -> i32 {
         "digests" => digests::run(&inv),
         "sampling" => sampling::run(&inv),
         "ablation" => ablation::run(&inv),
-        "bench" => bench_cmd::run(&inv),
         "serve" => serve_cmd::run(&inv),
         "worker" => worker_cmd::run(&inv),
         "cache" => cache_cmd::run(&inv),
@@ -617,6 +601,58 @@ mod tests {
         assert!(parse(&args(&["worker", "--lease-ttl", "0"])).is_err());
         assert!(parse(&args(&["worker", "--lease-ttl", "soon"])).is_err());
         assert!(parse(&args(&["worker", "--local-workers", "two"])).is_err());
+    }
+
+    #[test]
+    fn bench_is_not_a_subcommand() {
+        // Timing Belenos is the job of `benchmark/`, not of the program.
+        assert_eq!(main(args(&["bench", "compare"])), 2);
+        assert!(!USAGE.contains("bench"));
+        assert!(parse(&args(&["sampling", "--note", "x"])).is_err());
+    }
+
+    /// Every `BELENOS_<NAME>` in `text`, by its `<NAME>`.
+    fn knob_names(text: &str) -> std::collections::BTreeSet<String> {
+        text.split("BELENOS_")
+            .skip(1)
+            .map(|rest| {
+                rest.chars()
+                    .take_while(|c| c.is_ascii_uppercase() || *c == '_')
+                    .collect::<String>()
+            })
+            .filter(|name| !name.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn readme_env_table_lists_exactly_the_knobs_in_the_source() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut in_source = std::collections::BTreeSet::new();
+        let mut dirs: Vec<_> = std::fs::read_dir(root.join("crates"))
+            .unwrap()
+            .map(|krate| krate.unwrap().path().join("src"))
+            .collect();
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    in_source.extend(knob_names(&std::fs::read_to_string(&path).unwrap()));
+                }
+            }
+        }
+        let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+        let table: String = readme
+            .split("## Environment variables")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("README has an `Environment variables` section")
+            .lines()
+            .filter(|line| line.starts_with("| `"))
+            .map(|line| line.split('|').nth(1).unwrap_or(""))
+            .collect();
+        assert_eq!(knob_names(&table), in_source);
     }
 
     #[test]

@@ -4,19 +4,18 @@
 //! (b) the historical prefix truncation at the same budget, reporting
 //! IPC error, wall time and where the measurement windows land.
 //!
-//! Workload selection: `--workloads id,id` (or the historical
-//! `BELENOS_ACCURACY_WORKLOADS`), default `pd,co`. `--sampling N`
-//! chooses the interval count for the sampled column; `--model` the
-//! backend. Emits `BENCH_sampling_accuracy.json`.
+//! Workload selection: `--workloads id,id`, default `pd,co`.
+//! `--sampling N` chooses the interval count for the sampled column;
+//! `--model` the backend.
 
 use super::Invocation;
-use crate::{emit_bench_json, BenchRecord};
 use belenos::campaign::PaperSet;
 use belenos::env::DEFAULT_SAMPLING_INTERVALS;
 use belenos::experiment::{sampling_windows, Experiment};
 use belenos_profiler::report::{fmt, Table};
 use belenos_runner::run_caught;
 use belenos_uarch::{CoreConfig, SamplingConfig, SimStats};
+use belenos_workloads::ScenarioSpec;
 use std::time::Instant;
 
 fn timed(f: impl FnOnce() -> SimStats) -> (SimStats, f64) {
@@ -33,21 +32,17 @@ fn pct_err(est: f64, reference: f64) -> f64 {
     }
 }
 
-fn selected_ids(inv: &Invocation) -> Vec<String> {
-    if let Some(set) = &inv.workloads {
-        return set
-            .resolve(PaperSet::Catalog)
+/// Compared when `--workloads` is not given.
+const DEFAULT_WORKLOADS: [&str; 2] = ["pd", "co"];
+
+fn selected_specs(inv: &Invocation) -> Vec<ScenarioSpec> {
+    match &inv.workloads {
+        Some(set) => set.resolve(PaperSet::Catalog),
+        None => DEFAULT_WORKLOADS
             .iter()
-            .map(|s| s.id.to_string())
-            .collect();
+            .filter_map(|id| belenos_workloads::by_id(id))
+            .collect(),
     }
-    std::env::var("BELENOS_ACCURACY_WORKLOADS")
-        .unwrap_or_else(|_| "pd,co".into())
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
 }
 
 /// `belenos sampling`.
@@ -72,15 +67,8 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
         "Sampled (s)",
         "Speedup",
     ]);
-    let mut records = Vec::new();
-    for id in selected_ids(inv) {
-        let spec = match belenos_workloads::by_id(&id) {
-            Some(s) => s,
-            None => {
-                eprintln!("unknown workload id `{id}`, skipping");
-                continue;
-            }
-        };
+    for spec in selected_specs(inv) {
+        let id = &spec.id;
         let exp = Experiment::prepare(&spec).map_err(|e| format!("prepare {id}: {e}"))?;
         let total = exp.total_trace_ops();
         let budget = (total as usize / 10).max(1);
@@ -125,25 +113,10 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
             fmt(sampled_s, 3),
             fmt(full_s / sampled_s.max(1e-9), 2),
         ]);
-        records.push(BenchRecord {
-            workload: id.to_string(),
-            backend: format!("{}-full", cfg.model),
-            wall_s: full_s,
-            ipc: full.ipc(),
-            mips: full.committed_ops as f64 / full_s.max(1e-9) / 1e6,
-        });
-        records.push(BenchRecord {
-            workload: id.to_string(),
-            backend: format!("{}-sampled", cfg.model),
-            wall_s: sampled_s,
-            ipc: sampled.ipc(),
-            mips: sampled.committed_ops as f64 / sampled_s.max(1e-9) / 1e6,
-        });
     }
     println!(
         "Sampling accuracy at a 10x reduced op budget ({intervals} SMARTS intervals)\n\n{}",
         t.render()
     );
-    emit_bench_json("sampling_accuracy", &records);
     Ok(())
 }

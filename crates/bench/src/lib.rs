@@ -1,9 +1,7 @@
 //! # belenos-bench
 //!
-//! The benchmark harness behind the single `belenos` CLI
-//! (`cargo run -p belenos-bench --release --bin belenos -- <subcommand>`),
-//! plus timing benches over the computational kernels and the simulator
-//! itself (`cargo bench -p belenos-bench`).
+//! The library behind the single `belenos` CLI
+//! (`cargo run -p belenos-bench --release --bin belenos -- <subcommand>`).
 //!
 //! The CLI ([`cli`]) replaces the old one-binary-per-figure layout:
 //! every paper table/figure, the campaign driver, the cross-backend
@@ -13,16 +11,13 @@
 //! `BELENOS_SAMPLING` / `BELENOS_MODEL` / `BELENOS_JOBS` are read, with
 //! CLI flags layered on top).
 //!
-//! Perf-tracking subcommands additionally write machine-readable
-//! `BENCH_<name>.json` records (wall time + IPC per workload/backend)
-//! via [`emit_bench_json`], so the performance trajectory is tracked
-//! across PRs.
+//! Nothing in here times Belenos for a verdict: host performance is
+//! measured from outside by the harness under `benchmark/`.
 
 use belenos::experiment::{prepare_all, Experiment};
 use belenos_workloads::ScenarioSpec;
 
 pub mod cli;
-pub mod timing;
 
 /// Prepares scenarios, printing progress, and panics with a clear message
 /// naming the failing scenario (the harness cannot proceed without it).
@@ -35,478 +30,4 @@ pub fn prepare_or_die(specs: &[ScenarioSpec]) -> Vec<Experiment> {
 /// commands call this last so shared-baseline reuse is visible.
 pub fn print_run_summary() {
     eprintln!("{}", belenos_runner::process_summary());
-}
-
-/// One machine-readable benchmark record: how long one workload took
-/// under one backend, and the IPC it reported.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Workload id.
-    pub workload: String,
-    /// Core-model backend label (`o3`/`inorder`/`analytic`), or another
-    /// mode label for non-backend benches (e.g. `sampled`, `prefix`).
-    pub backend: String,
-    /// Wall-clock seconds of the simulation.
-    pub wall_s: f64,
-    /// Reported instructions per cycle.
-    pub ipc: f64,
-    /// Simulated MIPS: committed micro-ops per host wall second, in
-    /// millions — the simulator-throughput metric the `bench compare`
-    /// regression gate tracks.
-    pub mips: f64,
-}
-
-impl belenos_json::ToJson for BenchRecord {
-    fn to_json(&self) -> belenos_json::Json {
-        belenos_json::Json::obj(vec![
-            ("workload", belenos_json::Json::Str(self.workload.clone())),
-            ("backend", belenos_json::Json::Str(self.backend.clone())),
-            ("wall_s", belenos_json::Json::Num(self.wall_s)),
-            ("ipc", belenos_json::Json::Num(self.ipc)),
-            ("mips", belenos_json::Json::Num(self.mips)),
-        ])
-    }
-}
-
-impl belenos_json::FromJson for BenchRecord {
-    fn from_json(v: &belenos_json::Json) -> Result<BenchRecord, belenos_json::JsonError> {
-        let f = |k: &str| -> Result<f64, belenos_json::JsonError> {
-            v.get(k)
-                .and_then(belenos_json::Json::as_f64)
-                .ok_or_else(|| belenos_json::JsonError::new(format!("record needs numeric `{k}`")))
-        };
-        let s = |k: &str| -> Result<String, belenos_json::JsonError> {
-            v.get(k)
-                .and_then(belenos_json::Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| belenos_json::JsonError::new(format!("record needs string `{k}`")))
-        };
-        Ok(BenchRecord {
-            workload: s("workload")?,
-            backend: s("backend")?,
-            wall_s: f("wall_s")?,
-            ipc: f("ipc")?,
-            // Absent in pre-telemetry records; 0 marks "not measured".
-            mips: v
-                .get("mips")
-                .and_then(belenos_json::Json::as_f64)
-                .unwrap_or(0.0),
-        })
-    }
-}
-
-/// Serializes bench records as a small self-describing JSON document.
-pub fn bench_json(name: &str, records: &[BenchRecord]) -> String {
-    use belenos_json::{Json, ToJson};
-    Json::obj(vec![
-        ("bench", Json::Str(name.to_string())),
-        (
-            "records",
-            Json::Arr(records.iter().map(ToJson::to_json).collect()),
-        ),
-    ])
-    .pretty()
-}
-
-/// Writes `BENCH_<name>.json` (into `BELENOS_BENCH_DIR`, default the
-/// current directory) so CI and later PRs can track the perf trajectory;
-/// returns the path written. Failures are reported on stderr and
-/// swallowed — metrics files must never break a bench run.
-pub fn emit_bench_json(name: &str, records: &[BenchRecord]) -> std::path::PathBuf {
-    let dir = std::env::var("BELENOS_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let path = std::path::Path::new(&dir).join(format!("BENCH_{name}.json"));
-    if let Err(e) = std::fs::write(&path, bench_json(name, records)) {
-        eprintln!("could not write {}: {e}", path.display());
-    } else {
-        eprintln!("wrote {}", path.display());
-    }
-    path
-}
-
-/// A committed performance baseline for the `bench compare` regression
-/// gate: simulated-MIPS records plus the [`calibrate`] score of the
-/// machine that captured them.
-///
-/// Comparisons are *calibration-normalized* — each record's MIPS is
-/// divided by its document's calibration score before comparing — so a
-/// baseline captured on a fast machine does not fail every slower
-/// machine (and a slow-machine baseline does not wave regressions
-/// through on fast ones).
-#[derive(Debug, Clone)]
-pub struct BenchBaseline {
-    /// [`calibrate`] score (Mops/s of the fixed integer loop) of the
-    /// machine that produced `records`.
-    pub calibration: f64,
-    /// Per-(workload, backend) measurements.
-    pub records: Vec<BenchRecord>,
-    /// Recapture note: why this baseline replaced its predecessor
-    /// (`bench capture --note`). The audit trail for deliberate
-    /// baseline moves — the improvement gate points at it when a
-    /// suspiciously large speedup suggests the baseline went stale.
-    pub note: Option<String>,
-}
-
-impl BenchBaseline {
-    /// Serializes the baseline as a pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        use belenos_json::{Json, ToJson};
-        let mut fields = vec![
-            ("bench", Json::Str("baseline".to_string())),
-            ("calibration", Json::Num(self.calibration)),
-            (
-                "records",
-                Json::Arr(self.records.iter().map(ToJson::to_json).collect()),
-            ),
-        ];
-        if let Some(note) = &self.note {
-            fields.push(("note", Json::Str(note.clone())));
-        }
-        Json::obj(fields).pretty()
-    }
-
-    /// Parses a baseline document.
-    ///
-    /// # Errors
-    ///
-    /// A [`belenos_json::JsonError`] describing the malformed field.
-    pub fn parse(text: &str) -> Result<BenchBaseline, belenos_json::JsonError> {
-        use belenos_json::{FromJson, Json, JsonError};
-        let v = Json::parse(text)?;
-        let calibration = v
-            .get("calibration")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| JsonError::new("baseline needs numeric `calibration`"))?;
-        if calibration.is_nan() || calibration <= 0.0 {
-            return Err(JsonError::new("baseline `calibration` must be positive"));
-        }
-        let records = v
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| JsonError::new("baseline needs a `records` array"))?
-            .iter()
-            .map(BenchRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let note = v
-            .get("note")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .filter(|s| !s.is_empty());
-        Ok(BenchBaseline {
-            calibration,
-            records,
-            note,
-        })
-    }
-}
-
-/// Scores this machine with a fixed CPU-bound integer loop (Mops/s),
-/// best of three runs.
-///
-/// The loop is the same arithmetic for every machine and every commit,
-/// so the ratio `simulated MIPS / calibration` cancels raw host speed
-/// out of the regression gate: only *code* slowdowns move it. Taking
-/// the best run (like the bench wall times) sheds scheduler noise —
-/// interference only ever makes a run slower.
-pub fn calibrate() -> f64 {
-    const ITERS: u64 = 60_000_000;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        let mut acc: u64 = 0x9e3779b97f4a7c15;
-        for i in 0..ITERS {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            acc ^= acc >> 29;
-        }
-        let secs = std::time::Instant::now()
-            .duration_since(start)
-            .as_secs_f64();
-        std::hint::black_box(acc);
-        best = best.min(secs);
-    }
-    ITERS as f64 / best.max(1e-9) / 1e6
-}
-
-/// Outcome of a baseline comparison: one human-readable line per
-/// compared record, and whether every record stayed inside the allowed
-/// regression.
-#[derive(Debug, Clone)]
-pub struct CompareReport {
-    /// Per-record verdict lines (`ok`/`REGRESSED`/`missing`).
-    pub lines: Vec<String>,
-    /// True when no record regressed beyond the threshold.
-    pub passed: bool,
-}
-
-/// Ratio of current to baseline normalized MIPS above which an
-/// *improvement* fails the gate: a >3x speedup without a baseline
-/// recapture means the committed baseline is stale, and a stale
-/// baseline silently masks every later regression smaller than the
-/// improvement. Recapture (with `bench capture --note <why>`) to
-/// acknowledge the new performance level.
-pub const IMPROVEMENT_LIMIT: f64 = 3.0;
-
-/// Compares `current` against `baseline` record-by-record (matched on
-/// workload + backend), failing any record whose calibration-normalized
-/// simulated MIPS fell more than `threshold` (e.g. `0.15` = 15%) below
-/// the baseline's. Records the baseline has but `current` lacks fail
-/// too (silently dropping a bench would defeat the gate); records with
-/// an unmeasured (zero) MIPS on either side are reported but not gated.
-///
-/// Improvements beyond [`IMPROVEMENT_LIMIT`] also fail: the baseline is
-/// stale and would mask any later regression smaller than the
-/// improvement. The fix is a deliberate recapture carrying a
-/// [`BenchBaseline::note`].
-pub fn compare_baselines(
-    baseline: &BenchBaseline,
-    current: &BenchBaseline,
-    threshold: f64,
-) -> CompareReport {
-    let mut lines = Vec::new();
-    let mut passed = true;
-    for base in &baseline.records {
-        let key = format!("{} {}", base.workload, base.backend);
-        let Some(cur) = current
-            .records
-            .iter()
-            .find(|r| r.workload == base.workload && r.backend == base.backend)
-        else {
-            lines.push(format!("{key}: MISSING from current run"));
-            passed = false;
-            continue;
-        };
-        if base.mips <= 0.0 || cur.mips <= 0.0 {
-            lines.push(format!("{key}: not gated (unmeasured MIPS)"));
-            continue;
-        }
-        let base_norm = base.mips / baseline.calibration;
-        let cur_norm = cur.mips / current.calibration;
-        let delta = cur_norm / base_norm - 1.0;
-        if delta < -threshold {
-            lines.push(format!(
-                "{key}: REGRESSED {:+.1}% (normalized {base_norm:.4} -> {cur_norm:.4}, limit -{:.0}%)",
-                delta * 100.0,
-                threshold * 100.0
-            ));
-            passed = false;
-        } else if cur_norm / base_norm > IMPROVEMENT_LIMIT {
-            lines.push(format!(
-                "{key}: IMPROVED {:+.1}% beyond {IMPROVEMENT_LIMIT}x — stale baseline; \
-                 recapture via `belenos bench capture --note <why>` so later \
-                 regressions are not masked (normalized {base_norm:.4} -> {cur_norm:.4})",
-                delta * 100.0
-            ));
-            passed = false;
-        } else {
-            lines.push(format!(
-                "{key}: ok {:+.1}% (normalized {base_norm:.4} -> {cur_norm:.4})",
-                delta * 100.0
-            ));
-        }
-    }
-    CompareReport { lines, passed }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_json_shape() {
-        let records = vec![
-            BenchRecord {
-                workload: "pd".into(),
-                backend: "o3".into(),
-                wall_s: 1.25,
-                ipc: 0.91,
-                mips: 3.2,
-            },
-            BenchRecord {
-                workload: "co".into(),
-                backend: "analytic".into(),
-                wall_s: 0.02,
-                ipc: 1.10,
-                mips: 150.0,
-            },
-        ];
-        let text = bench_json("model_agreement", &records);
-        assert!(text.contains("\"bench\": \"model_agreement\""));
-        assert!(text.contains("\"workload\": \"pd\""));
-        assert!(text.contains("\"backend\": \"analytic\""));
-        assert!(text.contains("\"mips\""));
-        // The document must parse back cleanly.
-        let v = belenos_json::Json::parse(&text).expect("valid JSON");
-        assert_eq!(v.get("records").unwrap().as_arr().unwrap().len(), 2);
-    }
-
-    fn record(workload: &str, mips: f64) -> BenchRecord {
-        BenchRecord {
-            workload: workload.into(),
-            backend: "o3".into(),
-            wall_s: 1.0,
-            ipc: 1.0,
-            mips,
-        }
-    }
-
-    #[test]
-    fn baseline_round_trips_through_json() {
-        let base = BenchBaseline {
-            calibration: 123.4,
-            records: vec![record("pd", 3.5), record("co", 2.0)],
-            note: None,
-        };
-        let parsed = BenchBaseline::parse(&base.to_json()).expect("round-trip");
-        assert_eq!(parsed.calibration, 123.4);
-        assert_eq!(parsed.records.len(), 2);
-        assert_eq!(parsed.records[0].workload, "pd");
-        assert_eq!(parsed.records[0].mips, 3.5);
-        // Records without a mips field (pre-telemetry documents) parse
-        // with mips = 0 and are excluded from gating.
-        let legacy = r#"{"calibration": 10.0, "records":
-            [{"workload": "pd", "backend": "o3", "wall_s": 1.0, "ipc": 0.9}]}"#;
-        let b = BenchBaseline::parse(legacy).expect("legacy records parse");
-        assert_eq!(b.records[0].mips, 0.0);
-        assert!(BenchBaseline::parse(r#"{"records": []}"#).is_err());
-        assert!(BenchBaseline::parse(r#"{"calibration": 0, "records": []}"#).is_err());
-    }
-
-    #[test]
-    fn compare_passes_on_equal_and_faster_runs() {
-        let base = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0), record("co", 2.0)],
-            note: None,
-        };
-        let equal = compare_baselines(&base, &base, 0.15);
-        assert!(equal.passed, "{:?}", equal.lines);
-        assert_eq!(equal.lines.len(), 2);
-        let faster = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 4.0), record("co", 2.5)],
-            note: None,
-        };
-        assert!(compare_baselines(&base, &faster, 0.15).passed);
-    }
-
-    #[test]
-    fn compare_fails_on_a_20_percent_slowdown() {
-        let base = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0), record("co", 2.0)],
-            note: None,
-        };
-        let slowed = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0 * 0.8), record("co", 2.0)],
-            note: None,
-        };
-        let report = compare_baselines(&base, &slowed, 0.15);
-        assert!(!report.passed);
-        assert!(
-            report.lines.iter().any(|l| l.contains("REGRESSED")),
-            "{:?}",
-            report.lines
-        );
-        // A slowdown inside the threshold passes.
-        let minor = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0 * 0.9), record("co", 2.0)],
-            note: None,
-        };
-        assert!(compare_baselines(&base, &minor, 0.15).passed);
-    }
-
-    #[test]
-    fn compare_fails_on_unexplained_3x_improvement() {
-        let base = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0), record("co", 2.0)],
-            note: None,
-        };
-        // A >3x normalized jump means the committed baseline is stale:
-        // the gate demands a deliberate recapture instead of silently
-        // absorbing headroom that would mask later regressions.
-        let leapt = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0 * 3.2), record("co", 2.0)],
-            note: None,
-        };
-        let report = compare_baselines(&base, &leapt, 0.15);
-        assert!(!report.passed, "{:?}", report.lines);
-        assert!(
-            report
-                .lines
-                .iter()
-                .any(|l| l.contains("IMPROVED") && l.contains("--note")),
-            "{:?}",
-            report.lines
-        );
-        // Just inside the limit passes.
-        let within = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0 * 2.9), record("co", 2.0)],
-            note: None,
-        };
-        assert!(compare_baselines(&base, &within, 0.15).passed);
-    }
-
-    #[test]
-    fn baseline_note_round_trips_and_stays_optional() {
-        let noted = BenchBaseline {
-            calibration: 50.0,
-            records: vec![record("pd", 3.0)],
-            note: Some("PR 7: FlatTrace + SoA o3 rewrite".into()),
-        };
-        let parsed = BenchBaseline::parse(&noted.to_json()).expect("round-trip");
-        assert_eq!(
-            parsed.note.as_deref(),
-            Some("PR 7: FlatTrace + SoA o3 rewrite")
-        );
-        // Pre-note documents parse with no note.
-        let legacy = r#"{"calibration": 10.0, "records": []}"#;
-        assert!(BenchBaseline::parse(legacy).expect("legacy").note.is_none());
-    }
-
-    #[test]
-    fn compare_normalizes_away_host_speed() {
-        // The same code on a machine twice as fast: calibration and MIPS
-        // both double — no regression, no false pass the other way.
-        let base = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0)],
-            note: None,
-        };
-        let fast_machine = BenchBaseline {
-            calibration: 200.0,
-            records: vec![record("pd", 6.0)],
-            note: None,
-        };
-        assert!(compare_baselines(&base, &fast_machine, 0.15).passed);
-        // A fast machine running regressed code still fails: MIPS only
-        // rose 1.5x against a 2x calibration.
-        let fast_but_regressed = BenchBaseline {
-            calibration: 200.0,
-            records: vec![record("pd", 4.5)],
-            note: None,
-        };
-        assert!(!compare_baselines(&base, &fast_but_regressed, 0.15).passed);
-    }
-
-    #[test]
-    fn compare_fails_on_missing_records_and_skips_unmeasured() {
-        let base = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("pd", 3.0), record("co", 0.0)],
-            note: None,
-        };
-        let current = BenchBaseline {
-            calibration: 100.0,
-            records: vec![record("co", 0.0)],
-            note: None,
-        };
-        let report = compare_baselines(&base, &current, 0.15);
-        assert!(!report.passed, "dropped record must fail the gate");
-        assert!(report.lines.iter().any(|l| l.contains("MISSING")));
-        assert!(report.lines.iter().any(|l| l.contains("not gated")));
-    }
 }

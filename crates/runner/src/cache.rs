@@ -7,8 +7,10 @@
 //! in-memory (shared, thread-safe) with an optional on-disk tier
 //! (`BELENOS_CACHE_DIR`) that survives across processes.
 
+use belenos_uarch::stats::StageMix;
 use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig, SimStats};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -217,149 +219,181 @@ fn entry_path(dir: &Path, key: &CacheKey) -> PathBuf {
 
 // --- on-disk SimStats serialization ------------------------------------
 //
-// A tiny versioned `field=value` text format (no external dependencies).
-// Any parse mismatch — missing field, wrong version, stray value — makes
-// the lookup a miss, so format evolution is always safe.
+// A tiny versioned, checksummed `field=value` text format (no external
+// dependencies). Any mismatch — wrong version, failed checksum, missing
+// or stray line — makes the lookup a miss, so format evolution is always
+// safe and a damaged entry is never served.
 
-const FORMAT_HEADER: &str = "belenos-simstats-v1";
+const FORMAT_HEADER: &str = "belenos-simstats-v2";
+const FREQ_KEY: &str = "freq_ghz_bits";
+const CHECKSUM_KEY: &str = "checksum=";
 
-fn stat_fields(s: &SimStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("freq_ghz_bits", s.freq_ghz.to_bits()),
-        ("cycles", s.cycles),
-        ("committed_ops", s.committed_ops),
-        ("squashed_ops", s.squashed_ops),
-        ("active_fetch_cycles", s.active_fetch_cycles),
-        ("icache_stall_cycles", s.icache_stall_cycles),
-        ("tlb_stall_cycles", s.tlb_stall_cycles),
-        ("squash_cycles", s.squash_cycles),
-        ("misc_stall_cycles", s.misc_stall_cycles),
-        ("exec_branches", s.exec_mix.branches),
-        ("exec_fp", s.exec_mix.fp),
-        ("exec_int", s.exec_mix.int),
-        ("exec_loads", s.exec_mix.loads),
-        ("exec_stores", s.exec_mix.stores),
-        ("exec_other", s.exec_mix.other),
-        ("commit_branches", s.commit_mix.branches),
-        ("commit_fp", s.commit_mix.fp),
-        ("commit_int", s.commit_mix.int),
-        ("commit_loads", s.commit_mix.loads),
-        ("commit_stores", s.commit_mix.stores),
-        ("commit_other", s.commit_mix.other),
-        ("branches", s.branches),
-        ("mispredicts", s.mispredicts),
-        ("btb_misses", s.btb_misses),
-        ("l1i_accesses", s.l1i_accesses),
-        ("l1i_misses", s.l1i_misses),
-        ("l1d_accesses", s.l1d_accesses),
-        ("l1d_misses", s.l1d_misses),
-        ("l2_accesses", s.l2_accesses),
-        ("l2_misses", s.l2_misses),
-        ("dram_lines", s.dram_lines),
-        ("dtlb_misses", s.dtlb_misses),
-        ("slots_retiring", s.slots_retiring),
-        ("slots_bad_speculation", s.slots_bad_speculation),
-        ("slots_frontend", s.slots_frontend),
-        ("slots_backend", s.slots_backend),
-        ("slots_fe_latency", s.slots_fe_latency),
-        ("slots_fe_bandwidth", s.slots_fe_bandwidth),
-        ("slots_be_memory", s.slots_be_memory),
-        ("slots_be_core", s.slots_be_core),
-        ("cat0", s.slots_by_category[0]),
-        ("cat1", s.slots_by_category[1]),
-        ("cat2", s.slots_by_category[2]),
-        ("cat3", s.slots_by_category[3]),
-        ("cat4", s.slots_by_category[4]),
-        ("cat5", s.slots_by_category[5]),
-    ]
+/// Every [`SimStats`] field as a named `u64` slot, in file order — the
+/// one table behind [`encode_stats`], [`decode_stats`] and
+/// [`stats_digest`]. `freq_ghz` travels by its bit pattern.
+///
+/// The destructuring is exhaustive on purpose: a field added to
+/// [`SimStats`] or [`StageMix`] fails to compile here until it has a
+/// line in the file, instead of decoding as a silent zero.
+fn stat_fields(s: &mut SimStats) -> (&mut f64, [(&'static str, &mut u64); 45]) {
+    let SimStats {
+        freq_ghz,
+        cycles,
+        committed_ops,
+        squashed_ops,
+        active_fetch_cycles,
+        icache_stall_cycles,
+        tlb_stall_cycles,
+        squash_cycles,
+        misc_stall_cycles,
+        exec_mix:
+            StageMix {
+                branches: exec_branches,
+                fp: exec_fp,
+                int: exec_int,
+                loads: exec_loads,
+                stores: exec_stores,
+                other: exec_other,
+            },
+        commit_mix:
+            StageMix {
+                branches: commit_branches,
+                fp: commit_fp,
+                int: commit_int,
+                loads: commit_loads,
+                stores: commit_stores,
+                other: commit_other,
+            },
+        branches,
+        mispredicts,
+        btb_misses,
+        l1i_accesses,
+        l1i_misses,
+        l1d_accesses,
+        l1d_misses,
+        l2_accesses,
+        l2_misses,
+        dram_lines,
+        dtlb_misses,
+        slots_retiring,
+        slots_bad_speculation,
+        slots_frontend,
+        slots_backend,
+        slots_fe_latency,
+        slots_fe_bandwidth,
+        slots_be_memory,
+        slots_be_core,
+        slots_by_category: [cat0, cat1, cat2, cat3, cat4, cat5],
+    } = s;
+    let fields = [
+        ("cycles", cycles),
+        ("committed_ops", committed_ops),
+        ("squashed_ops", squashed_ops),
+        ("active_fetch_cycles", active_fetch_cycles),
+        ("icache_stall_cycles", icache_stall_cycles),
+        ("tlb_stall_cycles", tlb_stall_cycles),
+        ("squash_cycles", squash_cycles),
+        ("misc_stall_cycles", misc_stall_cycles),
+        ("exec_branches", exec_branches),
+        ("exec_fp", exec_fp),
+        ("exec_int", exec_int),
+        ("exec_loads", exec_loads),
+        ("exec_stores", exec_stores),
+        ("exec_other", exec_other),
+        ("commit_branches", commit_branches),
+        ("commit_fp", commit_fp),
+        ("commit_int", commit_int),
+        ("commit_loads", commit_loads),
+        ("commit_stores", commit_stores),
+        ("commit_other", commit_other),
+        ("branches", branches),
+        ("mispredicts", mispredicts),
+        ("btb_misses", btb_misses),
+        ("l1i_accesses", l1i_accesses),
+        ("l1i_misses", l1i_misses),
+        ("l1d_accesses", l1d_accesses),
+        ("l1d_misses", l1d_misses),
+        ("l2_accesses", l2_accesses),
+        ("l2_misses", l2_misses),
+        ("dram_lines", dram_lines),
+        ("dtlb_misses", dtlb_misses),
+        ("slots_retiring", slots_retiring),
+        ("slots_bad_speculation", slots_bad_speculation),
+        ("slots_frontend", slots_frontend),
+        ("slots_backend", slots_backend),
+        ("slots_fe_latency", slots_fe_latency),
+        ("slots_fe_bandwidth", slots_fe_bandwidth),
+        ("slots_be_memory", slots_be_memory),
+        ("slots_be_core", slots_be_core),
+        ("cat0", cat0),
+        ("cat1", cat1),
+        ("cat2", cat2),
+        ("cat3", cat3),
+        ("cat4", cat4),
+        ("cat5", cat5),
+    ];
+    (freq_ghz, fields)
 }
 
-/// Serializes `stats` to the versioned text format.
+/// Appends the `name=value` lines of `stats`, one per field, in table
+/// order.
+fn push_field_lines(out: &mut String, stats: &SimStats) {
+    let mut stats = stats.clone();
+    let (freq_ghz, fields) = stat_fields(&mut stats);
+    let _ = writeln!(out, "{FREQ_KEY}={}", freq_ghz.to_bits());
+    for (name, value) in fields {
+        let _ = writeln!(out, "{name}={value}");
+    }
+}
+
+fn checksum(body: &str) -> u64 {
+    Fnv64::new().write_bytes(body.as_bytes()).finish()
+}
+
+/// Serializes `stats` to the versioned text format: header, one line per
+/// field, then a `checksum=` line over every preceding byte.
 pub fn encode_stats(stats: &SimStats) -> String {
     let mut out = String::with_capacity(1024);
-    out.push_str(FORMAT_HEADER);
-    out.push('\n');
-    for (name, value) in stat_fields(stats) {
-        out.push_str(name);
-        out.push('=');
-        out.push_str(&value.to_string());
-        out.push('\n');
-    }
+    let _ = writeln!(out, "{FORMAT_HEADER}");
+    push_field_lines(&mut out, stats);
+    let sum = checksum(&out);
+    let _ = writeln!(out, "{CHECKSUM_KEY}{sum:016x}");
     out
 }
 
-/// Parses the text format back; `None` on any structural mismatch.
+/// Parses the text format back; `None` on any mismatch. The checksum is
+/// verified before any field is read, so an entry with any byte altered
+/// never decodes.
 pub fn decode_stats(text: &str) -> Option<SimStats> {
-    let mut lines = text.lines();
+    let (body, tail) = text.split_at(text.rfind(CHECKSUM_KEY)?);
+    if tail != format!("{CHECKSUM_KEY}{:016x}\n", checksum(body)) {
+        return None;
+    }
+    let mut lines = body.lines();
     if lines.next()? != FORMAT_HEADER {
         return None;
     }
-    let mut values: HashMap<&str, u64> = HashMap::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.split_once('=')?;
-        values.insert(name, value.parse().ok()?);
-    }
+    let mut value = |name: &str| -> Option<u64> {
+        let line = lines.next()?.strip_prefix(name)?;
+        line.strip_prefix('=')?.parse().ok()
+    };
     let mut stats = SimStats::default();
-    // Require every field so a truncated file never decodes.
-    {
-        let template = stat_fields(&stats);
-        if values.len() != template.len() {
-            return None;
-        }
-        for (name, _) in template {
-            if !values.contains_key(name) {
-                return None;
-            }
-        }
+    let (freq_ghz, fields) = stat_fields(&mut stats);
+    *freq_ghz = f64::from_bits(value(FREQ_KEY)?);
+    for (name, slot) in fields {
+        *slot = value(name)?;
     }
-    let get = |n: &str| values[n];
-    stats.freq_ghz = f64::from_bits(get("freq_ghz_bits"));
-    stats.cycles = get("cycles");
-    stats.committed_ops = get("committed_ops");
-    stats.squashed_ops = get("squashed_ops");
-    stats.active_fetch_cycles = get("active_fetch_cycles");
-    stats.icache_stall_cycles = get("icache_stall_cycles");
-    stats.tlb_stall_cycles = get("tlb_stall_cycles");
-    stats.squash_cycles = get("squash_cycles");
-    stats.misc_stall_cycles = get("misc_stall_cycles");
-    stats.exec_mix.branches = get("exec_branches");
-    stats.exec_mix.fp = get("exec_fp");
-    stats.exec_mix.int = get("exec_int");
-    stats.exec_mix.loads = get("exec_loads");
-    stats.exec_mix.stores = get("exec_stores");
-    stats.exec_mix.other = get("exec_other");
-    stats.commit_mix.branches = get("commit_branches");
-    stats.commit_mix.fp = get("commit_fp");
-    stats.commit_mix.int = get("commit_int");
-    stats.commit_mix.loads = get("commit_loads");
-    stats.commit_mix.stores = get("commit_stores");
-    stats.commit_mix.other = get("commit_other");
-    stats.branches = get("branches");
-    stats.mispredicts = get("mispredicts");
-    stats.btb_misses = get("btb_misses");
-    stats.l1i_accesses = get("l1i_accesses");
-    stats.l1i_misses = get("l1i_misses");
-    stats.l1d_accesses = get("l1d_accesses");
-    stats.l1d_misses = get("l1d_misses");
-    stats.l2_accesses = get("l2_accesses");
-    stats.l2_misses = get("l2_misses");
-    stats.dram_lines = get("dram_lines");
-    stats.dtlb_misses = get("dtlb_misses");
-    stats.slots_retiring = get("slots_retiring");
-    stats.slots_bad_speculation = get("slots_bad_speculation");
-    stats.slots_frontend = get("slots_frontend");
-    stats.slots_backend = get("slots_backend");
-    stats.slots_fe_latency = get("slots_fe_latency");
-    stats.slots_fe_bandwidth = get("slots_fe_bandwidth");
-    stats.slots_be_memory = get("slots_be_memory");
-    stats.slots_be_core = get("slots_be_core");
-    for i in 0..6 {
-        stats.slots_by_category[i] = get(&format!("cat{i}"));
-    }
-    Some(stats)
+    lines.next().is_none().then_some(stats)
+}
+
+/// Stable 64-bit digest of every field of `stats` — what
+/// `tests/backends.rs` pins and `belenos digests` captures. It hashes
+/// the field lines under the tag of the file format the pins were
+/// captured with, frozen here so a format bump leaves the pins alone.
+pub fn stats_digest(stats: &SimStats) -> u64 {
+    let mut text = String::from("belenos-simstats-v1\n");
+    push_field_lines(&mut text, stats);
+    Fnv64::new().write_str(&text).finish()
 }
 
 fn read_stats(path: &Path) -> Option<SimStats> {
@@ -405,6 +439,15 @@ mod tests {
         // Truncated payload (header kept) must not decode.
         let truncated: String = text.lines().take(10).map(|l| format!("{l}\n")).collect();
         assert!(decode_stats(&truncated).is_none());
+        // A flipped digit still parses as a number; only the checksum
+        // stands between it and a wrong hit.
+        let flipped = text.replace("cycles=12345", "cycles=12346");
+        assert_ne!(flipped, text);
+        assert!(decode_stats(&flipped).is_none());
+        // A v1 entry (no checksum line) is a miss, not a trusted hit.
+        let v1 =
+            text[..text.rfind(CHECKSUM_KEY).unwrap()].replace(FORMAT_HEADER, "belenos-simstats-v1");
+        assert!(decode_stats(&v1).is_none());
     }
 
     fn key(workload: &str, fingerprint: u64, config: &CoreConfig, max_ops: usize) -> CacheKey {
@@ -441,6 +484,34 @@ mod tests {
         let cache = Cache::with_disk(&dir);
         assert_eq!(cache.lookup(&key).unwrap(), sample_stats());
         assert_eq!(cache.stats().hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_disk_entry_is_a_miss_then_rewritten() {
+        let dir = std::env::temp_dir().join(format!("belenos-cache-damage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = key("wl", 7, &CoreConfig::gem5_baseline(), 1000);
+        Cache::with_disk(&dir).insert(key.clone(), &sample_stats());
+        let path = entry_path(&dir, &key);
+        let good = std::fs::read(&path).unwrap();
+        // Every single-byte alteration, anywhere in the file, must miss.
+        for at in 0..good.len() {
+            let mut bad = good.clone();
+            bad[at] = if bad[at] == b'7' { b'8' } else { b'7' };
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                Cache::with_disk(&dir).lookup(&key).is_none(),
+                "byte {at} altered, entry still served"
+            );
+        }
+        // The miss is followed by recompute-and-rewrite: the next
+        // process hits again, with the right numbers.
+        let cache = Cache::with_disk(&dir);
+        assert!(cache.lookup(&key).is_none());
+        cache.insert(key.clone(), &sample_stats());
+        assert_eq!(std::fs::read(&path).unwrap(), good);
+        assert_eq!(Cache::with_disk(&dir).lookup(&key).unwrap(), sample_stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

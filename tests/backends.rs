@@ -13,15 +13,9 @@
 //! `cargo run -p belenos-bench --release --bin belenos -- digests`.
 
 use belenos::experiment::Experiment;
-use belenos_runner::cache::encode_stats;
-use belenos_uarch::{CoreConfig, Fnv64, ModelKind, SamplingConfig, SimStats};
+use belenos_runner::cache::stats_digest as digest;
+use belenos_uarch::{CoreConfig, ModelKind, SamplingConfig, SimStats};
 use belenos_workloads::by_id;
-
-fn digest(stats: &SimStats) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(&encode_stats(stats));
-    h.finish()
-}
 
 /// (workload, prefix-40k digest, sampled-30k/8 digest, host-40k digest),
 /// captured pre-refactor.
