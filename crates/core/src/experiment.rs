@@ -49,10 +49,6 @@ pub struct Experiment {
     trace_at_least: std::sync::atomic::AtomicU64,
     /// Memoized expanded-trace prefix (see [`Experiment::cached_trace`]).
     trace_cache: Mutex<TraceCache>,
-    /// Lazy reader for a store entry's flat section: installed by a
-    /// store hit, consumed (once) by the first whole-trace request in
-    /// [`Experiment::cached_trace`] in place of a re-expansion pass.
-    flat_handle: Mutex<Option<crate::trace_store::FlatHandle>>,
     /// Pooled core model reused across simulation calls (see
     /// [`Experiment::pooled_model`]).
     model_pool: ModelPool,
@@ -120,13 +116,6 @@ fn trace_cache_budget_ops() -> u64 {
 /// worker (a soft bound, which is all the OOM guard needs).
 static TRACE_CACHE_USED_OPS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// Largest expanded trace embedded into a store artifact: 4 M ops
-/// (~120 MiB on disk). Longer traces persist log-only — replay still
-/// skips the FE solve, it just re-expands the log — keeping single store
-/// entries bounded and the save path from spending longer expanding than
-/// the solve it is caching.
-const STORE_EMBED_CAP_OPS: u64 = 4 << 20;
-
 impl Experiment {
     /// Validates the scenario, builds and solves its model, and captures
     /// the phase log.
@@ -160,8 +149,8 @@ impl Experiment {
         let scenario_digest = spec.stable_digest();
 
         if let Some(store) = store {
-            if let Some((artifact, flat)) = store.load(&spec.id, scenario_digest, &expand) {
-                let exp = Self::from_artifact(spec, scenario_digest, expand, artifact, flat);
+            if let Some((artifact, _)) = store.load(&spec.id, scenario_digest, &expand) {
+                let exp = Self::from_artifact(spec, scenario_digest, expand, artifact);
                 tele.gauge(
                     "prepare_wall_s",
                     started.elapsed().as_secs_f64(),
@@ -198,7 +187,6 @@ impl Experiment {
             total_ops: OnceLock::new(),
             trace_at_least: std::sync::atomic::AtomicU64::new(0),
             trace_cache: Mutex::new(TraceCache::default()),
-            flat_handle: Mutex::new(None),
             model_pool: ModelPool::default(),
         };
         if let Some(store) = store {
@@ -213,18 +201,15 @@ impl Experiment {
     }
 
     /// Rebuilds a prepared experiment from a verified store artifact —
-    /// the FE model is never built or solved. When the entry carries a
-    /// flat section, its (lazy) handle is installed so the first
-    /// whole-trace simulation decodes it from disk instead of
-    /// re-expanding; the prepare wall itself never touches those bytes.
+    /// the FE model is never built or solved, and the micro-ops are
+    /// re-expanded from the log exactly as after a cold prepare.
     fn from_artifact(
         spec: &ScenarioSpec,
         scenario_digest: u64,
         expand: ExpandConfig,
         artifact: belenos_trace::TraceArtifact,
-        flat: Option<crate::trace_store::FlatHandle>,
     ) -> Self {
-        let exp = Experiment {
+        Experiment {
             id: spec.id.clone(),
             scenario: spec.clone(),
             scenario_digest,
@@ -244,23 +229,15 @@ impl Experiment {
             total_ops: OnceLock::new(),
             trace_at_least: std::sync::atomic::AtomicU64::new(0),
             trace_cache: Mutex::new(TraceCache::default()),
-            flat_handle: Mutex::new(flat),
             model_pool: ModelPool::default(),
-        };
-        if let Some(handle) = exp.flat_handle.lock().unwrap().as_ref() {
-            // The stored flat section is always the *complete* trace, so
-            // its length is the total op count — known from the header
-            // without reading a single flat byte.
-            let _ = exp.total_ops.set(handle.n_ops());
         }
-        exp
     }
 
-    /// Snapshot of this experiment as a store artifact. The expanded
-    /// trace is embedded when it is already memoized or small enough to
-    /// expand on the spot ([`STORE_EMBED_CAP_OPS`]); otherwise the
-    /// artifact is log-only and replay re-expands (still skipping the FE
-    /// solve entirely).
+    /// Snapshot of this experiment as a store artifact: the kernel log
+    /// and solve summary only. Expanding the log again is cheaper than
+    /// decoding stored micro-ops, let alone writing them
+    /// (`benchmark/README.md`: ≈ 25 vs ≈ 90 vs ≈ 330 ns/op), so a hit
+    /// skips the FE solve and re-expands.
     fn to_artifact(&self) -> belenos_trace::TraceArtifact {
         belenos_trace::TraceArtifact {
             scenario_digest: self.scenario_digest,
@@ -275,35 +252,8 @@ impl Experiment {
                 converged: self.solve.converged,
             },
             log: self.log.clone(),
-            flat: self.embeddable_flat(),
+            flat: None,
         }
-    }
-
-    /// The complete expanded trace, if cheap to come by: either already
-    /// memoized in full, or short enough to expand within
-    /// [`STORE_EMBED_CAP_OPS`]. `None` means "too large to embed".
-    fn embeddable_flat(&self) -> Option<Arc<FlatTrace>> {
-        {
-            let cache = self.trace_cache.lock().unwrap();
-            if cache.complete {
-                return cache.ops.clone();
-            }
-        }
-        if let Some(&total) = self.total_ops.get() {
-            if total > STORE_EMBED_CAP_OPS {
-                return None;
-            }
-        }
-        let mut ops = FlatTrace::new();
-        let mut expander = Expander::with_config(&self.log, self.expand.clone());
-        for op in &mut expander {
-            if ops.len() as u64 >= STORE_EMBED_CAP_OPS {
-                return None;
-            }
-            ops.push(op);
-        }
-        let _ = self.total_ops.set(ops.len() as u64);
-        Some(Arc::new(ops))
     }
 
     /// The scenario this experiment was prepared from.
@@ -465,30 +415,6 @@ impl Experiment {
                         return None;
                     }
                 }
-            }
-        }
-        // A store hit left a lazy handle to the entry's flat section:
-        // decoding it yields the complete trace and replaces the whole
-        // re-expansion pass. Single-shot — success installs the complete
-        // memo; failure warns (inside `read`) and falls through to
-        // expansion, which is always bit-equivalent.
-        let handle = {
-            let mut slot = self.flat_handle.lock().unwrap();
-            if slot.as_ref().is_some_and(|h| h.n_ops() <= cap) {
-                slot.take()
-            } else {
-                None
-            }
-        };
-        if let Some(handle) = handle {
-            if let Some(ops) = handle.read() {
-                let n = ops.len() as u64;
-                self.trace_at_least.fetch_max(n, Ordering::Relaxed);
-                let _ = self.total_ops.set(n);
-                TRACE_CACHE_USED_OPS.fetch_add(n - held, Ordering::Relaxed);
-                cache.complete = true;
-                cache.ops = Some(ops);
-                return cache.ops.clone();
             }
         }
         // (Re-)expand from the log. The expander cannot resume mid-stream,

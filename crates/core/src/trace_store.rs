@@ -4,22 +4,26 @@
 //! an [`ExpandConfig`] fingerprint and persists them under
 //! `BELENOS_TRACE_DIR` (or `--trace-dir`) in the versioned binary format
 //! of [`belenos_trace::store`]. A hit lets [`Experiment::prepare`]
-//! reconstruct the phase log — and often the fully expanded trace —
-//! without building or solving the FE model, so the prepare phase is paid
-//! once *ever* per scenario across processes, sweeps, and fleet workers.
+//! reconstruct the phase log without building or solving the FE model, so
+//! the prepare phase is paid once *ever* per scenario across processes,
+//! sweeps, and fleet workers. Entries the program writes are header +
+//! kernel log (KBs); the micro-ops are re-expanded from the log, which is
+//! cheaper than reading them back.
 //!
 //! Trust model: the store is a cache, never an authority. Every load
 //! re-verifies the embedded trace fingerprint against the decoded log, so
 //! a corrupt, truncated, stale, or misfiled entry degrades to a recompute
-//! (with a structured telemetry `warn`), never to a wrong trace. Writes
-//! go through a write-then-rename so concurrent processes sharing one
-//! store directory can race safely.
+//! (a `trace_store_miss` carrying the [`Miss`] reason, and a `warn`),
+//! never to a wrong trace. Writes go through
+//! [`belenos_runner::entry::write_atomic`], so threads and processes
+//! sharing one store directory can race safely.
 //!
 //! [`Experiment::prepare`]: crate::experiment::Experiment::prepare
 
 use crate::experiment::{expand_fingerprint, trace_fingerprint};
+use belenos_runner::entry::{write_atomic, Miss};
 use belenos_trace::expand::ExpandConfig;
-use belenos_trace::{FlatTrace, StoreHeader, TraceArtifact, HEADER_LEN};
+use belenos_trace::{FlatTrace, StoreError, StoreHeader, TraceArtifact, HEADER_LEN};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -80,142 +84,69 @@ impl TraceStore {
     /// Looks up the artifact for (scenario, expansion-config), verifying
     /// structure, key identity, and the trace fingerprint end to end.
     ///
-    /// Only the header and log section are read and decoded — KBs, where
-    /// the flat section of a long trace is MBs. When the entry carries a
-    /// flat section, the returned [`FlatHandle`] locates it for lazy
-    /// decoding at simulate time (`artifact.flat` is always `None` here).
+    /// Only the header and log section are read and decoded — KBs. An
+    /// entry that carries a flat section (none the program writes does)
+    /// also yields a [`FlatHandle`] locating it; `artifact.flat` is
+    /// always `None` here.
     ///
-    /// Any anomaly — unreadable file, truncation, version skew, checksum
-    /// or fingerprint mismatch — emits a telemetry `warn` and reads as a
-    /// miss, so callers always recompute instead of erroring out.
-    /// Emits `trace_store_hit` / `trace_store_miss` counters either way.
+    /// Any anomaly reads as a miss, so callers always recompute instead
+    /// of erroring out. Emits `trace_store_hit`, or `trace_store_miss`
+    /// with the [`Miss`] reason (plus a `warn` unless merely absent).
     pub fn load(
         &self,
         workload: &str,
         scenario_digest: u64,
         expand: &ExpandConfig,
     ) -> Option<(TraceArtifact, Option<FlatHandle>)> {
-        let tele = belenos_telemetry::global();
         let path = self.entry_path(scenario_digest, expand);
-        let miss = |tele: &belenos_telemetry::Telemetry| {
-            tele.counter("trace_store_miss", 1, &[("workload", workload.into())]);
-        };
-        let (header, log_section, file_len) = match read_log_section(&path) {
-            Ok(parts) => parts,
-            Err(ReadError::NotFound) => {
-                miss(&tele);
-                return None;
+        match verify(&path, scenario_digest, expand) {
+            Ok((header, artifact)) => {
+                belenos_telemetry::global().counter(
+                    "trace_store_hit",
+                    1,
+                    &[("workload", workload.into())],
+                );
+                let flat = (header.flat_ops > 0).then(|| FlatHandle {
+                    path,
+                    header,
+                    workload: workload.to_string(),
+                });
+                Some((artifact, flat))
             }
-            Err(ReadError::Io(e)) => {
-                tele.warn(&format!(
-                    "trace store: failed to read {}: {e}",
-                    path.display()
-                ));
-                miss(&tele);
-                return None;
+            Err(miss) => {
+                miss.report("trace_store_miss", workload, &path);
+                None
             }
-            Err(ReadError::Store(e)) => {
-                tele.warn(&format!(
-                    "trace store: discarding {}: {e}; recomputing",
-                    path.display()
-                ));
-                miss(&tele);
-                return None;
-            }
-        };
-        if file_len != header.total_len() {
-            tele.warn(&format!(
-                "trace store: discarding {}: {}; recomputing",
-                path.display(),
-                belenos_trace::StoreError::Truncated
-            ));
-            miss(&tele);
-            return None;
         }
-        let expand_fp = expand_fingerprint(expand);
-        if header.scenario_digest != scenario_digest || header.expand_fingerprint != expand_fp {
-            tele.warn(&format!(
-                "trace store: {} is keyed for a different scenario \
-                 (found {:016x}/{:016x}, wanted {scenario_digest:016x}/{expand_fp:016x}); \
-                 recomputing",
-                path.display(),
-                header.scenario_digest,
-                header.expand_fingerprint,
-            ));
-            miss(&tele);
-            return None;
-        }
-        let artifact = match TraceArtifact::decode_log(&header, &log_section) {
-            Ok(a) => a,
-            Err(e) => {
-                tele.warn(&format!(
-                    "trace store: discarding {}: {e}; recomputing",
-                    path.display()
-                ));
-                miss(&tele);
-                return None;
-            }
-        };
-        if trace_fingerprint(&artifact.log, expand) != artifact.trace_fingerprint {
-            tele.warn(&format!(
-                "trace store: {} fingerprint mismatch (stale or corrupt entry); recomputing",
-                path.display()
-            ));
-            miss(&tele);
-            return None;
-        }
-        tele.counter("trace_store_hit", 1, &[("workload", workload.into())]);
-        let flat = (header.flat_ops > 0).then(|| FlatHandle {
-            path,
-            header,
-            workload: workload.to_string(),
-        });
-        Some((artifact, flat))
     }
 
-    /// Persists `artifact` under its content address, atomically
-    /// (write-then-rename, so concurrent writers and crashed processes
-    /// never leave a half-written entry at the final path).
+    /// Persists `artifact` under its content address, atomically (see
+    /// [`write_atomic`]: concurrent writers and crashed processes never
+    /// leave a half-written entry at the final path).
     ///
     /// Failures warn and return; the store is an optimization, never a
     /// reason to fail a prepare. Emits `trace_store_write_bytes`.
     pub fn save(&self, workload: &str, artifact: &TraceArtifact, expand: &ExpandConfig) {
         let tele = belenos_telemetry::global();
         let path = self.entry_path(artifact.scenario_digest, expand);
-        if let Err(e) = std::fs::create_dir_all(&self.dir) {
-            tele.warn(&format!(
-                "trace store: cannot create {}: {e}",
-                self.dir.display()
-            ));
-            return;
-        }
         let bytes = artifact.encode();
-        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-        if let Err(e) = std::fs::write(&tmp, &bytes) {
-            tele.warn(&format!("trace store: write {} failed: {e}", tmp.display()));
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if let Err(e) = std::fs::rename(&tmp, &path) {
-            tele.warn(&format!(
-                "trace store: rename to {} failed: {e}",
+        match std::fs::create_dir_all(&self.dir).and_then(|()| write_atomic(&path, &bytes)) {
+            Ok(()) => tele.counter(
+                "trace_store_write_bytes",
+                bytes.len() as u64,
+                &[("workload", workload.into())],
+            ),
+            Err(e) => tele.warn(&format!(
+                "trace store: writing {} failed: {e}",
                 path.display()
-            ));
-            let _ = std::fs::remove_file(&tmp);
-            return;
+            )),
         }
-        tele.counter(
-            "trace_store_write_bytes",
-            bytes.len() as u64,
-            &[("workload", workload.into())],
-        );
     }
 }
 
-/// Locates a store entry's flat section for lazy decoding: a verified
-/// store hit hands one of these to the experiment, which reads it only
-/// when a simulation first wants the whole expanded trace (replacing a
-/// re-expansion pass, not adding to the prepare wall).
+/// Locates the flat section of a store entry that carries one. The
+/// program neither writes nor opens flat sections any more; this stays
+/// only until the benchmark's flat-decode row is retired (ROADMAP).
 #[derive(Debug)]
 pub struct FlatHandle {
     path: PathBuf,
@@ -224,15 +155,9 @@ pub struct FlatHandle {
 }
 
 impl FlatHandle {
-    /// Micro-op count of the flat section (known without reading it).
-    pub fn n_ops(&self) -> u64 {
-        self.header.flat_ops
-    }
-
     /// Reads, verifies, and decodes the flat section. Any failure —
     /// the file changed, truncation, checksum — warns and returns
-    /// `None`; the caller re-expands from the already-verified log, so
-    /// a bad flat section can never produce a wrong trace.
+    /// `None`.
     pub fn read(&self) -> Option<Arc<FlatTrace>> {
         let tele = belenos_telemetry::global();
         let fail = |msg: String| {
@@ -258,38 +183,45 @@ impl FlatHandle {
     }
 }
 
-/// Why the partial entry read failed.
-enum ReadError {
-    /// No entry at this key (a silent miss).
-    NotFound,
-    /// The file exists but could not be read.
-    Io(std::io::Error),
-    /// The header or section structure is invalid.
-    Store(belenos_trace::StoreError),
+/// Reads the entry at `path` — header and log section only, never the
+/// flat bytes — and verifies it end to end: structure, length, key
+/// identity, and that the decoded log reproduces the fingerprint the
+/// header carries.
+fn verify(
+    path: &Path,
+    scenario_digest: u64,
+    expand: &ExpandConfig,
+) -> Result<(StoreHeader, TraceArtifact), Miss> {
+    let mut file = std::fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut header_bytes = [0u8; HEADER_LEN];
+    file.read_exact(&mut header_bytes)?;
+    let header = StoreHeader::decode(&header_bytes).map_err(store_miss)?;
+    // Declared lengths are outside input until they fit the real file:
+    // bound each one before summing them, and before allocating.
+    if header.log_len.max(header.flat_len) > file_len || header.total_len() != file_len {
+        return Err(Miss::Truncated);
+    }
+    if header.scenario_digest != scenario_digest
+        || header.expand_fingerprint != expand_fingerprint(expand)
+    {
+        return Err(Miss::Key);
+    }
+    let mut log_section = vec![0u8; header.log_len as usize + 8];
+    file.read_exact(&mut log_section)?;
+    let artifact = TraceArtifact::decode_log(&header, &log_section).map_err(store_miss)?;
+    if trace_fingerprint(&artifact.log, expand) != artifact.trace_fingerprint {
+        return Err(Miss::Fingerprint);
+    }
+    Ok((header, artifact))
 }
 
-/// Opens `path` and reads exactly the header and the log section
-/// (payload + checksum), returning them with the file's total length so
-/// the caller can detect truncation without touching the flat bytes.
-fn read_log_section(path: &Path) -> Result<(StoreHeader, Vec<u8>, u64), ReadError> {
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(ReadError::NotFound),
-        Err(e) => return Err(ReadError::Io(e)),
-    };
-    let file_len = file.metadata().map_err(ReadError::Io)?.len();
-    let mut header_bytes = [0u8; HEADER_LEN];
-    if file_len < HEADER_LEN as u64 {
-        return Err(ReadError::Store(belenos_trace::StoreError::Truncated));
+/// The store format's decode errors as miss reasons.
+fn store_miss(e: StoreError) -> Miss {
+    match e {
+        StoreError::Truncated => Miss::Truncated,
+        StoreError::Version { .. } => Miss::Version,
+        StoreError::Checksum => Miss::Checksum,
+        StoreError::BadMagic | StoreError::Malformed(_) => Miss::Malformed,
     }
-    file.read_exact(&mut header_bytes).map_err(ReadError::Io)?;
-    let header = StoreHeader::decode(&header_bytes).map_err(ReadError::Store)?;
-    let log_section_len = header
-        .log_len
-        .checked_add(8)
-        .filter(|&n| n <= file_len.saturating_sub(HEADER_LEN as u64))
-        .ok_or(ReadError::Store(belenos_trace::StoreError::Truncated))?;
-    let mut section = vec![0u8; log_section_len as usize];
-    file.read_exact(&mut section).map_err(ReadError::Io)?;
-    Ok((header, section, file_len))
 }

@@ -16,6 +16,7 @@
 //! thief everything it needs with no extra read from the dead worker.
 
 use belenos_json::{FromJson, Json, ToJson};
+use belenos_runner::entry::write_atomic;
 use belenos_runner::DistJob;
 use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig};
 use belenos_workloads::scenario::ScenarioSpec;
@@ -361,18 +362,6 @@ fn expect_str(v: &Json, name: &str) -> Result<String, String> {
 
 // --- filesystem protocol ------------------------------------------------
 
-/// Writes `text` to `path` via a write-then-rename temp so concurrent
-/// readers never observe a torn document.
-///
-/// # Errors
-///
-/// The underlying write or rename failure.
-pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Publishes `doc` as an open board entry (idempotent: re-publishing
 /// the same digest atomically replaces the identical document).
 ///
@@ -380,7 +369,7 @@ pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
 ///
 /// The underlying write failure.
 pub fn publish(cfg: &DistConfig, doc: &JobDoc) -> io::Result<()> {
-    write_atomic(&cfg.board_path(doc.digest), &doc.encode())
+    write_atomic(&cfg.board_path(doc.digest), doc.encode().as_bytes())
 }
 
 /// Writes `digest`'s completion marker.
@@ -389,7 +378,7 @@ pub fn publish(cfg: &DistConfig, doc: &JobDoc) -> io::Result<()> {
 ///
 /// The underlying write failure.
 pub fn write_done(cfg: &DistConfig, doc: &DoneDoc) -> io::Result<()> {
-    write_atomic(&cfg.done_path(doc.digest), &doc.encode())
+    write_atomic(&cfg.done_path(doc.digest), doc.encode().as_bytes())
 }
 
 /// Removes our lease on `digest` (best-effort: a stolen lease is

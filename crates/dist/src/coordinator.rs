@@ -17,7 +17,7 @@
 use crate::board::{self, DistConfig, DoneDoc, JobDoc};
 use crate::worker::{run_worker, WorkerSummary};
 use belenos::report::{Cell, Report};
-use belenos_runner::cache::{decode_stats, entry_file_name};
+use belenos_runner::cache::{entry_file_name, read_stats, report_damaged};
 use belenos_runner::{CacheStats, DistExecutor, DistJob};
 use belenos_telemetry::percentile;
 use belenos_uarch::SimStats;
@@ -244,10 +244,13 @@ impl DistExecutor for Coordinator {
         for job in jobs {
             let digest = job.key.address();
             let cache_entry = cfg.cache_dir().join(entry_file_name(job.key));
-            if let Some(stats) = read_entry(&cache_entry) {
-                self.merged.lock().unwrap().cache_resolved += 1;
-                rows.push((job.index, Ok(stats), Duration::ZERO));
-                continue;
+            match read_stats(&cache_entry) {
+                Ok(stats) => {
+                    self.merged.lock().unwrap().cache_resolved += 1;
+                    rows.push((job.index, Ok(stats), Duration::ZERO));
+                    continue;
+                }
+                Err(miss) => report_damaged(miss, &job.key.workload, &cache_entry),
             }
             let doc = match JobDoc::from_dist_job(job) {
                 Ok(doc) => doc,
@@ -370,33 +373,33 @@ impl Coordinator {
                 .ok()
                 .and_then(|text| DoneDoc::decode(&text).ok());
             if let Some(done) = done {
-                if let Some(msg) = &done.error {
-                    self.merged.lock().unwrap().record(&done);
-                    rows.push((
-                        state.index,
-                        Err(msg.clone()),
-                        Duration::from_secs_f64(done.wall_s.max(0.0)),
-                    ));
-                    let _ = std::fs::remove_file(&marker);
-                    resolved.push(digest);
-                } else if let Some(stats) = read_entry(&state.cache_entry) {
-                    self.merged.lock().unwrap().record(&done);
-                    rows.push((
-                        state.index,
-                        Ok(stats),
-                        Duration::from_secs_f64(done.wall_s.max(0.0)),
-                    ));
-                    let _ = std::fs::remove_file(&marker);
-                    resolved.push(digest);
-                } else {
-                    // Marker without a readable result: give the cache
-                    // write a grace window, then start the job over.
-                    state.marker_stalls += 1;
-                    if state.marker_stalls > MARKER_GRACE_SWEEPS {
-                        state.marker_stalls = 0;
+                let result = match &done.error {
+                    Some(msg) => Ok(Err(msg.clone())),
+                    None => read_stats(&state.cache_entry).map(Ok),
+                };
+                match result {
+                    Ok(result) => {
+                        self.merged.lock().unwrap().record(&done);
+                        rows.push((
+                            state.index,
+                            result,
+                            Duration::from_secs_f64(done.wall_s.max(0.0)),
+                        ));
                         let _ = std::fs::remove_file(&marker);
-                        if let Some(doc) = docs.get(&digest) {
-                            let _ = board::publish(cfg, doc);
+                        resolved.push(digest);
+                    }
+                    Err(miss) => {
+                        // Marker without a readable result: give the cache
+                        // write a grace window, then say what was found
+                        // (once, not per sweep) and start the job over.
+                        state.marker_stalls += 1;
+                        if state.marker_stalls > MARKER_GRACE_SWEEPS {
+                            state.marker_stalls = 0;
+                            let _ = std::fs::remove_file(&marker);
+                            if let Some(doc) = docs.get(&digest) {
+                                report_damaged(miss, &doc.workload, &state.cache_entry);
+                                let _ = board::publish(cfg, doc);
+                            }
                         }
                     }
                 }
@@ -423,14 +426,6 @@ impl Coordinator {
         }
         n
     }
-}
-
-/// Reads and decodes a cache entry file directly (no [`Cache`] miss
-/// accounting — this is a poll, not a lookup).
-///
-/// [`Cache`]: belenos_runner::Cache
-fn read_entry(path: &std::path::Path) -> Option<SimStats> {
-    decode_stats(&std::fs::read_to_string(path).ok()?)
 }
 
 #[cfg(test)]

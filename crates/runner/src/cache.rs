@@ -7,7 +7,7 @@
 //! in-memory (shared, thread-safe) with an optional on-disk tier
 //! (`BELENOS_CACHE_DIR`) that survives across processes.
 
-use belenos_uarch::stats::StageMix;
+use crate::entry::{write_atomic, Miss};
 use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig, SimStats};
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -151,14 +151,18 @@ impl Cache {
             return Some(stats);
         }
         if let Some(dir) = &self.inner.disk {
-            if let Some(stats) = read_stats(&entry_path(dir, key)) {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                self.inner
-                    .mem
-                    .lock()
-                    .unwrap()
-                    .insert(key.clone(), stats.clone());
-                return Some(stats);
+            let path = entry_path(dir, key);
+            match read_stats(&path) {
+                Ok(stats) => {
+                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
+                    self.inner
+                        .mem
+                        .lock()
+                        .unwrap()
+                        .insert(key.clone(), stats.clone());
+                    return Some(stats);
+                }
+                Err(miss) => report_damaged(miss, &key.workload, &path),
             }
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
@@ -168,7 +172,8 @@ impl Cache {
     /// Stores a result under `key` (memory + disk tier if configured).
     pub fn insert(&self, key: CacheKey, stats: &SimStats) {
         if let Some(dir) = &self.inner.disk {
-            write_stats(&entry_path(dir, &key), stats);
+            // Best-effort: a failed write only forfeits the entry.
+            let _ = write_atomic(&entry_path(dir, &key), encode_stats(stats).as_bytes());
         }
         self.inner.mem.lock().unwrap().insert(key, stats.clone());
         self.inner.inserts.fetch_add(1, Ordering::Relaxed);
@@ -224,124 +229,17 @@ fn entry_path(dir: &Path, key: &CacheKey) -> PathBuf {
 // or stray line — makes the lookup a miss, so format evolution is always
 // safe and a damaged entry is never served.
 
+const FORMAT_FAMILY: &str = "belenos-simstats-";
 const FORMAT_HEADER: &str = "belenos-simstats-v2";
 const FREQ_KEY: &str = "freq_ghz_bits";
 const CHECKSUM_KEY: &str = "checksum=";
 
-/// Every [`SimStats`] field as a named `u64` slot, in file order — the
-/// one table behind [`encode_stats`], [`decode_stats`] and
-/// [`stats_digest`]. `freq_ghz` travels by its bit pattern.
-///
-/// The destructuring is exhaustive on purpose: a field added to
-/// [`SimStats`] or [`StageMix`] fails to compile here until it has a
-/// line in the file, instead of decoding as a silent zero.
-fn stat_fields(s: &mut SimStats) -> (&mut f64, [(&'static str, &mut u64); 45]) {
-    let SimStats {
-        freq_ghz,
-        cycles,
-        committed_ops,
-        squashed_ops,
-        active_fetch_cycles,
-        icache_stall_cycles,
-        tlb_stall_cycles,
-        squash_cycles,
-        misc_stall_cycles,
-        exec_mix:
-            StageMix {
-                branches: exec_branches,
-                fp: exec_fp,
-                int: exec_int,
-                loads: exec_loads,
-                stores: exec_stores,
-                other: exec_other,
-            },
-        commit_mix:
-            StageMix {
-                branches: commit_branches,
-                fp: commit_fp,
-                int: commit_int,
-                loads: commit_loads,
-                stores: commit_stores,
-                other: commit_other,
-            },
-        branches,
-        mispredicts,
-        btb_misses,
-        l1i_accesses,
-        l1i_misses,
-        l1d_accesses,
-        l1d_misses,
-        l2_accesses,
-        l2_misses,
-        dram_lines,
-        dtlb_misses,
-        slots_retiring,
-        slots_bad_speculation,
-        slots_frontend,
-        slots_backend,
-        slots_fe_latency,
-        slots_fe_bandwidth,
-        slots_be_memory,
-        slots_be_core,
-        slots_by_category: [cat0, cat1, cat2, cat3, cat4, cat5],
-    } = s;
-    let fields = [
-        ("cycles", cycles),
-        ("committed_ops", committed_ops),
-        ("squashed_ops", squashed_ops),
-        ("active_fetch_cycles", active_fetch_cycles),
-        ("icache_stall_cycles", icache_stall_cycles),
-        ("tlb_stall_cycles", tlb_stall_cycles),
-        ("squash_cycles", squash_cycles),
-        ("misc_stall_cycles", misc_stall_cycles),
-        ("exec_branches", exec_branches),
-        ("exec_fp", exec_fp),
-        ("exec_int", exec_int),
-        ("exec_loads", exec_loads),
-        ("exec_stores", exec_stores),
-        ("exec_other", exec_other),
-        ("commit_branches", commit_branches),
-        ("commit_fp", commit_fp),
-        ("commit_int", commit_int),
-        ("commit_loads", commit_loads),
-        ("commit_stores", commit_stores),
-        ("commit_other", commit_other),
-        ("branches", branches),
-        ("mispredicts", mispredicts),
-        ("btb_misses", btb_misses),
-        ("l1i_accesses", l1i_accesses),
-        ("l1i_misses", l1i_misses),
-        ("l1d_accesses", l1d_accesses),
-        ("l1d_misses", l1d_misses),
-        ("l2_accesses", l2_accesses),
-        ("l2_misses", l2_misses),
-        ("dram_lines", dram_lines),
-        ("dtlb_misses", dtlb_misses),
-        ("slots_retiring", slots_retiring),
-        ("slots_bad_speculation", slots_bad_speculation),
-        ("slots_frontend", slots_frontend),
-        ("slots_backend", slots_backend),
-        ("slots_fe_latency", slots_fe_latency),
-        ("slots_fe_bandwidth", slots_fe_bandwidth),
-        ("slots_be_memory", slots_be_memory),
-        ("slots_be_core", slots_be_core),
-        ("cat0", cat0),
-        ("cat1", cat1),
-        ("cat2", cat2),
-        ("cat3", cat3),
-        ("cat4", cat4),
-        ("cat5", cat5),
-    ];
-    (freq_ghz, fields)
-}
-
-/// Appends the `name=value` lines of `stats`, one per field, in table
-/// order.
+/// Appends the `name=value` lines of `stats`: `freq_ghz` by its bit
+/// pattern, then one line per [`SimStats::counters_mut`] slot, in that
+/// table's order.
 fn push_field_lines(out: &mut String, stats: &SimStats) {
-    let mut stats = stats.clone();
-    let (freq_ghz, fields) = stat_fields(&mut stats);
-    let _ = writeln!(out, "{FREQ_KEY}={}", freq_ghz.to_bits());
-    for (name, value) in fields {
+    let _ = writeln!(out, "{FREQ_KEY}={}", stats.freq_ghz.to_bits());
+    for (name, value) in stats.clone().counters_mut() {
         let _ = writeln!(out, "{name}={value}");
     }
 }
@@ -361,29 +259,43 @@ pub fn encode_stats(stats: &SimStats) -> String {
     out
 }
 
-/// Parses the text format back; `None` on any mismatch. The checksum is
-/// verified before any field is read, so an entry with any byte altered
-/// never decodes.
+/// Parses the text format back; `None` on any mismatch ([`read_stats`]
+/// says which).
 pub fn decode_stats(text: &str) -> Option<SimStats> {
-    let (body, tail) = text.split_at(text.rfind(CHECKSUM_KEY)?);
+    verify_stats(text).ok()
+}
+
+/// The checksum is verified before any field is read, so an entry with
+/// any byte altered never decodes.
+fn verify_stats(text: &str) -> Result<SimStats, Miss> {
+    let header = text.lines().next().unwrap_or_default();
+    if header != FORMAT_HEADER {
+        return Err(if header.starts_with(FORMAT_FAMILY) {
+            Miss::Version
+        } else {
+            Miss::Malformed
+        });
+    }
+    let (body, tail) = text.split_at(text.rfind(CHECKSUM_KEY).ok_or(Miss::Truncated)?);
     if tail != format!("{CHECKSUM_KEY}{:016x}\n", checksum(body)) {
-        return None;
+        return Err(Miss::Checksum);
     }
-    let mut lines = body.lines();
-    if lines.next()? != FORMAT_HEADER {
-        return None;
-    }
+    let mut lines = body.lines().skip(1);
     let mut value = |name: &str| -> Option<u64> {
         let line = lines.next()?.strip_prefix(name)?;
         line.strip_prefix('=')?.parse().ok()
     };
-    let mut stats = SimStats::default();
-    let (freq_ghz, fields) = stat_fields(&mut stats);
-    *freq_ghz = f64::from_bits(value(FREQ_KEY)?);
-    for (name, slot) in fields {
-        *slot = value(name)?;
+    let mut stats = SimStats {
+        freq_ghz: f64::from_bits(value(FREQ_KEY).ok_or(Miss::Malformed)?),
+        ..SimStats::default()
+    };
+    for (name, slot) in stats.counters_mut() {
+        *slot = value(name).ok_or(Miss::Malformed)?;
     }
-    lines.next().is_none().then_some(stats)
+    if lines.next().is_some() {
+        return Err(Miss::Malformed);
+    }
+    Ok(stats)
 }
 
 /// Stable 64-bit digest of every field of `stats` — what
@@ -396,16 +308,24 @@ pub fn stats_digest(stats: &SimStats) -> u64 {
     Fnv64::new().write_str(&text).finish()
 }
 
-fn read_stats(path: &Path) -> Option<SimStats> {
-    decode_stats(&std::fs::read_to_string(path).ok()?)
+/// Reads and verifies the disk-tier entry at `path`, with no [`Cache`]
+/// hit/miss accounting — what [`Cache::lookup`] does on a memory miss,
+/// and what a coordinator polling for a worker's result does directly.
+///
+/// # Errors
+///
+/// Why the entry cannot be served; anything but [`Miss::Absent`] means a
+/// file is there and will be overwritten by the recompute.
+pub fn read_stats(path: &Path) -> Result<SimStats, Miss> {
+    verify_stats(&std::fs::read_to_string(path)?)
 }
 
-fn write_stats(path: &Path, stats: &SimStats) {
-    // Write-then-rename so concurrent readers never observe a torn file;
-    // cache writes are best-effort and failures simply forfeit the entry.
-    let tmp = path.with_extension(format!("tmp{}", std::process::id()));
-    if std::fs::write(&tmp, encode_stats(stats)).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
+/// Reports a disk-tier entry that was found but cannot be served:
+/// `cache_disk_miss` (with the reason) and one `warn`. An absent entry
+/// is the ordinary cold path and stays silent.
+pub fn report_damaged(miss: Miss, workload: &str, path: &Path) {
+    if miss != Miss::Absent {
+        miss.report("cache_disk_miss", workload, path);
     }
 }
 
@@ -434,20 +354,28 @@ mod tests {
     #[test]
     fn decode_rejects_corruption() {
         let text = encode_stats(&sample_stats());
-        assert!(decode_stats("garbage").is_none());
-        assert!(decode_stats(&text.replace("cycles=12345", "cycles=abc")).is_none());
+        assert_eq!(verify_stats("garbage"), Err(Miss::Malformed));
+        assert_eq!(
+            verify_stats(&text.replace("cycles=12345", "cycles=abc")),
+            Err(Miss::Checksum)
+        );
         // Truncated payload (header kept) must not decode.
         let truncated: String = text.lines().take(10).map(|l| format!("{l}\n")).collect();
-        assert!(decode_stats(&truncated).is_none());
+        assert_eq!(verify_stats(&truncated), Err(Miss::Truncated));
         // A flipped digit still parses as a number; only the checksum
         // stands between it and a wrong hit.
         let flipped = text.replace("cycles=12345", "cycles=12346");
         assert_ne!(flipped, text);
-        assert!(decode_stats(&flipped).is_none());
+        assert_eq!(verify_stats(&flipped), Err(Miss::Checksum));
         // A v1 entry (no checksum line) is a miss, not a trusted hit.
         let v1 =
             text[..text.rfind(CHECKSUM_KEY).unwrap()].replace(FORMAT_HEADER, "belenos-simstats-v1");
-        assert!(decode_stats(&v1).is_none());
+        assert_eq!(verify_stats(&v1), Err(Miss::Version));
+        // A well-summed entry that lacks a field is malformed.
+        let short = text[..text.rfind("cat5=").unwrap()].to_string();
+        let short = format!("{short}{CHECKSUM_KEY}{:016x}\n", checksum(&short));
+        assert_eq!(verify_stats(&short), Err(Miss::Malformed));
+        assert!(decode_stats(&short).is_none());
     }
 
     fn key(workload: &str, fingerprint: u64, config: &CoreConfig, max_ops: usize) -> CacheKey {
@@ -495,20 +423,38 @@ mod tests {
         Cache::with_disk(&dir).insert(key.clone(), &sample_stats());
         let path = entry_path(&dir, &key);
         let good = std::fs::read(&path).unwrap();
-        // Every single-byte alteration, anywhere in the file, must miss.
+        // Every single-byte alteration, anywhere in the file, must miss
+        // — and say so: one `cache_disk_miss` with a reason, one `warn`.
         for at in 0..good.len() {
             let mut bad = good.clone();
             bad[at] = if bad[at] == b'7' { b'8' } else { b'7' };
             std::fs::write(&path, &bad).unwrap();
-            assert!(
-                Cache::with_disk(&dir).lookup(&key).is_none(),
-                "byte {at} altered, entry still served"
+            let (found, events) =
+                belenos_telemetry::capture(|| Cache::with_disk(&dir).lookup(&key));
+            assert!(found.is_none(), "byte {at} altered, entry still served");
+            let reasoned = events
+                .iter()
+                .filter(|e| e.get("name").and_then(|v| v.as_str()) == Some("cache_disk_miss"))
+                .filter(|e| e.get("reason").is_some())
+                .count();
+            let warns = events
+                .iter()
+                .filter(|e| e.get("ev").and_then(|v| v.as_str()) == Some("warn"))
+                .count();
+            assert_eq!(
+                (events.len(), reasoned, warns),
+                (2, 1, 1),
+                "byte {at}: {events:?}"
             );
         }
         // The miss is followed by recompute-and-rewrite: the next
-        // process hits again, with the right numbers.
+        // process hits again, with the right numbers. An absent entry is
+        // the ordinary cold path and reports nothing.
         let cache = Cache::with_disk(&dir);
         assert!(cache.lookup(&key).is_none());
+        std::fs::remove_file(&path).unwrap();
+        let (found, events) = belenos_telemetry::capture(|| cache.lookup(&key));
+        assert!(found.is_none() && events.is_empty(), "{events:?}");
         cache.insert(key.clone(), &sample_stats());
         assert_eq!(std::fs::read(&path).unwrap(), good);
         assert_eq!(Cache::with_disk(&dir).lookup(&key).unwrap(), sample_stats());

@@ -4,7 +4,7 @@
 //! store (`BELENOS_TRACE_DIR`) both grow monotonically: every new
 //! (workload × config) point adds a file and nothing ever removes one.
 //! Fine for one-shot CLI runs; a long-running `belenos serve` daemon
-//! needs a bound. [`gc_dir`] enforces a byte budget by deleting the
+//! needs a bound. [`gc_dirs`] enforces a byte budget by deleting the
 //! least-recently-*used* entries first — both stores `File::open` their
 //! entries on every hit, and on Linux that updates `atime` only
 //! sporadically, so modification time is the stable recency signal we
@@ -13,7 +13,7 @@
 //! write-once-read-many content-addressed entries.
 //!
 //! Safety against concurrent writers: in-flight write-then-rename temps
-//! (`*.tmpPID`) are never counted or deleted, a file that disappears
+//! (`*.tmp*`) are never counted or deleted, a file that disappears
 //! mid-sweep is skipped, and deleting a just-renamed entry at worst
 //! costs a recompute — both stores treat a missing file as a cache miss,
 //! never an error.
@@ -30,7 +30,7 @@ pub struct DirUsage {
     pub bytes: u64,
 }
 
-/// What one [`gc_dir`] sweep did.
+/// What one [`gc_dirs`] sweep did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcOutcome {
     /// Usage before the sweep.
@@ -114,68 +114,13 @@ pub fn dir_usage(dir: &Path) -> std::io::Result<DirUsage> {
     })
 }
 
-/// Deletes least-recently-written entries of `dir` until at most
-/// `max_bytes` remain. Emits `cache_gc_deleted_files` /
-/// `cache_gc_deleted_bytes` telemetry counters when anything was
-/// deleted.
-///
-/// # Errors
-///
-/// The underlying I/O error when the directory cannot be listed;
-/// individual entries that vanish mid-sweep are skipped, not errors.
-pub fn gc_dir(dir: &Path, max_bytes: u64) -> std::io::Result<GcOutcome> {
-    let mut entries = scan(dir)?;
-    let before = DirUsage {
-        files: entries.len(),
-        bytes: entries.iter().map(|e| e.bytes).sum(),
-    };
-    let mut outcome = GcOutcome {
-        before,
-        ..GcOutcome::default()
-    };
-    if before.bytes <= max_bytes {
-        return Ok(outcome);
-    }
-    entries.sort_by_key(|e| e.mtime);
-    let mut remaining = before.bytes;
-    for entry in &entries {
-        if remaining <= max_bytes {
-            break;
-        }
-        match std::fs::remove_file(&entry.path) {
-            Ok(()) => {
-                remaining -= entry.bytes;
-                outcome.deleted_files += 1;
-                outcome.deleted_bytes += entry.bytes;
-            }
-            // Already gone (concurrent sweep): the bytes are freed
-            // either way, but don't claim this sweep freed them.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => remaining -= entry.bytes,
-            Err(e) => return Err(e),
-        }
-    }
-    if outcome.deleted_files > 0 {
-        let tele = belenos_telemetry::global();
-        let dir_label = dir.display().to_string();
-        tele.counter(
-            "cache_gc_deleted_files",
-            outcome.deleted_files as u64,
-            &[("dir", dir_label.as_str().into())],
-        );
-        tele.counter(
-            "cache_gc_deleted_bytes",
-            outcome.deleted_bytes,
-            &[("dir", dir_label.as_str().into())],
-        );
-    }
-    Ok(outcome)
-}
-
-/// Applies one byte budget across several directories — the serve
-/// daemon's view, where the disk result cache and the trace store share
-/// one `--cache-budget`. Entries from every directory compete in a
-/// single LRU order, so a hot trace survives a cold stats file and vice
-/// versa.
+/// Deletes least-recently-written entries until at most `max_bytes`
+/// remain across `dirs` — one budget over several directories is the
+/// serve daemon's view, where the disk result cache and the trace store
+/// share one `--cache-budget`. Entries from every directory compete in
+/// a single LRU order, so a hot trace survives a cold stats file and
+/// vice versa. Emits `cache_gc_deleted_files` / `cache_gc_deleted_bytes`
+/// telemetry counters when anything was deleted.
 ///
 /// # Errors
 ///
@@ -209,6 +154,8 @@ pub fn gc_dirs(dirs: &[PathBuf], max_bytes: u64) -> std::io::Result<GcOutcome> {
                 outcome.deleted_files += 1;
                 outcome.deleted_bytes += entry.bytes;
             }
+            // Already gone (concurrent sweep): the bytes are freed
+            // either way, but don't claim this sweep freed them.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => remaining -= entry.bytes,
             Err(e) => return Err(e),
         }
@@ -251,7 +198,7 @@ mod tests {
     fn missing_directory_reads_as_empty() {
         let dir = std::env::temp_dir().join("belenos-gc-definitely-missing");
         assert_eq!(dir_usage(&dir).unwrap(), DirUsage::default());
-        let outcome = gc_dir(&dir, 0).unwrap();
+        let outcome = gc_dirs(std::slice::from_ref(&dir), 0).unwrap();
         assert_eq!(outcome.deleted_files, 0);
     }
 
@@ -260,7 +207,7 @@ mod tests {
         let dir = tmpdir("under");
         put(&dir, "a.stats", 100, Duration::from_secs(1));
         put(&dir, "b.stats", 100, Duration::from_secs(2));
-        let outcome = gc_dir(&dir, 1_000).unwrap();
+        let outcome = gc_dirs(std::slice::from_ref(&dir), 1_000).unwrap();
         assert_eq!(outcome.deleted_files, 0);
         assert_eq!(outcome.before.files, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -272,7 +219,7 @@ mod tests {
         put(&dir, "old.stats", 100, Duration::from_secs(1));
         put(&dir, "mid.stats", 100, Duration::from_secs(2));
         put(&dir, "new.stats", 100, Duration::from_secs(3));
-        let outcome = gc_dir(&dir, 150).unwrap();
+        let outcome = gc_dirs(std::slice::from_ref(&dir), 150).unwrap();
         assert_eq!(outcome.deleted_files, 2);
         assert_eq!(outcome.deleted_bytes, 200);
         assert_eq!(
@@ -316,7 +263,7 @@ mod tests {
     fn in_flight_temps_are_never_touched() {
         let dir = tmpdir("tmps");
         put(&dir, "entry.stats", 100, Duration::from_secs(1));
-        put(&dir, "entry.tmp12345", 400, Duration::from_secs(0));
+        put(&dir, "entry.tmp12345-7", 400, Duration::from_secs(0));
         // Temps don't count toward usage...
         assert_eq!(
             dir_usage(&dir).unwrap(),
@@ -326,9 +273,9 @@ mod tests {
             }
         );
         // ...and a budget of zero removes entries but leaves temps.
-        let outcome = gc_dir(&dir, 0).unwrap();
+        let outcome = gc_dirs(std::slice::from_ref(&dir), 0).unwrap();
         assert_eq!(outcome.deleted_files, 1);
-        assert!(dir.join("entry.tmp12345").exists());
+        assert!(dir.join("entry.tmp12345-7").exists());
         assert!(!dir.join("entry.stats").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -353,7 +300,7 @@ mod tests {
                 bytes: 100
             }
         );
-        let outcome = gc_dir(&dir, 0).unwrap();
+        let outcome = gc_dirs(std::slice::from_ref(&dir), 0).unwrap();
         assert_eq!(outcome.deleted_files, 1);
         assert!(dir.join("0123456789abcdef.job").exists());
         assert!(dir.join("0123456789abcdef.w1.lease").exists());

@@ -66,6 +66,7 @@
 //! ```
 
 pub mod cache;
+pub mod entry;
 pub mod gc;
 pub mod pool;
 

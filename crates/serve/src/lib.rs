@@ -709,42 +709,4 @@ fn stats_document(state: &Arc<ServerState>) -> Json {
             ]),
         ),
     ])
-    .with_dist_section()
-}
-
-trait DistSection {
-    fn with_dist_section(self) -> Json;
-}
-
-impl DistSection for Json {
-    /// Appends a `dist` object — the job-board census of the directory
-    /// named by `BELENOS_DIST_DIR` — when this server shares a host
-    /// with a distributed campaign. Absent otherwise, so existing
-    /// stats consumers see an unchanged document.
-    fn with_dist_section(self) -> Json {
-        let Ok(dir) = std::env::var("BELENOS_DIST_DIR") else {
-            return self;
-        };
-        if dir.is_empty() {
-            return self;
-        }
-        let board = belenos_dist::board_stats(
-            std::path::Path::new(&dir),
-            belenos_dist::board::DEFAULT_LEASE_TTL,
-        );
-        let Json::Obj(mut fields) = self else {
-            return self;
-        };
-        fields.push((
-            "dist".to_string(),
-            Json::obj(vec![
-                ("dir", Json::Str(dir)),
-                ("open", Json::Num(board.open as f64)),
-                ("claimed", Json::Num(board.claimed as f64)),
-                ("stale_leases", Json::Num(board.stale as f64)),
-                ("done", Json::Num(board.done as f64)),
-            ]),
-        ));
-        Json::Obj(fields)
-    }
 }

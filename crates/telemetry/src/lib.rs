@@ -24,8 +24,8 @@
 //!   [`Telemetry::span_at`]), and the experiment layer the `phase`
 //!   level — nesting follows automatically.
 //! * **One current handle per thread.** Layers that cannot thread a
-//!   handle through their call graph (the `Simulate` trait,
-//!   `ModelKind::from_env`) use [`global`]: the innermost handle a
+//!   handle through their call graph (the `Simulate` trait, the
+//!   on-disk tiers' miss reports) use [`global`]: the innermost handle a
 //!   [`Telemetry::scope`] guard made current on this thread, else the
 //!   process-wide one the CLI [`install`]s from `--telemetry`. Code that
 //!   starts a thread hands its current handle to it, so a test, a served

@@ -1,11 +1,12 @@
-//! Stable content hashing for machine configurations.
+//! Stable content hashing.
 //!
 //! [`Fnv64`] is a minimal FNV-1a 64-bit hasher whose output depends only
 //! on the byte stream fed to it — unlike `std::hash`, it is stable across
-//! processes, platforms and compiler versions, so it can key on-disk
-//! caches. [`crate::CoreConfig::stable_digest`] folds every configuration
-//! field through it; two configs digest equal iff they simulate
-//! identically.
+//! processes, platforms and compiler versions, so it can key and
+//! checksum on-disk entries. It lives here, in the lowest crate that
+//! hashes: the store format's section checksums, every `stable_digest`
+//! (machine configurations, scenarios, cache keys) and the `.stats`
+//! checksum are this one function.
 
 /// FNV-1a 64-bit streaming hasher with a stable, process-independent
 /// output.

@@ -35,6 +35,7 @@
 // form for these numeric kernels; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 
+pub mod digest;
 pub mod expand;
 pub mod flat;
 pub mod layout;
@@ -43,6 +44,7 @@ pub mod program;
 pub mod stats;
 pub mod store;
 
+pub use digest::Fnv64;
 pub use flat::{FlatIter, FlatTrace};
 pub use layout::AddressSpace;
 pub use op::{FnCategory, MicroOp, OpKind};

@@ -32,6 +32,7 @@
 //! is recomputed over the decoded log on load, so any encoding loss would
 //! show up as a persistent cache miss, not silent drift.
 
+use crate::digest::Fnv64;
 use crate::flat::FlatTrace;
 use crate::op::{FnCategory, MicroOp, OpKind};
 use crate::program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
@@ -282,17 +283,6 @@ impl<'a> ByteReader<'a> {
             _ => Err(StoreError::Malformed("bool tag")),
         }
     }
-}
-
-/// FNV-1a 64-bit over the payload (same family the fingerprints use, kept
-/// private so `belenos-trace` stays dependency-free).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------------
@@ -594,10 +584,10 @@ impl TraceArtifact {
         out.u64(flat_payload.len() as u64);
         debug_assert_eq!(out.buf.len(), HEADER_LEN);
         out.buf.extend_from_slice(&log_payload);
-        out.u64(fnv64(&log_payload));
+        out.u64(Fnv64::new().write_bytes(&log_payload).finish());
         if self.flat.is_some() {
             out.buf.extend_from_slice(&flat_payload);
-            out.u64(fnv64(&flat_payload));
+            out.u64(Fnv64::new().write_bytes(&flat_payload).finish());
         }
         out.buf
     }
@@ -641,7 +631,7 @@ impl TraceArtifact {
         }
         let payload = &section[..log_len];
         let stored_sum = u64::from_le_bytes(section[log_len..log_len + 8].try_into().unwrap());
-        if fnv64(payload) != stored_sum {
+        if Fnv64::new().write_bytes(payload).finish() != stored_sum {
             return Err(StoreError::Checksum);
         }
 
@@ -741,7 +731,7 @@ impl TraceArtifact {
         }
         let payload = &section[..flat_len];
         let stored_sum = u64::from_le_bytes(section[flat_len..flat_len + 8].try_into().unwrap());
-        if fnv64(payload) != stored_sum {
+        if Fnv64::new().write_bytes(payload).finish() != stored_sum {
             return Err(StoreError::Checksum);
         }
         let n =

@@ -109,7 +109,7 @@ impl SamplingConfig {
     /// a sampled run can never alias a prefix-truncated (or differently
     /// sampled) run of the same workload/config/budget.
     pub fn stable_digest(&self) -> u64 {
-        let mut h = crate::digest::Fnv64::new();
+        let mut h = crate::Fnv64::new();
         h.write_str("SamplingConfig-v1");
         h.write_usize(self.intervals);
         h.write_f64(self.warmup_frac);
@@ -409,7 +409,7 @@ impl CoreConfig {
     /// The leading version tag must be bumped whenever a field is added so
     /// stale on-disk entries can never alias a new configuration.
     pub fn stable_digest(&self) -> u64 {
-        let mut h = crate::digest::Fnv64::new();
+        let mut h = crate::Fnv64::new();
         h.write_str("CoreConfig-v2");
         h.write_str(self.model.label());
         h.write_f64(self.freq_ghz);

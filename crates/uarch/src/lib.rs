@@ -44,7 +44,6 @@ pub mod analytic;
 pub mod branch;
 pub mod cache;
 pub mod config;
-pub mod digest;
 pub mod dram;
 pub mod inorder;
 pub mod json;
@@ -54,8 +53,8 @@ pub mod stats;
 pub mod tlb;
 
 pub use analytic::AnalyticCore;
+pub use belenos_trace::Fnv64;
 pub use config::{CoreConfig, SamplingConfig};
-pub use digest::Fnv64;
 pub use inorder::InOrderCore;
 pub use model::{build_model, CoreModel, ModelKind};
 pub use o3::O3Core;

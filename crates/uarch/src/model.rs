@@ -68,23 +68,6 @@ impl ModelKind {
             _ => None,
         }
     }
-
-    /// Backend selection from the `BELENOS_MODEL` environment variable;
-    /// unset or unparsable values fall back to [`ModelKind::O3`]. A value
-    /// that exists but is not understood raises a structured telemetry
-    /// warning (which falls back to stderr when no sink is configured and
-    /// is silenced entirely by `BELENOS_TELEMETRY=off`).
-    pub fn from_env() -> ModelKind {
-        match std::env::var("BELENOS_MODEL") {
-            Ok(v) => ModelKind::parse(&v).unwrap_or_else(|| {
-                belenos_telemetry::global().warn(&format!(
-                    "BELENOS_MODEL={v} not understood; using the o3 backend"
-                ));
-                ModelKind::O3
-            }),
-            Err(_) => ModelKind::O3,
-        }
-    }
 }
 
 impl std::fmt::Display for ModelKind {

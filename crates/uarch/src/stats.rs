@@ -141,15 +141,18 @@ pub fn category_index(cat: belenos_trace::FnCategory) -> usize {
 }
 
 impl SimStats {
-    /// Every extensive (additive) counter in a fixed order; the single
-    /// source of truth for [`SimStats::merge`], [`SimStats::scaled`] and
-    /// [`SimStats::subtract`]. `freq_ghz` is intensive and excluded.
+    /// Every extensive (additive) counter as a named slot, in a fixed
+    /// order — the one field table behind [`SimStats::merge`],
+    /// [`SimStats::scaled`], [`SimStats::subtract`] and the runner's
+    /// `.stats` codec and digest (which pin the names and the order).
+    /// `freq_ghz` is intensive and excluded.
     ///
     /// The exhaustive destructuring is deliberate: adding a field to
     /// [`SimStats`] (or [`StageMix`]) fails to compile here until it is
-    /// classified, so no counter can silently escape interval merging
-    /// and whole-trace extrapolation.
-    fn counters_mut(&mut self) -> [&mut u64; 45] {
+    /// classified, so no counter can silently escape interval merging,
+    /// whole-trace extrapolation or the on-disk entry. Each name sits
+    /// beside its binding, so a reorder cannot mislabel a counter.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); 45] {
         let SimStats {
             freq_ghz: _,
             cycles,
@@ -160,8 +163,24 @@ impl SimStats {
             tlb_stall_cycles,
             squash_cycles,
             misc_stall_cycles,
-            exec_mix,
-            commit_mix,
+            exec_mix:
+                StageMix {
+                    branches: exec_branches,
+                    fp: exec_fp,
+                    int: exec_int,
+                    loads: exec_loads,
+                    stores: exec_stores,
+                    other: exec_other,
+                },
+            commit_mix:
+                StageMix {
+                    branches: commit_branches,
+                    fp: commit_fp,
+                    int: commit_int,
+                    loads: commit_loads,
+                    stores: commit_stores,
+                    other: commit_other,
+                },
             branches,
             mispredicts,
             btb_misses,
@@ -181,71 +200,54 @@ impl SimStats {
             slots_fe_bandwidth,
             slots_be_memory,
             slots_be_core,
-            slots_by_category,
+            slots_by_category: [cat0, cat1, cat2, cat3, cat4, cat5],
         } = self;
-        let StageMix {
-            branches: exec_branches,
-            fp: exec_fp,
-            int: exec_int,
-            loads: exec_loads,
-            stores: exec_stores,
-            other: exec_other,
-        } = exec_mix;
-        let StageMix {
-            branches: commit_branches,
-            fp: commit_fp,
-            int: commit_int,
-            loads: commit_loads,
-            stores: commit_stores,
-            other: commit_other,
-        } = commit_mix;
-        let [cat0, cat1, cat2, cat3, cat4, cat5] = slots_by_category;
         [
-            cycles,
-            committed_ops,
-            squashed_ops,
-            active_fetch_cycles,
-            icache_stall_cycles,
-            tlb_stall_cycles,
-            squash_cycles,
-            misc_stall_cycles,
-            exec_branches,
-            exec_fp,
-            exec_int,
-            exec_loads,
-            exec_stores,
-            exec_other,
-            commit_branches,
-            commit_fp,
-            commit_int,
-            commit_loads,
-            commit_stores,
-            commit_other,
-            branches,
-            mispredicts,
-            btb_misses,
-            l1i_accesses,
-            l1i_misses,
-            l1d_accesses,
-            l1d_misses,
-            l2_accesses,
-            l2_misses,
-            dram_lines,
-            dtlb_misses,
-            slots_retiring,
-            slots_bad_speculation,
-            slots_frontend,
-            slots_backend,
-            slots_fe_latency,
-            slots_fe_bandwidth,
-            slots_be_memory,
-            slots_be_core,
-            cat0,
-            cat1,
-            cat2,
-            cat3,
-            cat4,
-            cat5,
+            ("cycles", cycles),
+            ("committed_ops", committed_ops),
+            ("squashed_ops", squashed_ops),
+            ("active_fetch_cycles", active_fetch_cycles),
+            ("icache_stall_cycles", icache_stall_cycles),
+            ("tlb_stall_cycles", tlb_stall_cycles),
+            ("squash_cycles", squash_cycles),
+            ("misc_stall_cycles", misc_stall_cycles),
+            ("exec_branches", exec_branches),
+            ("exec_fp", exec_fp),
+            ("exec_int", exec_int),
+            ("exec_loads", exec_loads),
+            ("exec_stores", exec_stores),
+            ("exec_other", exec_other),
+            ("commit_branches", commit_branches),
+            ("commit_fp", commit_fp),
+            ("commit_int", commit_int),
+            ("commit_loads", commit_loads),
+            ("commit_stores", commit_stores),
+            ("commit_other", commit_other),
+            ("branches", branches),
+            ("mispredicts", mispredicts),
+            ("btb_misses", btb_misses),
+            ("l1i_accesses", l1i_accesses),
+            ("l1i_misses", l1i_misses),
+            ("l1d_accesses", l1d_accesses),
+            ("l1d_misses", l1d_misses),
+            ("l2_accesses", l2_accesses),
+            ("l2_misses", l2_misses),
+            ("dram_lines", dram_lines),
+            ("dtlb_misses", dtlb_misses),
+            ("slots_retiring", slots_retiring),
+            ("slots_bad_speculation", slots_bad_speculation),
+            ("slots_frontend", slots_frontend),
+            ("slots_backend", slots_backend),
+            ("slots_fe_latency", slots_fe_latency),
+            ("slots_fe_bandwidth", slots_fe_bandwidth),
+            ("slots_be_memory", slots_be_memory),
+            ("slots_be_core", slots_be_core),
+            ("cat0", cat0),
+            ("cat1", cat1),
+            ("cat2", cat2),
+            ("cat3", cat3),
+            ("cat4", cat4),
+            ("cat5", cat5),
         ]
     }
 
@@ -255,7 +257,7 @@ impl SimStats {
     /// simulation; `freq_ghz` is kept from `self`.
     pub fn merge(&mut self, other: &SimStats) {
         let mut o = other.clone();
-        for (a, b) in self.counters_mut().into_iter().zip(o.counters_mut()) {
+        for ((_, a), (_, b)) in self.counters_mut().into_iter().zip(o.counters_mut()) {
             *a += *b;
         }
     }
@@ -268,7 +270,7 @@ impl SimStats {
     /// up to rounding.
     pub fn scaled(&self, factor: f64) -> SimStats {
         let mut out = self.clone();
-        for c in out.counters_mut() {
+        for (_, c) in out.counters_mut() {
             *c = (*c as f64 * factor).round() as u64;
         }
         out
@@ -281,7 +283,7 @@ impl SimStats {
     /// `self`.
     pub fn subtract(&mut self, snapshot: &SimStats) {
         let mut s = snapshot.clone();
-        for (a, b) in self.counters_mut().into_iter().zip(s.counters_mut()) {
+        for ((_, a), (_, b)) in self.counters_mut().into_iter().zip(s.counters_mut()) {
             *a -= *b;
         }
     }
