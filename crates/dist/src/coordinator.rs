@@ -15,7 +15,8 @@
 //! picked up by whatever workers remain.
 
 use crate::board::{self, DistConfig, DoneDoc, JobDoc};
-use crate::worker::{run_worker, WorkerSummary};
+use crate::wake::{Backoff, Wake, BACKOFF_FLOOR};
+use crate::worker::{run_local_worker, WorkerSummary};
 use belenos::report::{Cell, Report};
 use belenos_runner::cache::{entry_file_name, read_stats, report_damaged};
 use belenos_runner::{CacheStats, DistExecutor, DistJob};
@@ -86,13 +87,18 @@ impl MergedSummary {
     }
 }
 
-/// How often the coordinator sweeps the done directory.
+/// The longest the coordinator goes without sweeping the board: what
+/// other processes did can only be seen by looking.
 const POLL: Duration = Duration::from_millis(50);
 /// How often a waiting coordinator prints a progress line.
 const PROGRESS_EVERY: Duration = Duration::from_secs(5);
-/// Consecutive sweeps a done marker may point at a missing cache entry
-/// before the job is republished (~5 s: covers a slow NFS rename).
-const MARKER_GRACE_SWEEPS: u32 = 100;
+/// How long a done marker may point at a missing cache entry before the
+/// job is republished (covers a slow NFS rename).
+const MARKER_GRACE: Duration = Duration::from_secs(5);
+/// How long a job may be visible nowhere (board, leases, done) before it
+/// is republished. A sweep can catch a job between two directories; one
+/// that stays gone this long was removed from under us.
+const VANISHED_GRACE: Duration = Duration::from_millis(100);
 
 /// A [`DistExecutor`] backed by one dist directory.
 pub struct Coordinator {
@@ -196,15 +202,16 @@ impl Coordinator {
     }
 }
 
-/// Per-pending-job bookkeeping while the coordinator waits.
+/// Per-pending-job bookkeeping while the coordinator waits. The two
+/// clocks are wall time, not sweep counts: sweeps come as fast as local
+/// workers finish jobs.
 struct Pending {
     index: usize,
     cache_entry: PathBuf,
-    /// Sweeps a done marker has pointed at a missing cache entry.
-    marker_stalls: u32,
-    /// Consecutive sweeps the job was visible nowhere (board, leases,
-    /// done). Two in a row means it truly vanished and is republished.
-    vanished_sweeps: u32,
+    /// Since when a done marker has pointed at a missing cache entry.
+    marker_stalled: Option<Instant>,
+    /// Since when the job has been visible nowhere.
+    vanished: Option<Instant>,
 }
 
 impl DistExecutor for Coordinator {
@@ -276,15 +283,18 @@ impl DistExecutor for Coordinator {
                 Pending {
                     index: job.index,
                     cache_entry,
-                    marker_stalls: 0,
-                    vanished_sweeps: 0,
+                    marker_stalled: None,
+                    vanished: None,
                 },
             );
         }
         tele.counter("dist_jobs_published", pending.len() as u64, &[]);
 
-        // In-process workers share the board with external processes.
+        // In-process workers share the board with external processes, and
+        // one wake with this thread: a done marker from one of them ends
+        // the wait below, `stop` ends their idle wait.
         let stop = Arc::new(AtomicBool::new(false));
+        let wake = Arc::new(Wake::default());
         let locals: Vec<std::thread::JoinHandle<std::io::Result<WorkerSummary>>> = (0..self
             .local_workers)
             .map(|i| {
@@ -293,10 +303,11 @@ impl DistExecutor for Coordinator {
                     ..cfg.clone()
                 };
                 let stop = Arc::clone(&stop);
+                let wake = Arc::clone(&wake);
                 let tele = tele.clone();
                 std::thread::spawn(move || {
                     let _tele = tele.scope();
-                    run_worker(&cfg, &stop, None)
+                    run_local_worker(&cfg, &stop, &wake)
                 })
             })
             .collect();
@@ -304,12 +315,30 @@ impl DistExecutor for Coordinator {
         let started = Instant::now();
         let mut last_progress = Instant::now();
         let mut hinted = false;
+        // With no local worker nothing ever bumps the wake and the board
+        // is the only channel: look soon, then less and less often.
+        let mut idle = match self.local_workers {
+            0 => Backoff::new(BACKOFF_FLOOR, POLL),
+            _ => Backoff::new(POLL, POLL),
+        };
+        let (mut sweeps, mut woken) = (0u64, 0u64);
         while !pending.is_empty() {
-            let resolved = self.sweep(&mut pending, &mut rows, &docs);
+            // Read before the sweep: a done marker written while it runs
+            // then ends the wait below at once.
+            let seen = wake.generation();
+            let sweep = self.sweep(&mut pending, &mut rows, &docs);
+            sweeps += 1;
             if pending.is_empty() {
                 break;
             }
-            if resolved == 0
+            if sweep.republished > 0 {
+                tele.counter("dist_jobs_republished", sweep.republished, &[]);
+                wake.notify();
+            }
+            if sweep.resolved > 0 {
+                idle.reset();
+            }
+            if sweep.resolved == 0
                 && self.local_workers == 0
                 && !hinted
                 && started.elapsed() > Duration::from_secs(10)
@@ -335,33 +364,48 @@ impl DistExecutor for Coordinator {
                 eprintln!("{line}");
                 last_progress = Instant::now();
             }
-            std::thread::sleep(POLL);
+            woken += u64::from(wake.wait(seen, idle.step()));
         }
 
         stop.store(true, Ordering::Relaxed);
+        wake.notify();
         for handle in locals {
             // A worker that panicked (it should never) forfeits only
             // its summary; its jobs were re-claimable all along.
             let _ = handle.join();
         }
-        drop(span);
+        span.close_with(&[("sweeps", sweeps.into()), ("woken", woken.into())]);
 
         rows
     }
 }
 
+/// What one [`Coordinator::sweep`] did.
+struct Sweep {
+    /// Jobs that left `pending` with a result (or a failure).
+    resolved: usize,
+    /// Jobs put back on the board.
+    republished: u64,
+}
+
 impl Coordinator {
-    /// One poll sweep: resolves every pending job whose done marker
-    /// (and cache entry) landed, and republishes jobs that vanished.
-    /// Returns how many jobs resolved this sweep.
+    /// One look at the board: resolves every pending job whose done
+    /// marker (and cache entry) landed, and republishes jobs that
+    /// vanished.
     fn sweep(
         &self,
         pending: &mut HashMap<u64, Pending>,
         rows: &mut Vec<(usize, Result<SimStats, String>, Duration)>,
         docs: &HashMap<u64, JobDoc>,
-    ) -> usize {
+    ) -> Sweep {
         let cfg = &self.cfg;
         let mut resolved: Vec<u64> = Vec::new();
+        let mut republished = 0;
+        let mut republish = |digest: u64| {
+            if let Some(doc) = docs.get(&digest) {
+                republished += u64::from(board::publish(cfg, doc).is_ok());
+            }
+        };
         // Scan order matters for the vanished check: a job moves
         // board → lease → done, and `done` is re-checked last to cover
         // the done-write/lease-remove window.
@@ -392,39 +436,39 @@ impl Coordinator {
                         // Marker without a readable result: give the cache
                         // write a grace window, then say what was found
                         // (once, not per sweep) and start the job over.
-                        state.marker_stalls += 1;
-                        if state.marker_stalls > MARKER_GRACE_SWEEPS {
-                            state.marker_stalls = 0;
+                        let since = *state.marker_stalled.get_or_insert_with(Instant::now);
+                        if since.elapsed() > MARKER_GRACE {
+                            state.marker_stalled = None;
                             let _ = std::fs::remove_file(&marker);
                             if let Some(doc) = docs.get(&digest) {
                                 report_damaged(miss, &doc.workload, &state.cache_entry);
-                                let _ = board::publish(cfg, doc);
                             }
+                            republish(digest);
                         }
                     }
                 }
                 continue;
             }
             if open.contains(&digest) || leased.contains(&digest) {
-                state.vanished_sweeps = 0;
+                state.vanished = None;
                 continue;
             }
-            // Visible nowhere. Either we raced a state transition
-            // (next sweep will see it) or the file is truly gone (an
-            // operator wiped the dir) — republish after two misses.
-            state.vanished_sweeps += 1;
-            if state.vanished_sweeps > 2 {
-                state.vanished_sweeps = 0;
-                if let Some(doc) = docs.get(&digest) {
-                    let _ = board::publish(cfg, doc);
-                }
+            // Visible nowhere. Either we raced a state transition (a
+            // later sweep will see it) or the file is truly gone (an
+            // operator wiped the dir) — republish once it stays gone.
+            let since = *state.vanished.get_or_insert_with(Instant::now);
+            if since.elapsed() > VANISHED_GRACE {
+                state.vanished = None;
+                republish(digest);
             }
         }
-        let n = resolved.len();
-        for digest in resolved {
-            pending.remove(&digest);
+        for digest in &resolved {
+            pending.remove(digest);
         }
-        n
+        Sweep {
+            resolved: resolved.len(),
+            republished,
+        }
     }
 }
 
@@ -453,6 +497,58 @@ mod tests {
         assert_eq!(merged.per_worker["w1"].jobs, 2);
         assert_eq!(merged.per_worker["w2"].failed, 1);
         assert_eq!(merged.sorted_walls(), [0.1, 0.2, 0.3]);
+    }
+
+    #[test]
+    fn a_job_seen_nowhere_is_republished_by_the_clock_not_by_the_sweep_count() {
+        let dir = std::env::temp_dir().join(format!("belenos-dist-clocks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let coord = Coordinator::new(DistConfig::new(&dir, "c"));
+        let cfg = coord.config();
+        cfg.ensure_layout().unwrap();
+        let digest = 0x51;
+        let doc = JobDoc {
+            digest,
+            workload: "pd".into(),
+            label: "baseline".into(),
+            scenario: belenos_workloads::by_id("pd").expect("pd preset"),
+            config: belenos_uarch::CoreConfig::gem5_baseline(),
+            max_ops: 1000,
+            sampling: belenos_uarch::SamplingConfig::off(),
+        };
+        let docs = HashMap::from([(digest, doc)]);
+        let mut pending = HashMap::from([(
+            digest,
+            Pending {
+                index: 0,
+                cache_entry: cfg.cache_dir().join("pd-0000000000000051.stats"),
+                marker_stalled: None,
+                vanished: None,
+            },
+        )]);
+        let mut rows = Vec::new();
+        // Never published: on no sweep is the job anywhere. Wake-driven
+        // sweeps follow each other in microseconds, and any number of
+        // them inside the grace must leave the board alone.
+        let started = Instant::now();
+        for _ in 0..10 {
+            let sweep = coord.sweep(&mut pending, &mut rows, &docs);
+            if started.elapsed() > VANISHED_GRACE {
+                // This thread was held up; the board may rightly differ.
+                let _ = std::fs::remove_file(cfg.board_path(digest));
+                break;
+            }
+            assert_eq!((sweep.resolved, sweep.republished), (0, 0));
+            assert!(board::board_digests(cfg).is_empty());
+        }
+        // The same state once the grace has run out.
+        let long_ago = Instant::now().checked_sub(2 * VANISHED_GRACE);
+        pending.get_mut(&digest).unwrap().vanished = Some(long_ago.expect("uptime"));
+        let sweep = coord.sweep(&mut pending, &mut rows, &docs);
+        assert_eq!((sweep.resolved, sweep.republished), (0, 1));
+        assert_eq!(board::board_digests(cfg), [digest]);
+        assert!(pending[&digest].vanished.is_none(), "the clock starts over");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

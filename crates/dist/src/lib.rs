@@ -50,17 +50,35 @@
 //!   crashes and restarts simply re-plans the campaign: everything
 //!   finished is a disk-cache hit and never reaches the board again.
 //!
+//! ## Waiting
+//!
+//! Nobody sleeps for a fixed time. A coordinator and its in-process
+//! `--local-workers` threads share one generation counter and condvar: a
+//! worker bumps it after each done marker and the coordinator sweeps at
+//! once; the coordinator bumps it when it republishes a job or is done,
+//! and an idle worker looks again or exits at once. Across processes the
+//! filesystem is the only channel, so there the wait is timed: 1 ms,
+//! doubling while nothing happens up to 25 ms (an idle worker) or 50 ms
+//! (a coordinator with no local workers), back to 1 ms on progress. The
+//! same 25/50 ms bound every timed wait, so what other processes do to
+//! the board is never seen later than it used to be.
+//!
 //! ## Telemetry
 //!
 //! Workers emit `dist_jobs_claimed`, `dist_leases_stolen`,
 //! `dist_leases_expired` and `dist_heartbeats` counters under a
-//! per-worker `worker` root span; the coordinator folds a merged
+//! per-worker `worker` root span; the coordinator emits
+//! `dist_jobs_published` and — should a job ever go missing from the
+//! board — `dist_jobs_republished`, closes its `coordinator` span with
+//! `sweeps` and `woken` (how many sweeps a wake started rather than a
+//! timeout), and folds a merged
 //! cross-worker summary (per-worker job counts, steals, p50/p95 job
 //! wall, aggregate cache traffic) into the campaign report's telemetry
 //! roll-up.
 
 pub mod board;
 pub mod coordinator;
+mod wake;
 pub mod worker;
 
 pub use board::{board_stats, sanitize_worker, BoardStats, DistConfig, DoneDoc, JobDoc};

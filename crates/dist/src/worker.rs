@@ -15,6 +15,7 @@
 //! No state in the worker is ever the only copy of anything.
 
 use crate::board::{self, ClaimedJob, DistConfig, DoneDoc, JobDoc};
+use crate::wake::{Backoff, Wake, BACKOFF_FLOOR};
 use belenos::Experiment;
 use belenos_runner::{run_caught, Cache, CacheKey, Simulate};
 use std::collections::HashMap;
@@ -36,7 +37,7 @@ pub struct WorkerSummary {
     pub busy: Duration,
 }
 
-/// How long an idle worker sleeps between board scans. Short enough
+/// The longest an idle worker waits between board scans. Short enough
 /// that a just-published burst is picked up promptly, long enough that
 /// a big fleet polling one NFS directory stays polite.
 const IDLE_POLL: Duration = Duration::from_millis(25);
@@ -57,6 +58,11 @@ const IDLE_POLL: Duration = Duration::from_millis(25);
 /// 4. inserts the result into the shared cache (write-then-rename),
 /// 5. writes the done marker and releases the lease.
 ///
+/// With nothing to claim the worker waits 1 ms, then twice as long each
+/// time up to 25 ms, and starts over from 1 ms after a job: the board is
+/// the only channel to whoever publishes, so looking is the only way to
+/// find out.
+///
 /// # Errors
 ///
 /// Only layout creation can fail; everything after that degrades to
@@ -65,6 +71,30 @@ pub fn run_worker(
     cfg: &DistConfig,
     stop: &AtomicBool,
     idle_timeout: Option<Duration>,
+) -> std::io::Result<WorkerSummary> {
+    // A wake of its own: nobody bumps it, every wait runs out its timeout.
+    let idle = Backoff::new(BACKOFF_FLOOR, IDLE_POLL);
+    worker_loop(cfg, stop, idle_timeout, &Wake::default(), idle)
+}
+
+/// [`run_worker`] as a thread of the coordinator that owns `wake`: it
+/// bumps `wake` after each done marker, and a bump (a republished job,
+/// `stop` raised) ends its idle wait at once — the timeout is only there
+/// for what other processes do to the board.
+pub(crate) fn run_local_worker(
+    cfg: &DistConfig,
+    stop: &AtomicBool,
+    wake: &Wake,
+) -> std::io::Result<WorkerSummary> {
+    worker_loop(cfg, stop, None, wake, Backoff::new(IDLE_POLL, IDLE_POLL))
+}
+
+fn worker_loop(
+    cfg: &DistConfig,
+    stop: &AtomicBool,
+    idle_timeout: Option<Duration>,
+    wake: &Wake,
+    mut idle: Backoff,
 ) -> std::io::Result<WorkerSummary> {
     cfg.ensure_layout()?;
     let tele = belenos_telemetry::global();
@@ -79,17 +109,25 @@ pub fn run_worker(
         ..WorkerSummary::default()
     };
     let mut idle_since = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
+    loop {
+        // Before `stop` and the board are looked at, so that whatever
+        // changes either afterwards cuts the wait below short.
+        let seen = wake.generation();
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
         let claimed = board::claim_open(cfg).or_else(|| board::claim_expired(cfg));
         let Some(job) = claimed else {
             if idle_timeout.is_some_and(|t| idle_since.elapsed() >= t) {
                 break;
             }
-            std::thread::sleep(IDLE_POLL);
+            wake.wait(seen, idle.step());
             continue;
         };
         idle_since = Instant::now();
         execute_job(cfg, &cache, &mut prepared, &job, &mut summary, span.id());
+        wake.notify();
+        idle.reset();
     }
     drop(span);
     Ok(summary)

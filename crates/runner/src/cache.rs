@@ -132,16 +132,22 @@ impl Cache {
         }
     }
 
-    /// The process-wide shared cache. Reads `BELENOS_CACHE_DIR` once (at
-    /// first use) to decide whether an on-disk tier is attached.
+    /// A fresh cache as the environment configures it: an on-disk tier at
+    /// `BELENOS_CACHE_DIR` when that is set, memory-only otherwise. Its
+    /// in-memory entries live as long as the returned value (and its
+    /// clones) — a server builds one at bind and drops it on exit.
+    pub fn from_env() -> Cache {
+        match std::env::var("BELENOS_CACHE_DIR") {
+            Ok(dir) if !dir.is_empty() => Cache::with_disk(dir),
+            _ => Cache::fresh(),
+        }
+    }
+
+    /// The process-wide shared cache: [`Cache::from_env`], built once (at
+    /// first use) and kept for the life of the process.
     pub fn global() -> Cache {
         static GLOBAL: OnceLock<Cache> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| match std::env::var("BELENOS_CACHE_DIR") {
-                Ok(dir) if !dir.is_empty() => Cache::with_disk(dir),
-                _ => Cache::fresh(),
-            })
-            .clone()
+        GLOBAL.get_or_init(Cache::from_env).clone()
     }
 
     /// Looks `key` up in memory, then on disk; counts a hit or miss.

@@ -8,8 +8,9 @@
 //! every limit violation is a clean 4xx, never unbounded memory.
 
 use belenos_json::Json;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Instant;
 
 /// Header section cap: request line + headers must fit in 16 KiB.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -56,15 +57,41 @@ impl HttpError {
     }
 }
 
+/// One `read` with whatever is left until `deadline` as its timeout, so
+/// no schedule of small writes can hold the reader past it.
+fn read_before(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> Result<usize, HttpError> {
+    let timed_out = || HttpError::new(408, "request did not arrive within its deadline");
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(timed_out());
+    }
+    stream
+        .set_read_timeout(Some(left))
+        .map_err(|e| HttpError::new(400, format!("read failed: {e}")))?;
+    stream.read(buf).map_err(|e| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => timed_out(),
+        _ => HttpError::new(400, format!("read failed: {e}")),
+    })
+}
+
 /// Reads and parses one request from `stream`, holding the body to
-/// `max_body` bytes.
+/// `max_body` bytes and the whole read — head and body — to `deadline`.
 ///
 /// # Errors
 ///
 /// An [`HttpError`] carrying the right status: 400 for malformed
-/// framing, 413 for an oversized body, 431 for an oversized header
-/// section, 501 for transfer encodings we don't implement.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+/// framing, 408 when the deadline passes first, 413 for an oversized
+/// body, 431 for an oversized header section, 501 for transfer
+/// encodings we don't implement.
+pub fn read_request(
+    stream: &mut TcpStream,
+    max_body: usize,
+    deadline: Instant,
+) -> Result<Request, HttpError> {
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     let split = loop {
@@ -74,9 +101,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         if head.len() > MAX_HEAD_BYTES {
             return Err(HttpError::new(431, "request header section too large"));
         }
-        let n = stream
-            .read(&mut buf)
-            .map_err(|e| HttpError::new(400, format!("read failed: {e}")))?;
+        let n = read_before(stream, &mut buf, deadline)?;
         if n == 0 {
             return Err(HttpError::new(400, "connection closed mid-request"));
         }
@@ -140,9 +165,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     let mut remaining = length - body.len();
     while remaining > 0 {
         let take = remaining.min(buf.len());
-        let n = stream
-            .read(&mut buf[..take])
-            .map_err(|e| HttpError::new(400, format!("body read failed: {e}")))?;
+        let n = read_before(stream, &mut buf[..take], deadline)?;
         if n == 0 {
             return Err(HttpError::new(400, "connection closed mid-body"));
         }
@@ -163,6 +186,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
@@ -252,6 +276,71 @@ pub fn write_ndjson_line(stream: &mut TcpStream, line: &str) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A connected loopback pair: (client end, server end).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (client, server)
+    }
+
+    #[test]
+    fn a_dribbling_client_hits_the_whole_request_deadline() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (mut client, mut server) = socket_pair();
+        // One byte every 50 ms, forever: no single read ever waits long,
+        // so only a deadline over the whole request can end this.
+        let (stop, stopped) = mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            let endless = b"GET /v1/healthz HTTP/1.1\r\nx-padding: "
+                .iter()
+                .chain(std::iter::repeat(&b'a'));
+            for byte in endless {
+                if client.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                match stopped.recv_timeout(Duration::from_millis(50)) {
+                    Err(mpsc::RecvTimeoutError::Timeout) => {}
+                    _ => break,
+                }
+            }
+        });
+        let started = Instant::now();
+        let limit = Duration::from_secs(1);
+        let outcome = read_request(&mut server, 1024, started + limit);
+        let took = started.elapsed();
+        drop(stop);
+        writer.join().expect("writer thread");
+        assert_eq!(
+            outcome.expect_err("the request never completes").status,
+            408
+        );
+        assert!(took >= limit && took < 5 * limit, "gave up after {took:?}");
+    }
+
+    #[test]
+    fn a_prompt_request_reads_whole_and_408_has_a_reason() {
+        use std::time::Duration;
+        let (mut client, mut server) = socket_pair();
+        client
+            .write_all(b"POST /v1/campaigns?x=1 HTTP/1.1\r\ncontent-length: 4\r\n\r\nbody")
+            .expect("write");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let request = read_request(&mut server, 1024, deadline).expect("complete request");
+        assert_eq!(
+            (
+                request.method.as_str(),
+                request.path.as_str(),
+                &request.body[..]
+            ),
+            ("POST", "/v1/campaigns", &b"body"[..])
+        );
+        // A deadline already behind us: 408 without touching the socket.
+        let late = read_request(&mut server, 1024, Instant::now()).expect_err("too late");
+        assert_eq!((late.status, reason(late.status)), (408, "Request Timeout"));
+    }
 
     #[test]
     fn find_head_end_locates_blank_line() {

@@ -1,7 +1,8 @@
 //! `belenos serve` — a long-running simulation server.
 //!
-//! One process, one persistent [`Runner`]: the
-//! in-memory result cache, the disk cache, and the trace store warm up
+//! One server, one persistent [`Runner`]: the
+//! in-memory result cache (made at bind, dropped with the server), the
+//! disk cache, and the trace store warm up
 //! once and stay warm across requests, which is the whole point of
 //! serving instead of forking a CLI per spec. On top of that runner the
 //! server adds the three things a shared long-lived endpoint needs and
@@ -33,6 +34,18 @@
 //! | `GET /v1/stats`          | server counters and latency percentiles   |
 //! | `GET /v1/healthz`        | liveness probe                            |
 //! | `POST /v1/shutdown`      | graceful drain and exit                   |
+//!
+//! # Connections
+//!
+//! One request per connection; every response says `connection: close`.
+//! The listener blocks in `accept` and hands each connection to a thread
+//! of its own — at most 256 at a time; past that the accept thread itself
+//! answers `503` with `retry-after: 1`. A request, head and body, has
+//! 10 s to arrive (`408` otherwise). Nothing on this path sleeps for a
+//! fixed time: shutdown ([`ServerHandle::shutdown`], `POST /v1/shutdown`)
+//! raises a flag and wakes the loop with one connection to the server's
+//! own address, and every connection accepted before the loop ends is
+//! answered before [`Server::run`] returns.
 
 pub mod events;
 pub mod http;
@@ -48,15 +61,23 @@ use belenos::campaign::CampaignSpec;
 use belenos::env::DEFAULT_MAX_OPS;
 use belenos::SimOptions;
 use belenos_json::{FromJson, Json};
-use belenos_runner::{gc, Runner, RunnerConfig};
+use belenos_runner::{gc, Cache, Runner};
 use belenos_telemetry::Telemetry;
 use belenos_workloads::ScenarioSpec;
 use http::{read_request, respond_error, respond_json, start_ndjson, write_ndjson_line, Request};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// Head and body of a request must arrive within this long of the accept.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Connection handlers alive at once; the accept thread answers `503`
+/// itself past this. An `/events` stream holds its handler for the
+/// length of a job, so the cap is a few hundred rather than a few.
+const MAX_HANDLERS: usize = 256;
 
 /// Everything tunable about a server, with serving-friendly defaults.
 #[derive(Debug, Clone)]
@@ -107,8 +128,16 @@ struct ServerState {
     feeds: Arc<JobFeeds>,
     stats: Arc<ServeStats>,
     runner: Runner,
-    shutdown: AtomicBool,
+    /// Set (under its mutex, so the GC sweeper's timed wait cannot miss
+    /// it) once shutdown is requested; the accept loop reads it after
+    /// every connection it takes.
+    shutdown: Mutex<bool>,
+    shutdown_signal: Condvar,
     draining: AtomicBool,
+    /// Connection handlers alive right now; [`Server::run`] returns once
+    /// it is back to zero.
+    handlers: Mutex<usize>,
+    handlers_done: Condvar,
     /// The handle that was current at [`Server::bind`]: every thread the
     /// server starts runs under it, wherever [`Server::run`] is called.
     telemetry: Telemetry,
@@ -137,14 +166,14 @@ impl ServerHandle {
 
     /// Requests a graceful drain-and-exit: stop accepting, run every
     /// accepted job to completion, finish the event streams, return.
+    /// The accept loop is woken at once, traffic or no traffic.
     pub fn shutdown(&self) {
-        self.state.draining.store(true, Ordering::SeqCst);
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        self.state.request_shutdown();
     }
 
     /// True once shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
+        self.state.is_shutdown()
     }
 
     /// Holds (`true`) or resumes (`false`) job pickup while the queue
@@ -155,8 +184,64 @@ impl ServerHandle {
     }
 }
 
+/// The server's own mutexes guard a flag and a count, each read or
+/// changed in one statement: nothing can panic while holding one.
+const NOT_POISONED: &str = "nothing panics under this lock";
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect(NOT_POISONED)
+}
+
+impl ServerState {
+    fn is_shutdown(&self) -> bool {
+        *lock(&self.shutdown)
+    }
+
+    /// Fences off new submissions, raises the shutdown flag and wakes
+    /// whoever waits on it: the GC sweeper through the condvar, the
+    /// accept loop — blocked in `accept` — through one connection to the
+    /// server's own address. That connection is handled like any other
+    /// (it reads end-of-stream and ends); a failed connect means the
+    /// listener is already gone, which is what was asked for.
+    fn request_shutdown(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+        *lock(&self.shutdown) = true;
+        self.shutdown_signal.notify_all();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            // A wildcard bind cannot be connected to; its loopback can.
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Timed: with a full backlog the loop is busy accepting and will
+        // see the flag after the next connection anyway.
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+}
+
+/// One live connection handler; dropping it (return or unwind) gives the
+/// slot back.
+struct HandlerSlot(Arc<ServerState>);
+
+impl Drop for HandlerSlot {
+    fn drop(&mut self) {
+        if let Ok(mut live) = self.0.handlers.lock() {
+            *live -= 1;
+            if *live == 0 {
+                self.0.handlers_done.notify_all();
+            }
+        }
+    }
+}
+
 impl Server {
-    /// Binds the listener and builds the persistent runner. The calling
+    /// Binds the listener and builds the persistent runner. Its result
+    /// cache is made here and lives exactly as long as the server
+    /// (`BELENOS_CACHE_DIR` set: with that disk tier, else memory-only):
+    /// servers sharing a process share no results, and what a server
+    /// holds does not depend on what ran before it. The calling
     /// thread's current telemetry handle becomes the server's: it
     /// receives the server's own counters and every job's events (so
     /// `--telemetry` output is unchanged by serving), while each job's
@@ -167,16 +252,14 @@ impl Server {
     /// The bind error for an unusable address.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let mut runner_config = RunnerConfig::from_env();
-        // Job progress goes to watchers via the event stream; the
-        // server's stderr stays quiet.
-        runner_config.progress = false;
-        if config.runner_threads > 0 {
-            runner_config.threads = Some(config.runner_threads);
-        }
-        let runner = runner_config.build();
+        let threads = match config.runner_threads {
+            0 => belenos_runner::jobs_from_env(),
+            n => n,
+        };
+        // No progress lines: job progress goes to watchers via the event
+        // stream; the server's stderr stays quiet.
+        let runner = Runner::new(threads, Cache::from_env());
         let telemetry = belenos_telemetry::global();
         let feeds = Arc::new(JobFeeds::new(&telemetry));
         let stats = Arc::new(ServeStats::new());
@@ -195,8 +278,11 @@ impl Server {
             feeds,
             stats,
             runner,
-            shutdown: AtomicBool::new(false),
+            shutdown: Mutex::new(false),
+            shutdown_signal: Condvar::new(),
             draining: AtomicBool::new(false),
+            handlers: Mutex::new(0),
+            handlers_done: Condvar::new(),
             telemetry,
         });
         Ok(Server { listener, state })
@@ -215,47 +301,74 @@ impl Server {
     }
 
     /// Serves until shutdown is requested, then drains: every accepted
-    /// job runs to completion, event streams end, and connection
-    /// handlers are joined.
+    /// job runs to completion, event streams end, and every connection
+    /// accepted so far is answered.
     ///
     /// # Errors
     ///
     /// A non-transient accept error.
     pub fn run(self) -> std::io::Result<()> {
-        let gc_thread = spawn_gc_sweeper(&self.state);
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.state.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = self.state.clone();
-                    handlers.push(std::thread::spawn(move || {
-                        let _tele = state.telemetry.scope();
-                        handle_connection(&state, stream)
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+        use std::io::ErrorKind::{ConnectionAborted, Interrupted};
+        let Server { listener, state } = self;
+        let gc_thread = spawn_gc_sweeper(&state);
+        // Blocks in `accept`; `request_shutdown` sends the connection
+        // that ends a quiet wait. The flag is read *after* a connection
+        // is dispatched, so nothing accepted is dropped unanswered.
+        while !state.is_shutdown() {
+            match listener.accept() {
+                Ok((stream, _peer)) => dispatch(&state, stream),
+                // A signal, or a client that gave up while still queued.
+                Err(e) if matches!(e.kind(), Interrupted | ConnectionAborted) => {}
                 Err(e) => return Err(e),
             }
-            handlers.retain(|h| !h.is_finished());
         }
+        // Whoever connects from here on is refused at once instead of
+        // sitting in the backlog for the length of the drain.
+        drop(listener);
         // Graceful drain: fence off new submissions, run out the queue
         // (unpausing first — a paused pool would strand queued jobs and
         // their watchers), then let the finished event streams unwind
         // the remaining connection handlers.
-        self.state.draining.store(true, Ordering::SeqCst);
-        self.state.manager.pause(false);
-        self.state.manager.drain();
-        for handler in handlers {
-            let _ = handler.join();
-        }
+        state.draining.store(true, Ordering::SeqCst);
+        state.manager.pause(false);
+        state.manager.drain();
+        let idle = state
+            .handlers_done
+            .wait_while(lock(&state.handlers), |live| *live > 0);
+        drop(idle.expect(NOT_POISONED));
         if let Some(handle) = gc_thread {
             let _ = handle.join();
         }
         Ok(())
     }
+}
+
+/// Hands an accepted connection to a handler thread of its own, or —
+/// with [`MAX_HANDLERS`] of them alive — answers `503` from the accept
+/// thread without reading the request.
+fn dispatch(state: &Arc<ServerState>, mut stream: TcpStream) {
+    let admitted = {
+        let mut live = lock(&state.handlers);
+        let free = *live < MAX_HANDLERS;
+        *live += usize::from(free);
+        free
+    };
+    if !admitted {
+        state.stats.note_connection_rejected();
+        // Short: this is the thread every other client waits for.
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+        let message = format!("all {MAX_HANDLERS} connection handlers are busy");
+        let retry = [("retry-after", "1".to_string())];
+        let _ = respond_error(&mut stream, 503, &message, None, &retry);
+        return;
+    }
+    state.stats.note_connection_accepted();
+    let slot = HandlerSlot(state.clone());
+    std::thread::spawn(move || {
+        let state = &slot.0;
+        let _tele = state.telemetry.scope();
+        handle_connection(state, stream)
+    });
 }
 
 /// Background GC: holds the configured directories under the combined
@@ -279,15 +392,13 @@ fn spawn_gc_sweeper(state: &Arc<ServerState>) -> Option<std::thread::JoinHandle<
                             .note_gc_sweep(outcome.deleted_files as u64, outcome.deleted_bytes),
                         Err(e) => state.telemetry.warn(&format!("cache gc sweep failed: {e}")),
                     }
-                    // Sleep in short slices so shutdown isn't held up by
-                    // a long sweep interval.
-                    let mut waited = Duration::ZERO;
-                    while waited < interval {
-                        if state.shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(100));
-                        waited += Duration::from_millis(100);
+                    // One wait per interval, ended early by shutdown.
+                    let (shutdown, _) = state
+                        .shutdown_signal
+                        .wait_timeout_while(lock(&state.shutdown), interval, |flag| !*flag)
+                        .expect(NOT_POISONED);
+                    if *shutdown {
+                        return;
                     }
                 }
             })
@@ -296,13 +407,15 @@ fn spawn_gc_sweeper(state: &Arc<ServerState>) -> Option<std::thread::JoinHandle<
 }
 
 fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
-    // Accepted sockets must block (the listener is non-blocking), and a
-    // stalled client shouldn't pin a handler thread forever.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let request = match read_request(&mut stream, state.config.max_body_bytes) {
+    // A stalled or dribbling client shouldn't pin a handler thread: the
+    // whole request, head and body, has one deadline.
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let request = match read_request(&mut stream, state.config.max_body_bytes, deadline) {
         Ok(request) => request,
         Err(e) => {
+            if e.status == 408 {
+                state.stats.note_connection_timed_out();
+            }
             let _ = respond_error(&mut stream, e.status, &e.message, None, &[]);
             return;
         }
@@ -325,8 +438,7 @@ fn route_request(
             respond_json(stream, 200, &[], &Json::obj(vec![("ok", Json::Bool(true))]))
         }
         ("POST", "/v1/shutdown") => {
-            state.draining.store(true, Ordering::SeqCst);
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.request_shutdown();
             respond_json(
                 stream,
                 200,
@@ -642,6 +754,7 @@ fn stats_document(state: &Arc<ServerState>) -> Json {
     let [submitted, joined, completed, failed, rejected_busy, rejected_invalid] =
         stats.job_counts();
     let [gc_sweeps, gc_files, gc_bytes] = stats.gc_counts();
+    let [accepted, refused, timed_out] = stats.connection_counts();
     let (wait_p50, wait_p95) = stats.queue_wait_percentiles_s();
     let (wall_p50, wall_p95) = stats.job_wall_percentiles_s();
     let cache = state.runner.cache().stats();
@@ -670,6 +783,14 @@ fn stats_document(state: &Arc<ServerState>) -> Json {
                 ("failed", Json::Num(failed as f64)),
                 ("rejected_queue_full", Json::Num(rejected_busy as f64)),
                 ("rejected_invalid", Json::Num(rejected_invalid as f64)),
+            ]),
+        ),
+        (
+            "connections",
+            Json::obj(vec![
+                ("accepted", Json::Num(accepted as f64)),
+                ("rejected_busy", Json::Num(refused as f64)),
+                ("timed_out", Json::Num(timed_out as f64)),
             ]),
         ),
         (
@@ -709,4 +830,110 @@ fn stats_document(state: &Arc<ServerState>) -> Json {
             ]),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::sync::mpsc;
+
+    /// Everything the server sends on a fresh connection after `request`
+    /// (nothing is sent for an empty one).
+    fn exchange(addr: SocketAddr, request: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request.as_bytes()).expect("write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read to end");
+        response
+    }
+
+    /// Opens connections that send nothing until every handler slot is
+    /// taken, then checks that one more is turned away by the accept
+    /// thread. Each connect waits for the one before it to be accepted,
+    /// so the listen backlog never overflows (a dropped SYN costs a
+    /// second) and the last one finds the count exactly at the cap.
+    fn fill_to_the_cap(state: &ServerState) -> Vec<TcpStream> {
+        let accepted = || state.stats.connection_counts()[0];
+        let before = accepted();
+        let patience = Instant::now() + Duration::from_secs(30);
+        let idle: Vec<TcpStream> = (1..=MAX_HANDLERS as u64)
+            .map(|n| {
+                let stream = TcpStream::connect(state.addr).expect("connect");
+                while accepted() < before + n {
+                    assert!(Instant::now() < patience, "connection {n} never accepted");
+                    std::thread::yield_now();
+                }
+                stream
+            })
+            .collect();
+        let refused = exchange(state.addr, "");
+        assert!(refused.starts_with("HTTP/1.1 503 "), "{refused}");
+        assert!(refused.contains("\r\nretry-after: 1\r\n"), "{refused}");
+        assert!(refused.contains("\r\nconnection: close\r\n"), "{refused}");
+        idle
+    }
+
+    /// A server on `addr`, running; the receiver yields what `run` returned.
+    fn serving(addr: &str) -> (ServerHandle, mpsc::Receiver<std::io::Result<()>>) {
+        let server = Server::bind(ServeConfig {
+            addr: addr.to_string(),
+            workers: 1,
+            runner_threads: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let handle = server.handle();
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(server.run());
+        });
+        (handle, finished)
+    }
+
+    fn assert_served(finished: &mpsc::Receiver<std::io::Result<()>>) {
+        let served = finished.recv_timeout(Duration::from_secs(30));
+        assert!(
+            matches!(served, Ok(Ok(()))),
+            "run did not return: {served:?}"
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_a_server_bound_to_the_wildcard_address() {
+        let (handle, finished) = serving("0.0.0.0:0");
+        assert!(handle.local_addr().ip().is_unspecified());
+        handle.shutdown();
+        assert_served(&finished);
+    }
+
+    #[test]
+    fn past_the_handler_cap_connections_get_503_and_shutdown_still_wakes_the_loop() {
+        let (handle, finished) = serving("127.0.0.1:0");
+        let addr = handle.local_addr();
+        let state = &handle.state;
+
+        let idle = fill_to_the_cap(state);
+        assert_eq!(state.stats.connection_counts(), [MAX_HANDLERS as u64, 1, 0]);
+
+        // Closing the idle connections ends their handlers; with the
+        // slots back the server answers again.
+        drop(idle);
+        let live = state.handlers.lock().unwrap();
+        let (live, timeout) = state
+            .handlers_done
+            .wait_timeout_while(live, Duration::from_secs(30), |live| *live > 0)
+            .unwrap();
+        assert!(!timeout.timed_out(), "{} handler(s) never ended", *live);
+        drop(live);
+        let health = exchange(addr, "GET /v1/healthz HTTP/1.1\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200 "), "{health}");
+
+        // At the cap again, the wake connection is itself turned away —
+        // by the loop that then reads the flag and ends.
+        let idle = fill_to_the_cap(state);
+        handle.shutdown();
+        drop(idle);
+        assert_served(&finished);
+    }
 }

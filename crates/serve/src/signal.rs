@@ -4,8 +4,10 @@
 //! workspace has no `libc` crate to lean on. `signal(2)` is in every
 //! libc the toolchain links anyway, so a two-line `extern "C"`
 //! declaration is all the FFI needed. The handler body does the only
-//! thing an async-signal-safe handler may: one atomic store. The serve
-//! accept loop polls the flag.
+//! thing an async-signal-safe handler may: one atomic store. Whoever
+//! asked for the flag polls it (`belenos serve` on a watcher thread that
+//! turns it into [`ServerHandle::shutdown`](crate::ServerHandle::shutdown),
+//! `belenos worker` between jobs).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};

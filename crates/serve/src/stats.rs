@@ -32,6 +32,9 @@ pub struct ServeStats {
     failed: AtomicU64,
     rejected_busy: AtomicU64,
     rejected_invalid: AtomicU64,
+    connections_accepted: AtomicU64,
+    connections_rejected: AtomicU64,
+    connections_timed_out: AtomicU64,
     gc_sweeps: AtomicU64,
     gc_deleted_files: AtomicU64,
     gc_deleted_bytes: AtomicU64,
@@ -49,6 +52,9 @@ impl ServeStats {
             failed: AtomicU64::new(0),
             rejected_busy: AtomicU64::new(0),
             rejected_invalid: AtomicU64::new(0),
+            connections_accepted: AtomicU64::new(0),
+            connections_rejected: AtomicU64::new(0),
+            connections_timed_out: AtomicU64::new(0),
             gc_sweeps: AtomicU64::new(0),
             gc_deleted_files: AtomicU64::new(0),
             gc_deleted_bytes: AtomicU64::new(0),
@@ -91,6 +97,22 @@ impl ServeStats {
         self.rejected_invalid.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A connection was handed to a handler thread.
+    pub fn note_connection_accepted(&self) {
+        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A connection was answered `503` by the accept thread: every
+    /// handler slot was taken.
+    pub fn note_connection_rejected(&self) {
+        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A request did not arrive whole within its deadline (`408`).
+    pub fn note_connection_timed_out(&self) {
+        self.connections_timed_out.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// One background GC sweep ran, deleting the given totals.
     pub fn note_gc_sweep(&self, deleted_files: u64, deleted_bytes: u64) {
         self.gc_sweeps.fetch_add(1, Ordering::Relaxed);
@@ -122,6 +144,16 @@ impl ServeStats {
             self.failed.load(Ordering::Relaxed),
             self.rejected_busy.load(Ordering::Relaxed),
             self.rejected_invalid.load(Ordering::Relaxed),
+        ]
+    }
+
+    /// Connection totals in `/v1/stats` order: accepted, rejected_busy,
+    /// timed_out.
+    pub fn connection_counts(&self) -> [u64; 3] {
+        [
+            self.connections_accepted.load(Ordering::Relaxed),
+            self.connections_rejected.load(Ordering::Relaxed),
+            self.connections_timed_out.load(Ordering::Relaxed),
         ]
     }
 
@@ -206,5 +238,9 @@ mod tests {
         assert_eq!(stats.job_counts(), [2, 1, 0, 1, 1, 0]);
         stats.note_gc_sweep(3, 4096);
         assert_eq!(stats.gc_counts(), [1, 3, 4096]);
+        stats.note_connection_accepted();
+        stats.note_connection_accepted();
+        stats.note_connection_timed_out();
+        assert_eq!(stats.connection_counts(), [2, 0, 1]);
     }
 }

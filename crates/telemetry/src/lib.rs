@@ -449,21 +449,28 @@ impl Span {
     pub fn id(&self) -> u64 {
         self.id
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(sink) = &self.sink else { return };
-        sink.write_line(
-            &Json::obj(vec![
-                ("ev", Json::Str("span_close".into())),
-                ("id", Json::Num(self.id as f64)),
-                ("name", Json::Str(self.name.clone())),
-                ("t_s", Json::Num(sink.start.elapsed().as_secs_f64())),
-                ("wall_s", Json::Num(self.start.elapsed().as_secs_f64())),
-            ])
-            .render(),
-        );
+    /// Closes the span now, with `fields` appended to its `span_close`
+    /// event — for what is only known once the work is over (how often
+    /// a wait loop ran). Same key rules as [`Telemetry::span`], plus
+    /// `wall_s`.
+    pub fn close_with(mut self, fields: &[(&str, Value)]) {
+        self.close(fields);
+    }
+
+    /// Emits `span_close` once: the sink is taken, so the drop that
+    /// follows [`Span::close_with`] finds nothing left to do.
+    fn close(&mut self, fields: &[(&str, Value)]) {
+        let Some(sink) = self.sink.take() else { return };
+        let mut pairs = vec![
+            ("ev", Json::Str("span_close".into())),
+            ("id", Json::Num(self.id as f64)),
+            ("name", Json::Str(std::mem::take(&mut self.name))),
+            ("t_s", Json::Num(sink.start.elapsed().as_secs_f64())),
+            ("wall_s", Json::Num(self.start.elapsed().as_secs_f64())),
+        ];
+        pairs.extend(fields.iter().map(|(k, v)| (*k, v.to_json())));
+        sink.write_line(&Json::obj(pairs).render());
         CURRENT_SPAN.with(|c| {
             // Only restore if this span is still the innermost one on
             // this thread (guards dropped out of order, or across
@@ -472,6 +479,15 @@ impl Drop for Span {
                 c.set(self.prev);
             }
         });
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        // Checked here too so a disabled span's drop is this one branch.
+        if self.sink.is_some() {
+            self.close(&[]);
+        }
     }
 }
 
@@ -551,7 +567,7 @@ mod tests {
         t.counter("hits", 3, &[]);
         t.gauge("mips", 1.5, &[]);
         t.progress("nothing happens");
-        drop(span);
+        span.close_with(&[("sweeps", 3u64.into())]);
         // Off is also disabled, just additionally quiet for warn().
         assert!(!Telemetry::off().enabled());
     }
@@ -565,7 +581,7 @@ mod tests {
             t.counter("cache_hits", 2, &[]);
             t.gauge("simulated_mips", 12.5, &[("workload", "pd".into())]);
             drop(analysis);
-            drop(campaign);
+            campaign.close_with(&[("sweeps", 3u64.into())]);
         }
         let events = buf.events();
         assert_eq!(events.len(), 6);
@@ -583,6 +599,9 @@ mod tests {
         assert_eq!(events[4].get("name").unwrap().as_str(), Some("analysis"));
         assert_eq!(events[5].get("name").unwrap().as_str(), Some("campaign"));
         assert!(events[4].get("wall_s").unwrap().as_f64().unwrap() >= 0.0);
+        // Only a span closed with fields carries them.
+        assert!(events[4].get("sweeps").is_none());
+        assert_eq!(id(&events[5], "sweeps"), 3);
     }
 
     #[test]

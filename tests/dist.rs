@@ -9,9 +9,11 @@
 
 use belenos::Experiment;
 use belenos_dist::{board, Coordinator, DistConfig, JobDoc};
+use belenos_json::Json;
 use belenos_runner::{Cache, CacheKey, JobSpec, RunPlan, Runner, Simulate};
 use belenos_uarch::{CoreConfig, SamplingConfig};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -154,35 +156,108 @@ fn sigkilled_workers_lease_is_stolen_and_the_job_still_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn two_coordinator_workers_split_a_board_without_duplicating_work() {
-    let dir = temp_dist("split");
-    let exps = experiments();
+/// The captured events of kind `ev` named `name`.
+fn named<'a>(events: &'a [Json], ev: &str, name: &str) -> Vec<&'a Json> {
+    let is = |e: &&Json| {
+        e.get("ev").and_then(Json::as_str) == Some(ev)
+            && e.get("name").and_then(Json::as_str) == Some(name)
+    };
+    events.iter().filter(is).collect()
+}
+
+/// Twelve frequency points over the one workload.
+fn twelve_jobs() -> RunPlan {
     let mut plan = RunPlan::new();
-    for (i, freq) in [1.0, 1.25, 1.75, 2.25, 2.75, 3.25].iter().enumerate() {
+    for i in 0..12 {
         plan.push(JobSpec::new(
             0,
             format!("f{i}"),
-            CoreConfig::gem5_baseline().with_frequency(*freq),
+            CoreConfig::gem5_baseline().with_frequency(1.0 + 0.25 * i as f64),
             3000,
         ));
     }
+    plan
+}
 
+#[test]
+fn two_coordinator_workers_split_a_board_without_duplicating_work() {
+    local_workers_resolve_a_batch(2);
+}
+
+#[test]
+fn one_coordinator_worker_is_handed_every_job_of_a_batch() {
+    local_workers_resolve_a_batch(1);
+}
+
+/// A twelve-job batch over `workers` in-process workers: distributed ==
+/// serial == parallel, every job executed once, none republished.
+fn local_workers_resolve_a_batch(workers: usize) {
+    let exps = experiments();
+    let plan = twelve_jobs();
+    let serial = Runner::isolated(1).run(&exps, &plan);
+    let parallel = Runner::isolated(2).run(&exps, &plan);
+    let dir = temp_dist(&format!("split{workers}"));
     let cfg = DistConfig::new(&dir, "pair").with_lease_ttl(Duration::from_secs(10));
-    let coordinator = Arc::new(Coordinator::new(cfg.clone()).with_local_workers(2));
+    let coordinator = Arc::new(Coordinator::new(cfg.clone()).with_local_workers(workers));
     let runner = Runner::new(1, Cache::with_disk(cfg.cache_dir()))
         .with_distributor(Arc::clone(&coordinator) as _);
-    let (results, summary) = runner.run_with_summary(&exps, &plan);
+    let ((results, summary), events) =
+        belenos_telemetry::capture(|| runner.run_with_summary(&exps, &plan));
 
-    assert_eq!(summary.simulated, 6);
-    assert!(results.iter().all(|r| r.error.is_none()));
+    assert_eq!(summary.simulated, 12);
     let merged = coordinator.merged();
-    // Exactly six completions across however many workers got slots —
-    // a duplicated execution would show up as a seventh done marker.
-    assert_eq!(merged.jobs(), 6, "{merged:?}");
+    // Exactly twelve completions across however many workers got
+    // slots — a duplicated execution would show up as a thirteenth
+    // done marker.
+    assert_eq!(merged.jobs(), 12, "{merged:?}");
     assert_eq!(merged.stolen(), 0, "nothing expires under a 10s TTL");
-    let expected = Runner::isolated(2).run(&exps, &plan);
+    for ((got, one), two) in results.iter().zip(&serial).zip(&parallel) {
+        assert!(got.error.is_none(), "{:?}", got.error);
+        assert_eq!(got.stats, one.stats, "job '{}' diverged", one.label);
+        assert_eq!(got.stats, two.stats, "job '{}' diverged", two.label);
+    }
+
+    // The hand-off wakes the coordinator per done marker; a job on its
+    // way board → leases → done is never mistaken for a vanished one,
+    // however quickly the sweeps follow each other.
+    assert!(named(&events, "counter", "dist_jobs_republished").is_empty());
+    let [close] = named(&events, "span_close", "coordinator")[..] else {
+        panic!("one coordinator span per batch")
+    };
+    let count = |key| close.get(key).and_then(Json::as_f64).expect("span field");
+    let (sweeps, woken) = (count("sweeps"), count("woken"));
+    assert!(woken >= 1.0, "no sweep was started by a worker's wake");
+    assert!(sweeps > woken, "the first sweep is nobody's wake");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--local-workers 0`: nobody shares the coordinator's wake, and the
+/// worker — a `run_worker` loop as `belenos worker` runs it — has none
+/// to share. Both sides find each other by looking at the board at a
+/// backed-off pace, and the batch still completes.
+#[test]
+fn an_external_worker_and_a_coordinator_without_local_workers_still_meet() {
+    let dir = temp_dist("external");
+    let exps = experiments();
+    let plan = plan();
+    let cfg = DistConfig::new(&dir, "coord").with_lease_ttl(Duration::from_secs(10));
+    let coordinator = Arc::new(Coordinator::new(cfg.clone()).with_local_workers(0));
+    let runner = Runner::new(1, Cache::with_disk(cfg.cache_dir()))
+        .with_distributor(Arc::clone(&coordinator) as _);
+    let stop = AtomicBool::new(false);
+    let outside = DistConfig::new(&dir, "outside").with_lease_ttl(Duration::from_secs(10));
+    let (results, worker) = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| belenos_dist::run_worker(&outside, &stop, None));
+        let results = runner.run(&exps, &plan);
+        stop.store(true, Ordering::SeqCst);
+        (results, worker.join().expect("worker thread"))
+    });
+    assert_eq!(worker.expect("worker summary").executed, 3);
+    let merged = coordinator.merged();
+    assert_eq!(merged.per_worker.keys().collect::<Vec<_>>(), ["outside"]);
+    let expected = Runner::isolated(1).run(&exps, &plan);
     for (got, want) in results.iter().zip(&expected) {
+        assert!(got.error.is_none(), "{:?}", got.error);
         assert_eq!(got.stats, want.stats, "job '{}' diverged", want.label);
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -9,8 +9,10 @@
 //!
 //! The tests run on parallel threads, several servers alive at once: a
 //! server observes its jobs through telemetry handles of its own and
-//! never touches the process-wide one. (They do share the runner's
-//! process-wide result cache; nothing here asserts on its counters.)
+//! never touches the process-wide one, and its result cache is made at
+//! bind and dropped with it — no server sees what another simulated
+//! (`BELENOS_CACHE_DIR` must be unset here, as it is under `cargo test`:
+//! a disk tier would be shared by design).
 
 use belenos::campaign::CampaignSpec;
 use belenos_json::{Json, ToJson};
@@ -19,6 +21,7 @@ use belenos_serve::{ServeConfig, Server, ServerHandle};
 use belenos_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn smoke_spec_text() -> String {
@@ -40,6 +43,18 @@ fn test_config() -> ServeConfig {
         runner_threads: 2,
         ..ServeConfig::default()
     }
+}
+
+/// What `belenos campaign run --json` prints for `text`: a direct,
+/// telemetry-off run on a private cache.
+fn direct_report(text: &str) -> String {
+    let spec = CampaignSpec::parse(text).expect("spec parses");
+    let reference = spec.prepare().expect("prepare").run(&Runner::isolated(2));
+    assert!(
+        reference.rollup.is_none(),
+        "reference run must be telemetry-off"
+    );
+    ToJson::to_json(&reference).pretty()
 }
 
 fn start(config: ServeConfig) -> (SocketAddr, ServerHandle, std::thread::JoinHandle<()>) {
@@ -177,13 +192,7 @@ fn submit_stream_and_report_byte_equivalence() {
     // The reference run happens before the server exists: telemetry is
     // off, so the report carries no rollup — the exact document the CLI
     // prints under --format json.
-    let spec = CampaignSpec::parse(&text).expect("smoke spec parses");
-    let reference = spec.prepare().expect("prepare").run(&Runner::isolated(2));
-    assert!(
-        reference.rollup.is_none(),
-        "reference run must be telemetry-off"
-    );
-    let expected = ToJson::to_json(&reference).pretty();
+    let expected = direct_report(&text);
 
     let (addr, handle, thread) = start(test_config());
     let (status, _, body) = request(addr, "GET", "/v1/healthz", None);
@@ -430,4 +439,193 @@ fn concurrent_jobs_and_servers_stay_apart() {
     let mentions = |lines: &[String], name: &str| lines.iter().any(|l| l.contains(name));
     assert!(mentions(&theirs, "smoke-elsewhere") && !mentions(&mine, "smoke-elsewhere"));
     assert!(mentions(&mine, "smoke-left") && !mentions(&theirs, "smoke-left"));
+}
+
+/// Joins the server thread, failing instead of hanging when `run` does
+/// not return.
+fn join_within(thread: std::thread::JoinHandle<()>, limit: Duration) {
+    let (done, finished) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let _ = done.send(thread.join());
+    });
+    let joined = finished.recv_timeout(limit);
+    assert!(
+        matches!(joined, Ok(Ok(()))),
+        "server thread did not end within {limit:?}: {joined:?}"
+    );
+    waiter.join().expect("waiter thread");
+}
+
+/// The accept loop blocks in `accept` instead of polling: a round trip
+/// costs what the work costs. (With a 20 ms poll, 100 sequential round
+/// trips took 2 s by construction.)
+#[test]
+fn accept_is_wake_driven() {
+    let (addr, handle, thread) = start(test_config());
+    let started = Instant::now();
+    for _ in 0..100 {
+        let (status, _, _) = request(addr, "GET", "/v1/healthz", None);
+        assert_eq!(status, 200);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "100 round trips took {took:?}"
+    );
+    let (_, _, body) = request(addr, "GET", "/v1/stats", None);
+    let connections = json(&body);
+    let connections = connections.get("connections").expect("connections block");
+    assert_eq!(num(connections, "accepted"), 101.0);
+    assert_eq!(num(connections, "rejected_busy"), 0.0);
+    assert_eq!(num(connections, "timed_out"), 0.0);
+    // No traffic from here on: only the wake can end `run`.
+    handle.shutdown();
+    join_within(thread, Duration::from_secs(30));
+}
+
+/// `ServerHandle::shutdown()` with a job unfinished and a watcher on its
+/// event stream: the loop is woken though no client connects, the job
+/// runs out, the stream ends `completed`, and a connection accepted
+/// before the shutdown is still answered — with the byte-exact report —
+/// before `run` returns.
+#[test]
+fn handle_shutdown_drains_an_unfinished_job_and_answers_what_it_accepted() {
+    let text = smoke_spec_text();
+    let expected = direct_report(&text);
+    let (addr, handle, thread) = start(test_config());
+    handle.pause_workers(true);
+    let job = submit(addr, &text);
+    let events = open_events(addr, job);
+    // Connected but silent; the round trip behind it proves it was
+    // accepted (connections are taken in order) before the shutdown.
+    let mut early = TcpStream::connect(addr).expect("connect early");
+    assert_eq!(request(addr, "GET", "/v1/healthz", None).0, 200);
+    handle.pause_workers(false);
+
+    handle.shutdown();
+    let lines = read_events(events);
+    let last = lines.last().expect("at least one event line");
+    assert!(last.contains("job_state") && last.contains("completed"));
+    early
+        .write_all(format!("GET /v1/jobs/{job}/report HTTP/1.1\r\nhost: test\r\n\r\n").as_bytes())
+        .expect("request report");
+    let mut raw = Vec::new();
+    early.read_to_end(&mut raw).expect("read report");
+    let (status, _, report) = parse_response(&raw);
+    assert_eq!(status, 200);
+    assert_eq!(report, expected, "the drained job's report is the CLI's");
+    join_within(thread, Duration::from_secs(30));
+}
+
+/// Connections racing `POST /v1/shutdown`: each is either answered in
+/// full or was never accepted and fails before its first response byte.
+/// None hangs, none gets half a response.
+#[test]
+fn connections_racing_shutdown_are_answered_whole_or_not_at_all() {
+    const CLIENTS: usize = 32;
+    let text = smoke_spec_text();
+    let (addr, _handle, thread) = start(test_config());
+    let gate = Arc::new(Barrier::new(CLIENTS + 1));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let gate = Arc::clone(&gate);
+            // Identical specs: whichever POST is admitted first owns the
+            // one job, the rest join it or find the server draining.
+            let (head, body) = match i % 2 {
+                0 => (
+                    "GET /v1/healthz HTTP/1.1\r\nhost: test\r\n\r\n".to_string(),
+                    "",
+                ),
+                _ => (
+                    format!(
+                        "POST /v1/campaigns HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
+                        text.len()
+                    ),
+                    text.as_str(),
+                ),
+            };
+            let message = format!("{head}{body}");
+            std::thread::spawn(move || {
+                gate.wait();
+                let Ok(mut stream) = TcpStream::connect(addr) else {
+                    return None; // refused: the listener is gone
+                };
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(60)))
+                    .expect("set timeout");
+                // A failed write is a reset; the read below says how much
+                // of a response arrived before it.
+                let _ = stream.write_all(message.as_bytes());
+                let mut raw = Vec::new();
+                let end = stream.read_to_end(&mut raw);
+                if let Err(e) = &end {
+                    let hung = matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    );
+                    assert!(!hung, "client {i} hung");
+                }
+                if raw.is_empty() {
+                    return None; // reset or closed before any response byte
+                }
+                assert!(
+                    end.is_ok(),
+                    "client {i}: {end:?} after {} byte(s)",
+                    raw.len()
+                );
+                let (status, headers, body) = parse_response(&raw);
+                let length: usize = header(&headers, "content-length")
+                    .and_then(|v| v.parse().ok())
+                    .expect("content-length");
+                assert_eq!(body.len(), length, "client {i}: truncated body");
+                json(&body);
+                Some(status)
+            })
+        })
+        .collect();
+    gate.wait();
+    let (status, _, _) = request(addr, "POST", "/v1/shutdown", None);
+    assert_eq!(status, 200);
+    // How many got in is the race; what those got is not.
+    for client in clients {
+        if let Some(status) = client.join().expect("client thread") {
+            assert!(matches!(status, 200 | 202 | 503), "status {status}");
+        }
+    }
+    join_within(thread, Duration::from_secs(120));
+}
+
+/// A server's result cache is its own: what server A simulated is
+/// invisible to server B in the same process, which starts empty, misses
+/// exactly as A did and still renders the same bytes.
+#[test]
+fn servers_in_one_process_share_no_results() {
+    let text = named_smoke("smoke-private");
+    let cache_block = |addr| {
+        let (status, _, body) = request(addr, "GET", "/v1/stats", None);
+        assert_eq!(status, 200);
+        let cache = json(&body).get("cache").expect("cache block").clone();
+        ["entries", "hits", "misses"].map(|key| num(&cache, key))
+    };
+    let run = |addr| {
+        let job = submit(addr, &text);
+        poll_until_state(addr, job, "completed");
+        request(addr, "GET", &format!("/v1/jobs/{job}/report"), None).2
+    };
+    let (addr_a, _, thread_a) = start(test_config());
+    let (addr_b, _, thread_b) = start(test_config());
+    let report_a = run(addr_a);
+    let [entries_a, hits_a, misses_a] = cache_block(addr_a);
+    assert!(entries_a > 0.0 && misses_a > 0.0);
+
+    assert_eq!(cache_block(addr_b), [0.0, 0.0, 0.0], "B has seen nothing");
+    let report_b = run(addr_b);
+    assert_eq!(
+        cache_block(addr_b),
+        [entries_a, hits_a, misses_a],
+        "the same spec costs B what it cost A"
+    );
+    assert_eq!(report_a, report_b);
+    shutdown(addr_a, thread_a);
+    shutdown(addr_b, thread_b);
 }
