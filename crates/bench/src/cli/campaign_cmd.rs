@@ -14,6 +14,7 @@ use belenos::campaign::CampaignSpec;
 use belenos::env::DEFAULT_MAX_OPS;
 use belenos::SimOptions;
 use belenos_dist::Coordinator;
+use belenos_runner::Runner;
 use std::sync::Arc;
 
 /// `belenos campaign run|example|validate ...`.
@@ -76,7 +77,7 @@ fn run_spec_distributed(inv: &Invocation, spec: CampaignSpec) -> Result<(), Stri
     worker_cmd::install_shared_stores(inv, &cfg);
     let coordinator =
         Arc::new(Coordinator::new(cfg).with_local_workers(inv.local_workers.unwrap_or(1)));
-    let runner = inv.runner().with_distributor(Arc::clone(&coordinator) as _);
+    let runner = Runner::from_env().with_distributor(Arc::clone(&coordinator) as _);
     let cache = runner.cache().clone();
     figures_cmd::emit_campaign_with(inv, spec, &runner, |report| {
         if let Some(rollup) = report.rollup.as_mut() {

@@ -7,11 +7,12 @@
 
 use super::{write_side_outputs, Format, Invocation};
 use belenos::campaign::{Analysis, CampaignSpec};
+use belenos_runner::Runner;
 
 /// Runs a prepared single-or-multi-analysis campaign and emits it in
 /// the invocation's format(s).
 pub(crate) fn emit_campaign(inv: &Invocation, spec: CampaignSpec) -> Result<(), String> {
-    emit_campaign_with(inv, spec, &inv.runner(), |_| {})
+    emit_campaign_with(inv, spec, &Runner::from_env(), |_| {})
 }
 
 /// [`emit_campaign`] against an explicit runner (a distributed
@@ -23,7 +24,7 @@ pub(crate) fn emit_campaign(inv: &Invocation, spec: CampaignSpec) -> Result<(), 
 pub(crate) fn emit_campaign_with(
     inv: &Invocation,
     spec: CampaignSpec,
-    runner: &belenos_runner::Runner,
+    runner: &Runner,
     decorate: impl FnOnce(&mut belenos::campaign::CampaignReport),
 ) -> Result<(), String> {
     let campaign = spec.prepare().map_err(|e| e.to_string())?;

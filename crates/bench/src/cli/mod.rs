@@ -19,8 +19,9 @@
 //!
 //! Every subcommand shares one option layer: the `BELENOS_*`
 //! environment variables are read once (`EnvOverrides::from_env`), and
-//! the flags `--max-ops`, `--sampling`, `--model`, `--jobs` override
-//! them. `--workloads` narrows the workload selection; `--format`
+//! the flags `--max-ops`, `--sampling`, `--model` override them; `--jobs`
+//! sizes the process's one thread budget ahead of `BELENOS_JOBS`.
+//! `--workloads` narrows the workload selection; `--format`
 //! selects text/JSON/CSV output, and `--json PATH` / `--csv PATH`
 //! additionally write those renderings to files.
 
@@ -61,6 +62,9 @@ pub struct Invocation {
     pub env: EnvOverrides,
     /// Overrides sourced from flags (win over `env`).
     pub flags: EnvOverrides,
+    /// `--jobs N`: threads that compute at once, process-wide. `None` =
+    /// leave the `BELENOS_JOBS` selection.
+    pub jobs: Option<usize>,
     /// `--workloads` selection, if given.
     pub workloads: Option<WorkloadSet>,
     /// `--format` selection.
@@ -94,7 +98,7 @@ pub struct Invocation {
     /// `None` = the `BELENOS_DIST_DIR` selection, if any.
     pub dist_dir: Option<String>,
     /// `--distributed`: route `campaign run` cache misses through the
-    /// job board instead of the local thread pool.
+    /// job board instead of running them locally.
     pub distributed: bool,
     /// `--lease-ttl SECONDS`: age past which an unheartbeated lease is
     /// stealable.
@@ -115,11 +119,6 @@ impl Invocation {
     /// Environment and flag overrides merged (flags win).
     pub fn overrides(&self) -> EnvOverrides {
         self.env.merged(&self.flags)
-    }
-
-    /// The runner every simulation of this invocation routes through.
-    pub fn runner(&self) -> belenos_runner::Runner {
-        self.overrides().runner_config().build()
     }
 
     /// Resolves `--workloads` with a fallback.
@@ -212,9 +211,9 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
             }
             "--jobs" => {
                 let v = value(&mut it, "--jobs")?;
-                inv.flags.jobs = match v.parse::<usize>() {
+                inv.jobs = match v.parse::<usize>() {
                     Ok(n) if n >= 1 => Some(n),
-                    _ => return Err(format!("--jobs: `{v}` is not a worker count")),
+                    _ => return Err(format!("--jobs: `{v}` is not a thread count")),
                 };
             }
             "--workloads" => {
@@ -340,7 +339,7 @@ FLAGS (shared; flags override BELENOS_* environment variables)
   --max-ops N        micro-op budget per simulation   [BELENOS_MAX_OPS, 1000000]
   --sampling V       off | on | N intervals           [BELENOS_SAMPLING, off]
   --model V          o3 | inorder | analytic          [BELENOS_MODEL, o3]
-  --jobs N           runner worker threads            [BELENOS_JOBS, all cores]
+  --jobs N           threads that compute at once     [BELENOS_JOBS, all cores]
   --workloads V      paper | vtune | gem5 | catalog | id,id,...
   --format V         text | json | csv                [text]
   --json PATH        also write the JSON report to PATH
@@ -351,7 +350,7 @@ FLAGS (shared; flags override BELENOS_* environment variables)
 
 SERVE / CACHE FLAGS
   --addr HOST:PORT   serve listen address       [BELENOS_SERVE_ADDR, 127.0.0.1:7878]
-  --serve-workers N  concurrent jobs (pool threads)                    [2]
+  --serve-workers N  concurrent jobs, sharing the one --jobs budget    [2]
   --queue-depth N    jobs that may wait before 429                     [32]
   --op-ceiling N     per-request max_ops ceiling, 0 = unlimited        [100000000]
   --cache-budget B   background GC byte budget (K/M/G ok), 0 = off     [off]
@@ -399,6 +398,11 @@ pub fn main(args: Vec<String>) -> i32 {
     // BELENOS_CACHE_DIR on first use, which is still ahead of us here.
     if let Some(dir) = &inv.cache_dir {
         std::env::set_var("BELENOS_CACHE_DIR", dir);
+    }
+    // And the thread budget every subcommand's simulation batches, prepare
+    // batches and FE assembly draw on (else BELENOS_JOBS, read on first use).
+    if let Some(jobs) = inv.jobs {
+        belenos_runner::Budget::install_global(jobs);
     }
     // Env-parse warnings route through telemetry: structured when a sink
     // is active, stderr when unconfigured, silent under `off`.
@@ -495,7 +499,7 @@ mod tests {
         assert_eq!(inv.positionals, ["figure", "topdown"]);
         assert_eq!(inv.flags.max_ops, Some(5000));
         assert_eq!(inv.flags.model, Some(ModelKind::Analytic));
-        assert_eq!(inv.flags.jobs, Some(2));
+        assert_eq!(inv.jobs, Some(2));
         assert_eq!(inv.format, Format::Json);
         let opts = inv.overrides().options();
         assert_eq!(opts.max_ops, 5000);

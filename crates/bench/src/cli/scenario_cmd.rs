@@ -13,7 +13,7 @@ use belenos::experiment::Experiment;
 use belenos::figures::{scenario_row, SCENARIO_COLUMNS};
 use belenos::report::Report;
 use belenos_json::{FromJson, Json, ToJson};
-use belenos_runner::{JobSpec, RunPlan};
+use belenos_runner::{JobSpec, RunPlan, Runner};
 use belenos_uarch::CoreConfig;
 use belenos_workloads::{by_id, distinct_presets, ScenarioSpec};
 
@@ -145,7 +145,7 @@ fn run_scenarios(inv: &Invocation) -> Result<(), String> {
             .with_sampling(opts.sampling.clone()),
         );
     }
-    let results = inv.runner().run(&exps, &plan);
+    let results = Runner::from_env().run(&exps, &plan);
 
     let mut report = Report::new("scenario_run");
     let s = report.section("Scenario runs (gem5 baseline config)", &SCENARIO_COLUMNS);

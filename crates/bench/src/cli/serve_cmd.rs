@@ -33,9 +33,6 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
     if let Some(ceiling) = inv.op_ceiling {
         config.op_budget_ceiling = ceiling;
     }
-    if let Some(jobs) = inv.overrides().jobs {
-        config.runner_threads = jobs;
-    }
     if let Some(budget) = inv.cache_budget {
         let dirs = store_dirs(inv);
         if budget > 0 && dirs.is_empty() {

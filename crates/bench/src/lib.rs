@@ -8,8 +8,8 @@
 //! agreement table, the digest capture and the accuracy/ablation
 //! harnesses are subcommands sharing one environment/flag layer
 //! (`belenos::env::EnvOverrides` — the only place `BELENOS_MAX_OPS` /
-//! `BELENOS_SAMPLING` / `BELENOS_MODEL` / `BELENOS_JOBS` are read, with
-//! CLI flags layered on top).
+//! `BELENOS_SAMPLING` / `BELENOS_MODEL` are read, with CLI flags layered
+//! on top; `--jobs` / `BELENOS_JOBS` size `belenos_runner::Budget::global`).
 //!
 //! Nothing in here times Belenos for a verdict: host performance is
 //! measured from outside by the harness under `benchmark/`.

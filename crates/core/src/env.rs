@@ -3,13 +3,14 @@
 //! Historically every bench binary re-parsed `BELENOS_MAX_OPS` /
 //! `BELENOS_SAMPLING` / `BELENOS_MODEL` on its own. [`EnvOverrides`] is
 //! now the only place those variables are read: it captures each as an
-//! *optional* override, applies them onto a base [`SimOptions`], and
-//! hands the runner half to [`RunnerConfig`]. CLI flags are layered on
-//! top by mutating the override set after [`EnvOverrides::from_env`],
-//! so precedence is always `defaults < environment < flags`.
+//! *optional* override and applies them onto a base [`SimOptions`]. CLI
+//! flags are layered on top by mutating the override set after
+//! [`EnvOverrides::from_env`], so precedence is always `defaults <
+//! environment < flags`. (`BELENOS_JOBS` / `--jobs` is not a simulation
+//! option: it sizes the process's one thread budget,
+//! `belenos_runner::Budget::global`, which reads the variable itself.)
 
 use crate::options::SimOptions;
-use belenos_runner::RunnerConfig;
 use belenos_uarch::{ModelKind, SamplingConfig};
 
 /// Historical per-simulation micro-op budget of the bench binaries
@@ -46,8 +47,8 @@ pub fn parse_sampling(value: &str) -> Result<SamplingConfig, String> {
     }
 }
 
-/// Optional overrides for a campaign's options and runner, sourced from
-/// the environment and/or CLI flags.
+/// Optional overrides for a campaign's options, sourced from the
+/// environment and/or CLI flags.
 #[derive(Debug, Clone, Default)]
 pub struct EnvOverrides {
     /// Micro-op budget override (`BELENOS_MAX_OPS` / `--max-ops`).
@@ -56,8 +57,6 @@ pub struct EnvOverrides {
     pub sampling: Option<SamplingConfig>,
     /// Backend override (`BELENOS_MODEL` / `--model`).
     pub model: Option<ModelKind>,
-    /// Worker-count override (`BELENOS_JOBS` / `--jobs`).
-    pub jobs: Option<usize>,
     /// Human-readable notes about ignored/unparsable variables; callers
     /// print these to stderr.
     pub warnings: Vec<String>,
@@ -69,8 +68,8 @@ impl EnvOverrides {
         EnvOverrides::default()
     }
 
-    /// Captures `BELENOS_MAX_OPS`, `BELENOS_SAMPLING`, `BELENOS_MODEL`
-    /// and `BELENOS_JOBS`. Unset variables stay `None`; unparsable ones
+    /// Captures `BELENOS_MAX_OPS`, `BELENOS_SAMPLING` and
+    /// `BELENOS_MODEL`. Unset variables stay `None`; unparsable ones
     /// stay `None` and add a warning.
     pub fn from_env() -> Self {
         let mut o = EnvOverrides::default();
@@ -96,14 +95,6 @@ impl EnvOverrides {
                     .push(format!("BELENOS_MODEL={v} not understood; ignored")),
             }
         }
-        if let Ok(v) = std::env::var("BELENOS_JOBS") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => o.jobs = Some(n),
-                _ => o
-                    .warnings
-                    .push(format!("BELENOS_JOBS={v} not understood; ignored")),
-            }
-        }
         o
     }
 
@@ -116,7 +107,6 @@ impl EnvOverrides {
             max_ops: over.max_ops.or(self.max_ops),
             sampling: over.sampling.clone().or_else(|| self.sampling.clone()),
             model: over.model.or(self.model),
-            jobs: over.jobs.or(self.jobs),
             warnings: self
                 .warnings
                 .iter()
@@ -145,17 +135,6 @@ impl EnvOverrides {
     /// `o3`) with the overrides applied.
     pub fn options(&self) -> SimOptions {
         self.apply(SimOptions::new(DEFAULT_MAX_OPS))
-    }
-
-    /// The runner configuration: worker pool sized by this override
-    /// set's `jobs` (environment and/or `--jobs`, already captured by
-    /// [`EnvOverrides::from_env`] — the environment is not re-read
-    /// here), progress streaming on.
-    pub fn runner_config(&self) -> RunnerConfig {
-        RunnerConfig {
-            threads: self.jobs,
-            progress: true,
-        }
     }
 }
 
@@ -196,14 +175,5 @@ mod tests {
         assert_eq!(opts.max_ops, DEFAULT_MAX_OPS);
         assert!(opts.sampling.is_off());
         assert_eq!(opts.model, ModelKind::O3);
-    }
-
-    #[test]
-    fn jobs_override_reaches_the_runner_config() {
-        let o = EnvOverrides {
-            jobs: Some(3),
-            ..EnvOverrides::default()
-        };
-        assert_eq!(o.runner_config().threads, Some(3));
     }
 }

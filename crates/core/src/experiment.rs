@@ -168,7 +168,13 @@ impl Experiment {
             .build_model()
             .map_err(|e| fail(PrepareFailure::Scenario(e)))?;
         let size_kb = model.input_size_kb();
+        // Assembly gets what the process's thread budget has free for the
+        // length of the solve: all of it for a lone solve, nothing (serial
+        // assembly) inside a prepare batch that already holds it.
+        let helpers = belenos_runner::Budget::global().borrow(usize::MAX);
+        model.set_assembly_threads(Some(1 + helpers.count()));
         let report = model.solve().map_err(|e| fail(PrepareFailure::Fem(e)))?;
+        drop(helpers);
         let fingerprint = trace_fingerprint(&report.log, &expand);
         let exp = Experiment {
             id: spec.id.clone(),
@@ -1002,17 +1008,17 @@ impl std::error::Error for PrepareError {
 /// Prepares a list of scenarios; failures abort with the failing scenario
 /// named.
 ///
-/// With more than one scenario the prepares run as first-class jobs on
-/// the `belenos-runner` worker pool (`BELENOS_JOBS` threads), each with
-/// its own queue-wait/exec telemetry span. Results come back in input
-/// order, so parallel and serial preparation are observationally
-/// identical apart from wall time.
+/// With more than one scenario the prepares run as one batch on the
+/// process's thread budget ([`belenos_runner::pool`]), each with its own
+/// queue-wait/exec telemetry span. Results come back in input order, so
+/// parallel and serial preparation are observationally identical apart
+/// from wall time.
 ///
 /// # Errors
 ///
 /// The first preparation failure *in input order*, annotated with the
-/// scenario id. A panicking prepare job is contained on its worker
-/// thread and surfaces as [`PrepareFailure::Panic`].
+/// scenario id. A panicking prepare job is contained where it ran and
+/// surfaces as [`PrepareFailure::Panic`].
 pub fn prepare_all(specs: &[ScenarioSpec]) -> Result<Vec<Experiment>, PrepareError> {
     let refs: Vec<&ScenarioSpec> = specs.iter().collect();
     prepare_refs(&refs)
@@ -1024,21 +1030,24 @@ pub(crate) fn prepare_refs(specs: &[&ScenarioSpec]) -> Result<Vec<Experiment>, P
     if specs.len() <= 1 {
         return specs.iter().map(|spec| Experiment::prepare(spec)).collect();
     }
-    let results = belenos_runner::parallel_jobs(
-        "prepare",
-        None,
+    let tele = belenos_telemetry::global();
+    let batch = tele.span("prepare", &[("jobs", specs.len().into())]);
+    let (ran, _threads) = belenos_runner::pool::run_batch(
+        belenos_runner::Budget::global(),
+        batch.id(),
         specs,
-        |spec| spec.id.clone(),
+        |spec| vec![("label", spec.id.as_str().into())],
         |spec| Experiment::prepare(spec),
+        |_, _| {},
     );
     specs
         .iter()
-        .zip(results)
-        .map(|(spec, result)| match result {
+        .zip(ran)
+        .map(|(spec, ran)| match ran.outcome {
             Ok(prepared) => prepared,
-            Err(panic_msg) => Err(PrepareError {
+            Err(message) => Err(PrepareError {
                 workload: spec.id.clone(),
-                source: PrepareFailure::Panic(panic_msg),
+                source: PrepareFailure::Panic(format!("job '{}' panicked: {message}", spec.id)),
             }),
         })
         .collect()

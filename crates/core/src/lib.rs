@@ -24,8 +24,8 @@
 //! executed by [`Campaign::run`].
 //!
 //! Every sweep and figure submits its (workload × config) grid to the
-//! `belenos-runner` batch engine: points execute in parallel across
-//! `BELENOS_JOBS` worker threads and land in a content-addressed result
+//! `belenos-runner` batch engine: points execute in parallel on up to
+//! `BELENOS_JOBS` threads and land in a content-addressed result
 //! cache, so configurations shared between figures (the Table II
 //! baseline appears in every sweep) are simulated exactly once per
 //! process. Parallel and serial runs are bit-identical.

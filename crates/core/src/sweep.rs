@@ -3,7 +3,7 @@
 //!
 //! Every sweep builds a [`RunPlan`] over its (workload × config) grid and
 //! submits it to the [`belenos_runner`] batch engine, so points run in
-//! parallel (`BELENOS_JOBS` workers) and points shared between sweeps —
+//! parallel (up to `BELENOS_JOBS` threads) and points shared between sweeps —
 //! every sweep contains the Table II baseline — are simulated exactly
 //! once per process thanks to the content-addressed result cache.
 //!

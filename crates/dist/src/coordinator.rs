@@ -5,7 +5,7 @@
 //! [`DistExecutor`] seam, so campaign
 //! code never changes for distributed execution — a runner with a
 //! coordinator installed routes its cache-miss jobs through the board
-//! instead of the local thread pool, and everything downstream
+//! instead of the local batch, and everything downstream
 //! (caching, report rendering, telemetry roll-up) behaves as before.
 //!
 //! The coordinator is crash-safe by construction: it holds no state a

@@ -12,9 +12,11 @@
 //!    index, a human label, a [`CoreConfig`] and a micro-op budget;
 //! 2. [`Runner::run`] deduplicates jobs by content ([`CacheKey`]),
 //!    consults the process-wide content-addressed result [`Cache`]
-//!    (optionally disk-backed via `BELENOS_CACHE_DIR`), and schedules the
-//!    remaining unique simulations across a `std::thread` worker pool
-//!    sized by `BELENOS_JOBS` (default: available parallelism);
+//!    (optionally disk-backed via `BELENOS_CACHE_DIR`), and runs the
+//!    remaining unique simulations on the calling thread plus whatever
+//!    helper threads the runner's [`Budget`] has free ([`pool`]: one
+//!    budget — `--jobs`, `BELENOS_JOBS`, default available parallelism
+//!    — shared by simulation batches, prepare batches and FE assembly);
 //! 3. progress and ETA stream to stderr, and a [`RunSummary`] reports the
 //!    cache-hit and dedup counters plus queue-wait and p50/p95 job wall
 //!    times.
@@ -71,13 +73,12 @@ pub mod gc;
 pub mod pool;
 
 pub use cache::{Cache, CacheKey, CacheStats};
-pub use pool::{PoolFull, WorkerPool};
+pub use pool::{run_caught, Budget};
 
 use belenos_telemetry::percentile;
 use belenos_uarch::{CoreConfig, SamplingConfig, SimStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A batchable simulation source.
@@ -139,7 +140,7 @@ pub struct DistJob<'a> {
 /// [`Runner::with_distributor`] installs one; `run_with_summary` then
 /// routes every to-simulate job whose workload is reconstructible
 /// ([`Simulate::scenario_json`]` != None`) through it instead of the
-/// local worker pool. Implementations must return one row per submitted
+/// local batch. Implementations must return one row per submitted
 /// job, each carrying the plan index it answers, the outcome, and the
 /// job's execution wall time; results must be bit-identical to local
 /// execution (the belenos-dist job board satisfies this by running the
@@ -270,7 +271,8 @@ pub struct RunSummary {
     /// Executed simulations that panicked (reported per job via
     /// [`JobResult::error`] instead of aborting the batch).
     pub failed: usize,
-    /// Worker threads used.
+    /// Threads that worked the batch: the caller plus the helpers its
+    /// budget had free at the time (1 when nothing had to simulate).
     pub threads: usize,
     /// Wall-clock time of the batch.
     pub wall: Duration,
@@ -281,8 +283,8 @@ pub struct RunSummary {
     pub p50_wall: Duration,
     /// 95th-percentile wall-clock time of the executed simulations.
     pub p95_wall: Duration,
-    /// Plan indices of executed simulations, in the order workers picked
-    /// them up (`BELENOS_JOBS=1` makes this exactly the plan order).
+    /// Plan indices of executed simulations, in the order they were
+    /// picked up (a budget of 1 makes this exactly the plan order).
     pub execution_order: Vec<usize>,
 }
 
@@ -327,78 +329,13 @@ impl std::fmt::Display for RunSummary {
     }
 }
 
-/// Worker-pool size from `BELENOS_JOBS`, defaulting to the machine's
-/// available parallelism.
-pub fn jobs_from_env() -> usize {
-    RunnerConfig::from_env()
-        .threads
-        .unwrap_or_else(default_parallelism)
-}
-
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Declarative runner configuration: how many workers, whether progress
-/// streams to stderr.
+/// The batch-execution engine: a thread budget in front of a result cache.
 ///
-/// This is the runner half of the campaign API's single
-/// `EnvOverrides → SimOptions / RunnerConfig` environment layer:
-/// [`RunnerConfig::from_env`] is the only place `BELENOS_JOBS` is read,
-/// and explicit values (CLI flags, tests) override it through
-/// [`RunnerConfig::with_threads`].
-#[derive(Debug, Clone, Default)]
-pub struct RunnerConfig {
-    /// Worker-thread count; `None` = the machine's available parallelism.
-    pub threads: Option<usize>,
-    /// Stream per-job progress and the batch summary to stderr.
-    pub progress: bool,
-}
-
-impl RunnerConfig {
-    /// Configuration from the environment: `BELENOS_JOBS` workers (unset
-    /// or unparsable = available parallelism), progress on.
-    pub fn from_env() -> Self {
-        RunnerConfig {
-            threads: std::env::var("BELENOS_JOBS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1),
-            progress: true,
-        }
-    }
-
-    /// Overrides the worker count (a CLI `--jobs` flag beats the
-    /// environment).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "runner needs at least one worker");
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Enables/disables progress streaming.
-    pub fn with_progress(mut self, on: bool) -> Self {
-        self.progress = on;
-        self
-    }
-
-    /// Builds the engine against the process-wide shared cache.
-    pub fn build(&self) -> Runner {
-        Runner {
-            threads: self.threads.unwrap_or_else(default_parallelism),
-            cache: Cache::global(),
-            progress: self.progress,
-            distributor: None,
-        }
-    }
-}
-
-/// The batch-execution engine: a worker pool in front of a result cache.
+/// Clones share the budget: batches run at the same time on clones of
+/// one runner (a server's concurrent jobs) together keep within it.
 #[derive(Clone)]
 pub struct Runner {
-    threads: usize,
+    budget: Budget,
     cache: Cache,
     progress: bool,
     distributor: Option<std::sync::Arc<dyn DistExecutor>>,
@@ -407,7 +344,7 @@ pub struct Runner {
 impl std::fmt::Debug for Runner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runner")
-            .field("threads", &self.threads)
+            .field("budget", &self.budget)
             .field("cache", &self.cache)
             .field("progress", &self.progress)
             .field("distributed", &self.distributor.is_some())
@@ -416,17 +353,23 @@ impl std::fmt::Debug for Runner {
 }
 
 impl Runner {
-    /// Engine configured from the environment (`BELENOS_JOBS` workers,
-    /// the process-wide shared cache, progress streaming on).
+    /// Engine on the process's budget ([`Budget::global`]: `--jobs`,
+    /// `BELENOS_JOBS`) and shared cache, progress streaming on.
     pub fn from_env() -> Self {
-        RunnerConfig::from_env().build()
+        Runner::with_budget(Budget::global().clone(), Cache::global()).progress(true)
     }
 
-    /// Engine with an explicit worker count and cache (no progress noise).
+    /// Engine with a budget of its own — at most `threads` simulations
+    /// at once per top-level batch — and an explicit cache (no progress
+    /// noise).
     pub fn new(threads: usize, cache: Cache) -> Self {
-        assert!(threads >= 1, "runner needs at least one worker");
+        Runner::with_budget(Budget::new(threads), cache)
+    }
+
+    /// Engine drawing on `budget`, shared with whoever else holds it.
+    pub fn with_budget(budget: Budget, cache: Cache) -> Self {
         Runner {
-            threads,
+            budget,
             cache,
             progress: false,
             distributor: None,
@@ -436,7 +379,7 @@ impl Runner {
     /// Installs a distributed execution backend: to-simulate jobs whose
     /// workloads are reconstructible in another process
     /// ([`Simulate::scenario_json`]) route through `dist` instead of the
-    /// local worker pool. Jobs already answered by the cache never reach
+    /// local batch. Jobs already answered by the cache never reach
     /// the distributor, so a re-run of a finished campaign stays local
     /// and free.
     pub fn with_distributor(mut self, dist: std::sync::Arc<dyn DistExecutor>) -> Self {
@@ -473,6 +416,13 @@ impl Runner {
 
     /// Executes the plan and additionally returns the [`RunSummary`]
     /// (cache-hit counter, dedup counter, execution order, wall time).
+    ///
+    /// Each executed job gets a telemetry `job` span parented (across
+    /// the thread boundary) under the `batch` span, so experiment-level
+    /// `phase` spans opened inside `simulate` nest under the job. A job
+    /// whose simulation panics (a wedged-pipeline stall-limit abort, for
+    /// instance) is reported through [`JobResult::error`] without
+    /// disturbing the other jobs or the thread that ran it.
     pub fn run_with_summary<W: Simulate>(
         &self,
         workloads: &[W],
@@ -480,13 +430,7 @@ impl Runner {
     ) -> (Vec<JobResult>, RunSummary) {
         let start = Instant::now();
         let tele = belenos_telemetry::global();
-        let batch = tele.span(
-            "batch",
-            &[
-                ("jobs", plan.len().into()),
-                ("threads", self.threads.into()),
-            ],
-        );
+        let batch = tele.span("batch", &[("jobs", plan.len().into())]);
         let keys: Vec<CacheKey> = plan
             .jobs()
             .iter()
@@ -529,12 +473,12 @@ impl Runner {
                 None => todo.push(idx),
             }
         }
-        // Workers pull in submission order (so one worker == serial order).
+        // Jobs are picked up in submission order (one thread == serial order).
         todo.sort_unstable();
 
-        // Route reconstructible jobs through the distributor (when one is
-        // installed); everything else simulates on the local pool.
-        let mut dist_rows: Vec<ExecRow> = Vec::new();
+        // Reconstructible jobs go through the distributor (when one is
+        // installed) ...
+        let mut dist_rows = Vec::new();
         if let Some(dist) = &self.distributor {
             let mut dist_jobs: Vec<DistJob<'_>> = Vec::new();
             let mut local: Vec<usize> = Vec::new();
@@ -551,51 +495,89 @@ impl Runner {
                 }
             }
             if !dist_jobs.is_empty() {
-                for (idx, outcome, exec) in dist.execute_dist(&dist_jobs) {
-                    // Queue wait is a local-pool concept; board wait time
-                    // is the distributor's own telemetry's business.
-                    dist_rows.push((
-                        idx,
-                        outcome,
-                        ExecTiming {
-                            queue_wait: Duration::ZERO,
-                            exec,
-                        },
-                    ));
-                }
+                dist_rows = dist.execute_dist(&dist_jobs);
             }
             todo = local;
         }
 
-        let mut fresh = self.execute(
-            workloads,
-            plan,
-            &keys,
-            &todo,
-            cache_hits,
-            start,
-            &tele,
+        // ... and everything else simulates here, on this thread and the
+        // helpers the budget has free.
+        let done = AtomicUsize::new(0);
+        let named = |idx: usize| (keys[idx].workload.as_str(), plan.jobs()[idx].label.as_str());
+        let (ran, threads) = pool::run_batch(
+            &self.budget,
             batch.id(),
+            &todo,
+            |&idx| {
+                let (workload, label) = named(idx);
+                let max_ops = plan.jobs()[idx].max_ops;
+                vec![
+                    ("workload", workload.into()),
+                    ("label", label.into()),
+                    ("max_ops", max_ops.into()),
+                ]
+            },
+            |&idx| {
+                let job = &plan.jobs()[idx];
+                workloads[job.workload].simulate(&job.config, job.max_ops, &job.sampling)
+            },
+            |&idx, ran| {
+                let (workload, label) = named(idx);
+                let secs = ran.exec.as_secs_f64();
+                if let (Ok(stats), true) = (&ran.outcome, secs > 0.0) {
+                    // Simulated MIPS: committed micro-ops per host wall
+                    // second — the regression-gate metric.
+                    let mips = stats.committed_ops as f64 / secs / 1e6;
+                    let job = [("workload", workload.into()), ("label", label.into())];
+                    tele.gauge("simulated_mips", mips, &job);
+                }
+                let finished = done.fetch_add(1, Ordering::SeqCst) + 1;
+                if self.progress || tele.enabled() {
+                    let elapsed = start.elapsed().as_secs_f64();
+                    let eta = elapsed / finished as f64 * (todo.len() - finished) as f64;
+                    let line = format!(
+                        "runner: {finished}/{} simulated (+{cache_hits} cached) \
+                         [{workload} {label}] {elapsed:.1}s elapsed, eta {eta:.1}s",
+                        todo.len(),
+                    );
+                    tele.progress(&line);
+                    if self.progress {
+                        eprintln!("{line}");
+                    }
+                }
+            },
         );
-        fresh.extend(dist_rows);
+
+        // Every job this run executed, in pick-up order.
         let mut failed = 0usize;
         let mut queue_wait = Duration::ZERO;
-        let mut exec_walls: Vec<Duration> = Vec::with_capacity(fresh.len());
-        for (idx, outcome, timing) in &fresh {
-            queue_wait += timing.queue_wait;
-            exec_walls.push(timing.exec);
-            match outcome {
-                Ok(stats) => self.cache.insert(keys[*idx].clone(), stats),
+        let mut exec_walls: Vec<Duration> = Vec::new();
+        let mut execution_order: Vec<usize> = Vec::new();
+        let mut executed = |idx: usize, outcome: Result<SimStats, String>, waited, exec| {
+            queue_wait += waited;
+            exec_walls.push(exec);
+            execution_order.push(idx);
+            match &outcome {
+                Ok(stats) => self.cache.insert(keys[idx].clone(), stats),
                 Err(_) => failed += 1,
             }
+            resolved.insert(&keys[idx], outcome);
+        };
+        for (idx, outcome, exec) in dist_rows {
+            // Queue wait is a local concept; board wait time is the
+            // distributor's own telemetry's business.
+            executed(idx, outcome, Duration::ZERO, exec);
+        }
+        for (&idx, ran) in todo.iter().zip(ran) {
+            let (workload, label) = named(idx);
+            let outcome = ran.outcome.map_err(|message| {
+                format!("simulation of '{workload} {label}' panicked: {message}")
+            });
+            executed(idx, outcome, ran.queue_wait, ran.exec);
         }
         exec_walls.sort_unstable();
-        let execution_order: Vec<usize> = fresh.iter().map(|&(idx, _, _)| idx).collect();
         let simulated_here: std::collections::HashSet<usize> =
             execution_order.iter().copied().collect();
-        for (idx, outcome, _) in fresh {
-            resolved.insert(&keys[idx], outcome);
-        }
 
         let results: Vec<JobResult> = plan
             .jobs()
@@ -619,7 +601,7 @@ impl Runner {
             cache_hits,
             deduped,
             failed,
-            threads: self.threads,
+            threads,
             wall: start.elapsed(),
             queue_wait,
             p50_wall: percentile(&exec_walls, 50),
@@ -636,8 +618,8 @@ impl Runner {
             }
             tele.gauge("cache_hit_rate", summary.hit_rate(), &[]);
             tele.gauge("queue_wait_s", summary.queue_wait.as_secs_f64(), &[]);
-            // Fraction of worker capacity spent simulating (1.0 = all
-            // workers busy the whole batch).
+            // Fraction of the capacity of the threads that worked the
+            // batch spent simulating (1.0 = all busy the whole batch).
             let capacity = summary.wall.as_secs_f64() * summary.threads as f64;
             if capacity > 0.0 {
                 let busy: f64 = exec_walls.iter().map(Duration::as_secs_f64).sum();
@@ -645,252 +627,11 @@ impl Runner {
             }
             tele.progress(&summary.to_string());
         }
-        drop(batch);
+        batch.close_with(&[("threads", threads.into())]);
         if self.progress && summary.jobs > 0 {
             eprintln!("{summary}");
         }
         (results, summary)
-    }
-
-    /// Runs the `todo` subset of plan jobs on the worker pool, returning
-    /// `(plan index, outcome, timing)` in the order workers started them.
-    /// A job whose simulation panics (a wedged-pipeline stall-limit
-    /// abort, for instance) is reported as `Err(message)` without
-    /// disturbing the other jobs or the worker that ran it.
-    ///
-    /// Each executed job gets a telemetry `job` span parented (across the
-    /// worker-thread boundary) under `batch_span`, so experiment-level
-    /// `phase` spans opened inside `simulate` nest under the job.
-    #[allow(clippy::too_many_arguments)]
-    fn execute<W: Simulate>(
-        &self,
-        workloads: &[W],
-        plan: &RunPlan,
-        keys: &[CacheKey],
-        todo: &[usize],
-        cache_hits: usize,
-        start: Instant,
-        tele: &belenos_telemetry::Telemetry,
-        batch_span: u64,
-    ) -> Vec<ExecRow> {
-        if todo.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.threads.min(todo.len());
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let out: Mutex<Vec<ExecRow>> = Mutex::new(Vec::with_capacity(todo.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let slot = cursor.fetch_add(1, Ordering::SeqCst);
-                    if slot >= todo.len() {
-                        break;
-                    }
-                    let idx = todo[slot];
-                    let picked = Instant::now();
-                    let queue_wait = picked.duration_since(start);
-                    // Claim plan order up front so the execution-order log
-                    // reflects start order even if jobs finish out of order.
-                    let pos = {
-                        let mut guard = out.lock().unwrap();
-                        guard.push((
-                            idx,
-                            Ok(SimStats::default()),
-                            ExecTiming {
-                                queue_wait,
-                                exec: Duration::ZERO,
-                            },
-                        ));
-                        guard.len() - 1
-                    };
-                    let job = &plan.jobs()[idx];
-                    // `simulate` emits through `global()`: the batch's
-                    // handle is this worker's current one for the job.
-                    let _tele = tele.scope();
-                    let job_span = tele.span_at(
-                        batch_span,
-                        "job",
-                        &[
-                            ("workload", keys[idx].workload.as_str().into()),
-                            ("label", job.label.as_str().into()),
-                            ("max_ops", job.max_ops.into()),
-                            ("queue_wait_s", queue_wait.as_secs_f64().into()),
-                        ],
-                    );
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        workloads[job.workload].simulate(&job.config, job.max_ops, &job.sampling)
-                    }))
-                    .map_err(|payload| {
-                        format!(
-                            "simulation of '{} {}' panicked: {}",
-                            keys[idx].workload,
-                            job.label,
-                            panic_message(&*payload)
-                        )
-                    });
-                    let exec = picked.elapsed();
-                    if let Ok(stats) = &outcome {
-                        // Simulated MIPS: committed micro-ops per host
-                        // wall second — the regression-gate metric.
-                        let secs = exec.as_secs_f64();
-                        if secs > 0.0 {
-                            tele.gauge(
-                                "simulated_mips",
-                                stats.committed_ops as f64 / secs / 1e6,
-                                &[
-                                    ("workload", keys[idx].workload.as_str().into()),
-                                    ("label", job.label.as_str().into()),
-                                ],
-                            );
-                        }
-                    }
-                    drop(job_span);
-                    {
-                        let mut guard = out.lock().unwrap();
-                        guard[pos].1 = outcome;
-                        guard[pos].2.exec = exec;
-                    }
-                    let finished = done.fetch_add(1, Ordering::SeqCst) + 1;
-                    if self.progress || tele.enabled() {
-                        let elapsed = start.elapsed().as_secs_f64();
-                        let eta = elapsed / finished as f64 * (todo.len() - finished) as f64;
-                        let line = format!(
-                            "runner: {}/{} simulated (+{} cached) [{} {}] {:.1}s elapsed, eta {:.1}s",
-                            finished,
-                            todo.len(),
-                            cache_hits,
-                            keys[idx].workload,
-                            job.label,
-                            elapsed,
-                            eta,
-                        );
-                        tele.progress(&line);
-                        if self.progress {
-                            eprintln!("{line}");
-                        }
-                    }
-                });
-            }
-        });
-        out.into_inner().unwrap()
-    }
-}
-
-/// One worker-pool result row: `(plan index, outcome, timing)`.
-type ExecRow = (usize, Result<SimStats, String>, ExecTiming);
-
-/// Per-executed-job timing collected by the worker pool.
-#[derive(Debug, Clone, Copy)]
-struct ExecTiming {
-    /// Time from batch start to a worker picking the job up.
-    queue_wait: Duration,
-    /// Wall time of the simulation itself.
-    exec: Duration,
-}
-
-/// Runs a simulation closure with the same per-job panic containment the
-/// worker pool applies: a panicking simulation (e.g. a wedged pipeline
-/// hitting the stall limit) comes back as `Err(message)` instead of
-/// unwinding through the caller.
-///
-/// Bench binaries that simulate *outside* a [`Runner`] plan (accuracy
-/// harnesses, model-agreement comparisons, ablations) wrap their direct
-/// `simulate` calls in this so one wedged baseline surfaces as an error
-/// line rather than killing the whole binary.
-///
-/// # Errors
-///
-/// The panic message of `f`, prefixed with `context`.
-pub fn run_caught<T>(context: &str, f: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .map_err(|payload| format!("{context}: {}", panic_message(&*payload)))
-}
-
-/// Runs `work` over `items` on a scoped worker pool, returning results in
-/// input order — the generic sibling of the runner's simulation pool,
-/// used for CPU-bound batch phases that aren't simulations (notably
-/// campaign *prepare*: FE solves routed through the pool as first-class
-/// jobs).
-///
-/// * `threads`: worker count; `None` reads the runner's default
-///   ([`jobs_from_env`]). Clamped to the item count; `0` behaves as `1`.
-/// * Telemetry: one `batch_label` span over the batch, one `job` span per
-///   item (parented across the worker-thread boundary) carrying the
-///   item's `label` and its `queue_wait_s` — time from batch start to a
-///   worker picking it up — so queue pressure is visible per job.
-/// * Panics in `work` are contained per item and surface as
-///   `Err(message)` in that item's slot, like the simulation pool.
-pub fn parallel_jobs<T, R>(
-    batch_label: &str,
-    threads: Option<usize>,
-    items: &[T],
-    label: impl Fn(&T) -> String + Sync,
-    work: impl Fn(&T) -> R + Sync,
-) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let tele = belenos_telemetry::global();
-    let start = Instant::now();
-    let batch = tele.span(batch_label, &[("jobs", items.len().into())]);
-    let threads = threads
-        .unwrap_or_else(jobs_from_env)
-        .max(1)
-        .min(items.len());
-    let cursor = AtomicUsize::new(0);
-    let out: Mutex<Vec<Option<Result<R, String>>>> = {
-        let mut v = Vec::with_capacity(items.len());
-        v.resize_with(items.len(), || None);
-        Mutex::new(v)
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::SeqCst);
-                if idx >= items.len() {
-                    break;
-                }
-                let picked = Instant::now();
-                let queue_wait = picked.duration_since(start);
-                let item = &items[idx];
-                let name = label(item);
-                let _tele = tele.scope();
-                let job_span = tele.span_at(
-                    batch.id(),
-                    "job",
-                    &[
-                        ("label", name.as_str().into()),
-                        ("queue_wait_s", queue_wait.as_secs_f64().into()),
-                    ],
-                );
-                let outcome = run_caught(&format!("job '{name}' panicked"), || work(item));
-                drop(job_span);
-                // The lock is held only for the slot write; `work` runs
-                // unserialized.
-                out.lock().unwrap()[idx] = Some(outcome);
-            });
-        }
-    });
-    out.into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|slot| slot.expect("worker filled every slot"))
-        .collect()
-}
-
-/// Best-effort human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
     }
 }
 

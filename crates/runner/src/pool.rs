@@ -1,317 +1,249 @@
-//! A persistent, bounded worker pool with drain-and-join shutdown.
+//! The one executor: how many threads compute at once ([`Budget`]) and
+//! what every job of a batch goes through ([`run_batch`]).
 //!
-//! [`Runner::run`](crate::Runner::run) spawns a *scoped* pool per batch
-//! — correct for a CLI that runs one batch and exits, but a long-running
-//! server needs workers that outlive any single request and, crucially,
-//! that are **joined** when the owner goes away: a detached worker
-//! mid-simulation at process exit can be killed halfway through a disk
-//! cache write-then-rename (harmless for readers, but it leaks `.tmp`
-//! files and wastes the work). [`WorkerPool`] is that long-lived pool:
-//!
-//! * a bounded queue ([`WorkerPool::try_submit`] rejects with
-//!   [`PoolFull`] instead of growing without limit — the server's
-//!   admission-control backpressure signal);
-//! * [`WorkerPool::pause`] holds queued tasks without dropping them (the
-//!   deterministic test seam for dedup/queue-full races, and an
-//!   operational drain valve);
-//! * dropping the pool **drains and joins**: every accepted task still
-//!   runs, then every worker thread is joined, so no thread outlives the
-//!   pool. `belenos serve` relies on this for graceful SIGTERM shutdown.
-//!
-//! Task panics are contained per task (a panicking task must not
-//! permanently shrink the pool). Workers run under the telemetry handle
-//! that was current where the pool was built; a task may scope its own.
+//! A budget of size `n` holds `n - 1` *helper* permits — the thread that
+//! asks always works itself — and [`Budget::borrow`] never blocks, so
+//! nested fan-out (a batch inside a job of a batch, FE assembly inside a
+//! prepare job) finds nothing free and runs inline: it cannot deadlock
+//! and cannot multiply. Live compute threads stay within top-level
+//! callers + `n - 1`. This file is the only place that reads
+//! `BELENOS_JOBS` and — FE assembly's own fork-join aside — the only
+//! place in runner, core, serve and dist that fans work out over threads.
 
-use std::collections::VecDeque;
+use belenos_telemetry::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A count of threads that may compute at once, shared by everything
+/// that holds a clone of it: the helper permits nobody holds right now.
+#[derive(Debug, Clone)]
+pub struct Budget(Arc<AtomicUsize>);
 
-/// The queue is at capacity; retry after some tasks complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolFull {
-    /// Tasks waiting in the queue (== the configured capacity).
-    pub queued: usize,
-    /// The queue capacity the pool was built with.
-    pub capacity: usize,
-}
+static GLOBAL: OnceLock<Budget> = OnceLock::new();
 
-impl std::fmt::Display for PoolFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker pool queue is full ({}/{} task(s) queued)",
-            self.queued, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for PoolFull {}
-
-#[derive(Default)]
-struct Queue {
-    tasks: VecDeque<Task>,
-    paused: bool,
-    stopping: bool,
-}
-
-struct Shared {
-    queue: Mutex<Queue>,
-    /// Workers wait here for tasks; submitters/drainers notify.
-    work: Condvar,
-    /// Drainers wait here for "queue empty and nothing running".
-    idle: Condvar,
-    running: AtomicUsize,
-    panicked: AtomicUsize,
-    capacity: usize,
-}
-
-/// A fixed set of named worker threads pulling from one bounded queue.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads (named `{name}-{i}`) serving a queue of
-    /// at most `capacity` waiting tasks.
+impl Budget {
+    /// A budget of `size` threads: the caller plus `size - 1` helpers.
     ///
     /// # Panics
     ///
-    /// When `workers` is 0 or a worker thread cannot be spawned.
-    pub fn new(name: &str, workers: usize, capacity: usize) -> WorkerPool {
-        assert!(workers >= 1, "worker pool needs at least one worker");
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue::default()),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-            running: AtomicUsize::new(0),
-            panicked: AtomicUsize::new(0),
-            capacity,
-        });
-        let tele = belenos_telemetry::global();
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = shared.clone();
-                let tele = tele.clone();
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || {
-                        let _tele = tele.scope();
-                        worker_loop(&shared)
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool { shared, workers }
+    /// When `size` is 0 — the calling thread always counts.
+    pub fn new(size: usize) -> Budget {
+        assert!(size >= 1, "a budget counts the calling thread: size >= 1");
+        Budget(Arc::new(AtomicUsize::new(size - 1)))
     }
 
-    /// Enqueues `task`, rejecting with [`PoolFull`] at capacity (the
-    /// caller's backpressure signal — nothing blocks).
-    ///
-    /// # Errors
-    ///
-    /// [`PoolFull`] when `capacity` tasks are already waiting.
-    pub fn try_submit(&self, task: impl FnOnce() + Send + 'static) -> Result<(), PoolFull> {
-        let mut q = self.shared.queue.lock().unwrap();
-        if q.tasks.len() >= self.shared.capacity {
-            return Err(PoolFull {
-                queued: q.tasks.len(),
-                capacity: self.shared.capacity,
-            });
-        }
-        q.tasks.push_back(Box::new(task));
-        drop(q);
-        self.shared.work.notify_one();
-        Ok(())
-    }
-
-    /// Tasks waiting in the queue (not yet picked up).
-    pub fn queued(&self) -> usize {
-        self.shared.queue.lock().unwrap().tasks.len()
-    }
-
-    /// Tasks currently executing on a worker.
-    pub fn running(&self) -> usize {
-        self.shared.running.load(Ordering::SeqCst)
-    }
-
-    /// Tasks that panicked (each contained to its own task).
-    pub fn panicked(&self) -> usize {
-        self.shared.panicked.load(Ordering::SeqCst)
-    }
-
-    /// The number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Pauses (`true`) or resumes (`false`) task pickup. Paused workers
-    /// finish their current task and then idle; the queue keeps
-    /// accepting up to capacity. Dropping a paused pool still drains it
-    /// (drop clears the pause).
-    pub fn pause(&self, on: bool) {
-        self.shared.queue.lock().unwrap().paused = on;
-        if !on {
-            self.shared.work.notify_all();
-        }
-    }
-
-    /// Blocks until the queue is empty and no task is running. With the
-    /// pool paused this waits only for in-flight tasks (queued ones hold).
-    pub fn drain(&self) {
-        let mut q = self.shared.queue.lock().unwrap();
-        loop {
-            let waiting = if q.paused { 0 } else { q.tasks.len() };
-            if waiting == 0 && self.shared.running.load(Ordering::SeqCst) == 0 {
-                return;
+    /// The process-wide budget: what [`Budget::install_global`] set,
+    /// else `BELENOS_JOBS`, else the machine's available parallelism
+    /// (also for a value that is not a count of at least 1, after a
+    /// warning). Sized once, on first use.
+    pub fn global() -> &'static Budget {
+        GLOBAL.get_or_init(|| {
+            let asked = std::env::var("BELENOS_JOBS").ok();
+            let jobs = asked.as_deref().and_then(|v| v.trim().parse().ok());
+            let jobs = jobs.filter(|&n| n >= 1);
+            if let (Some(v), None) = (&asked, jobs) {
+                belenos_telemetry::global().warn(&format!(
+                    "belenos: BELENOS_JOBS={v} not understood; ignored"
+                ));
             }
-            q = self.shared.idle.wait(q).unwrap();
-        }
+            let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+            Budget::new(jobs.unwrap_or_else(cores))
+        })
     }
-}
 
-impl Drop for WorkerPool {
-    /// Drain-and-join: every accepted task runs, then every worker is
-    /// joined — the pool never leaks a detached thread mid-task.
-    fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.paused = false;
-            q.stopping = true;
-        }
-        self.shared.work.notify_all();
-        for worker in self.workers.drain(..) {
-            // A panicked worker already counted its task; join result
-            // itself is not actionable here.
-            let _ = worker.join();
-        }
+    /// Sizes the process-wide budget (the `--jobs` flag, which beats
+    /// `BELENOS_JOBS`). Must run before the first [`Budget::global`]
+    /// call; returns `false` when the budget already exists (first
+    /// caller wins, like `trace_store::install_dir`).
+    pub fn install_global(size: usize) -> bool {
+        GLOBAL.set(Budget::new(size)).is_ok()
     }
-}
 
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers.len())
-            .field("capacity", &self.shared.capacity)
-            .field("queued", &self.queued())
-            .field("running", &self.running())
-            .finish()
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let task = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if !q.paused || q.stopping {
-                    if let Some(task) = q.tasks.pop_front() {
-                        // Count as running while still under the lock so
-                        // `drain` never observes "empty queue, nothing
-                        // running" between pop and execution.
-                        shared.running.fetch_add(1, Ordering::SeqCst);
-                        break Some(task);
-                    }
-                    if q.stopping {
-                        break None;
-                    }
-                }
-                q = shared.work.wait(q).unwrap();
-            }
+    /// Takes up to `want` helper permits without waiting: what is free
+    /// right now, possibly none. They return when the guard drops.
+    pub fn borrow(&self, want: usize) -> Permits<'_> {
+        let mut count = 0;
+        let take = |free: usize| {
+            count = want.min(free);
+            Some(free - count)
         };
-        let Some(task) = task else { return };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-        if outcome.is_err() {
-            shared.panicked.fetch_add(1, Ordering::SeqCst);
+        let _ = self
+            .0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, take);
+        Permits {
+            budget: self,
+            count,
         }
-        shared.running.fetch_sub(1, Ordering::SeqCst);
-        shared.idle.notify_all();
+    }
+}
+
+/// Helper permits on loan from a [`Budget`]; dropping returns them.
+#[derive(Debug)]
+pub struct Permits<'a> {
+    budget: &'a Budget,
+    count: usize,
+}
+
+impl Permits<'_> {
+    /// Helper threads the holder may run beside itself.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+}
+
+impl Drop for Permits<'_> {
+    fn drop(&mut self) {
+        self.budget.0.fetch_add(self.count, Ordering::SeqCst);
+    }
+}
+
+/// What one item of a batch came to.
+#[derive(Debug)]
+pub struct Ran<R> {
+    /// The work's result, or the message it panicked with.
+    pub outcome: Result<R, String>,
+    /// From the start of the batch to a thread picking the item up.
+    pub queue_wait: Duration,
+    /// From pick-up to the end of the work.
+    pub exec: Duration,
+}
+
+/// Runs every item through `work`, returning one [`Ran`] per item in
+/// input order, and the number of threads that did it.
+///
+/// The calling thread pulls items off a shared cursor itself; up to
+/// `items.len() - 1` helpers borrowed from `budget` do the same inside
+/// one `thread::scope`. Items are *picked up* in input order; with a
+/// budget of 1, or nothing free to borrow, no thread is started and they
+/// also run in exactly that order.
+///
+/// Each item, on whichever thread picks it up, runs under the caller's
+/// current telemetry handle and inside a `job` span parented under
+/// `parent` with `fields(item)` plus `queue_wait_s` (built only when
+/// telemetry records). A panic in `work` becomes that item's
+/// `Err(panic message)`; the other items and the thread carry on.
+/// `after` sees each finished item before its span closes.
+pub fn run_batch<T, R>(
+    budget: &Budget,
+    parent: u64,
+    items: &[T],
+    fields: impl Fn(&T) -> Vec<(&'static str, Value)> + Sync,
+    work: impl Fn(&T) -> R + Sync,
+    after: impl Fn(&T, &Ran<R>) + Sync,
+) -> (Vec<Ran<R>>, usize)
+where
+    T: Sync,
+    R: Send,
+{
+    let tele = belenos_telemetry::global();
+    let start = Instant::now();
+    let cursor = AtomicUsize::new(0);
+    let helpers = budget.borrow(items.len().saturating_sub(1));
+    let threads = 1 + helpers.count();
+    let worker = || {
+        let _tele = tele.scope();
+        let mut rows: Vec<(usize, Ran<R>)> = Vec::with_capacity(items.len().div_ceil(threads));
+        loop {
+            let slot = cursor.fetch_add(1, Ordering::SeqCst);
+            let Some(item) = items.get(slot) else {
+                return rows;
+            };
+            let picked = Instant::now();
+            let queue_wait = picked.duration_since(start);
+            let _job = tele.enabled().then(|| {
+                let mut fields = fields(item);
+                fields.push(("queue_wait_s", queue_wait.as_secs_f64().into()));
+                tele.span_at(parent, "job", &fields)
+            });
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(item)))
+                .map_err(|payload| panic_message(&*payload).to_string());
+            let ran = Ran {
+                outcome,
+                queue_wait,
+                exec: picked.elapsed(),
+            };
+            after(item, &ran);
+            rows.push((slot, ran));
+        }
+    };
+    let mut rows = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers.count()).map(|_| scope.spawn(worker)).collect();
+        let mut rows = worker();
+        for handle in handles {
+            // Only a panic outside `work` — in `after`, or a bug here —
+            // ends a helper early; it is the caller's panic too.
+            rows.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        rows
+    });
+    rows.sort_unstable_by_key(|&(slot, _)| slot);
+    (rows.into_iter().map(|(_, ran)| ran).collect(), threads)
+}
+
+/// Runs `f`, turning a panic into `Err("{context}: {panic message}")` —
+/// for callers that simulate or prepare *outside* a batch (accuracy
+/// harnesses, the dist worker, a served job) and want one wedged
+/// simulation to surface as an error line rather than unwind through
+/// them.
+///
+/// # Errors
+///
+/// The panic message of `f`, prefixed with `context`.
+pub fn run_caught<T>(context: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .map_err(|payload| format!("{context}: {}", panic_message(&*payload)))
+}
+
+/// Best-effort human-readable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
 
     #[test]
-    fn runs_submitted_tasks() {
-        let pool = WorkerPool::new("t", 2, 16);
-        let count = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let count = count.clone();
-            pool.try_submit(move || {
-                count.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+    fn borrow_never_exceeds_what_is_free_and_drop_returns_it() {
+        let budget = Budget::new(4);
+        let a = budget.borrow(2);
+        assert_eq!(a.count(), 2);
+        let b = budget.clone().borrow(usize::MAX).count();
+        assert_eq!(b, 1, "a clone draws on the same permits");
+        assert_eq!(budget.borrow(1).count(), 1, "a dropped guard gave back");
+        drop(a);
+        assert_eq!(budget.borrow(usize::MAX).count(), 3);
+        assert_eq!(Budget::new(1).borrow(usize::MAX).count(), 0);
+    }
+
+    #[test]
+    fn rows_come_back_in_input_order_with_panics_as_errors() {
+        let items: Vec<usize> = (0..32).collect();
+        let work = |&i: &usize| {
+            assert!(i != 7, "seven is out");
+            i * 2
+        };
+        let (rows, threads) =
+            run_batch(&Budget::new(3), 0, &items, |_| Vec::new(), work, |_, _| {});
+        assert_eq!(threads, 3);
+        for (i, ran) in rows.into_iter().enumerate() {
+            let expected = if i == 7 {
+                Err("seven is out".to_string())
+            } else {
+                Ok(i * 2)
+            };
+            assert_eq!(ran.outcome, expected);
         }
-        pool.drain();
-        assert_eq!(count.load(Ordering::SeqCst), 10);
-        assert_eq!(pool.queued(), 0);
-        assert_eq!(pool.running(), 0);
-    }
-
-    #[test]
-    fn rejects_past_capacity_while_paused() {
-        let pool = WorkerPool::new("t", 1, 2);
-        pool.pause(true);
-        pool.try_submit(|| {}).unwrap();
-        pool.try_submit(|| {}).unwrap();
-        let err = pool.try_submit(|| {}).unwrap_err();
-        assert_eq!(
-            err,
-            PoolFull {
-                queued: 2,
-                capacity: 2
-            }
-        );
-        assert!(err.to_string().contains("2/2"));
-        pool.pause(false);
-        pool.drain();
-        assert!(pool.try_submit(|| {}).is_ok());
-    }
-
-    #[test]
-    fn drop_drains_queued_tasks_and_joins() {
-        let count = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::new("t", 1, 64);
-            pool.pause(true); // Everything below is still queued at drop.
-            for _ in 0..5 {
-                let count = count.clone();
-                pool.try_submit(move || {
-                    std::thread::sleep(Duration::from_millis(2));
-                    count.fetch_add(1, Ordering::SeqCst);
-                })
-                .unwrap();
-            }
-        }
-        // Drop returned only after all five ran on a joined worker.
-        assert_eq!(count.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn a_panicking_task_does_not_kill_the_worker() {
-        use belenos_telemetry::{capture, global, Telemetry};
-        let (pool, _) = capture(|| WorkerPool::new("t", 1, 8));
-        // The doomed task scopes a telemetry handle of its own (a
-        // disabled one), as a served job does; unwinding must hand the
-        // worker back the recording one the pool was built under.
-        pool.try_submit(|| {
-            let _own = Telemetry::disabled().scope();
-            panic!("task boom")
-        })
-        .unwrap();
-        let ran = Arc::new(AtomicBool::new(false));
-        let flag = ran.clone();
-        pool.try_submit(move || flag.store(global().enabled(), Ordering::SeqCst))
-            .unwrap();
-        pool.drain();
-        assert!(ran.load(Ordering::SeqCst));
-        assert_eq!(pool.panicked(), 1);
     }
 }

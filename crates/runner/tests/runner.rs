@@ -6,13 +6,19 @@ use belenos_trace::expand::Expander;
 use belenos_trace::{KernelCall, PhaseLog};
 use belenos_uarch::{CoreConfig, O3Core, SamplingConfig, SimStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
+use std::thread::ThreadId;
 
 /// A small but real workload: a fixed kernel log replayed on the O3 core,
-/// with a counter tracking how many simulations actually execute.
+/// tracking how many simulations actually execute, on which threads, and
+/// how many of them were ever alive at once.
 struct CountingWorkload {
     id: String,
     log: PhaseLog,
     runs: AtomicUsize,
+    ran_on: Mutex<Vec<ThreadId>>,
+    live: AtomicUsize,
+    peak: AtomicUsize,
 }
 
 impl CountingWorkload {
@@ -27,6 +33,9 @@ impl CountingWorkload {
             id: id.to_string(),
             log,
             runs: AtomicUsize::new(0),
+            ran_on: Mutex::new(Vec::new()),
+            live: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
         }
     }
 
@@ -42,8 +51,16 @@ impl Simulate for CountingWorkload {
 
     fn simulate(&self, config: &CoreConfig, max_ops: usize, _: &SamplingConfig) -> SimStats {
         self.runs.fetch_add(1, Ordering::SeqCst);
+        self.ran_on
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(live, Ordering::SeqCst);
         let mut core = O3Core::new(config.clone());
-        core.run(Expander::new(&self.log).take(max_ops))
+        let stats = core.run(Expander::new(&self.log).take(max_ops));
+        self.live.fetch_sub(1, Ordering::SeqCst);
+        stats
     }
 }
 
@@ -140,6 +157,9 @@ fn single_worker_degenerates_to_serial_submission_order() {
         (0..plan.len()).collect::<Vec<_>>(),
         "one worker must execute jobs exactly in submission order"
     );
+    // That one worker is the caller: no thread was started.
+    let me = std::thread::current().id();
+    assert_eq!(*workloads[0].ran_on.lock().unwrap(), [me; 4]);
 }
 
 #[test]
@@ -266,4 +286,85 @@ fn a_panicking_job_does_not_take_down_the_batch() {
     assert_eq!(summary2.cache_hits, 3);
     assert_eq!(summary2.simulated, 1);
     assert_eq!(summary2.failed, 1);
+    assert_eq!(summary2.threads, 1, "one job to run, one thread to run it");
+
+    // Neither panic kept a helper permit: the next batch is full width.
+    let fresh = [Wedging(CountingWorkload::new("wk2"))];
+    let (_, summary3) = runner.run_with_summary(&fresh, &plan);
+    assert_eq!((summary.threads, summary3.threads), (4, 4));
+}
+
+#[test]
+fn concurrent_batches_on_clones_of_one_runner_share_its_budget() {
+    let workloads = [CountingWorkload::new("wl")];
+    let plans = [1.0, 5.0].map(|base| {
+        let mut plan = RunPlan::new();
+        for i in 0..16 {
+            let config = CoreConfig::gem5_baseline().with_frequency(base + 0.25 * f64::from(i));
+            plan.push(JobSpec::new(0, format!("f{i}"), config, 5_000));
+        }
+        plan
+    });
+    let serial = plans
+        .each_ref()
+        .map(|plan| Runner::isolated(1).run(&workloads, plan));
+    assert_eq!(workloads[0].peak.swap(0, Ordering::SeqCst), 1);
+
+    // Two top-level callers, two helper permits between them.
+    let runner = Runner::new(3, Cache::fresh());
+    let start = Barrier::new(2);
+    let shared = std::thread::scope(|scope| {
+        let running = plans.each_ref().map(|plan| {
+            let (runner, workloads, start) = (runner.clone(), &workloads, &start);
+            scope.spawn(move || {
+                start.wait();
+                runner.run(workloads, plan)
+            })
+        });
+        running.map(|handle| handle.join().expect("batch thread"))
+    });
+    let peak = workloads[0].peak.load(Ordering::SeqCst);
+    assert!(peak <= 2 + 2, "{peak} simulations alive at once");
+    for (s, p) in serial.iter().flatten().zip(shared.iter().flatten()) {
+        assert_eq!((&s.label, &s.stats), (&p.label, &p.stats));
+        assert!(p.error.is_none() && !p.cached);
+    }
+}
+
+#[test]
+fn a_batch_inside_a_saturated_batch_runs_inline_and_in_order() {
+    /// Each simulation runs a four-job batch of its own on the runner
+    /// that is running it.
+    struct Nesting(Runner);
+    impl Simulate for Nesting {
+        fn workload_id(&self) -> &str {
+            "nesting"
+        }
+        fn simulate(&self, config: &CoreConfig, _: usize, _: &SamplingConfig) -> SimStats {
+            let inner = [CountingWorkload::new(&format!("inner-{}", config.freq_ghz))];
+            let (results, summary) = self.0.run_with_summary(&inner, &freq_sweep_plan(1));
+            assert_eq!(summary.threads, 1, "no permit was free to borrow");
+            assert_eq!(summary.execution_order, [0, 1, 2, 3]);
+            let me = std::thread::current().id();
+            assert_eq!(*inner[0].ran_on.lock().unwrap(), [me; 4]);
+            let labels: Vec<&str> = results.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, ["1GHz", "2GHz", "3GHz", "4GHz"]);
+            assert!(results.iter().all(|r| r.error.is_none() && !r.cached));
+            results[0].stats.clone()
+        }
+    }
+
+    // Two jobs on a budget of two: the one helper permit is out for as
+    // long as either outer job runs.
+    let runner = Runner::isolated(2);
+    let mut plan = RunPlan::new();
+    for f in [1.0, 2.0] {
+        let config = CoreConfig::gem5_baseline().with_frequency(f);
+        plan.push(JobSpec::new(0, format!("{f}GHz"), config, 5_000));
+    }
+    let (results, summary) = runner.run_with_summary(&[Nesting(runner.clone())], &plan);
+    assert_eq!(summary.threads, 2);
+    for r in &results {
+        assert_eq!(r.error, None, "an assertion inside `simulate` failed");
+    }
 }

@@ -9,8 +9,9 @@
 //! a one-shot CLI does not:
 //!
 //! * **admission control** — an op-budget ceiling per request, a
-//!   bounded job queue (full → 429 with a `Retry-After` hint), and a
-//!   worker pool sized independently of the simulation thread count;
+//!   bounded job queue (full → 429 with a `Retry-After` hint), and
+//!   `workers` jobs at a time that all share the runner's one thread
+//!   budget: at most `workers + budget − 1` threads compute at once;
 //! * **in-flight dedup** — submissions with an identical spec digest
 //!   share one execution (one simulation, N watchers);
 //! * **cache GC** — an optional background sweep holding the disk
@@ -61,7 +62,7 @@ use belenos::campaign::CampaignSpec;
 use belenos::env::DEFAULT_MAX_OPS;
 use belenos::SimOptions;
 use belenos_json::{FromJson, Json};
-use belenos_runner::{gc, Cache, Runner};
+use belenos_runner::{gc, Budget, Cache, Runner};
 use belenos_telemetry::Telemetry;
 use belenos_workloads::ScenarioSpec;
 use http::{read_request, respond_error, respond_json, start_ndjson, write_ndjson_line, Request};
@@ -84,8 +85,8 @@ const MAX_HANDLERS: usize = 256;
 pub struct ServeConfig {
     /// Listen address (`BELENOS_SERVE_ADDR` / `--addr`).
     pub addr: String,
-    /// Concurrent jobs (pool threads); each job still parallelizes
-    /// internally through the runner's own workers.
+    /// Concurrent jobs (job threads). Each runs its batches itself and
+    /// borrows helpers from the one budget below, shared by all of them.
     pub workers: usize,
     /// Jobs that may wait beyond the running ones; more → 429.
     pub queue_depth: usize,
@@ -94,8 +95,10 @@ pub struct ServeConfig {
     pub op_budget_ceiling: usize,
     /// Request body cap in bytes.
     pub max_body_bytes: usize,
-    /// Simulation threads inside the runner; `0` = `BELENOS_JOBS` or
-    /// the machine's parallelism.
+    /// Thread budget of the server's runner, shared by all of its
+    /// jobs' simulation batches; `0` = the process's budget (`--jobs`,
+    /// `BELENOS_JOBS` or the machine's parallelism), which prepare
+    /// batches and FE assembly draw on either way.
     pub runner_threads: usize,
     /// Combined disk budget for `gc_dirs` in bytes; `0` = GC off.
     pub cache_budget_bytes: u64,
@@ -184,8 +187,9 @@ impl ServerHandle {
     }
 }
 
-/// The server's own mutexes guard a flag and a count, each read or
-/// changed in one statement: nothing can panic while holding one.
+/// The server's own mutexes guard a flag, a count and the job table,
+/// each changed in short sections that call nothing that panics (a
+/// job's own panic is caught before its worker takes the lock again).
 const NOT_POISONED: &str = "nothing panics under this lock";
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -253,13 +257,13 @@ impl Server {
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let threads = match config.runner_threads {
-            0 => belenos_runner::jobs_from_env(),
-            n => n,
+        let budget = match config.runner_threads {
+            0 => Budget::global().clone(),
+            n => Budget::new(n),
         };
         // No progress lines: job progress goes to watchers via the event
         // stream; the server's stderr stays quiet.
-        let runner = Runner::new(threads, Cache::from_env());
+        let runner = Runner::with_budget(budget, Cache::from_env());
         let telemetry = belenos_telemetry::global();
         let feeds = Arc::new(JobFeeds::new(&telemetry));
         let stats = Arc::new(ServeStats::new());
@@ -326,7 +330,7 @@ impl Server {
         // sitting in the backlog for the length of the drain.
         drop(listener);
         // Graceful drain: fence off new submissions, run out the queue
-        // (unpausing first — a paused pool would strand queued jobs and
+        // (unpausing first — a paused manager would strand queued jobs and
         // their watchers), then let the finished event streams unwind
         // the remaining connection handlers.
         state.draining.store(true, Ordering::SeqCst);
