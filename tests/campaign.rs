@@ -8,12 +8,20 @@
 //! returns) -- `table1`/`table2` verbatim, and Fig. 2 / Fig. 7 for the
 //! `pd` workload at a 30k op budget on the default `o3` backend. The
 //! typed `Report` layer must reproduce them byte-for-byte.
+//!
+//! `tests/golden/pd_30k/` holds what the CLI built from 8cd79dc (the
+//! commit before figures became rows over one grid) printed for
+//! `belenos figure <id> --workloads pd --max-ops 30000`, one file per
+//! analysis, and for `belenos scenario run pd --max-ops 30000 --format
+//! json`. Figs. 5/6 print wall-clock and have no golden.
 
 use belenos::campaign::{Analysis, CampaignSpec, SpecError, WorkloadSet};
 use belenos::experiment::Experiment;
 use belenos::figures;
 use belenos::options::SimOptions;
+use belenos::report::Report;
 use belenos_runner::Runner;
+use belenos_uarch::CoreConfig;
 use belenos_workloads::by_id;
 
 const GOLDEN_TABLE1: &str = r###"Table I: Dataset Models Breakdown
@@ -90,6 +98,33 @@ Model  fp%   int%  loads%  stores%
 pd     30.4  0.0   36.2    17.0
 "###;
 
+const GOLDEN_PD_30K: [(Analysis, &str); 10] = [
+    (Analysis::Stalls, include_str!("golden/pd_30k/stalls.txt")),
+    (
+        Analysis::Hotspots,
+        include_str!("golden/pd_30k/hotspots.txt"),
+    ),
+    (Analysis::Memory, include_str!("golden/pd_30k/memory.txt")),
+    (
+        Analysis::Frequency,
+        include_str!("golden/pd_30k/frequency.txt"),
+    ),
+    (
+        Analysis::CacheSweep,
+        include_str!("golden/pd_30k/cache.txt"),
+    ),
+    (Analysis::Width, include_str!("golden/pd_30k/width.txt")),
+    (Analysis::Lsq, include_str!("golden/pd_30k/lsq.txt")),
+    (Analysis::Branch, include_str!("golden/pd_30k/branch.txt")),
+    (Analysis::RobIq, include_str!("golden/pd_30k/rob_iq.txt")),
+    (
+        Analysis::MeshScaling,
+        include_str!("golden/pd_30k/mesh_scaling.txt"),
+    ),
+];
+
+const GOLDEN_SCENARIO_RUN_PD_30K: &str = include_str!("golden/pd_30k/scenario_run.json");
+
 fn pd() -> Vec<Experiment> {
     vec![Experiment::prepare(&by_id("pd").expect("pd")).expect("solves")]
 }
@@ -109,6 +144,28 @@ fn figure_reports_match_the_pre_refactor_strings_byte_for_byte() {
     assert_eq!(f2.to_text(), GOLDEN_FIG02_PD_30K);
     let f7 = figures::fig07_pipeline(&runner, &exps, &opts).expect("fig7");
     assert_eq!(f7.to_text(), GOLDEN_FIG07_PD_30K);
+
+    // The rest, through the campaign the CLI builds for `--workloads pd`
+    // (a campaign prints each report followed by a blank line).
+    let mut spec = CampaignSpec::new("goldens")
+        .with_workloads(WorkloadSet::Ids(vec!["pd".into()]))
+        .with_options(opts.clone());
+    spec.analyses = GOLDEN_PD_30K.iter().map(|&(a, _)| a).collect();
+    let report = spec.prepare().expect("pd solves").run(&runner);
+    for (outcome, (_, golden)) in report.outcomes.iter().zip(GOLDEN_PD_30K) {
+        let text = outcome.result.as_ref().expect("figure").to_text();
+        assert_eq!(format!("{text}\n"), golden, "{}", outcome.analysis.id());
+    }
+
+    let stats = exps[0].simulate(&CoreConfig::gem5_baseline(), opts.max_ops);
+    let mut scenario_run = Report::new("scenario_run");
+    scenario_run
+        .section(
+            "Scenario runs (gem5 baseline config)",
+            &figures::SCENARIO_COLUMNS,
+        )
+        .row(figures::scenario_row(&exps[0], &stats));
+    assert_eq!(scenario_run.to_json(), GOLDEN_SCENARIO_RUN_PD_30K);
 }
 
 #[test]
