@@ -8,7 +8,7 @@
 //!   campaign analysis (also available as `belenos figure rob_iq`).
 
 use super::{figures_cmd, Invocation};
-use belenos::campaign::{Analysis, CampaignSpec};
+use belenos::campaign::Analysis;
 use belenos_fem::assembly::build_pattern;
 use belenos_fem::mesh::Mesh;
 use belenos_sparse::reorder::rcm;
@@ -65,11 +65,7 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
     match inv.positionals.get(1).map(String::as_str) {
         Some("rcm") => run_rcm(),
         Some("rob-iq" | "rob_iq") => {
-            let spec = CampaignSpec::new("rob_iq")
-                .with_workloads(inv.workload_set())
-                .with_options(inv.overrides().options())
-                .with_analysis(Analysis::RobIq);
-            figures_cmd::emit_campaign(inv, spec)
+            figures_cmd::emit_campaign(inv, figures_cmd::single(inv, Analysis::RobIq))
         }
         _ => Err("usage: belenos ablation <rcm|rob-iq>".into()),
     }

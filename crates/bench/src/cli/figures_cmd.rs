@@ -47,7 +47,8 @@ pub(crate) fn emit_campaign_with(
     Ok(())
 }
 
-fn single(inv: &Invocation, analysis: Analysis) -> CampaignSpec {
+/// The one-analysis campaign an invocation's workloads and options ask for.
+pub(crate) fn single(inv: &Invocation, analysis: Analysis) -> CampaignSpec {
     CampaignSpec::new(analysis.id())
         .with_workloads(inv.workload_set())
         .with_options(inv.overrides().options())

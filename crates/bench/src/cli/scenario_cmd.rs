@@ -9,12 +9,10 @@
 //! structured report.
 
 use super::{write_side_outputs, Format, Invocation};
-use belenos::experiment::Experiment;
-use belenos::figures::{scenario_row, SCENARIO_COLUMNS};
-use belenos::report::Report;
+use belenos::experiment::prepare_all;
+use belenos::figures::scenario_run;
 use belenos_json::{FromJson, Json, ToJson};
-use belenos_runner::{JobSpec, RunPlan, Runner};
-use belenos_uarch::CoreConfig;
+use belenos_runner::Runner;
 use belenos_workloads::{by_id, distinct_presets, ScenarioSpec};
 
 /// `belenos scenario <list|show|validate|run> ...`.
@@ -129,34 +127,10 @@ fn run_scenarios(inv: &Invocation) -> Result<(), String> {
     let specs = load_scenarios(scenario_arg(inv)?)?;
     let opts = inv.overrides().options();
     eprintln!("solving {} scenario model(s)...", specs.len());
-    let exps: Vec<Experiment> = specs
-        .iter()
-        .map(|s| Experiment::prepare(s).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
-    let mut plan = RunPlan::new();
-    for w in 0..exps.len() {
-        plan.push(
-            JobSpec::new(
-                w,
-                "baseline",
-                opts.configure(CoreConfig::gem5_baseline()),
-                opts.max_ops,
-            )
-            .with_sampling(opts.sampling.clone()),
-        );
-    }
-    let results = Runner::from_env().run(&exps, &plan);
-
-    let mut report = Report::new("scenario_run");
-    let s = report.section("Scenario runs (gem5 baseline config)", &SCENARIO_COLUMNS);
-    let mut failed = 0usize;
-    for (exp, r) in exps.iter().zip(&results) {
-        if let Some(e) = &r.error {
-            eprintln!("SIMULATION FAILED: {e}");
-            failed += 1;
-            continue;
-        }
-        s.row(scenario_row(exp, &r.stats));
+    let exps = prepare_all(&specs).map_err(|e| e.to_string())?;
+    let (report, failures) = scenario_run(&Runner::from_env(), &exps, &opts);
+    for failure in &failures {
+        eprintln!("SIMULATION FAILED: {}", failure.message);
     }
     match inv.format {
         Format::Text => print!("{}", report.to_text()),
@@ -165,8 +139,8 @@ fn run_scenarios(inv: &Invocation) -> Result<(), String> {
     }
     write_side_outputs(inv, || report.to_json(), || report.to_csv())?;
     crate::print_run_summary();
-    if failed > 0 {
-        return Err(format!("{failed} scenario simulation(s) failed"));
+    if !failures.is_empty() {
+        return Err(format!("{} scenario simulation(s) failed", failures.len()));
     }
     Ok(())
 }

@@ -10,6 +10,10 @@
 //! the cache-aware [`Runner`] — so two analyses sharing a grid point
 //! (every sweep contains the Table II baseline) simulate it once.
 //!
+//! What an [`Analysis`] is called, which workloads it defaults to and how
+//! it runs is one row of one table (`analyses!` below); `Analysis::{ALL,
+//! id, describe, parse, paper_set}` and [`Campaign::run`] all read it.
+//!
 //! ```no_run
 //! use belenos::campaign::CampaignSpec;
 //! use belenos_runner::Runner;
@@ -377,114 +381,119 @@ pub enum Analysis {
     MeshScaling,
 }
 
+/// How an analysis produces its report, and so what it needs.
+#[derive(Clone, Copy)]
+enum Run {
+    /// A static table: no workloads at all.
+    Table(fn() -> Report),
+    /// From the solved workload models alone.
+    Solved(fn(&[Experiment]) -> Report),
+    /// From simulations submitted through the runner.
+    Simulated(fn(&Runner, &[Experiment], &SimOptions) -> Result<Report, SimFailure>),
+}
+
+/// Everything the campaign layer knows about one analysis.
+struct AnalysisRow {
+    /// The stable spec/CLI id, then the aliases [`Analysis::parse`] accepts.
+    names: &'static [&'static str],
+    /// One line for `belenos list`.
+    describe: &'static str,
+    /// The workload set the paper evaluated it on.
+    paper_set: PaperSet,
+    run: Run,
+}
+
+/// Builds the one analysis table from rows of `Variant "describe" [id,
+/// aliases..] PaperSet How(report function);` — a row per [`Analysis`]
+/// variant, in declaration order (a variant's discriminant indexes its
+/// row), which is `belenos figure all` / `belenos list` order: tables
+/// first, then figures by number, then supplements. Adding an analysis is
+/// a variant plus a row.
+macro_rules! analyses {
+    ($($variant:ident $describe:literal $names:tt $set:ident $how:ident($report:path);)*) => {
+        impl Analysis {
+            /// Every analysis, in `belenos figure all` / `all_figures` print
+            /// order (tables first, then figures by number, then supplements).
+            pub const ALL: [Analysis; 16] = [$(Analysis::$variant),*];
+        }
+
+        static ANALYSES: [AnalysisRow; 16] = [$(AnalysisRow {
+            names: &$names,
+            describe: $describe,
+            paper_set: PaperSet::$set,
+            run: Run::$how($report),
+        }),*];
+    };
+}
+
+analyses! {
+    Table1 "Table I: dataset models breakdown"
+        ["table1", "table_1", "1"] Catalog Table(figures::table1);
+    Table2 "Table II: baseline CPU and system configuration"
+        ["table2", "table_2", "2"] Catalog Table(figures::table2);
+    Topdown "Fig. 2: top-down pipeline breakdown"
+        ["topdown", "fig02", "fig2"] Vtune Simulated(figures::fig02_topdown);
+    Stalls "Fig. 3: FE/BE stall breakdown"
+        ["stalls", "fig03", "fig3"] Vtune Simulated(figures::fig03_stalls);
+    Hotspots "Fig. 4: hotspot-category share of clockticks"
+        ["hotspots", "fig04", "fig4"] Catalog Simulated(figures::fig04_hotspots);
+    Scaling "Fig. 5: solve time vs model size"
+        ["scaling", "fig05", "fig5"] Catalog Solved(figures::fig05_scaling);
+    ExecTime "Fig. 6: execution time by model group"
+        ["exec_time", "exec-time", "fig06", "fig6"] Vtune Solved(figures::fig06_exec_time);
+    Pipeline "Fig. 7: fetch/execute/commit stage breakdowns"
+        ["pipeline", "fig07", "fig7"] Gem5 Simulated(figures::fig07_pipeline);
+    Frequency "Fig. 8: execution time and IPC vs core frequency"
+        ["frequency", "freq", "fig08", "fig8"] Gem5 Simulated(figures::fig08_frequency);
+    CacheSweep "Fig. 9: L1/L2 cache-size sensitivity"
+        ["cache", "fig09", "fig9"] Gem5 Simulated(figures::fig09_cache);
+    Width "Fig. 10: pipeline-width sensitivity"
+        ["width", "fig10"] Gem5 Simulated(figures::fig10_width);
+    Lsq "Fig. 11: LQ/SQ depth sensitivity"
+        ["lsq", "fig11"] Gem5 Simulated(figures::fig11_lsq);
+    Branch "Fig. 12: branch-predictor sensitivity"
+        ["branch", "fig12"] Gem5 Simulated(figures::fig12_branch);
+    Memory "memory profiles (MPKIs, DRAM bandwidth)"
+        ["memory", "memory_profiles"] Vtune Simulated(figures::memory_profiles);
+    RobIq "ROB/IQ instruction-window ablation"
+        ["rob_iq", "rob-iq", "robiq"] Gem5 Simulated(figures::ablation_rob_iq);
+    // The gem5 sensitivity set by default; a MeshSweep workload set
+    // overrides the axis entirely.
+    MeshScaling "IPC and bottleneck class vs mesh resolution per family"
+        ["mesh_scaling", "mesh-scaling", "meshscaling"] Gem5 Simulated(figures::mesh_scaling);
+}
+
 impl Analysis {
-    /// Every analysis, in `belenos figure all` / `all_figures` print
-    /// order (tables first, then figures by number, then supplements).
-    pub const ALL: [Analysis; 16] = [
-        Analysis::Table1,
-        Analysis::Table2,
-        Analysis::Topdown,
-        Analysis::Stalls,
-        Analysis::Hotspots,
-        Analysis::Scaling,
-        Analysis::ExecTime,
-        Analysis::Pipeline,
-        Analysis::Frequency,
-        Analysis::CacheSweep,
-        Analysis::Width,
-        Analysis::Lsq,
-        Analysis::Branch,
-        Analysis::Memory,
-        Analysis::RobIq,
-        Analysis::MeshScaling,
-    ];
+    fn row(self) -> &'static AnalysisRow {
+        &ANALYSES[self as usize]
+    }
 
     /// Stable spec/CLI identifier.
     pub fn id(self) -> &'static str {
-        match self {
-            Analysis::Table1 => "table1",
-            Analysis::Table2 => "table2",
-            Analysis::Topdown => "topdown",
-            Analysis::Stalls => "stalls",
-            Analysis::Hotspots => "hotspots",
-            Analysis::Scaling => "scaling",
-            Analysis::ExecTime => "exec_time",
-            Analysis::Pipeline => "pipeline",
-            Analysis::Frequency => "frequency",
-            Analysis::CacheSweep => "cache",
-            Analysis::Width => "width",
-            Analysis::Lsq => "lsq",
-            Analysis::Branch => "branch",
-            Analysis::Memory => "memory",
-            Analysis::RobIq => "rob_iq",
-            Analysis::MeshScaling => "mesh_scaling",
-        }
+        self.row().names[0]
     }
 
     /// One-line description for `belenos list`.
     pub fn describe(self) -> &'static str {
-        match self {
-            Analysis::Table1 => "Table I: dataset models breakdown",
-            Analysis::Table2 => "Table II: baseline CPU and system configuration",
-            Analysis::Topdown => "Fig. 2: top-down pipeline breakdown",
-            Analysis::Stalls => "Fig. 3: FE/BE stall breakdown",
-            Analysis::Hotspots => "Fig. 4: hotspot-category share of clockticks",
-            Analysis::Scaling => "Fig. 5: solve time vs model size",
-            Analysis::ExecTime => "Fig. 6: execution time by model group",
-            Analysis::Pipeline => "Fig. 7: fetch/execute/commit stage breakdowns",
-            Analysis::Frequency => "Fig. 8: execution time and IPC vs core frequency",
-            Analysis::CacheSweep => "Fig. 9: L1/L2 cache-size sensitivity",
-            Analysis::Width => "Fig. 10: pipeline-width sensitivity",
-            Analysis::Lsq => "Fig. 11: LQ/SQ depth sensitivity",
-            Analysis::Branch => "Fig. 12: branch-predictor sensitivity",
-            Analysis::Memory => "memory profiles (MPKIs, DRAM bandwidth)",
-            Analysis::RobIq => "ROB/IQ instruction-window ablation",
-            Analysis::MeshScaling => "IPC and bottleneck class vs mesh resolution per family",
-        }
+        self.row().describe
     }
 
     /// Parses a spec/CLI identifier (accepts `figNN` aliases).
     pub fn parse(s: &str) -> Option<Analysis> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "table1" | "table_1" | "1" => Some(Analysis::Table1),
-            "table2" | "table_2" | "2" => Some(Analysis::Table2),
-            "topdown" | "fig02" | "fig2" => Some(Analysis::Topdown),
-            "stalls" | "fig03" | "fig3" => Some(Analysis::Stalls),
-            "hotspots" | "fig04" | "fig4" => Some(Analysis::Hotspots),
-            "scaling" | "fig05" | "fig5" => Some(Analysis::Scaling),
-            "exec_time" | "exec-time" | "fig06" | "fig6" => Some(Analysis::ExecTime),
-            "pipeline" | "fig07" | "fig7" => Some(Analysis::Pipeline),
-            "frequency" | "freq" | "fig08" | "fig8" => Some(Analysis::Frequency),
-            "cache" | "fig09" | "fig9" => Some(Analysis::CacheSweep),
-            "width" | "fig10" => Some(Analysis::Width),
-            "lsq" | "fig11" => Some(Analysis::Lsq),
-            "branch" | "fig12" => Some(Analysis::Branch),
-            "memory" | "memory_profiles" => Some(Analysis::Memory),
-            "rob_iq" | "rob-iq" | "robiq" => Some(Analysis::RobIq),
-            "mesh_scaling" | "mesh-scaling" | "meshscaling" => Some(Analysis::MeshScaling),
-            _ => None,
-        }
+        let s = s.trim();
+        let named = |a: &Analysis| a.row().names.iter().any(|n| n.eq_ignore_ascii_case(s));
+        Analysis::ALL.into_iter().find(named)
     }
 
     /// Which paper set this analysis ran on (what the per-figure bench
     /// binaries used to hardcode).
     pub fn paper_set(self) -> PaperSet {
-        match self {
-            Analysis::Topdown | Analysis::Stalls | Analysis::ExecTime | Analysis::Memory => {
-                PaperSet::Vtune
-            }
-            Analysis::Hotspots | Analysis::Scaling => PaperSet::Catalog,
-            Analysis::Table1 | Analysis::Table2 => PaperSet::Catalog,
-            // The scaling axis over the gem5 sensitivity set by default;
-            // a MeshSweep workload set overrides the axis entirely.
-            Analysis::MeshScaling => PaperSet::Gem5,
-            _ => PaperSet::Gem5,
-        }
+        self.row().paper_set
     }
 
     /// True when the analysis needs prepared (solved) workload models.
     pub fn needs_experiments(self) -> bool {
-        !matches!(self, Analysis::Table1 | Analysis::Table2)
+        !matches!(self.row().run, Run::Table(_))
     }
 }
 
@@ -938,13 +947,15 @@ impl Campaign {
                 let _analysis_span = tele.span("analysis", &[("analysis", analysis.id().into())]);
                 let before = runner.cache().stats();
                 let t0 = std::time::Instant::now();
-                let exps: &[Experiment] = if analysis.needs_experiments() {
+                let exps = || {
                     let key = set_key(&self.spec.workloads.specs_for(analysis));
                     self.experiments.get(&key).map(Vec::as_slice).unwrap_or(&[])
-                } else {
-                    &[]
                 };
-                let result = run_analysis(runner, analysis, exps, opts);
+                let result = match analysis.row().run {
+                    Run::Table(report) => Ok(report()),
+                    Run::Solved(report) => Ok(report(exps())),
+                    Run::Simulated(report) => report(runner, exps(), opts),
+                };
                 if tele.enabled() {
                     let after = runner.cache().stats();
                     rollup_rows.push(RollupRow {
@@ -1020,32 +1031,6 @@ fn set_key(specs: &[ScenarioSpec]) -> String {
         .join(",")
 }
 
-fn run_analysis(
-    runner: &Runner,
-    analysis: Analysis,
-    exps: &[Experiment],
-    opts: &SimOptions,
-) -> Result<Report, SimFailure> {
-    match analysis {
-        Analysis::Table1 => Ok(figures::table1()),
-        Analysis::Table2 => Ok(figures::table2()),
-        Analysis::Topdown => figures::fig02_topdown(runner, exps, opts),
-        Analysis::Stalls => figures::fig03_stalls(runner, exps, opts),
-        Analysis::Hotspots => figures::fig04_hotspots(runner, exps, opts),
-        Analysis::Scaling => Ok(figures::fig05_scaling(exps)),
-        Analysis::ExecTime => Ok(figures::fig06_exec_time(exps)),
-        Analysis::Pipeline => figures::fig07_pipeline(runner, exps, opts),
-        Analysis::Frequency => figures::fig08_frequency(runner, exps, opts),
-        Analysis::CacheSweep => figures::fig09_cache(runner, exps, opts),
-        Analysis::Width => figures::fig10_width(runner, exps, opts),
-        Analysis::Lsq => figures::fig11_lsq(runner, exps, opts),
-        Analysis::Branch => figures::fig12_branch(runner, exps, opts),
-        Analysis::Memory => figures::memory_profiles(runner, exps, opts),
-        Analysis::RobIq => figures::ablation_rob_iq(runner, exps, opts),
-        Analysis::MeshScaling => figures::mesh_scaling(runner, exps, opts),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,10 +1070,18 @@ mod tests {
 
     #[test]
     fn every_analysis_id_parses_back() {
-        for a in Analysis::ALL {
-            assert_eq!(Analysis::parse(a.id()), Some(a), "{}", a.id());
+        for (i, a) in Analysis::ALL.into_iter().enumerate() {
+            assert_eq!(
+                a as usize,
+                i,
+                "{}: table order is declaration order",
+                a.id()
+            );
+            for name in a.row().names {
+                assert_eq!(Analysis::parse(name), Some(a), "{name}");
+            }
         }
-        assert_eq!(Analysis::parse("fig08"), Some(Analysis::Frequency));
+        assert_eq!(Analysis::parse(" Fig08 "), Some(Analysis::Frequency));
         assert_eq!(Analysis::parse("nope"), None);
     }
 

@@ -12,55 +12,25 @@
 //! (budget, sampling, core-model backend), and return `Result`: a
 //! wedged simulation point surfaces as a [`SimFailure`] so one broken
 //! figure never kills a whole campaign.
+//!
+//! Every one of them is rows over a [`sweep::Grid`]: it names an
+//! [`Axis`], runs it through [`sweep::run`] (the only thing here that
+//! simulates) and fills row `w` of its sections from the cells of
+//! experiment `w` — never by looking a row up again by workload id or
+//! point label. Figs. 2-4 and the memory profile share `host_profile`,
+//! Figs. 10-12 and the ROB/IQ ablation share `PercentDiff`,
+//! [`mesh_scaling`] and [`scenario_run`] share `characterize`; a new
+//! sensitivity figure is a new axis plus one of those rows.
 
 use crate::experiment::Experiment;
 use crate::options::{SimFailure, SimOptions};
-use crate::report::{Cell, Report};
-use crate::sweep;
+use crate::report::{Cell, Report, Section};
+use crate::sweep::{self, Axis};
 use belenos_profiler::{HotspotProfile, MemoryProfile, TopDown};
-use belenos_runner::{RunPlan, Runner};
-use belenos_trace::FnCategory;
+use belenos_runner::Runner;
 use belenos_uarch::config::BranchPredictorKind;
 use belenos_uarch::{CoreConfig, SimStats};
-use belenos_workloads::{catalog, ScenarioSpec};
-
-/// Simulates every experiment once under `config` through the batch
-/// engine: points run in parallel and configs shared with other figures
-/// (the gem5 baseline, the host-like profile) are simulated only once
-/// per runner cache.
-fn simulate_batch(
-    runner: &Runner,
-    experiments: &[Experiment],
-    label: &str,
-    config: &CoreConfig,
-    opts: &SimOptions,
-) -> Result<Vec<SimStats>, SimFailure> {
-    let mut plan = RunPlan::new();
-    for w in 0..experiments.len() {
-        plan.push(
-            belenos_runner::JobSpec::new(w, label, opts.configure(config.clone()), opts.max_ops)
-                .with_sampling(opts.sampling.clone()),
-        );
-    }
-    let _span = belenos_telemetry::global().span(
-        "simulate_batch",
-        &[("label", label.into()), ("points", plan.len().into())],
-    );
-    runner
-        .run(experiments, &plan)
-        .into_iter()
-        .map(|r| {
-            if let Some(e) = &r.error {
-                return Err(SimFailure {
-                    workload: r.workload.clone(),
-                    label: r.label.clone(),
-                    message: e.clone(),
-                });
-            }
-            Ok(r.stats)
-        })
-        .collect()
-}
+use belenos_workloads::{catalog, Category};
 
 /// Table I: workload categories with paper vs generated input sizes.
 pub fn table1() -> Report {
@@ -146,6 +116,40 @@ pub fn table2() -> Report {
     r
 }
 
+/// Section headers: `Model`, then one column per name.
+fn model_columns<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    std::iter::once("Model").chain(names).collect()
+}
+
+/// A report row: the experiment's id, then `cells`.
+fn model_row(exp: &Experiment, cells: impl IntoIterator<Item = Cell>) -> Vec<Cell> {
+    std::iter::once(Cell::text(&exp.id)).chain(cells).collect()
+}
+
+/// A one-section report with one row per experiment — its id, then the
+/// `columns` that `cells` computes from its VTune-style host profile: one
+/// `host_like` simulation each. The profiles need windows spanning
+/// several Newton iterations of the larger models, so they run at three
+/// times the campaign's op budget.
+fn host_profile(
+    runner: &Runner,
+    experiments: &[Experiment],
+    opts: &SimOptions,
+    id: &str,
+    title: &str,
+    columns: &[&str],
+    cells: impl Fn(&str, &SimStats) -> Vec<Cell>,
+) -> Result<Report, SimFailure> {
+    let host = Axis::single("host", CoreConfig::host_like());
+    let rows = sweep::run(runner, experiments, &host, &opts.scaled_budget(3)).complete()?;
+    let mut r = Report::new(id);
+    let s = r.section(title, &model_columns(columns.iter().copied()));
+    for (exp, row) in experiments.iter().zip(&rows) {
+        s.row(model_row(exp, cells(&exp.id, &row[0])));
+    }
+    Ok(r)
+}
+
 /// Fig. 2: top-down pipeline breakdown per VTune workload.
 ///
 /// # Errors
@@ -156,27 +160,18 @@ pub fn fig02_topdown(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    // VTune-style profiles need windows spanning several Newton iterations
-    // of the larger models; widen the budget accordingly.
-    let opts = opts.scaled_budget(3);
-    let mut r = Report::new("fig02_topdown");
-    let host = simulate_batch(runner, experiments, "host", &CoreConfig::host_like(), &opts)?;
-    let s = r.section(
+    host_profile(
+        runner,
+        experiments,
+        opts,
+        "fig02_topdown",
         "Fig. 2: Top-down pipeline breakdown (host-like config)",
-        &["Model", "Retiring%", "FrontEnd%", "BadSpec%", "BackEnd%"],
-    );
-    for (exp, stats) in experiments.iter().zip(&host) {
-        let td = TopDown::from_stats(&exp.id, stats);
-        let p = td.percents();
-        s.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(p[0], 1),
-            Cell::num(p[1], 1),
-            Cell::num(p[2], 1),
-            Cell::num(p[3], 1),
-        ]);
-    }
-    Ok(r)
+        &["Retiring%", "FrontEnd%", "BadSpec%", "BackEnd%"],
+        |id, stats| {
+            let p = TopDown::from_stats(id, stats).percents();
+            p.map(|x| Cell::num(x, 1)).to_vec()
+        },
+    )
 }
 
 /// Fig. 3: front-end / back-end stall split per VTune workload.
@@ -189,33 +184,18 @@ pub fn fig03_stalls(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    // VTune-style profiles need windows spanning several Newton iterations
-    // of the larger models; widen the budget accordingly.
-    let opts = opts.scaled_budget(3);
-    let mut r = Report::new("fig03_stalls");
-    let host = simulate_batch(runner, experiments, "host", &CoreConfig::host_like(), &opts)?;
-    let s = r.section(
+    host_profile(
+        runner,
+        experiments,
+        opts,
+        "fig03_stalls",
         "Fig. 3: FE/BE stall breakdown (bad speculation negligible, as in the paper)",
-        &[
-            "Model",
-            "FE Latency%",
-            "FE Bandwidth%",
-            "BE Core%",
-            "BE Memory%",
-        ],
-    );
-    for (exp, stats) in experiments.iter().zip(&host) {
-        let td = TopDown::from_stats(&exp.id, stats);
-        let st = td.stall_percents();
-        s.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(st[0], 1),
-            Cell::num(st[1], 1),
-            Cell::num(st[2], 1),
-            Cell::num(st[3], 1),
-        ]);
-    }
-    Ok(r)
+        &["FE Latency%", "FE Bandwidth%", "BE Core%", "BE Memory%"],
+        |id, stats| {
+            let st = TopDown::from_stats(id, stats).stall_percents();
+            st.map(|x| Cell::num(x, 1)).to_vec()
+        },
+    )
 }
 
 /// Fig. 4: hotspot-category prevalence dots per workload.
@@ -228,16 +208,14 @@ pub fn fig04_hotspots(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    // VTune-style profiles need windows spanning several Newton iterations
-    // of the larger models; widen the budget accordingly.
-    let opts = opts.scaled_budget(3);
-    let mut r = Report::new("fig04_hotspots");
-    let host = simulate_batch(runner, experiments, "host", &CoreConfig::host_like(), &opts)?;
-    let s = r.section(
+    host_profile(
+        runner,
+        experiments,
+        opts,
+        "fig04_hotspots",
         "Fig. 4: Function-category share of clockticks\n\
          (R >75%, O 50-75%, Y 25-50%, G <25%, . absent)",
         &[
-            "Model",
             "Internal",
             "Sparsity",
             "DenseMat",
@@ -245,20 +223,15 @@ pub fn fig04_hotspots(
             "MKL-BLAS",
             "Pardiso",
         ],
-    );
-    for (exp, stats) in experiments.iter().zip(&host) {
-        let p = HotspotProfile::from_stats(&exp.id, stats);
-        let dots = p.dots();
-        let mut row = vec![Cell::text(&exp.id)];
-        for (d, f) in dots.iter().zip(&p.fractions) {
-            row.push(Cell::labeled(
-                format!("{} {:>4.1}%", d.glyph(), f * 100.0),
-                *f,
-            ));
-        }
-        s.row(row);
-    }
-    Ok(r)
+        |id, stats| {
+            let p = HotspotProfile::from_stats(id, stats);
+            let dots = p.dots();
+            dots.iter()
+                .zip(&p.fractions)
+                .map(|(d, f)| Cell::labeled(format!("{} {:>4.1}%", d.glyph(), f * 100.0), *f))
+                .collect()
+        },
+    )
 }
 
 /// Fig. 5: numeric solve time vs model size over the full catalog.
@@ -281,7 +254,8 @@ pub fn fig05_scaling(experiments: &[Experiment]) -> Report {
     r
 }
 
-/// Fig. 6: execution time grouped by biphasic / fluid / material models.
+/// Fig. 6: execution time of the biphasic, fluid and material scenarios,
+/// grouped by that Table I category (other categories have no row).
 pub fn fig06_exec_time(experiments: &[Experiment]) -> Report {
     let mut r = Report::new("fig06_exec_time");
     let s = r.section(
@@ -289,22 +263,21 @@ pub fn fig06_exec_time(experiments: &[Experiment]) -> Report {
         &["Group", "Model", "CPU time (ms)"],
     );
     for exp in experiments {
-        let group = if exp.id.starts_with("bp") {
-            "Biphasic"
-        } else if exp.id.starts_with("fl") {
-            "Fluid"
-        } else if exp.id.starts_with("ma") {
-            "Material"
-        } else {
-            continue;
-        };
-        s.row(vec![
-            Cell::text(group),
-            Cell::text(&exp.id),
-            Cell::num(exp.solve.wall_time.as_secs_f64() * 1e3, 2),
-        ]);
+        let group = exp.scenario().category();
+        if matches!(group, Category::Bp | Category::Fl | Category::Ma) {
+            s.row(vec![
+                Cell::text(group.name()),
+                Cell::text(&exp.id),
+                Cell::num(exp.solve.wall_time.as_secs_f64() * 1e3, 2),
+            ]);
+        }
     }
     r
+}
+
+/// One gem5-baseline simulation per experiment.
+fn baseline_axis() -> Axis {
+    Axis::single("baseline", CoreConfig::gem5_baseline())
 }
 
 /// Fig. 7: fetch / execute / commit stage breakdowns on the gem5 baseline.
@@ -317,14 +290,8 @@ pub fn fig07_pipeline(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let baseline = simulate_batch(
-        runner,
-        experiments,
-        "baseline",
-        &CoreConfig::gem5_baseline(),
-        opts,
-    )?;
-    let mut fetch = crate::report::Section::new(
+    let rows = sweep::run(runner, experiments, &baseline_axis(), opts).complete()?;
+    let mut fetch = Section::new(
         "Fig. 7a: Fetch stage activity",
         &[
             "Model",
@@ -335,46 +302,39 @@ pub fn fig07_pipeline(
             "tlb%",
         ],
     );
-    let mut exec = crate::report::Section::new(
+    let mut exec = Section::new(
         "Fig. 7b: Execute stage mix",
         &["Model", "branches%", "fp%", "int%", "loads%", "stores%"],
     );
-    let mut commit = crate::report::Section::new(
+    let mut commit = Section::new(
         "Fig. 7c: Commit stage mix",
         &["Model", "fp%", "int%", "loads%", "stores%"],
     );
-    for (exp, st) in experiments.iter().zip(&baseline) {
-        let fetch_total = (st.active_fetch_cycles
-            + st.icache_stall_cycles
-            + st.misc_stall_cycles
-            + st.squash_cycles
-            + st.tlb_stall_cycles)
-            .max(1) as f64;
-        fetch.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(st.active_fetch_cycles as f64 / fetch_total * 100.0, 1),
-            Cell::num(st.icache_stall_cycles as f64 / fetch_total * 100.0, 1),
-            Cell::num(st.misc_stall_cycles as f64 / fetch_total * 100.0, 1),
-            Cell::num(st.squash_cycles as f64 / fetch_total * 100.0, 1),
-            Cell::num(st.tlb_stall_cycles as f64 / fetch_total * 100.0, 1),
-        ]);
+    for (exp, row) in experiments.iter().zip(&rows) {
+        let st = &row[0];
+        let fetch_cycles = [
+            st.active_fetch_cycles,
+            st.icache_stall_cycles,
+            st.misc_stall_cycles,
+            st.squash_cycles,
+            st.tlb_stall_cycles,
+        ];
+        let fetch_total = fetch_cycles.iter().sum::<u64>().max(1) as f64;
+        fetch.row(model_row(
+            exp,
+            fetch_cycles.map(|c| Cell::num(c as f64 / fetch_total * 100.0, 1)),
+        ));
         let m = &st.exec_mix;
-        exec.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(m.fraction(m.branches) * 100.0, 1),
-            Cell::num(m.fraction(m.fp) * 100.0, 1),
-            Cell::num(m.fraction(m.int) * 100.0, 1),
-            Cell::num(m.fraction(m.loads) * 100.0, 1),
-            Cell::num(m.fraction(m.stores) * 100.0, 1),
-        ]);
+        exec.row(model_row(
+            exp,
+            [m.branches, m.fp, m.int, m.loads, m.stores]
+                .map(|n| Cell::num(m.fraction(n) * 100.0, 1)),
+        ));
         let c = &st.commit_mix;
-        commit.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(c.fraction(c.fp) * 100.0, 1),
-            Cell::num(c.fraction(c.int) * 100.0, 1),
-            Cell::num(c.fraction(c.loads) * 100.0, 1),
-            Cell::num(c.fraction(c.stores) * 100.0, 1),
-        ]);
+        commit.row(model_row(
+            exp,
+            [c.fp, c.int, c.loads, c.stores].map(|n| Cell::num(c.fraction(n) * 100.0, 1)),
+        ));
     }
     Ok(Report::new("fig07_pipeline")
         .with_section(fetch)
@@ -392,9 +352,9 @@ pub fn fig08_frequency(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let freqs = [1.0, 2.0, 3.0, 4.0];
-    let pts = sweep::frequency(runner, experiments, &freqs, opts)?;
-    let mut time = crate::report::Section::new(
+    let axis = sweep::frequency(&[1.0, 2.0, 3.0, 4.0]);
+    let rows = sweep::run(runner, experiments, &axis, opts).complete()?;
+    let mut time = Section::new(
         "Fig. 8a: Execution time vs frequency",
         &[
             "Model",
@@ -406,29 +366,21 @@ pub fn fig08_frequency(
             "speedup@4",
         ],
     );
-    let mut ipc = crate::report::Section::new(
+    let mut ipc = Section::new(
         "Fig. 8b: IPC vs frequency",
         &["Model", "IPC@1GHz", "IPC@2GHz", "IPC@3GHz", "IPC@4GHz"],
     );
-    for exp in experiments {
-        let series: Vec<&sweep::SweepPoint> = pts.iter().filter(|p| p.workload == exp.id).collect();
-        let secs: Vec<f64> = series.iter().map(|p| p.stats.seconds()).collect();
-        time.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(secs[0] * 1e3, 3),
-            Cell::num(secs[1] * 1e3, 3),
-            Cell::num(secs[2] * 1e3, 3),
-            Cell::num(secs[3] * 1e3, 3),
-            Cell::num(secs[0] / secs[2], 2),
-            Cell::num(secs[0] / secs[3], 2),
-        ]);
-        ipc.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(series[0].stats.ipc(), 3),
-            Cell::num(series[1].stats.ipc(), 3),
-            Cell::num(series[2].stats.ipc(), 3),
-            Cell::num(series[3].stats.ipc(), 3),
-        ]);
+    for (exp, row) in experiments.iter().zip(&rows) {
+        let secs = row.iter().map(SimStats::seconds);
+        // Speedups of the 3 and 4 GHz points over the 1 GHz one.
+        let speedups = row[2..]
+            .iter()
+            .map(|st| Cell::num(row[0].seconds() / st.seconds(), 2));
+        time.row(model_row(
+            exp,
+            secs.map(|s| Cell::num(s * 1e3, 3)).chain(speedups),
+        ));
+        ipc.row(model_row(exp, row.iter().map(|st| Cell::num(st.ipc(), 3))));
     }
     Ok(Report::new("fig08_frequency")
         .with_section(time)
@@ -445,68 +397,38 @@ pub fn fig09_cache(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let l1_sizes = [8usize, 16, 32, 64];
-    let l2_sizes = [256usize, 512, 1024, 2048];
-    let l1_pts = sweep::l1_size(runner, experiments, &l1_sizes, opts)?;
-    let l2_pts = sweep::l2_size(runner, experiments, &l2_sizes, opts)?;
-    let mut l1i = crate::report::Section::new(
-        "Fig. 9a: L1I MPKI",
-        &["Model", "8kB", "16kB", "32kB", "64kB"],
-    );
-    let mut l1d = crate::report::Section::new(
-        "Fig. 9b: L1D MPKI",
-        &["Model", "8kB", "16kB", "32kB", "64kB"],
-    );
-    let mut l1t = crate::report::Section::new(
+    let l1 = sweep::l1_size(&[8, 16, 32, 64]);
+    let l2 = sweep::l2_size(&[256, 512, 1024, 2048]);
+    let l1_rows = sweep::run(runner, experiments, &l1, opts).complete()?;
+    let l2_rows = sweep::run(runner, experiments, &l2, opts).complete()?;
+    let mut l1i = Section::new("Fig. 9a: L1I MPKI", &model_columns(l1.labels()));
+    let mut l1d = Section::new("Fig. 9b: L1D MPKI", &model_columns(l1.labels()));
+    let mut l1t = Section::new(
         "Fig. 9c: L1 exec time (normalized to 64kB)",
         &["Model", "t(8k)/t(64k)", "t(16k)/t(64k)", "t(32k)/t(64k)"],
     );
-    let mut l2m = crate::report::Section::new(
-        "Fig. 9d: L2 MPKI",
-        &["Model", "256kB", "512kB", "1MB", "2MB"],
-    );
-    let mut l2t = crate::report::Section::new(
+    let mut l2m = Section::new("Fig. 9d: L2 MPKI", &model_columns(l2.labels()));
+    let mut l2t = Section::new(
         "Fig. 9e: L2 exec time (normalized to 2MB)",
         &["Model", "t(256k)/t(2M)", "t(512k)/t(2M)", "t(1M)/t(2M)"],
     );
-    for exp in experiments {
-        let s1: Vec<&sweep::SweepPoint> = l1_pts.iter().filter(|p| p.workload == exp.id).collect();
-        l1i.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(s1[0].stats.l1i_mpki(), 2),
-            Cell::num(s1[1].stats.l1i_mpki(), 2),
-            Cell::num(s1[2].stats.l1i_mpki(), 2),
-            Cell::num(s1[3].stats.l1i_mpki(), 2),
-        ]);
-        l1d.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(s1[0].stats.l1d_mpki(), 2),
-            Cell::num(s1[1].stats.l1d_mpki(), 2),
-            Cell::num(s1[2].stats.l1d_mpki(), 2),
-            Cell::num(s1[3].stats.l1d_mpki(), 2),
-        ]);
-        let t64 = s1[3].stats.seconds();
-        l1t.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(s1[0].stats.seconds() / t64, 3),
-            Cell::num(s1[1].stats.seconds() / t64, 3),
-            Cell::num(s1[2].stats.seconds() / t64, 3),
-        ]);
-        let s2: Vec<&sweep::SweepPoint> = l2_pts.iter().filter(|p| p.workload == exp.id).collect();
-        l2m.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(s2[0].stats.l2_mpki(), 2),
-            Cell::num(s2[1].stats.l2_mpki(), 2),
-            Cell::num(s2[2].stats.l2_mpki(), 2),
-            Cell::num(s2[3].stats.l2_mpki(), 2),
-        ]);
-        let t2m = s2[3].stats.seconds();
-        l2t.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(s2[0].stats.seconds() / t2m, 3),
-            Cell::num(s2[1].stats.seconds() / t2m, 3),
-            Cell::num(s2[2].stats.seconds() / t2m, 3),
-        ]);
+    let mpki = |row: &[SimStats], of: fn(&SimStats) -> f64| -> Vec<Cell> {
+        row.iter().map(|st| Cell::num(of(st), 2)).collect()
+    };
+    // Execution time of every smaller size over the largest one's.
+    let normalized = |row: &[SimStats]| -> Vec<Cell> {
+        let (largest, smaller) = row.split_last().expect("a cache axis has points");
+        smaller
+            .iter()
+            .map(|st| Cell::num(st.seconds() / largest.seconds(), 3))
+            .collect()
+    };
+    for ((exp, s1), s2) in experiments.iter().zip(&l1_rows).zip(&l2_rows) {
+        l1i.row(model_row(exp, mpki(s1, SimStats::l1i_mpki)));
+        l1d.row(model_row(exp, mpki(s1, SimStats::l1d_mpki)));
+        l1t.row(model_row(exp, normalized(s1)));
+        l2m.row(model_row(exp, mpki(s2, SimStats::l2_mpki)));
+        l2t.row(model_row(exp, normalized(s2)));
     }
     Ok(Report::new("fig09_cache")
         .with_section(l1i)
@@ -514,6 +436,42 @@ pub fn fig09_cache(
         .with_section(l1t)
         .with_section(l2m)
         .with_section(l2t))
+}
+
+/// A one-section sensitivity report: each workload's execution-time
+/// difference, in percent, at every point of an axis against one of them.
+struct PercentDiff {
+    id: &'static str,
+    title: &'static str,
+    axis: Axis,
+    /// Index of the axis point the others are compared with; it gets no
+    /// column.
+    baseline: usize,
+    /// Column headers of the other points, in axis order.
+    headers: &'static [&'static str],
+    digits: usize,
+}
+
+impl PercentDiff {
+    fn report(
+        &self,
+        runner: &Runner,
+        experiments: &[Experiment],
+        opts: &SimOptions,
+    ) -> Result<Report, SimFailure> {
+        let rows = sweep::run(runner, experiments, &self.axis, opts).complete()?;
+        let mut r = Report::new(self.id);
+        let s = r.section(self.title, &model_columns(self.headers.iter().copied()));
+        for (exp, row) in experiments.iter().zip(&rows) {
+            let base = &row[self.baseline];
+            let others = row.iter().enumerate().filter(|&(p, _)| p != self.baseline);
+            s.row(model_row(
+                exp,
+                others.map(|(_, st)| Cell::num(sweep::percent_slower(st, base), self.digits)),
+            ));
+        }
+        Ok(r)
+    }
 }
 
 /// Fig. 10: execution-time delta vs pipeline width (baseline 6).
@@ -526,30 +484,16 @@ pub fn fig10_width(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let pts = sweep::width(runner, experiments, &[2, 4, 6, 8], opts)?;
-    let diffs = sweep::percent_diff_vs(&pts, "6");
-    let mut r = Report::new("fig10_width");
-    let s = r.section(
-        "Fig. 10: Execution time difference vs baseline pipeline width 6\n\
-         (positive = slower than baseline)",
-        &["Model", "width=2 (%)", "width=4 (%)", "width=8 (%)"],
-    );
-    for exp in experiments {
-        let d = |w: &str| {
-            diffs
-                .iter()
-                .find(|(m, v, _)| m == &exp.id && v == w)
-                .map(|&(_, _, d)| d)
-                .unwrap_or(0.0)
-        };
-        s.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(d("2"), 1),
-            Cell::num(d("4"), 1),
-            Cell::num(d("8"), 1),
-        ]);
+    PercentDiff {
+        id: "fig10_width",
+        title: "Fig. 10: Execution time difference vs baseline pipeline width 6\n\
+                (positive = slower than baseline)",
+        axis: sweep::width(&[2, 4, 6, 8]),
+        baseline: 2,
+        headers: &["width=2 (%)", "width=4 (%)", "width=8 (%)"],
+        digits: 1,
     }
-    Ok(r)
+    .report(runner, experiments, opts)
 }
 
 /// Fig. 11: execution-time delta vs LQ/SQ depth (baseline 72/56).
@@ -562,37 +506,19 @@ pub fn fig11_lsq(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let pts = sweep::lsq(
-        runner,
-        experiments,
-        &[(32, 24), (48, 40), (72, 56), (96, 72)],
-        opts,
-    )?;
-    let diffs = sweep::percent_diff_vs(&pts, "72_56");
-    let mut r = Report::new("fig11_lsq");
-    let s = r.section(
-        "Fig. 11: Execution time difference vs baseline LQ_SQ = 72_56",
-        &["Model", "32_24 (%)", "48_40 (%)", "96_72 (%)"],
-    );
-    for exp in experiments {
-        let d = |w: &str| {
-            diffs
-                .iter()
-                .find(|(m, v, _)| m == &exp.id && v == w)
-                .map(|&(_, _, d)| d)
-                .unwrap_or(0.0)
-        };
-        s.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(d("32_24"), 1),
-            Cell::num(d("48_40"), 1),
-            Cell::num(d("96_72"), 1),
-        ]);
+    PercentDiff {
+        id: "fig11_lsq",
+        title: "Fig. 11: Execution time difference vs baseline LQ_SQ = 72_56",
+        axis: sweep::lsq(&[(32, 24), (48, 40), (72, 56), (96, 72)]),
+        baseline: 2,
+        headers: &["32_24 (%)", "48_40 (%)", "96_72 (%)"],
+        digits: 1,
     }
-    Ok(r)
+    .report(runner, experiments, opts)
 }
 
-/// Fig. 12: execution-time delta per branch predictor (vs TournamentBP).
+/// Fig. 12: execution-time delta per branch predictor (vs TournamentBP,
+/// the first of [`BranchPredictorKind::ALL`]).
 ///
 /// # Errors
 ///
@@ -602,29 +528,15 @@ pub fn fig12_branch(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let pts = sweep::branch_predictors(runner, experiments, &BranchPredictorKind::ALL, opts)?;
-    let diffs = sweep::percent_diff_vs(&pts, "TournamentBP");
-    let mut r = Report::new("fig12_branch");
-    let s = r.section(
-        "Fig. 12: Execution time difference vs TournamentBP baseline",
-        &["Model", "LocalBP (%)", "LTAGE (%)", "MPP64KB (%)"],
-    );
-    for exp in experiments {
-        let d = |w: &str| {
-            diffs
-                .iter()
-                .find(|(m, v, _)| m == &exp.id && v == w)
-                .map(|&(_, _, d)| d)
-                .unwrap_or(0.0)
-        };
-        s.row(vec![
-            Cell::text(&exp.id),
-            Cell::num(d("LocalBP"), 2),
-            Cell::num(d("LTAGE"), 2),
-            Cell::num(d("MultiperspectivePerceptron64KB"), 2),
-        ]);
+    PercentDiff {
+        id: "fig12_branch",
+        title: "Fig. 12: Execution time difference vs TournamentBP baseline",
+        axis: sweep::branch_predictors(&BranchPredictorKind::ALL),
+        baseline: 0,
+        headers: &["LocalBP (%)", "LTAGE (%)", "MPP64KB (%)"],
+        digits: 2,
     }
-    Ok(r)
+    .report(runner, experiments, opts)
 }
 
 /// Instruction-window ablation (paper §IV-C4 text): execution-time
@@ -639,18 +551,16 @@ pub fn ablation_rob_iq(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let pts = sweep::rob_iq(runner, experiments, &[(224, 128), (448, 256)], opts)?;
-    let diffs = sweep::percent_diff_vs(&pts, "224_128");
-    let mut r = Report::new("ablation_rob_iq");
-    let s = r.section(
-        "ROB/IQ ablation: execution-time change going 224/128 -> 448/256\n\
-         (paper: < 4% improvement across workloads)",
-        &["Model", "448_256 (%)"],
-    );
-    for (wl, _, d) in diffs {
-        s.row(vec![Cell::text(wl), Cell::num(d, 2)]);
+    PercentDiff {
+        id: "ablation_rob_iq",
+        title: "ROB/IQ ablation: execution-time change going 224/128 -> 448/256\n\
+                (paper: < 4% improvement across workloads)",
+        axis: sweep::rob_iq(&[(224, 128), (448, 256)]),
+        baseline: 0,
+        headers: &["448_256 (%)"],
+        digits: 2,
     }
-    Ok(r)
+    .report(runner, experiments, opts)
 }
 
 /// Supplementary: memory profile of each workload (bandwidth, MPKIs) —
@@ -664,44 +574,75 @@ pub fn memory_profiles(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    // VTune-style profiles need windows spanning several Newton iterations
-    // of the larger models; widen the budget accordingly.
-    let opts = opts.scaled_budget(3);
-    let mut r = Report::new("memory_profiles");
-    let host = simulate_batch(runner, experiments, "host", &CoreConfig::host_like(), &opts)?;
-    let s = r.section(
+    host_profile(
+        runner,
+        experiments,
+        opts,
+        "memory_profiles",
         "Memory profiles (host-like config)",
+        &["L1I MPKI", "L1D MPKI", "L2 MPKI", "MemBound%", "DRAM GB/s"],
+        |id, stats| {
+            let m = MemoryProfile::from_stats(id, stats);
+            vec![
+                Cell::num(m.l1i_mpki, 2),
+                Cell::num(m.l1d_mpki, 2),
+                Cell::num(m.l2_mpki, 2),
+                Cell::num(m.memory_bound * 100.0, 1),
+                Cell::num(m.dram_gbps, 2),
+            ]
+        },
+    )
+}
+
+/// Characterizes each experiment on the gem5 baseline: one row of family,
+/// mesh, size, IPC and bottleneck class per experiment whose simulation
+/// succeeded, and the failure of every one whose simulation did not. The
+/// one builder behind [`mesh_scaling`] and [`scenario_run`].
+fn characterize(
+    runner: &Runner,
+    experiments: &[Experiment],
+    opts: &SimOptions,
+    id: &str,
+    title: &str,
+) -> (Report, Vec<SimFailure>) {
+    let grid = sweep::run(runner, experiments, &baseline_axis(), opts);
+    let mut report = Report::new(id);
+    let section = report.section(
+        title,
         &[
+            "Family",
             "Model",
-            "L1I MPKI",
-            "L1D MPKI",
-            "L2 MPKI",
-            "MemBound%",
-            "DRAM GB/s",
+            "Mesh",
+            "DoFs",
+            "Size (kB)",
+            "IPC",
+            "Retiring%",
+            "Bottleneck",
         ],
     );
-    for (exp, stats) in experiments.iter().zip(&host) {
-        let m = MemoryProfile::from_stats(&exp.id, stats);
-        s.row(vec![
+    let mut failures = Vec::new();
+    for (exp, row) in experiments.iter().zip(grid.rows()) {
+        let stats = match &row[0] {
+            Ok(stats) => stats,
+            Err(failure) => {
+                failures.push(failure.clone());
+                continue;
+            }
+        };
+        let scenario = exp.scenario();
+        let (retiring, _, _, _) = stats.topdown();
+        section.row(vec![
+            Cell::text(scenario.family.label()),
             Cell::text(&exp.id),
-            Cell::num(m.l1i_mpki, 2),
-            Cell::num(m.l1d_mpki, 2),
-            Cell::num(m.l2_mpki, 2),
-            Cell::num(m.memory_bound * 100.0, 1),
-            Cell::num(m.dram_gbps, 2),
+            Cell::text(scenario.mesh.resolution_label()),
+            Cell::num(exp.solve.n_dofs as f64, 0),
+            Cell::num(exp.solve.size_kb, 1),
+            Cell::num(stats.ipc(), 3),
+            Cell::num(retiring * 100.0, 1),
+            Cell::text(top_bottleneck(stats)),
         ]);
     }
-    Ok(r)
-}
-
-/// Returns the default VTune-set specs (11 models + eye).
-pub fn vtune_specs() -> Vec<ScenarioSpec> {
-    belenos_workloads::vtune_set()
-}
-
-/// Returns the default gem5-set specs.
-pub fn gem5_specs() -> Vec<ScenarioSpec> {
-    belenos_workloads::gem5_set()
+    (report, failures)
 }
 
 /// Mesh-resolution scaling analysis: IPC and dominant bottleneck class
@@ -719,52 +660,36 @@ pub fn mesh_scaling(
     experiments: &[Experiment],
     opts: &SimOptions,
 ) -> Result<Report, SimFailure> {
-    let baseline = simulate_batch(
+    let (report, failures) = characterize(
         runner,
         experiments,
-        "baseline",
-        &CoreConfig::gem5_baseline(),
         opts,
-    )?;
-    let mut r = Report::new("mesh_scaling");
-    let s = r.section(
+        "mesh_scaling",
         "Mesh-resolution scaling: IPC and bottleneck class vs mesh size\n\
          (gem5 baseline config; bottleneck = dominant TMA slot category)",
-        &SCENARIO_COLUMNS,
     );
-    for (exp, stats) in experiments.iter().zip(&baseline) {
-        s.row(scenario_row(exp, stats));
+    match failures.into_iter().next() {
+        Some(failure) => Err(failure),
+        None => Ok(report),
     }
-    Ok(r)
 }
 
-/// Column headers shared by [`mesh_scaling`] and `belenos scenario run`.
-pub const SCENARIO_COLUMNS: [&str; 8] = [
-    "Family",
-    "Model",
-    "Mesh",
-    "DoFs",
-    "Size (kB)",
-    "IPC",
-    "Retiring%",
-    "Bottleneck",
-];
-
-/// One [`SCENARIO_COLUMNS`] report row characterizing `exp` under
-/// `stats` — the single source of the scenario-characterization shape.
-pub fn scenario_row(exp: &Experiment, stats: &SimStats) -> Vec<Cell> {
-    let scenario = exp.scenario();
-    let (retiring, _, _, _) = stats.topdown();
-    vec![
-        Cell::text(scenario.family.label()),
-        Cell::text(&exp.id),
-        Cell::text(scenario.mesh.resolution_label()),
-        Cell::num(exp.solve.n_dofs as f64, 0),
-        Cell::num(exp.solve.size_kb, 1),
-        Cell::num(stats.ipc(), 3),
-        Cell::num(retiring * 100.0, 1),
-        Cell::text(top_bottleneck(stats)),
-    ]
+/// The scenario run behind both `belenos scenario run` and `POST
+/// /v1/scenarios/run`: each scenario characterized on the gem5 baseline.
+/// The report holds the scenarios that simulated; every one that did not
+/// is returned beside it, in input order.
+pub fn scenario_run(
+    runner: &Runner,
+    experiments: &[Experiment],
+    opts: &SimOptions,
+) -> (Report, Vec<SimFailure>) {
+    characterize(
+        runner,
+        experiments,
+        opts,
+        "scenario_run",
+        "Scenario runs (gem5 baseline config)",
+    )
 }
 
 /// TMA stall-category names, in fixed slot order (shared by every
@@ -790,29 +715,6 @@ pub fn bottleneck_rank(stats: &SimStats) -> [usize; 4] {
 /// paper links each workload character to).
 pub fn top_bottleneck(stats: &SimStats) -> &'static str {
     TMA_CATEGORIES[bottleneck_rank(stats)[0]]
-}
-
-/// Dominant hotspot sanity used by tests: internal functions should lead
-/// most workloads, as the paper observes.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn dominant_category(
-    runner: &Runner,
-    exp: &Experiment,
-    opts: &SimOptions,
-) -> Result<FnCategory, SimFailure> {
-    let stats = simulate_batch(
-        runner,
-        std::slice::from_ref(exp),
-        "host",
-        &CoreConfig::host_like(),
-        opts,
-    )?
-    .pop()
-    .expect("one job per experiment");
-    Ok(HotspotProfile::from_stats(&exp.id, &stats).dominant())
 }
 
 #[cfg(test)]

@@ -15,15 +15,17 @@
 //!   core (the gem5 substitute);
 //! * `belenos-profiler` produces the VTune-style analyses.
 //!
-//! [`experiment`] runs one workload through that pipeline; [`sweep`] runs
-//! the paper's sensitivity studies (frequency, cache sizes, pipeline
-//! width, load/store queues, branch predictors); [`figures`] regenerates
-//! every table and figure of the paper as structured [`Report`]s
+//! [`experiment`] runs one workload through that pipeline; [`sweep`] is
+//! the one grid runner — experiments × an [`sweep::Axis`] of machine
+//! configurations (the paper's frequency, cache-size, pipeline-width,
+//! load/store-queue and branch-predictor studies are its axis
+//! constructors) → a [`sweep::Grid`]; [`figures`] regenerates every table
+//! and figure of the paper as structured [`Report`]s, rows over a grid
 //! (text/JSON/CSV renderers over the same rows); [`campaign`] wraps all
 //! of it behind a declarative, JSON-serializable [`CampaignSpec`]
-//! executed by [`Campaign::run`].
+//! executed by [`Campaign::run`], dispatching through one analysis table.
 //!
-//! Every sweep and figure submits its (workload × config) grid to the
+//! [`sweep::run`] submits each (workload × config) grid to the
 //! `belenos-runner` batch engine: points execute in parallel on up to
 //! `BELENOS_JOBS` threads and land in a content-addressed result
 //! cache, so configurations shared between figures (the Table II

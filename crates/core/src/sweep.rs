@@ -1,17 +1,24 @@
-//! The paper's gem5 sensitivity sweeps (Figs. 8-12): each isolates one
-//! hardware parameter while holding the Table II baseline fixed.
+//! The one grid runner: every simulating figure, sensitivity sweep and
+//! scenario run is an [`Axis`] of machine configurations crossed with a
+//! list of experiments, executed by [`run`] and read back from a
+//! [`Grid`] by **(experiment index, point index)**. Nothing else outside
+//! tests builds a [`RunPlan`] (CI greps for it).
 //!
-//! Every sweep builds a [`RunPlan`] over its (workload × config) grid and
-//! submits it to the [`belenos_runner`] batch engine, so points run in
-//! parallel (up to `BELENOS_JOBS` threads) and points shared between sweeps —
-//! every sweep contains the Table II baseline — are simulated exactly
-//! once per process thanks to the content-addressed result cache.
+//! The paper's sensitivity studies (Figs. 8-12) are the axis
+//! constructors below, each varying one parameter of the Table II
+//! baseline; a single-config batch (the host-like profile, the baseline
+//! characterization) is a one-point axis; a new study — a noise-injection
+//! axis perturbing one resource at a time, say — is one more constructor.
 //!
-//! Grids run under the [`SimOptions`] campaign settings: op budget,
-//! budget placement, and core-model backend (the backend is folded into
-//! every grid config, so sweeps re-point at the in-order or analytical
-//! model wholesale). A point whose simulation panics (a wedged pipeline)
-//! surfaces as a [`SimFailure`] instead of killing the process.
+//! [`run`] submits the whole grid to the [`belenos_runner`] batch engine
+//! in one call, so points run in parallel on the thread budget and points
+//! shared between grids (every sensitivity axis contains the Table II
+//! baseline) are simulated once per result cache. Every point runs under
+//! the campaign's [`SimOptions`]: op budget, budget placement, and
+//! core-model backend (folded into every config, so a grid re-points at
+//! the in-order or analytical model wholesale). A point whose simulation
+//! panics (a wedged pipeline) comes back as that point's [`SimFailure`]
+//! instead of killing the process.
 
 use crate::experiment::Experiment;
 use crate::options::{SimFailure, SimOptions};
@@ -19,249 +26,150 @@ use belenos_runner::{JobSpec, RunPlan, Runner};
 use belenos_uarch::config::BranchPredictorKind;
 use belenos_uarch::{CoreConfig, SimStats};
 
-/// One sweep sample: workload, swept value label, and the run statistics.
+/// An ordered list of labelled machine configurations: the values one
+/// grid sweeps every workload over. Labels name the jobs (`2GHz`,
+/// `72_56`, `host`) in progress lines, telemetry and failures.
 #[derive(Debug)]
-pub struct SweepPoint {
-    /// Workload id.
-    pub workload: String,
-    /// Human-readable swept value ("2GHz", "32kB", "LTAGE", ...).
-    pub value: String,
-    /// Statistics of the run.
-    pub stats: SimStats,
+pub struct Axis(Vec<(String, CoreConfig)>);
+
+impl Axis {
+    /// One point per value, in order.
+    pub fn over<T>(values: &[T], point: impl Fn(&T) -> (String, CoreConfig)) -> Axis {
+        Axis(values.iter().map(point).collect())
+    }
+
+    /// A one-point axis: every workload once under `config`.
+    pub fn single(label: &str, config: CoreConfig) -> Axis {
+        Axis(vec![(label.to_string(), config)])
+    }
+
+    /// The point labels, in order.
+    pub fn labels(&self) -> impl Iterator<Item = &str> {
+        self.0.iter().map(|(label, _)| label.as_str())
+    }
 }
 
-/// Builds the (experiment × value) grid as a runner plan.
-fn sweep_plan(
-    experiments: &[Experiment],
-    values: &[(String, CoreConfig)],
-    opts: &SimOptions,
-) -> RunPlan {
+fn baseline() -> CoreConfig {
+    CoreConfig::gem5_baseline()
+}
+
+/// Fig. 8: core frequency in GHz (baseline 3).
+pub fn frequency(freqs: &[f64]) -> Axis {
+    Axis::over(freqs, |&f| {
+        (format!("{f}GHz"), baseline().with_frequency(f))
+    })
+}
+
+/// Fig. 9a-c: L1 (I+D) capacity in kB (baseline 32).
+pub fn l1_size(sizes_kb: &[usize]) -> Axis {
+    Axis::over(sizes_kb, |&kb| {
+        (format!("{kb}kB"), baseline().with_l1_size(kb * 1024))
+    })
+}
+
+/// Fig. 9d-e: L2 capacity in kB (baseline 1024).
+pub fn l2_size(sizes_kb: &[usize]) -> Axis {
+    Axis::over(sizes_kb, |&kb| {
+        let label = if kb >= 1024 {
+            format!("{}MB", kb / 1024)
+        } else {
+            format!("{kb}kB")
+        };
+        (label, baseline().with_l2_size(kb * 1024))
+    })
+}
+
+/// Fig. 10: pipeline width (baseline 6).
+pub fn width(widths: &[usize]) -> Axis {
+    Axis::over(widths, |&w| {
+        (format!("{w}"), baseline().with_pipeline_width(w))
+    })
+}
+
+/// Fig. 11: load/store-queue depths (baseline 72/56).
+pub fn lsq(depths: &[(usize, usize)]) -> Axis {
+    Axis::over(depths, |&(l, s)| {
+        (format!("{l}_{s}"), baseline().with_lsq(l, s))
+    })
+}
+
+/// Instruction-window ablation (paper §IV-C4 text): ROB/IQ sizes
+/// (baseline 224/128).
+pub fn rob_iq(sizes: &[(usize, usize)]) -> Axis {
+    Axis::over(sizes, |&(r, q)| {
+        (format!("{r}_{q}"), baseline().with_rob_iq(r, q))
+    })
+}
+
+/// Fig. 12: branch predictors (baseline TournamentBP).
+pub fn branch_predictors(predictors: &[BranchPredictorKind]) -> Axis {
+    Axis::over(predictors, |&p| {
+        (p.label().to_string(), baseline().with_predictor(p))
+    })
+}
+
+/// What one [`run`] produced: every point's outcome, addressed
+/// `rows()[w][p]` for experiment `w` (its index in the slice that ran) at
+/// axis point `p`.
+#[derive(Debug)]
+pub struct Grid(Vec<Vec<Result<SimStats, SimFailure>>>);
+
+impl Grid {
+    /// One row per experiment, one outcome per axis point in axis order.
+    pub fn rows(&self) -> &[Vec<Result<SimStats, SimFailure>>] {
+        &self.0
+    }
+
+    /// Every point's statistics, addressed `[w][p]` as above.
+    ///
+    /// # Errors
+    ///
+    /// The first failed (panicked) point, in plan order.
+    pub fn complete(self) -> Result<Vec<Vec<SimStats>>, SimFailure> {
+        let stats = |row: Vec<_>| row.into_iter().collect();
+        self.0.into_iter().map(stats).collect()
+    }
+}
+
+/// Simulates every experiment at every point of `axis` under `opts`, in
+/// one [`Runner::run`] call inside one `sweep` telemetry span.
+pub fn run(runner: &Runner, experiments: &[Experiment], axis: &Axis, opts: &SimOptions) -> Grid {
     let mut plan = RunPlan::new();
-    for (w, _) in experiments.iter().enumerate() {
-        for (label, cfg) in values {
+    for w in 0..experiments.len() {
+        for (label, cfg) in &axis.0 {
             plan.push(
                 JobSpec::new(w, label.clone(), opts.configure(cfg.clone()), opts.max_ops)
                     .with_sampling(opts.sampling.clone()),
             );
         }
     }
-    plan
-}
-
-fn run_sweep(
-    runner: &Runner,
-    experiments: &[Experiment],
-    values: &[(String, CoreConfig)],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let plan = sweep_plan(experiments, values, opts);
     let _span = belenos_telemetry::global().span(
         "sweep",
         &[
             ("workloads", experiments.len().into()),
-            ("values", values.len().into()),
+            ("values", axis.0.len().into()),
             ("points", plan.len().into()),
         ],
     );
-    runner
+    let mut outcomes = runner
         .run(experiments, &plan)
         .into_iter()
-        .map(|r| {
-            if let Some(e) = &r.error {
-                return Err(SimFailure {
-                    workload: r.workload.clone(),
-                    label: r.label.clone(),
-                    message: e.clone(),
-                });
-            }
-            Ok(SweepPoint {
+        .map(|r| match r.error {
+            Some(message) => Err(SimFailure {
                 workload: r.workload,
-                value: r.label,
-                stats: r.stats,
-            })
-        })
-        .collect()
+                label: r.label,
+                message,
+            }),
+            None => Ok(r.stats),
+        });
+    let row = |_| outcomes.by_ref().take(axis.0.len()).collect();
+    Grid(experiments.iter().map(row).collect())
 }
 
-/// Fig. 8: core frequency 1-4 GHz.
-///
-/// # Errors
-///
-/// The first failed (panicked) grid point.
-pub fn frequency(
-    runner: &Runner,
-    experiments: &[Experiment],
-    freqs: &[f64],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let values: Vec<(String, CoreConfig)> = freqs
-        .iter()
-        .map(|&f| {
-            (
-                format!("{f}GHz"),
-                CoreConfig::gem5_baseline().with_frequency(f),
-            )
-        })
-        .collect();
-    run_sweep(runner, experiments, &values, opts)
-}
-
-/// Fig. 9a-c: L1 (I+D) capacity sweep.
-///
-/// # Errors
-///
-/// The first failed (panicked) grid point.
-pub fn l1_size(
-    runner: &Runner,
-    experiments: &[Experiment],
-    sizes_kb: &[usize],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let values: Vec<(String, CoreConfig)> = sizes_kb
-        .iter()
-        .map(|&kb| {
-            (
-                format!("{kb}kB"),
-                CoreConfig::gem5_baseline().with_l1_size(kb * 1024),
-            )
-        })
-        .collect();
-    run_sweep(runner, experiments, &values, opts)
-}
-
-/// Fig. 9d-e: L2 capacity sweep.
-///
-/// # Errors
-///
-/// The first failed (panicked) grid point.
-pub fn l2_size(
-    runner: &Runner,
-    experiments: &[Experiment],
-    sizes_kb: &[usize],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let values: Vec<(String, CoreConfig)> = sizes_kb
-        .iter()
-        .map(|&kb| {
-            let label = if kb >= 1024 {
-                format!("{}MB", kb / 1024)
-            } else {
-                format!("{kb}kB")
-            };
-            (label, CoreConfig::gem5_baseline().with_l2_size(kb * 1024))
-        })
-        .collect();
-    run_sweep(runner, experiments, &values, opts)
-}
-
-/// Fig. 10: pipeline width sweep (baseline width 6).
-///
-/// # Errors
-///
-/// The first failed (panicked) grid point.
-pub fn width(
-    runner: &Runner,
-    experiments: &[Experiment],
-    widths: &[usize],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let values: Vec<(String, CoreConfig)> = widths
-        .iter()
-        .map(|&w| {
-            (
-                format!("{w}"),
-                CoreConfig::gem5_baseline().with_pipeline_width(w),
-            )
-        })
-        .collect();
-    run_sweep(runner, experiments, &values, opts)
-}
-
-/// Fig. 11: load/store-queue depth sweep (baseline 72/56).
-///
-/// # Errors
-///
-/// The first failed (panicked) grid point.
-pub fn lsq(
-    runner: &Runner,
-    experiments: &[Experiment],
-    depths: &[(usize, usize)],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let values: Vec<(String, CoreConfig)> = depths
-        .iter()
-        .map(|&(l, s)| {
-            (
-                format!("{l}_{s}"),
-                CoreConfig::gem5_baseline().with_lsq(l, s),
-            )
-        })
-        .collect();
-    run_sweep(runner, experiments, &values, opts)
-}
-
-/// Instruction-window ablation (paper §IV-C4 text): ROB/IQ sizes.
-///
-/// # Errors
-///
-/// The first failed (panicked) grid point.
-pub fn rob_iq(
-    runner: &Runner,
-    experiments: &[Experiment],
-    sizes: &[(usize, usize)],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let values: Vec<(String, CoreConfig)> = sizes
-        .iter()
-        .map(|&(r, q)| {
-            (
-                format!("{r}_{q}"),
-                CoreConfig::gem5_baseline().with_rob_iq(r, q),
-            )
-        })
-        .collect();
-    run_sweep(runner, experiments, &values, opts)
-}
-
-/// Fig. 12: branch predictor sweep (baseline TournamentBP).
-///
-/// # Errors
-///
-/// The first failed (panicked) grid point.
-pub fn branch_predictors(
-    runner: &Runner,
-    experiments: &[Experiment],
-    predictors: &[BranchPredictorKind],
-    opts: &SimOptions,
-) -> Result<Vec<SweepPoint>, SimFailure> {
-    let values: Vec<(String, CoreConfig)> = predictors
-        .iter()
-        .map(|&p| {
-            (
-                p.label().to_string(),
-                CoreConfig::gem5_baseline().with_predictor(p),
-            )
-        })
-        .collect();
-    run_sweep(runner, experiments, &values, opts)
-}
-
-/// Percent execution-time difference of each point against the point with
-/// `baseline_label` for the same workload: `(time - base) / base * 100`.
-pub fn percent_diff_vs(points: &[SweepPoint], baseline_label: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    for p in points {
-        if p.value == baseline_label {
-            continue;
-        }
-        let base = points
-            .iter()
-            .find(|q| q.workload == p.workload && q.value == baseline_label)
-            .expect("baseline point present");
-        let d = (p.stats.seconds() - base.stats.seconds()) / base.stats.seconds() * 100.0;
-        out.push((p.workload.clone(), p.value.clone(), d));
-    }
-    out
+/// Percent execution-time difference of `point` against `base`:
+/// `(time - base) / base * 100`, positive = slower than the base.
+pub fn percent_slower(point: &SimStats, base: &SimStats) -> f64 {
+    (point.seconds() - base.seconds()) / base.seconds() * 100.0
 }
 
 #[cfg(test)]
@@ -270,8 +178,8 @@ mod tests {
     use belenos_uarch::{ModelKind, SamplingConfig};
     use belenos_workloads::by_id;
 
-    fn tiny_experiment() -> Experiment {
-        Experiment::prepare(&by_id("pd").expect("pd")).unwrap()
+    fn tiny_experiment() -> Vec<Experiment> {
+        vec![Experiment::prepare(&by_id("pd").expect("pd")).unwrap()]
     }
 
     fn opts(max_ops: usize) -> SimOptions {
@@ -284,109 +192,100 @@ mod tests {
 
     #[test]
     fn frequency_sweep_monotone_seconds() {
-        let exps = vec![tiny_experiment()];
-        let pts = frequency(&runner(), &exps, &[1.0, 4.0], &opts(20_000)).expect("sweep");
-        assert_eq!(pts.len(), 2);
-        assert!(pts[0].stats.seconds() > pts[1].stats.seconds());
+        let grid = run(
+            &runner(),
+            &tiny_experiment(),
+            &frequency(&[1.0, 4.0]),
+            &opts(20_000),
+        )
+        .complete()
+        .expect("sweep");
+        let row = &grid[0];
+        assert_eq!(row.len(), 2);
+        assert!(row[0].seconds() > row[1].seconds());
     }
 
     #[test]
     fn percent_diff_math() {
-        let exps = vec![tiny_experiment()];
-        let pts = width(&runner(), &exps, &[2, 6], &opts(20_000)).expect("sweep");
-        let diffs = percent_diff_vs(&pts, "6");
-        assert_eq!(diffs.len(), 1);
-        assert_eq!(diffs[0].1, "2");
-        assert!(diffs[0].2 > -50.0);
+        let grid = run(
+            &runner(),
+            &tiny_experiment(),
+            &width(&[2, 6]),
+            &opts(20_000),
+        )
+        .complete()
+        .expect("sweep");
+        let [narrow, base] = &grid[0][..] else {
+            panic!("two points per workload");
+        };
+        assert_eq!(percent_slower(base, base), 0.0);
+        let d = percent_slower(narrow, base);
+        assert!((d - (narrow.seconds() / base.seconds() - 1.0) * 100.0).abs() < 1e-9);
+        assert!(d > -50.0);
     }
 
     #[test]
     fn parallel_sweep_bit_identical_to_serial() {
-        let exps = vec![tiny_experiment()];
-        let values: Vec<(String, CoreConfig)> = [1.0, 2.0, 4.0]
-            .iter()
-            .map(|&f| {
-                (
-                    format!("{f}GHz"),
-                    CoreConfig::gem5_baseline().with_frequency(f),
-                )
-            })
-            .collect();
-        let plan = sweep_plan(&exps, &values, &opts(20_000));
-        let serial = Runner::isolated(1).run(&exps, &plan);
-        let parallel = Runner::isolated(4).run(&exps, &plan);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.label, p.label);
-            assert_eq!(
-                s.stats, p.stats,
-                "point {} diverged across thread counts",
-                s.label
-            );
+        let exps = tiny_experiment();
+        let axis = frequency(&[1.0, 2.0, 4.0]);
+        let on = |threads| {
+            run(&Runner::isolated(threads), &exps, &axis, &opts(20_000))
+                .complete()
+                .expect("sweep")
+        };
+        let (serial, parallel) = (on(1), on(4));
+        for ((s, p), label) in serial[0].iter().zip(&parallel[0]).zip(axis.labels()) {
+            assert_eq!(s, p, "point {label} diverged across thread counts");
         }
     }
 
     #[test]
     fn sweeps_share_baseline_points_via_the_cache() {
-        let exps = vec![tiny_experiment()];
-        let runner = Runner::isolated(2);
+        let exps = tiny_experiment();
+        let runner = runner();
         // Fig. 8-style frequency sweep: contains the 3 GHz baseline...
-        let freq: Vec<(String, CoreConfig)> = [1.0, 3.0]
-            .iter()
-            .map(|&f| {
-                (
-                    format!("{f}GHz"),
-                    CoreConfig::gem5_baseline().with_frequency(f),
-                )
-            })
-            .collect();
-        runner.run(&exps, &sweep_plan(&exps, &freq, &opts(20_000)));
+        run(&runner, &exps, &frequency(&[1.0, 3.0]), &opts(20_000));
+        let before = runner.cache().stats();
         // ...so the Fig. 11 LSQ sweep's 72_56 baseline point is a hit.
-        let lsq: Vec<(String, CoreConfig)> =
-            vec![("72_56".into(), CoreConfig::gem5_baseline().with_lsq(72, 56))];
-        let (_, summary) = runner.run_with_summary(&exps, &sweep_plan(&exps, &lsq, &opts(20_000)));
+        run(&runner, &exps, &lsq(&[(72, 56)]), &opts(20_000));
+        let after = runner.cache().stats();
         assert_eq!(
-            summary.cache_hits, 1,
+            (after.lookups() - before.lookups(), after.hits - before.hits),
+            (1, 1),
             "baseline must be shared across sweeps"
         );
-        assert_eq!(summary.simulated, 0);
     }
 
     #[test]
     fn backend_selection_separates_sweep_points() {
-        let exps = vec![tiny_experiment()];
-        let runner = Runner::isolated(2);
-        let values: Vec<(String, CoreConfig)> = vec![("3GHz".into(), CoreConfig::gem5_baseline())];
-        let o3_opts = opts(20_000);
-        let an_opts = opts(20_000).with_model(ModelKind::Analytic);
-        runner.run(&exps, &sweep_plan(&exps, &values, &o3_opts));
+        let exps = tiny_experiment();
+        let runner = runner();
+        let axis = Axis::single("3GHz", baseline());
+        run(&runner, &exps, &axis, &opts(20_000));
         // The same grid under a different backend must NOT hit the cache.
-        let (results, summary) =
-            runner.run_with_summary(&exps, &sweep_plan(&exps, &values, &an_opts));
-        assert_eq!(summary.cache_hits, 0, "backends must never alias");
-        assert_eq!(summary.simulated, 1);
-        assert!(results[0].error.is_none());
+        let an_opts = opts(20_000).with_model(ModelKind::Analytic);
+        let grid = run(&runner, &exps, &axis, &an_opts);
+        assert_eq!(runner.cache().stats().hits, 0, "backends must never alias");
+        assert!(grid.rows()[0][0].is_ok());
     }
 
     #[test]
     fn predictor_sweep_labels() {
-        let exps = vec![tiny_experiment()];
-        let pts = branch_predictors(
-            &runner(),
-            &exps,
-            &[BranchPredictorKind::Tournament, BranchPredictorKind::Local],
-            &opts(10_000),
-        )
-        .expect("sweep");
-        assert_eq!(pts[0].value, "TournamentBP");
-        assert_eq!(pts[1].value, "LocalBP");
+        let kinds = [BranchPredictorKind::Tournament, BranchPredictorKind::Local];
+        let predictors = branch_predictors(&kinds);
+        let labels: Vec<&str> = predictors.labels().collect();
+        assert_eq!(labels, ["TournamentBP", "LocalBP"]);
+        let l2 = l2_size(&[512, 2048]);
+        assert_eq!(l2.labels().collect::<Vec<_>>(), ["512kB", "2MB"]);
     }
 
     #[test]
     fn sampled_sweep_options_flow_through() {
-        let exps = vec![tiny_experiment()];
         let sampled = opts(20_000).with_sampling(SamplingConfig::smarts(8));
-        let pts = frequency(&runner(), &exps, &[3.0], &sampled).expect("sweep");
-        assert_eq!(pts.len(), 1);
-        assert!(pts[0].stats.committed_ops > 0);
+        let grid = run(&runner(), &tiny_experiment(), &frequency(&[3.0]), &sampled)
+            .complete()
+            .expect("sweep");
+        assert_eq!(grid[0].len(), 1);
+        assert!(grid[0][0].committed_ops > 0);
     }
 }

@@ -64,7 +64,7 @@ impl Simulate for CountingWorkload {
     }
 }
 
-fn freq_sweep_plan(workloads: usize) -> RunPlan {
+fn frequency_plan(workloads: usize) -> RunPlan {
     let mut plan = RunPlan::new();
     for w in 0..workloads {
         for f in [1.0, 2.0, 3.0, 4.0] {
@@ -82,7 +82,7 @@ fn freq_sweep_plan(workloads: usize) -> RunPlan {
 #[test]
 fn parallel_results_bit_identical_to_serial() {
     let workloads = [CountingWorkload::new("wa"), CountingWorkload::new("wb")];
-    let plan = freq_sweep_plan(workloads.len());
+    let plan = frequency_plan(workloads.len());
 
     let serial = Runner::isolated(1).run(&workloads, &plan);
     let parallel = Runner::isolated(4).run(&workloads, &plan);
@@ -103,7 +103,7 @@ fn parallel_results_bit_identical_to_serial() {
 #[test]
 fn cache_hit_returns_without_resimulating() {
     let workloads = [CountingWorkload::new("wc")];
-    let plan = freq_sweep_plan(1);
+    let plan = frequency_plan(1);
     let runner = Runner::isolated(2);
 
     let (first, summary1) = runner.run_with_summary(&workloads, &plan);
@@ -149,7 +149,7 @@ fn duplicate_jobs_in_one_plan_share_a_simulation() {
 #[test]
 fn single_worker_degenerates_to_serial_submission_order() {
     let workloads = [CountingWorkload::new("we"), CountingWorkload::new("wf")];
-    let plan = freq_sweep_plan(workloads.len());
+    let plan = frequency_plan(workloads.len());
     let (_, summary) = Runner::isolated(1).run_with_summary(&workloads, &plan);
     assert_eq!(summary.threads, 1);
     assert_eq!(
@@ -197,7 +197,7 @@ fn fingerprint_separates_same_id_workloads() {
 #[test]
 fn shared_cache_spans_runner_instances() {
     let workloads = [CountingWorkload::new("wh")];
-    let plan = freq_sweep_plan(1);
+    let plan = frequency_plan(1);
     let cache = Cache::fresh();
     Runner::new(2, cache.clone()).run(&workloads, &plan);
     let (_, summary) = Runner::new(4, cache).run_with_summary(&workloads, &plan);
@@ -265,7 +265,7 @@ fn a_panicking_job_does_not_take_down_the_batch() {
     }
 
     let workloads = [Wedging(CountingWorkload::new("wk"))];
-    let plan = freq_sweep_plan(1); // 1, 2, 3, 4 GHz — the 2 GHz job wedges
+    let plan = frequency_plan(1); // 1, 2, 3, 4 GHz — the 2 GHz job wedges
     let runner = Runner::isolated(4);
     let (results, summary) = runner.run_with_summary(&workloads, &plan);
 
@@ -342,7 +342,7 @@ fn a_batch_inside_a_saturated_batch_runs_inline_and_in_order() {
         }
         fn simulate(&self, config: &CoreConfig, _: usize, _: &SamplingConfig) -> SimStats {
             let inner = [CountingWorkload::new(&format!("inner-{}", config.freq_ghz))];
-            let (results, summary) = self.0.run_with_summary(&inner, &freq_sweep_plan(1));
+            let (results, summary) = self.0.run_with_summary(&inner, &frequency_plan(1));
             assert_eq!(summary.threads, 1, "no permit was free to borrow");
             assert_eq!(summary.execution_order, [0, 1, 2, 3]);
             let me = std::thread::current().id();

@@ -30,13 +30,12 @@ use crate::events::{JobFeeds, JOB_ROOT_SPAN};
 use crate::stats::ServeStats;
 use crate::{lock, NOT_POISONED};
 use belenos::campaign::CampaignSpec;
-use belenos::figures::{scenario_row, SCENARIO_COLUMNS};
-use belenos::report::Report;
-use belenos::Experiment;
+use belenos::experiment::prepare_all;
+use belenos::figures::scenario_run;
 use belenos::SimOptions;
 use belenos_json::{Json, ToJson};
-use belenos_runner::{run_caught, JobSpec, RunPlan, Runner};
-use belenos_uarch::{CoreConfig, Fnv64};
+use belenos_runner::{run_caught, Runner};
+use belenos_uarch::Fnv64;
 use belenos_workloads::ScenarioSpec;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -609,39 +608,17 @@ fn run_kind(kind: &JobKind, runner: &Runner) -> Result<Json, String> {
             Ok(ToJson::to_json(&report))
         }
         JobKind::Scenarios { specs, options } => {
-            let exps: Vec<Experiment> = specs
-                .iter()
-                .map(|s| Experiment::prepare(s).map_err(|e| e.to_string()))
-                .collect::<Result<_, _>>()?;
-            let mut plan = RunPlan::new();
-            for w in 0..exps.len() {
-                plan.push(
-                    JobSpec::new(
-                        w,
-                        "baseline",
-                        options.configure(CoreConfig::gem5_baseline()),
-                        options.max_ops,
-                    )
-                    .with_sampling(options.sampling.clone()),
-                );
-            }
-            let results = runner.run(&exps, &plan);
-            let mut report = Report::new("scenario_run");
-            let section = report.section("Scenario runs (gem5 baseline config)", &SCENARIO_COLUMNS);
-            let mut failures = Vec::new();
-            for (exp, r) in exps.iter().zip(&results) {
-                match &r.error {
-                    Some(e) => failures.push(format!("{}: {e}", r.workload)),
-                    None => {
-                        section.row(scenario_row(exp, &r.stats));
-                    }
-                }
-            }
+            let exps = prepare_all(specs).map_err(|e| e.to_string())?;
+            let (report, failures) = scenario_run(runner, &exps, options);
             if !failures.is_empty() {
+                let failed: Vec<String> = failures
+                    .iter()
+                    .map(|f| format!("{}: {}", f.workload, f.message))
+                    .collect();
                 return Err(format!(
                     "{} scenario simulation(s) failed: {}",
-                    failures.len(),
-                    failures.join("; ")
+                    failed.len(),
+                    failed.join("; ")
                 ));
             }
             Ok(ToJson::to_json(&report))

@@ -19,9 +19,7 @@ use belenos::campaign::{Analysis, CampaignSpec, SpecError, WorkloadSet};
 use belenos::experiment::Experiment;
 use belenos::figures;
 use belenos::options::SimOptions;
-use belenos::report::Report;
 use belenos_runner::Runner;
-use belenos_uarch::CoreConfig;
 use belenos_workloads::by_id;
 
 const GOLDEN_TABLE1: &str = r###"Table I: Dataset Models Breakdown
@@ -157,14 +155,8 @@ fn figure_reports_match_the_pre_refactor_strings_byte_for_byte() {
         assert_eq!(format!("{text}\n"), golden, "{}", outcome.analysis.id());
     }
 
-    let stats = exps[0].simulate(&CoreConfig::gem5_baseline(), opts.max_ops);
-    let mut scenario_run = Report::new("scenario_run");
-    scenario_run
-        .section(
-            "Scenario runs (gem5 baseline config)",
-            &figures::SCENARIO_COLUMNS,
-        )
-        .row(figures::scenario_row(&exps[0], &stats));
+    let (scenario_run, failures) = figures::scenario_run(&runner, &exps, &opts);
+    assert!(failures.is_empty());
     assert_eq!(scenario_run.to_json(), GOLDEN_SCENARIO_RUN_PD_30K);
 }
 

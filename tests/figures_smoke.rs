@@ -3,7 +3,8 @@
 //! budgets, in all three renderings.
 
 use belenos::experiment::Experiment;
-use belenos::options::SimOptions;
+use belenos::options::{SimFailure, SimOptions};
+use belenos::report::Report;
 use belenos::{figures, sweep};
 use belenos_runner::Runner;
 use belenos_uarch::ModelKind;
@@ -76,23 +77,81 @@ fn figures_5_and_6_use_solve_summaries() {
     let e = exps(&["pd", "mu"]);
     let f5 = figures::fig05_scaling(&e).to_text();
     assert!(f5.contains("Size (kB)"));
-    // fig6 groups only bp/fl/ma ids; with none present it still renders.
+    // fig6 groups only biphasic/fluid/material scenarios; with none
+    // present it still renders.
     let f6 = figures::fig06_exec_time(&e).to_text();
     assert!(f6.contains("Fig. 6"));
 }
 
 #[test]
 fn sweeps_cover_requested_grid() {
-    let e = exps(&["pd"]);
+    let e = exps(&["pd", "mu"]);
     let r = runner();
-    let pts = sweep::frequency(&r, &e, &[1.0, 3.0], &opts()).expect("sweep");
-    assert_eq!(pts.len(), 2);
-    let pts = sweep::l1_size(&r, &e, &[8, 32], &opts()).expect("sweep");
-    assert_eq!(pts.len(), 2);
-    assert!(pts[0].stats.l1d_mpki() >= pts[1].stats.l1d_mpki());
-    let pts = sweep::lsq(&r, &e, &[(32, 24), (72, 56)], &opts()).expect("sweep");
-    let diffs = sweep::percent_diff_vs(&pts, "72_56");
-    assert_eq!(diffs.len(), 1);
+    let grid = sweep::run(&r, &e, &sweep::frequency(&[1.0, 3.0]), &opts());
+    assert_eq!(grid.rows().len(), 2, "one row per experiment");
+    assert!(grid.rows().iter().all(|row| row.len() == 2));
+    let rows = sweep::run(&r, &e, &sweep::l1_size(&[8, 32]), &opts())
+        .complete()
+        .expect("sweep");
+    assert_eq!((rows.len(), rows[0].len()), (2, 2));
+    assert!(rows[0][0].l1d_mpki() >= rows[0][1].l1d_mpki());
+    let rows = sweep::run(&r, &e, &sweep::lsq(&[(32, 24), (72, 56)]), &opts())
+        .complete()
+        .expect("sweep");
+    let [shallow, base] = &rows[0][..] else {
+        panic!("two points per workload");
+    };
+    assert!(sweep::percent_slower(shallow, base) >= 0.0);
+}
+
+/// Rows are addressed by experiment index, never re-found by id: two
+/// experiments sharing an id (one preset at two meshes, not renamed) each
+/// get their own numbers.
+#[test]
+fn same_id_experiments_keep_their_own_rows() {
+    let mut finer = by_id("pd").expect("pd").with_resolution(4);
+    finer.id = "pd".into();
+    let pair = vec![
+        exps(&["pd"]).remove(0),
+        Experiment::prepare(&finer).expect("solves"),
+    ];
+    type Figure = fn(&Runner, &[Experiment], &SimOptions) -> Result<Report, SimFailure>;
+    let figures: [(&str, Figure); 2] = [
+        ("fig08", figures::fig08_frequency),
+        ("fig10", figures::fig10_width),
+    ];
+    for (name, figure) in figures {
+        let both = figure(&runner(), &pair, &opts()).expect(name);
+        for (w, solo) in pair.iter().enumerate() {
+            let solo = figure(&runner(), std::slice::from_ref(solo), &opts()).expect(name);
+            for (both, solo) in both.sections.iter().zip(&solo.sections) {
+                assert_eq!(both.rows[w], solo.rows[0], "{name} row {w}");
+            }
+        }
+        let rows = &both.sections[0].rows;
+        assert_ne!(rows[0], rows[1], "{name}: the two meshes differ");
+    }
+}
+
+/// Fig. 6 groups by the scenario's Table I category, not by how its id
+/// starts.
+#[test]
+fn figure_6_groups_by_category_not_id_prefix() {
+    let mut contact = by_id("co").expect("co");
+    contact.id = "flex-contact".into();
+    let mut material = by_id("ma").expect("ma");
+    material.id = "x1".into();
+    let e: Vec<Experiment> = [contact, material]
+        .iter()
+        .map(|spec| Experiment::prepare(spec).expect("solves"))
+        .collect();
+    let f6 = figures::fig06_exec_time(&e);
+    let rows = &f6.sections[0].rows;
+    assert_eq!(rows.len(), 1, "a contact scenario has no Fig. 6 group");
+    assert_eq!(
+        (rows[0][0].text.as_str(), rows[0][1].text.as_str()),
+        ("Material", "x1")
+    );
 }
 
 #[test]
@@ -129,14 +188,17 @@ fn sweeps_run_under_the_cheap_backends() {
     let r = runner();
     for kind in [ModelKind::InOrder, ModelKind::Analytic] {
         let o = opts().with_model(kind);
-        let pts = sweep::frequency(&r, &e, &[1.0, 4.0], &o).expect("sweep");
+        let rows = sweep::run(&r, &e, &sweep::frequency(&[1.0, 4.0]), &o)
+            .complete()
+            .expect("sweep");
+        let pts = &rows[0];
         assert_eq!(pts.len(), 2, "{kind} sweep covers the grid");
         assert!(
-            pts.iter().all(|p| p.stats.committed_ops > 0),
+            pts.iter().all(|st| st.committed_ops > 0),
             "{kind} points must simulate"
         );
         assert!(
-            pts[0].stats.seconds() > pts[1].stats.seconds(),
+            pts[0].seconds() > pts[1].seconds(),
             "{kind} frequency scaling must stay monotone"
         );
     }

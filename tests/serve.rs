@@ -15,6 +15,9 @@
 //! a disk tier would be shared by design).
 
 use belenos::campaign::CampaignSpec;
+use belenos::experiment::prepare_all;
+use belenos::figures::scenario_run;
+use belenos::SimOptions;
 use belenos_json::{Json, ToJson};
 use belenos_runner::Runner;
 use belenos_serve::{ServeConfig, Server, ServerHandle};
@@ -315,7 +318,10 @@ fn full_queue_rejects_with_429_and_retry_after() {
 
 /// Admission control and the scenario endpoint: an over-ceiling op
 /// budget is a structured 400 naming `options.max_ops`; a scenario
-/// batch within budget runs end to end.
+/// batch within budget runs end to end — prepared as one batch, like a
+/// campaign's workloads, and reported by the builder `belenos scenario
+/// run` prints from. No benchmark workload posts scenario batches: this
+/// test and CI are that path's only coverage.
 #[test]
 fn budget_rejection_names_the_field_and_scenarios_run() {
     let text = smoke_spec_text();
@@ -343,10 +349,14 @@ fn budget_rejection_names_the_field_and_scenarios_run() {
     assert_eq!(status, 400);
 
     // A scenario batch under the ceiling runs end to end.
-    let preset = belenos_workloads::by_id("bp07").expect("catalog preset bp07");
+    let specs = ["bp07", "pd"].map(|id| belenos_workloads::by_id(id).expect("catalog preset"));
+    let options = SimOptions::new(5_000);
     let submission = Json::obj(vec![
-        ("scenarios", Json::Arr(vec![ToJson::to_json(&preset)])),
-        ("options", Json::obj(vec![("max_ops", Json::Num(5_000.0))])),
+        (
+            "scenarios",
+            Json::Arr(specs.iter().map(ToJson::to_json).collect()),
+        ),
+        ("options", options.to_json()),
     ])
     .render();
     let (status, _, body) = request(addr, "POST", "/v1/scenarios/run", Some(&submission));
@@ -357,11 +367,28 @@ fn budget_rejection_names_the_field_and_scenarios_run() {
         done.get("kind").and_then(Json::as_str),
         Some("scenario_run")
     );
-    let report = done.get("report").expect("scenario report");
-    assert!(
-        report.render().contains("Scenario runs"),
-        "report carries the scenario section"
-    );
+
+    // The two models were solved as one `prepare` batch on the thread
+    // budget, inside the job's own event feed.
+    let prepares: Vec<Json> = read_events(open_events(addr, job))
+        .iter()
+        .map(|line| json(line))
+        .filter(|e| {
+            e.get("ev").and_then(Json::as_str) == Some("span_open")
+                && e.get("name").and_then(Json::as_str) == Some("prepare")
+        })
+        .collect();
+    assert_eq!(prepares.len(), 1, "one prepare batch: {prepares:?}");
+    assert_eq!(num(&prepares[0], "jobs"), 2.0);
+
+    // The served document is the one `belenos scenario run <file>
+    // --format json` prints: both render the shared builder's report.
+    let exps = prepare_all(&specs).expect("presets solve");
+    let (expected, failures) = scenario_run(&Runner::isolated(2), &exps, &options);
+    assert!(failures.is_empty());
+    let (status, _, report_body) = request(addr, "GET", &format!("/v1/jobs/{job}/report"), None);
+    assert_eq!(status, 200);
+    assert_eq!(report_body, expected.to_json());
 
     shutdown(addr, thread);
 }

@@ -47,7 +47,7 @@ fn campaign_run_emits_the_full_span_hierarchy() {
     assert!(!events.is_empty(), "an enabled sink must record events");
 
     // Every span_open's parent chain reaches a campaign root:
-    // campaign > analysis > (sweep|simulate_batch) > batch > job > phase.
+    // campaign > analysis > sweep > batch > job > phase.
     let opens: Vec<&Json> = events.iter().filter(|e| ev(e) == "span_open").collect();
     fn chain_to_root(opens: &[&Json], e: &Json) -> Vec<String> {
         let mut names = vec![name(e).to_string()];
@@ -75,6 +75,10 @@ fn campaign_run_emits_the_full_span_hierarchy() {
     assert!(
         chain.iter().any(|n| n == "analysis"),
         "job span must nest under an analysis span, got {chain:?}"
+    );
+    assert!(
+        chain.iter().any(|n| n == "sweep"),
+        "every batch is one grid run's, got {chain:?}"
     );
     assert!(
         chain.iter().any(|n| n == "batch"),
