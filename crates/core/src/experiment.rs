@@ -137,7 +137,7 @@ impl Experiment {
         store: Option<&crate::trace_store::TraceStore>,
     ) -> Result<Self, PrepareError> {
         let tele = belenos_telemetry::global();
-        let _span = tele.span(
+        let span = tele.span(
             "phase",
             &[
                 ("phase", "prepare".into()),
@@ -176,6 +176,13 @@ impl Experiment {
         let report = model.solve().map_err(|e| fail(PrepareFailure::Fem(e)))?;
         drop(helpers);
         let fingerprint = trace_fingerprint(&report.log, &expand);
+        // Where the cold solve's time went, for the span's close.
+        let solve_split = [
+            ("assemble_s", report.assemble_time.as_secs_f64().into()),
+            ("linear_solve_s", report.linear_time.as_secs_f64().into()),
+            ("newton_iterations", report.total_iterations.into()),
+            ("n_dofs", report.n_dofs.into()),
+        ];
         let exp = Experiment {
             id: spec.id.clone(),
             scenario: spec.clone(),
@@ -203,6 +210,7 @@ impl Experiment {
             started.elapsed().as_secs_f64(),
             &[("workload", spec.id.as_str().into())],
         );
+        span.close_with(&solve_split);
         Ok(exp)
     }
 

@@ -11,16 +11,26 @@ use crate::quadrature::{rule_for, GaussPoint};
 use crate::shape::{eval, ShapeEval};
 use crate::Result;
 
+/// Most nodes any supported element has (Hex8): element-local arrays are
+/// sized by it so the Gauss loop never touches the heap.
+pub const MAX_NODES: usize = 8;
+
 /// Geometry evaluated at one quadrature point: physical shape-function
 /// gradients and the Jacobian determinant.
 #[derive(Debug, Clone)]
-pub struct GeomEval {
-    /// dN_a/dx (physical gradients) per node.
-    pub grad: Vec<[f64; 3]>,
+pub struct GeomEval<'a> {
+    grad: [[f64; 3]; MAX_NODES],
     /// Shape-function values.
-    pub n: Vec<f64>,
+    pub n: &'a [f64],
     /// Jacobian determinant (volume scale).
     pub detj: f64,
+}
+
+impl GeomEval<'_> {
+    /// dN_a/dx (physical gradients) per node.
+    pub fn grad(&self) -> &[[f64; 3]] {
+        &self.grad[..self.n.len()]
+    }
 }
 
 /// Evaluates physical gradients at a quadrature point.
@@ -29,7 +39,15 @@ pub struct GeomEval {
 ///
 /// [`FemError::InvertedElement`] if the Jacobian determinant is
 /// non-positive.
-pub fn geometry(coords: &[[f64; 3]], shape: &ShapeEval, element: usize) -> Result<GeomEval> {
+///
+/// # Panics
+///
+/// Panics if the shape has more than [`MAX_NODES`] nodes.
+pub fn geometry<'a>(
+    coords: &[[f64; 3]],
+    shape: &'a ShapeEval,
+    element: usize,
+) -> Result<GeomEval<'a>> {
     // J_ij = Σ_a x_a[i] dN_a/dξ_j
     let mut j = [[0.0f64; 3]; 3];
     for (a, x) in coords.iter().enumerate() {
@@ -64,20 +82,18 @@ pub fn geometry(coords: &[[f64; 3]], shape: &ShapeEval, element: usize) -> Resul
         ],
     ];
     // dN/dx = J^{-T} dN/dξ.
-    let grad = shape
-        .dn
-        .iter()
-        .map(|dn| {
-            [
-                inv[0][0] * dn[0] + inv[1][0] * dn[1] + inv[2][0] * dn[2],
-                inv[0][1] * dn[0] + inv[1][1] * dn[1] + inv[2][1] * dn[2],
-                inv[0][2] * dn[0] + inv[1][2] * dn[1] + inv[2][2] * dn[2],
-            ]
-        })
-        .collect();
+    assert!(shape.dn.len() <= MAX_NODES, "element has too many nodes");
+    let mut grad = [[0.0; 3]; MAX_NODES];
+    for (g, dn) in grad.iter_mut().zip(&shape.dn) {
+        *g = [
+            inv[0][0] * dn[0] + inv[1][0] * dn[1] + inv[2][0] * dn[2],
+            inv[0][1] * dn[0] + inv[1][1] * dn[1] + inv[2][1] * dn[2],
+            inv[0][2] * dn[0] + inv[1][2] * dn[1] + inv[2][2] * dn[2],
+        ];
+    }
     Ok(GeomEval {
         grad,
-        n: shape.n.clone(),
+        n: &shape.n,
         detj,
     })
 }
@@ -86,7 +102,7 @@ pub fn geometry(coords: &[[f64; 3]], shape: &ShapeEval, element: usize) -> Resul
 /// (node-major `[u0x, u0y, u0z, u1x, ...]`).
 pub fn strain_at(geom: &GeomEval, u_e: &[f64]) -> Voigt {
     let mut e = [0.0; 6];
-    for (a, g) in geom.grad.iter().enumerate() {
+    for (a, g) in geom.grad().iter().enumerate() {
         let ux = u_e[3 * a];
         let uy = u_e[3 * a + 1];
         let uz = u_e[3 * a + 2];
@@ -108,6 +124,15 @@ pub struct ElementMatrices {
     pub k: Vec<f64>,
     /// Internal force (same dof ordering).
     pub f_int: Vec<f64>,
+}
+
+impl ElementMatrices {
+    fn zeroed(ndof: usize) -> Self {
+        ElementMatrices {
+            k: vec![0.0; ndof * ndof],
+            f_int: vec![0.0; ndof],
+        }
+    }
 }
 
 /// Displacement-formulation solid element (3 dofs/node).
@@ -151,13 +176,53 @@ impl SolidKernel {
         dt: f64,
         t: f64,
     ) -> Result<ElementMatrices> {
+        let ndof = 3 * self.kind.nodes();
+        let mut em = ElementMatrices::zeroed(ndof);
+        self.integrate_into(
+            element,
+            coords,
+            u_e,
+            material,
+            states_old,
+            states_new,
+            dt,
+            t,
+            &mut em.k,
+            &mut em.f_int,
+        )?;
+        Ok(em)
+    }
+
+    /// [`SolidKernel::integrate`] into caller-owned storage: `k` (row-major
+    /// `ndof x ndof`) and `f` (`ndof`) are overwritten, nothing is
+    /// allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
+    #[allow(clippy::too_many_arguments)]
+    pub fn integrate_into(
+        &self,
+        element: usize,
+        coords: &[[f64; 3]],
+        u_e: &[f64],
+        material: &dyn Material,
+        states_old: &[f64],
+        states_new: &mut [f64],
+        dt: f64,
+        t: f64,
+        k: &mut [f64],
+        f: &mut [f64],
+    ) -> Result<()> {
         let npe = self.kind.nodes();
         let ndof = 3 * npe;
         let ssz = material.state_size();
-        let mut k = vec![0.0; ndof * ndof];
-        let mut f = vec![0.0; ndof];
+        assert_eq!((k.len(), f.len()), (ndof * ndof, ndof));
+        k.fill(0.0);
+        f.fill(0.0);
         for (g, (gp, shape)) in self.rule.iter().zip(&self.shapes).enumerate() {
             let geom = geometry(coords, shape, element)?;
+            let grad = geom.grad();
             let w = gp.w * geom.detj;
             let eps = strain_at(&geom, u_e);
             let so = &states_old[g * ssz..(g + 1) * ssz];
@@ -166,10 +231,9 @@ impl SolidKernel {
             let d = material.tangent(&eps, so, dt, t);
             // f_int += Bᵀ σ w ; K += Bᵀ D B w, with B in gradient form.
             for a in 0..npe {
-                let ga = geom.grad[a];
                 // Rows of Bᵀ for node a: the three dof rows.
                 // dof (a,0): [ga0, 0, 0, ga1, 0, ga2] against Voigt.
-                let rows = b_rows(ga);
+                let rows = b_rows(grad[a]);
                 for i in 0..3 {
                     let mut acc = 0.0;
                     for v in 0..6 {
@@ -177,22 +241,14 @@ impl SolidKernel {
                     }
                     f[3 * a + i] += acc * w;
                 }
+                let bd = bt_d(&rows, &d);
                 for b in 0..npe {
-                    let rows_b = b_rows(geom.grad[b]);
+                    let rows_b = b_rows(grad[b]);
                     for i in 0..3 {
-                        // (Bᵀ D) row for dof (a, i).
-                        let mut bd = [0.0; 6];
-                        for v in 0..6 {
-                            let mut acc = 0.0;
-                            for u in 0..6 {
-                                acc += rows[i][u] * d[u][v];
-                            }
-                            bd[v] = acc;
-                        }
                         for jj in 0..3 {
                             let mut acc = 0.0;
                             for v in 0..6 {
-                                acc += bd[v] * rows_b[jj][v];
+                                acc += bd[i][v] * rows_b[jj][v];
                             }
                             k[(3 * a + i) * ndof + (3 * b + jj)] += acc * w;
                         }
@@ -200,7 +256,7 @@ impl SolidKernel {
                 }
             }
         }
-        Ok(ElementMatrices { k, f_int: f })
+        Ok(())
     }
 }
 
@@ -212,6 +268,23 @@ fn b_rows(g: [f64; 3]) -> [[f64; 6]; 3] {
         [0.0, g[1], 0.0, g[0], g[2], 0.0],
         [0.0, 0.0, g[2], 0.0, g[1], g[0]],
     ]
+}
+
+/// The three `(Bᵀ D)` rows of one node: they depend on the node and the
+/// tangent only, so the stiffness loops compute them once per node `a`
+/// and contract them with every node `b`.
+fn bt_d(rows: &[[f64; 6]; 3], d: &[[f64; 6]; 6]) -> [[f64; 6]; 3] {
+    let mut bd = [[0.0; 6]; 3];
+    for i in 0..3 {
+        for v in 0..6 {
+            let mut acc = 0.0;
+            for u in 0..6 {
+                acc += rows[i][u] * d[u][v];
+            }
+            bd[i][v] = acc;
+        }
+    }
+    bd
 }
 
 /// Coupled u-p (biphasic) element: 4 dofs/node, backward-Euler Biot.
@@ -269,21 +342,65 @@ impl PoroKernel {
         dt: f64,
         t: f64,
     ) -> Result<ElementMatrices> {
+        let ndof = 4 * self.solid.kind.nodes();
+        let mut em = ElementMatrices::zeroed(ndof);
+        self.integrate_into(
+            element,
+            coords,
+            u_e,
+            u_old,
+            material,
+            states_old,
+            states_new,
+            dt,
+            t,
+            &mut em.k,
+            &mut em.f_int,
+        )?;
+        Ok(em)
+    }
+
+    /// [`PoroKernel::integrate`] into caller-owned storage: `k` (row-major
+    /// `ndof x ndof`) and `f` (`ndof`) are overwritten, nothing is
+    /// allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
+    #[allow(clippy::too_many_arguments)]
+    pub fn integrate_into(
+        &self,
+        element: usize,
+        coords: &[[f64; 3]],
+        u_e: &[f64],
+        u_old: &[f64],
+        material: &dyn Material,
+        states_old: &[f64],
+        states_new: &mut [f64],
+        dt: f64,
+        t: f64,
+        k: &mut [f64],
+        f: &mut [f64],
+    ) -> Result<()> {
         let npe = self.solid.kind.nodes();
         let dpn = 4;
         let ndof = dpn * npe;
         let ssz = material.state_size();
-        let mut k = vec![0.0; ndof * ndof];
-        let mut f = vec![0.0; ndof];
-        // Split element vector into displacement / pressure views.
-        let u_disp: Vec<f64> = (0..npe)
-            .flat_map(|a| (0..3).map(move |i| (a, i)))
-            .map(|(a, i)| u_e[dpn * a + i])
-            .collect();
+        assert_eq!((k.len(), f.len()), (ndof * ndof, ndof));
+        k.fill(0.0);
+        f.fill(0.0);
+        // Displacement view of the element vector.
+        let mut u_disp = [0.0; 3 * MAX_NODES];
+        for a in 0..npe {
+            for i in 0..3 {
+                u_disp[3 * a + i] = u_e[dpn * a + i];
+            }
+        }
         for (g, (gp, shape)) in self.solid.rule.iter().zip(&self.solid.shapes).enumerate() {
             let geom = geometry(coords, shape, element)?;
+            let grad = geom.grad();
             let w = gp.w * geom.detj;
-            let eps = strain_at(&geom, &u_disp);
+            let eps = strain_at(&geom, &u_disp[..3 * npe]);
             let so = &states_old[g * ssz..(g + 1) * ssz];
             let sn = &mut states_new[g * ssz..(g + 1) * ssz];
             let sigma = material.stress(&eps, so, sn, dt, t);
@@ -299,13 +416,13 @@ impl PoroKernel {
                 p_val += geom.n[a] * pa;
                 p_old_val += geom.n[a] * u_old[dpn * a + 3];
                 for i in 0..3 {
-                    dp[i] += geom.grad[a][i] * pa;
-                    divu += geom.grad[a][i] * u_e[dpn * a + i];
-                    divu_old += geom.grad[a][i] * u_old[dpn * a + i];
+                    dp[i] += grad[a][i] * pa;
+                    divu += grad[a][i] * u_e[dpn * a + i];
+                    divu_old += grad[a][i] * u_old[dpn * a + i];
                 }
             }
             for a in 0..npe {
-                let ga = geom.grad[a];
+                let ga = grad[a];
                 let rows = b_rows(ga);
                 // Momentum residual: Bᵀ(σ - p m) (effective stress).
                 for i in 0..3 {
@@ -323,23 +440,16 @@ impl PoroKernel {
                     mass += dt * self.permeability[i] * ga[i] * dp[i];
                 }
                 f[dpn * a + 3] -= mass * w;
+                let bd = bt_d(&rows, &d);
                 for b in 0..npe {
-                    let gb = geom.grad[b];
+                    let gb = grad[b];
                     let rows_b = b_rows(gb);
                     // K_uu.
                     for i in 0..3 {
-                        let mut bd = [0.0; 6];
-                        for v in 0..6 {
-                            let mut acc = 0.0;
-                            for u in 0..6 {
-                                acc += rows[i][u] * d[u][v];
-                            }
-                            bd[v] = acc;
-                        }
                         for jj in 0..3 {
                             let mut acc = 0.0;
                             for v in 0..6 {
-                                acc += bd[v] * rows_b[jj][v];
+                                acc += bd[i][v] * rows_b[jj][v];
                             }
                             k[(dpn * a + i) * ndof + (dpn * b + jj)] += acc * w;
                         }
@@ -358,7 +468,7 @@ impl PoroKernel {
                 }
             }
         }
-        Ok(ElementMatrices { k, f_int: f })
+        Ok(())
     }
 }
 
@@ -428,13 +538,48 @@ impl FluidKernel {
         v_old: &[f64],
         dt: f64,
     ) -> Result<ElementMatrices> {
+        let ndof = 3 * self.kind.nodes();
+        let mut em = ElementMatrices::zeroed(ndof);
+        self.integrate_into(
+            element,
+            coords,
+            v_e,
+            v_bar,
+            v_old,
+            dt,
+            &mut em.k,
+            &mut em.f_int,
+        )?;
+        Ok(em)
+    }
+
+    /// [`FluidKernel::integrate`] into caller-owned storage: `k` (row-major
+    /// `ndof x ndof`) and `f` (`ndof`) are overwritten, nothing is
+    /// allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
+    #[allow(clippy::too_many_arguments)]
+    pub fn integrate_into(
+        &self,
+        element: usize,
+        coords: &[[f64; 3]],
+        v_e: &[f64],
+        v_bar: &[f64],
+        v_old: &[f64],
+        dt: f64,
+        k: &mut [f64],
+        f: &mut [f64],
+    ) -> Result<()> {
         let npe = self.kind.nodes();
         let ndof = 3 * npe;
-        let mut k = vec![0.0; ndof * ndof];
-        let mut f = vec![0.0; ndof];
+        assert_eq!((k.len(), f.len()), (ndof * ndof, ndof));
+        k.fill(0.0);
         let inv_dt = if self.steady { 0.0 } else { 1.0 / dt };
         for (gp, shape) in self.rule.iter().zip(&self.shapes) {
             let geom = geometry(coords, shape, element)?;
+            let grad = geom.grad();
             let w = gp.w * geom.detj;
             // Picard advection velocity at the point.
             let mut vb = [0.0; 3];
@@ -444,9 +589,9 @@ impl FluidKernel {
                 }
             }
             for a in 0..npe {
-                let ga = geom.grad[a];
+                let ga = grad[a];
                 for b in 0..npe {
-                    let gb = geom.grad[b];
+                    let gb = grad[b];
                     // Viscous (vector Laplacian) + inertia + convection:
                     // identical on each velocity component.
                     let mut lap = 0.0;
@@ -496,15 +641,174 @@ impl FluidKernel {
                 }
             }
         }
-        Ok(ElementMatrices { k, f_int: f })
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::material::LinearElastic;
+    use crate::material::{
+        ActiveMuscle, DamageElastic, FiberExponential, GrowthElastic, J2Plasticity, LinearElastic,
+        Multigeneration, NeoHookeanSmall, PrestrainElastic, PronyTerm, Viscoelastic,
+    };
     use crate::mesh::Mesh;
+
+    /// The stiffness loop as it stood before `Bᵀ D` was hoisted: the
+    /// `(a, i)` row of `Bᵀ D` recomputed for every node `b`. Oracle for
+    /// the differential test below; `k` is `dpn * npe` wide with the
+    /// displacement components leading each node.
+    fn unhoisted_stiffness(
+        grad: &[[f64; 3]],
+        d: &[[f64; 6]; 6],
+        w: f64,
+        dpn: usize,
+        k: &mut [f64],
+    ) {
+        let npe = grad.len();
+        let ndof = dpn * npe;
+        for a in 0..npe {
+            let rows = b_rows(grad[a]);
+            for b in 0..npe {
+                let rows_b = b_rows(grad[b]);
+                for i in 0..3 {
+                    let mut bd = [0.0; 6];
+                    for v in 0..6 {
+                        let mut acc = 0.0;
+                        for u in 0..6 {
+                            acc += rows[i][u] * d[u][v];
+                        }
+                        bd[v] = acc;
+                    }
+                    for jj in 0..3 {
+                        let mut acc = 0.0;
+                        for v in 0..6 {
+                            acc += bd[v] * rows_b[jj][v];
+                        }
+                        k[(dpn * a + i) * ndof + (dpn * b + jj)] += acc * w;
+                    }
+                }
+            }
+        }
+    }
+
+    fn every_material() -> Vec<Box<dyn Material>> {
+        vec![
+            Box::new(LinearElastic::new(1000.0, 0.3)),
+            Box::new(NeoHookeanSmall::from_young(500.0, 0.25, 20.0)),
+            Box::new(FiberExponential::new(
+                100.0,
+                0.3,
+                [0.6, 0.0, 0.8],
+                1000.0,
+                10.0,
+            )),
+            Box::new(DamageElastic::new(1000.0, 0.3, 0.0, 0.01)),
+            Box::new(J2Plasticity::new(1000.0, 0.3, 5.0, 50.0)),
+            Box::new(ActiveMuscle::new(
+                100.0,
+                0.3,
+                [1.0, 0.0, 0.0],
+                10.0,
+                1.0,
+                50.0,
+                2.0,
+            )),
+            Box::new(GrowthElastic::new(1000.0, 0.3, 0.01)),
+            Box::new(PrestrainElastic::new(
+                1000.0,
+                0.2,
+                [0.01, 0.0, -0.01, 0.002, 0.0, 0.0],
+            )),
+            Box::new(Multigeneration::new(&[(0.0, 100.0, 0.3), (0.5, 50.0, 0.3)])),
+            Box::new(Viscoelastic::new(
+                1000.0,
+                0.3,
+                vec![
+                    PronyTerm { g: 0.3, tau: 0.5 },
+                    PronyTerm { g: 0.2, tau: 5.0 },
+                ],
+            )),
+        ]
+    }
+
+    #[test]
+    fn hoisted_stiffness_is_bit_identical_for_every_material() {
+        // Distorted hex and a tet, a strain state large enough to yield
+        // and damage: K_uu of the solid and of the u-p kernel must carry
+        // the bits of the un-hoisted loop.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in [ElementKind::Hex8, ElementKind::Tet4] {
+            let mesh = match kind {
+                ElementKind::Hex8 => Mesh::box_hex(1, 1, 1, 1.0, 0.8, 1.3),
+                ElementKind::Tet4 => Mesh::box_tet(1, 1, 1, 1.0, 0.8, 1.3),
+            };
+            let npe = kind.nodes();
+            let mut coords: Vec<[f64; 3]> = mesh
+                .element(0)
+                .iter()
+                .map(|&n| mesh.coords()[n as usize])
+                .collect();
+            coords[1][0] += 0.07;
+            coords[npe - 1][2] -= 0.05;
+            let u: Vec<f64> = (0..3 * npe)
+                .map(|i| 0.02 * ((i * 7 % 5) as f64 - 2.0))
+                .collect();
+            let kern = SolidKernel::new(kind);
+            let poro = PoroKernel::new(kind, [1e-3, 2e-3, 3e-3], 1e-4);
+            let gps = kern.gauss_points();
+            for mat in every_material() {
+                let ssz = mat.state_size();
+                let mut old = vec![0.0; gps * ssz];
+                for g in 0..gps {
+                    mat.init_state(&mut old[g * ssz..(g + 1) * ssz]);
+                }
+                let (dt, t) = (0.1, 0.7);
+
+                let mut want = vec![0.0; 9 * npe * npe];
+                let mut scratch = vec![0.0; ssz];
+                for (g, (gp, shape)) in kern.rule.iter().zip(&kern.shapes).enumerate() {
+                    let geom = geometry(&coords, shape, 0).unwrap();
+                    let eps = strain_at(&geom, &u);
+                    let so = &old[g * ssz..(g + 1) * ssz];
+                    mat.stress(&eps, so, &mut scratch, dt, t);
+                    let d = mat.tangent(&eps, so, dt, t);
+                    unhoisted_stiffness(geom.grad(), &d, gp.w * geom.detj, 3, &mut want);
+                }
+                let mut new = vec![0.0; gps * ssz];
+                let got = kern
+                    .integrate(0, &coords, &u, mat.as_ref(), &old, &mut new, dt, t)
+                    .unwrap();
+                assert_eq!(bits(&got.k), bits(&want), "{} {kind:?} solid", mat.name());
+
+                // Same displacements, zero pressures: K_uu of the coupled
+                // block is the solid stiffness, entry for entry.
+                let up: Vec<f64> = (0..4 * npe)
+                    .map(|i| {
+                        if i % 4 < 3 {
+                            u[3 * (i / 4) + i % 4]
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                let got = poro
+                    .integrate(0, &coords, &up, &up, mat.as_ref(), &old, &mut new, dt, t)
+                    .unwrap();
+                for a in 0..3 * npe {
+                    for b in 0..3 * npe {
+                        let (ra, rb) = (4 * (a / 3) + a % 3, 4 * (b / 3) + b % 3);
+                        assert_eq!(
+                            got.k[ra * 4 * npe + rb].to_bits(),
+                            want[a * 3 * npe + b].to_bits(),
+                            "{} {kind:?} poro K_uu ({a}, {b})",
+                            mat.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn unit_hex_coords() -> Vec<[f64; 3]> {
         let m = Mesh::box_hex(1, 1, 1, 1.0, 1.0, 1.0);

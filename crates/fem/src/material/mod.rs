@@ -188,16 +188,27 @@ where
     F: Fn(&Voigt, &mut [f64]) -> Voigt,
 {
     let mut d = [[0.0; 6]; 6];
-    let mut scratch_p = vec![0.0; state_size];
-    let mut scratch_m = vec![0.0; state_size];
+    // Throw-away history for the two perturbed evaluations: on the stack
+    // for the usual handful of variables (this runs at every Gauss point
+    // of every iteration), on the heap beyond that.
+    const ON_STACK: usize = 32;
+    let mut stack = [0.0; 2 * ON_STACK];
+    let mut heap = Vec::new();
+    let scratch = if state_size <= ON_STACK {
+        &mut stack[..2 * state_size]
+    } else {
+        heap.resize(2 * state_size, 0.0);
+        &mut heap[..]
+    };
+    let (scratch_p, scratch_m) = scratch.split_at_mut(state_size);
     for j in 0..6 {
         let h = 1e-7 * (1.0 + eps[j].abs());
         let mut ep = *eps;
         ep[j] += h;
         let mut em = *eps;
         em[j] -= h;
-        let sp = stress(&ep, &mut scratch_p);
-        let sm = stress(&em, &mut scratch_m);
+        let sp = stress(&ep, scratch_p);
+        let sm = stress(&em, scratch_m);
         for i in 0..6 {
             d[i][j] = (sp[i] - sm[i]) / (2.0 * h);
         }
@@ -256,6 +267,35 @@ mod tests {
             for j in 0..6 {
                 assert!((dn[i][j] - da[i][j]).abs() < 1e-2, "({i},{j})");
             }
+        }
+    }
+
+    #[test]
+    fn numeric_tangent_lends_zeroed_history_of_any_size() {
+        // The scratch history is on the stack for small states and on the
+        // heap for large ones; a law sees the same thing either way: two
+        // separate, initially zeroed slices of the requested length.
+        let m = LinearElastic::new(5000.0, 0.2);
+        let eps: Voigt = [0.01, -0.002, 0.003, 0.004, 0.0, -0.001];
+        let want = numeric_tangent(|e, s| m.stress(e, &[], s, 1.0, 0.0), &eps, 0);
+        for size in [7, 32, 33, 100] {
+            let calls = std::cell::Cell::new(0usize);
+            let got = numeric_tangent(
+                |e, s| {
+                    assert_eq!(s.len(), size);
+                    // First use of each slice finds zeros; later uses find
+                    // what the previous call on that slice left.
+                    let expect = if calls.get() < 2 { 0.0 } else { 1.0 };
+                    assert!(s.iter().all(|&v| v == expect));
+                    s.fill(1.0);
+                    calls.set(calls.get() + 1);
+                    m.stress(e, &[], &mut [], 1.0, 0.0)
+                },
+                &eps,
+                size,
+            );
+            assert_eq!(calls.get(), 12);
+            assert_eq!(got, want);
         }
     }
 

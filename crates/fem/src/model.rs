@@ -5,15 +5,15 @@
 //! iterations, recording every computational kernel into a
 //! [`belenos_trace::PhaseLog`] for the microarchitecture simulator.
 
-use crate::assembly::{build_pattern, Assembler};
+use crate::assembly::{Assembler, ScatterPlan};
 use crate::bc::{LoadCurve, NodalLoad, PrescribedBc, RigidPlaneContact};
-use crate::element::{geometry, FluidKernel, PoroKernel, SolidKernel};
+use crate::element::{geometry, FluidKernel, PoroKernel, SolidKernel, MAX_NODES};
 use crate::error::FemError;
 use crate::material::Material;
 use crate::mesh::Mesh;
 use crate::newton::{solve_linear, LinearSolver, PrecondKind, SolverCache};
-use crate::quadrature::rule_for;
-use crate::shape::eval;
+use crate::quadrature::{rule_for, GaussPoint};
+use crate::shape::{eval, ShapeEval};
 use crate::Result;
 use belenos_trace::{KernelCall, PhaseLog};
 use std::sync::Arc;
@@ -77,6 +77,15 @@ pub struct SolveReport {
     pub final_residual: f64,
     /// Wall-clock time of the numeric solve.
     pub wall_time: Duration,
+    /// Part of `wall_time` spent in element assembly (constitutive update,
+    /// stiffness, residual), summed over all iterations.
+    pub assemble_time: Duration,
+    /// Part of `wall_time` spent in linear solves (for the direct solvers:
+    /// permute, factorize, triangular solves).
+    pub linear_time: Duration,
+    /// Numeric factorizations performed (direct solvers; 0 for the
+    /// iterative ones).
+    pub factorizations: usize,
     /// Total dof count.
     pub n_dofs: usize,
     /// The recorded kernel log (input to trace expansion).
@@ -343,33 +352,19 @@ impl FeModel {
             return Err(FemError::InvalidModel("no materials defined".into()));
         }
         let n_dofs = self.n_dofs();
-        let pattern = build_pattern(&self.mesh, dpn);
-        let mut assembler = Assembler::new(Arc::clone(&pattern));
+        let mut asm = Assembly::new(&self.mesh, dpn);
+        let pattern = asm.assembler.pattern();
+        let conn = Arc::clone(asm.plan.connectivity());
         let mut cache = SolverCache::new();
         let mut log = PhaseLog::new();
 
-        // Per-element Gauss state storage.
         let gp_count = rule_for(self.mesh.kind()).len();
-        let mut state_offsets = Vec::with_capacity(self.mesh.num_elems());
-        let mut total_state = 0usize;
-        for e in 0..self.mesh.num_elems() {
-            state_offsets.push(total_state);
-            total_state += gp_count * self.material_for(e).state_size();
-        }
-        let mut states_old = vec![0.0f64; total_state];
-        let mut states_new = vec![0.0f64; total_state];
-        for e in 0..self.mesh.num_elems() {
-            let m = self.material_for(e);
-            let ssz = m.state_size();
-            for g in 0..gp_count {
-                let off = state_offsets[e] + g * ssz;
-                m.init_state(&mut states_old[off..off + ssz]);
-            }
-        }
+        let (state_offsets, mut states_old) = self.virgin_states(gp_count);
+        let mut states_new = vec![0.0f64; states_old.len()];
 
         let mut u = vec![0.0f64; n_dofs];
         let mut u_old = vec![0.0f64; n_dofs];
-        let conn = Arc::new(self.mesh.connectivity().to_vec());
+        let mut rhs = vec![0.0f64; n_dofs];
         let dominant_class = self.materials[0].class();
         let spin_base = ((self.mesh.num_elems() / 4 + 16) as f64
             * self
@@ -380,21 +375,36 @@ impl FeModel {
             * self.spin_scale)
             .round() as usize;
 
+        // Which dofs are prescribed, and by which condition, is fixed for
+        // the whole solve; only the increments change per iteration.
+        let dirichlet_dofs = self.prescribed_dofs()?;
+        let mut constrained = vec![false; n_dofs];
+        let mut constraints: Vec<(usize, f64)> = Vec::with_capacity(dirichlet_dofs.len());
+        for &(d, _) in &dirichlet_dofs {
+            constrained[d] = true;
+            constraints.push((d, 0.0));
+        }
+        let mut targets = vec![0.0f64; self.dirichlet.len()];
+
         let mut total_iters = 0usize;
         let mut final_res = f64::INFINITY;
         let mut all_converged = true;
+        let mut assemble_time = Duration::ZERO;
+        let mut linear_time = Duration::ZERO;
+        let mut factorizations = 0usize;
 
         for step in 1..=self.steps {
             let t = step as f64 * self.dt;
+            for (target, bc) in targets.iter_mut().zip(&self.dirichlet) {
+                *target = bc.value * bc.curve.factor(t);
+            }
             let mut converged = false;
             for _it in 0..self.max_iterations {
                 total_iters += 1;
                 // --- assembly pass (constitutive + stiffness + residual) ---
-                assembler.reset();
-                let mut f_int = vec![0.0f64; n_dofs];
+                let assemble_start = Instant::now();
                 self.assemble(
-                    &mut assembler,
-                    &mut f_int,
+                    &mut asm,
                     &u,
                     &u_old,
                     &states_old,
@@ -403,6 +413,7 @@ impl FeModel {
                     gp_count,
                     t,
                 )?;
+                assemble_time += assemble_start.elapsed();
                 log.record(KernelCall::ConstitutiveUpdate {
                     gauss_points: self.mesh.num_elems() * gp_count,
                     material: dominant_class,
@@ -430,7 +441,7 @@ impl FeModel {
                 });
 
                 // --- external forces ---
-                let mut rhs = vec![0.0f64; n_dofs];
+                rhs.fill(0.0);
                 let mut f_ext_norm = 0.0f64;
                 for load in &self.loads {
                     let factor = load.curve.factor(t);
@@ -440,8 +451,8 @@ impl FeModel {
                         f_ext_norm += (load.value * factor).abs();
                     }
                 }
-                for (d, r) in rhs.iter_mut().enumerate() {
-                    *r -= f_int[d];
+                for (r, f) in rhs.iter_mut().zip(&asm.f_int) {
+                    *r -= f;
                 }
 
                 // --- contact ---
@@ -452,7 +463,7 @@ impl FeModel {
                     }
                     // Penalty stiffness on the diagonal.
                     for &(d, k) in &res.stiffness {
-                        assembler.scatter(&[d], &[k]);
+                        asm.assembler.scatter(&[d], &[k]);
                     }
                     log.record(KernelCall::ContactSearch {
                         outcomes: Arc::new(res.outcomes),
@@ -460,28 +471,19 @@ impl FeModel {
                 }
 
                 // --- Dirichlet increments ---
-                let mut constraints: Vec<(usize, f64)> = Vec::new();
-                for bc in &self.dirichlet {
-                    let target = bc.value * bc.curve.factor(t);
-                    for &n in self.mesh.node_set(&bc.set)? {
-                        let d = n as usize * dpn + bc.comp;
-                        constraints.push((d, target - u[d]));
-                    }
+                for (c, &(d, b)) in constraints.iter_mut().zip(&dirichlet_dofs) {
+                    c.1 = targets[b] - u[d];
                 }
-                constraints.sort_unstable_by_key(|&(d, _)| d);
-                constraints.dedup_by_key(|&mut (d, _)| d);
                 log.record(KernelCall::BcApply {
                     n: constraints.len(),
                 });
 
                 // --- convergence check on free dofs ---
-                let constrained: std::collections::HashSet<usize> =
-                    constraints.iter().map(|&(d, _)| d).collect();
                 let rnorm = rhs
                     .iter()
-                    .enumerate()
-                    .filter(|(d, _)| !constrained.contains(d))
-                    .map(|(_, r)| r * r)
+                    .zip(&constrained)
+                    .filter(|(_, &fixed)| !fixed)
+                    .map(|(r, _)| r * r)
                     .sum::<f64>()
                     .sqrt();
                 let du_pending = constraints
@@ -497,9 +499,19 @@ impl FeModel {
                 }
 
                 // --- linear solve ---
-                assembler.apply_dirichlet(&mut rhs, &constraints);
-                let matrix = assembler.to_matrix();
-                let du = solve_linear(self.solver, &matrix, &rhs, &mut cache, &mut log)?;
+                let linear_start = Instant::now();
+                asm.assembler.apply_dirichlet(&mut rhs, &constraints);
+                let du = solve_linear(
+                    self.solver,
+                    asm.assembler.matrix(),
+                    &rhs,
+                    &mut cache,
+                    &mut log,
+                )?;
+                linear_time += linear_start.elapsed();
+                if matches!(self.solver, LinearSolver::Ldl | LinearSolver::Skyline) {
+                    factorizations += 1;
+                }
                 for (ui, di) in u.iter_mut().zip(&du) {
                     *ui += di;
                 }
@@ -534,19 +546,59 @@ impl FeModel {
             total_iterations: total_iters,
             final_residual: final_res,
             wall_time: start.elapsed(),
+            assemble_time,
+            linear_time,
+            factorizations,
             n_dofs,
             log,
             solution: u,
         })
     }
 
-    /// Assembles stiffness into `assembler` and internal force into
-    /// `f_int` for the current iterate.
+    /// Every prescribed dof, ascending, with the index of the condition
+    /// that owns it. Where conditions overlap on a dof, the owner is the
+    /// one this unstable sort + dedup keeps — which one that is depends on
+    /// the dof sequence alone, so it is the same for every iteration.
+    fn prescribed_dofs(&self) -> Result<Vec<(usize, usize)>> {
+        let dpn = self.formulation.dofs_per_node();
+        let mut dofs: Vec<(usize, usize)> = Vec::new();
+        for (b, bc) in self.dirichlet.iter().enumerate() {
+            for &n in self.mesh.node_set(&bc.set)? {
+                dofs.push((n as usize * dpn + bc.comp, b));
+            }
+        }
+        dofs.sort_unstable_by_key(|&(d, _)| d);
+        dofs.dedup_by_key(|&mut (d, _)| d);
+        Ok(dofs)
+    }
+
+    /// Per-element offsets into the Gauss-point history and the history
+    /// itself in its virgin state.
+    fn virgin_states(&self, gp_count: usize) -> (Vec<usize>, Vec<f64>) {
+        let mut state_offsets = Vec::with_capacity(self.mesh.num_elems());
+        let mut total_state = 0usize;
+        for e in 0..self.mesh.num_elems() {
+            state_offsets.push(total_state);
+            total_state += gp_count * self.material_for(e).state_size();
+        }
+        let mut states = vec![0.0f64; total_state];
+        for e in 0..self.mesh.num_elems() {
+            let m = self.material_for(e);
+            let ssz = m.state_size();
+            for g in 0..gp_count {
+                let off = state_offsets[e] + g * ssz;
+                m.init_state(&mut states[off..off + ssz]);
+            }
+        }
+        (state_offsets, states)
+    }
+
+    /// Assembles stiffness into `asm.assembler` and internal force into
+    /// `asm.f_int` (both zeroed first) for the current iterate.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
-        assembler: &mut Assembler,
-        f_int: &mut [f64],
+        asm: &mut Assembly,
         u: &[f64],
         u_old: &[f64],
         states_old: &[f64],
@@ -556,34 +608,36 @@ impl FeModel {
         t: f64,
     ) -> Result<()> {
         let dpn = self.formulation.dofs_per_node();
-        let npe = self.mesh.kind().nodes();
+        let kind = self.mesh.kind();
+        let npe = kind.nodes();
+        let states_of = |e: usize| {
+            let ssz = self.material_for(e).state_size();
+            &states_old[state_offsets[e]..state_offsets[e] + gp_count * ssz]
+        };
         match &self.formulation {
             Formulation::Solid => {
-                let kernel = SolidKernel::new(self.mesh.kind());
-                self.assemble_with(assembler, f_int, states_new, state_offsets, |e, sn| {
+                let kernel = SolidKernel::new(kind);
+                let layout = ElemLayout {
+                    npe,
+                    comps: 3,
+                    extra: false,
+                };
+                self.assemble_with(asm, states_new, state_offsets, layout, |e, sn, out| {
                     let nodes = self.mesh.element(e);
-                    let coords: Vec<[f64; 3]> = nodes
-                        .iter()
-                        .map(|&n| self.mesh.coords()[n as usize])
-                        .collect();
-                    let u_e: Vec<f64> = nodes
-                        .iter()
-                        .flat_map(|&n| (0..3).map(move |c| u[n as usize * 3 + c]))
-                        .collect();
-                    let m = self.material_for(e);
-                    let ssz = m.state_size();
-                    let so = &states_old[state_offsets[e]..state_offsets[e] + gp_count * ssz];
-                    let em = kernel.integrate(e, &coords, &u_e, m, so, sn, self.dt, t)?;
-                    let dofs: Vec<usize> = nodes
-                        .iter()
-                        .flat_map(|&n| (0..3).map(move |c| n as usize * 3 + c))
-                        .collect();
-                    Ok(ElemContrib {
-                        dofs,
-                        k: em.k,
-                        f: em.f_int,
-                        extra: None,
-                    })
+                    let coords = self.elem_coords(nodes);
+                    let u_e = gather_dofs(nodes, u, dpn, 3);
+                    kernel.integrate_into(
+                        e,
+                        &coords[..npe],
+                        &u_e[..3 * npe],
+                        self.material_for(e),
+                        states_of(e),
+                        sn,
+                        self.dt,
+                        t,
+                        out.k,
+                        out.f,
+                    )
                 })
             }
             Formulation::Poro {
@@ -595,50 +649,58 @@ impl FeModel {
                 storage,
                 ..
             } => {
-                let kernel = PoroKernel::new(self.mesh.kind(), *permeability, *storage);
-                let is_multi = matches!(self.formulation, Formulation::Multiphasic { .. });
-                let diffusivity = match &self.formulation {
-                    Formulation::Multiphasic { diffusivity, .. } => *diffusivity,
-                    _ => 0.0,
+                let kernel = PoroKernel::new(kind, *permeability, *storage);
+                // Solute diffusion block on dof 4 (c): backward Euler with
+                // unit storage, plus a weak pressure coupling so the
+                // matrix stays fully coupled. Scattered directly after the
+                // element's u-p block.
+                let solute = match &self.formulation {
+                    Formulation::Multiphasic { diffusivity, .. } => {
+                        let quadrature: Vec<(GaussPoint, ShapeEval)> = rule_for(kind)
+                            .into_iter()
+                            .map(|gp| (gp, eval(kind, gp.xi)))
+                            .collect();
+                        Some((*diffusivity, quadrature))
+                    }
+                    _ => None,
                 };
-                self.assemble_with(assembler, f_int, states_new, state_offsets, |e, sn| {
+                let layout = ElemLayout {
+                    npe,
+                    comps: 4,
+                    extra: solute.is_some(),
+                };
+                self.assemble_with(asm, states_new, state_offsets, layout, |e, sn, out| {
                     let nodes = self.mesh.element(e);
-                    let coords: Vec<[f64; 3]> = nodes
-                        .iter()
-                        .map(|&n| self.mesh.coords()[n as usize])
-                        .collect();
-                    // Gather the u-p subset of the element vector.
-                    let gather = |vec: &[f64]| -> Vec<f64> {
-                        nodes
-                            .iter()
-                            .flat_map(|&n| (0..4).map(move |c| vec[n as usize * dpn + c]))
-                            .collect()
-                    };
-                    let u_e = gather(u);
-                    let uo_e = gather(u_old);
-                    let m = self.material_for(e);
-                    let ssz = m.state_size();
-                    let so = &states_old[state_offsets[e]..state_offsets[e] + gp_count * ssz];
-                    let em = kernel.integrate(e, &coords, &u_e, &uo_e, m, so, sn, self.dt, t)?;
-                    let dofs: Vec<usize> = nodes
-                        .iter()
-                        .flat_map(|&n| (0..4).map(move |c| n as usize * dpn + c))
-                        .collect();
-                    // Solute diffusion block on dof 4 (c): backward Euler
-                    // with unit storage, plus a weak pressure coupling so
-                    // the matrix stays fully coupled. Scattered directly
-                    // after the element's u-p block, exactly as before.
-                    let extra = if is_multi {
-                        Some(self.compute_scalar_diffusion(u, u_old, e, npe, dpn, diffusivity)?)
-                    } else {
-                        None
-                    };
-                    Ok(ElemContrib {
-                        dofs,
-                        k: em.k,
-                        f: em.f_int,
-                        extra,
-                    })
+                    let coords = self.elem_coords(nodes);
+                    // The u-p subset of the element vector.
+                    let u_e = gather_dofs(nodes, u, dpn, 4);
+                    let uo_e = gather_dofs(nodes, u_old, dpn, 4);
+                    kernel.integrate_into(
+                        e,
+                        &coords[..npe],
+                        &u_e[..4 * npe],
+                        &uo_e[..4 * npe],
+                        self.material_for(e),
+                        states_of(e),
+                        sn,
+                        self.dt,
+                        t,
+                        out.k,
+                        out.f,
+                    )?;
+                    if let Some((diffusivity, quadrature)) = &solute {
+                        self.scalar_diffusion(
+                            u,
+                            u_old,
+                            e,
+                            &coords[..npe],
+                            quadrature,
+                            *diffusivity,
+                            out.extra_k,
+                            out.extra_f,
+                        )?;
+                    }
+                    Ok(())
                 })
             }
             Formulation::Fluid {
@@ -647,65 +709,87 @@ impl FeModel {
                 density,
                 steady,
             } => {
-                let kernel =
-                    FluidKernel::new(self.mesh.kind(), *viscosity, *penalty, *density, *steady);
-                self.assemble_with(assembler, f_int, states_new, state_offsets, |e, _sn| {
+                let kernel = FluidKernel::new(kind, *viscosity, *penalty, *density, *steady);
+                let layout = ElemLayout {
+                    npe,
+                    comps: 3,
+                    extra: false,
+                };
+                self.assemble_with(asm, states_new, state_offsets, layout, |e, _sn, out| {
                     let nodes = self.mesh.element(e);
-                    let coords: Vec<[f64; 3]> = nodes
-                        .iter()
-                        .map(|&n| self.mesh.coords()[n as usize])
-                        .collect();
-                    let gather = |vec: &[f64]| -> Vec<f64> {
-                        nodes
-                            .iter()
-                            .flat_map(|&n| (0..3).map(move |c| vec[n as usize * 3 + c]))
-                            .collect()
-                    };
-                    let v_e = gather(u);
-                    let v_old = gather(u_old);
+                    let coords = self.elem_coords(nodes);
+                    let v_e = &gather_dofs(nodes, u, dpn, 3)[..3 * npe];
+                    let v_old = &gather_dofs(nodes, u_old, dpn, 3)[..3 * npe];
                     // Picard: advect with the current iterate.
-                    let em = kernel.integrate(e, &coords, &v_e, &v_e, &v_old, self.dt)?;
-                    let dofs: Vec<usize> = nodes
-                        .iter()
-                        .flat_map(|&n| (0..3).map(move |c| n as usize * 3 + c))
-                        .collect();
-                    Ok(ElemContrib {
-                        dofs,
-                        k: em.k,
-                        f: em.f_int,
-                        extra: None,
-                    })
+                    kernel.integrate_into(e, &coords[..npe], v_e, v_e, v_old, self.dt, out.k, out.f)
                 })
             }
         }
     }
 
-    /// Element-assembly driver: runs `compute` over every element and
-    /// scatters the results into `assembler`/`f_int` in ascending element
-    /// order.
+    /// Node coordinates of one element, on the stack.
+    fn elem_coords(&self, nodes: &[u32]) -> [[f64; 3]; MAX_NODES] {
+        let mut coords = [[0.0; 3]; MAX_NODES];
+        for (c, &n) in coords.iter_mut().zip(nodes) {
+            *c = self.mesh.coords()[n as usize];
+        }
+        coords
+    }
+
+    /// Element-assembly driver: zeroes the accumulators, runs `compute`
+    /// over every element and scatters the results into
+    /// `asm.assembler`/`asm.f_int` in ascending element order.
     ///
     /// With more than one worker, elements are computed in parallel over
-    /// fixed-size blocks (bounding in-flight element matrices), each
-    /// worker owning a contiguous chunk of elements and the matching
-    /// disjoint slice of `states_new` — then every block is scattered
-    /// *serially, in element order*. Floating-point accumulation order is
-    /// therefore exactly the serial order, making the assembled matrix,
-    /// internal forces, and Gauss states bit-identical at any thread
-    /// count (the `parallel_assembly` property tests and every digest pin
-    /// downstream enforce this). Errors surface as the lowest failing
-    /// element index, matching serial semantics.
+    /// fixed-size blocks (bounding buffered element matrices): the block
+    /// is cut into one contiguous chunk per worker, the calling thread
+    /// computes the first and `workers - 1` spawned threads the rest, each
+    /// owning the matching disjoint slices of `states_new` and of the
+    /// block buffer — then every block is scattered *serially, in element
+    /// order*. Floating-point accumulation order is therefore exactly the
+    /// serial order, making the assembled matrix, internal forces, and
+    /// Gauss states bit-identical at any thread count (the
+    /// `parallel_assembly` property tests and every digest pin downstream
+    /// enforce this). Errors surface as the lowest failing element index,
+    /// matching serial semantics.
     fn assemble_with<F>(
         &self,
-        assembler: &mut Assembler,
-        f_int: &mut [f64],
+        asm: &mut Assembly,
         states_new: &mut [f64],
         state_offsets: &[usize],
+        layout: ElemLayout,
         compute: F,
     ) -> Result<()>
     where
-        F: Fn(usize, &mut [f64]) -> Result<ElemContrib> + Sync,
+        F: Fn(usize, &mut [f64], ElemOut<'_>) -> Result<()> + Sync,
     {
+        let Assembly {
+            plan,
+            assembler,
+            f_int,
+            elem_buf,
+        } = asm;
+        assembler.reset();
+        f_int.fill(0.0);
         let n = self.mesh.num_elems();
+        let stride = layout.stride();
+        let dpn = self.formulation.dofs_per_node();
+        let mut scatter = |e: usize, out: ElemOut<'_>| {
+            let nodes = self.mesh.element(e);
+            let mut add = |first_comp: usize, comps: usize, k: &[f64], f: &[f64]| {
+                assembler.scatter_planned(plan, e, first_comp, comps, k);
+                for (a, &node) in nodes.iter().enumerate() {
+                    let d = node as usize * dpn + first_comp;
+                    for c in 0..comps {
+                        f_int[d + c] += f[a * comps + c];
+                    }
+                }
+            };
+            add(0, layout.comps, out.k, out.f);
+            if layout.extra {
+                add(SOLUTE_COMP, 1, out.extra_k, out.extra_f);
+            }
+        };
         let total_state = states_new.len();
         let state_end = move |e: usize| -> usize {
             if e + 1 < n {
@@ -716,58 +800,68 @@ impl FeModel {
         };
         let threads = self.effective_assembly_threads();
         if threads <= 1 || n < PAR_MIN_ELEMS {
+            elem_buf.resize(stride, 0.0);
             for e in 0..n {
                 let sn = &mut states_new[state_offsets[e]..state_end(e)];
-                let contrib = compute(e, sn)?;
-                scatter_contrib(assembler, f_int, &contrib);
+                compute(e, sn, layout.split(elem_buf))?;
+                scatter(e, layout.split(elem_buf));
             }
             return Ok(());
         }
+        elem_buf.resize(n.min(PAR_BLOCK_ELEMS) * stride, 0.0);
+        // Computes elements `lo..hi` into their slots of `out`; `states`
+        // starts at `state_offsets[lo]`. Stops at the first failure.
+        let run = |lo: usize, hi: usize, states: &mut [f64], out: &mut [f64]| {
+            let base = state_offsets[lo];
+            for (e, slot) in (lo..hi).zip(out.chunks_exact_mut(stride)) {
+                let sn = &mut states[state_offsets[e] - base..state_end(e) - base];
+                compute(e, sn, layout.split(slot)).map_err(|err| (e, err))?;
+            }
+            Ok(())
+        };
         for block_start in (0..n).step_by(PAR_BLOCK_ELEMS) {
             let block_end = (block_start + PAR_BLOCK_ELEMS).min(n);
             let block_len = block_end - block_start;
-            let state_lo = state_offsets[block_start];
-            let block_states = &mut states_new[state_lo..state_end(block_end - 1)];
+            let block_out = &mut elem_buf[..block_len * stride];
             let workers = threads.min(block_len);
             let per = block_len.div_ceil(workers);
-            let mut results: Vec<Option<Result<ElemContrib>>> = Vec::with_capacity(block_len);
-            results.resize_with(block_len, || None);
-            std::thread::scope(|scope| {
-                let mut res_rest = &mut results[..];
-                let mut state_rest = &mut *block_states;
-                let mut state_base = state_lo;
-                for w in 0..workers {
-                    let c_lo = block_start + w * per;
-                    let c_hi = (c_lo + per).min(block_end);
-                    if c_lo >= c_hi {
-                        break;
+            let first_failure = std::thread::scope(|scope| {
+                let mut out_rest = &mut *block_out;
+                let mut state_rest =
+                    &mut states_new[state_offsets[block_start]..state_end(block_end - 1)];
+                let mut own = None;
+                let mut helpers = Vec::with_capacity(workers - 1);
+                for lo in (block_start..block_end).step_by(per) {
+                    let hi = (lo + per).min(block_end);
+                    let (out, rest) = out_rest.split_at_mut((hi - lo) * stride);
+                    out_rest = rest;
+                    let (states, rest) =
+                        state_rest.split_at_mut(state_end(hi - 1) - state_offsets[lo]);
+                    state_rest = rest;
+                    if lo == block_start {
+                        own = Some((hi, states, out));
+                    } else {
+                        let run = &run;
+                        helpers.push(scope.spawn(move || run(lo, hi, states, out)));
                     }
-                    let s_hi = state_end(c_hi - 1);
-                    let (chunk_states, rest_s) = state_rest.split_at_mut(s_hi - state_base);
-                    state_rest = rest_s;
-                    let chunk_base = state_base;
-                    state_base = s_hi;
-                    let (chunk_res, rest_r) = res_rest.split_at_mut(c_hi - c_lo);
-                    res_rest = rest_r;
-                    let compute = &compute;
-                    scope.spawn(move || {
-                        let mut states = chunk_states;
-                        let mut base = chunk_base;
-                        for (slot, e) in chunk_res.iter_mut().zip(c_lo..c_hi) {
-                            let hi = state_end(e);
-                            let (sn, rest) = states.split_at_mut(hi - base);
-                            states = rest;
-                            base = hi;
-                            *slot = Some(compute(e, sn));
-                        }
-                    });
                 }
+                let (hi, states, out) = own.expect("a block has a first chunk");
+                let mut failure = run(block_start, hi, states, out).err();
+                for helper in helpers {
+                    let result = helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                    // Chunks are joined in ascending element order.
+                    failure = failure.or(result.err());
+                }
+                failure
             });
-            for contrib in results {
-                match contrib.expect("assembly worker computed every element") {
-                    Ok(c) => scatter_contrib(assembler, f_int, &c),
-                    Err(e) => return Err(e),
-                }
+            let computed = first_failure.as_ref().map_or(block_end, |&(e, _)| e);
+            for (e, slot) in (block_start..computed).zip(block_out.chunks_exact_mut(stride)) {
+                scatter(e, layout.split(slot));
+            }
+            if let Some((_, err)) = first_failure {
+                return Err(err);
             }
         }
         Ok(())
@@ -808,31 +902,13 @@ impl FeModel {
                 u.len()
             )));
         }
-        let dpn = self.formulation.dofs_per_node();
-        let pattern = build_pattern(&self.mesh, dpn);
-        let mut assembler = Assembler::new(Arc::clone(&pattern));
+        let mut asm = Assembly::new(&self.mesh, self.formulation.dofs_per_node());
         let gp_count = rule_for(self.mesh.kind()).len();
-        let mut state_offsets = Vec::with_capacity(self.mesh.num_elems());
-        let mut total_state = 0usize;
-        for e in 0..self.mesh.num_elems() {
-            state_offsets.push(total_state);
-            total_state += gp_count * self.material_for(e).state_size();
-        }
-        let mut states_old = vec![0.0f64; total_state];
-        let mut states_new = vec![0.0f64; total_state];
-        for e in 0..self.mesh.num_elems() {
-            let m = self.material_for(e);
-            let ssz = m.state_size();
-            for g in 0..gp_count {
-                let off = state_offsets[e] + g * ssz;
-                m.init_state(&mut states_old[off..off + ssz]);
-            }
-        }
+        let (state_offsets, states_old) = self.virgin_states(gp_count);
+        let mut states_new = vec![0.0f64; states_old.len()];
         let u_old = vec![0.0f64; n_dofs];
-        let mut f_int = vec![0.0f64; n_dofs];
         self.assemble(
-            &mut assembler,
-            &mut f_int,
+            &mut asm,
             u,
             &u_old,
             &states_old,
@@ -841,53 +917,54 @@ impl FeModel {
             gp_count,
             self.dt,
         )?;
-        Ok((assembler.to_matrix(), f_int))
+        Ok((asm.assembler.into_matrix(), asm.f_int))
     }
 
     /// Scalar diffusion block for the multiphasic concentration field:
-    /// the element's `(dofs, k, r)` contribution, scattered by the
-    /// assembly driver immediately after the element's u-p block.
-    fn compute_scalar_diffusion(
+    /// the element's stiffness `k` (`npe x npe`) and residual `r` on dof
+    /// [`SOLUTE_COMP`], scattered by the assembly driver immediately after
+    /// the element's u-p block.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_diffusion(
         &self,
         u: &[f64],
         u_old: &[f64],
         e: usize,
-        npe: usize,
-        dpn: usize,
+        coords: &[[f64; 3]],
+        quadrature: &[(GaussPoint, ShapeEval)],
         diffusivity: f64,
-    ) -> Result<(Vec<usize>, Vec<f64>, Vec<f64>)> {
+        k: &mut [f64],
+        r: &mut [f64],
+    ) -> Result<()> {
+        let dpn = self.formulation.dofs_per_node();
         let nodes = self.mesh.element(e);
-        let coords: Vec<[f64; 3]> = nodes
-            .iter()
-            .map(|&n| self.mesh.coords()[n as usize])
-            .collect();
-        let rule = rule_for(self.mesh.kind());
-        let mut k = vec![0.0; npe * npe];
-        let mut r = vec![0.0; npe];
-        for gp in &rule {
-            let shape = eval(self.mesh.kind(), gp.xi);
-            let geom = geometry(&coords, &shape, e)?;
+        let npe = nodes.len();
+        k.fill(0.0);
+        r.fill(0.0);
+        for (gp, shape) in quadrature {
+            let geom = geometry(coords, shape, e)?;
+            let grad = geom.grad();
             let w = gp.w * geom.detj;
             let mut c_val = 0.0;
             let mut c_old = 0.0;
             let mut dc = [0.0; 3];
             for (a, &n) in nodes.iter().enumerate() {
-                let cn = u[n as usize * dpn + 4];
+                let cn = u[n as usize * dpn + SOLUTE_COMP];
                 c_val += geom.n[a] * cn;
-                c_old += geom.n[a] * u_old[n as usize * dpn + 4];
+                c_old += geom.n[a] * u_old[n as usize * dpn + SOLUTE_COMP];
                 for i in 0..3 {
-                    dc[i] += geom.grad[a][i] * cn;
+                    dc[i] += grad[a][i] * cn;
                 }
             }
             for a in 0..npe {
-                let ga = geom.grad[a];
+                let ga = grad[a];
                 let mut res = geom.n[a] * (c_val - c_old);
                 for i in 0..3 {
                     res += self.dt * diffusivity * ga[i] * dc[i];
                 }
                 r[a] += res * w;
                 for b in 0..npe {
-                    let gb = geom.grad[b];
+                    let gb = grad[b];
                     let mut perm = 0.0;
                     for i in 0..3 {
                         perm += ga[i] * gb[i];
@@ -896,8 +973,7 @@ impl FeModel {
                 }
             }
         }
-        let dofs: Vec<usize> = nodes.iter().map(|&n| n as usize * dpn + 4).collect();
-        Ok((dofs, k, r))
+        Ok(())
     }
 }
 
@@ -910,30 +986,85 @@ const PAR_MIN_ELEMS: usize = 64;
 /// while keeping per-block thread-spawn cost negligible.
 const PAR_BLOCK_ELEMS: usize = 4096;
 
-/// One element's assembly contribution, computed by a worker and
-/// scattered serially: global dofs, dense stiffness block (row-major over
-/// `dofs`), internal-force block, and an optional trailing block (the
-/// multiphasic solute-diffusion contribution).
-struct ElemContrib {
-    dofs: Vec<usize>,
-    k: Vec<f64>,
-    f: Vec<f64>,
-    extra: Option<(Vec<usize>, Vec<f64>, Vec<f64>)>,
+/// The multiphasic solute concentration's component within a node.
+const SOLUTE_COMP: usize = 4;
+
+/// What assembly keeps for the length of a solve, because it depends on
+/// the mesh and formulation only: where element blocks land, the global
+/// accumulators, and the buffer element blocks are computed into (one
+/// element's worth on the serial path, one block's on the parallel one).
+struct Assembly {
+    plan: ScatterPlan,
+    assembler: Assembler,
+    f_int: Vec<f64>,
+    elem_buf: Vec<f64>,
 }
 
-/// Scatters one element's contribution — the single place accumulation
-/// order is defined, shared by the serial and parallel paths.
-fn scatter_contrib(assembler: &mut Assembler, f_int: &mut [f64], c: &ElemContrib) {
-    assembler.scatter(&c.dofs, &c.k);
-    for (i, &d) in c.dofs.iter().enumerate() {
-        f_int[d] += c.f[i];
-    }
-    if let Some((dofs, k, r)) = &c.extra {
-        assembler.scatter(dofs, k);
-        for (a, &d) in dofs.iter().enumerate() {
-            f_int[d] += r[a];
+impl Assembly {
+    fn new(mesh: &Mesh, dofs_per_node: usize) -> Self {
+        let plan = ScatterPlan::build(mesh, dofs_per_node);
+        Assembly {
+            assembler: Assembler::new(Arc::clone(plan.pattern())),
+            f_int: vec![0.0; mesh.num_nodes() * dofs_per_node],
+            elem_buf: Vec::new(),
+            plan,
         }
     }
+}
+
+/// Shape of one element's assembly contribution inside a flat `f64`
+/// buffer: the dense stiffness block over `comps` leading components of
+/// each node (row-major, node-major dofs), its internal-force block, and
+/// for the multiphasic formulation the trailing solute block.
+#[derive(Debug, Clone, Copy)]
+struct ElemLayout {
+    npe: usize,
+    comps: usize,
+    extra: bool,
+}
+
+/// One element's slot of the buffer, cut up by [`ElemLayout::split`].
+struct ElemOut<'a> {
+    k: &'a mut [f64],
+    f: &'a mut [f64],
+    extra_k: &'a mut [f64],
+    extra_f: &'a mut [f64],
+}
+
+impl ElemLayout {
+    /// `f64`s per element.
+    fn stride(&self) -> usize {
+        let width = self.npe * self.comps;
+        let extra = if self.extra { self.npe } else { 0 };
+        width * width + width + extra * extra + extra
+    }
+
+    fn split<'a>(&self, slot: &'a mut [f64]) -> ElemOut<'a> {
+        debug_assert_eq!(slot.len(), self.stride());
+        let width = self.npe * self.comps;
+        let extra = if self.extra { self.npe } else { 0 };
+        let (k, rest) = slot.split_at_mut(width * width);
+        let (f, rest) = rest.split_at_mut(width);
+        let (extra_k, extra_f) = rest.split_at_mut(extra * extra);
+        ElemOut {
+            k,
+            f,
+            extra_k,
+            extra_f,
+        }
+    }
+}
+
+/// The leading `comps` components of each of an element's nodes out of a
+/// global node-major vector, node-major, on the stack.
+fn gather_dofs(nodes: &[u32], global: &[f64], dpn: usize, comps: usize) -> [f64; 4 * MAX_NODES] {
+    let mut local = [0.0; 4 * MAX_NODES];
+    for (a, &n) in nodes.iter().enumerate() {
+        for c in 0..comps {
+            local[a * comps + c] = global[n as usize * dpn + c];
+        }
+    }
+    local
 }
 
 #[cfg(test)]
@@ -983,6 +1114,55 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_conditions_keep_the_owner_the_per_iteration_list_chose() {
+        // Faces that share edges and corners, prescribing the same
+        // component to different values: the hoisted owner list must pick,
+        // for every contested dof, the condition the old per-iteration
+        // `(dof, increment)` sort + dedup picked.
+        let mesh = Mesh::box_hex(6, 5, 4, 1.0, 1.0, 1.0);
+        let mut model = FeModel::solid(mesh, Box::new(LinearElastic::new(1e3, 0.3)));
+        model.fix_face("z0");
+        model.fix_face("x0");
+        model.prescribe_face("x1", 2, 0.3);
+        model.prescribe_face("y0", 2, -0.2);
+        model.prescribe_face("y1", 0, 0.1);
+        model.prescribe_face("z1", 2, 0.05);
+        model.prescribe_face("z1", 0, -0.07);
+        let dpn = 3;
+        let t = 0.6;
+        let u: Vec<f64> = (0..model.n_dofs())
+            .map(|d| 1e-3 * (d % 17) as f64)
+            .collect();
+
+        let mut want: Vec<(usize, f64)> = Vec::new();
+        for bc in &model.dirichlet {
+            let target = bc.value * bc.curve.factor(t);
+            for &n in model.mesh.node_set(&bc.set).unwrap() {
+                let d = n as usize * dpn + bc.comp;
+                want.push((d, target - u[d]));
+            }
+        }
+        let pushed = want.len();
+        want.sort_unstable_by_key(|&(d, _)| d);
+        want.dedup_by_key(|&mut (d, _)| d);
+        assert!(want.len() < pushed, "premise: faces overlap");
+
+        let got: Vec<(usize, f64)> = model
+            .prescribed_dofs()
+            .unwrap()
+            .into_iter()
+            .map(|(d, b)| {
+                let bc = &model.dirichlet[b];
+                (d, bc.value * bc.curve.factor(t) - u[d])
+            })
+            .collect();
+        let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            v.iter().map(|&(d, x)| (d, x.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
     fn nonlinear_material_needs_multiple_iterations() {
         let mesh = Mesh::box_hex(2, 2, 2, 1.0, 1.0, 1.0);
         let mut model =
@@ -1009,6 +1189,14 @@ mod tests {
         let has = |f: &dyn Fn(&KernelCall) -> bool| report.log.calls().iter().any(f);
         assert!(has(&|c| matches!(c, KernelCall::AssembleStiffness { .. })));
         assert!(has(&|c| matches!(c, KernelCall::LdlFactor { .. })));
+        let factor_calls = report
+            .log
+            .calls()
+            .iter()
+            .filter(|c| matches!(c, KernelCall::LdlFactor { .. }))
+            .count();
+        assert_eq!(report.factorizations, factor_calls);
+        assert!(report.assemble_time + report.linear_time <= report.wall_time);
         assert!(has(&|c| matches!(c, KernelCall::OmpBarrier { .. })));
         assert!(has(&|c| matches!(c, KernelCall::ConvergenceCheck { .. })));
     }

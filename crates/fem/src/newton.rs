@@ -4,10 +4,10 @@
 //! same choice exists here, and every solve records the kernels it ran so
 //! the trace layer can replay them.
 
-use belenos_sparse::reorder::{rcm, Permutation};
+use belenos_sparse::reorder::{rcm, MatrixGather, Permutation};
 use belenos_sparse::solver::cg::{self, CgOptions};
 use belenos_sparse::solver::fgmres::{self, FgmresOptions};
-use belenos_sparse::solver::ldl::{LdlFactor, SymbolicLdl};
+use belenos_sparse::solver::ldl::LdlFactor;
 use belenos_sparse::solver::precond::{Ilu0Precond, JacobiPrecond};
 use belenos_sparse::solver::skyline::SkylineMatrix;
 use belenos_sparse::CsrMatrix;
@@ -50,14 +50,19 @@ pub enum LinearSolver {
     Fgmres(PrecondKind),
 }
 
-/// Shared (column pointers, row indices) of a cached LDL factor structure.
-type LdlStructure = (Arc<Vec<usize>>, Arc<Vec<u32>>);
+/// Everything about an LDLᵀ solve that depends on the pattern alone: how
+/// the permuted matrix is filled, and the factor whose structure and work
+/// vectors each refactorization reuses.
+#[derive(Debug)]
+struct LdlState {
+    gather: MatrixGather,
+    factor: LdlFactor,
+}
 
 /// Cached symbolic/structure data reused across Newton iterations.
 #[derive(Debug, Default)]
 pub struct SolverCache {
-    symbolic: Option<SymbolicLdl>,
-    ldl_structure: Option<LdlStructure>,
+    ldl: Option<LdlState>,
     skyline_heights: Option<Arc<Vec<usize>>>,
     /// Fill-reducing permutation (PARDISO computes one internally; so do
     /// we, via reverse Cuthill-McKee).
@@ -87,32 +92,31 @@ pub fn solve_linear(
 ) -> Result<Vec<f64>> {
     match solver {
         LinearSolver::Ldl => {
-            if cache.perm.is_none() {
-                cache.perm = Some(rcm(matrix.pattern()));
-            }
-            let perm = cache.perm.as_ref().expect("just set");
-            let pm = perm.apply_matrix(matrix)?;
+            let state = match &mut cache.ldl {
+                Some(state) if state.gather.is_for(matrix.pattern()) => {
+                    let pm = state.gather.apply(matrix);
+                    state.factor.refactorize(pm)?;
+                    state
+                }
+                // First solve over this pattern: order, plan, analyse.
+                slot => {
+                    let perm = cache.perm.insert(rcm(matrix.pattern()));
+                    let mut gather = perm.gather_for(&matrix.pattern_arc())?;
+                    let factor = LdlFactor::new(gather.apply(matrix))?;
+                    slot.insert(LdlState { gather, factor })
+                }
+            };
+            let perm = cache.perm.as_ref().expect("set with the state");
             let pb = perm.apply_vec(rhs);
-            if cache.symbolic.is_none() {
-                cache.symbolic = Some(SymbolicLdl::analyze(&pm)?);
-            }
-            let sym = cache.symbolic.as_ref().expect("just set");
-            let factor = LdlFactor::factorize(&pm, sym)?;
-            if cache.ldl_structure.is_none() {
-                cache.ldl_structure = Some((
-                    Arc::new(factor.l_col_ptr().to_vec()),
-                    Arc::new(factor.l_row_idx().to_vec()),
-                ));
-            }
-            let (cp, ri) = cache.ldl_structure.as_ref().expect("just set");
+            let sym = state.factor.symbolic();
             log.record(KernelCall::LdlFactor {
-                col_ptr: Arc::clone(cp),
-                row_idx: Arc::clone(ri),
+                col_ptr: Arc::clone(sym.l_col_ptr()),
+                row_idx: Arc::clone(sym.l_row_idx()),
             });
-            let y = factor.solve(&pb)?;
+            let y = state.factor.solve(&pb)?;
             log.record(KernelCall::LdlSolve {
-                col_ptr: Arc::clone(cp),
-                row_idx: Arc::clone(ri),
+                col_ptr: Arc::clone(sym.l_col_ptr()),
+                row_idx: Arc::clone(sym.l_row_idx()),
             });
             Ok(perm.apply_inv_vec(&y))
         }
@@ -234,20 +238,14 @@ mod tests {
         let b = vec![1.0; 16];
         let mut cache = SolverCache::new();
         let mut log = PhaseLog::new();
+        let structure = |cache: &SolverCache| {
+            let sym = cache.ldl.as_ref().expect("ldl state").factor.symbolic();
+            Arc::as_ptr(sym.l_col_ptr())
+        };
         solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
-        assert!(cache.symbolic.is_some());
-        let before = cache
-            .ldl_structure
-            .as_ref()
-            .map(|(c, _)| Arc::as_ptr(c))
-            .unwrap();
+        let before = structure(&cache);
         solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
-        let after = cache
-            .ldl_structure
-            .as_ref()
-            .map(|(c, _)| Arc::as_ptr(c))
-            .unwrap();
-        assert_eq!(before, after, "factor structure must be cached");
+        assert_eq!(before, structure(&cache), "factor structure must be cached");
         assert_eq!(log.len(), 4); // factor + solve, twice
     }
 

@@ -120,3 +120,32 @@ fn ragged_chunks_stay_bit_identical() {
 fn more_threads_than_block_elements() {
     assert_bit_identical(0, 4, 4, 4, 4096, 7);
 }
+
+/// A failing element surfaces as the *lowest* failing index at any thread
+/// count, as in serial order — also when each worker stops at its own
+/// first failure.
+#[test]
+fn lowest_inverted_element_is_reported_at_any_thread_count() {
+    use belenos_fem::mesh::ElementKind;
+    use belenos_fem::FemError;
+    let boxed = Mesh::box_hex(5, 5, 5, 1.0, 1.0, 1.0);
+    let mut coords = boxed.coords().to_vec();
+    // Drag two interior nodes through their neighbours: elements in
+    // different worker chunks turn inside out.
+    for (node, shift) in [(43, 0.9), (172, -0.9)] {
+        coords[node][2] += shift;
+    }
+    let mesh = Mesh::new(ElementKind::Hex8, coords, boxed.connectivity().to_vec()).unwrap();
+    let failing_element = |threads: usize| {
+        let mut model = FeModel::solid(mesh.clone(), Box::new(LinearElastic::new(1e3, 0.3)));
+        model.set_assembly_threads(Some(threads));
+        match model.assemble_at(&vec![0.0; model.n_dofs()]) {
+            Err(FemError::InvertedElement { element, .. }) => element,
+            other => panic!("expected an inverted element, got {other:?}"),
+        }
+    };
+    let serial = failing_element(1);
+    for threads in [2, 3, 5, 8] {
+        assert_eq!(failing_element(threads), serial, "{threads} threads");
+    }
+}

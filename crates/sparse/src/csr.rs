@@ -138,6 +138,12 @@ impl CsrMatrix {
         &mut self.vals
     }
 
+    /// The pattern together with the mutable values, for loops that walk
+    /// the structure while they rewrite entries.
+    pub fn parts_mut(&mut self) -> (&CsrPattern, &mut [f64]) {
+        (&self.pattern, &mut self.vals)
+    }
+
     /// Value at `(r, c)`, `0.0` when the position is not stored.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         if r >= self.nrows() || c >= self.ncols() {

@@ -8,6 +8,7 @@
 use crate::graph::AdjacencyGraph;
 use crate::pattern::CsrPattern;
 use crate::{CsrMatrix, Result, SparseError};
+use std::sync::Arc;
 
 /// A permutation of `0..n` with its inverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,6 +126,72 @@ impl Permutation {
             }
         }
         Ok(coo.to_csr())
+    }
+
+    /// Plans [`Permutation::apply_matrix`] for every matrix over `pattern`.
+    ///
+    /// # Errors
+    ///
+    /// As in [`Permutation::apply_matrix`], plus
+    /// [`SparseError::InvalidInput`] for a pattern with more than
+    /// `u32::MAX` entries.
+    pub fn gather_for(&self, pattern: &Arc<CsrPattern>) -> Result<MatrixGather> {
+        if u32::try_from(pattern.nnz()).is_err() {
+            return Err(SparseError::InvalidInput(
+                "pattern too large for a 32-bit gather index".into(),
+            ));
+        }
+        // Permute a matrix whose values are their own positions: what
+        // comes out is, per permuted entry, the position it was read from
+        // (exact in an f64 far beyond any u32).
+        let positions = (0..pattern.nnz()).map(|k| k as f64).collect();
+        let tagged =
+            self.apply_matrix(&CsrMatrix::with_pattern(Arc::clone(pattern), positions)?)?;
+        let src = tagged.values().iter().map(|&k| k as u32).collect();
+        Ok(MatrixGather {
+            source: Arc::clone(pattern),
+            src,
+            permuted: tagged,
+        })
+    }
+}
+
+/// A symmetric permutation of one fixed sparsity pattern, reduced to what
+/// does not depend on the values: the permuted pattern and, for each of
+/// its entries, where in the source matrix the value comes from. Applying
+/// it is a gather — no triplets, no sort.
+#[derive(Debug, Clone)]
+pub struct MatrixGather {
+    source: Arc<CsrPattern>,
+    src: Vec<u32>,
+    /// The permuted matrix, refilled by each [`MatrixGather::apply`].
+    permuted: CsrMatrix,
+}
+
+impl MatrixGather {
+    /// True when this plan was built for exactly this pattern allocation.
+    pub fn is_for(&self, pattern: &CsrPattern) -> bool {
+        std::ptr::eq(&*self.source, pattern)
+    }
+
+    /// The permuted matrix for `a`, bit for bit what
+    /// [`Permutation::apply_matrix`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not over the pattern the plan was built for.
+    pub fn apply(&mut self, a: &CsrMatrix) -> &CsrMatrix {
+        assert!(
+            self.is_for(a.pattern()),
+            "matrix is not over the planned pattern"
+        );
+        let av = a.values();
+        for (out, &k) in self.permuted.values_mut().iter_mut().zip(&self.src) {
+            // `apply_matrix` sums each entry into a zeroed accumulator,
+            // which turns a stored -0.0 into +0.0; so does this.
+            *out = 0.0 + av[k as usize];
+        }
+        &self.permuted
     }
 }
 
@@ -256,6 +323,49 @@ mod tests {
         let after = b.pattern().bandwidth();
         assert!(after <= 2, "rcm bandwidth {after} (was {before})");
         assert!(after < before);
+    }
+
+    #[test]
+    fn gather_is_bit_identical_to_apply_matrix() {
+        // Scrambled band with signed zeros, a NaN and an infinity among
+        // the values: the gather must reproduce `apply_matrix` bit for
+        // bit, including its -0.0 -> +0.0.
+        let n = 24;
+        let shuffle: Vec<u32> = (0..n as u32).map(|i| (i * 7 + 3) % n as u32).collect();
+        let mut a = banded(n, &shuffle);
+        let p = rcm(a.pattern());
+        let mut gather = p.gather_for(&a.pattern_arc()).unwrap();
+        for round in 0..3u32 {
+            for (k, v) in a.values_mut().iter_mut().enumerate() {
+                *v = match (k as u32 + round) % 7 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 if round == 2 => f64::NAN,
+                    3 if round == 2 => f64::NEG_INFINITY,
+                    m => (k as f64 - 11.5) * (m as f64 + 0.25),
+                };
+            }
+            let want = p.apply_matrix(&a).unwrap();
+            let got = gather.apply(&a);
+            assert_eq!(got.pattern(), want.pattern());
+            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "round {round}");
+        }
+        let neg_zero = (-0.0f64).to_bits();
+        assert!(gather
+            .apply(&a)
+            .values()
+            .iter()
+            .all(|v| v.to_bits() != neg_zero));
+    }
+
+    #[test]
+    #[should_panic(expected = "not over the planned pattern")]
+    fn gather_rejects_a_foreign_pattern() {
+        let a = arrow_matrix(5);
+        let b = arrow_matrix(5);
+        let mut gather = rcm(a.pattern()).gather_for(&a.pattern_arc()).unwrap();
+        gather.apply(&b);
     }
 
     #[test]

@@ -217,3 +217,31 @@ fn summary_carries_the_new_observability_fields() {
     assert!(text.contains("hit-rate 100%"), "{text}");
     assert!(text.contains("queue-wait"), "{text}");
 }
+
+#[test]
+fn cold_prepare_span_closes_with_the_solve_split() {
+    // A cold prepare's `phase` span says where the FE solve's time went
+    // when it closes; a run without a sink records nothing at all.
+    let spec = belenos_workloads::by_id("pd").expect("pd");
+    let (exp, events) = capture(|| {
+        belenos::experiment::Experiment::prepare_with_store(&spec, None).expect("solves")
+    });
+    let open = events
+        .iter()
+        .find(|e| {
+            ev(e) == "span_open"
+                && name(e) == "phase"
+                && e.get("phase").and_then(Json::as_str) == Some("prepare")
+        })
+        .expect("prepare phase span");
+    let close = events
+        .iter()
+        .find(|e| ev(e) == "span_close" && num(e, "id") == num(open, "id"))
+        .expect("prepare phase span closes");
+    let secs = |k: &str| close.get(k).and_then(Json::as_f64).expect(k);
+    assert!(secs("assemble_s") > 0.0);
+    assert!(secs("linear_solve_s") > 0.0);
+    assert!(secs("assemble_s") + secs("linear_solve_s") <= secs("wall_s"));
+    assert_eq!(num(close, "newton_iterations"), exp.solve.iterations as u64);
+    assert_eq!(num(close, "n_dofs"), exp.solve.n_dofs as u64);
+}
