@@ -725,6 +725,12 @@ mod tests {
     #[test]
     fn job_doc_roundtrips() {
         let doc = sample_doc(0xdead_beef_0123_4567);
+        // The wire bytes, captured at 6a2b59a: documents on an existing
+        // board must keep decoding and re-encoding to themselves.
+        assert_eq!(
+            doc.encode(),
+            include_str!("../../../tests/golden/specs/job.json")
+        );
         let back = JobDoc::decode(&doc.encode()).expect("roundtrip");
         assert_eq!(back.digest, doc.digest);
         assert_eq!(back.workload, doc.workload);

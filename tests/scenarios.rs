@@ -16,6 +16,7 @@
 
 use belenos::campaign::{Analysis, CampaignSpec, SpecError, WorkloadSet};
 use belenos::experiment::Experiment;
+use belenos_json::ToJson;
 use belenos_runner::{CacheKey, Runner, Simulate};
 use belenos_uarch::{CoreConfig, SamplingConfig};
 use belenos_workloads::{by_id, Family, ScenarioSpec};
@@ -259,4 +260,88 @@ fn mesh_sweep_resolution_still_respects_scenario_validation() {
     assert_eq!(specs.len(), 1);
     assert_eq!(specs[0].id, "pd-r3");
     assert!(specs[0].validate().is_ok());
+}
+
+/// (preset id, `ScenarioSpec::stable_digest()`) for every distinct
+/// preset, in `distinct_presets()` order, captured at 6a2b59a — the
+/// commit before spec records listed their fields once. These values
+/// name entries in every existing `BELENOS_CACHE_DIR`, trace store and
+/// dist board: a refactor of how specs are hashed or serialised must
+/// leave them, and the byte goldens under `tests/golden/specs/`, alone.
+const PRESET_SPEC_DIGESTS: [(&str, u64); 31] = [
+    ("bp07", 0x3d7f8acbbedd520d),
+    ("bp08", 0x0207cb274736bc6b),
+    ("bp09", 0x94f9ffa55a7a41e0),
+    ("fl33", 0xa810806d20608139),
+    ("fl34", 0x215c8fa587b3a2ba),
+    ("ma26", 0x6f0f280aae032656),
+    ("ma27", 0x7ffc19ea776e0a66),
+    ("ma28", 0x47b0fea7a36d29ea),
+    ("ma29", 0x41b2d42fbd2f5fcc),
+    ("ma30", 0x26791929dd437a3c),
+    ("ma31", 0x8920ca0bc9e73468),
+    ("eye", 0xbaddcdaa5dff3f20),
+    ("ar", 0xfb58300d6841a8cd),
+    ("co", 0x7d52980cb4915fb3),
+    ("dm", 0x3cdead4ef1df04b2),
+    ("ma", 0x9121537ac1e5d772),
+    ("rj", 0xfffff2d1b482bfe3),
+    ("tu", 0xef942b5b29549aa3),
+    ("bp", 0xfab922306c37ce26),
+    ("fl", 0x95d4561410fac189),
+    ("mu", 0x9bc5db697f67ccfa),
+    ("mp", 0xa78cd86a8ade9500),
+    ("te", 0x92f500b1f28a2645),
+    ("ri", 0x7c8111efc5c0d958),
+    ("ps", 0x3e0a4ea60fffe854),
+    ("pd", 0x5c221ba836c03285),
+    ("mg", 0x428a158093811616),
+    ("fs", 0xbab74280adb96b28),
+    ("mi", 0x3ec13195209910c5),
+    ("vc", 0xa9b0cc900738404e),
+    ("bi", 0x34fd737e5d5699ab),
+];
+
+fn golden_spec(name: &str) -> String {
+    let path = format!(
+        "{}/../../tests/golden/specs/{name}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn spec_config_and_cache_key_digests_are_the_pinned_values() {
+    let presets = belenos_workloads::distinct_presets();
+    assert_eq!(presets.len(), PRESET_SPEC_DIGESTS.len());
+    for (spec, &(id, pinned)) in presets.iter().zip(&PRESET_SPEC_DIGESTS) {
+        assert_eq!(spec.id, id);
+        assert_eq!(spec.stable_digest(), pinned, "{id}: scenario digest moved");
+    }
+    assert_eq!(
+        CoreConfig::gem5_baseline().stable_digest(),
+        0x6db13e7286fd4b0b
+    );
+    assert_eq!(CoreConfig::host_like().stable_digest(), 0x05952f8934139849);
+    let key = CacheKey::new(
+        "co",
+        by_id("co").unwrap().stable_digest(),
+        &CoreConfig::gem5_baseline(),
+        20_000,
+        &SamplingConfig::smarts(8),
+    );
+    assert_eq!(key.address(), 0xcdf6aa8daf30328c);
+}
+
+#[test]
+fn spec_and_config_json_are_the_golden_bytes() {
+    for spec in belenos_workloads::distinct_presets() {
+        assert_eq!(spec.to_json(), golden_spec(&spec.id), "{}", spec.id);
+    }
+    for (name, config) in [
+        ("gem5_baseline", CoreConfig::gem5_baseline()),
+        ("host_like", CoreConfig::host_like()),
+    ] {
+        assert_eq!(config.to_json().pretty(), golden_spec(name), "{name}");
+    }
 }
