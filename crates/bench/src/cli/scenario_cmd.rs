@@ -69,17 +69,12 @@ fn load_scenarios(arg: &str) -> Result<Vec<ScenarioSpec>, String> {
         Json::Arr(items) => items.iter().collect(),
         one => vec![one],
     };
-    let mut specs: Vec<ScenarioSpec> = Vec::with_capacity(items.len());
-    for item in items {
-        let spec = ScenarioSpec::from_json(item).map_err(|e| format!("{arg}: {e}"))?;
-        spec.validate().map_err(|e| format!("{arg}: {e}"))?;
-        if specs.iter().any(|s| s.id == spec.id) {
-            // Same rule as campaign workload lists: duplicate ids would
-            // produce indistinguishable report rows.
-            return Err(format!("{arg}: duplicate scenario id `{}`", spec.id));
-        }
-        specs.push(spec);
-    }
+    let specs: Vec<ScenarioSpec> = items
+        .into_iter()
+        .map(ScenarioSpec::from_json)
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("{arg}: {e}"))?;
+    ScenarioSpec::validate_list(&specs).map_err(|e| format!("{arg}: {e}"))?;
     if specs.is_empty() {
         return Err(format!("{arg}: the document lists no scenarios"));
     }

@@ -38,7 +38,7 @@ use crate::options::{SimFailure, SimOptions};
 use crate::report::Report;
 use belenos_json::{FromJson, Json, JsonError, ToJson};
 use belenos_runner::Runner;
-use belenos_workloads::{ScenarioError, ScenarioSpec};
+use belenos_workloads::{ScenarioError, ScenarioListError, ScenarioSpec};
 use std::collections::HashMap;
 
 /// Mesh resolutions [`Analysis::MeshScaling`] sweeps when the campaign's
@@ -179,14 +179,10 @@ impl WorkloadSet {
             if specs.is_empty() {
                 return Err(SpecError::NoWorkloads);
             }
-            let mut seen = std::collections::HashSet::new();
-            for spec in specs {
-                spec.validate().map_err(SpecError::Scenario)?;
-                if !seen.insert(spec.id.as_str()) {
-                    return Err(SpecError::DuplicateScenario(spec.id.clone()));
-                }
-            }
-            Ok(())
+            ScenarioSpec::validate_list(specs).map_err(|e| match e {
+                ScenarioListError::Invalid(e) => SpecError::Scenario(e),
+                ScenarioListError::DuplicateId(id) => SpecError::DuplicateScenario(id),
+            })
         };
         match self {
             WorkloadSet::Ids(ids) => {
@@ -731,9 +727,6 @@ impl ToJson for CampaignSpec {
 
 impl FromJson for CampaignSpec {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if v.as_obj().is_none() {
-            return Err(JsonError::new("campaign spec: expected a JSON object"));
-        }
         v.reject_unknown_fields(
             "campaign spec",
             &["name", "workloads", "options", "analyses"],

@@ -84,9 +84,6 @@ impl ToJson for SimOptions {
 /// budget, sampling off, `o3`), so terse specs stay valid.
 impl FromJson for SimOptions {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if v.as_obj().is_none() {
-            return Err(JsonError::new("options: expected an object"));
-        }
         v.reject_unknown_fields("options", &["max_ops", "sampling", "model"])?;
         let mut opts = SimOptions::default();
         if let Some(n) = v.get("max_ops") {

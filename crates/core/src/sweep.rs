@@ -270,6 +270,32 @@ mod tests {
     }
 
     #[test]
+    fn every_point_the_figures_publish_is_a_machine_that_validates() {
+        // The axes of Figs. 8-12 and the two single-config batches, at
+        // the values `figures.rs` sweeps, under every backend: the job
+        // board refuses a configuration that does not validate.
+        let axes = [
+            frequency(&[1.0, 2.0, 3.0, 4.0]),
+            l1_size(&[8, 16, 32, 64]),
+            l2_size(&[256, 512, 1024, 2048]),
+            width(&[2, 4, 6, 8]),
+            lsq(&[(32, 24), (48, 40), (72, 56), (96, 72)]),
+            rob_iq(&[(224, 128), (448, 256)]),
+            branch_predictors(&BranchPredictorKind::ALL),
+            Axis::single("host", CoreConfig::host_like()),
+            Axis::single("baseline", baseline()),
+        ];
+        for (label, config) in axes.iter().flat_map(|axis| &axis.0) {
+            for model in ModelKind::ALL {
+                let configured = opts(0).with_model(model).configure(config.clone());
+                configured
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{label} on {}: {e}", model.label()));
+            }
+        }
+    }
+
+    #[test]
     fn predictor_sweep_labels() {
         let kinds = [BranchPredictorKind::Tournament, BranchPredictorKind::Local];
         let predictors = branch_predictors(&kinds);

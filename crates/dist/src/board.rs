@@ -242,13 +242,17 @@ impl JobDoc {
         scenario
             .validate()
             .map_err(|e| format!("job scenario: {e}"))?;
+        // A zero way count or line size would divide by zero inside the
+        // worker's simulator: refuse the document instead.
+        let config = CoreConfig::from_json(v.expect_field("config").map_err(|e| e.to_string())?)
+            .and_then(|config| config.validate().map(|()| config))
+            .map_err(|e| format!("job document: {e}"))?;
         Ok(JobDoc {
             digest: decode_digest(&v)?,
             workload: expect_str(&v, "workload")?,
             label: expect_str(&v, "label")?,
             scenario,
-            config: CoreConfig::from_json(v.expect_field("config").map_err(|e| e.to_string())?)
-                .map_err(|e| format!("job config: {e}"))?,
+            config,
             max_ops: v
                 .expect_field("max_ops")
                 .map_err(|e| e.to_string())?
@@ -747,6 +751,59 @@ mod tests {
         assert!(JobDoc::decode("nonsense").is_err());
         assert!(JobDoc::decode(&good.replacen("\"v\": 1", "\"v\": 2", 1)).is_err());
         assert!(JobDoc::decode(&good.replacen("\"digest\"", "\"digset\"", 1)).is_err());
+        assert!(JobDoc::decode("5").is_err());
+    }
+
+    #[test]
+    fn job_doc_refuses_a_machine_no_simulator_can_be_built_from() {
+        // Each of these used to decode cleanly and reach a divide-by-zero
+        // (or a wedged pipeline) inside the worker.
+        // (the key after which to edit, the edit, what the error names)
+        let good = sample_doc(1).encode();
+        for (after, from, to, names) in [
+            (
+                "\"l1d\"",
+                "\"assoc\": 8",
+                "\"assoc\": 0",
+                "config.l1d.assoc",
+            ),
+            (
+                "\"l1d\"",
+                "\"line_bytes\": 64",
+                "\"line_bytes\": 0",
+                "config.l1d.line_bytes",
+            ),
+            (
+                "\"l2\"",
+                "\"size_bytes\": 1048576",
+                "\"size_bytes\": 1000000",
+                "config.l2: inconsistent",
+            ),
+            (
+                "\"config\"",
+                "\"rob_entries\": 224",
+                "\"rob_entries\": 0",
+                "config.rob_entries",
+            ),
+            (
+                "\"config\"",
+                "\"freq_ghz\": 3",
+                "\"freq_ghz\": 0",
+                "config.freq_ghz",
+            ),
+            (
+                "\"fu_counts\"",
+                "      2\n",
+                "      0\n",
+                "config.fu_counts[4]",
+            ),
+        ] {
+            let (head, tail) = good.split_once(after).expect(after);
+            assert!(tail.contains(from), "{from} not found after {after}");
+            let hostile = format!("{head}{after}{}", tail.replacen(from, to, 1));
+            let e = JobDoc::decode(&hostile).unwrap_err();
+            assert!(e.contains(names), "{from} -> {to}: {e}");
+        }
     }
 
     #[test]

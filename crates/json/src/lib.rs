@@ -14,8 +14,14 @@
 //! Objects preserve insertion order (they are association lists, not
 //! hash maps), so a parse → render round-trip is deterministic and
 //! diffs of serialized specs stay readable.
+//!
+//! Spec records (machine configurations, scenarios) do not hand-write
+//! their conversions: they list their fields once and [`schema`] derives
+//! JSON out, JSON in, stable-digest bytes and validation from that.
 
 use std::fmt;
+
+pub mod schema;
 
 /// A JSON value. Objects keep key insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,20 +155,19 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Names the first unknown field. Non-objects pass (their shape is
-    /// checked elsewhere).
+    /// Names the first unknown field; a non-object is an error too (it
+    /// would otherwise read as an object with every field absent).
     pub fn reject_unknown_fields(&self, context: &str, allowed: &[&str]) -> Result<(), JsonError> {
-        if let Json::Obj(fields) = self {
-            for (k, _) in fields {
-                if !allowed.contains(&k.as_str()) {
-                    return Err(JsonError::new(format!(
-                        "{context}: unknown field `{k}` (expected one of: {})",
-                        allowed.join(", ")
-                    )));
-                }
-            }
+        let fields = self
+            .as_obj()
+            .ok_or_else(|| JsonError::new(format!("{context}: expected an object")))?;
+        match fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            Some((k, _)) => Err(JsonError::new(format!(
+                "{context}: unknown field `{k}` (expected one of: {})",
+                allowed.join(", ")
+            ))),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Required-field lookup with a descriptive error.
@@ -691,6 +696,12 @@ impl ToJson for u64 {
     }
 }
 
+impl ToJson for u32 {
+    fn to_json(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+}
+
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
@@ -706,6 +717,20 @@ impl ToJson for bool {
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+/// `None` is `null` — explicit, so a reader that fills absent keys from
+/// defaults can tell "cleared" from "not mentioned".
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
     }
 }
 
@@ -742,10 +767,33 @@ impl FromJson for u64 {
     }
 }
 
+impl FromJson for u32 {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        u32::try_from(usize::from_json(v)?).map_err(|_| JsonError::new("out of range"))
+    }
+}
+
 impl FromJson for bool {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         v.as_bool()
             .ok_or_else(|| JsonError::new("expected a boolean"))
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Vec::<T>::from_json(v)?
+            .try_into()
+            .map_err(|_| JsonError::new(format!("expected an array of {N} values")))
     }
 }
 

@@ -585,21 +585,13 @@ fn parse_scenario_request(doc: &Json) -> Result<(Vec<ScenarioSpec>, SimOptions),
             Some("scenarios"),
         ));
     }
-    let mut specs: Vec<ScenarioSpec> = Vec::with_capacity(items.len());
-    for item in &items {
-        let spec = ScenarioSpec::from_json(item).map_err(|e| (e.to_string(), Some("scenarios")))?;
-        spec.validate()
-            .map_err(|e| (e.to_string(), Some("scenarios")))?;
-        // Same rule as the CLI's scenario loader: duplicate ids would
-        // produce indistinguishable report rows.
-        if specs.iter().any(|s| s.id == spec.id) {
-            return Err((
-                format!("duplicate scenario id `{}`", spec.id),
-                Some("scenarios"),
-            ));
-        }
-        specs.push(spec);
-    }
+    let in_scenarios = |e: &dyn std::fmt::Display| (e.to_string(), Some("scenarios"));
+    let specs: Vec<ScenarioSpec> = items
+        .iter()
+        .map(ScenarioSpec::from_json)
+        .collect::<Result<_, _>>()
+        .map_err(|e| in_scenarios(&e))?;
+    ScenarioSpec::validate_list(&specs).map_err(|e| in_scenarios(&e))?;
     Ok((specs, options))
 }
 

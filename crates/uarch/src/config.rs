@@ -6,6 +6,9 @@
 //! sizes, pipeline width, LQ/SQ depth, branch predictor) is a plain field
 //! edit on this struct.
 
+use belenos_json::schema::{self, Record};
+use belenos_json::{record, JsonError};
+
 /// Branch-predictor selection (the paper's Fig. 12 sweep axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BranchPredictorKind {
@@ -138,23 +141,42 @@ pub struct CacheConfig {
     pub mshrs: usize,
 }
 
+record!(CacheConfig {
+    size_bytes: COUNT,
+    assoc: COUNT,
+    line_bytes: COUNT,
+    hit_latency: Any,
+    mshrs: COUNT,
+});
+
 impl CacheConfig {
+    /// Number of sets, when the size is a whole, non-zero number of
+    /// `assoc * line` sets.
+    ///
+    /// # Errors
+    ///
+    /// A description of the inconsistent geometry.
+    pub fn geometry(&self) -> Result<usize, String> {
+        let set_bytes = self.assoc.saturating_mul(self.line_bytes);
+        let sets = self.size_bytes.checked_div(set_bytes).unwrap_or(0);
+        if sets > 0 && sets * set_bytes == self.size_bytes {
+            Ok(sets)
+        } else {
+            Err(format!(
+                "inconsistent cache geometry: {} B / ({} ways x {} B)",
+                self.size_bytes, self.assoc, self.line_bytes
+            ))
+        }
+    }
+
     /// Number of sets.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (size not divisible by
-    /// `assoc * line`).
+    /// `assoc * line`); [`CoreConfig::validate`] rules that out.
     pub fn sets(&self) -> usize {
-        let sets = self.size_bytes / (self.assoc * self.line_bytes);
-        assert!(
-            sets > 0 && sets * self.assoc * self.line_bytes == self.size_bytes,
-            "inconsistent cache geometry: {} B / ({} ways x {} B)",
-            self.size_bytes,
-            self.assoc,
-            self.line_bytes
-        );
-        sets
+        self.geometry().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -222,6 +244,54 @@ pub struct CoreConfig {
     /// Per-class functional-unit counts: (int ALU, int mul, FP add, FP
     /// mul/div units, memory ports).
     pub fu_counts: [usize; 5],
+}
+
+// The one listing of the machine parameters: JSON keys, wire order,
+// digest order and range rules. Adding a parameter is the struct field,
+// a line here, and its value in the two constructors below.
+record!(CoreConfig {
+    model: Any,
+    freq_ghz: Positive,
+    fetch_width: COUNT,
+    decode_width: COUNT,
+    rename_width: COUNT,
+    dispatch_width: COUNT,
+    issue_width: COUNT,
+    writeback_width: COUNT,
+    squash_width: COUNT,
+    commit_width: COUNT,
+    rob_entries: COUNT,
+    iq_entries: COUNT,
+    lq_entries: COUNT,
+    sq_entries: COUNT,
+    int_regs: COUNT,
+    fp_regs: COUNT,
+    frontend_depth: Any,
+    l1i: record,
+    l1d: record,
+    l2: record,
+    dram_latency_ns: Positive,
+    dram_bandwidth_gbps: Positive,
+    tlb_entries: COUNT,
+    tlb_miss_penalty: Any,
+    predictor: Any,
+    btb_entries: COUNT,
+    btb_miss_penalty: Any,
+    pause_latency: Any,
+    fu_counts: COUNT,
+});
+
+/// Stable content digest of a record: `tag`, then every field's bytes
+/// in listing order. The value is identical across processes and builds.
+/// `tag` is the record's version: bump it when the listing changes, so a
+/// stale on-disk entry can never alias a new shape.
+pub fn record_digest(tag: &str, record: &impl Record) -> u64 {
+    let mut h = crate::Fnv64::new();
+    h.write_str(tag);
+    schema::feed(record, &mut |bytes| {
+        h.write_bytes(bytes);
+    });
+    h.finish()
 }
 
 impl CoreConfig {
@@ -403,54 +473,29 @@ impl CoreConfig {
 
     /// Stable content digest of the full configuration.
     ///
-    /// Two configurations digest equal iff every simulation-relevant field
-    /// is equal, and the value is identical across processes and builds —
+    /// Two configurations digest equal iff every field is equal —
     /// `belenos-runner` keys its content-addressed result cache on it.
-    /// The leading version tag must be bumped whenever a field is added so
-    /// stale on-disk entries can never alias a new configuration.
     pub fn stable_digest(&self) -> u64 {
-        let mut h = crate::Fnv64::new();
-        h.write_str("CoreConfig-v2");
-        h.write_str(self.model.label());
-        h.write_f64(self.freq_ghz);
-        for w in [
-            self.fetch_width,
-            self.decode_width,
-            self.rename_width,
-            self.dispatch_width,
-            self.issue_width,
-            self.writeback_width,
-            self.squash_width,
-            self.commit_width,
-            self.rob_entries,
-            self.iq_entries,
-            self.lq_entries,
-            self.sq_entries,
-            self.int_regs,
-            self.fp_regs,
-        ] {
-            h.write_usize(w);
+        record_digest("CoreConfig-v2", self)
+    }
+
+    /// Checks that a simulator can be built from this configuration:
+    /// every count at least one, clock and DRAM numbers finite and
+    /// positive, every cache a whole number of sets. Configurations that
+    /// arrive as documents (the job board) are checked before they reach
+    /// a worker's simulator, where a zero would be a divide-by-zero.
+    ///
+    /// # Errors
+    ///
+    /// The first offending field, named as `config.l1d.assoc`.
+    pub fn validate(&self) -> Result<(), JsonError> {
+        schema::check(self, "config")?;
+        for (name, cache) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
+            cache
+                .geometry()
+                .map_err(|e| JsonError::new(format!("config.{name}: {e}")))?;
         }
-        h.write_u64(self.frontend_depth);
-        for c in [&self.l1i, &self.l1d, &self.l2] {
-            h.write_usize(c.size_bytes);
-            h.write_usize(c.assoc);
-            h.write_usize(c.line_bytes);
-            h.write_u64(c.hit_latency);
-            h.write_usize(c.mshrs);
-        }
-        h.write_f64(self.dram_latency_ns);
-        h.write_f64(self.dram_bandwidth_gbps);
-        h.write_usize(self.tlb_entries);
-        h.write_u64(self.tlb_miss_penalty);
-        h.write_str(self.predictor.label());
-        h.write_usize(self.btb_entries);
-        h.write_u64(self.btb_miss_penalty);
-        h.write_u64(self.pause_latency);
-        for n in self.fu_counts {
-            h.write_usize(n);
-        }
-        h.finish()
+        Ok(())
     }
 }
 
@@ -535,36 +580,47 @@ mod tests {
     }
 
     #[test]
-    fn stable_digest_separates_configs() {
+    fn sweep_points_that_reproduce_the_baseline_digest_equal() {
+        // (That every field moves the digest is `tests/schema.rs`.)
         let base = CoreConfig::gem5_baseline();
-        assert_eq!(
-            base.stable_digest(),
-            CoreConfig::gem5_baseline().stable_digest()
-        );
-        // Every sweep axis must move the digest.
-        let variants = [
-            base.clone().with_frequency(1.0),
-            base.clone().with_pipeline_width(2),
-            base.clone().with_lsq(32, 24),
-            base.clone().with_l1_size(8 * 1024),
-            base.clone().with_l2_size(256 * 1024),
-            base.clone().with_rob_iq(448, 256),
-            base.clone().with_predictor(BranchPredictorKind::Ltage),
-            base.clone().with_model(crate::model::ModelKind::InOrder),
-            base.clone().with_model(crate::model::ModelKind::Analytic),
-            CoreConfig::host_like(),
-        ];
-        for v in &variants {
-            assert_ne!(v.stable_digest(), base.stable_digest(), "{v:?}");
+        for same in [
+            base.clone().with_frequency(3.0),
+            base.clone().with_lsq(72, 56),
+            base.clone().with_model(crate::model::ModelKind::O3),
+        ] {
+            assert_eq!(same.stable_digest(), base.stable_digest());
         }
-        // Sweep points that reproduce the baseline digest equal.
+    }
+
+    #[test]
+    fn validation_names_the_field_no_simulator_can_be_built_from() {
+        let base = CoreConfig::gem5_baseline();
+        assert!(base.validate().is_ok());
+        assert!(CoreConfig::host_like().validate().is_ok());
+        let broken = |edit: fn(&mut CoreConfig)| {
+            let mut c = CoreConfig::gem5_baseline();
+            edit(&mut c);
+            c.validate().unwrap_err().message
+        };
         assert_eq!(
-            base.clone().with_frequency(3.0).stable_digest(),
-            base.stable_digest()
+            broken(|c| c.l1d.assoc = 0),
+            "config.l1d.assoc must be at least 1"
         );
         assert_eq!(
-            base.clone().with_lsq(72, 56).stable_digest(),
-            base.stable_digest()
+            broken(|c| c.issue_width = 0),
+            "config.issue_width must be at least 1"
+        );
+        assert_eq!(
+            broken(|c| c.fu_counts[2] = 0),
+            "config.fu_counts[2] must be at least 1"
+        );
+        assert_eq!(
+            broken(|c| c.dram_latency_ns = f64::NAN),
+            "config.dram_latency_ns must be finite"
+        );
+        assert_eq!(
+            broken(|c| c.l2.size_bytes = 1000),
+            "config.l2: inconsistent cache geometry: 1000 B / (16 ways x 64 B)"
         );
     }
 

@@ -17,15 +17,17 @@
 //! * [`BranchPredictorKind`] — the paper's predictor label
 //!   (case-insensitive; `"LTAGE"`, `"TournamentBP"`, ...).
 
-//! * [`CacheConfig`] / [`CoreConfig`] — fully explicit objects, every
-//!   field spelled out. These feed the distributed job board
+//! * [`CacheConfig`](crate::config::CacheConfig) / [`CoreConfig`] —
+//!   fully explicit objects, every field of their one listing in
+//!   `config.rs` spelled out. These feed the distributed job board
 //!   (`belenos-dist`): a worker on another host reconstructs the exact
 //!   machine configuration from the job document, and the round-trip
 //!   must preserve [`CoreConfig::stable_digest`] bit-for-bit or the
 //!   shared result cache would never converge.
 
-use crate::config::{BranchPredictorKind, CacheConfig, CoreConfig, SamplingConfig};
+use crate::config::{BranchPredictorKind, CoreConfig, SamplingConfig};
 use crate::model::ModelKind;
+use belenos_json::schema::{self, Leaf};
 use belenos_json::{FromJson, Json, JsonError, ToJson};
 
 impl ToJson for ModelKind {
@@ -129,223 +131,24 @@ impl FromJson for BranchPredictorKind {
     }
 }
 
-impl ToJson for CacheConfig {
-    fn to_json(&self) -> Json {
-        // Exhaustive destructure: adding a field without updating the
-        // JSON form is a compile error, not a silent wire-format gap.
-        let CacheConfig {
-            size_bytes,
-            assoc,
-            line_bytes,
-            hit_latency,
-            mshrs,
-        } = *self;
-        Json::obj(vec![
-            ("size_bytes", Json::Num(size_bytes as f64)),
-            ("assoc", Json::Num(assoc as f64)),
-            ("line_bytes", Json::Num(line_bytes as f64)),
-            ("hit_latency", Json::Num(hit_latency as f64)),
-            ("mshrs", Json::Num(mshrs as f64)),
-        ])
+/// Both enums hash as their label, the way they are spelled in JSON.
+impl Leaf for ModelKind {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        schema::feed_str(self.label(), sink);
     }
 }
 
-impl FromJson for CacheConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.reject_unknown_fields(
-            "cache config",
-            &["size_bytes", "assoc", "line_bytes", "hit_latency", "mshrs"],
-        )?;
-        let field = |name: &str| -> Result<usize, JsonError> {
-            v.expect_field(name)?.as_usize().ok_or_else(|| {
-                JsonError::new(format!(
-                    "cache config.{name}: expected a non-negative integer"
-                ))
-            })
-        };
-        Ok(CacheConfig {
-            size_bytes: field("size_bytes")?,
-            assoc: field("assoc")?,
-            line_bytes: field("line_bytes")?,
-            hit_latency: field("hit_latency")? as u64,
-            mshrs: field("mshrs")?,
-        })
+impl Leaf for BranchPredictorKind {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        schema::feed_str(self.label(), sink);
     }
 }
 
-impl ToJson for CoreConfig {
-    fn to_json(&self) -> Json {
-        // Exhaustive destructure, same rationale as CacheConfig: this is
-        // the wire form remote workers rebuild simulations from, so a new
-        // field must force this impl (and the digest) to be revisited.
-        let CoreConfig {
-            model,
-            freq_ghz,
-            fetch_width,
-            decode_width,
-            rename_width,
-            dispatch_width,
-            issue_width,
-            writeback_width,
-            squash_width,
-            commit_width,
-            rob_entries,
-            iq_entries,
-            lq_entries,
-            sq_entries,
-            int_regs,
-            fp_regs,
-            frontend_depth,
-            ref l1i,
-            ref l1d,
-            ref l2,
-            dram_latency_ns,
-            dram_bandwidth_gbps,
-            tlb_entries,
-            tlb_miss_penalty,
-            predictor,
-            btb_entries,
-            btb_miss_penalty,
-            pause_latency,
-            fu_counts,
-        } = *self;
-        Json::obj(vec![
-            ("model", model.to_json()),
-            ("freq_ghz", Json::Num(freq_ghz)),
-            ("fetch_width", Json::Num(fetch_width as f64)),
-            ("decode_width", Json::Num(decode_width as f64)),
-            ("rename_width", Json::Num(rename_width as f64)),
-            ("dispatch_width", Json::Num(dispatch_width as f64)),
-            ("issue_width", Json::Num(issue_width as f64)),
-            ("writeback_width", Json::Num(writeback_width as f64)),
-            ("squash_width", Json::Num(squash_width as f64)),
-            ("commit_width", Json::Num(commit_width as f64)),
-            ("rob_entries", Json::Num(rob_entries as f64)),
-            ("iq_entries", Json::Num(iq_entries as f64)),
-            ("lq_entries", Json::Num(lq_entries as f64)),
-            ("sq_entries", Json::Num(sq_entries as f64)),
-            ("int_regs", Json::Num(int_regs as f64)),
-            ("fp_regs", Json::Num(fp_regs as f64)),
-            ("frontend_depth", Json::Num(frontend_depth as f64)),
-            ("l1i", l1i.to_json()),
-            ("l1d", l1d.to_json()),
-            ("l2", l2.to_json()),
-            ("dram_latency_ns", Json::Num(dram_latency_ns)),
-            ("dram_bandwidth_gbps", Json::Num(dram_bandwidth_gbps)),
-            ("tlb_entries", Json::Num(tlb_entries as f64)),
-            ("tlb_miss_penalty", Json::Num(tlb_miss_penalty as f64)),
-            ("predictor", predictor.to_json()),
-            ("btb_entries", Json::Num(btb_entries as f64)),
-            ("btb_miss_penalty", Json::Num(btb_miss_penalty as f64)),
-            ("pause_latency", Json::Num(pause_latency as f64)),
-            (
-                "fu_counts",
-                Json::Arr(fu_counts.iter().map(|&n| Json::Num(n as f64)).collect()),
-            ),
-        ])
-    }
-}
-
+/// The wire form is fully explicit: every field of the listing in
+/// `config.rs` must be present (`ToJson` comes from the same listing).
 impl FromJson for CoreConfig {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.reject_unknown_fields(
-            "core config",
-            &[
-                "model",
-                "freq_ghz",
-                "fetch_width",
-                "decode_width",
-                "rename_width",
-                "dispatch_width",
-                "issue_width",
-                "writeback_width",
-                "squash_width",
-                "commit_width",
-                "rob_entries",
-                "iq_entries",
-                "lq_entries",
-                "sq_entries",
-                "int_regs",
-                "fp_regs",
-                "frontend_depth",
-                "l1i",
-                "l1d",
-                "l2",
-                "dram_latency_ns",
-                "dram_bandwidth_gbps",
-                "tlb_entries",
-                "tlb_miss_penalty",
-                "predictor",
-                "btb_entries",
-                "btb_miss_penalty",
-                "pause_latency",
-                "fu_counts",
-            ],
-        )?;
-        let count = |name: &str| -> Result<usize, JsonError> {
-            v.expect_field(name)?.as_usize().ok_or_else(|| {
-                JsonError::new(format!(
-                    "core config.{name}: expected a non-negative integer"
-                ))
-            })
-        };
-        let float = |name: &str| -> Result<f64, JsonError> {
-            v.expect_field(name)?
-                .as_f64()
-                .ok_or_else(|| JsonError::new(format!("core config.{name}: expected a number")))
-        };
-        let cache = |name: &str| -> Result<CacheConfig, JsonError> {
-            CacheConfig::from_json(v.expect_field(name)?)
-                .map_err(|e| JsonError::new(format!("core config.{name}: {e}")))
-        };
-        let fu = v.expect_field("fu_counts")?.as_arr().ok_or_else(|| {
-            JsonError::new("core config.fu_counts: expected an array of 5 counts")
-        })?;
-        if fu.len() != 5 {
-            return Err(JsonError::new(format!(
-                "core config.fu_counts: expected 5 counts, got {}",
-                fu.len()
-            )));
-        }
-        let mut fu_counts = [0usize; 5];
-        for (slot, item) in fu_counts.iter_mut().zip(fu) {
-            *slot = item.as_usize().ok_or_else(|| {
-                JsonError::new("core config.fu_counts: expected a non-negative integer")
-            })?;
-        }
-        Ok(CoreConfig {
-            model: ModelKind::from_json(v.expect_field("model")?)
-                .map_err(|e| JsonError::new(format!("core config.model: {e}")))?,
-            freq_ghz: float("freq_ghz")?,
-            fetch_width: count("fetch_width")?,
-            decode_width: count("decode_width")?,
-            rename_width: count("rename_width")?,
-            dispatch_width: count("dispatch_width")?,
-            issue_width: count("issue_width")?,
-            writeback_width: count("writeback_width")?,
-            squash_width: count("squash_width")?,
-            commit_width: count("commit_width")?,
-            rob_entries: count("rob_entries")?,
-            iq_entries: count("iq_entries")?,
-            lq_entries: count("lq_entries")?,
-            sq_entries: count("sq_entries")?,
-            int_regs: count("int_regs")?,
-            fp_regs: count("fp_regs")?,
-            frontend_depth: count("frontend_depth")? as u64,
-            l1i: cache("l1i")?,
-            l1d: cache("l1d")?,
-            l2: cache("l2")?,
-            dram_latency_ns: float("dram_latency_ns")?,
-            dram_bandwidth_gbps: float("dram_bandwidth_gbps")?,
-            tlb_entries: count("tlb_entries")?,
-            tlb_miss_penalty: count("tlb_miss_penalty")? as u64,
-            predictor: BranchPredictorKind::from_json(v.expect_field("predictor")?)
-                .map_err(|e| JsonError::new(format!("core config.predictor: {e}")))?,
-            btb_entries: count("btb_entries")?,
-            btb_miss_penalty: count("btb_miss_penalty")? as u64,
-            pause_latency: count("pause_latency")? as u64,
-            fu_counts,
-        })
+        schema::read_exact(&CoreConfig::gem5_baseline(), v, "config")
     }
 }
 
@@ -430,16 +233,19 @@ mod tests {
         // Wrong fu_counts arity.
         let short_fu = Json::obj(vec![("fu_counts", Json::Arr(vec![Json::Num(1.0)]))]);
         assert!(crate::CoreConfig::from_json(&short_fu).is_err());
-        // CacheConfig with a stray field.
-        let bad_cache = Json::obj(vec![
-            ("size_bytes", Json::Num(1024.0)),
-            ("assoc", Json::Num(2.0)),
-            ("line_bytes", Json::Num(64.0)),
-            ("hit_latency", Json::Num(1.0)),
-            ("mshrs", Json::Num(4.0)),
-            ("victim", Json::Bool(true)),
-        ]);
-        assert!(CacheConfig::from_json(&bad_cache).is_err());
+        // CacheConfig with a stray field, or not an object at all.
+        let stray = good.replacen("\"assoc\"", "\"victim\": true, \"assoc\"", 1);
+        let e = crate::CoreConfig::from_json(&Json::parse(&stray).unwrap()).unwrap_err();
+        assert!(
+            e.message.starts_with("config.l1i: unknown field `victim`"),
+            "{e}"
+        );
+        let mut flat = crate::CoreConfig::gem5_baseline().to_json();
+        if let Json::Obj(fields) = &mut flat {
+            fields[18].1 = Json::Num(32768.0);
+        }
+        let e = crate::CoreConfig::from_json(&flat).unwrap_err();
+        assert_eq!(e.message, "config.l1d: expected an object");
     }
 
     #[test]

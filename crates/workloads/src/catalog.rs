@@ -9,7 +9,7 @@
 //! longer a closed set — it is the named starting points of an open
 //! parametric space.
 
-use crate::scenario::{Family, ScenarioSpec};
+use crate::scenario::{Family, MeshParams, NewtonParams, ScenarioSpec, SteppingParams};
 
 /// Table I workload categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,107 +56,160 @@ pub enum Category {
     Eye,
 }
 
+/// One Table I row: a category, what the paper says about it, and the
+/// model [`Family`] that reproduces it — at its canonical parameters and
+/// with the mesh / stepping / Newton / spin-scale settings the historical
+/// hardcoded builder used.
+pub(crate) struct Row {
+    pub(crate) category: Category,
+    /// Table I two-letter label.
+    tag: &'static str,
+    /// Table I full category name.
+    name: &'static str,
+    /// Table I input-size bounds in kB `(lower, upper)`.
+    paper_size_kb: (f64, f64),
+    /// The family's spec/CLI label.
+    pub(crate) family_label: &'static str,
+    /// The family at its canonical (catalog-preset) parameters.
+    pub(crate) family: Family,
+    pub(crate) mesh: MeshParams,
+    pub(crate) stepping: SteppingParams,
+    pub(crate) newton: NewtonParams,
+    pub(crate) spin_scale: f64,
+}
+
+/// An ordered hexahedral box: `n` elements over extent `l` per axis.
+const fn hex(nx: usize, ny: usize, nz: usize, lx: f64, ly: f64, lz: f64) -> MeshParams {
+    MeshParams {
+        nx,
+        ny,
+        nz,
+        lx,
+        ly,
+        lz,
+        tet: false,
+        shuffle_seed: None,
+    }
+}
+
+impl MeshParams {
+    /// Anatomical (pseudo-random) node numbering.
+    const fn shuffled(mut self, seed: u64) -> Self {
+        self.shuffle_seed = Some(seed);
+        self
+    }
+
+    /// Each hex split into tetrahedra.
+    const fn tets(mut self) -> Self {
+        self.tet = true;
+        self
+    }
+}
+
+/// `FeModel`'s own Newton settings `(max_iterations, tolerance)`, for the
+/// builders that never called `set_newton`.
+const FE_DEFAULT: (usize, f64) = (25, 1e-8);
+
+/// Builds Table I from rows of `Category "tag" "name" (paper kB)
+/// "family label" Family { canonical params }, mesh, (steps, dt),
+/// (Newton iterations, tolerance), spin scale;` in the paper's row order
+/// (a category's discriminant indexes its row). A family is its enum
+/// variant, its row here, its parameter rules in `scenario.rs` and its
+/// builder arm in `models.rs`.
+macro_rules! table_i {
+    ($($cat:ident $tag:literal $name:literal $kb:tt $label:literal $family:expr,
+       $mesh:expr, $stepping:expr, $newton:expr, $spin:expr;)*) => {
+        impl Category {
+            /// All categories in Table I row order.
+            pub const ALL: [Category; 20] = [$(Category::$cat),*];
+        }
+
+        pub(crate) static TABLE_I: [Row; 20] = [$(Row {
+            category: Category::$cat,
+            tag: $tag,
+            name: $name,
+            paper_size_kb: $kb,
+            family_label: $label,
+            family: $family,
+            mesh: $mesh,
+            stepping: SteppingParams { steps: $stepping.0, dt: $stepping.1 },
+            newton: NewtonParams { max_iterations: $newton.0, tolerance: $newton.1 },
+            spin_scale: $spin,
+        }),*];
+    };
+}
+
+table_i! {
+    Ar "AR" "Arterial Tissue" (8.0, 6.37e2) "arterial" Family::Arterial { stretch: 0.12 },
+        hex(3, 3, 4, 1.0, 1.0, 2.0), (3, 0.4), (20, 1e-7), 1.0;
+    Bp "BP" "Biphasic" (6.7, 4.745e2) "biphasic"
+        Family::Biphasic { permeability: [5e-3, 5e-3, 5e-3], load: -12.0 },
+        hex(4, 4, 4, 0.5, 0.5, 1.0), (4, 0.1), (20, 1e-7), 1.5;
+    Co "CO" "Contact" (5.4, 3.14e2) "contact"
+        Family::Contact { start: 1.05, speed: -0.08, penalty: 5e4 },
+        hex(3, 3, 4, 1.0, 1.0, 1.0).shuffled(12345), (4, 0.5), (30, 1e-6), 1.0;
+    // Transient (`fl34`) settings; the steady case's single step is the
+    // one data-dependent default, in `ScenarioSpec::new`.
+    Fl "FL" "Fluid" (1.1e3, 7.4e3) "fluid"
+        Family::Fluid { steady: false, viscosity: 0.05, inlet: 1.0 },
+        hex(8, 3, 3, 4.0, 1.0, 1.0), (4, 0.25), (40, 1e-6), 1.5;
+    Mu "MU" "Muscle" (4.3, 4.5) "muscle" Family::Muscle { activation: 40.0 },
+        hex(2, 2, 4, 0.4, 0.4, 1.6), (3, 0.35), (20, 1e-7), 1.0;
+    Mp "MP" "Multiphasic" (1.4e1, 1.374e2) "multiphasic"
+        Family::Multiphasic { permeability: [5e-3, 5e-3, 5e-3], diffusivity: 0.8 },
+        hex(3, 3, 3, 0.5, 0.5, 0.5), (4, 0.1), FE_DEFAULT, 3.0;
+    Te "TE" "Tetrahedral" (3.7, 4.31e2) "tetrahedral" Family::Tetrahedral { stretch: 0.06 },
+        hex(3, 3, 3, 1.0, 1.0, 1.0).tets(), (2, 0.5), FE_DEFAULT, 1.0;
+    Ri "RI" "Rigid" (4.7e3, 4.7e3) "rigid" Family::Rigid { bodies: 6 },
+        hex(5, 5, 3, 1.0, 1.0, 0.6), (3, 0.4), FE_DEFAULT, 1.0;
+    Ps "PS" "Prestrain" (6.4e3, 6.4e3) "prestrain" Family::Prestrain { scale: 1.0 },
+        hex(6, 6, 6, 1.0, 1.0, 1.0), (2, 0.5), FE_DEFAULT, 1.0;
+    Pd "PD" "PlastiDamage" (4.9, 4.9) "plastidamage" Family::PlastiDamage { yield_stress: 18.0 },
+        hex(2, 2, 2, 0.4, 0.4, 0.4), (4, 0.25), (30, 1e-6), 2.0;
+    Mg "MG" "Multigeneration" (1.784e2, 2.719e2) "multigeneration"
+        Family::Multigeneration { second_gen_time: 0.5 },
+        hex(4, 4, 4, 0.8, 0.8, 0.8), (4, 0.25), FE_DEFAULT, 1.0;
+    Fs "FS" "FSI" (2.15e1, 7.616e2) "fsi" Family::Fsi { inlet: 0.8 },
+        hex(6, 3, 3, 2.0, 1.0, 1.0), (3, 0.2), FE_DEFAULT, 2.0;
+    Mi "MI" "Misc." (1.1e3, 4.1e3) "misc" Family::Misc { split: 0.5 },
+        hex(6, 6, 6, 1.0, 1.0, 1.0), (3, 0.33), FE_DEFAULT, 1.0;
+    Ma "MA" "Material" (4.0, 6.802e2) "material" Family::Material { terms: 3, tau_scale: 0.5 },
+        hex(3, 3, 3, 0.8, 0.8, 0.8), (4, 0.2), (25, 1e-6), 10.0;
+    Dm "DM" "Damage" (4.7, 4.602e2) "damage" Family::Damage { stretch: 0.09 },
+        hex(5, 5, 5, 1.0, 1.0, 1.0).shuffled(777), (4, 0.25), (25, 1e-6), 2.0;
+    Tu "TU" "Tumor" (6.0e1, 8.3e1) "tumor" Family::Tumor { growth_rate: 0.02 },
+        hex(4, 4, 4, 1.0, 1.0, 1.0).shuffled(4242), (3, 0.5), (20, 1e-7), 1.0;
+    Rj "RJ" "Rigid joint" (5.0, 7.6e1) "rigid_joint"
+        Family::RigidJoint { bodies: 420, joints: 320 },
+        hex(2, 2, 2, 0.6, 0.6, 0.4), (4, 0.25), FE_DEFAULT, 1.0;
+    Vc "VC" "VolumeConstrain" (2.711e2, 7.345e2) "volume_constraint"
+        Family::VolumeConstraint { poisson: 0.49 },
+        hex(5, 5, 5, 1.0, 1.0, 1.0), (2, 0.5), FE_DEFAULT, 1.0;
+    Bi "BI" "BiphasicFSI" (1.5e3, 7.5e3) "biphasic_fsi"
+        Family::BiphasicFsi { permeability: [2e-2, 2e-2, 5e-3], load: -8.0 },
+        hex(5, 5, 4, 1.0, 1.0, 0.8), (4, 0.15), FE_DEFAULT, 2.0;
+    Eye "Eye" "Case Study" (9.86e4, 9.86e4) "eye" Family::Eye { iop: 3.0 },
+        hex(8, 8, 8, 2.4, 2.4, 2.4).shuffled(20230), (2, 0.5), (25, 1e-6), 3.0;
+}
+
 impl Category {
-    /// All categories in Table I row order.
-    pub const ALL: [Category; 20] = [
-        Category::Ar,
-        Category::Bp,
-        Category::Co,
-        Category::Fl,
-        Category::Mu,
-        Category::Mp,
-        Category::Te,
-        Category::Ri,
-        Category::Ps,
-        Category::Pd,
-        Category::Mg,
-        Category::Fs,
-        Category::Mi,
-        Category::Ma,
-        Category::Dm,
-        Category::Tu,
-        Category::Rj,
-        Category::Vc,
-        Category::Bi,
-        Category::Eye,
-    ];
+    fn row(self) -> &'static Row {
+        &TABLE_I[self as usize]
+    }
 
     /// Table I two-letter label.
     pub fn label(self) -> &'static str {
-        match self {
-            Category::Ar => "AR",
-            Category::Bp => "BP",
-            Category::Co => "CO",
-            Category::Fl => "FL",
-            Category::Mu => "MU",
-            Category::Mp => "MP",
-            Category::Te => "TE",
-            Category::Ri => "RI",
-            Category::Ps => "PS",
-            Category::Pd => "PD",
-            Category::Mg => "MG",
-            Category::Fs => "FS",
-            Category::Mi => "MI",
-            Category::Ma => "MA",
-            Category::Dm => "DM",
-            Category::Tu => "TU",
-            Category::Rj => "RJ",
-            Category::Vc => "VC",
-            Category::Bi => "BI",
-            Category::Eye => "Eye",
-        }
+        self.row().tag
     }
 
     /// Table I full category name.
     pub fn name(self) -> &'static str {
-        match self {
-            Category::Ar => "Arterial Tissue",
-            Category::Bp => "Biphasic",
-            Category::Co => "Contact",
-            Category::Fl => "Fluid",
-            Category::Mu => "Muscle",
-            Category::Mp => "Multiphasic",
-            Category::Te => "Tetrahedral",
-            Category::Ri => "Rigid",
-            Category::Ps => "Prestrain",
-            Category::Pd => "PlastiDamage",
-            Category::Mg => "Multigeneration",
-            Category::Fs => "FSI",
-            Category::Mi => "Misc.",
-            Category::Ma => "Material",
-            Category::Dm => "Damage",
-            Category::Tu => "Tumor",
-            Category::Rj => "Rigid joint",
-            Category::Vc => "VolumeConstrain",
-            Category::Bi => "BiphasicFSI",
-            Category::Eye => "Case Study",
-        }
+        self.row().name
     }
 
     /// Table I input-size bounds in kB `(lower, upper)` from the paper.
     pub fn paper_size_bounds_kb(self) -> (f64, f64) {
-        match self {
-            Category::Ar => (8.0, 6.37e2),
-            Category::Bp => (6.7, 4.745e2),
-            Category::Co => (5.4, 3.14e2),
-            Category::Fl => (1.1e3, 7.4e3),
-            Category::Mu => (4.3, 4.5),
-            Category::Mp => (1.4e1, 1.374e2),
-            Category::Te => (3.7, 4.31e2),
-            Category::Ri => (4.7e3, 4.7e3),
-            Category::Ps => (6.4e3, 6.4e3),
-            Category::Pd => (4.9, 4.9),
-            Category::Mg => (1.784e2, 2.719e2),
-            Category::Fs => (2.15e1, 7.616e2),
-            Category::Mi => (1.1e3, 4.1e3),
-            Category::Ma => (4.0, 6.802e2),
-            Category::Dm => (4.7, 4.602e2),
-            Category::Tu => (6.0e1, 8.3e1),
-            Category::Rj => (5.0, 7.6e1),
-            Category::Vc => (2.711e2, 7.345e2),
-            Category::Bi => (1.5e3, 7.5e3),
-            Category::Eye => (9.86e4, 9.86e4),
-        }
+        self.row().paper_size_kb
     }
 }
 

@@ -13,6 +13,11 @@
 //! that feeds the runner's cache key — two scenarios sharing an id but
 //! differing in any parameter can never alias a cached result.
 //!
+//! Every record here lists its fields once (`record!`, see
+//! [`belenos_json::schema`]): the JSON form both ways, the digest and the
+//! range checks are walks over that listing, and everything Table I says
+//! about a family is one row of the table in [`mod@crate::catalog`].
+//!
 //! The historical closed catalog survives as ~20 named **presets**
 //! ([`crate::catalog()`], [`crate::vtune_set`], [`crate::gem5_set`],
 //! [`crate::by_id`]): each preset is just a `ScenarioSpec` whose
@@ -40,12 +45,13 @@
 //! assert_ne!(inline.stable_digest(), spec.stable_digest());
 //! ```
 
-use crate::catalog::Category;
+use crate::catalog::{Category, Row, TABLE_I};
 use crate::models;
 use belenos_fem::model::FeModel;
-use belenos_json::{FromJson, Json, JsonError, ToJson};
+use belenos_json::schema::{self, Record, Rule, Walker};
+use belenos_json::{record, FromJson, Json, JsonError, ToJson};
 use belenos_trace::expand::ExpandConfig;
-use belenos_uarch::Fnv64;
+use belenos_uarch::config::record_digest;
 
 /// A structurally invalid scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,6 +76,27 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+/// Why a list of scenarios cannot run as one batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioListError {
+    /// A scenario failed its own validation.
+    Invalid(ScenarioError),
+    /// Two scenarios share an id: their report rows would be
+    /// indistinguishable.
+    DuplicateId(String),
+}
+
+impl std::fmt::Display for ScenarioListError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScenarioListError::Invalid(e) => e.fmt(f),
+            ScenarioListError::DuplicateId(id) => write!(f, "duplicate scenario id `{id}`"),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioListError {}
+
 /// Structured-box mesh parameters: resolution, physical extent, topology
 /// and the optional anatomical node relabeling.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,25 +120,22 @@ pub struct MeshParams {
     pub shuffle_seed: Option<u64>,
 }
 
+/// Scenario documents are JSON, whose numbers are `f64`: an integer
+/// beyond 2^53 - 1 can silently round on a round-trip.
+const MAX_SAFE_INTEGER: f64 = 9_007_199_254_740_991.0;
+
+record!(MeshParams {
+    nx: Within(1.0, 64.0),
+    ny: Within(1.0, 64.0),
+    nz: Within(1.0, 64.0),
+    lx: Positive,
+    ly: Positive,
+    lz: Positive,
+    tet: Any,
+    shuffle_seed: Within(0.0, MAX_SAFE_INTEGER),
+});
+
 impl MeshParams {
-    fn hex(nx: usize, ny: usize, nz: usize, lx: f64, ly: f64, lz: f64) -> Self {
-        MeshParams {
-            nx,
-            ny,
-            nz,
-            lx,
-            ly,
-            lz,
-            tet: false,
-            shuffle_seed: None,
-        }
-    }
-
-    fn shuffled(mut self, seed: u64) -> Self {
-        self.shuffle_seed = Some(seed);
-        self
-    }
-
     /// Label like `3x3x4`, used by reports and derived sweep ids.
     pub fn resolution_label(&self) -> String {
         format!("{}x{}x{}", self.nx, self.ny, self.nz)
@@ -127,6 +151,11 @@ pub struct SteppingParams {
     pub dt: f64,
 }
 
+record!(SteppingParams {
+    steps: Within(1.0, 1000.0),
+    dt: Positive,
+});
+
 /// Newton iteration settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NewtonParams {
@@ -135,6 +164,11 @@ pub struct NewtonParams {
     /// Residual tolerance.
     pub tolerance: f64,
 }
+
+record!(NewtonParams {
+    max_iterations: COUNT,
+    tolerance: Positive,
+});
 
 /// Trace-expansion knobs (mirrors [`ExpandConfig`], serializable).
 #[derive(Debug, Clone, PartialEq)]
@@ -148,6 +182,13 @@ pub struct ExpandParams {
     /// Hard cap on ops emitted per kernel call.
     pub max_kernel_ops: usize,
 }
+
+record!(ExpandParams {
+    sample: COUNT,
+    code_bloat: COUNT,
+    spin_scale: Positive,
+    max_kernel_ops: COUNT,
+});
 
 impl Default for ExpandParams {
     fn default() -> Self {
@@ -304,458 +345,62 @@ pub enum Family {
     },
 }
 
-/// `(label, category)` for every family, in Table I order.
-const FAMILY_LABELS: [(&str, Category); 20] = [
-    ("arterial", Category::Ar),
-    ("biphasic", Category::Bp),
-    ("contact", Category::Co),
-    ("fluid", Category::Fl),
-    ("muscle", Category::Mu),
-    ("multiphasic", Category::Mp),
-    ("tetrahedral", Category::Te),
-    ("rigid", Category::Ri),
-    ("prestrain", Category::Ps),
-    ("plastidamage", Category::Pd),
-    ("multigeneration", Category::Mg),
-    ("fsi", Category::Fs),
-    ("misc", Category::Mi),
-    ("material", Category::Ma),
-    ("damage", Category::Dm),
-    ("tumor", Category::Tu),
-    ("rigid_joint", Category::Rj),
-    ("volume_constraint", Category::Vc),
-    ("biphasic_fsi", Category::Bi),
-    ("eye", Category::Eye),
-];
+// Every family's parameters: JSON key (the field's name), document and
+// digest order, and range rule. A new parameter is its field in the enum
+// above, its rule here, its canonical value in `catalog::TABLE_I` and its
+// use in `models::build`; each of the four fails to compile without it.
+record!(enum Family {
+    Arterial { stretch: Finite },
+    Biphasic { permeability: Positive, load: Finite },
+    Contact { start: Finite, speed: Finite, penalty: Positive },
+    Fluid { steady: Any, viscosity: Positive, inlet: Finite },
+    Muscle { activation: Positive },
+    Multiphasic { permeability: Positive, diffusivity: Positive },
+    Tetrahedral { stretch: Finite },
+    Rigid { bodies: COUNT },
+    Prestrain { scale: Finite },
+    PlastiDamage { yield_stress: Positive },
+    Multigeneration { second_gen_time: Positive },
+    Fsi { inlet: Finite },
+    Misc { split: Within(0.0, 1.0) },
+    Material { terms: Within(1.0, 16.0), tau_scale: Positive },
+    Damage { stretch: Finite },
+    Tumor { growth_rate: Positive },
+    RigidJoint { bodies: Any, joints: Any },
+    VolumeConstraint { poisson: Between(-1.0, 0.5) },
+    BiphasicFsi { permeability: Positive, load: Finite },
+    Eye { iop: Finite },
+});
 
 impl Family {
+    /// This family's Table I row.
+    fn row(&self) -> &'static Row {
+        let same = |row: &&Row| std::mem::discriminant(&row.family) == std::mem::discriminant(self);
+        TABLE_I
+            .iter()
+            .find(same)
+            .expect("every family has a Table I row")
+    }
+
     /// Every family at canonical parameters, in Table I order.
     pub fn all_canonical() -> Vec<Family> {
-        FAMILY_LABELS
-            .iter()
-            .map(|(label, _)| Family::canonical(label).expect("label table is exhaustive"))
-            .collect()
+        TABLE_I.iter().map(|row| row.family.clone()).collect()
     }
 
     /// Stable spec/CLI label (`"arterial"`, `"biphasic"`, ...).
     pub fn label(&self) -> &'static str {
-        match self {
-            Family::Arterial { .. } => "arterial",
-            Family::Biphasic { .. } => "biphasic",
-            Family::Contact { .. } => "contact",
-            Family::Fluid { .. } => "fluid",
-            Family::Muscle { .. } => "muscle",
-            Family::Multiphasic { .. } => "multiphasic",
-            Family::Tetrahedral { .. } => "tetrahedral",
-            Family::Rigid { .. } => "rigid",
-            Family::Prestrain { .. } => "prestrain",
-            Family::PlastiDamage { .. } => "plastidamage",
-            Family::Multigeneration { .. } => "multigeneration",
-            Family::Fsi { .. } => "fsi",
-            Family::Misc { .. } => "misc",
-            Family::Material { .. } => "material",
-            Family::Damage { .. } => "damage",
-            Family::Tumor { .. } => "tumor",
-            Family::RigidJoint { .. } => "rigid_joint",
-            Family::VolumeConstraint { .. } => "volume_constraint",
-            Family::BiphasicFsi { .. } => "biphasic_fsi",
-            Family::Eye { .. } => "eye",
-        }
+        self.row().family_label
     }
 
     /// The Table I category this family reproduces.
     pub fn category(&self) -> Category {
-        FAMILY_LABELS
-            .iter()
-            .find(|(l, _)| *l == self.label())
-            .map(|&(_, c)| c)
-            .expect("every family is in the label table")
+        self.row().category
     }
 
     /// The family at its canonical (catalog-preset) parameters, by label.
     pub fn canonical(label: &str) -> Option<Family> {
-        Some(match label {
-            "arterial" => Family::Arterial { stretch: 0.12 },
-            "biphasic" => Family::Biphasic {
-                permeability: [5e-3, 5e-3, 5e-3],
-                load: -12.0,
-            },
-            "contact" => Family::Contact {
-                start: 1.05,
-                speed: -0.08,
-                penalty: 5e4,
-            },
-            "fluid" => Family::Fluid {
-                steady: false,
-                viscosity: 0.05,
-                inlet: 1.0,
-            },
-            "muscle" => Family::Muscle { activation: 40.0 },
-            "multiphasic" => Family::Multiphasic {
-                permeability: [5e-3, 5e-3, 5e-3],
-                diffusivity: 0.8,
-            },
-            "tetrahedral" => Family::Tetrahedral { stretch: 0.06 },
-            "rigid" => Family::Rigid { bodies: 6 },
-            "prestrain" => Family::Prestrain { scale: 1.0 },
-            "plastidamage" => Family::PlastiDamage { yield_stress: 18.0 },
-            "multigeneration" => Family::Multigeneration {
-                second_gen_time: 0.5,
-            },
-            "fsi" => Family::Fsi { inlet: 0.8 },
-            "misc" => Family::Misc { split: 0.5 },
-            "material" => Family::Material {
-                terms: 3,
-                tau_scale: 0.5,
-            },
-            "damage" => Family::Damage { stretch: 0.09 },
-            "tumor" => Family::Tumor { growth_rate: 0.02 },
-            "rigid_joint" => Family::RigidJoint {
-                bodies: 420,
-                joints: 320,
-            },
-            "volume_constraint" => Family::VolumeConstraint { poisson: 0.49 },
-            "biphasic_fsi" => Family::BiphasicFsi {
-                permeability: [2e-2, 2e-2, 5e-3],
-                load: -8.0,
-            },
-            "eye" => Family::Eye { iop: 3.0 },
-            _ => return None,
-        })
-    }
-
-    /// Default mesh / stepping / Newton / spin-scale settings — exactly
-    /// what the historical hardcoded builder for this family used.
-    fn defaults(&self) -> (MeshParams, SteppingParams, NewtonParams, f64) {
-        let mesh = |m: MeshParams| m;
-        let step = |steps, dt| SteppingParams { steps, dt };
-        let newton = |max_iterations, tolerance| NewtonParams {
-            max_iterations,
-            tolerance,
-        };
-        // FeModel's own defaults, for builders that never call set_newton.
-        let newton_default = newton(25, 1e-8);
-        match self {
-            Family::Arterial { .. } => (
-                mesh(MeshParams::hex(3, 3, 4, 1.0, 1.0, 2.0)),
-                step(3, 0.4),
-                newton(20, 1e-7),
-                1.0,
-            ),
-            Family::Biphasic { .. } => (
-                mesh(MeshParams::hex(4, 4, 4, 0.5, 0.5, 1.0)),
-                step(4, 0.1),
-                newton(20, 1e-7),
-                1.5,
-            ),
-            Family::Contact { .. } => (
-                MeshParams::hex(3, 3, 4, 1.0, 1.0, 1.0).shuffled(12345),
-                step(4, 0.5),
-                newton(30, 1e-6),
-                1.0,
-            ),
-            Family::Fluid { steady, .. } => (
-                mesh(MeshParams::hex(8, 3, 3, 4.0, 1.0, 1.0)),
-                step(if *steady { 1 } else { 4 }, 0.25),
-                newton(40, 1e-6),
-                1.5,
-            ),
-            Family::Muscle { .. } => (
-                mesh(MeshParams::hex(2, 2, 4, 0.4, 0.4, 1.6)),
-                step(3, 0.35),
-                newton(20, 1e-7),
-                1.0,
-            ),
-            Family::Multiphasic { .. } => (
-                mesh(MeshParams::hex(3, 3, 3, 0.5, 0.5, 0.5)),
-                step(4, 0.1),
-                newton_default,
-                3.0,
-            ),
-            Family::Tetrahedral { .. } => (
-                MeshParams {
-                    tet: true,
-                    ..MeshParams::hex(3, 3, 3, 1.0, 1.0, 1.0)
-                },
-                step(2, 0.5),
-                newton_default,
-                1.0,
-            ),
-            Family::Rigid { .. } => (
-                mesh(MeshParams::hex(5, 5, 3, 1.0, 1.0, 0.6)),
-                step(3, 0.4),
-                newton_default,
-                1.0,
-            ),
-            Family::Prestrain { .. } => (
-                mesh(MeshParams::hex(6, 6, 6, 1.0, 1.0, 1.0)),
-                step(2, 0.5),
-                newton_default,
-                1.0,
-            ),
-            Family::PlastiDamage { .. } => (
-                mesh(MeshParams::hex(2, 2, 2, 0.4, 0.4, 0.4)),
-                step(4, 0.25),
-                newton(30, 1e-6),
-                2.0,
-            ),
-            Family::Multigeneration { .. } => (
-                mesh(MeshParams::hex(4, 4, 4, 0.8, 0.8, 0.8)),
-                step(4, 0.25),
-                newton_default,
-                1.0,
-            ),
-            Family::Fsi { .. } => (
-                mesh(MeshParams::hex(6, 3, 3, 2.0, 1.0, 1.0)),
-                step(3, 0.2),
-                newton_default,
-                2.0,
-            ),
-            Family::Misc { .. } => (
-                mesh(MeshParams::hex(6, 6, 6, 1.0, 1.0, 1.0)),
-                step(3, 0.33),
-                newton_default,
-                1.0,
-            ),
-            Family::Material { .. } => (
-                mesh(MeshParams::hex(3, 3, 3, 0.8, 0.8, 0.8)),
-                step(4, 0.2),
-                newton(25, 1e-6),
-                10.0,
-            ),
-            Family::Damage { .. } => (
-                MeshParams::hex(5, 5, 5, 1.0, 1.0, 1.0).shuffled(777),
-                step(4, 0.25),
-                newton(25, 1e-6),
-                2.0,
-            ),
-            Family::Tumor { .. } => (
-                MeshParams::hex(4, 4, 4, 1.0, 1.0, 1.0).shuffled(4242),
-                step(3, 0.5),
-                newton(20, 1e-7),
-                1.0,
-            ),
-            Family::RigidJoint { .. } => (
-                mesh(MeshParams::hex(2, 2, 2, 0.6, 0.6, 0.4)),
-                step(4, 0.25),
-                newton_default,
-                1.0,
-            ),
-            Family::VolumeConstraint { .. } => (
-                mesh(MeshParams::hex(5, 5, 5, 1.0, 1.0, 1.0)),
-                step(2, 0.5),
-                newton_default,
-                1.0,
-            ),
-            Family::BiphasicFsi { .. } => (
-                mesh(MeshParams::hex(5, 5, 4, 1.0, 1.0, 0.8)),
-                step(4, 0.15),
-                newton_default,
-                2.0,
-            ),
-            Family::Eye { .. } => (
-                MeshParams::hex(8, 8, 8, 2.4, 2.4, 2.4).shuffled(20230),
-                step(2, 0.5),
-                newton(25, 1e-6),
-                3.0,
-            ),
-        }
-    }
-
-    fn validate(&self) -> Result<(), ScenarioError> {
-        let finite = |name: &str, v: f64| {
-            if v.is_finite() {
-                Ok(())
-            } else {
-                Err(ScenarioError::new(format!("{name} must be finite")))
-            }
-        };
-        let positive = |name: &str, v: f64| {
-            finite(name, v)?;
-            if v > 0.0 {
-                Ok(())
-            } else {
-                Err(ScenarioError::new(format!("{name} must be positive")))
-            }
-        };
-        let perm = |k: &[f64; 3]| {
-            for (i, &v) in k.iter().enumerate() {
-                positive(&format!("permeability[{i}]"), v)?;
-            }
-            Ok(())
-        };
-        match self {
-            Family::Arterial { stretch } => finite("stretch", *stretch),
-            Family::Biphasic { permeability, load } => {
-                perm(permeability)?;
-                finite("load", *load)
-            }
-            Family::Contact {
-                start,
-                speed,
-                penalty,
-            } => {
-                finite("start", *start)?;
-                finite("speed", *speed)?;
-                positive("penalty", *penalty)
-            }
-            Family::Fluid {
-                viscosity, inlet, ..
-            } => {
-                positive("viscosity", *viscosity)?;
-                finite("inlet", *inlet)
-            }
-            Family::Muscle { activation } => positive("activation", *activation),
-            Family::Multiphasic {
-                permeability,
-                diffusivity,
-            } => {
-                perm(permeability)?;
-                positive("diffusivity", *diffusivity)
-            }
-            Family::Tetrahedral { stretch } => finite("stretch", *stretch),
-            Family::Rigid { bodies } => {
-                if *bodies == 0 {
-                    return Err(ScenarioError::new("rigid family needs at least one body"));
-                }
-                Ok(())
-            }
-            Family::Prestrain { scale } => finite("scale", *scale),
-            Family::PlastiDamage { yield_stress } => positive("yield_stress", *yield_stress),
-            Family::Multigeneration { second_gen_time } => {
-                positive("second_gen_time", *second_gen_time)
-            }
-            Family::Fsi { inlet } => finite("inlet", *inlet),
-            Family::Misc { split } => {
-                finite("split", *split)?;
-                if (0.0..=1.0).contains(split) {
-                    Ok(())
-                } else {
-                    Err(ScenarioError::new("split must lie in [0, 1]"))
-                }
-            }
-            Family::Material { terms, tau_scale } => {
-                if !(1..=16).contains(terms) {
-                    return Err(ScenarioError::new("terms must lie in 1..=16"));
-                }
-                positive("tau_scale", *tau_scale)
-            }
-            Family::Damage { stretch } => finite("stretch", *stretch),
-            Family::Tumor { growth_rate } => positive("growth_rate", *growth_rate),
-            Family::RigidJoint { bodies, joints } => {
-                if *bodies == 0 && *joints == 0 {
-                    return Err(ScenarioError::new(
-                        "rigid_joint family needs bodies or joints",
-                    ));
-                }
-                Ok(())
-            }
-            Family::VolumeConstraint { poisson } => {
-                finite("poisson", *poisson)?;
-                if *poisson > -1.0 && *poisson < 0.5 {
-                    Ok(())
-                } else {
-                    Err(ScenarioError::new("poisson must lie in (-1, 0.5)"))
-                }
-            }
-            Family::BiphasicFsi { permeability, load } => {
-                perm(permeability)?;
-                finite("load", *load)
-            }
-            Family::Eye { iop } => finite("iop", *iop),
-        }
-    }
-
-    /// Folds the family label and every parameter into `h`. The
-    /// exhaustive destructuring means a new family field fails to
-    /// compile here until it is hashed — it can never silently alias a
-    /// cache entry.
-    fn digest_into(&self, h: &mut Fnv64) {
-        h.write_str(self.label());
-        match self {
-            Family::Arterial { stretch } => {
-                h.write_f64(*stretch);
-            }
-            Family::Biphasic { permeability, load } => {
-                for &k in permeability {
-                    h.write_f64(k);
-                }
-                h.write_f64(*load);
-            }
-            Family::Contact {
-                start,
-                speed,
-                penalty,
-            } => {
-                h.write_f64(*start).write_f64(*speed).write_f64(*penalty);
-            }
-            Family::Fluid {
-                steady,
-                viscosity,
-                inlet,
-            } => {
-                h.write_u64(*steady as u64)
-                    .write_f64(*viscosity)
-                    .write_f64(*inlet);
-            }
-            Family::Muscle { activation } => {
-                h.write_f64(*activation);
-            }
-            Family::Multiphasic {
-                permeability,
-                diffusivity,
-            } => {
-                for &k in permeability {
-                    h.write_f64(k);
-                }
-                h.write_f64(*diffusivity);
-            }
-            Family::Tetrahedral { stretch } => {
-                h.write_f64(*stretch);
-            }
-            Family::Rigid { bodies } => {
-                h.write_usize(*bodies);
-            }
-            Family::Prestrain { scale } => {
-                h.write_f64(*scale);
-            }
-            Family::PlastiDamage { yield_stress } => {
-                h.write_f64(*yield_stress);
-            }
-            Family::Multigeneration { second_gen_time } => {
-                h.write_f64(*second_gen_time);
-            }
-            Family::Fsi { inlet } => {
-                h.write_f64(*inlet);
-            }
-            Family::Misc { split } => {
-                h.write_f64(*split);
-            }
-            Family::Material { terms, tau_scale } => {
-                h.write_usize(*terms).write_f64(*tau_scale);
-            }
-            Family::Damage { stretch } => {
-                h.write_f64(*stretch);
-            }
-            Family::Tumor { growth_rate } => {
-                h.write_f64(*growth_rate);
-            }
-            Family::RigidJoint { bodies, joints } => {
-                h.write_usize(*bodies).write_usize(*joints);
-            }
-            Family::VolumeConstraint { poisson } => {
-                h.write_f64(*poisson);
-            }
-            Family::BiphasicFsi { permeability, load } => {
-                for &k in permeability {
-                    h.write_f64(k);
-                }
-                h.write_f64(*load);
-            }
-            Family::Eye { iop } => {
-                h.write_f64(*iop);
-            }
-        }
+        let row = TABLE_I.iter().find(|row| row.family_label == label)?;
+        Some(row.family.clone())
     }
 }
 
@@ -786,14 +431,19 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// A scenario at the family's historical defaults.
     pub fn new(id: impl Into<String>, family: Family) -> ScenarioSpec {
-        let (mesh, stepping, newton, spin_scale) = family.defaults();
+        let row = family.row();
+        let mut stepping = row.stepping.clone();
+        if let Family::Fluid { steady: true, .. } = family {
+            // The steady builder (`fl33`) solved in one step.
+            stepping.steps = 1;
+        }
         ScenarioSpec {
             id: id.into(),
             family,
-            mesh,
+            mesh: row.mesh.clone(),
             stepping,
-            newton,
-            spin_scale,
+            newton: row.newton.clone(),
+            spin_scale: row.spin_scale,
             expand: ExpandParams::default(),
         }
     }
@@ -857,59 +507,33 @@ impl ScenarioSpec {
                 self.id
             )));
         }
-        let m = &self.mesh;
-        for (name, n) in [("nx", m.nx), ("ny", m.ny), ("nz", m.nz)] {
-            if !(1..=64).contains(&n) {
-                return Err(ScenarioError::new(format!(
-                    "mesh.{name} must lie in 1..=64"
-                )));
+        if let Family::RigidJoint {
+            bodies: 0,
+            joints: 0,
+        } = self.family
+        {
+            return Err(ScenarioError::new(
+                "rigid_joint family needs bodies or joints",
+            ));
+        }
+        schema::check(self, "").map_err(|e| ScenarioError::new(e.message))
+    }
+
+    /// The rule for scenarios that run together — a campaign's inline
+    /// workloads, a `belenos scenario` document, a served batch: every
+    /// scenario valid, ids unique.
+    ///
+    /// # Errors
+    ///
+    /// The first invalid scenario or repeated id, in list order.
+    pub fn validate_list(specs: &[ScenarioSpec]) -> Result<(), ScenarioListError> {
+        for (i, spec) in specs.iter().enumerate() {
+            spec.validate().map_err(ScenarioListError::Invalid)?;
+            if specs[..i].iter().any(|s| s.id == spec.id) {
+                return Err(ScenarioListError::DuplicateId(spec.id.clone()));
             }
         }
-        for (name, l) in [("lx", m.lx), ("ly", m.ly), ("lz", m.lz)] {
-            if !(l.is_finite() && l > 0.0) {
-                return Err(ScenarioError::new(format!(
-                    "mesh.{name} must be a positive finite extent"
-                )));
-            }
-        }
-        if let Some(seed) = m.shuffle_seed {
-            // Scenario documents are JSON, whose numbers are f64 —
-            // integers above 2^53 would silently round on round-trip.
-            if seed > (1u64 << 53) {
-                return Err(ScenarioError::new(
-                    "mesh.shuffle_seed must not exceed 2^53 (JSON numbers are f64)",
-                ));
-            }
-        }
-        if self.stepping.steps == 0 || self.stepping.steps > 1000 {
-            return Err(ScenarioError::new("stepping.steps must lie in 1..=1000"));
-        }
-        if !(self.stepping.dt.is_finite() && self.stepping.dt > 0.0) {
-            return Err(ScenarioError::new("stepping.dt must be positive"));
-        }
-        if self.newton.max_iterations == 0 {
-            return Err(ScenarioError::new("newton.max_iterations must be positive"));
-        }
-        if !(self.newton.tolerance.is_finite() && self.newton.tolerance > 0.0) {
-            return Err(ScenarioError::new("newton.tolerance must be positive"));
-        }
-        if !(self.spin_scale.is_finite() && self.spin_scale > 0.0) {
-            return Err(ScenarioError::new("spin_scale must be positive"));
-        }
-        let e = &self.expand;
-        if e.sample == 0 {
-            return Err(ScenarioError::new("expand.sample must be at least 1"));
-        }
-        if e.code_bloat == 0 {
-            return Err(ScenarioError::new("expand.code_bloat must be at least 1"));
-        }
-        if !(e.spin_scale.is_finite() && e.spin_scale > 0.0) {
-            return Err(ScenarioError::new("expand.spin_scale must be positive"));
-        }
-        if e.max_kernel_ops == 0 {
-            return Err(ScenarioError::new("expand.max_kernel_ops must be positive"));
-        }
-        self.family.validate()
+        Ok(())
     }
 
     /// Validates the scenario and builds a fresh [`FeModel`] for it.
@@ -927,59 +551,10 @@ impl ScenarioSpec {
     /// runner's cache key, so parametric variants sharing an id can
     /// never alias a cached result.
     ///
-    /// The exhaustive destructuring below is the cache-safety guard: a
-    /// new `ScenarioSpec` field is a compile error here until it is
-    /// hashed (or consciously ignored), mirroring `trace_fingerprint`'s
-    /// `ExpandConfig` treatment.
+    /// Every field of the [`Record`] listing is hashed, in listing
+    /// order; a field the listing lacks does not compile.
     pub fn stable_digest(&self) -> u64 {
-        let ScenarioSpec {
-            id,
-            family,
-            mesh:
-                MeshParams {
-                    nx,
-                    ny,
-                    nz,
-                    lx,
-                    ly,
-                    lz,
-                    tet,
-                    shuffle_seed,
-                },
-            stepping: SteppingParams { steps, dt },
-            newton:
-                NewtonParams {
-                    max_iterations,
-                    tolerance,
-                },
-            spin_scale,
-            expand:
-                ExpandParams {
-                    sample,
-                    code_bloat,
-                    spin_scale: expand_spin,
-                    max_kernel_ops,
-                },
-        } = self;
-        let mut h = Fnv64::new();
-        h.write_str("ScenarioSpec-v1");
-        h.write_str(id);
-        family.digest_into(&mut h);
-        h.write_usize(*nx).write_usize(*ny).write_usize(*nz);
-        h.write_f64(*lx).write_f64(*ly).write_f64(*lz);
-        h.write_u64(*tet as u64);
-        match shuffle_seed {
-            Some(seed) => h.write_u64(1).write_u64(*seed),
-            None => h.write_u64(0),
-        };
-        h.write_usize(*steps).write_f64(*dt);
-        h.write_usize(*max_iterations).write_f64(*tolerance);
-        h.write_f64(*spin_scale);
-        h.write_usize(*sample)
-            .write_u64(*code_bloat as u64)
-            .write_f64(*expand_spin)
-            .write_usize(*max_kernel_ops);
-        h.finish()
+        record_digest("ScenarioSpec-v1", self)
     }
 
     /// Parses and validates a JSON scenario document.
@@ -1002,351 +577,24 @@ impl ScenarioSpec {
     }
 }
 
-// --- JSON ----------------------------------------------------------------
-
-impl ToJson for MeshParams {
-    fn to_json(&self) -> Json {
-        // Every field is explicit — the parser fills omitted mesh fields
-        // from *family* defaults, so a non-default `tet: false` or
-        // `shuffle_seed: None` must serialize visibly (as `false`/`null`)
-        // or a round-trip would silently restore the family's value.
-        Json::obj(vec![
-            ("nx", Json::Num(self.nx as f64)),
-            ("ny", Json::Num(self.ny as f64)),
-            ("nz", Json::Num(self.nz as f64)),
-            ("lx", Json::Num(self.lx)),
-            ("ly", Json::Num(self.ly)),
-            ("lz", Json::Num(self.lz)),
-            ("tet", Json::Bool(self.tet)),
-            (
-                "shuffle_seed",
-                match self.shuffle_seed {
-                    Some(seed) => Json::Num(seed as f64),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-}
-
-impl ToJson for SteppingParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("steps", Json::Num(self.steps as f64)),
-            ("dt", Json::Num(self.dt)),
-        ])
-    }
-}
-
-impl ToJson for NewtonParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("max_iterations", Json::Num(self.max_iterations as f64)),
-            ("tolerance", Json::Num(self.tolerance)),
-        ])
-    }
-}
-
-impl ToJson for ExpandParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("sample", Json::Num(self.sample as f64)),
-            ("code_bloat", Json::Num(self.code_bloat as f64)),
-            ("spin_scale", Json::Num(self.spin_scale)),
-            ("max_kernel_ops", Json::Num(self.max_kernel_ops as f64)),
-        ])
-    }
-}
-
-fn perm_json(k: &[f64; 3]) -> Json {
-    Json::Arr(k.iter().map(|&v| Json::Num(v)).collect())
-}
-
-impl ToJson for Family {
-    fn to_json(&self) -> Json {
-        // Emitted as the `params` object; the label travels separately.
-        match self {
-            Family::Arterial { stretch } => Json::obj(vec![("stretch", Json::Num(*stretch))]),
-            Family::Biphasic { permeability, load } => Json::obj(vec![
-                ("permeability", perm_json(permeability)),
-                ("load", Json::Num(*load)),
-            ]),
-            Family::Contact {
-                start,
-                speed,
-                penalty,
-            } => Json::obj(vec![
-                ("start", Json::Num(*start)),
-                ("speed", Json::Num(*speed)),
-                ("penalty", Json::Num(*penalty)),
-            ]),
-            Family::Fluid {
-                steady,
-                viscosity,
-                inlet,
-            } => Json::obj(vec![
-                ("steady", Json::Bool(*steady)),
-                ("viscosity", Json::Num(*viscosity)),
-                ("inlet", Json::Num(*inlet)),
-            ]),
-            Family::Muscle { activation } => {
-                Json::obj(vec![("activation", Json::Num(*activation))])
-            }
-            Family::Multiphasic {
-                permeability,
-                diffusivity,
-            } => Json::obj(vec![
-                ("permeability", perm_json(permeability)),
-                ("diffusivity", Json::Num(*diffusivity)),
-            ]),
-            Family::Tetrahedral { stretch } => Json::obj(vec![("stretch", Json::Num(*stretch))]),
-            Family::Rigid { bodies } => Json::obj(vec![("bodies", Json::Num(*bodies as f64))]),
-            Family::Prestrain { scale } => Json::obj(vec![("scale", Json::Num(*scale))]),
-            Family::PlastiDamage { yield_stress } => {
-                Json::obj(vec![("yield_stress", Json::Num(*yield_stress))])
-            }
-            Family::Multigeneration { second_gen_time } => {
-                Json::obj(vec![("second_gen_time", Json::Num(*second_gen_time))])
-            }
-            Family::Fsi { inlet } => Json::obj(vec![("inlet", Json::Num(*inlet))]),
-            Family::Misc { split } => Json::obj(vec![("split", Json::Num(*split))]),
-            Family::Material { terms, tau_scale } => Json::obj(vec![
-                ("terms", Json::Num(*terms as f64)),
-                ("tau_scale", Json::Num(*tau_scale)),
-            ]),
-            Family::Damage { stretch } => Json::obj(vec![("stretch", Json::Num(*stretch))]),
-            Family::Tumor { growth_rate } => {
-                Json::obj(vec![("growth_rate", Json::Num(*growth_rate))])
-            }
-            Family::RigidJoint { bodies, joints } => Json::obj(vec![
-                ("bodies", Json::Num(*bodies as f64)),
-                ("joints", Json::Num(*joints as f64)),
-            ]),
-            Family::VolumeConstraint { poisson } => {
-                Json::obj(vec![("poisson", Json::Num(*poisson))])
-            }
-            Family::BiphasicFsi { permeability, load } => Json::obj(vec![
-                ("permeability", perm_json(permeability)),
-                ("load", Json::Num(*load)),
-            ]),
-            Family::Eye { iop } => Json::obj(vec![("iop", Json::Num(*iop))]),
-        }
-    }
-}
-
-fn f64_field(v: &Json, ctx: &str, key: &str, default: f64) -> Result<f64, JsonError> {
-    match v.get(key) {
-        Some(j) => f64::from_json(j).map_err(|e| JsonError::new(format!("{ctx}.{key}: {e}"))),
-        None => Ok(default),
-    }
-}
-
-fn usize_field(v: &Json, ctx: &str, key: &str, default: usize) -> Result<usize, JsonError> {
-    match v.get(key) {
-        Some(j) => usize::from_json(j).map_err(|e| JsonError::new(format!("{ctx}.{key}: {e}"))),
-        None => Ok(default),
-    }
-}
-
-fn bool_field(v: &Json, ctx: &str, key: &str, default: bool) -> Result<bool, JsonError> {
-    match v.get(key) {
-        Some(j) => bool::from_json(j).map_err(|e| JsonError::new(format!("{ctx}.{key}: {e}"))),
-        None => Ok(default),
-    }
-}
-
-fn perm_field(v: &Json, ctx: &str, default: [f64; 3]) -> Result<[f64; 3], JsonError> {
-    let Some(j) = v.get("permeability") else {
-        return Ok(default);
-    };
-    let items =
-        Vec::<f64>::from_json(j).map_err(|e| JsonError::new(format!("{ctx}.permeability: {e}")))?;
-    if items.len() != 3 {
-        return Err(JsonError::new(format!(
-            "{ctx}.permeability: expected exactly 3 principal values"
-        )));
-    }
-    Ok([items[0], items[1], items[2]])
-}
-
-impl Family {
-    /// Parses the `params` object for `label`, starting from the
-    /// family's canonical values; unknown parameter keys are rejected.
-    fn from_label_and_params(label: &str, params: Option<&Json>) -> Result<Family, JsonError> {
-        let canonical = Family::canonical(label).ok_or_else(|| {
-            JsonError::new(format!(
-                "family: unknown family `{label}` (expected one of: {})",
-                FAMILY_LABELS
-                    .iter()
-                    .map(|(l, _)| *l)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))
-        })?;
-        let Some(p) = params else {
-            return Ok(canonical);
-        };
-        if p.as_obj().is_none() {
-            return Err(JsonError::new("params: expected an object"));
-        }
-        let ctx = "params";
-        Ok(match canonical {
-            Family::Arterial { stretch } => {
-                p.reject_unknown_fields(ctx, &["stretch"])?;
-                Family::Arterial {
-                    stretch: f64_field(p, ctx, "stretch", stretch)?,
-                }
-            }
-            Family::Biphasic { permeability, load } => {
-                p.reject_unknown_fields(ctx, &["permeability", "load"])?;
-                Family::Biphasic {
-                    permeability: perm_field(p, ctx, permeability)?,
-                    load: f64_field(p, ctx, "load", load)?,
-                }
-            }
-            Family::Contact {
-                start,
-                speed,
-                penalty,
-            } => {
-                p.reject_unknown_fields(ctx, &["start", "speed", "penalty"])?;
-                Family::Contact {
-                    start: f64_field(p, ctx, "start", start)?,
-                    speed: f64_field(p, ctx, "speed", speed)?,
-                    penalty: f64_field(p, ctx, "penalty", penalty)?,
-                }
-            }
-            Family::Fluid {
-                steady,
-                viscosity,
-                inlet,
-            } => {
-                p.reject_unknown_fields(ctx, &["steady", "viscosity", "inlet"])?;
-                Family::Fluid {
-                    steady: bool_field(p, ctx, "steady", steady)?,
-                    viscosity: f64_field(p, ctx, "viscosity", viscosity)?,
-                    inlet: f64_field(p, ctx, "inlet", inlet)?,
-                }
-            }
-            Family::Muscle { activation } => {
-                p.reject_unknown_fields(ctx, &["activation"])?;
-                Family::Muscle {
-                    activation: f64_field(p, ctx, "activation", activation)?,
-                }
-            }
-            Family::Multiphasic {
-                permeability,
-                diffusivity,
-            } => {
-                p.reject_unknown_fields(ctx, &["permeability", "diffusivity"])?;
-                Family::Multiphasic {
-                    permeability: perm_field(p, ctx, permeability)?,
-                    diffusivity: f64_field(p, ctx, "diffusivity", diffusivity)?,
-                }
-            }
-            Family::Tetrahedral { stretch } => {
-                p.reject_unknown_fields(ctx, &["stretch"])?;
-                Family::Tetrahedral {
-                    stretch: f64_field(p, ctx, "stretch", stretch)?,
-                }
-            }
-            Family::Rigid { bodies } => {
-                p.reject_unknown_fields(ctx, &["bodies"])?;
-                Family::Rigid {
-                    bodies: usize_field(p, ctx, "bodies", bodies)?,
-                }
-            }
-            Family::Prestrain { scale } => {
-                p.reject_unknown_fields(ctx, &["scale"])?;
-                Family::Prestrain {
-                    scale: f64_field(p, ctx, "scale", scale)?,
-                }
-            }
-            Family::PlastiDamage { yield_stress } => {
-                p.reject_unknown_fields(ctx, &["yield_stress"])?;
-                Family::PlastiDamage {
-                    yield_stress: f64_field(p, ctx, "yield_stress", yield_stress)?,
-                }
-            }
-            Family::Multigeneration { second_gen_time } => {
-                p.reject_unknown_fields(ctx, &["second_gen_time"])?;
-                Family::Multigeneration {
-                    second_gen_time: f64_field(p, ctx, "second_gen_time", second_gen_time)?,
-                }
-            }
-            Family::Fsi { inlet } => {
-                p.reject_unknown_fields(ctx, &["inlet"])?;
-                Family::Fsi {
-                    inlet: f64_field(p, ctx, "inlet", inlet)?,
-                }
-            }
-            Family::Misc { split } => {
-                p.reject_unknown_fields(ctx, &["split"])?;
-                Family::Misc {
-                    split: f64_field(p, ctx, "split", split)?,
-                }
-            }
-            Family::Material { terms, tau_scale } => {
-                p.reject_unknown_fields(ctx, &["terms", "tau_scale"])?;
-                Family::Material {
-                    terms: usize_field(p, ctx, "terms", terms)?,
-                    tau_scale: f64_field(p, ctx, "tau_scale", tau_scale)?,
-                }
-            }
-            Family::Damage { stretch } => {
-                p.reject_unknown_fields(ctx, &["stretch"])?;
-                Family::Damage {
-                    stretch: f64_field(p, ctx, "stretch", stretch)?,
-                }
-            }
-            Family::Tumor { growth_rate } => {
-                p.reject_unknown_fields(ctx, &["growth_rate"])?;
-                Family::Tumor {
-                    growth_rate: f64_field(p, ctx, "growth_rate", growth_rate)?,
-                }
-            }
-            Family::RigidJoint { bodies, joints } => {
-                p.reject_unknown_fields(ctx, &["bodies", "joints"])?;
-                Family::RigidJoint {
-                    bodies: usize_field(p, ctx, "bodies", bodies)?,
-                    joints: usize_field(p, ctx, "joints", joints)?,
-                }
-            }
-            Family::VolumeConstraint { poisson } => {
-                p.reject_unknown_fields(ctx, &["poisson"])?;
-                Family::VolumeConstraint {
-                    poisson: f64_field(p, ctx, "poisson", poisson)?,
-                }
-            }
-            Family::BiphasicFsi { permeability, load } => {
-                p.reject_unknown_fields(ctx, &["permeability", "load"])?;
-                Family::BiphasicFsi {
-                    permeability: perm_field(p, ctx, permeability)?,
-                    load: f64_field(p, ctx, "load", load)?,
-                }
-            }
-            Family::Eye { iop } => {
-                p.reject_unknown_fields(ctx, &["iop"])?;
-                Family::Eye {
-                    iop: f64_field(p, ctx, "iop", iop)?,
-                }
-            }
+// The document shape, digest order and rules of a whole scenario. The
+// family travels as its label plus a `params` object.
+impl Record for ScenarioSpec {
+    fn walk<W: Walker>(&self, w: &mut W) -> Result<Self, JsonError> {
+        Ok(ScenarioSpec {
+            id: w.leaf("id", &self.id, Rule::Any)?,
+            family: {
+                // Written and hashed ahead of the parameters; a document
+                // is read over a scenario already built from its label.
+                w.leaf("family", &self.family.label().to_string(), Rule::Any)?;
+                w.nested("params", &self.family)?
+            },
+            mesh: w.nested("mesh", &self.mesh)?,
+            stepping: w.nested("stepping", &self.stepping)?,
+            newton: w.nested("newton", &self.newton)?,
+            spin_scale: w.leaf("spin_scale", &self.spin_scale, Rule::Positive)?,
+            expand: w.nested("expand", &self.expand)?,
         })
-    }
-}
-
-impl ToJson for ScenarioSpec {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Str(self.id.clone())),
-            ("family", Json::Str(self.family.label().to_string())),
-            ("params", self.family.to_json()),
-            ("mesh", self.mesh.to_json()),
-            ("stepping", self.stepping.to_json()),
-            ("newton", self.newton.to_json()),
-            ("spin_scale", Json::Num(self.spin_scale)),
-            ("expand", self.expand.to_json()),
-        ])
     }
 }
 
@@ -1354,99 +602,28 @@ impl ToJson for ScenarioSpec {
 /// a terse `{"id": ..., "family": ...}` scenario is complete.
 impl FromJson for ScenarioSpec {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let text = |key: &str| {
+            String::from_json(v.expect_field(key)?)
+                .map_err(|e| JsonError::new(format!("scenario.{key}: {e}")))
+        };
         if v.as_obj().is_none() {
-            return Err(JsonError::new("scenario: expected a JSON object"));
+            return Err(JsonError::new("scenario: expected an object"));
         }
-        v.reject_unknown_fields(
-            "scenario",
-            &[
-                "id",
-                "family",
-                "params",
-                "mesh",
-                "stepping",
-                "newton",
-                "spin_scale",
-                "expand",
-            ],
-        )?;
-        let id = String::from_json(v.expect_field("id")?)
-            .map_err(|e| JsonError::new(format!("scenario.id: {e}")))?;
-        let label = String::from_json(v.expect_field("family")?)
-            .map_err(|e| JsonError::new(format!("scenario.family: {e}")))?;
-        let family = Family::from_label_and_params(&label, v.get("params"))?;
-        let mut spec = ScenarioSpec::new(id, family);
-        if let Some(m) = v.get("mesh") {
-            m.reject_unknown_fields(
-                "mesh",
-                &["nx", "ny", "nz", "lx", "ly", "lz", "tet", "shuffle_seed"],
-            )?;
-            spec.mesh = MeshParams {
-                nx: usize_field(m, "mesh", "nx", spec.mesh.nx)?,
-                ny: usize_field(m, "mesh", "ny", spec.mesh.ny)?,
-                nz: usize_field(m, "mesh", "nz", spec.mesh.nz)?,
-                lx: f64_field(m, "mesh", "lx", spec.mesh.lx)?,
-                ly: f64_field(m, "mesh", "ly", spec.mesh.ly)?,
-                lz: f64_field(m, "mesh", "lz", spec.mesh.lz)?,
-                tet: bool_field(m, "mesh", "tet", spec.mesh.tet)?,
-                shuffle_seed: match m.get("shuffle_seed") {
-                    Some(Json::Null) => None,
-                    Some(j) => Some(
-                        u64::from_json(j)
-                            .map_err(|e| JsonError::new(format!("mesh.shuffle_seed: {e}")))?,
-                    ),
-                    None => spec.mesh.shuffle_seed,
-                },
-            };
-        }
-        if let Some(s) = v.get("stepping") {
-            s.reject_unknown_fields("stepping", &["steps", "dt"])?;
-            spec.stepping = SteppingParams {
-                steps: usize_field(s, "stepping", "steps", spec.stepping.steps)?,
-                dt: f64_field(s, "stepping", "dt", spec.stepping.dt)?,
-            };
-        }
-        if let Some(n) = v.get("newton") {
-            n.reject_unknown_fields("newton", &["max_iterations", "tolerance"])?;
-            spec.newton = NewtonParams {
-                max_iterations: usize_field(
-                    n,
-                    "newton",
-                    "max_iterations",
-                    spec.newton.max_iterations,
-                )?,
-                tolerance: f64_field(n, "newton", "tolerance", spec.newton.tolerance)?,
-            };
-        }
-        if let Some(s) = v.get("spin_scale") {
-            spec.spin_scale = f64::from_json(s)
-                .map_err(|e| JsonError::new(format!("scenario.spin_scale: {e}")))?;
-        }
-        if let Some(e) = v.get("expand") {
-            e.reject_unknown_fields(
-                "expand",
-                &["sample", "code_bloat", "spin_scale", "max_kernel_ops"],
-            )?;
-            spec.expand = ExpandParams {
-                sample: usize_field(e, "expand", "sample", spec.expand.sample)?,
-                code_bloat: usize_field(
-                    e,
-                    "expand",
-                    "code_bloat",
-                    spec.expand.code_bloat as usize,
-                )?
-                .try_into()
-                .map_err(|_| JsonError::new("expand.code_bloat: out of range"))?,
-                spin_scale: f64_field(e, "expand", "spin_scale", spec.expand.spin_scale)?,
-                max_kernel_ops: usize_field(
-                    e,
-                    "expand",
-                    "max_kernel_ops",
-                    spec.expand.max_kernel_ops,
-                )?,
-            };
-        }
-        Ok(spec)
+        let (id, label) = (text("id")?, text("family")?);
+        let canonical = Family::canonical(&label).ok_or_else(|| {
+            let known: Vec<&str> = TABLE_I.iter().map(|row| row.family_label).collect();
+            JsonError::new(format!(
+                "scenario.family: unknown family `{label}` (expected one of: {})",
+                known.join(", ")
+            ))
+        })?;
+        // The parameters first: a family's defaults can follow them
+        // (`fluid`'s step count follows `steady`).
+        let family = match v.get("params") {
+            Some(params) => schema::read(&canonical, params, "scenario.params")?,
+            None => canonical,
+        };
+        schema::read(&ScenarioSpec::new(id, family), v, "scenario")
     }
 }
 
@@ -1558,46 +735,6 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("permeability[1]"));
-    }
-
-    #[test]
-    fn digest_changes_with_every_knob() {
-        let base = ScenarioSpec::new("co-x", Family::canonical("contact").unwrap());
-        let d0 = base.stable_digest();
-        let mut id = base.clone();
-        id.id = "co-y".into();
-        let mut mesh = base.clone();
-        mesh.mesh.nx += 1;
-        let mut seed = base.clone();
-        seed.mesh.shuffle_seed = Some(1);
-        let mut stepping = base.clone();
-        stepping.stepping.dt *= 2.0;
-        let mut newton = base.clone();
-        newton.newton.tolerance *= 10.0;
-        let mut spin = base.clone();
-        spin.spin_scale = 7.0;
-        let mut expand = base.clone();
-        expand.expand.code_bloat += 1;
-        let mut fam = base.clone();
-        fam.family = Family::Contact {
-            start: 1.05,
-            speed: -0.08,
-            penalty: 6e4,
-        };
-        for (name, variant) in [
-            ("id", id),
-            ("mesh", mesh),
-            ("seed", seed),
-            ("stepping", stepping),
-            ("newton", newton),
-            ("spin", spin),
-            ("expand", expand),
-            ("family", fam),
-        ] {
-            assert_ne!(variant.stable_digest(), d0, "{name} must move the digest");
-        }
-        // And the digest is deterministic.
-        assert_eq!(base.stable_digest(), base.clone().stable_digest());
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! An off-catalog scenario end to end: define a workload as data, build
 //! and solve its finite-element model, replay the trace on the simulated
-//! core through the cache-aware runner, and read the bottleneck profile.
+//! core as a one-point grid through the cache-aware runner, and read the
+//! bottleneck profile.
 //!
 //! ```sh
 //! cargo run -p belenos --release --example custom_scenario
 //! ```
 
 use belenos::experiment::Experiment;
-use belenos_runner::{JobSpec, RunPlan, Runner};
+use belenos::options::SimOptions;
+use belenos::sweep::{self, Axis};
+use belenos_runner::Runner;
 use belenos_uarch::CoreConfig;
 use belenos_workloads::{by_id, ScenarioSpec};
 
@@ -40,24 +43,20 @@ fn main() {
         .collect();
     assert!(exps[0].solve.n_dofs > exps[1].solve.n_dofs);
 
-    // Simulate both on the Table II baseline through the runner (cache
-    // keys include the scenario digest, so the variants never alias).
-    let mut plan = RunPlan::new();
-    for w in 0..exps.len() {
-        plan.push(JobSpec::new(
-            w,
-            "baseline",
-            CoreConfig::gem5_baseline(),
-            60_000,
-        ));
-    }
-    for result in Runner::isolated(2).run(&exps, &plan) {
-        assert!(result.error.is_none(), "{:?}", result.error);
-        let (retiring, frontend, bad_spec, backend) = result.stats.topdown();
+    // Simulate both on the Table II baseline: a one-point axis over the
+    // grid runner (cache keys include the scenario digest, so the
+    // variants never alias).
+    let axis = Axis::single("baseline", CoreConfig::gem5_baseline());
+    let grid = sweep::run(&Runner::isolated(2), &exps, &axis, &SimOptions::new(60_000))
+        .complete()
+        .expect("both simulations finish");
+    for (exp, row) in exps.iter().zip(&grid) {
+        let stats = &row[0];
+        let (retiring, frontend, bad_spec, backend) = stats.topdown();
         println!(
             "{:<8} IPC {:.3}  retiring {:4.1}%  frontend {:4.1}%  bad-spec {:4.1}%  backend {:4.1}%",
-            result.workload,
-            result.stats.ipc(),
+            exp.scenario().id,
+            stats.ipc(),
             retiring * 100.0,
             frontend * 100.0,
             bad_spec * 100.0,

@@ -227,6 +227,36 @@ fn campaign_json_rejects_bad_inline_scenarios() {
 }
 
 #[test]
+fn a_section_of_the_wrong_shape_is_rejected_by_name() {
+    // Each of these used to read as an object with every key absent and
+    // silently take the family's defaults.
+    let shaped = |section: &str, value: &str| {
+        format!(r#"{{"id": "x", "family": "contact", "{section}": {value}}}"#)
+    };
+    for (section, value) in [
+        ("mesh", "5"),
+        ("stepping", r#""fast""#),
+        ("newton", "[]"),
+        ("expand", "true"),
+        ("params", "null"),
+    ] {
+        let err = ScenarioSpec::parse(&shaped(section, value)).unwrap_err();
+        let want = format!("{section}: expected an object");
+        assert!(err.to_string().contains(&want), "{section}: {err}");
+        let err = CampaignSpec::parse(&format!(
+            r#"{{"workloads": [{}], "analyses": ["topdown"]}}"#,
+            shaped(section, value)
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains(&want), "{section}: {err}");
+    }
+    // The document from the report, whole.
+    let all =
+        r#"{"id":"x","family":"contact","mesh":5,"stepping":"fast","newton":[],"expand":true}"#;
+    assert!(ScenarioSpec::parse(all).is_err());
+}
+
+#[test]
 fn inline_workload_sets_roundtrip_through_campaign_json() {
     let inline = ScenarioSpec::parse(
         r#"{"id": "bp-stiff", "family": "biphasic",

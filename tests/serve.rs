@@ -348,6 +348,19 @@ fn budget_rejection_names_the_field_and_scenarios_run() {
     let (status, _, _) = request(addr, "POST", "/v1/campaigns", Some("{not json"));
     assert_eq!(status, 400);
 
+    // A scenario section of the wrong shape is a 400 naming the list,
+    // not a batch that quietly ran the family defaults.
+    let misshapen =
+        r#"{"id":"x","family":"contact","mesh":5,"stepping":"fast","newton":[],"expand":true}"#;
+    let (status, _, body) = request(addr, "POST", "/v1/scenarios/run", Some(misshapen));
+    assert_eq!(status, 400, "misshapen scenario: {body}");
+    let doc = json(&body);
+    assert_eq!(doc.get("field").and_then(Json::as_str), Some("scenarios"));
+    assert!(doc
+        .get("error")
+        .and_then(Json::as_str)
+        .is_some_and(|e| e.contains("mesh: expected an object")));
+
     // A scenario batch under the ceiling runs end to end.
     let specs = ["bp07", "pd"].map(|id| belenos_workloads::by_id(id).expect("catalog preset"));
     let options = SimOptions::new(5_000);
