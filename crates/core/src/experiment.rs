@@ -1350,6 +1350,225 @@ mod tests {
         assert_eq!(budgeted, exp.simulate(&cfg, budget), "budgeted cache hit");
     }
 
+    /// A log of all 20 kernel variants, every `MaterialClass` and
+    /// `PrecondClass`, with one pattern, one `conn` and one `col_ptr`
+    /// shared across calls, a second pattern (table order) and a
+    /// content-equal copy of `conn` in its own allocation.
+    fn every_kernel_log() -> belenos_trace::PhaseLog {
+        use belenos_sparse::CsrPattern;
+        use belenos_trace::{KernelCall, MaterialClass as M, PrecondClass};
+        let pat = Arc::new(
+            CsrPattern::new(3, 3, vec![0, 2, 3, 5], vec![0, 1, 1, 0, 2]).expect("valid pattern"),
+        );
+        let pat2 = Arc::new(CsrPattern::new(2, 2, vec![0, 1, 2], vec![0, 1]).expect("valid"));
+        let conn = Arc::new(vec![0u32, 1, 2, 3, 1, 2, 3, 4]);
+        let conn_copy = Arc::new(conn.to_vec());
+        let col_ptr = Arc::new(vec![0usize, 2, 3, 3]);
+        let row_idx = Arc::new(vec![1u32, 2, 2]);
+        let heights = Arc::new(vec![1usize, 2, 2]);
+        let mut log = belenos_trace::PhaseLog::new();
+        let mut rec = |call| log.record(call);
+        rec(KernelCall::Dot { n: 64 });
+        rec(KernelCall::Axpy { n: 65 });
+        rec(KernelCall::Norm { n: 66 });
+        rec(KernelCall::VecOp { n: 67 });
+        rec(KernelCall::SpMv {
+            pattern: Arc::clone(&pat2),
+        });
+        rec(KernelCall::SpMv {
+            pattern: Arc::clone(&pat),
+        });
+        rec(KernelCall::AssembleStiffness {
+            conn: Arc::clone(&conn),
+            nodes_per_elem: 4,
+            dofs_per_node: 3,
+            gauss_points: 8,
+            material: M::Viscoelastic,
+            pattern: Arc::clone(&pat),
+        });
+        rec(KernelCall::AssembleResidual {
+            conn: Arc::clone(&conn),
+            nodes_per_elem: 4,
+            dofs_per_node: 3,
+            gauss_points: 1,
+            material: M::Biphasic,
+        });
+        rec(KernelCall::AssembleResidual {
+            conn: conn_copy,
+            nodes_per_elem: 8,
+            dofs_per_node: 4,
+            gauss_points: 2,
+            material: M::Fluid,
+        });
+        rec(KernelCall::LdlFactor {
+            col_ptr: Arc::clone(&col_ptr),
+            row_idx: Arc::clone(&row_idx),
+        });
+        rec(KernelCall::LdlSolve { col_ptr, row_idx });
+        rec(KernelCall::SkylineFactor {
+            heights: Arc::clone(&heights),
+        });
+        rec(KernelCall::SkylineSolve { heights });
+        rec(KernelCall::CgSolve {
+            pattern: Arc::clone(&pat),
+            iterations: 7,
+            precond: PrecondClass::None,
+        });
+        rec(KernelCall::CgSolve {
+            pattern: Arc::clone(&pat),
+            iterations: 5,
+            precond: PrecondClass::Jacobi,
+        });
+        rec(KernelCall::FgmresSolve {
+            pattern: pat,
+            iterations: 9,
+            restart: 4,
+            precond: PrecondClass::Ilu0,
+        });
+        for (i, material) in [
+            M::LinearElastic,
+            M::Hyperelastic,
+            M::FiberExponential,
+            M::Viscoelastic,
+            M::Biphasic,
+            M::Multiphasic,
+            M::Damage,
+            M::Plasticity,
+            M::ActiveMuscle,
+            M::Growth,
+            M::Fluid,
+            M::Rigid,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            rec(KernelCall::ConstitutiveUpdate {
+                gauss_points: 10 + i,
+                material,
+            });
+        }
+        rec(KernelCall::ContactSearch {
+            outcomes: Arc::new(vec![true, false, true]),
+        });
+        rec(KernelCall::OmpBarrier { spin_iters: 33 });
+        rec(KernelCall::BcApply { n: 12 });
+        rec(KernelCall::MeshUpdate { n_nodes: 27 });
+        rec(KernelCall::RigidUpdate {
+            n_bodies: 2,
+            n_joints: 1,
+        });
+        rec(KernelCall::ConvergenceCheck { n: 81 });
+        log
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        belenos_trace::Fnv64::new().write_bytes(bytes).finish()
+    }
+
+    /// Captured at 448fc7c, before the kernel listing: the store bytes
+    /// and both fingerprint hash streams of a log that uses every
+    /// kernel variant must never move without a version bump.
+    #[test]
+    fn every_kernel_store_bytes_and_fingerprints_are_pinned() {
+        use belenos_trace::{FnCategory, MicroOp, OpKind, SolveMeta, TraceArtifact};
+        let log = every_kernel_log();
+        assert_eq!(log.len(), 34);
+        let tuned = ExpandConfig {
+            sample: 3,
+            code_bloat: 2,
+            spin_scale: 1.5,
+            max_kernel_ops: 2_000,
+        };
+        assert_eq!(
+            trace_fingerprint(&log, &ExpandConfig::default()),
+            0x3ec3_97a9_b5ff_2a89
+        );
+        assert_eq!(trace_fingerprint(&log, &tuned), 0xf31d_8202_c833_c04e);
+        assert_eq!(
+            expand_fingerprint(&ExpandConfig::default()),
+            0x2ad7_a124_9f0b_7a8e
+        );
+        assert_eq!(expand_fingerprint(&tuned), 0xcdc1_ed85_2867_d8d3);
+
+        let mut artifact = TraceArtifact {
+            scenario_digest: 0x0123_4567_89ab_cdef,
+            expand_fingerprint: expand_fingerprint(&tuned),
+            trace_fingerprint: trace_fingerprint(&log, &tuned),
+            solve: SolveMeta {
+                wall_secs: 1,
+                wall_subsec_nanos: 250_000_000,
+                n_dofs: 300,
+                iterations: 12,
+                size_kb: 48.5,
+                converged: true,
+            },
+            log,
+            flat: None,
+        };
+        let log_only = artifact.encode();
+        assert_eq!(
+            (log_only.len(), fnv(&log_only)),
+            (876, 0x17d5_7c3c_0354_734e)
+        );
+        artifact.flat = Some(Arc::new(
+            [
+                MicroOp::load(7, 0x1000, 8, 1, FnCategory::MklBlas),
+                MicroOp::fp(OpKind::FpMul, 8, 1, 2, FnCategory::Internal),
+            ]
+            .into_iter()
+            .collect(),
+        ));
+        let with_flat = artifact.encode();
+        assert_eq!(
+            (with_flat.len(), fnv(&with_flat)),
+            (940, 0x3f58_3cc5_0115_ad9c)
+        );
+        // Every op-kind and category tag of the flat section.
+        artifact.flat = Some(Arc::new(
+            [
+                MicroOp::int(1, 1, 2, FnCategory::Internal),
+                MicroOp {
+                    kind: OpKind::IntMul,
+                    ..MicroOp::int(2, 1, 0, FnCategory::Sparsity)
+                },
+                MicroOp::fp(OpKind::FpAdd, 3, 1, 2, FnCategory::MatrixDense),
+                MicroOp::fp(OpKind::FpMul, 4, 2, 1, FnCategory::FebioSpecific),
+                MicroOp::fp(OpKind::FpDiv, 5, 1, 0, FnCategory::MklBlas),
+                MicroOp::load(6, 0x2000, 4, 1, FnCategory::MklPardiso),
+                MicroOp::store(7, 0x2008, 8, 2, FnCategory::Internal),
+                MicroOp::branch(8, 1, true, 1, FnCategory::Sparsity),
+                MicroOp::pause(9, FnCategory::FebioSpecific),
+                MicroOp::serialize(10, FnCategory::Internal),
+            ]
+            .into_iter()
+            .collect(),
+        ));
+        let every_op = artifact.encode();
+        assert_eq!(
+            (every_op.len(), fnv(&every_op)),
+            (1164, 0x36c4_acfb_abb8_019b)
+        );
+    }
+
+    /// Captured at 448fc7c: the store entry of a real solve (`pd` at
+    /// resolution 3), wall time zeroed.
+    #[test]
+    fn pd_store_entry_bytes_are_pinned() {
+        let spec = by_id("pd").expect("pd exists").with_resolution(3);
+        let exp = Experiment::prepare_with_store(&spec, None).unwrap();
+        let mut artifact = exp.to_artifact();
+        artifact.solve = belenos_trace::SolveMeta {
+            wall_secs: 0,
+            wall_subsec_nanos: 0,
+            n_dofs: 0,
+            iterations: 0,
+            size_kb: 0.0,
+            converged: false,
+        };
+        let bytes = artifact.encode();
+        assert_eq!((bytes.len(), fnv(&bytes)), (80896, 0x219f_8e3b_b99e_0b9d));
+    }
+
     #[test]
     fn same_log_different_configs() {
         let spec = by_id("pd").expect("pd exists");
