@@ -3,7 +3,7 @@
 
 use belenos_fem::FemError;
 use belenos_trace::expand::{ExpandConfig, Expander};
-use belenos_trace::{FlatTrace, KernelCall, MicroOp, PhaseLog};
+use belenos_trace::{expand_fingerprint, trace_fingerprint, FlatTrace, MicroOp, PhaseLog};
 use belenos_uarch::{build_model, CoreConfig, CoreModel, Fnv64, SamplingConfig, SimStats};
 use belenos_workloads::{ScenarioError, ScenarioSpec};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -759,209 +759,6 @@ pub fn sampling_windows(total: u64, budget: u64, intervals: usize) -> Vec<(u64, 
     (0..n)
         .map(|i| (i * period + (period - measured), measured))
         .collect()
-}
-
-/// Memoizes content hashes of the `Arc`'d index arrays kernel calls
-/// carry, keyed by allocation address: repeated kernels over the same
-/// structure (the common case — every Newton iteration reuses the same
-/// pattern/factor arrays) hash their contents exactly once.
-#[derive(Default)]
-struct ArrayHasher {
-    memo: std::collections::HashMap<usize, u64>,
-}
-
-impl ArrayHasher {
-    fn memoized(&mut self, ptr: usize, hash: impl FnOnce() -> u64) -> u64 {
-        *self.memo.entry(ptr).or_insert_with(hash)
-    }
-
-    fn pattern(&mut self, p: &std::sync::Arc<belenos_sparse::CsrPattern>) -> u64 {
-        self.memoized(std::sync::Arc::as_ptr(p) as usize, || {
-            let mut h = Fnv64::new();
-            h.write_usize(p.nrows()).write_usize(p.ncols());
-            for &r in p.row_ptr() {
-                h.write_usize(r);
-            }
-            for &c in p.col_idx() {
-                h.write_u64(c as u64);
-            }
-            h.finish()
-        })
-    }
-
-    fn u32s(&mut self, v: &std::sync::Arc<Vec<u32>>) -> u64 {
-        self.memoized(std::sync::Arc::as_ptr(v) as *const u8 as usize, || {
-            let mut h = Fnv64::new();
-            h.write_usize(v.len());
-            for &x in v.iter() {
-                h.write_u64(x as u64);
-            }
-            h.finish()
-        })
-    }
-
-    fn usizes(&mut self, v: &std::sync::Arc<Vec<usize>>) -> u64 {
-        self.memoized(std::sync::Arc::as_ptr(v) as *const u8 as usize, || {
-            let mut h = Fnv64::new();
-            h.write_usize(v.len());
-            for &x in v.iter() {
-                h.write_usize(x);
-            }
-            h.finish()
-        })
-    }
-
-    fn bools(&mut self, v: &std::sync::Arc<Vec<bool>>) -> u64 {
-        self.memoized(std::sync::Arc::as_ptr(v) as *const u8 as usize, || {
-            let mut h = Fnv64::new();
-            h.write_usize(v.len());
-            for &x in v.iter() {
-                h.write_u64(x as u64);
-            }
-            h.finish()
-        })
-    }
-}
-
-/// Stable fingerprint of the trace a (log, expansion-config) pair will
-/// replay. The same workload id can appear in several workload sets with
-/// different expansion knobs (e.g. `co` in the catalog vs the gem5 set),
-/// so the runner's cache key needs this beyond the id alone. Index
-/// arrays are hashed by *content* (memoized per allocation), so a model
-/// change that alters trace structure — even at equal sizes, e.g. a
-/// different node numbering with identical nnz — changes the
-/// fingerprint and can never alias a persistent cache entry.
-pub(crate) fn trace_fingerprint(log: &PhaseLog, expand: &ExpandConfig) -> u64 {
-    let mut arrays = ArrayHasher::default();
-    let mut h = Fnv64::new();
-    h.write_str("trace-v2");
-    // Exhaustive destructuring: adding a field to `ExpandConfig` fails to
-    // compile here until it is hashed (or consciously ignored), so a new
-    // expansion knob can never silently alias runner-cache entries.
-    let ExpandConfig {
-        sample,
-        code_bloat,
-        spin_scale,
-        max_kernel_ops,
-    } = expand;
-    h.write_usize(*sample);
-    h.write_u64(*code_bloat as u64);
-    h.write_f64(*spin_scale);
-    h.write_usize(*max_kernel_ops);
-    h.write_usize(log.len());
-    for call in log.calls() {
-        match call {
-            KernelCall::Dot { n } => h.write_str("dot").write_usize(*n),
-            KernelCall::Axpy { n } => h.write_str("axpy").write_usize(*n),
-            KernelCall::Norm { n } => h.write_str("norm").write_usize(*n),
-            KernelCall::VecOp { n } => h.write_str("vecop").write_usize(*n),
-            KernelCall::SpMv { pattern } => h.write_str("spmv").write_u64(arrays.pattern(pattern)),
-            KernelCall::AssembleStiffness {
-                conn,
-                nodes_per_elem,
-                dofs_per_node,
-                gauss_points,
-                material,
-                pattern,
-            } => h
-                .write_str("asm_k")
-                .write_u64(arrays.u32s(conn))
-                .write_usize(*nodes_per_elem)
-                .write_usize(*dofs_per_node)
-                .write_usize(*gauss_points)
-                .write_str(&format!("{material:?}"))
-                .write_u64(arrays.pattern(pattern)),
-            KernelCall::AssembleResidual {
-                conn,
-                nodes_per_elem,
-                dofs_per_node,
-                gauss_points,
-                material,
-            } => h
-                .write_str("asm_r")
-                .write_u64(arrays.u32s(conn))
-                .write_usize(*nodes_per_elem)
-                .write_usize(*dofs_per_node)
-                .write_usize(*gauss_points)
-                .write_str(&format!("{material:?}")),
-            KernelCall::LdlFactor { col_ptr, row_idx } => h
-                .write_str("ldl_f")
-                .write_u64(arrays.usizes(col_ptr))
-                .write_u64(arrays.u32s(row_idx)),
-            KernelCall::LdlSolve { col_ptr, row_idx } => h
-                .write_str("ldl_s")
-                .write_u64(arrays.usizes(col_ptr))
-                .write_u64(arrays.u32s(row_idx)),
-            KernelCall::SkylineFactor { heights } => {
-                h.write_str("sky_f").write_u64(arrays.usizes(heights))
-            }
-            KernelCall::SkylineSolve { heights } => {
-                h.write_str("sky_s").write_u64(arrays.usizes(heights))
-            }
-            KernelCall::CgSolve {
-                pattern,
-                iterations,
-                precond,
-            } => h
-                .write_str("cg")
-                .write_u64(arrays.pattern(pattern))
-                .write_usize(*iterations)
-                .write_str(&format!("{precond:?}")),
-            KernelCall::FgmresSolve {
-                pattern,
-                iterations,
-                restart,
-                precond,
-            } => h
-                .write_str("fgmres")
-                .write_u64(arrays.pattern(pattern))
-                .write_usize(*iterations)
-                .write_usize(*restart)
-                .write_str(&format!("{precond:?}")),
-            KernelCall::ConstitutiveUpdate {
-                gauss_points,
-                material,
-            } => h
-                .write_str("const")
-                .write_usize(*gauss_points)
-                .write_str(&format!("{material:?}")),
-            KernelCall::ContactSearch { outcomes } => {
-                h.write_str("contact").write_u64(arrays.bools(outcomes))
-            }
-            KernelCall::OmpBarrier { spin_iters } => {
-                h.write_str("barrier").write_usize(*spin_iters)
-            }
-            KernelCall::BcApply { n } => h.write_str("bc").write_usize(*n),
-            KernelCall::MeshUpdate { n_nodes } => h.write_str("mesh").write_usize(*n_nodes),
-            KernelCall::RigidUpdate { n_bodies, n_joints } => h
-                .write_str("rigid")
-                .write_usize(*n_bodies)
-                .write_usize(*n_joints),
-            KernelCall::ConvergenceCheck { n } => h.write_str("conv").write_usize(*n),
-        };
-    }
-    h.finish()
-}
-
-/// Stable fingerprint of an [`ExpandConfig`] alone — the second half of
-/// the trace store's content address (`scenario_digest` × this). The
-/// exhaustive destructure mirrors [`trace_fingerprint`]: a new expansion
-/// knob fails to compile here until it is hashed, so it can never
-/// silently alias a persisted trace.
-pub(crate) fn expand_fingerprint(expand: &ExpandConfig) -> u64 {
-    let ExpandConfig {
-        sample,
-        code_bloat,
-        spin_scale,
-        max_kernel_ops,
-    } = expand;
-    let mut h = Fnv64::new();
-    h.write_str("expand-v1");
-    h.write_usize(*sample);
-    h.write_u64(*code_bloat as u64);
-    h.write_f64(*spin_scale);
-    h.write_usize(*max_kernel_ops);
-    h.finish()
 }
 
 /// What stopped a scenario from preparing.

@@ -1,7 +1,7 @@
 //! Persistent content-addressed trace store.
 //!
 //! [`TraceStore`] keys prepared traces by `ScenarioSpec::stable_digest` ×
-//! an [`ExpandConfig`] fingerprint and persists them under
+//! the [`ExpandConfig`]'s [`expand_fingerprint`] and persists them under
 //! `BELENOS_TRACE_DIR` (or `--trace-dir`) in the versioned binary format
 //! of [`belenos_trace::store`]. A hit lets [`Experiment::prepare`]
 //! reconstruct the phase log without building or solving the FE model, so
@@ -11,7 +11,7 @@
 //! cheaper than reading them back.
 //!
 //! Trust model: the store is a cache, never an authority. Every load
-//! re-verifies the embedded trace fingerprint against the decoded log, so
+//! recomputes [`trace_fingerprint`] over the decoded log, so
 //! a corrupt, truncated, stale, or misfiled entry degrades to a recompute
 //! (a `trace_store_miss` carrying the [`Miss`] reason, and a `warn`),
 //! never to a wrong trace. Writes go through
@@ -20,9 +20,9 @@
 //!
 //! [`Experiment::prepare`]: crate::experiment::Experiment::prepare
 
-use crate::experiment::{expand_fingerprint, trace_fingerprint};
 use belenos_runner::entry::{write_atomic, Miss};
 use belenos_trace::expand::ExpandConfig;
+use belenos_trace::{expand_fingerprint, trace_fingerprint};
 use belenos_trace::{FlatTrace, StoreError, StoreHeader, TraceArtifact, HEADER_LEN};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -197,9 +197,10 @@ fn verify(
     let mut header_bytes = [0u8; HEADER_LEN];
     file.read_exact(&mut header_bytes)?;
     let header = StoreHeader::decode(&header_bytes).map_err(store_miss)?;
-    // Declared lengths are outside input until they fit the real file:
-    // bound each one before summing them, and before allocating.
-    if header.log_len.max(header.flat_len) > file_len || header.total_len() != file_len {
+    // Declared lengths are outside input until they fit the real file
+    // (`StoreHeader::decode` has refused a sum that overflows): check
+    // before allocating.
+    if header.total_len() != file_len {
         return Err(Miss::Truncated);
     }
     if header.scenario_digest != scenario_digest

@@ -10,6 +10,7 @@
 //! identical per-iteration structure. [`Expander::represented_ops`] tracks
 //! how many dynamic ops the emitted stream stands for.
 
+use crate::digest::Fnv64;
 use crate::layout::{AddressSpace, ArrayHandle};
 use crate::op::{FnCategory, MicroOp, OpKind};
 use crate::program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
@@ -39,6 +40,33 @@ impl Default for ExpandConfig {
             max_kernel_ops: 1_000_000,
         }
     }
+}
+
+impl ExpandConfig {
+    /// Feeds every knob to `h`. The destructure has no `..`, so a new
+    /// knob fails to compile here until it is hashed and can never
+    /// silently alias a runner-cache entry or a persisted trace.
+    pub(crate) fn feed(&self, h: &mut Fnv64) {
+        let ExpandConfig {
+            sample,
+            code_bloat,
+            spin_scale,
+            max_kernel_ops,
+        } = self;
+        h.write_usize(*sample)
+            .write_u64(*code_bloat as u64)
+            .write_f64(*spin_scale)
+            .write_usize(*max_kernel_ops);
+    }
+}
+
+/// Stable fingerprint of an [`ExpandConfig`] alone — the second half of
+/// the trace store's content address (`scenario_digest` × this).
+pub fn expand_fingerprint(expand: &ExpandConfig) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str("expand-v1");
+    expand.feed(&mut h);
+    h.finish()
 }
 
 /// Arrays allocated for one sparse object (keyed by `Arc` pointer identity

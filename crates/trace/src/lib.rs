@@ -35,6 +35,41 @@
 // form for these numeric kernels; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 
+/// The one tag table of a fieldless enum: `Variant = store tag`.
+/// Generates `tag`, `from_tag` and — for a `named` table — `name`, the
+/// variant's `Debug` spelling as a `&'static str` (what the trace
+/// fingerprint hashes). Both directions come from the same rows, and
+/// `tag` matches exhaustively, so a variant the table forgets does not
+/// compile.
+macro_rules! tag_table {
+    (named $ty:ident { $($variant:ident = $tag:literal),* $(,)? }) => {
+        tag_table!($ty { $($variant = $tag),* });
+        impl $ty {
+            pub(crate) fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => stringify!($variant),)*
+                }
+            }
+        }
+    };
+    ($ty:ident { $($variant:ident = $tag:literal),* $(,)? }) => {
+        impl $ty {
+            pub(crate) fn tag(self) -> u8 {
+                match self {
+                    $($ty::$variant => $tag,)*
+                }
+            }
+
+            pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+                match tag {
+                    $($tag => Some($ty::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
 pub mod digest;
 pub mod expand;
 pub mod flat;
@@ -45,9 +80,10 @@ pub mod stats;
 pub mod store;
 
 pub use digest::Fnv64;
+pub use expand::expand_fingerprint;
 pub use flat::{FlatIter, FlatTrace};
 pub use layout::AddressSpace;
 pub use op::{FnCategory, MicroOp, OpKind};
-pub use program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
+pub use program::{trace_fingerprint, KernelCall, MaterialClass, PhaseLog, PrecondClass};
 pub use stats::TraceStats;
 pub use store::{SolveMeta, StoreError, StoreHeader, TraceArtifact, HEADER_LEN, STORE_VERSION};

@@ -31,6 +31,19 @@ pub enum OpKind {
     Serialize,
 }
 
+tag_table!(OpKind {
+    IntAlu = 0,
+    IntMul = 1,
+    FpAdd = 2,
+    FpMul = 3,
+    FpDiv = 4,
+    Load = 5,
+    Store = 6,
+    Branch = 7,
+    Pause = 8,
+    Serialize = 9,
+});
+
 impl OpKind {
     /// True for loads and stores.
     pub fn is_mem(self) -> bool {
@@ -71,6 +84,15 @@ pub enum FnCategory {
     /// MKL PARDISO analogues: sparse factorization and triangular solves.
     MklPardiso,
 }
+
+tag_table!(FnCategory {
+    Internal = 0,
+    Sparsity = 1,
+    MatrixDense = 2,
+    FebioSpecific = 3,
+    MklBlas = 4,
+    MklPardiso = 5,
+});
 
 impl FnCategory {
     /// All categories in the paper's Figure-4 row order.

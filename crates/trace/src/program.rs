@@ -4,7 +4,10 @@
 //! executes, holding `Arc` references to the *live* sparse structures so
 //! the expansion step can derive authentic memory-access streams.
 
+use crate::digest::Fnv64;
+use crate::expand::ExpandConfig;
 use belenos_sparse::CsrPattern;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Coarse material classes; each has a distinct constitutive-update cost
@@ -39,6 +42,21 @@ pub enum MaterialClass {
     Rigid,
 }
 
+tag_table!(named MaterialClass {
+    LinearElastic = 0,
+    Hyperelastic = 1,
+    FiberExponential = 2,
+    Viscoelastic = 3,
+    Biphasic = 4,
+    Multiphasic = 5,
+    Damage = 6,
+    Plasticity = 7,
+    ActiveMuscle = 8,
+    Growth = 9,
+    Fluid = 10,
+    Rigid = 11,
+});
+
 /// Preconditioner used by a recorded iterative solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrecondClass {
@@ -49,6 +67,12 @@ pub enum PrecondClass {
     /// Incomplete LU with zero fill.
     Ilu0,
 }
+
+tag_table!(named PrecondClass {
+    None = 0,
+    Jacobi = 1,
+    Ilu0 = 2,
+});
 
 /// One recorded kernel invocation.
 ///
@@ -181,6 +205,223 @@ pub enum KernelCall {
     },
 }
 
+/// The one listing of kernel calls, handed as rows to the macro named
+/// `$consumer`: per variant its store tag (`STORE_VERSION` 1), its
+/// trace-fingerprint label (`"trace-v2"`) and its fields by kind, in the
+/// order both formats write them. A kind is a method of [`Walker`] and
+/// [`Source`]: `count`, `material`, `precond`, or one of the shared
+/// index structures `pattern`, `usizes`, `u32s`, `bools`.
+///
+/// Exported so that tests outside the crate can build every variant
+/// from it; inside, its one consumer is `walks!` below.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! kernels {
+    ($consumer:ident) => {
+        $consumer! {
+            0 "dot" Dot { n: count }
+            1 "axpy" Axpy { n: count }
+            2 "norm" Norm { n: count }
+            3 "vecop" VecOp { n: count }
+            4 "spmv" SpMv { pattern: pattern }
+            5 "asm_k" AssembleStiffness {
+                conn: u32s, nodes_per_elem: count, dofs_per_node: count,
+                gauss_points: count, material: material, pattern: pattern
+            }
+            6 "asm_r" AssembleResidual {
+                conn: u32s, nodes_per_elem: count, dofs_per_node: count,
+                gauss_points: count, material: material
+            }
+            7 "ldl_f" LdlFactor { col_ptr: usizes, row_idx: u32s }
+            8 "ldl_s" LdlSolve { col_ptr: usizes, row_idx: u32s }
+            9 "sky_f" SkylineFactor { heights: usizes }
+            10 "sky_s" SkylineSolve { heights: usizes }
+            11 "cg" CgSolve { pattern: pattern, iterations: count, precond: precond }
+            12 "fgmres" FgmresSolve {
+                pattern: pattern, iterations: count, restart: count, precond: precond
+            }
+            13 "const" ConstitutiveUpdate { gauss_points: count, material: material }
+            14 "contact" ContactSearch { outcomes: bools }
+            15 "barrier" OmpBarrier { spin_iters: count }
+            16 "bc" BcApply { n: count }
+            17 "mesh" MeshUpdate { n_nodes: count }
+            18 "rigid" RigidUpdate { n_bodies: count, n_joints: count }
+            19 "conv" ConvergenceCheck { n: count }
+        }
+    };
+}
+
+/// Something done to every field of a kernel call, in listing order.
+/// Each visit returns the field's value for the rebuilt call.
+pub(crate) trait Walker {
+    /// Opens a call: its store tag and fingerprint label.
+    fn kernel(&mut self, tag: u8, label: &'static str);
+    fn count(&mut self, v: &usize) -> usize;
+    fn material(&mut self, v: &MaterialClass) -> MaterialClass;
+    fn precond(&mut self, v: &PrecondClass) -> PrecondClass;
+    fn pattern(&mut self, v: &Arc<CsrPattern>) -> Arc<CsrPattern>;
+    fn usizes(&mut self, v: &Arc<Vec<usize>>) -> Arc<Vec<usize>>;
+    fn u32s(&mut self, v: &Arc<Vec<u32>>) -> Arc<Vec<u32>>;
+    fn bools(&mut self, v: &Arc<Vec<bool>>) -> Arc<Vec<bool>>;
+}
+
+/// Where the fields of a call that does not exist yet come from, asked
+/// in listing order.
+pub(crate) trait Source {
+    /// Why a field could not be produced.
+    type Error;
+    fn count(&mut self) -> Result<usize, Self::Error>;
+    fn material(&mut self) -> Result<MaterialClass, Self::Error>;
+    fn precond(&mut self) -> Result<PrecondClass, Self::Error>;
+    fn pattern(&mut self) -> Result<Arc<CsrPattern>, Self::Error>;
+    fn usizes(&mut self) -> Result<Arc<Vec<usize>>, Self::Error>;
+    fn u32s(&mut self) -> Result<Arc<Vec<u32>>, Self::Error>;
+    fn bools(&mut self) -> Result<Arc<Vec<bool>>, Self::Error>;
+}
+
+/// Both walks destructure and rebuild every variant without `..`, so a
+/// variant or field the listing forgets (or invents) does not compile.
+macro_rules! walks {
+    ($($tag:literal $label:literal $variant:ident { $($field:ident: $kind:ident),* })*) => {
+        impl KernelCall {
+            /// Visits the call's tag, label and fields in listing order
+            /// and rebuilds it from what the walker hands back.
+            pub(crate) fn walk<W: Walker>(&self, w: &mut W) -> Self {
+                match self {
+                    $(KernelCall::$variant { $($field),* } => {
+                        w.kernel($tag, $label);
+                        KernelCall::$variant { $($field: w.$kind($field)),* }
+                    })*
+                }
+            }
+
+            /// Builds the call with store tag `tag`, fields from `s` in
+            /// listing order; `None` for a tag no row carries.
+            pub(crate) fn read<S: Source>(tag: u8, s: &mut S) -> Result<Option<Self>, S::Error> {
+                Ok(Some(match tag {
+                    $($tag => KernelCall::$variant { $($field: s.$kind()?),* },)*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+kernels!(walks);
+
+/// One value per distinct shared allocation, keyed by `Arc::as_ptr`:
+/// every Newton iteration records the same pattern and factor arrays
+/// again, and each is interned (store) or content-hashed (fingerprint)
+/// exactly once. Sound while the log keeps the allocations alive.
+#[derive(Default)]
+pub(crate) struct ArcMemo<V> {
+    seen: HashMap<usize, V>,
+}
+
+impl<V: Copy> ArcMemo<V> {
+    /// The value remembered for `shared`'s allocation, computing it with
+    /// `first` on first sight.
+    pub(crate) fn get<T>(&mut self, shared: &Arc<T>, first: impl FnOnce() -> V) -> V {
+        *self
+            .seen
+            .entry(Arc::as_ptr(shared) as usize)
+            .or_insert_with(first)
+    }
+}
+
+/// Feeds the `"trace-v2"` hash stream: a call is its label and its
+/// fields in listing order, enums by their `Debug` name and index
+/// arrays by memoized content hash.
+struct Fingerprint {
+    h: Fnv64,
+    hashes: ArcMemo<u64>,
+}
+
+impl Fingerprint {
+    fn array<T: Copy>(&mut self, v: &Arc<Vec<T>>, widen: impl Fn(T) -> u64) -> Arc<Vec<T>> {
+        let sum = self.hashes.get(v, || {
+            let mut h = Fnv64::new();
+            h.write_usize(v.len());
+            for &x in v.iter() {
+                h.write_u64(widen(x));
+            }
+            h.finish()
+        });
+        self.h.write_u64(sum);
+        Arc::clone(v)
+    }
+}
+
+impl Walker for Fingerprint {
+    fn kernel(&mut self, _tag: u8, label: &'static str) {
+        self.h.write_str(label);
+    }
+
+    fn count(&mut self, v: &usize) -> usize {
+        self.h.write_usize(*v);
+        *v
+    }
+
+    fn material(&mut self, v: &MaterialClass) -> MaterialClass {
+        self.h.write_str(v.name());
+        *v
+    }
+
+    fn precond(&mut self, v: &PrecondClass) -> PrecondClass {
+        self.h.write_str(v.name());
+        *v
+    }
+
+    fn pattern(&mut self, v: &Arc<CsrPattern>) -> Arc<CsrPattern> {
+        let sum = self.hashes.get(v, || {
+            let mut h = Fnv64::new();
+            h.write_usize(v.nrows()).write_usize(v.ncols());
+            for &r in v.row_ptr() {
+                h.write_usize(r);
+            }
+            for &c in v.col_idx() {
+                h.write_u64(c as u64);
+            }
+            h.finish()
+        });
+        self.h.write_u64(sum);
+        Arc::clone(v)
+    }
+
+    fn usizes(&mut self, v: &Arc<Vec<usize>>) -> Arc<Vec<usize>> {
+        self.array(v, |x| x as u64)
+    }
+
+    fn u32s(&mut self, v: &Arc<Vec<u32>>) -> Arc<Vec<u32>> {
+        self.array(v, |x| x as u64)
+    }
+
+    fn bools(&mut self, v: &Arc<Vec<bool>>) -> Arc<Vec<bool>> {
+        self.array(v, |x| x as u64)
+    }
+}
+
+/// Stable fingerprint of the trace a (log, expansion-config) pair will
+/// replay. The same workload id can appear in several workload sets with
+/// different expansion knobs (e.g. `co` in the catalog vs the gem5 set),
+/// so the runner's cache key needs this beyond the id alone. Index
+/// arrays are hashed by *content* (memoized per allocation), so a model
+/// change that alters trace structure — even at equal sizes, e.g. a
+/// different node numbering with identical nnz — changes the
+/// fingerprint and can never alias a persistent cache entry.
+pub fn trace_fingerprint(log: &PhaseLog, expand: &ExpandConfig) -> u64 {
+    let mut f = Fingerprint {
+        h: Fnv64::new(),
+        hashes: ArcMemo::default(),
+    };
+    f.h.write_str("trace-v2");
+    expand.feed(&mut f.h);
+    f.h.write_usize(log.len());
+    for call in log.calls() {
+        call.walk(&mut f);
+    }
+    f.h.finish()
+}
+
 /// Ordered record of every kernel a solve executed.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseLog {
@@ -231,6 +472,22 @@ mod tests {
         log.record(KernelCall::OmpBarrier { spin_iters: 32 });
         assert_eq!(log.len(), 2);
         assert!(matches!(log.calls()[0], KernelCall::Dot { n: 100 }));
+    }
+
+    #[test]
+    fn tag_tables_name_every_value_as_debug_does() {
+        // The fingerprint hashes `name()` where it used to hash
+        // `format!("{v:?}")`: the two must never drift.
+        let materials: Vec<_> = (0u8..).map_while(MaterialClass::from_tag).collect();
+        assert_eq!(materials.len(), 12);
+        for (tag, m) in materials.into_iter().enumerate() {
+            assert_eq!((m.tag() as usize, m.name()), (tag, &*format!("{m:?}")));
+        }
+        let preconds: Vec<_> = (0u8..).map_while(PrecondClass::from_tag).collect();
+        assert_eq!(preconds.len(), 3);
+        for (tag, p) in preconds.into_iter().enumerate() {
+            assert_eq!((p.tag() as usize, p.name()), (tag, &*format!("{p:?}")));
+        }
     }
 
     #[test]

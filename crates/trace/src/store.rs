@@ -35,9 +35,8 @@
 use crate::digest::Fnv64;
 use crate::flat::FlatTrace;
 use crate::op::{FnCategory, MicroOp, OpKind};
-use crate::program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
+use crate::program::{ArcMemo, KernelCall, MaterialClass, PhaseLog, PrecondClass, Source, Walker};
 use belenos_sparse::CsrPattern;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -114,7 +113,8 @@ pub struct StoreHeader {
     pub scenario_digest: u64,
     /// Fingerprint of the expansion config the trace was prepared under.
     pub expand_fingerprint: u64,
-    /// `trace_fingerprint(log, expand)` at encode time.
+    /// [`trace_fingerprint`](crate::trace_fingerprint)`(log, expand)` at
+    /// encode time.
     pub trace_fingerprint: u64,
     /// Byte length of the log section (excluding its checksum).
     pub log_len: u64,
@@ -150,6 +150,12 @@ impl StoreHeader {
         if h.flat_len != expect_flat_len {
             return Err(StoreError::Malformed("flat section length mismatch"));
         }
+        // Lengths whose sum overflows describe a file no buffer can back;
+        // past this check `flat_offset` and `total_len` cannot overflow.
+        (HEADER_LEN as u64 + 16)
+            .checked_add(h.log_len)
+            .and_then(|n| n.checked_add(h.flat_len))
+            .ok_or(StoreError::Truncated)?;
         Ok(h)
     }
 
@@ -176,7 +182,8 @@ pub struct TraceArtifact {
     pub scenario_digest: u64,
     /// Fingerprint of the expansion config the trace was prepared under.
     pub expand_fingerprint: u64,
-    /// `trace_fingerprint(log, expand)` at encode time; re-verified on load.
+    /// [`trace_fingerprint`](crate::trace_fingerprint)`(log, expand)` at
+    /// encode time; re-verified on load.
     pub trace_fingerprint: u64,
     /// Solve metadata for reconstructing the prepare summary.
     pub solve: SolveMeta,
@@ -286,281 +293,219 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// enum tags
+// shared-array tables and the two walkers over the kernel listing
 // ---------------------------------------------------------------------------
 
-fn op_kind_tag(k: OpKind) -> u8 {
-    match k {
-        OpKind::IntAlu => 0,
-        OpKind::IntMul => 1,
-        OpKind::FpAdd => 2,
-        OpKind::FpMul => 3,
-        OpKind::FpDiv => 4,
-        OpKind::Load => 5,
-        OpKind::Store => 6,
-        OpKind::Branch => 7,
-        OpKind::Pause => 8,
-        OpKind::Serialize => 9,
-    }
-}
-
-fn op_kind_from(tag: u8) -> Result<OpKind, StoreError> {
-    Ok(match tag {
-        0 => OpKind::IntAlu,
-        1 => OpKind::IntMul,
-        2 => OpKind::FpAdd,
-        3 => OpKind::FpMul,
-        4 => OpKind::FpDiv,
-        5 => OpKind::Load,
-        6 => OpKind::Store,
-        7 => OpKind::Branch,
-        8 => OpKind::Pause,
-        9 => OpKind::Serialize,
-        _ => return Err(StoreError::Malformed("op kind tag")),
-    })
-}
-
-fn category_tag(c: FnCategory) -> u8 {
-    match c {
-        FnCategory::Internal => 0,
-        FnCategory::Sparsity => 1,
-        FnCategory::MatrixDense => 2,
-        FnCategory::FebioSpecific => 3,
-        FnCategory::MklBlas => 4,
-        FnCategory::MklPardiso => 5,
-    }
-}
-
-fn category_from(tag: u8) -> Result<FnCategory, StoreError> {
-    Ok(match tag {
-        0 => FnCategory::Internal,
-        1 => FnCategory::Sparsity,
-        2 => FnCategory::MatrixDense,
-        3 => FnCategory::FebioSpecific,
-        4 => FnCategory::MklBlas,
-        5 => FnCategory::MklPardiso,
-        _ => return Err(StoreError::Malformed("fn category tag")),
-    })
-}
-
-fn material_tag(m: MaterialClass) -> u8 {
-    match m {
-        MaterialClass::LinearElastic => 0,
-        MaterialClass::Hyperelastic => 1,
-        MaterialClass::FiberExponential => 2,
-        MaterialClass::Viscoelastic => 3,
-        MaterialClass::Biphasic => 4,
-        MaterialClass::Multiphasic => 5,
-        MaterialClass::Damage => 6,
-        MaterialClass::Plasticity => 7,
-        MaterialClass::ActiveMuscle => 8,
-        MaterialClass::Growth => 9,
-        MaterialClass::Fluid => 10,
-        MaterialClass::Rigid => 11,
-    }
-}
-
-fn material_from(tag: u8) -> Result<MaterialClass, StoreError> {
-    Ok(match tag {
-        0 => MaterialClass::LinearElastic,
-        1 => MaterialClass::Hyperelastic,
-        2 => MaterialClass::FiberExponential,
-        3 => MaterialClass::Viscoelastic,
-        4 => MaterialClass::Biphasic,
-        5 => MaterialClass::Multiphasic,
-        6 => MaterialClass::Damage,
-        7 => MaterialClass::Plasticity,
-        8 => MaterialClass::ActiveMuscle,
-        9 => MaterialClass::Growth,
-        10 => MaterialClass::Fluid,
-        11 => MaterialClass::Rigid,
-        _ => return Err(StoreError::Malformed("material class tag")),
-    })
-}
-
-fn precond_tag(p: PrecondClass) -> u8 {
-    match p {
-        PrecondClass::None => 0,
-        PrecondClass::Jacobi => 1,
-        PrecondClass::Ilu0 => 2,
-    }
-}
-
-fn precond_from(tag: u8) -> Result<PrecondClass, StoreError> {
-    Ok(match tag {
-        0 => PrecondClass::None,
-        1 => PrecondClass::Jacobi,
-        2 => PrecondClass::Ilu0,
-        _ => return Err(StoreError::Malformed("precond class tag")),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Arc deduplication tables
-// ---------------------------------------------------------------------------
-
-/// Interns each distinct shared allocation referenced by the log, in
-/// first-appearance order, so the payload writes it exactly once.
+/// The shared index structures a log references, each distinct
+/// allocation once, in first-appearance order.
 #[derive(Default)]
-struct ArcTables {
+struct Tables {
     patterns: Vec<Arc<CsrPattern>>,
     usizes: Vec<Arc<Vec<usize>>>,
     u32s: Vec<Arc<Vec<u32>>>,
     bools: Vec<Arc<Vec<bool>>>,
-    pattern_ids: HashMap<*const CsrPattern, u32>,
-    usize_ids: HashMap<*const Vec<usize>, u32>,
-    u32_ids: HashMap<*const Vec<u32>, u32>,
-    bool_ids: HashMap<*const Vec<bool>, u32>,
 }
 
-impl ArcTables {
-    fn pattern(&mut self, p: &Arc<CsrPattern>) -> u32 {
-        *self.pattern_ids.entry(Arc::as_ptr(p)).or_insert_with(|| {
-            self.patterns.push(Arc::clone(p));
-            (self.patterns.len() - 1) as u32
-        })
-    }
-
-    fn usizes(&mut self, v: &Arc<Vec<usize>>) -> u32 {
-        *self.usize_ids.entry(Arc::as_ptr(v)).or_insert_with(|| {
-            self.usizes.push(Arc::clone(v));
-            (self.usizes.len() - 1) as u32
-        })
-    }
-
-    fn u32s(&mut self, v: &Arc<Vec<u32>>) -> u32 {
-        *self.u32_ids.entry(Arc::as_ptr(v)).or_insert_with(|| {
-            self.u32s.push(Arc::clone(v));
-            (self.u32s.len() - 1) as u32
-        })
-    }
-
-    fn bools(&mut self, v: &Arc<Vec<bool>>) -> u32 {
-        *self.bool_ids.entry(Arc::as_ptr(v)).or_insert_with(|| {
-            self.bools.push(Arc::clone(v));
-            (self.bools.len() - 1) as u32
-        })
-    }
-
-    fn collect(log: &PhaseLog) -> Self {
-        let mut t = ArcTables::default();
-        for call in log.calls() {
-            match call {
-                KernelCall::SpMv { pattern } => {
-                    t.pattern(pattern);
-                }
-                KernelCall::AssembleStiffness { conn, pattern, .. } => {
-                    t.u32s(conn);
-                    t.pattern(pattern);
-                }
-                KernelCall::AssembleResidual { conn, .. } => {
-                    t.u32s(conn);
-                }
-                KernelCall::LdlFactor { col_ptr, row_idx }
-                | KernelCall::LdlSolve { col_ptr, row_idx } => {
-                    t.usizes(col_ptr);
-                    t.u32s(row_idx);
-                }
-                KernelCall::SkylineFactor { heights } | KernelCall::SkylineSolve { heights } => {
-                    t.usizes(heights);
-                }
-                KernelCall::CgSolve { pattern, .. } | KernelCall::FgmresSolve { pattern, .. } => {
-                    t.pattern(pattern);
-                }
-                KernelCall::ContactSearch { outcomes } => {
-                    t.bools(outcomes);
-                }
-                KernelCall::Dot { .. }
-                | KernelCall::Axpy { .. }
-                | KernelCall::Norm { .. }
-                | KernelCall::VecOp { .. }
-                | KernelCall::ConstitutiveUpdate { .. }
-                | KernelCall::OmpBarrier { .. }
-                | KernelCall::BcApply { .. }
-                | KernelCall::MeshUpdate { .. }
-                | KernelCall::RigidUpdate { .. }
-                | KernelCall::ConvergenceCheck { .. } => {}
-            }
-        }
-        t
+fn put_vec<T>(w: &mut ByteWriter, v: &[T], put: impl Fn(&mut ByteWriter, &T)) {
+    w.usize(v.len());
+    for x in v {
+        put(w, x);
     }
 }
 
-fn lookup<T>(table: &[Arc<T>], idx: u32) -> Result<Arc<T>, StoreError> {
-    table
-        .get(idx as usize)
-        .cloned()
-        .ok_or(StoreError::Malformed("shared-array index out of range"))
+fn get_vec<'a, T>(
+    p: &mut ByteReader<'a>,
+    get: impl Fn(&mut ByteReader<'a>) -> Result<T, StoreError>,
+) -> Result<Vec<T>, StoreError> {
+    let n = p.len()?;
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        v.push(get(p)?);
+    }
+    Ok(v)
+}
+
+impl Tables {
+    fn put(&self, w: &mut ByteWriter) {
+        put_vec(w, &self.patterns, |w, p| {
+            w.usize(p.nrows());
+            w.usize(p.ncols());
+            put_vec(w, p.row_ptr(), |w, &x| w.usize(x));
+            put_vec(w, p.col_idx(), |w, &x| w.u32(x));
+        });
+        put_vec(w, &self.usizes, |w, v| put_vec(w, v, |w, &x| w.usize(x)));
+        put_vec(w, &self.u32s, |w, v| put_vec(w, v, |w, &x| w.u32(x)));
+        put_vec(w, &self.bools, |w, v| put_vec(w, v, |w, &x| w.bool(x)));
+    }
+
+    fn get(p: &mut ByteReader<'_>) -> Result<Tables, StoreError> {
+        Ok(Tables {
+            patterns: get_vec(p, |p| {
+                let (nrows, ncols) = (p.usize()?, p.usize()?);
+                let row_ptr = get_vec(p, ByteReader::usize)?;
+                let col_idx = get_vec(p, ByteReader::u32)?;
+                CsrPattern::new(nrows, ncols, row_ptr, col_idx)
+                    .map(Arc::new)
+                    .map_err(|_| StoreError::Malformed("invalid CSR pattern"))
+            })?,
+            usizes: get_vec(p, |p| get_vec(p, ByteReader::usize).map(Arc::new))?,
+            u32s: get_vec(p, |p| get_vec(p, ByteReader::u32).map(Arc::new))?,
+            bools: get_vec(p, |p| get_vec(p, ByteReader::bool).map(Arc::new))?,
+        })
+    }
+}
+
+/// Writes each call as tag + fields, a shared array as its table index —
+/// interned on first sight, so decoding rebuilds *shared* `Arc`s.
+struct Encoder {
+    calls: ByteWriter,
+    tables: Tables,
+    ids: ArcMemo<u32>,
+}
+
+impl Encoder {
+    fn shared<T>(&mut self, table: fn(&mut Tables) -> &mut Vec<Arc<T>>, v: &Arc<T>) -> Arc<T> {
+        let table = table(&mut self.tables);
+        let id = self.ids.get(v, || {
+            table.push(Arc::clone(v));
+            (table.len() - 1) as u32
+        });
+        self.calls.u32(id);
+        Arc::clone(v)
+    }
+}
+
+impl Walker for Encoder {
+    fn kernel(&mut self, tag: u8, _label: &'static str) {
+        self.calls.u8(tag);
+    }
+
+    fn count(&mut self, v: &usize) -> usize {
+        self.calls.usize(*v);
+        *v
+    }
+
+    fn material(&mut self, v: &MaterialClass) -> MaterialClass {
+        self.calls.u8(v.tag());
+        *v
+    }
+
+    fn precond(&mut self, v: &PrecondClass) -> PrecondClass {
+        self.calls.u8(v.tag());
+        *v
+    }
+
+    fn pattern(&mut self, v: &Arc<CsrPattern>) -> Arc<CsrPattern> {
+        self.shared(|t| &mut t.patterns, v)
+    }
+
+    fn usizes(&mut self, v: &Arc<Vec<usize>>) -> Arc<Vec<usize>> {
+        self.shared(|t| &mut t.usizes, v)
+    }
+
+    fn u32s(&mut self, v: &Arc<Vec<u32>>) -> Arc<Vec<u32>> {
+        self.shared(|t| &mut t.u32s, v)
+    }
+
+    fn bools(&mut self, v: &Arc<Vec<bool>>) -> Arc<Vec<bool>> {
+        self.shared(|t| &mut t.bools, v)
+    }
+}
+
+/// Reads a call's fields back, a shared array by its table index.
+struct Decoder<'a> {
+    p: ByteReader<'a>,
+    tables: Tables,
+}
+
+impl Decoder<'_> {
+    fn shared<T>(&mut self, table: fn(&Tables) -> &Vec<Arc<T>>) -> Result<Arc<T>, StoreError> {
+        let idx = self.p.u32()? as usize;
+        let shared = table(&self.tables).get(idx);
+        shared
+            .cloned()
+            .ok_or(StoreError::Malformed("shared-array index out of range"))
+    }
+}
+
+impl Source for Decoder<'_> {
+    type Error = StoreError;
+
+    fn count(&mut self) -> Result<usize, StoreError> {
+        self.p.usize()
+    }
+
+    fn material(&mut self) -> Result<MaterialClass, StoreError> {
+        MaterialClass::from_tag(self.p.u8()?).ok_or(StoreError::Malformed("material class tag"))
+    }
+
+    fn precond(&mut self) -> Result<PrecondClass, StoreError> {
+        PrecondClass::from_tag(self.p.u8()?).ok_or(StoreError::Malformed("precond class tag"))
+    }
+
+    fn pattern(&mut self) -> Result<Arc<CsrPattern>, StoreError> {
+        self.shared(|t| &t.patterns)
+    }
+
+    fn usizes(&mut self) -> Result<Arc<Vec<usize>>, StoreError> {
+        self.shared(|t| &t.usizes)
+    }
+
+    fn u32s(&mut self) -> Result<Arc<Vec<u32>>, StoreError> {
+        self.shared(|t| &t.u32s)
+    }
+
+    fn bools(&mut self) -> Result<Arc<Vec<bool>>, StoreError> {
+        self.shared(|t| &t.bools)
+    }
+}
+
+/// The payload of a section (`len` bytes, then their FNV-64), verified.
+fn checked_payload(section: &[u8], len: u64) -> Result<&[u8], StoreError> {
+    let len = usize::try_from(len).map_err(|_| StoreError::Malformed("section length"))?;
+    let mut r = ByteReader::new(section);
+    let payload = r.take(len)?;
+    if Fnv64::new().write_bytes(payload).finish() != r.u64()? {
+        return Err(StoreError::Checksum);
+    }
+    Ok(payload)
 }
 
 // ---------------------------------------------------------------------------
-// encode
+// encode / decode
 // ---------------------------------------------------------------------------
 
 impl TraceArtifact {
     /// Serializes to the versioned binary format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = ByteWriter::new();
+        // The calls are walked first: that is what fills the tables
+        // that precede them in the section.
+        let mut enc = Encoder {
+            calls: ByteWriter::new(),
+            tables: Tables::default(),
+            ids: ArcMemo::default(),
+        };
+        for call in self.log.calls() {
+            call.walk(&mut enc);
+        }
 
-        // Log section: solve metadata.
+        let mut payload = ByteWriter::new();
         payload.u64(self.solve.wall_secs);
         payload.u32(self.solve.wall_subsec_nanos);
         payload.usize(self.solve.n_dofs);
         payload.usize(self.solve.iterations);
         payload.f64(self.solve.size_kb);
         payload.bool(self.solve.converged);
-
-        // Shared-array tables, each allocation once.
-        let tables = ArcTables::collect(&self.log);
-        payload.usize(tables.patterns.len());
-        for p in &tables.patterns {
-            payload.usize(p.nrows());
-            payload.usize(p.ncols());
-            payload.usize(p.row_ptr().len());
-            for &v in p.row_ptr() {
-                payload.usize(v);
-            }
-            payload.usize(p.col_idx().len());
-            for &v in p.col_idx() {
-                payload.u32(v);
-            }
-        }
-        payload.usize(tables.usizes.len());
-        for v in &tables.usizes {
-            payload.usize(v.len());
-            for &x in v.iter() {
-                payload.usize(x);
-            }
-        }
-        payload.usize(tables.u32s.len());
-        for v in &tables.u32s {
-            payload.usize(v.len());
-            for &x in v.iter() {
-                payload.u32(x);
-            }
-        }
-        payload.usize(tables.bools.len());
-        for v in &tables.bools {
-            payload.usize(v.len());
-            for &x in v.iter() {
-                payload.bool(x);
-            }
-        }
-
-        // Kernel calls, tag + fields, shared arrays by table index.
-        let mut tables = tables;
+        enc.tables.put(&mut payload);
         payload.usize(self.log.len());
-        for call in self.log.calls() {
-            encode_call(&mut payload, &mut tables, call);
-        }
-
+        payload.buf.extend_from_slice(&enc.calls.buf);
         let log_payload = payload.buf;
 
         // Flat section: fixed-width ops, back to back (count in header).
         let mut flat_payload = ByteWriter::new();
         if let Some(flat) = &self.flat {
             for op in flat.iter() {
-                flat_payload.u8(op_kind_tag(op.kind));
+                flat_payload.u8(op.kind.tag());
                 flat_payload.u32(op.pc);
                 flat_payload.u64(op.addr);
                 flat_payload.u8(op.size);
@@ -568,7 +513,7 @@ impl TraceArtifact {
                 flat_payload.u32(op.target);
                 flat_payload.u32(op.dep1);
                 flat_payload.u32(op.dep2);
-                flat_payload.u8(category_tag(op.cat));
+                flat_payload.u8(op.cat.tag());
             }
         }
         let flat_payload = flat_payload.buf;
@@ -600,15 +545,14 @@ impl TraceArtifact {
     /// integrity.
     pub fn decode(bytes: &[u8]) -> Result<TraceArtifact, StoreError> {
         let header = StoreHeader::decode(bytes)?;
-        let total = usize::try_from(header.total_len())
-            .map_err(|_| StoreError::Malformed("section length overflow"))?;
+        let total = usize::try_from(header.total_len()).map_err(|_| StoreError::Truncated)?;
         if bytes.len() < total {
             return Err(StoreError::Truncated);
         }
         if bytes.len() > total {
             return Err(StoreError::Malformed("trailing bytes after sections"));
         }
-        let log_end = usize::try_from(header.flat_offset()).unwrap();
+        let log_end = header.flat_offset() as usize;
         let mut artifact = Self::decode_log(&header, &bytes[HEADER_LEN..log_end])?;
         if header.flat_ops > 0 {
             artifact.flat = Some(Arc::new(Self::decode_flat(
@@ -624,17 +568,7 @@ impl TraceArtifact {
     /// with `flat: None`. This is the store-hit fast path: for long
     /// traces the log section is KBs where the flat section is MBs.
     pub fn decode_log(header: &StoreHeader, section: &[u8]) -> Result<TraceArtifact, StoreError> {
-        let log_len =
-            usize::try_from(header.log_len).map_err(|_| StoreError::Malformed("log length"))?;
-        if section.len() < log_len + 8 {
-            return Err(StoreError::Truncated);
-        }
-        let payload = &section[..log_len];
-        let stored_sum = u64::from_le_bytes(section[log_len..log_len + 8].try_into().unwrap());
-        if Fnv64::new().write_bytes(payload).finish() != stored_sum {
-            return Err(StoreError::Checksum);
-        }
-
+        let payload = checked_payload(section, header.log_len)?;
         let mut p = ByteReader::new(payload);
         let solve = SolveMeta {
             wall_secs: p.u64()?,
@@ -644,67 +578,16 @@ impl TraceArtifact {
             size_kb: p.f64()?,
             converged: p.bool()?,
         };
-
-        let n_patterns = p.len()?;
-        let mut patterns = Vec::with_capacity(n_patterns);
-        for _ in 0..n_patterns {
-            let nrows = p.usize()?;
-            let ncols = p.usize()?;
-            let n_ptr = p.len()?;
-            let mut row_ptr = Vec::with_capacity(n_ptr);
-            for _ in 0..n_ptr {
-                row_ptr.push(p.usize()?);
-            }
-            let n_idx = p.len()?;
-            let mut col_idx = Vec::with_capacity(n_idx);
-            for _ in 0..n_idx {
-                col_idx.push(p.u32()?);
-            }
-            let pat = CsrPattern::new(nrows, ncols, row_ptr, col_idx)
-                .map_err(|_| StoreError::Malformed("invalid CSR pattern"))?;
-            patterns.push(Arc::new(pat));
-        }
-
-        let n_usizes = p.len()?;
-        let mut usizes = Vec::with_capacity(n_usizes);
-        for _ in 0..n_usizes {
-            let n = p.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(p.usize()?);
-            }
-            usizes.push(Arc::new(v));
-        }
-
-        let n_u32s = p.len()?;
-        let mut u32s = Vec::with_capacity(n_u32s);
-        for _ in 0..n_u32s {
-            let n = p.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(p.u32()?);
-            }
-            u32s.push(Arc::new(v));
-        }
-
-        let n_bools = p.len()?;
-        let mut bools = Vec::with_capacity(n_bools);
-        for _ in 0..n_bools {
-            let n = p.len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(p.bool()?);
-            }
-            bools.push(Arc::new(v));
-        }
-
+        let tables = Tables::get(&mut p)?;
         let n_calls = p.len()?;
+        let mut d = Decoder { p, tables };
         let mut log = PhaseLog::new();
         for _ in 0..n_calls {
-            log.record(decode_call(&mut p, &patterns, &usizes, &u32s, &bools)?);
+            let tag = d.p.u8()?;
+            let call = KernelCall::read(tag, &mut d)?;
+            log.record(call.ok_or(StoreError::Malformed("kernel call tag"))?);
         }
-
-        if p.pos != payload.len() {
+        if d.p.pos != payload.len() {
             return Err(StoreError::Malformed("trailing bytes in log section"));
         }
 
@@ -724,23 +607,14 @@ impl TraceArtifact {
     /// here means the caller re-expands from the (already verified) log,
     /// never a wrong trace.
     pub fn decode_flat(header: &StoreHeader, section: &[u8]) -> Result<FlatTrace, StoreError> {
-        let flat_len =
-            usize::try_from(header.flat_len).map_err(|_| StoreError::Malformed("flat length"))?;
-        if section.len() < flat_len + 8 {
-            return Err(StoreError::Truncated);
-        }
-        let payload = &section[..flat_len];
-        let stored_sum = u64::from_le_bytes(section[flat_len..flat_len + 8].try_into().unwrap());
-        if Fnv64::new().write_bytes(payload).finish() != stored_sum {
-            return Err(StoreError::Checksum);
-        }
+        let payload = checked_payload(section, header.flat_len)?;
         let n =
             usize::try_from(header.flat_ops).map_err(|_| StoreError::Malformed("flat op count"))?;
         let mut p = ByteReader::new(payload);
         let mut flat = FlatTrace::with_capacity(n);
         for _ in 0..n {
             flat.push(MicroOp {
-                kind: op_kind_from(p.u8()?)?,
+                kind: OpKind::from_tag(p.u8()?).ok_or(StoreError::Malformed("op kind tag"))?,
                 pc: p.u32()?,
                 addr: p.u64()?,
                 size: p.u8()?,
@@ -748,7 +622,8 @@ impl TraceArtifact {
                 target: p.u32()?,
                 dep1: p.u32()?,
                 dep2: p.u32()?,
-                cat: category_from(p.u8()?)?,
+                cat: FnCategory::from_tag(p.u8()?)
+                    .ok_or(StoreError::Malformed("fn category tag"))?,
             });
         }
         if p.pos != payload.len() {
@@ -756,212 +631,6 @@ impl TraceArtifact {
         }
         Ok(flat)
     }
-}
-
-fn encode_call(w: &mut ByteWriter, t: &mut ArcTables, call: &KernelCall) {
-    match call {
-        KernelCall::Dot { n } => {
-            w.u8(0);
-            w.usize(*n);
-        }
-        KernelCall::Axpy { n } => {
-            w.u8(1);
-            w.usize(*n);
-        }
-        KernelCall::Norm { n } => {
-            w.u8(2);
-            w.usize(*n);
-        }
-        KernelCall::VecOp { n } => {
-            w.u8(3);
-            w.usize(*n);
-        }
-        KernelCall::SpMv { pattern } => {
-            w.u8(4);
-            w.u32(t.pattern(pattern));
-        }
-        KernelCall::AssembleStiffness {
-            conn,
-            nodes_per_elem,
-            dofs_per_node,
-            gauss_points,
-            material,
-            pattern,
-        } => {
-            w.u8(5);
-            w.u32(t.u32s(conn));
-            w.usize(*nodes_per_elem);
-            w.usize(*dofs_per_node);
-            w.usize(*gauss_points);
-            w.u8(material_tag(*material));
-            w.u32(t.pattern(pattern));
-        }
-        KernelCall::AssembleResidual {
-            conn,
-            nodes_per_elem,
-            dofs_per_node,
-            gauss_points,
-            material,
-        } => {
-            w.u8(6);
-            w.u32(t.u32s(conn));
-            w.usize(*nodes_per_elem);
-            w.usize(*dofs_per_node);
-            w.usize(*gauss_points);
-            w.u8(material_tag(*material));
-        }
-        KernelCall::LdlFactor { col_ptr, row_idx } => {
-            w.u8(7);
-            w.u32(t.usizes(col_ptr));
-            w.u32(t.u32s(row_idx));
-        }
-        KernelCall::LdlSolve { col_ptr, row_idx } => {
-            w.u8(8);
-            w.u32(t.usizes(col_ptr));
-            w.u32(t.u32s(row_idx));
-        }
-        KernelCall::SkylineFactor { heights } => {
-            w.u8(9);
-            w.u32(t.usizes(heights));
-        }
-        KernelCall::SkylineSolve { heights } => {
-            w.u8(10);
-            w.u32(t.usizes(heights));
-        }
-        KernelCall::CgSolve {
-            pattern,
-            iterations,
-            precond,
-        } => {
-            w.u8(11);
-            w.u32(t.pattern(pattern));
-            w.usize(*iterations);
-            w.u8(precond_tag(*precond));
-        }
-        KernelCall::FgmresSolve {
-            pattern,
-            iterations,
-            restart,
-            precond,
-        } => {
-            w.u8(12);
-            w.u32(t.pattern(pattern));
-            w.usize(*iterations);
-            w.usize(*restart);
-            w.u8(precond_tag(*precond));
-        }
-        KernelCall::ConstitutiveUpdate {
-            gauss_points,
-            material,
-        } => {
-            w.u8(13);
-            w.usize(*gauss_points);
-            w.u8(material_tag(*material));
-        }
-        KernelCall::ContactSearch { outcomes } => {
-            w.u8(14);
-            w.u32(t.bools(outcomes));
-        }
-        KernelCall::OmpBarrier { spin_iters } => {
-            w.u8(15);
-            w.usize(*spin_iters);
-        }
-        KernelCall::BcApply { n } => {
-            w.u8(16);
-            w.usize(*n);
-        }
-        KernelCall::MeshUpdate { n_nodes } => {
-            w.u8(17);
-            w.usize(*n_nodes);
-        }
-        KernelCall::RigidUpdate { n_bodies, n_joints } => {
-            w.u8(18);
-            w.usize(*n_bodies);
-            w.usize(*n_joints);
-        }
-        KernelCall::ConvergenceCheck { n } => {
-            w.u8(19);
-            w.usize(*n);
-        }
-    }
-}
-
-fn decode_call(
-    p: &mut ByteReader<'_>,
-    patterns: &[Arc<CsrPattern>],
-    usizes: &[Arc<Vec<usize>>],
-    u32s: &[Arc<Vec<u32>>],
-    bools: &[Arc<Vec<bool>>],
-) -> Result<KernelCall, StoreError> {
-    Ok(match p.u8()? {
-        0 => KernelCall::Dot { n: p.usize()? },
-        1 => KernelCall::Axpy { n: p.usize()? },
-        2 => KernelCall::Norm { n: p.usize()? },
-        3 => KernelCall::VecOp { n: p.usize()? },
-        4 => KernelCall::SpMv {
-            pattern: lookup(patterns, p.u32()?)?,
-        },
-        5 => KernelCall::AssembleStiffness {
-            conn: lookup(u32s, p.u32()?)?,
-            nodes_per_elem: p.usize()?,
-            dofs_per_node: p.usize()?,
-            gauss_points: p.usize()?,
-            material: material_from(p.u8()?)?,
-            pattern: lookup(patterns, p.u32()?)?,
-        },
-        6 => KernelCall::AssembleResidual {
-            conn: lookup(u32s, p.u32()?)?,
-            nodes_per_elem: p.usize()?,
-            dofs_per_node: p.usize()?,
-            gauss_points: p.usize()?,
-            material: material_from(p.u8()?)?,
-        },
-        7 => KernelCall::LdlFactor {
-            col_ptr: lookup(usizes, p.u32()?)?,
-            row_idx: lookup(u32s, p.u32()?)?,
-        },
-        8 => KernelCall::LdlSolve {
-            col_ptr: lookup(usizes, p.u32()?)?,
-            row_idx: lookup(u32s, p.u32()?)?,
-        },
-        9 => KernelCall::SkylineFactor {
-            heights: lookup(usizes, p.u32()?)?,
-        },
-        10 => KernelCall::SkylineSolve {
-            heights: lookup(usizes, p.u32()?)?,
-        },
-        11 => KernelCall::CgSolve {
-            pattern: lookup(patterns, p.u32()?)?,
-            iterations: p.usize()?,
-            precond: precond_from(p.u8()?)?,
-        },
-        12 => KernelCall::FgmresSolve {
-            pattern: lookup(patterns, p.u32()?)?,
-            iterations: p.usize()?,
-            restart: p.usize()?,
-            precond: precond_from(p.u8()?)?,
-        },
-        13 => KernelCall::ConstitutiveUpdate {
-            gauss_points: p.usize()?,
-            material: material_from(p.u8()?)?,
-        },
-        14 => KernelCall::ContactSearch {
-            outcomes: lookup(bools, p.u32()?)?,
-        },
-        15 => KernelCall::OmpBarrier {
-            spin_iters: p.usize()?,
-        },
-        16 => KernelCall::BcApply { n: p.usize()? },
-        17 => KernelCall::MeshUpdate {
-            n_nodes: p.usize()?,
-        },
-        18 => KernelCall::RigidUpdate {
-            n_bodies: p.usize()?,
-            n_joints: p.usize()?,
-        },
-        19 => KernelCall::ConvergenceCheck { n: p.usize()? },
-        _ => return Err(StoreError::Malformed("kernel call tag")),
-    })
 }
 
 #[cfg(test)]
@@ -1010,6 +679,218 @@ mod tests {
             log,
             flat: Some(Arc::new(flat)),
         }
+    }
+
+    /// Builds calls from the listing alone: counts run up from 2, enums
+    /// cycle through their tags, and every shared-array field of a kind
+    /// gets the same `Arc`.
+    struct Sample {
+        next: usize,
+        pattern: Arc<CsrPattern>,
+        usizes: Arc<Vec<usize>>,
+        u32s: Arc<Vec<u32>>,
+        bools: Arc<Vec<bool>>,
+    }
+
+    impl Sample {
+        fn new() -> Self {
+            Sample {
+                next: 1,
+                pattern: Arc::new(CsrPattern::new(2, 2, vec![0, 1, 2], vec![0, 1]).unwrap()),
+                usizes: Arc::new(vec![0, 1, 2]),
+                u32s: Arc::new(vec![0, 1, 1, 0]),
+                bools: Arc::new(vec![true, false]),
+            }
+        }
+
+        /// One call per listing row, in tag order (tags have no gaps).
+        fn every_kernel(&mut self) -> Vec<KernelCall> {
+            let mut read = |tag| KernelCall::read(tag, self).unwrap();
+            let calls: Vec<_> = (0u8..).map_while(&mut read).collect();
+            assert!((calls.len() as u8..=u8::MAX).all(|tag| read(tag).is_none()));
+            calls
+        }
+    }
+
+    impl Source for Sample {
+        type Error = std::convert::Infallible;
+
+        fn count(&mut self) -> Result<usize, Self::Error> {
+            self.next += 1;
+            Ok(self.next)
+        }
+
+        fn material(&mut self) -> Result<MaterialClass, Self::Error> {
+            self.next += 1;
+            Ok(MaterialClass::from_tag((self.next % 12) as u8).unwrap())
+        }
+
+        fn precond(&mut self) -> Result<PrecondClass, Self::Error> {
+            self.next += 1;
+            Ok(PrecondClass::from_tag((self.next % 3) as u8).unwrap())
+        }
+
+        fn pattern(&mut self) -> Result<Arc<CsrPattern>, Self::Error> {
+            Ok(Arc::clone(&self.pattern))
+        }
+
+        fn usizes(&mut self) -> Result<Arc<Vec<usize>>, Self::Error> {
+            Ok(Arc::clone(&self.usizes))
+        }
+
+        fn u32s(&mut self) -> Result<Arc<Vec<u32>>, Self::Error> {
+            Ok(Arc::clone(&self.u32s))
+        }
+
+        fn bools(&mut self) -> Result<Arc<Vec<bool>>, Self::Error> {
+            Ok(Arc::clone(&self.bools))
+        }
+    }
+
+    /// Hands every field back unchanged except field number `target`,
+    /// which comes back as a different value of its kind; counts what it
+    /// walks and the distinct allocations it sees.
+    struct Perturb {
+        target: usize,
+        fields: usize,
+        allocations: std::collections::HashSet<usize>,
+    }
+
+    impl Perturb {
+        fn new(target: usize) -> Self {
+            Perturb {
+                target,
+                fields: 0,
+                allocations: Default::default(),
+            }
+        }
+
+        fn visit<T: Clone>(&mut self, v: &T, other: impl FnOnce(&T) -> T) -> T {
+            self.fields += 1;
+            if self.fields - 1 == self.target {
+                other(v)
+            } else {
+                v.clone()
+            }
+        }
+
+        fn shared<T: Clone>(&mut self, v: &Arc<T>, other: impl FnOnce(&mut T)) -> Arc<T> {
+            self.allocations.insert(Arc::as_ptr(v) as usize);
+            self.visit(v, |v| {
+                let mut changed = T::clone(v);
+                other(&mut changed);
+                Arc::new(changed)
+            })
+        }
+    }
+
+    impl Walker for Perturb {
+        fn kernel(&mut self, _tag: u8, _label: &'static str) {}
+
+        fn count(&mut self, v: &usize) -> usize {
+            self.visit(v, |v| v + 1)
+        }
+
+        fn material(&mut self, v: &MaterialClass) -> MaterialClass {
+            self.visit(v, |v| MaterialClass::from_tag((v.tag() + 1) % 12).unwrap())
+        }
+
+        fn precond(&mut self, v: &PrecondClass) -> PrecondClass {
+            self.visit(v, |v| PrecondClass::from_tag((v.tag() + 1) % 3).unwrap())
+        }
+
+        fn pattern(&mut self, v: &Arc<CsrPattern>) -> Arc<CsrPattern> {
+            self.shared(v, |p| {
+                *p = CsrPattern::new(
+                    p.nrows(),
+                    p.ncols() + 1,
+                    p.row_ptr().to_vec(),
+                    p.col_idx().to_vec(),
+                )
+                .unwrap()
+            })
+        }
+
+        fn usizes(&mut self, v: &Arc<Vec<usize>>) -> Arc<Vec<usize>> {
+            self.shared(v, |v| v[0] += 1)
+        }
+
+        fn u32s(&mut self, v: &Arc<Vec<u32>>) -> Arc<Vec<u32>> {
+            self.shared(v, |v| v[0] += 1)
+        }
+
+        fn bools(&mut self, v: &Arc<Vec<bool>>) -> Arc<Vec<bool>> {
+            self.shared(v, |v| v[0] ^= true)
+        }
+    }
+
+    fn log_of(calls: &[KernelCall]) -> PhaseLog {
+        let mut log = PhaseLog::new();
+        calls.iter().cloned().for_each(|c| log.record(c));
+        log
+    }
+
+    fn encoded(calls: &[KernelCall]) -> Vec<u8> {
+        TraceArtifact {
+            log: log_of(calls),
+            flat: None,
+            ..sample_artifact()
+        }
+        .encode()
+    }
+
+    fn fingerprint(calls: &[KernelCall]) -> u64 {
+        crate::trace_fingerprint(&log_of(calls), &Default::default())
+    }
+
+    #[test]
+    fn every_field_of_every_kernel_is_stored_and_fingerprinted() {
+        let calls = Sample::new().every_kernel();
+        for (tag, call) in calls.iter().enumerate() {
+            let mut count = Perturb::new(usize::MAX);
+            let same = [call.walk(&mut count)];
+            let base = std::slice::from_ref(call);
+            assert_eq!(encoded(&same), encoded(base), "kernel {tag}");
+            assert_eq!(fingerprint(&same), fingerprint(base), "kernel {tag}");
+            assert!(count.fields > 0, "kernel {tag} has no fields");
+            for field in 0..count.fields {
+                let changed = [call.walk(&mut Perturb::new(field))];
+                let ctx = format!("field {field} of {call:?}");
+                assert_ne!(encoded(&changed), encoded(base), "{ctx} is not stored");
+                assert_ne!(
+                    fingerprint(&changed),
+                    fingerprint(base),
+                    "{ctx} is not fingerprinted"
+                );
+            }
+        }
+        // The kind alone tells two calls of equal fields apart.
+        assert_ne!(encoded(&calls[0..1]), encoded(&calls[1..2]));
+        assert_ne!(fingerprint(&calls[0..1]), fingerprint(&calls[1..2]));
+    }
+
+    #[test]
+    fn every_kernel_roundtrips_and_a_shared_array_is_stored_once() {
+        let calls = Sample::new().every_kernel();
+        // Twice over: 40 calls, still one allocation per kind.
+        let twice = [calls.clone(), calls].concat();
+        let bytes = encoded(&twice);
+        let decoded = TraceArtifact::decode(&bytes).unwrap();
+        assert_eq!(bytes, encoded(decoded.log.calls()));
+        assert_eq!(fingerprint(decoded.log.calls()), fingerprint(&twice));
+        let mut seen = Perturb::new(usize::MAX);
+        for (before, after) in twice.iter().zip(decoded.log.calls()) {
+            assert_eq!(
+                format!("{before:?}"),
+                format!("{:?}", after.walk(&mut seen))
+            );
+        }
+        assert_eq!(seen.allocations.len(), 4);
+        // A call over another allocation costs a table entry, not only
+        // its own tag + index.
+        let other = twice[4].walk(&mut Perturb::new(0));
+        let grown = [twice.as_slice(), &[other]].concat();
+        assert!(encoded(&grown).len() > bytes.len() + 5);
     }
 
     #[test]
@@ -1101,6 +982,42 @@ mod tests {
             TraceArtifact::decode_flat(&header, &bytes[flat_off..]).unwrap_err(),
             StoreError::Checksum
         );
+    }
+
+    #[test]
+    fn hostile_section_lengths_are_errors_not_panics() {
+        // A `log_len` whose sum with the other lengths overflows, in an
+        // otherwise valid file.
+        let mut bytes = sample_artifact().encode();
+        bytes[40..48].copy_from_slice(&(u64::MAX - 20).to_le_bytes());
+        assert_eq!(StoreHeader::decode(&bytes), Err(StoreError::Truncated));
+        assert_eq!(
+            TraceArtifact::decode(&bytes).unwrap_err(),
+            StoreError::Truncated
+        );
+        // A header can also be built by hand (its fields are public),
+        // so the section readers bound the lengths themselves: `len + 8`
+        // must not wrap.
+        let intact = sample_artifact().encode();
+        let header = StoreHeader::decode(&intact).unwrap();
+        let section = &intact[HEADER_LEN..];
+        for len in [u64::MAX - 3, u64::MAX, section.len() as u64 - 7] {
+            let hostile = StoreHeader {
+                log_len: len,
+                flat_len: len,
+                ..header
+            };
+            assert_eq!(
+                TraceArtifact::decode_log(&hostile, section).unwrap_err(),
+                StoreError::Truncated,
+                "log_len {len}"
+            );
+            assert_eq!(
+                TraceArtifact::decode_flat(&hostile, section).unwrap_err(),
+                StoreError::Truncated,
+                "flat_len {len}"
+            );
+        }
     }
 
     #[test]
