@@ -20,10 +20,21 @@ use crate::branch::{build, BranchPredictor, Btb};
 use crate::cache::{Hierarchy, ServiceLevel};
 use crate::config::CoreConfig;
 use crate::model::{functional_warm, CoreModel, MemCounters, ModelKind};
-use crate::o3::{done_window_for, fu_and_latency, FPDIV_BUSY};
+use crate::o3::{fu_and_latency, FPDIV_BUSY};
 use crate::stats::SimStats;
 use crate::tlb::Tlb;
 use belenos_trace::{FlatTrace, MicroOp, OpKind};
+
+/// Minimum dependency-tracking window (producer distances beyond the
+/// window are treated as long-retired).
+const DONE_WINDOW: usize = 8192;
+
+/// Completion-ring size for a configuration: comfortably larger than
+/// the ROB, never below the historical 8192 floor. Always a power of
+/// two, so ring indexing is a mask, not a modulo.
+fn done_window_for(cfg: &CoreConfig) -> usize {
+    DONE_WINDOW.max((cfg.rob_entries.saturating_mul(4)).next_power_of_two())
+}
 
 /// The scalar in-order core simulator.
 pub struct InOrderCore {

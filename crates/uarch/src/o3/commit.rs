@@ -19,25 +19,18 @@ impl O3Core {
                 break;
             }
             let head_idx = p.rob.head_idx;
-            let s = p.rob.slot(head_idx);
-            if p.rob.state[s] != OpState::Done {
+            let entry = *p.rob.entry(head_idx);
+            if entry.state != OpState::Done {
                 break;
             }
-            let os = p.ops.slot(head_idx);
-            let kind = p.ops.kind[os];
-            let addr = p.ops.addr[os];
-            let pc = p.ops.pc[os];
-            let taken = p.ops.taken[os];
-            let target = p.ops.target[os];
-            let cat = p.ops.cat[os];
-            let mispredicted = p.rob.mispredicted[s];
+            let op = *p.ops.get(head_idx);
             p.rob.pop_front();
-            match kind {
+            match op.kind {
                 OpKind::Store => {
                     // Drain the store to the cache at commit.
                     let entry = p.sq.pop_front();
                     debug_assert_eq!(entry, Some(head_idx));
-                    self.hierarchy.data_access(addr, true, p.now);
+                    self.hierarchy.data_access(op.addr, true, p.now);
                 }
                 OpKind::Load => {
                     let entry = p.lq.pop_front();
@@ -45,12 +38,12 @@ impl O3Core {
                     p.fp_regs_used = p.fp_regs_used.saturating_sub(1);
                 }
                 OpKind::Branch => {
-                    self.predictor.update(pc, taken);
-                    if taken {
-                        self.btb.install(pc, target);
+                    self.predictor.update(op.pc, op.taken);
+                    if op.taken {
+                        self.btb.install(op.pc, op.target);
                     }
                     stats.branches += 1;
-                    if mispredicted {
+                    if entry.mispredicted {
                         stats.mispredicts += 1;
                     }
                 }
@@ -62,8 +55,8 @@ impl O3Core {
                 }
                 OpKind::Pause | OpKind::Serialize => {}
             }
-            stats.commit_mix.count(kind);
-            stats.slots_by_category[crate::stats::category_index(cat)] += 1;
+            stats.commit_mix.count(op.kind);
+            stats.slots_by_category[crate::stats::category_index(op.cat)] += 1;
             stats.committed_ops += 1;
             committed_this_cycle += 1;
             p.last_commit_cycle = p.now;
@@ -73,10 +66,10 @@ impl O3Core {
         let missing = (commit_width - committed_this_cycle) as u64;
         if missing > 0 {
             if !p.rob.is_empty() {
-                let s = p.ops.slot(p.rob.head_idx);
+                let head = p.ops.get(p.rob.head_idx);
                 stats.slots_backend += missing;
-                stats.slots_by_category[crate::stats::category_index(p.ops.cat[s])] += missing;
-                let memory_bound = match p.ops.kind[s] {
+                stats.slots_by_category[crate::stats::category_index(head.cat)] += missing;
+                let memory_bound = match head.kind {
                     OpKind::Load | OpKind::Store => true,
                     _ => p.lq.has_inflight(),
                 };

@@ -3,7 +3,7 @@
 //! the first structural hazard (full window, queue or register pool).
 
 use super::issue::fu_and_latency;
-use super::pipeline::{IqEntry, Pipeline};
+use super::pipeline::{Pipeline, PACK_LIMIT};
 use super::O3Core;
 use belenos_trace::OpKind;
 
@@ -14,13 +14,14 @@ impl O3Core {
         let cfg = &self.cfg;
         let mut dispatched = 0usize;
         for _ in 0..p.fe_width {
-            // Peek the front op's fields straight out of the op buffer;
-            // nothing is copied until the hazard checks pass.
-            let Some(&(idx, pred_taken)) = p.fetchq.front() else {
+            // Peek the front op straight out of the op buffer; nothing
+            // moves until the hazard checks pass.
+            if p.fetchq_len() == 0 {
                 break;
-            };
-            let s = p.ops.slot(idx);
-            let kind = p.ops.kind[s];
+            }
+            let idx = p.fetch_head;
+            let op = *p.ops.get(idx);
+            let kind = op.kind;
             if p.rob.len() >= cfg.rob_entries || p.iq_len() >= cfg.iq_entries {
                 break;
             }
@@ -35,39 +36,33 @@ impl O3Core {
                 }
                 _ => {}
             }
-            p.fetchq.pop_front();
+            p.fetch_head += 1;
+            assert!(
+                p.dispatch_counter < PACK_LIMIT,
+                "an o3 run is limited to 2^32 - 1 dispatches (32-bit event epochs)"
+            );
             p.dispatch_counter += 1;
             let mut lsq_slot = u32::MAX;
             match kind {
                 OpKind::Load => {
-                    lsq_slot = p.lq.push_back(idx, p.ops.addr[s]);
+                    lsq_slot = p.lq.push_back(idx, op.addr);
                     p.fp_regs_used += 1;
                 }
                 OpKind::Store => {
-                    lsq_slot = p.sq.push_back(idx, p.ops.addr[s]);
+                    lsq_slot = p.sq.push_back(idx, op.addr);
                 }
                 OpKind::IntAlu | OpKind::IntMul => p.int_regs_used += 1,
                 OpKind::FpAdd | OpKind::FpMul | OpKind::FpDiv => p.fp_regs_used += 1,
                 OpKind::Pause | OpKind::Serialize => p.serializers.push_back(idx),
                 OpKind::Branch => {}
             }
-            p.done_ring[(idx & p.done_mask) as usize] = false;
-            let mispred = kind == OpKind::Branch && pred_taken != p.ops.taken[s];
-            // Producers are resolved to trace indices once, here; the
-            // entry then lands in the ready queue or parks on its first
-            // pending producer's waiter list — the issue stage never
-            // sees an op whose operands are not ready.
+            let mispred = kind == OpKind::Branch && p.ops.predicted_taken(idx) != op.taken;
+            // The op lands in the ready queue or parks on its first
+            // pending producer's wait list — the issue stage never sees
+            // an op whose operands are not ready.
             let (fu, lat) = fu_and_latency(kind, cfg.pause_latency);
-            debug_assert!(lat <= u32::MAX as u64);
-            let entry = IqEntry {
-                idx,
-                dep1: p.resolve_dep(idx, p.ops.dep1[s]),
-                dep2: p.resolve_dep(idx, p.ops.dep2[s]),
-                lat: lat as u32,
-                fu: fu as u8,
-            };
             p.rob.push_back(idx, p.dispatch_counter, mispred, lsq_slot);
-            p.classify(entry);
+            p.iq_insert(idx, fu, lat);
             dispatched += 1;
         }
         p.rob_peak = p.rob_peak.max(p.rob.len());

@@ -34,7 +34,7 @@ impl O3Core {
                 FetchBlock::ITlb => stats.tlb_stall_cycles += 1,
                 _ => stats.icache_stall_cycles += 1,
             }
-        } else if p.fetchq.len() + cfg.fetch_width > p.fetchq_cap {
+        } else if p.fetchq_len() + cfg.fetch_width > p.fetchq_cap {
             // Downstream back-pressure: the fetch stage still ran this
             // cycle (gem5 counts these as fetch cycles, not stalls).
             if p.fetch_block != FetchBlock::QueueFull {
@@ -54,17 +54,14 @@ impl O3Core {
                 // in place — "push front" with no data movement.
                 if p.replay_next == p.next_idx {
                     match trace.next() {
-                        Some(op) => {
-                            p.ops.insert(p.next_idx, &op);
-                            p.next_idx += 1;
-                        }
+                        Some(op) => p.accept(&op),
                         None => break,
                     }
                 }
                 let idx = p.replay_next;
-                let s = p.ops.slot(idx);
-                let pc = p.ops.pc[s];
-                let kind = p.ops.kind[s];
+                let &MicroOp {
+                    pc, kind, taken, ..
+                } = p.ops.get(idx);
                 // An op was obtained: cache/TLB/predictor state is about
                 // to be touched even if the op stalls and replays.
                 changed = true;
@@ -96,12 +93,14 @@ impl O3Core {
                         }
                         end_group = true;
                     }
-                    if p.ops.taken[s] {
+                    if taken {
                         end_group = true;
                         p.cur_fetch_line = u64::MAX;
                     }
                 }
-                p.fetchq.push_back((idx, pred_taken));
+                // Moving the replay cursor past the op is the push onto
+                // the fetch queue.
+                p.ops.set_predicted_taken(idx, pred_taken);
                 p.replay_next = idx + 1;
                 fetched += 1;
                 if end_group {
@@ -110,7 +109,7 @@ impl O3Core {
             }
             if fetched > 0 {
                 stats.active_fetch_cycles += 1;
-            } else if !p.fetchq.is_empty() || !p.rob.is_empty() {
+            } else if p.fetchq_len() > 0 || !p.rob.is_empty() {
                 stats.misc_stall_cycles += 1;
             }
         }

@@ -5,9 +5,8 @@
 
 use super::pipeline::{OpState, Pipeline};
 use super::O3Core;
-use crate::cache::ServiceLevel;
 use crate::stats::SimStats;
-use belenos_trace::OpKind;
+use belenos_trace::{MicroOp, OpKind};
 
 /// Functional-unit mapping: `[int alu, int mul, fp add, fp mul/div, mem
 /// ports]`, with the op's execution latency in cycles.
@@ -32,7 +31,7 @@ impl O3Core {
     ///
     /// The ready queue holds only entries whose producers have already
     /// completed (dispatch/wakeup classification keeps waiting entries
-    /// in [`super::pipeline::WaitPool`]), sorted by trace index — so
+    /// on their producers' wait lists), sorted by trace index — so
     /// this scan visits exactly the ready entries the old full-IQ scan
     /// would have selected, in the same oldest-first order. The scan
     /// bulk-exits once issue width is exhausted, a serialization
@@ -45,7 +44,8 @@ impl O3Core {
         }
         let mut issued = 0usize;
         let mut fu_used = [0usize; 5];
-        let head_idx = p.rob.front_idx_or_zero();
+        // Ready ops are ROB occupants: the ROB is not empty.
+        let head_idx = p.rob.head_idx;
         let barrier = p.serializers.front().copied();
         let mut blocked_by_barrier = false;
         // Per-class count of not-yet-visited ready entries, for the
@@ -64,46 +64,34 @@ impl O3Core {
         let orig_len = q.len();
         let mut w = 0usize;
         for r in 0..orig_len {
-            let entry = q[r];
-            let idx = entry.idx;
+            let idx = q[r] as u64;
+            // Serialization: ops younger than an in-flight
+            // pause/serialize cannot issue; the queue is sorted, so
+            // everything from here on is younger too.
+            if issued >= self.cfg.issue_width
+                || blocked_by_barrier
+                || open == 0
+                || barrier.is_some_and(|b| idx > b)
+            {
+                // Nothing further can change this cycle: bulk-keep
+                // the tail instead of stepping through it.
+                q.copy_within(r..orig_len, w);
+                w += orig_len - r;
+                break;
+            }
+            let entry = *p.iq_entry(idx);
             let fu = entry.fu as usize;
+            remaining[fu] -= 1;
+            if remaining[fu] == 0 && fu_used[fu] < counts[fu] {
+                open -= 1;
+            }
             let mut keep = true;
             'op: {
-                if issued >= self.cfg.issue_width || blocked_by_barrier || open == 0 {
-                    // Nothing further can change this cycle: bulk-keep
-                    // the tail instead of stepping through it.
-                    q.copy_within(r..orig_len, w);
-                    w += orig_len - r;
-                    q.truncate(w);
-                    p.ready_q = q;
-                    return issued > 0;
-                }
-                remaining[fu] -= 1;
-                if remaining[fu] == 0 && fu_used[fu] < counts[fu] {
-                    open -= 1;
-                }
-                // Serialization: ops younger than an in-flight
-                // pause/serialize cannot issue; the queue is sorted, so
-                // everything from here on is younger too.
-                if let Some(b) = barrier {
-                    if idx > b {
-                        q.copy_within(r..orig_len, w);
-                        w += orig_len - r;
-                        q.truncate(w);
-                        p.ready_q = q;
-                        return issued > 0;
-                    }
-                }
                 // Ready entries are always live: squash drops them from
                 // the ready queue in the same breath as the ROB.
-                debug_assert!(
-                    idx >= head_idx && ((idx - head_idx) as usize) < p.rob.len(),
-                    "ready-queue entry outside ROB window"
-                );
-                let s = p.rob.slot(idx);
-                let os = p.ops.slot(idx);
-                let kind = p.ops.kind[os];
-                let addr = p.ops.addr[os];
+                debug_assert!(p.rob.contains(idx), "ready-queue entry outside ROB window");
+                let &MicroOp { kind, addr, .. } = p.ops.get(idx);
+                let lsq_slot = p.rob.entry(idx).lsq_slot;
                 let is_head = idx == head_idx;
                 let latency = entry.lat as u64;
                 debug_assert_eq!(
@@ -123,7 +111,6 @@ impl O3Core {
                 }
                 // Memory-op issue rules.
                 let mut done_at = p.now + latency;
-                let mut mem_level = None;
                 match kind {
                     OpKind::Load => {
                         // Memory-dependence prediction (store sets in
@@ -131,11 +118,11 @@ impl O3Core {
                         // unknown addresses; known matching stores
                         // forward.
                         if let Some((sidx, sdone)) = p.sq.forward_from(idx, addr) {
-                            if !sdone && !p.done_ring[(sidx & p.done_mask) as usize] {
+                            // A store-queue entry is a ROB occupant.
+                            if !sdone && p.rob.entry(sidx).state != OpState::Done {
                                 break 'op;
                             }
                             done_at = p.now + 1;
-                            mem_level = Some(ServiceLevel::L1);
                         } else {
                             if !self.hierarchy.l1d.mshr_available(p.now) {
                                 break 'op;
@@ -145,14 +132,15 @@ impl O3Core {
                                 penalty = self.cfg.tlb_miss_penalty;
                                 stats.dtlb_misses += 1;
                             }
-                            let r = self.hierarchy.data_access(addr, false, p.now + penalty);
-                            done_at = r.done;
-                            mem_level = Some(r.level);
+                            done_at = self
+                                .hierarchy
+                                .data_access(addr, false, p.now + penalty)
+                                .done;
                         }
-                        p.lq.mark_issued(idx, addr, p.rob.lsq_slot[s]);
+                        p.lq.mark_issued(idx, addr, lsq_slot);
                     }
                     OpKind::Store => {
-                        p.sq.mark_issued(idx, addr, p.rob.lsq_slot[s]);
+                        p.sq.mark_issued(idx, addr, lsq_slot);
                     }
                     OpKind::FpDiv => {
                         p.fpdiv_busy_until = p.now + FPDIV_BUSY; // unpipelined window
@@ -163,16 +151,16 @@ impl O3Core {
                 if fu_used[fu] == counts[fu] && remaining[fu] > 0 {
                     open -= 1;
                 }
-                p.rob.state[s] = OpState::Issued;
-                p.rob.mem_level[s] = mem_level;
+                let rob_entry = p.rob.entry_mut(idx);
+                rob_entry.state = OpState::Issued;
+                // The wheel files nothing at or before the current cycle.
+                p.events.push(done_at, idx, rob_entry.dispatch_id);
                 stats.exec_mix.count(kind);
-                p.events
-                    .push(done_at.max(p.now + 1), idx, p.rob.dispatch_id[s]);
                 issued += 1;
                 keep = false;
             }
             if keep {
-                q[w] = entry;
+                q[w] = idx as u32;
                 w += 1;
             } else {
                 p.ready_fu_count[fu] -= 1;

@@ -15,6 +15,32 @@
 //! [`crate::model::CoreModel`] backend among several — see
 //! [`crate::model`] for the in-order and analytical alternatives.
 //!
+//! # One in-flight window
+//!
+//! Live ops carry contiguous trace indices, so an op's dynamic state
+//! lives exactly once, in rings keyed by `idx & mask`: the fetched
+//! `MicroOp`, a 16-byte ROB entry, and an issue-queue record that also
+//! carries the intrusive wake-up lists (a consumer parks on its
+//! producer's slot; writeback wakes the list, squash unlinks what it
+//! pops). Everything else — ready queue, completion-event wheel, fetch
+//! and replay cursors — refers to ops by trace index; "has this
+//! producer completed" is read from the ROB, not from a mirror of it.
+//! One run is limited to 2³² − 1 trace ops and as many dispatches (the
+//! indices are held in 32 bits; the run panics at the bound). See
+//! `pipeline`.
+//!
+//! # Stage telemetry
+//!
+//! With a telemetry sink attached when a run starts, [`O3Core::run_warm`]
+//! counts loop iterations, squashes, parks and wake-ups exactly and
+//! times the five stage calls and the driver tail on every 64th
+//! iteration, emitting `o3_loop_iterations`, `o3_squashes`, `o3_parks`,
+//! `o3_wakeups` and `o3_stage_host_ns{stage=…}` (sampled time scaled
+//! by 64, the clock reads' own cost taken out) beside
+//! `ff_cycles_skipped` and `rob_ring_peak_occupancy`. The timers never
+//! touch simulated state; without a sink an iteration pays one
+//! never-taken branch per lap point.
+//!
 //! # Event-driven fast-forward
 //!
 //! A cycle where no stage changes pipeline state (nothing commits,
@@ -38,7 +64,6 @@ pub(crate) mod pipeline;
 mod writeback;
 
 pub(crate) use issue::{fu_and_latency, FPDIV_BUSY};
-pub(crate) use pipeline::done_window_for;
 
 use crate::branch::{build, BranchPredictor, Btb};
 use crate::cache::Hierarchy;
@@ -48,6 +73,37 @@ use crate::stats::SimStats;
 use crate::tlb::Tlb;
 use belenos_trace::{FlatTrace, MicroOp, OpKind};
 use pipeline::{FetchBlock, Pipeline, STALL_LIMIT};
+use std::time::Instant;
+
+/// The `stage` label values of the `o3_stage_host_ns` counters: the five
+/// stage calls in loop order, then the driver tail (warm-up snapshot,
+/// fast-forward, termination pull and wedge checks).
+const STAGES: [&str; 6] = ["commit", "writeback", "issue", "dispatch", "fetch", "drive"];
+
+/// One loop iteration in this many (a power of two) is timed when
+/// telemetry is on; the emitted nanoseconds are the sampled ones scaled
+/// back up.
+const STAGE_SAMPLE_EVERY: u64 = 64;
+
+/// Closes a timed lap: adds the host time since `*from` to `ns` and
+/// restarts the lap. Untimed iterations (`None`) pay the one branch.
+#[inline]
+fn lap_into(from: &mut Option<Instant>, ns: &mut u64) {
+    if let Some(t0) = from {
+        let t1 = Instant::now();
+        *ns += (t1 - *t0).as_nanos() as u64;
+        *t0 = t1;
+    }
+}
+
+/// What closing one lap costs by itself on this host, in nanoseconds.
+fn lap_cost_ns() -> u64 {
+    let (mut lap, mut ns) = (Some(Instant::now()), 0);
+    for _ in 0..16 {
+        lap_into(&mut lap, &mut ns);
+    }
+    ns / 16
+}
 
 /// The out-of-order core simulator.
 pub struct O3Core {
@@ -139,13 +195,27 @@ impl O3Core {
         };
         let mut trace = trace.fuse();
         let mut warm_snapshot: Option<SimStats> = None;
+        // Host-time split of the loop by stage, for a telemetry sink
+        // attached now: every `STAGE_SAMPLE_EVERY`-th iteration is
+        // timed, lap by lap.
+        let tel = belenos_telemetry::global();
+        let timed = tel.enabled();
+        let mut iterations = 0u64;
+        let mut stage_ns = [0u64; STAGES.len()];
 
         loop {
+            iterations += 1;
+            let mut lap = (timed && iterations & (STAGE_SAMPLE_EVERY - 1) == 0).then(Instant::now);
             let committed = self.commit_stage(&mut p, &mut stats);
+            lap_into(&mut lap, &mut stage_ns[0]);
             let completed = self.writeback_stage(&mut p, &mut stats);
+            lap_into(&mut lap, &mut stage_ns[1]);
             let issue_active = self.issue_stage(&mut p, &mut stats);
+            lap_into(&mut lap, &mut stage_ns[2]);
             let dispatched = self.dispatch_stage(&mut p);
+            lap_into(&mut lap, &mut stage_ns[3]);
             let fetch_active = self.fetch_stage(&mut p, &mut stats, &mut trace);
+            lap_into(&mut lap, &mut stage_ns[4]);
 
             if warm_snapshot.is_none() && warmup_ops > 0 && stats.committed_ops >= warmup_ops {
                 let mut snap = stats.clone();
@@ -167,7 +237,7 @@ impl O3Core {
                 && !issue_active
                 && dispatched == 0
                 && !fetch_active
-                && !(p.rob.is_empty() && p.fetchq.is_empty() && p.replay_next == p.next_idx)
+                && !p.is_drained()
             {
                 if let Some(wake) = self.wake_cycle(&p, stats.committed_ops) {
                     if wake > p.now {
@@ -180,15 +250,12 @@ impl O3Core {
             }
 
             // ---------------- termination & wedge detection ----------------
-            if p.rob.is_empty() && p.fetchq.is_empty() && p.replay_next == p.next_idx {
+            if p.is_drained() {
                 // Peek the trace: if exhausted, we are done. A pulled op
                 // lands in the op buffer with the replay cursor behind
                 // it — the fetch stage picks it up as a replay.
                 match trace.next() {
-                    Some(op) => {
-                        p.ops.insert(p.next_idx, &op);
-                        p.next_idx += 1;
-                    }
+                    Some(op) => p.accept(&op),
                     None => break,
                 }
             }
@@ -206,9 +273,10 @@ impl O3Core {
                 panic!(
                     "pipeline never committed; head {:?} in state {:?}",
                     p.ops.get(p.rob.head_idx),
-                    p.rob.state[p.rob.slot(p.rob.head_idx)]
+                    p.rob.entry(p.rob.head_idx).state
                 );
             }
+            lap_into(&mut lap, &mut stage_ns[5]);
         }
 
         stats.cycles = p.now;
@@ -223,10 +291,20 @@ impl O3Core {
         }
         self.ff_skipped_last_run = p.ff_cycles_skipped;
         self.rob_peak_last_run = p.rob_peak;
-        let tel = belenos_telemetry::global();
-        if tel.enabled() {
+        if timed {
             tel.counter("ff_cycles_skipped", p.ff_cycles_skipped, &[]);
             tel.counter("rob_ring_peak_occupancy", p.rob_peak as u64, &[]);
+            tel.counter("o3_loop_iterations", iterations, &[]);
+            tel.counter("o3_squashes", p.squashes, &[]);
+            tel.counter("o3_parks", p.parks, &[]);
+            tel.counter("o3_wakeups", p.wakeups, &[]);
+            // Each sampled lap carries the cost of reading the clock.
+            let clock_ns = lap_cost_ns() * (iterations / STAGE_SAMPLE_EVERY);
+            for (stage, ns) in STAGES.iter().zip(stage_ns) {
+                let fields = [("stage", (*stage).into())];
+                let ns = ns.saturating_sub(clock_ns) * STAGE_SAMPLE_EVERY;
+                tel.counter("o3_stage_host_ns", ns, &fields);
+            }
         }
         self.scratch = Some(p);
         stats
@@ -277,10 +355,10 @@ impl O3Core {
     fn account_skipped(&self, p: &Pipeline, stats: &mut SimStats, times: u64) {
         let missing = self.cfg.commit_width as u64 * times;
         if !p.rob.is_empty() {
-            let s = p.ops.slot(p.rob.head_idx);
+            let head = p.ops.get(p.rob.head_idx);
             stats.slots_backend += missing;
-            stats.slots_by_category[crate::stats::category_index(p.ops.cat[s])] += missing;
-            let memory_bound = match p.ops.kind[s] {
+            stats.slots_by_category[crate::stats::category_index(head.cat)] += missing;
+            let memory_bound = match head.kind {
                 OpKind::Load | OpKind::Store => true,
                 _ => p.lq.has_inflight(),
             };
@@ -305,9 +383,9 @@ impl O3Core {
                 FetchBlock::ITlb => stats.tlb_stall_cycles += times,
                 _ => stats.icache_stall_cycles += times,
             }
-        } else if p.fetchq.len() + self.cfg.fetch_width > p.fetchq_cap {
+        } else if p.fetchq_len() + self.cfg.fetch_width > p.fetchq_cap {
             stats.active_fetch_cycles += times;
-        } else if !p.fetchq.is_empty() || !p.rob.is_empty() {
+        } else if p.fetchq_len() > 0 || !p.rob.is_empty() {
             stats.misc_stall_cycles += times;
         }
     }
@@ -624,9 +702,9 @@ mod tests {
 
     #[test]
     fn huge_rob_does_not_corrupt_dependency_tracking() {
-        // Regression: DONE_WINDOW = 8192 was a comment-only invariant; a
-        // ROB at or above it silently aliased dependency slots. The ring
-        // is now sized from the configuration.
+        // Regression: an 8192-slot dependency window was once a
+        // comment-only invariant, and a ROB at or above it silently
+        // aliased dependency slots. Every per-op ring is ROB-sized now.
         let cfg = CoreConfig::gem5_baseline().with_rob_iq(16_384, 512);
         // Long dependency chains keep the window full while older ops
         // retire, exercising ring wrap-around.
@@ -732,6 +810,34 @@ mod tests {
         slow.set_fast_forward(false);
         let b = slow.run(ops.into_iter());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn starved_dram_completion_beyond_the_wheel_horizon_is_exact() {
+        // Regression: a bandwidth-starved DRAM channel queues a load
+        // several wheel turns out. Filing it into an empty wheel used to
+        // re-home the cursor past the clock, so the next short-latency
+        // completion landed behind the cursor: a debug-assert panic in
+        // dev, and in release an early, aliased pop of the far event
+        // (7 361 cycles).
+        let mut cfg = CoreConfig::gem5_baseline();
+        cfg.dram_bandwidth_gbps = 0.25;
+        // Code walks three icache lines, 32 ops to a loop.
+        let pc = |i: usize| 0x1030 + (i as u32 % 32) * 4;
+        let mut ops: Vec<MicroOp> = (0..6)
+            .map(|i| MicroOp::store(pc(i), 0x100_0000 + i as u64 * 4096, 8, 0, CAT))
+            .collect();
+        ops.push(MicroOp::pause(pc(6), CAT));
+        ops.push(MicroOp::load(pc(7), 0x200_0000, 8, 0, CAT));
+        ops.extend((8..72).map(|i| MicroOp::int(pc(i), 0, 0, CAT)));
+        ops.push(MicroOp::int(pc(72), 65, 0, CAT));
+        let mut fast = O3Core::new(cfg.clone());
+        let a = fast.run(ops.clone().into_iter());
+        let mut stepped = O3Core::new(cfg);
+        stepped.set_fast_forward(false);
+        let b = stepped.run(ops.into_iter());
+        assert_eq!(a.cycles, 8129);
+        assert_eq!(a, b, "fast-forward must not change any statistic");
     }
 
     #[test]

@@ -2,40 +2,40 @@
 //!
 //! Everything that lives exactly as long as one [`super::O3Core::run_warm`]
 //! call sits here: the reorder buffer, issue queue, split load/store
-//! queues, fetch/replay queues, the dependency-completion ring, the
-//! writeback event heap, register-pool occupancy and the stall/redirect
-//! clocks. The long-lived machine state (caches, TLBs, predictor, BTB)
-//! stays on [`super::O3Core`] so it survives across runs and intervals.
+//! queues, fetch/replay queues, the writeback event wheel, register-pool
+//! occupancy and the stall/redirect clocks. The long-lived machine state
+//! (caches, TLBs, predictor, BTB) stays on [`super::O3Core`] so it
+//! survives across runs and intervals.
 //!
-//! The in-flight window is stored as **struct-of-arrays ring buffers**
-//! ([`RobRing`], [`LsqRing`]) instead of `VecDeque`s of per-op structs:
-//! op indices in the ROB are always contiguous (`head_idx..head_idx+len`),
-//! so a power-of-two ring indexed by `idx & mask` gives every stage O(1)
-//! slot access with no per-op heap allocation, and the per-cycle scans
-//! (issue readiness, store forwarding) walk dense primitive arrays.
+//! The in-flight window is **one record per structure, keyed by ROB
+//! slot**: op indices in the ROB are always contiguous
+//! (`head_idx..head_idx+len`), so `idx & mask` names an op's slot in
+//! every ROB-sized ring, and an op's dynamic state lives exactly once —
+//! its fetched fields in [`OpBuf`], its dispatch-time state in a
+//! [`RobEntry`], its issue-queue record and wait-list links in an
+//! [`IqEntry`]. "Has this producer completed" is the producer's ROB
+//! state, not a mirror of it; the queues that refer to an op (the ready
+//! queue, the wait lists, the event wheel) hold its trace index and
+//! nothing else.
 
-use crate::cache::ServiceLevel;
 use crate::config::CoreConfig;
-use belenos_trace::{FnCategory, MicroOp, OpKind};
+use belenos_trace::MicroOp;
 use std::collections::VecDeque;
-
-/// Minimum dependency-tracking window (producer distances beyond the
-/// window are treated as long-retired). The actual ring is sized from the
-/// configured ROB in [`done_window_for`], so huge-ROB configurations can
-/// never alias in-flight ops.
-pub(crate) const DONE_WINDOW: usize = 8192;
-
-/// Dependency-ring size for a configuration: comfortably larger than the
-/// ROB (in-flight idx distances span the ROB plus fetch/replay queues),
-/// never below the historical 8192 floor. Always a power of two, so ring
-/// indexing is a mask, not a modulo.
-pub(crate) fn done_window_for(cfg: &CoreConfig) -> usize {
-    DONE_WINDOW.max((cfg.rob_entries.saturating_mul(4)).next_power_of_two())
-}
 
 /// Deadlock detector: cycles without a commit before the engine reports a
 /// wedged pipeline (a simulator bug, not a workload condition).
 pub(super) const STALL_LIMIT: u64 = 1_000_000;
+
+/// Exclusive bound on trace indices and dispatch epochs of one run.
+/// Event keys, the ready queue, resolved producers and wait-list links
+/// all hold them in 32 bits, with `u32::MAX` as the "none" sentinel, so
+/// a single `run_warm` call simulates at most 2³² − 1 ops and dispatches
+/// (squash replays included) at most as many times; [`Pipeline::accept`]
+/// and the dispatch stage panic at the bound instead of aliasing.
+pub(super) const PACK_LIMIT: u64 = u32::MAX as u64;
+
+/// "No op": the ready-producer sentinel and the wait-list terminator.
+const NONE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum OpState {
@@ -44,91 +44,78 @@ pub(super) enum OpState {
     Done,
 }
 
-/// In-flight op storage: one idx-keyed struct-of-arrays ring holding the
-/// immutable fields of every op between fetch and commit.
+/// In-flight op storage: one idx-keyed ring holding the fetched
+/// [`MicroOp`] of every op between fetch and commit.
 ///
 /// Live trace indices (ROB occupants, the fetch queue and the replay
 /// range) are contiguous — `[rob.head_idx, next_idx)` — and their count
 /// is bounded by ROB capacity plus fetch-queue capacity (every live op
 /// sits in exactly one of the three containers, and squash only
-/// redistributes them). The ring is sized at twice that bound, so slot
-/// lookup is `idx & mask` with no aliasing.
+/// redistributes them; [`Pipeline::accept`] asserts it). The ring is
+/// that bound rounded up to a power of two — no larger, so the live
+/// window stays cache-resident — and slot lookup is `idx & mask` with
+/// no aliasing.
 ///
-/// Each op's fields are written exactly once, when fetch first pulls it
-/// from the trace; every later stage (dispatch hazards, issue address
-/// rules, commit retirement, squash replay) reads the same slot instead
-/// of copying a `MicroOp` from queue to queue.
+/// Each op is written exactly once, when fetch first pulls it from the
+/// trace; every later stage (dispatch hazards, issue address rules,
+/// commit retirement, squash replay) reads the same slot instead of
+/// copying a `MicroOp` from queue to queue.
 pub(super) struct OpBuf {
     mask: u64,
-    pub(super) kind: Vec<OpKind>,
-    pub(super) pc: Vec<u32>,
-    pub(super) addr: Vec<u64>,
-    pub(super) size: Vec<u8>,
-    pub(super) taken: Vec<bool>,
-    pub(super) target: Vec<u32>,
-    pub(super) dep1: Vec<u32>,
-    pub(super) dep2: Vec<u32>,
-    pub(super) cat: Vec<FnCategory>,
+    ops: Vec<MicroOp>,
+    /// The direction fetch predicted for each op (branches only).
+    predicted_taken: Vec<bool>,
 }
 
 impl OpBuf {
     fn new(rob_entries: usize, fetchq_cap: usize) -> Self {
-        let cap = ((rob_entries.next_power_of_two() + fetchq_cap) * 2)
-            .next_power_of_two()
-            .max(2);
+        let cap = (rob_entries + fetchq_cap).next_power_of_two();
         OpBuf {
             mask: (cap - 1) as u64,
-            kind: vec![OpKind::IntAlu; cap],
-            pc: vec![0; cap],
-            addr: vec![0; cap],
-            size: vec![0; cap],
-            taken: vec![false; cap],
-            target: vec![0; cap],
-            dep1: vec![0; cap],
-            dep2: vec![0; cap],
-            cat: vec![FnCategory::Internal; cap],
+            ops: vec![MicroOp::int(0, 0, 0, belenos_trace::FnCategory::Internal); cap],
+            predicted_taken: vec![false; cap],
         }
-    }
-
-    /// Ring slot for a trace index.
-    #[inline]
-    pub(super) fn slot(&self, idx: u64) -> usize {
-        (idx & self.mask) as usize
     }
 
     /// Files the op fetched at trace index `idx`.
     #[inline]
-    pub(super) fn insert(&mut self, idx: u64, op: &MicroOp) {
-        let s = self.slot(idx);
-        self.kind[s] = op.kind;
-        self.pc[s] = op.pc;
-        self.addr[s] = op.addr;
-        self.size[s] = op.size;
-        self.taken[s] = op.taken;
-        self.target[s] = op.target;
-        self.dep1[s] = op.dep1;
-        self.dep2[s] = op.dep2;
-        self.cat[s] = op.cat;
+    fn insert(&mut self, idx: u64, op: &MicroOp) {
+        self.ops[(idx & self.mask) as usize] = *op;
     }
 
-    /// Reconstructs the full micro-op stored at a live trace index.
-    pub(super) fn get(&self, idx: u64) -> MicroOp {
-        let s = self.slot(idx);
-        MicroOp {
-            kind: self.kind[s],
-            pc: self.pc[s],
-            addr: self.addr[s],
-            size: self.size[s],
-            taken: self.taken[s],
-            target: self.target[s],
-            dep1: self.dep1[s],
-            dep2: self.dep2[s],
-            cat: self.cat[s],
-        }
+    #[inline]
+    pub(super) fn set_predicted_taken(&mut self, idx: u64, taken: bool) {
+        self.predicted_taken[(idx & self.mask) as usize] = taken;
+    }
+
+    #[inline]
+    pub(super) fn predicted_taken(&self, idx: u64) -> bool {
+        self.predicted_taken[(idx & self.mask) as usize]
+    }
+
+    /// The micro-op stored at a live trace index.
+    #[inline]
+    pub(super) fn get(&self, idx: u64) -> &MicroOp {
+        &self.ops[(idx & self.mask) as usize]
     }
 }
 
-/// The reorder buffer as a struct-of-arrays ring.
+/// Dispatch-time state of one ROB occupant (16 bytes).
+#[derive(Debug, Clone, Copy)]
+pub(super) struct RobEntry {
+    /// Dispatch epoch: tells a live op's completion event from one
+    /// filed before a squash replayed the same trace index.
+    pub(super) dispatch_id: u64,
+    /// Physical load/store-queue slot of a memory op (`u32::MAX`
+    /// otherwise), recorded at dispatch so issue and writeback reach
+    /// the LSQ entry directly instead of binary-searching by index.
+    pub(super) lsq_slot: u32,
+    pub(super) state: OpState,
+    /// Branch fetched with a wrong direction prediction.
+    pub(super) mispredicted: bool,
+}
+
+/// The reorder buffer as a ring of [`RobEntry`].
 ///
 /// ROB occupants always carry contiguous trace indices (dispatch pushes
 /// in index order; squash pops from the back; commit pops from the
@@ -143,17 +130,7 @@ pub(super) struct RobRing {
     /// popped op until the next push re-anchors it).
     pub(super) head_idx: u64,
     len: usize,
-    pub(super) dispatch_id: Vec<u64>,
-    pub(super) state: Vec<OpState>,
-    /// Branch fetched with a wrong direction prediction.
-    pub(super) mispredicted: Vec<bool>,
-    /// Deepest level that serviced a memory op (TMA classification;
-    /// kept as a parallel array alongside the other per-op state).
-    pub(super) mem_level: Vec<Option<ServiceLevel>>,
-    /// Physical load/store-queue slot of a memory op (`u32::MAX`
-    /// otherwise), recorded at dispatch so issue and writeback reach
-    /// the LSQ entry directly instead of binary-searching by index.
-    pub(super) lsq_slot: Vec<u32>,
+    entries: Vec<RobEntry>,
 }
 
 impl RobRing {
@@ -163,17 +140,21 @@ impl RobRing {
             mask: (cap - 1) as u64,
             head_idx: 0,
             len: 0,
-            dispatch_id: vec![0; cap],
-            state: vec![OpState::Waiting; cap],
-            mispredicted: vec![false; cap],
-            mem_level: vec![None; cap],
-            lsq_slot: vec![u32::MAX; cap],
+            entries: vec![
+                RobEntry {
+                    dispatch_id: 0,
+                    lsq_slot: u32::MAX,
+                    state: OpState::Waiting,
+                    mispredicted: false,
+                };
+                cap
+            ],
         }
     }
 
     /// Empties the ring (just-built state). Slot contents need no
-    /// clearing: `push_back` writes every field of a slot before any
-    /// stage reads it, and reads are bounded by `len`.
+    /// clearing: `push_back` writes a whole entry before any stage
+    /// reads it, and reads are bounded by `len`.
     pub(super) fn reset(&mut self) {
         self.head_idx = 0;
         self.len = 0;
@@ -187,20 +168,27 @@ impl RobRing {
         self.len == 0
     }
 
-    /// Ring slot for a trace index.
+    /// Ring slot for a trace index (shared by every ROB-sized ring).
     #[inline]
     pub(super) fn slot(&self, idx: u64) -> usize {
         (idx & self.mask) as usize
     }
 
-    /// Trace index of the oldest occupant, or 0 when empty (the issue
-    /// stage's neutral base; it never reads slots of an empty ring).
-    pub(super) fn front_idx_or_zero(&self) -> u64 {
-        if self.len == 0 {
-            0
-        } else {
-            self.head_idx
-        }
+    /// The entry of the occupant with trace index `idx`.
+    #[inline]
+    pub(super) fn entry(&self, idx: u64) -> &RobEntry {
+        &self.entries[(idx & self.mask) as usize]
+    }
+
+    #[inline]
+    pub(super) fn entry_mut(&mut self, idx: u64) -> &mut RobEntry {
+        &mut self.entries[(idx & self.mask) as usize]
+    }
+
+    /// True when `idx` is a current occupant.
+    #[inline]
+    pub(super) fn contains(&self, idx: u64) -> bool {
+        idx >= self.head_idx && ((idx - self.head_idx) as usize) < self.len
     }
 
     pub(super) fn push_back(&mut self, idx: u64, dispatch_id: u64, mispred: bool, lsq_slot: u32) {
@@ -209,12 +197,12 @@ impl RobRing {
         }
         debug_assert_eq!(idx, self.head_idx + self.len as u64, "rob idx contiguity");
         debug_assert!(self.len <= self.mask as usize, "rob ring overflow");
-        let s = self.slot(idx);
-        self.dispatch_id[s] = dispatch_id;
-        self.state[s] = OpState::Waiting;
-        self.mispredicted[s] = mispred;
-        self.mem_level[s] = None;
-        self.lsq_slot[s] = lsq_slot;
+        *self.entry_mut(idx) = RobEntry {
+            dispatch_id,
+            lsq_slot,
+            state: OpState::Waiting,
+            mispredicted: mispred,
+        };
         self.len += 1;
     }
 
@@ -444,150 +432,52 @@ impl LsqRing {
     }
 }
 
-/// One issue-queue entry: the op's trace index, its producers'
-/// *resolved* trace indices (`u64::MAX` = known ready), and its
-/// functional-unit class. Producers are resolved once at dispatch and
-/// memoized to the ready sentinel when first observed complete, which
-/// is sound because readiness is monotone while the entry waits — a
-/// producer is strictly older than its consumer, so no squash that
-/// spares the consumer can undo the producer, and the done ring cannot
-/// recycle the producer's slot while the consumer is still in flight
-/// (the window is sized ≥ 4x the ROB).
+/// The issue-queue record of one ROB occupant (32 bytes, written once
+/// at dispatch into the ROB-slot array [`Pipeline::iq`]): its
+/// producers' *resolved* trace indices, its functional-unit class and
+/// latency, and the links of the intrusive wait lists.
+///
+/// An op whose producers have not all completed is parked on the list
+/// of its first still-pending producer: the list head lives in the
+/// producer's record (`waiters`), the doubly-linked node in the
+/// consumer's (`next`/`prev`/`on`), and every link is a trace index —
+/// both ends are ROB occupants, so `idx & mask` reaches them without a
+/// slab, a free list or a copy. Writeback wakes a producer's list in
+/// O(waiters); squash unlinks exactly the victims it pops. An op waits
+/// on one producer at a time; if its second producer is still pending
+/// at wake time it re-parks on that one.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct IqEntry {
-    pub(super) idx: u64,
-    pub(super) dep1: u64,
-    pub(super) dep2: u64,
+    /// Producers as trace indices (`NONE` = no producer to wait for).
+    dep1: u32,
+    dep2: u32,
     /// Execution latency in cycles, precomputed at dispatch so the
-    /// issue scan never re-derives it from the op kind (fits the
-    /// struct's padding; every real latency is far below 2^32).
+    /// issue scan never re-derives it from the op kind (every real
+    /// latency is far below 2^32).
     pub(super) lat: u32,
+    /// First op parked on this one, or `NONE`.
+    waiters: u32,
+    next: u32,
+    prev: u32,
+    /// The producer this op is parked on, or `NONE` when it is not
+    /// parked (ready, issued or done).
+    on: u32,
     /// Functional-unit class (index into `fu_counts`).
     pub(super) fu: u8,
 }
 
-const NO_NODE: u32 = u32::MAX;
-
-/// Waiting half of the issue queue: entries whose producers have not
-/// completed, parked on intrusive per-producer lists keyed by the
-/// producer's done-ring slot (in-flight indices are always less than a
-/// window apart, so slots are collision-free). The writeback stage
-/// wakes a producer's list in O(waiters) instead of the issue stage
-/// rescanning every waiting entry every cycle. An entry waits on
-/// exactly one pending producer at a time; if its second producer is
-/// still pending at wake time it re-parks on that one.
-pub(super) struct WaitPool {
-    /// Per done-ring slot: first waiter node, or `NO_NODE`.
-    head: Vec<u32>,
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    /// Producer slot each node is parked under (to fix `head` on unlink).
-    pslot: Vec<u32>,
-    entry: Vec<IqEntry>,
-    occupied: Vec<bool>,
-    free: Vec<u32>,
-    count: usize,
-}
-
-impl WaitPool {
-    fn new(done_window: usize, iq_entries: usize) -> Self {
-        WaitPool {
-            head: vec![NO_NODE; done_window],
-            next: Vec::with_capacity(iq_entries),
-            prev: Vec::with_capacity(iq_entries),
-            pslot: Vec::with_capacity(iq_entries),
-            entry: Vec::with_capacity(iq_entries),
-            occupied: Vec::with_capacity(iq_entries),
-            free: Vec::new(),
-            count: 0,
-        }
-    }
-
-    pub(super) fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Unparks everything and clears all lists (just-built state). The
-    /// slab vectors are truncated, not freed, so their capacity stays
-    /// warm and node allocation order replays exactly as on a fresh
-    /// pool.
-    fn reset(&mut self) {
-        self.head.fill(NO_NODE);
-        self.next.clear();
-        self.prev.clear();
-        self.pslot.clear();
-        self.entry.clear();
-        self.occupied.clear();
-        self.free.clear();
-        self.count = 0;
-    }
-
-    /// Parks `e` on the waiter list of the producer occupying `pslot`.
-    fn park(&mut self, pslot: usize, e: IqEntry) {
-        let node = match self.free.pop() {
-            Some(n) => n as usize,
-            None => {
-                self.next.push(NO_NODE);
-                self.prev.push(NO_NODE);
-                self.pslot.push(0);
-                self.entry.push(e);
-                self.occupied.push(false);
-                self.next.len() - 1
-            }
-        };
-        let old = self.head[pslot];
-        self.next[node] = old;
-        self.prev[node] = NO_NODE;
-        self.pslot[node] = pslot as u32;
-        self.entry[node] = e;
-        self.occupied[node] = true;
-        if old != NO_NODE {
-            self.prev[old as usize] = node as u32;
-        }
-        self.head[pslot] = node as u32;
-        self.count += 1;
-    }
-
-    fn unlink(&mut self, node: usize) -> IqEntry {
-        let (nx, pv) = (self.next[node], self.prev[node]);
-        if pv == NO_NODE {
-            self.head[self.pslot[node] as usize] = nx;
-        } else {
-            self.next[pv as usize] = nx;
-        }
-        if nx != NO_NODE {
-            self.prev[nx as usize] = pv;
-        }
-        self.occupied[node] = false;
-        self.free.push(node as u32);
-        self.count -= 1;
-        self.entry[node]
-    }
-
-    /// Drains the waiter list of producer slot `pslot` into `out`.
-    fn drain_slot(&mut self, pslot: usize, out: &mut Vec<IqEntry>) {
-        let mut node = self.head[pslot];
-        self.head[pslot] = NO_NODE;
-        while node != NO_NODE {
-            let n = node as usize;
-            node = self.next[n];
-            self.occupied[n] = false;
-            self.free.push(n as u32);
-            self.count -= 1;
-            out.push(self.entry[n]);
-        }
-    }
-
-    /// Removes every waiter younger than `keep_max_idx` (squash). The
-    /// node slab is bounded by the issue-queue size, so this sweeps at
-    /// most `iq_entries` slots however large the done window is.
-    fn squash_younger(&mut self, keep_max_idx: u64) {
-        for node in 0..self.occupied.len() {
-            if self.occupied[node] && self.entry[node].idx > keep_max_idx {
-                self.unlink(node);
-            }
-        }
-    }
+impl IqEntry {
+    /// No producers, on no list, nothing parked on it.
+    const UNLINKED: IqEntry = IqEntry {
+        dep1: NONE,
+        dep2: NONE,
+        lat: 0,
+        waiters: NONE,
+        next: NONE,
+        prev: NONE,
+        on: NONE,
+        fu: 0,
+    };
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -601,186 +491,159 @@ pub(super) enum FetchBlock {
 
 /// Wheel size in cycles. Worst-case completion delta is a TLB walk
 /// plus a DRAM access behind a bandwidth-saturated channel — a few
-/// hundred cycles; 2048 leaves generous slack, and anything farther
-/// out parks on the overflow list.
+/// hundred cycles at the paper's settings; 2048 leaves generous slack,
+/// and anything farther out (a starved DRAM channel queues without a
+/// static bound) parks on the overflow list.
 const EVENT_WHEEL_SIZE: usize = 2048;
 const EVENT_WHEEL_WORDS: usize = EVENT_WHEEL_SIZE / 64;
 
-/// Completion-event queue: a timing wheel with one bucket per future
-/// cycle, an occupancy bitmap, and a sorted due list.
+/// Completion-event queue: a timing wheel with one list per future
+/// cycle, an occupancy bitmap and an overflow list, popped in place.
 ///
-/// Events pack into one `u128` as
-/// `(cycle << 64) | (op idx << 32) | dispatch epoch`, ordering
-/// lexicographically exactly like the former binary heap. Same-cycle
-/// events always share a bucket (live wheel entries span less than one
-/// wheel turn), so sorting a bucket when it comes due reproduces the
-/// heap's pop order event-for-event — cycle, then op idx, then epoch —
-/// which the digest pins observe through the writeback-width cap.
-/// Pushes are O(1) (bucket append plus a bitmap bit) instead of a
-/// sift-up, and fast-forwarded idle gaps cost a few bitmap word scans
-/// instead of per-event compares.
+/// An event is the key `(op idx << 32) | dispatch epoch`; its cycle is
+/// implied by the list it sits on. Each list is kept sorted at insert
+/// (same-cycle issue files rising indices, so the insert is an append
+/// almost always), which makes the pop order (cycle, op idx, epoch) —
+/// event for event that of a binary heap over those triples, which the
+/// digest pins observe through the writeback-width cap. Pushes are
+/// O(1), a pop is an index bump, and fast-forwarded idle gaps cost a
+/// few bitmap word scans instead of per-event compares.
+///
+/// The wheel keeps its own clock — the latest `now` handed to
+/// [`EventHeap::pop_due`] — and files nothing at or before it, so "an
+/// event's cycle is never behind the cursor" is a property of the type:
+/// the cursor only ever moves to the earliest pending cycle or to
+/// `clock + 1`, whichever is lower.
 pub(super) struct EventHeap {
-    buckets: Vec<Vec<u128>>,
+    buckets: Vec<Vec<u64>>,
     bitmap: [u64; EVENT_WHEEL_WORDS],
-    /// Next cycle not yet harvested; every wheel entry's time is in
-    /// `[cursor, cursor + EVENT_WHEEL_SIZE)`.
+    /// Every wheel entry's cycle is in `[cursor, cursor +
+    /// EVENT_WHEEL_SIZE)`, and `cursor <= clock + 1`.
     cursor: u64,
-    /// Live events on the wheel (excludes due and overflow).
+    /// How many keys of the cursor's list have been popped already
+    /// (the writeback-width cap can leave a list half drained).
+    popped: usize,
+    clock: u64,
+    /// Live events on the wheel (excludes overflow).
     wheel_len: usize,
-    /// Harvested events in pop order; `due[due_head..]` is pending.
-    due: Vec<u128>,
-    due_head: usize,
-    /// Events beyond the wheel horizon (DRAM queueing is not statically
-    /// bounded). Expected to stay empty in practice; folded back as the
-    /// cursor advances.
-    overflow: Vec<u128>,
-    /// Earliest time of any wheel or overflow event (`u64::MAX` when
-    /// both are empty): the cached lower bound that lets the per-cycle
-    /// pop skip the bitmap scan entirely until an event actually comes
-    /// due. Maintained as a running min on push; recomputed by harvest.
+    /// `(cycle, key)` of events beyond the wheel horizon, folded onto
+    /// the wheel as the cursor advances. Empty at the paper's settings.
+    overflow: Vec<(u64, u64)>,
+    /// Cycle of the earliest event on the wheel or the overflow list
+    /// (`u64::MAX` when both are empty), exact at all times: the
+    /// per-cycle pop is one compare until an event actually comes due.
     next_pending: u64,
 }
 
 impl EventHeap {
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         EventHeap {
             buckets: (0..EVENT_WHEEL_SIZE).map(|_| Vec::new()).collect(),
             bitmap: [0; EVENT_WHEEL_WORDS],
             cursor: 0,
+            popped: 0,
+            clock: 0,
             wheel_len: 0,
-            due: Vec::with_capacity(capacity),
-            due_head: 0,
             overflow: Vec::new(),
             next_pending: u64::MAX,
         }
     }
 
-    /// Files a completion for op `idx` (epoch `did`) at cycle `t`.
-    /// Indices and epochs are bounded by the trace-prefix cap (far
-    /// below 2^32), so the packing is lossless. Issue always schedules
-    /// strictly past `now`, and writeback harvests due events before
-    /// issue runs, so `t >= cursor` holds — the wheel mapping is
-    /// unambiguous.
+    /// Files a completion for op `idx` (epoch `did`) at cycle `t`, or
+    /// at the cycle after the wheel's clock if `t` is not past it —
+    /// nothing completes in the cycle it issued. `idx` and `did` are
+    /// below [`PACK_LIMIT`], so the packing is lossless.
     #[inline]
     pub(super) fn push(&mut self, t: u64, idx: u64, did: u64) {
-        debug_assert!(idx < (1 << 32) && did < (1 << 32));
-        debug_assert!(t >= self.cursor);
-        let e = ((t as u128) << 64) | ((idx as u128) << 32) | did as u128;
-        if self.wheel_len == 0 && self.overflow.is_empty() {
-            // Nothing constrains the cursor: re-home it so a long
-            // harvest-free stretch (the cursor lags `now` while no event
-            // is due) cannot push fresh events off the wheel horizon.
-            self.cursor = self
-                .cursor
-                .max(t.saturating_sub(EVENT_WHEEL_SIZE as u64 - 1));
-        }
+        debug_assert!(idx < PACK_LIMIT && did <= PACK_LIMIT);
+        let t = t.max(self.clock + 1);
+        let key = (idx << 32) | did;
         self.next_pending = self.next_pending.min(t);
-        if t - self.cursor >= EVENT_WHEEL_SIZE as u64 {
-            self.overflow.push(e);
-            return;
+        if t - self.cursor < EVENT_WHEEL_SIZE as u64 {
+            self.file(t, key);
+        } else {
+            self.push_far(t, key);
         }
+    }
+
+    /// An event beyond the horizon: first let a cursor that lags the
+    /// clock (no event came due for a while) catch up, then park the
+    /// event on the overflow list if it still does not fit.
+    #[cold]
+    fn push_far(&mut self, t: u64, key: u64) {
+        self.advance_cursor((self.clock + 1).min(self.next_pending));
+        if t - self.cursor < EVENT_WHEEL_SIZE as u64 {
+            self.file(t, key);
+        } else {
+            self.overflow.push((t, key));
+        }
+    }
+
+    /// Inserts `key` into cycle `t`'s sorted list. Never the list being
+    /// drained: that one's cycle is at or before the clock.
+    #[inline]
+    fn file(&mut self, t: u64, key: u64) {
         let b = (t as usize) & (EVENT_WHEEL_SIZE - 1);
-        self.buckets[b].push(e);
+        let bucket = &mut self.buckets[b];
+        if bucket.last().is_none_or(|&l| l < key) {
+            bucket.push(key);
+        } else {
+            bucket.insert(bucket.partition_point(|&k| k < key), key);
+        }
         self.bitmap[b >> 6] |= 1 << (b & 63);
         self.wheel_len += 1;
     }
 
-    /// Pops the earliest event if it is due at or before `now`,
-    /// returning `(op idx, dispatch epoch)`.
-    ///
-    /// Pending due entries always precede everything still on the wheel
-    /// (their times are below the cursor, wheel times are at or above
-    /// it), so the due list serves first and the wheel is only scanned
-    /// when the cached `next_pending` bound says an event has actually
-    /// come due — the common dead cycle costs two compares.
-    #[inline]
-    pub(super) fn pop_due(&mut self, now: u64) -> Option<(u64, u64)> {
-        if self.due_head == self.due.len() {
-            if self.next_pending > now {
-                return None;
-            }
-            self.harvest(now);
-            if self.due_head == self.due.len() {
-                return None;
-            }
+    /// Moves the cursor forward to `to` — at most the earliest pending
+    /// cycle, so every list it passes is empty — and re-homes overflow
+    /// events that now fit on the wheel.
+    fn advance_cursor(&mut self, to: u64) {
+        if to <= self.cursor {
+            return;
         }
-        let e = self.due[self.due_head];
-        self.due_head += 1;
-        Some(((e >> 32) as u32 as u64, e as u32 as u64))
-    }
-
-    /// Moves every bucket due at or before `now` onto the due list,
-    /// sorting each so packed order (cycle, idx, epoch) is preserved,
-    /// then folds in any overflow events that came within the horizon,
-    /// and refreshes the cached `next_pending` bound.
-    fn harvest(&mut self, now: u64) {
-        self.next_pending = u64::MAX;
-        while self.wheel_len > 0 {
-            let Some(t) = self.scan_wheel(self.cursor) else {
-                break;
-            };
-            if t > now {
-                self.cursor = now + 1;
-                self.next_pending = t;
-                break;
-            }
-            let b = (t as usize) & (EVENT_WHEEL_SIZE - 1);
-            self.bitmap[b >> 6] &= !(1u64 << (b & 63));
-            if self.due_head == self.due.len() {
-                self.due.clear();
-                self.due_head = 0;
-            }
-            let mut bucket = std::mem::take(&mut self.buckets[b]);
-            bucket.sort_unstable();
-            self.wheel_len -= bucket.len();
-            self.due.extend_from_slice(&bucket);
-            bucket.clear();
-            self.buckets[b] = bucket;
-            self.cursor = t + 1;
-        }
-        if self.cursor <= now {
-            self.cursor = now + 1;
-        }
-        if !self.overflow.is_empty() {
-            // Folding can re-home overflow events onto the wheel below
-            // the bound cached above: recompute from scratch (cold — the
-            // horizon exceeds every realistic completion latency).
-            self.fold_overflow(now);
-            self.next_pending = self.scan_wheel(self.cursor).unwrap_or(u64::MAX);
-            for &e in &self.overflow {
-                self.next_pending = self.next_pending.min((e >> 64) as u64);
-            }
-        }
-    }
-
-    /// Re-homes overflow events that now fit on the wheel, and merges
-    /// any already due into the pending due list. Cold: the horizon
-    /// exceeds every realistic completion latency.
-    #[cold]
-    fn fold_overflow(&mut self, now: u64) {
+        debug_assert!(self.popped == 0 && to <= self.next_pending && to <= self.clock + 1);
+        self.cursor = to;
         let mut i = 0;
-        let mut merged = false;
         while i < self.overflow.len() {
-            let e = self.overflow[i];
-            let t = (e >> 64) as u64;
-            if t <= now {
+            let (t, key) = self.overflow[i];
+            if t - to < EVENT_WHEEL_SIZE as u64 {
                 self.overflow.swap_remove(i);
-                self.due.push(e);
-                merged = true;
-            } else if t - self.cursor < EVENT_WHEEL_SIZE as u64 {
-                self.overflow.swap_remove(i);
-                let b = (t as usize) & (EVENT_WHEEL_SIZE - 1);
-                self.buckets[b].push(e);
-                self.bitmap[b >> 6] |= 1 << (b & 63);
-                self.wheel_len += 1;
+                self.file(t, key);
             } else {
                 i += 1;
             }
         }
-        if merged {
-            let head = self.due_head;
-            self.due[head..].sort_unstable();
+    }
+
+    /// Pops the earliest event if it is due at or before `now`,
+    /// returning `(op idx, dispatch epoch)`. `now` never decreases from
+    /// one call to the next.
+    #[inline]
+    pub(super) fn pop_due(&mut self, now: u64) -> Option<(u64, u64)> {
+        debug_assert!(now >= self.clock, "the pipeline clock is monotone");
+        self.clock = now;
+        if self.next_pending > now {
+            return None;
         }
+        // The earliest event's list: the one already being drained, or
+        // (after the cursor moves there, folding any overflow event of
+        // that cycle in) a fresh one.
+        self.advance_cursor(self.next_pending);
+        let b = (self.cursor as usize) & (EVENT_WHEEL_SIZE - 1);
+        let bucket = &mut self.buckets[b];
+        let key = bucket[self.popped];
+        self.popped += 1;
+        self.wheel_len -= 1;
+        if self.popped == bucket.len() {
+            bucket.clear();
+            self.popped = 0;
+            self.bitmap[b >> 6] &= !(1u64 << (b & 63));
+            self.next_pending = self.scan_wheel(self.cursor).unwrap_or(u64::MAX);
+            for &(t, _) in &self.overflow {
+                self.next_pending = self.next_pending.min(t);
+            }
+        }
+        Some((key >> 32, key & u32::MAX as u64))
     }
 
     /// Earliest event time at or after `from` on the wheel, found by
@@ -815,18 +678,13 @@ impl EventHeap {
     }
 
     /// Cycle of the earliest pending event (the fast-forward's wake
-    /// candidate). O(1): the due list is sorted and `next_pending`
-    /// already bounds the wheel and overflow exactly.
+    /// candidate). O(1): `next_pending` is exact.
     pub(super) fn next_time(&self) -> Option<u64> {
-        let mut best = self.next_pending;
-        if self.due_head < self.due.len() {
-            best = best.min((self.due[self.due_head] >> 64) as u64);
-        }
-        (best != u64::MAX).then_some(best)
+        (self.next_pending != u64::MAX).then_some(self.next_pending)
     }
 
-    /// Drops all events, keeping bucket allocations. The occupancy
-    /// bitmap names exactly the non-empty buckets, so a reset touches
+    /// Drops all events, keeping list allocations. The occupancy
+    /// bitmap names exactly the non-empty lists, so a reset touches
     /// only those.
     fn clear(&mut self) {
         for (wi, word) in self.bitmap.iter_mut().enumerate() {
@@ -838,10 +696,10 @@ impl EventHeap {
             }
             *word = 0;
         }
-        self.wheel_len = 0;
         self.cursor = 0;
-        self.due.clear();
-        self.due_head = 0;
+        self.popped = 0;
+        self.clock = 0;
+        self.wheel_len = 0;
         self.overflow.clear();
         self.next_pending = u64::MAX;
     }
@@ -856,37 +714,34 @@ pub(super) struct Pipeline {
     pub(super) next_idx: u64,
     pub(super) dispatch_counter: u64,
     pub(super) rob: RobRing,
-    /// Ready half of the issue queue: entries whose producers have all
-    /// completed, sorted by trace index (dispatch appends in order;
-    /// wakeups insert sorted), compacted in place each cycle.
-    pub(super) ready_q: Vec<IqEntry>,
+    /// Issue-queue record of every ROB occupant, in the occupant's ROB
+    /// slot (see [`IqEntry`]).
+    iq: Vec<IqEntry>,
+    /// Ready half of the issue queue: trace indices of ops whose
+    /// producers have all completed, ascending (dispatch appends in
+    /// order; wakeups insert sorted), compacted in place each cycle.
+    pub(super) ready_q: Vec<u32>,
     /// Per functional-unit-class population of `ready_q`, letting the
     /// issue scan stop as soon as every represented class is saturated.
     pub(super) ready_fu_count: [usize; 5],
-    /// Waiting half of the issue queue (see [`WaitPool`]).
-    pub(super) waiters: WaitPool,
-    /// Scratch buffer for draining waiter lists (reused, never freed).
-    wake_buf: Vec<IqEntry>,
-    /// Immutable fields of every live op, written once when the op is
-    /// first read from the trace (see [`OpBuf`]).
+    /// Waiting half of the issue queue: how many ops are parked.
+    parked: usize,
+    /// The fetched micro-op of every live op, written once when the op
+    /// is first read from the trace (see [`OpBuf`]).
     pub(super) ops: OpBuf,
     pub(super) lq: LsqRing,
     pub(super) sq: LsqRing,
-    /// Fetched, not yet dispatched: (idx, predicted-taken). The op's
-    /// fields live in `ops` — nothing is copied through the queue.
-    pub(super) fetchq: VecDeque<(u64, bool)>,
-    /// The replay queue as a cursor: ops with indices in
-    /// `[replay_next, next_idx)` have been read from the trace (their
-    /// fields are in `ops`) but await (re-)fetch. Live ops are
-    /// contiguous in trace order — ROB, then fetch queue, then this
-    /// range, then the unread trace — so a squash at branch `b` makes
-    /// the correct path exactly `[b + 1, next_idx)`: one cursor store
-    /// replaces the old wrong-path/refetch `VecDeque` shuffle.
+    /// The fetch and replay queues as two cursors. Live ops are
+    /// contiguous in trace order — ROB, then fetch queue, then replay
+    /// range, then the unread trace — so the fetch queue (fetched, not
+    /// yet dispatched) is `[fetch_head, replay_next)` and the ops read
+    /// from the trace that await (re-)fetch are `[replay_next,
+    /// next_idx)`; their fields and predictions are in `ops`, and
+    /// nothing is copied from queue to queue. A squash at branch `b`
+    /// makes the correct path exactly `[b + 1, next_idx)`: two cursor
+    /// stores.
+    pub(super) fetch_head: u64,
     pub(super) replay_next: u64,
-    pub(super) done_window: u64,
-    /// `done_window - 1`; the window is always a power of two.
-    pub(super) done_mask: u64,
-    pub(super) done_ring: Vec<bool>,
     /// Writeback events: (completion cycle, op idx, dispatch epoch).
     pub(super) events: EventHeap,
     pub(super) serializers: VecDeque<u64>,
@@ -905,6 +760,13 @@ pub(super) struct Pipeline {
     pub(super) rob_peak: usize,
     /// Cycles the event-driven fast-forward skipped (telemetry).
     pub(super) ff_cycles_skipped: u64,
+    /// Ops parked on a producer, re-parks included (telemetry).
+    pub(super) parks: u64,
+    /// Producer completions that found at least one op parked on them
+    /// (telemetry).
+    pub(super) wakeups: u64,
+    /// Branch-misprediction squashes (telemetry).
+    pub(super) squashes: u64,
 }
 
 impl Pipeline {
@@ -914,27 +776,24 @@ impl Pipeline {
             .min(cfg.rename_width)
             .min(cfg.dispatch_width);
         let fetchq_cap = (cfg.fetch_width * cfg.frontend_depth as usize).max(16);
-        let done_window = done_window_for(cfg) as u64;
+        let rob = RobRing::new(cfg.rob_entries);
         Pipeline {
             fe_width,
             fetchq_cap,
             now: 0,
             next_idx: 0,
             dispatch_counter: 0,
-            rob: RobRing::new(cfg.rob_entries),
+            iq: vec![IqEntry::UNLINKED; rob.entries.len()],
+            rob,
             ready_q: Vec::with_capacity(cfg.iq_entries),
             ready_fu_count: [0; 5],
-            waiters: WaitPool::new(done_window as usize, cfg.iq_entries),
-            wake_buf: Vec::new(),
+            parked: 0,
             ops: OpBuf::new(cfg.rob_entries, fetchq_cap),
             lq: LsqRing::new(cfg.lq_entries),
             sq: LsqRing::new(cfg.sq_entries),
-            fetchq: VecDeque::with_capacity(fetchq_cap),
+            fetch_head: 0,
             replay_next: 0,
-            done_window,
-            done_mask: done_window - 1,
-            done_ring: vec![false; done_window as usize],
-            events: EventHeap::new(cfg.rob_entries),
+            events: EventHeap::new(),
             serializers: VecDeque::new(),
             int_regs_used: 0,
             fp_regs_used: 0,
@@ -949,6 +808,9 @@ impl Pipeline {
             last_commit_cycle: 0,
             rob_peak: 0,
             ff_cycles_skipped: 0,
+            parks: 0,
+            wakeups: 0,
+            squashes: 0,
         }
     }
 
@@ -966,16 +828,14 @@ impl Pipeline {
         self.rob.reset();
         self.ready_q.clear();
         self.ready_fu_count = [0; 5];
-        self.waiters.reset();
-        self.wake_buf.clear();
-        // `ops` needs no clearing: a slot is always written (at the
-        // trace read) before any stage reads it, and the capacity
-        // exceeds the maximum live-index span.
+        self.parked = 0;
+        // `ops` and `iq` need no clearing: a slot is always written
+        // (at the trace read, at dispatch) before any stage reads it,
+        // and the capacities exceed the maximum live-index span.
         self.lq.reset();
         self.sq.reset();
-        self.fetchq.clear();
+        self.fetch_head = 0;
         self.replay_next = 0;
-        self.done_ring.fill(false);
         self.events.clear();
         self.serializers.clear();
         self.int_regs_used = 0;
@@ -989,106 +849,357 @@ impl Pipeline {
         self.last_commit_cycle = 0;
         self.rob_peak = 0;
         self.ff_cycles_skipped = 0;
+        self.parks = 0;
+        self.wakeups = 0;
+        self.squashes = 0;
     }
 
-    /// Resolves a dependency distance to the producer's trace index, or
-    /// the always-ready sentinel (`u64::MAX`) when there is no producer
-    /// to wait for: distance zero, a producer preceding the trace
-    /// start, or one beyond the dependency window (long retired).
-    pub(super) fn resolve_dep(&self, idx: u64, dep: u32) -> u64 {
-        if dep == 0 {
-            return u64::MAX;
-        }
-        let dep = dep as u64;
-        if dep > idx || dep >= self.done_window {
-            return u64::MAX;
-        }
-        idx - dep
-    }
-
-    /// True when the resolved producer `*dep` has completed or retired;
-    /// memoizes a positive answer into the ready sentinel so later
-    /// cycles skip the done-ring load (readiness is monotone — see
-    /// [`IqEntry`]).
+    /// Files the next op read from the trace; it awaits fetch behind
+    /// the replay cursor.
+    ///
+    /// # Panics
+    ///
+    /// At [`PACK_LIMIT`] ops in one run.
     #[inline]
-    pub(super) fn dep_ready(&self, dep: &mut u64, head_idx: u64) -> bool {
-        let d = *dep;
-        if d == u64::MAX {
-            return true;
-        }
-        if d < head_idx || self.done_ring[(d & self.done_mask) as usize] {
-            *dep = u64::MAX;
-            return true;
-        }
-        false
+    pub(super) fn accept(&mut self, op: &MicroOp) {
+        assert!(
+            self.next_idx < PACK_LIMIT,
+            "an o3 run is limited to 2^32 - 1 trace ops (32-bit event and queue keys)"
+        );
+        debug_assert!(
+            self.next_idx - self.rob.head_idx <= self.ops.mask,
+            "live ops exceed ROB plus fetch-queue capacity"
+        );
+        self.ops.insert(self.next_idx, op);
+        self.next_idx += 1;
+    }
+
+    /// Writes the issue-queue record of the op just pushed onto the
+    /// ROB and routes it (see [`Pipeline::classify`]). Producers are
+    /// resolved from dependency distances to trace indices once, here;
+    /// a distance of zero or one reaching before the trace start has
+    /// no producer to wait for.
+    pub(super) fn iq_insert(&mut self, idx: u64, fu: usize, lat: u64) {
+        debug_assert!(lat <= u32::MAX as u64);
+        let op = self.ops.get(idx);
+        let resolve = |dep: u32| match dep as u64 {
+            0 => NONE,
+            d if d > idx => NONE,
+            d => (idx - d) as u32,
+        };
+        *self.iq_mut(idx) = IqEntry {
+            dep1: resolve(op.dep1),
+            dep2: resolve(op.dep2),
+            lat: lat as u32,
+            fu: fu as u8,
+            ..IqEntry::UNLINKED
+        };
+        self.classify(idx);
+    }
+
+    /// The issue-queue record of ROB occupant `idx`.
+    #[inline]
+    pub(super) fn iq_entry(&self, idx: impl Into<u64>) -> &IqEntry {
+        &self.iq[self.rob.slot(idx.into())]
+    }
+
+    #[inline]
+    fn iq_mut(&mut self, idx: impl Into<u64>) -> &mut IqEntry {
+        &mut self.iq[self.rob.slot(idx.into())]
+    }
+
+    /// True while resolved producer `dep` has neither completed nor
+    /// retired. A consumer is a ROB occupant and its producer strictly
+    /// older, so the producer has either left the ROB from the front
+    /// (`dep < head_idx`: committed) or is an occupant whose state
+    /// says. Monotone while the consumer lives: no squash that spares
+    /// the consumer can undo the producer.
+    #[inline]
+    pub(super) fn pending(&self, dep: u32) -> bool {
+        dep != NONE
+            && dep as u64 >= self.rob.head_idx
+            && self.rob.entry(dep as u64).state != OpState::Done
+    }
+
+    /// Fetch-queue occupancy.
+    #[inline]
+    pub(super) fn fetchq_len(&self) -> usize {
+        (self.replay_next - self.fetch_head) as usize
+    }
+
+    /// True when no op is in flight anywhere: ROB, fetch queue and
+    /// replay range are all empty.
+    #[inline]
+    pub(super) fn is_drained(&self) -> bool {
+        self.rob.is_empty() && self.fetch_head == self.next_idx
     }
 
     /// Total issue-queue occupancy (ready + waiting), gating dispatch.
     pub(super) fn iq_len(&self) -> usize {
-        self.ready_q.len() + self.waiters.len()
+        self.ready_q.len() + self.parked
     }
 
-    /// Inserts a dep-satisfied entry into the ready queue, keeping it
-    /// sorted by trace index. Dispatch-time entries always append (the
-    /// newest index); only wakeups pay the sorted insert.
-    fn ready_insert(&mut self, e: IqEntry) {
-        self.ready_fu_count[e.fu as usize] += 1;
-        if self.ready_q.last().is_none_or(|l| l.idx < e.idx) {
-            self.ready_q.push(e);
-            return;
-        }
-        let pos = self.ready_q.partition_point(|x| x.idx < e.idx);
-        self.ready_q.insert(pos, e);
-    }
-
-    /// Routes a new or woken entry: to the ready queue when both
-    /// producers have completed, else parked on the first still-pending
-    /// producer's waiter list.
-    pub(super) fn classify(&mut self, mut e: IqEntry) {
-        let head_idx = self.rob.head_idx;
-        if !self.dep_ready(&mut e.dep1, head_idx) {
-            let pslot = (e.dep1 & self.done_mask) as usize;
-            self.waiters.park(pslot, e);
-        } else if !self.dep_ready(&mut e.dep2, head_idx) {
-            let pslot = (e.dep2 & self.done_mask) as usize;
-            self.waiters.park(pslot, e);
+    /// Routes a new or woken op: to the ready queue when both producers
+    /// have completed — kept sorted by trace index; a dispatch-time
+    /// entry always appends (the newest index), only wakeups pay the
+    /// sorted insert — else onto the wait list of the first
+    /// still-pending producer.
+    pub(super) fn classify(&mut self, idx: u64) {
+        let e = *self.iq_entry(idx);
+        let producer = if self.pending(e.dep1) {
+            e.dep1
+        } else if self.pending(e.dep2) {
+            e.dep2
         } else {
-            self.ready_insert(e);
+            self.ready_fu_count[e.fu as usize] += 1;
+            let idx = idx as u32;
+            if self.ready_q.last().is_none_or(|&l| l < idx) {
+                self.ready_q.push(idx);
+            } else {
+                let pos = self.ready_q.partition_point(|&x| x < idx);
+                self.ready_q.insert(pos, idx);
+            }
+            return;
+        };
+        let first = std::mem::replace(&mut self.iq_mut(producer).waiters, idx as u32);
+        if first != NONE {
+            self.iq_mut(first).prev = idx as u32;
         }
+        let node = self.iq_mut(idx);
+        node.next = first;
+        node.prev = NONE;
+        node.on = producer;
+        self.parked += 1;
+        self.parks += 1;
     }
 
-    /// Wakes every entry parked on completed producer `idx`,
-    /// re-classifying each (an entry whose other producer is still
-    /// pending re-parks on that one). Called by writeback right after
-    /// the done ring is set.
+    /// Wakes every op parked on completed producer `idx`,
+    /// re-classifying each (one whose other producer is still pending
+    /// re-parks on that one's list — never on the list being walked,
+    /// whose producer is done). Called by writeback right after the
+    /// producer's ROB state is set.
     pub(super) fn wake_waiters(&mut self, idx: u64) {
-        let pslot = (idx & self.done_mask) as usize;
-        let mut buf = std::mem::take(&mut self.wake_buf);
-        buf.clear();
-        self.waiters.drain_slot(pslot, &mut buf);
-        for e in buf.drain(..) {
-            self.classify(e);
+        let mut node = std::mem::replace(&mut self.iq_mut(idx).waiters, NONE);
+        if node != NONE {
+            self.wakeups += 1;
         }
-        self.wake_buf = buf;
+        while node != NONE {
+            let e = self.iq_mut(node);
+            e.on = NONE;
+            let next = e.next;
+            self.parked -= 1;
+            self.classify(node as u64);
+            node = next;
+        }
     }
 
-    /// Drops every issue-queue entry younger than `keep_max_idx`
-    /// (squash), from both halves.
-    pub(super) fn iq_squash_younger(&mut self, keep_max_idx: u64) {
-        while let Some(last) = self.ready_q.last() {
-            if last.idx <= keep_max_idx {
+    /// Removes the youngest ROB occupant (squash) and, if it is parked,
+    /// unlinks it from its producer's wait list; returns its index.
+    /// Victims go youngest first, so by the time a producer is popped
+    /// every op that waited on it is already gone.
+    pub(super) fn squash_youngest(&mut self) -> u64 {
+        let idx = self.rob.pop_back();
+        let e = *self.iq_entry(idx);
+        debug_assert_eq!(e.waiters, NONE, "a victim's consumers are younger victims");
+        if e.on != NONE {
+            match e.prev {
+                NONE => self.iq_mut(e.on).waiters = e.next,
+                prev => self.iq_mut(prev).next = e.next,
+            }
+            if e.next != NONE {
+                self.iq_mut(e.next).prev = e.prev;
+            }
+            self.parked -= 1;
+        }
+        idx
+    }
+
+    /// Drops every ready-queue entry younger than `keep_max_idx`
+    /// (squash); the queue is sorted, so they are its tail.
+    pub(super) fn ready_drop_younger(&mut self, keep_max_idx: u64) {
+        while let Some(&last) = self.ready_q.last() {
+            if last as u64 <= keep_max_idx {
                 break;
             }
-            self.ready_fu_count[last.fu as usize] -= 1;
+            self.ready_fu_count[self.iq_entry(last).fu as usize] -= 1;
             self.ready_q.pop();
         }
-        self.waiters.squash_younger(keep_max_idx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use belenos_trace::FnCategory;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::{BTreeSet, BinaryHeap};
+
+    /// What the wait lists implement, spelled naively: who is parked on
+    /// whom as a list of pairs, the ready set as a sorted vector.
+    #[derive(Default)]
+    struct NaiveIq {
+        head: u64,
+        done: BTreeSet<u64>,
+        deps: Vec<(u32, u32)>,
+        parked: Vec<(u64, u64)>,
+        ready: Vec<u64>,
+    }
+
+    impl NaiveIq {
+        fn pending(&self, c: u64, dist: u32) -> Option<u64> {
+            let d = c.checked_sub(dist as u64).filter(|_| dist > 0)?;
+            (d >= self.head && !self.done.contains(&d)).then_some(d)
+        }
+
+        fn classify(&mut self, c: u64) {
+            let (d1, d2) = self.deps[c as usize];
+            match self.pending(c, d1).or(self.pending(c, d2)) {
+                Some(d) => self.parked.push((d, c)),
+                None => {
+                    let pos = self.ready.partition_point(|&r| r < c);
+                    self.ready.insert(pos, c);
+                }
+            }
+        }
+    }
+
+    /// The wait lists hold exactly the model's pairs, every parked op
+    /// is reachable from exactly one list, and the ready queue and
+    /// occupancy agree.
+    fn assert_iq_matches(p: &Pipeline, m: &NaiveIq) {
+        let ready: Vec<u64> = p.ready_q.iter().map(|&i| i as u64).collect();
+        assert_eq!(ready, m.ready);
+        assert_eq!(p.ready_fu_count[0], m.ready.len());
+        assert_eq!(p.iq_len(), m.ready.len() + m.parked.len());
+        let mut linked = Vec::new();
+        for producer in p.rob.head_idx..p.rob.head_idx + p.rob.len() as u64 {
+            let (mut node, mut prev) = (p.iq_entry(producer).waiters, NONE);
+            while node != NONE {
+                let e = p.iq_entry(node);
+                assert_eq!((e.on as u64, e.prev), (producer, prev));
+                linked.push((producer, node as u64));
+                (prev, node) = (node, e.next);
+            }
+        }
+        let consumers: BTreeSet<u64> = linked.iter().map(|&(_, c)| c).collect();
+        assert_eq!(
+            consumers.len(),
+            linked.len(),
+            "an op reachable from two lists"
+        );
+        linked.sort_unstable();
+        let mut expected = m.parked.clone();
+        expected.sort_unstable();
+        assert_eq!(linked, expected);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn event_wheel_pops_in_binary_heap_order(
+            steps in prop::collection::vec(
+                (
+                    prop::collection::vec((0u8..10, 1u64..301, 1500u64..5501, 0u64..48, 0u64..4), 0..4),
+                    0u8..8,
+                    1u64..5000,
+                ),
+                1..300,
+            ),
+            width in 1usize..5,
+        ) {
+            let mut wheel = EventHeap::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+            let mut now = 0u64;
+            for (pushes, advance, jump) in steps {
+                // Writeback: up to `width` due events, oldest first.
+                for _ in 0..width {
+                    let due = heap.peek().is_some_and(|&Reverse((t, ..))| t <= now);
+                    let expected = due.then(|| heap.pop().map(|Reverse((_, idx, did))| (idx, did))).flatten();
+                    prop_assert_eq!(wheel.pop_due(now), expected);
+                }
+                // Issue: completions strictly past the clock, now and
+                // then beyond the wheel horizon.
+                for (far, near_delta, far_delta, idx, did) in pushes {
+                    let t = now + if far == 0 { far_delta } else { near_delta };
+                    wheel.push(t, idx, did);
+                    heap.push(Reverse((t, idx, did)));
+                }
+                let next = heap.peek().map(|&Reverse((t, ..))| t);
+                prop_assert_eq!(wheel.next_time(), next);
+                // The driver steps one cycle or fast-forwards: to the
+                // next event, or anywhere short of it.
+                now = match (advance, next) {
+                    (0..=4, _) => now + 1,
+                    (5..=6, Some(t)) => t.max(now + 1),
+                    (_, Some(t)) => (now + jump).min(t).max(now + 1),
+                    (_, None) => now + jump,
+                };
+            }
+        }
+
+        #[test]
+        fn wait_lists_match_a_naive_pair_list(
+            script in prop::collection::vec((0u8..10, 0u32..6, 0u32..6, 0usize..64), 1..400)
+        ) {
+            let rob_entries = 16;
+            let cfg = CoreConfig::gem5_baseline().with_rob_iq(rob_entries, rob_entries);
+            let mut p = Pipeline::new(&cfg);
+            let mut m = NaiveIq::default();
+            let mut next = 0u64;
+            for (action, d1, d2, pick) in script {
+                match action {
+                    // Dispatch (a replayed index keeps its first-drawn
+                    // dependencies, as a replayed op does).
+                    0..=4 if p.rob.len() < rob_entries => {
+                        if next == p.next_idx {
+                            p.accept(&MicroOp::int(0x1000, d1, d2, FnCategory::Internal));
+                            m.deps.push((d1, d2));
+                        }
+                        p.dispatch_counter += 1;
+                        p.rob.push_back(next, p.dispatch_counter, false, u32::MAX);
+                        p.iq_insert(next, 0, 1);
+                        m.classify(next);
+                        next += 1;
+                    }
+                    // Issue and complete one ready op; wake its list.
+                    5..=7 if !m.ready.is_empty() => {
+                        let at = pick % m.ready.len();
+                        let idx = m.ready.remove(at);
+                        prop_assert_eq!(p.ready_q.remove(at) as u64, idx);
+                        p.ready_fu_count[0] -= 1;
+                        p.rob.entry_mut(idx).state = OpState::Done;
+                        p.wake_waiters(idx);
+                        m.done.insert(idx);
+                        let woken: Vec<u64> =
+                            m.parked.iter().filter(|&&(d, _)| d == idx).map(|&(_, c)| c).collect();
+                        m.parked.retain(|&(d, _)| d != idx);
+                        woken.into_iter().for_each(|c| m.classify(c));
+                    }
+                    // Commit the head if it is done.
+                    8 if !p.rob.is_empty() && m.done.contains(&p.rob.head_idx) => {
+                        p.rob.pop_front();
+                        m.head = p.rob.head_idx;
+                    }
+                    // Squash everything younger than a random occupant.
+                    9 if !p.rob.is_empty() => {
+                        let keep = p.rob.head_idx + (pick % p.rob.len()) as u64;
+                        while p.rob.head_idx + p.rob.len() as u64 > keep + 1 {
+                            p.squash_youngest();
+                        }
+                        p.ready_drop_younger(keep);
+                        m.parked.retain(|&(_, c)| c <= keep);
+                        m.ready.retain(|&c| c <= keep);
+                        m.done.retain(|&c| c <= keep);
+                        next = keep + 1;
+                    }
+                    _ => {}
+                }
+                assert_iq_matches(&p, &m);
+            }
+        }
+    }
 
     #[test]
     fn rob_ring_roundtrips_and_pops_both_ends() {
@@ -1098,7 +1209,7 @@ mod tests {
         }
         assert_eq!(rob.len(), 4);
         assert_eq!(rob.head_idx, 0);
-        assert_eq!(rob.dispatch_id[rob.slot(2)], 3);
+        assert_eq!(rob.entry(2).dispatch_id, 3);
         assert_eq!(rob.pop_back(), 3);
         rob.pop_front();
         assert_eq!(rob.head_idx, 1);
@@ -1106,13 +1217,9 @@ mod tests {
         // Wrap-around: ring capacity is 4, indices keep climbing.
         rob.push_back(3, 9, true, u32::MAX);
         rob.push_back(4, 10, false, u32::MAX);
-        assert_eq!(rob.dispatch_id[rob.slot(4)], 10);
-        assert!(rob.mispredicted[rob.slot(3)]);
-        assert_eq!(
-            rob.dispatch_id[rob.slot(1)],
-            2,
-            "old entries survive the wrap"
-        );
+        assert_eq!(rob.entry(4).dispatch_id, 10);
+        assert!(rob.entry(3).mispredicted);
+        assert_eq!(rob.entry(1).dispatch_id, 2, "old entries survive the wrap");
     }
 
     #[test]
@@ -1123,8 +1230,9 @@ mod tests {
             ops.insert(i, &op);
             assert_eq!(ops.get(i).pc, 0x100 + i as u32);
         }
-        // The last window of indices stays intact after the wrap.
-        for i in 30..40u64 {
+        // The last window of indices — ROB plus fetch-queue capacity —
+        // stays intact after the wrap.
+        for i in 32..40u64 {
             assert_eq!(ops.get(i).pc, 0x100 + i as u32);
             assert_eq!(ops.get(i).dep1, i as u32 % 3);
         }

@@ -1,5 +1,5 @@
 //! Writeback stage: completion events mark ROB entries done, wake
-//! dependents through the done ring, and resolve branches — a
+//! the ops parked on them, and resolve branches — a
 //! mispredicted branch squashes everything younger and queues the
 //! correct path for replay.
 
@@ -22,28 +22,19 @@ impl O3Core {
                 break;
             };
             popped += 1;
-            if p.rob.is_empty() {
-                continue;
-            }
-            let head_idx = p.rob.head_idx;
-            if idx < head_idx {
+            if !p.rob.contains(idx) {
                 continue; // stale (already committed or squashed)
             }
-            let pos = (idx - head_idx) as usize;
-            if pos >= p.rob.len() {
-                continue;
-            }
-            let s = p.rob.slot(idx);
-            if p.rob.dispatch_id[s] != did || p.rob.state[s] != OpState::Issued {
+            let entry = p.rob.entry_mut(idx);
+            if entry.dispatch_id != did || entry.state != OpState::Issued {
                 continue; // stale epoch after squash
             }
-            p.rob.state[s] = OpState::Done;
-            let kind = p.ops.kind[p.ops.slot(idx)];
-            let entry_mispredicted = p.rob.mispredicted[s];
-            p.done_ring[(idx & p.done_mask) as usize] = true;
+            entry.state = OpState::Done;
+            let (lsq_slot, entry_mispredicted) = (entry.lsq_slot, entry.mispredicted);
+            let kind = p.ops.get(idx).kind;
             written_back += 1;
             if kind == OpKind::Load {
-                p.lq.mark_done(idx, p.rob.lsq_slot[s]);
+                p.lq.mark_done(idx, lsq_slot);
             }
             if matches!(kind, OpKind::Pause | OpKind::Serialize)
                 && p.serializers.front() == Some(&idx)
@@ -51,8 +42,7 @@ impl O3Core {
                 p.serializers.pop_front();
             }
             // Wake consumers parked on this producer before issue runs
-            // this cycle — matching the done-ring visibility the old
-            // full-IQ scan had.
+            // this cycle.
             p.wake_waiters(idx);
             let mispredicted = kind == OpKind::Branch && entry_mispredicted;
             if mispredicted {
@@ -60,12 +50,12 @@ impl O3Core {
                 // path occupies the ROB tail plus the whole fetch
                 // queue; the correct path to replay is exactly the
                 // contiguous index range `[idx + 1, next_idx)`, so the
-                // replay "queue" is one cursor store — no op is copied.
+                // replay "queue" is two cursor stores — no op is copied.
                 let mut squashed = 0usize;
-                while p.rob.len() > pos + 1 {
-                    let victim_idx = p.rob.pop_back();
-                    p.done_ring[(victim_idx & p.done_mask) as usize] = false;
-                    match p.ops.kind[p.ops.slot(victim_idx)] {
+                let keep = (idx - p.rob.head_idx) as usize + 1;
+                while p.rob.len() > keep {
+                    let victim_idx = p.squash_youngest();
+                    match p.ops.get(victim_idx).kind {
                         OpKind::IntAlu | OpKind::IntMul => {
                             p.int_regs_used = p.int_regs_used.saturating_sub(1)
                         }
@@ -77,17 +67,18 @@ impl O3Core {
                     stats.squashed_ops += 1;
                     squashed += 1;
                 }
-                let squash_count = squashed + p.fetchq.len();
+                let squash_count = squashed + p.fetchq_len();
                 // The index queues are trace-order sorted, so dropping
                 // everything younger truncates from the back; parked
-                // waiters are swept by slab scan.
-                p.iq_squash_younger(idx);
+                // victims were unlinked as they were popped.
+                p.squashes += 1;
+                p.ready_drop_younger(idx);
                 p.lq.truncate_younger(idx);
                 p.sq.truncate_younger(idx);
                 while p.serializers.back().is_some_and(|&i| i > idx) {
                     p.serializers.pop_back();
                 }
-                p.fetchq.clear();
+                p.fetch_head = idx + 1;
                 p.replay_next = idx + 1;
                 let squash_cycles = (squash_count as u64).div_ceil(cfg.squash_width as u64);
                 p.fetch_stall_until = p.fetch_stall_until.max(p.now + 1 + squash_cycles);

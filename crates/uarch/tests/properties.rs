@@ -102,14 +102,20 @@ proptest! {
     }
 
     #[test]
-    fn fast_forward_is_bit_identical_to_cycle_stepping(ops in op_stream(400)) {
+    fn fast_forward_is_bit_identical_to_cycle_stepping(
+        ops in op_stream(400),
+        bandwidth in 0usize..3,
+    ) {
         // The event-driven fast-forward must replicate, per skipped
         // cycle, exactly the statistics the cycle-by-cycle loop would
         // have accumulated: full `SimStats` equality covers cycles,
-        // every per-stage counter, and the TMA slot ladder.
-        let mut fast = O3Core::new(CoreConfig::gem5_baseline());
+        // every per-stage counter, and the TMA slot ladder. A starved
+        // DRAM channel puts completions beyond the event wheel's horizon.
+        let mut cfg = CoreConfig::gem5_baseline();
+        cfg.dram_bandwidth_gbps = [0.25, 2.0, 38.4][bandwidth];
+        let mut fast = O3Core::new(cfg.clone());
         let a = fast.run(ops.clone().into_iter());
-        let mut slow = O3Core::new(CoreConfig::gem5_baseline());
+        let mut slow = O3Core::new(cfg);
         slow.set_fast_forward(false);
         let b = slow.run(ops.into_iter());
         prop_assert_eq!(a, b);
