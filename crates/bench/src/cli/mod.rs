@@ -608,6 +608,14 @@ mod tests {
     }
 
     #[test]
+    fn campaign_example_is_the_golden_bytes() {
+        assert_eq!(
+            campaign_cmd::example_spec().to_json(),
+            include_str!("../../../../tests/golden/specs/campaign_example.json")
+        );
+    }
+
+    #[test]
     fn bench_is_not_a_subcommand() {
         // Timing Belenos is the job of `benchmark/`, not of the program.
         assert_eq!(main(args(&["bench", "compare"])), 2);

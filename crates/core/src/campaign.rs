@@ -1046,6 +1046,15 @@ mod tests {
     }
 
     #[test]
+    fn smoke_spec_normal_form_is_the_golden_bytes() {
+        let spec = CampaignSpec::parse(include_str!("../../../examples/smoke.json")).unwrap();
+        assert_eq!(
+            spec.to_json(),
+            include_str!("../../../tests/golden/specs/campaign_smoke.json")
+        );
+    }
+
+    #[test]
     fn named_sets_roundtrip() {
         for set in [
             WorkloadSet::Paper,

@@ -187,6 +187,36 @@ mod tests {
         assert!(SimOptions::from_json(&Json::parse("[]").unwrap()).is_err());
     }
 
+    /// `SimOptions::to_json()` in its four shapes, as bytes: the wire
+    /// form a campaign spec and a served scenario batch carry.
+    #[test]
+    fn options_json_is_the_golden_bytes() {
+        let goldens = [
+            (
+                SimOptions::default(),
+                include_str!("../../../tests/golden/specs/options_default.json"),
+            ),
+            (
+                SimOptions::new(20_000).with_sampling(SamplingConfig::smarts(8)),
+                include_str!("../../../tests/golden/specs/options_smarts8.json"),
+            ),
+            (
+                SimOptions::new(20_000).with_sampling(SamplingConfig {
+                    intervals: 16,
+                    warmup_frac: 0.5,
+                }),
+                include_str!("../../../tests/golden/specs/options_sampling_object.json"),
+            ),
+            (
+                SimOptions::new(1_000_000).with_model(ModelKind::Analytic),
+                include_str!("../../../tests/golden/specs/options_analytic.json"),
+            ),
+        ];
+        for (opts, golden) in goldens {
+            assert_eq!(opts.to_json().pretty(), golden, "{opts:?}");
+        }
+    }
+
     #[test]
     fn failure_displays_the_point() {
         let f = SimFailure {

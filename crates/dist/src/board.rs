@@ -821,6 +821,25 @@ mod tests {
     }
 
     #[test]
+    fn done_doc_wire_bytes_are_pinned() {
+        let doc = |error: Option<&str>| DoneDoc {
+            digest: 0xdead_beef_0123_4567,
+            worker: "w1".to_string(),
+            wall_s: 1.25,
+            stolen: true,
+            error: error.map(str::to_string),
+        };
+        assert_eq!(
+            doc(None).encode(),
+            include_str!("../../../tests/golden/specs/done.json")
+        );
+        assert_eq!(
+            doc(Some("pipeline wedged")).encode(),
+            include_str!("../../../tests/golden/specs/done_error.json")
+        );
+    }
+
+    #[test]
     fn sanitize_worker_strips_separators() {
         assert_eq!(sanitize_worker("node-3_a"), "node-3_a");
         assert_eq!(sanitize_worker("host.domain/x"), "host-domain-x");
