@@ -45,7 +45,7 @@ struct Run {
 
 /// `belenos agreement`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
-    let opts = inv.overrides().options();
+    let opts = inv.options();
     let exps = prepare_or_die(&inv.workload_set().resolve(PaperSet::Catalog));
 
     // workload-major → backend-major grid of runs.

@@ -4,15 +4,12 @@
 //! cache-aware runner, `example` prints a template to start from, and
 //! `validate` checks a spec without simulating anything.
 //!
-//! Precedence inside `run`: the spec's own `options` are authoritative
-//! over the environment (a spec is a reproducible artifact), but
-//! explicit CLI flags override the spec — `--max-ops 2000` turns any
-//! campaign into a smoke run.
+//! Inside `run`, explicit CLI flags override the spec's own `options` —
+//! `--max-ops 2000` turns any campaign into a smoke run.
 
 use super::{figures_cmd, worker_cmd, Invocation};
 use belenos::campaign::CampaignSpec;
-use belenos::env::DEFAULT_MAX_OPS;
-use belenos::SimOptions;
+use belenos::{SimOptions, DEFAULT_MAX_OPS};
 use belenos_dist::Coordinator;
 use belenos_runner::Runner;
 use std::sync::Arc;
@@ -49,8 +46,8 @@ fn load_spec(inv: &Invocation) -> Result<CampaignSpec, String> {
 
 fn run_spec(inv: &Invocation) -> Result<(), String> {
     let mut spec = load_spec(inv)?;
-    // CLI flags override the spec; the environment does not.
-    spec.options = inv.flags.apply(spec.options);
+    // CLI flags override the spec's own options.
+    spec.options = inv.options_over(spec.options);
     if let Some(workloads) = &inv.workloads {
         spec.workloads = workloads.clone();
     }

@@ -51,7 +51,7 @@ pub(crate) fn emit_campaign_with(
 pub(crate) fn single(inv: &Invocation, analysis: Analysis) -> CampaignSpec {
     CampaignSpec::new(analysis.id())
         .with_workloads(inv.workload_set())
-        .with_options(inv.overrides().options())
+        .with_options(inv.options())
         .with_analysis(analysis)
 }
 
@@ -61,8 +61,7 @@ pub fn run_figure(inv: &Invocation) -> Result<(), String> {
         return Err("usage: belenos figure <id|all> (see `belenos list` for ids)".into());
     };
     if id == "all" {
-        let spec = CampaignSpec::paper_campaign(inv.overrides().options())
-            .with_workloads(inv.workload_set());
+        let spec = CampaignSpec::paper_campaign(inv.options()).with_workloads(inv.workload_set());
         emit_campaign(inv, spec)?;
         crate::print_run_summary();
         return Ok(());

@@ -55,7 +55,7 @@ pub fn run(_inv: &Invocation) -> Result<(), String> {
         println!("  {:<10} {}", a.id(), a.describe());
     }
 
-    println!("\nBACKENDS (--model / BELENOS_MODEL)");
+    println!("\nBACKENDS (--model)");
     for kind in ModelKind::ALL {
         let note = match kind {
             ModelKind::O3 => "cycle-level out-of-order (default, reference)",

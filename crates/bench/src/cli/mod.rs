@@ -17,13 +17,13 @@
 //! belenos ablation <rcm|rob-iq>        reordering / instruction-window ablations
 //! ```
 //!
-//! Every subcommand shares one option layer: the `BELENOS_*`
-//! environment variables are read once (`EnvOverrides::from_env`), and
-//! the flags `--max-ops`, `--sampling`, `--model` override them; `--jobs`
-//! sizes the process's one thread budget ahead of `BELENOS_JOBS`.
-//! `--workloads` narrows the workload selection; `--format`
-//! selects text/JSON/CSV output, and `--json PATH` / `--csv PATH`
-//! additionally write those renderings to files.
+//! Every subcommand shares one option layer: `--max-ops`, `--sampling`
+//! and `--model` set the simulation options over the defaults
+//! ([`DEFAULT_MAX_OPS`], sampling off, `o3`), or over a spec's own
+//! `options` for `campaign run`; `--jobs` sizes the process's one thread
+//! budget ahead of `BELENOS_JOBS`. `--workloads` narrows the workload
+//! selection; `--format` selects text/JSON/CSV output, and `--json
+//! PATH` / `--csv PATH` additionally write those renderings to files.
 
 mod ablation;
 mod agreement;
@@ -38,8 +38,8 @@ mod serve_cmd;
 mod worker_cmd;
 
 use belenos::campaign::WorkloadSet;
-use belenos::env::{parse_sampling, EnvOverrides};
-use belenos_uarch::ModelKind;
+use belenos::{SimOptions, DEFAULT_MAX_OPS};
+use belenos_uarch::{ModelKind, SamplingConfig};
 
 /// Output rendering selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,10 +58,12 @@ pub enum Format {
 pub struct Invocation {
     /// Subcommand path and its positional arguments, in order.
     pub positionals: Vec<String>,
-    /// Overrides sourced from the environment.
-    pub env: EnvOverrides,
-    /// Overrides sourced from flags (win over `env`).
-    pub flags: EnvOverrides,
+    /// `--max-ops N`: micro-op budget per simulation.
+    pub max_ops: Option<usize>,
+    /// `--sampling off|on|N`: trace sampling.
+    pub sampling: Option<SamplingConfig>,
+    /// `--model o3|inorder|analytic`: core-model backend.
+    pub model: Option<ModelKind>,
     /// `--jobs N`: threads that compute at once, process-wide. `None` =
     /// leave the `BELENOS_JOBS` selection.
     pub jobs: Option<usize>,
@@ -116,9 +118,19 @@ pub struct Invocation {
 }
 
 impl Invocation {
-    /// Environment and flag overrides merged (flags win).
-    pub fn overrides(&self) -> EnvOverrides {
-        self.env.merged(&self.flags)
+    /// `base` with the simulation-option flags applied.
+    pub fn options_over(&self, base: SimOptions) -> SimOptions {
+        SimOptions {
+            max_ops: self.max_ops.unwrap_or(base.max_ops),
+            sampling: self.sampling.clone().unwrap_or(base.sampling),
+            model: self.model.unwrap_or(base.model),
+        }
+    }
+
+    /// The options a one-shot command runs under: [`DEFAULT_MAX_OPS`],
+    /// sampling off, `o3`, with the flags applied.
+    pub fn options(&self) -> SimOptions {
+        self.options_over(SimOptions::new(DEFAULT_MAX_OPS))
     }
 
     /// Resolves `--workloads` with a fallback.
@@ -176,10 +188,7 @@ fn parse_workloads(value: &str) -> Result<WorkloadSet, String> {
 /// A usage message for unknown flags, missing flag values, or
 /// unparsable values.
 pub fn parse(args: &[String]) -> Result<Invocation, String> {
-    let mut inv = Invocation {
-        env: EnvOverrides::from_env(),
-        ..Invocation::default()
-    };
+    let mut inv = Invocation::default();
     let mut it = args.iter().peekable();
     let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
                  flag: &str|
@@ -192,19 +201,19 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
         match arg.as_str() {
             "--max-ops" => {
                 let v = value(&mut it, "--max-ops")?;
-                inv.flags.max_ops = Some(
+                inv.max_ops = Some(
                     v.parse()
                         .map_err(|_| format!("--max-ops: `{v}` is not a budget"))?,
                 );
             }
             "--sampling" => {
                 let v = value(&mut it, "--sampling")?;
-                inv.flags.sampling =
-                    Some(parse_sampling(&v).map_err(|e| format!("--sampling: {e}"))?);
+                inv.sampling =
+                    Some(SamplingConfig::parse(&v).map_err(|e| format!("--sampling: {e}"))?);
             }
             "--model" => {
                 let v = value(&mut it, "--model")?;
-                inv.flags.model = Some(
+                inv.model = Some(
                     ModelKind::parse(&v)
                         .ok_or_else(|| format!("--model: unknown backend `{v}`"))?,
                 );
@@ -336,9 +345,9 @@ SUBCOMMANDS
   cache gc --max-bytes B      LRU-evict the stores down to a byte budget
 
 FLAGS (shared; flags override BELENOS_* environment variables)
-  --max-ops N        micro-op budget per simulation   [BELENOS_MAX_OPS, 1000000]
-  --sampling V       off | on | N intervals           [BELENOS_SAMPLING, off]
-  --model V          o3 | inorder | analytic          [BELENOS_MODEL, o3]
+  --max-ops N        micro-op budget per simulation   [1000000]
+  --sampling V       off | on | N intervals           [off]
+  --model V          o3 | inorder | analytic          [o3]
   --jobs N           threads that compute at once     [BELENOS_JOBS, all cores]
   --workloads V      paper | vtune | gem5 | catalog | id,id,...
   --format V         text | json | csv                [text]
@@ -366,8 +375,27 @@ DISTRIBUTED FLAGS
   --idle-timeout S   worker exits after S idle seconds       [run until killed]
 ";
 
+/// The variables `--max-ops`, `--sampling` and `--model` replaced. Set,
+/// they stop the CLI rather than being ignored, so an old script cannot
+/// silently get numbers from another budget or backend.
+const RETIRED: [(&str, &str); 3] = [
+    ("BELENOS_MAX_OPS", "--max-ops"),
+    ("BELENOS_SAMPLING", "--sampling"),
+    ("BELENOS_MODEL", "--model"),
+];
+
+/// The refusal for the first retired variable `is_set` says is set.
+fn retired_variable(is_set: impl Fn(&str) -> bool) -> Option<String> {
+    let (var, flag) = RETIRED.iter().find(|(var, _)| is_set(var))?;
+    Some(format!("{var} is no longer read; pass {flag} instead"))
+}
+
 /// Runs the CLI; returns the process exit code.
 pub fn main(args: Vec<String>) -> i32 {
+    if let Some(e) = retired_variable(|var| std::env::var_os(var).is_some()) {
+        eprintln!("belenos: {e}");
+        return 2;
+    }
     let inv = match parse(&args) {
         Ok(inv) => inv,
         Err(e) => {
@@ -403,12 +431,6 @@ pub fn main(args: Vec<String>) -> i32 {
     // batches and FE assembly draw on (else BELENOS_JOBS, read on first use).
     if let Some(jobs) = inv.jobs {
         belenos_runner::Budget::install_global(jobs);
-    }
-    // Env-parse warnings route through telemetry: structured when a sink
-    // is active, stderr when unconfigured, silent under `off`.
-    let tele = belenos_telemetry::global();
-    for w in &inv.overrides().warnings {
-        tele.warn(&format!("belenos: {w}"));
     }
     let command = inv
         .positionals
@@ -497,13 +519,39 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(inv.positionals, ["figure", "topdown"]);
-        assert_eq!(inv.flags.max_ops, Some(5000));
-        assert_eq!(inv.flags.model, Some(ModelKind::Analytic));
+        assert_eq!(inv.max_ops, Some(5000));
+        assert_eq!(inv.model, Some(ModelKind::Analytic));
         assert_eq!(inv.jobs, Some(2));
         assert_eq!(inv.format, Format::Json);
-        let opts = inv.overrides().options();
+        let opts = inv.options();
         assert_eq!(opts.max_ops, 5000);
         assert_eq!(opts.sampling.intervals, 8);
+        // Over a spec's options, only the flags given move anything.
+        let inv = parse(&args(&["campaign", "run", "s.json", "--model", "inorder"])).unwrap();
+        let spec = SimOptions::new(20_000).with_sampling(SamplingConfig::smarts(4));
+        assert_eq!(
+            inv.options_over(spec.clone()),
+            spec.with_model(ModelKind::InOrder)
+        );
+    }
+
+    #[test]
+    fn default_options_match_the_historical_bench_defaults() {
+        let opts = parse(&args(&["figure", "all"])).unwrap().options();
+        assert_eq!(opts, SimOptions::new(DEFAULT_MAX_OPS));
+        assert_eq!(opts.max_ops, 1_000_000);
+    }
+
+    #[test]
+    fn retired_variables_name_the_flag_that_replaced_them() {
+        assert_eq!(retired_variable(|_| false), None);
+        for (var, flag) in RETIRED {
+            let e = retired_variable(|v| v == var).unwrap();
+            assert!(
+                e.starts_with(var) && e.ends_with(&format!("pass {flag} instead")),
+                "{e}"
+            );
+        }
     }
 
     #[test]
@@ -623,9 +671,33 @@ mod tests {
         assert!(parse(&args(&["sampling", "--note", "x"])).is_err());
     }
 
-    /// Every `BELENOS_<NAME>` in `text`, by its `<NAME>`.
-    fn knob_names(text: &str) -> std::collections::BTreeSet<String> {
-        text.split("BELENOS_")
+    #[test]
+    fn sampling_spellings_agree_across_flag_and_json() {
+        // `--sampling X` and `"sampling": X` (as a number where X is one,
+        // and as a string) give the same config or both fail.
+        let from_json = |value: &str| {
+            let doc = belenos_json::Json::parse(&format!(r#"{{"sampling": {value}}}"#)).unwrap();
+            belenos_json::schema::read(&SimOptions::new(DEFAULT_MAX_OPS), &doc, "")
+                .map(|o| o.sampling)
+                .ok()
+        };
+        for x in ["off", "on", "0", "8", "-1"] {
+            let flag = parse(&args(&["figure", "all", "--sampling", x]))
+                .ok()
+                .map(|inv| inv.options().sampling);
+            assert_eq!(flag, from_json(&format!("\"{x}\"")), "{x} as a string");
+            if x.parse::<f64>().is_ok() {
+                assert_eq!(flag, from_json(x), "{x} as a number");
+            }
+        }
+        assert_eq!(from_json("\"on\""), Some(SamplingConfig::smarts(128)));
+        assert_eq!(from_json("0"), None);
+    }
+
+    /// Every `BELENOS_<NAME>` the program reads (`env::var("BELENOS_…")`)
+    /// or `text` names, by its `<NAME>`.
+    fn knob_names(text: &str, separator: &str) -> std::collections::BTreeSet<String> {
+        text.split(separator)
             .skip(1)
             .map(|rest| {
                 rest.chars()
@@ -650,7 +722,8 @@ mod tests {
                 if path.is_dir() {
                     dirs.push(path);
                 } else if path.extension().is_some_and(|e| e == "rs") {
-                    in_source.extend(knob_names(&std::fs::read_to_string(&path).unwrap()));
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    in_source.extend(knob_names(&text, "env::var(\"BELENOS_"));
                 }
             }
         }
@@ -664,7 +737,8 @@ mod tests {
             .filter(|line| line.starts_with("| `"))
             .map(|line| line.split('|').nth(1).unwrap_or(""))
             .collect();
-        assert_eq!(knob_names(&table), in_source);
+        assert_eq!(knob_names(&table, "BELENOS_"), in_source);
+        assert_eq!(in_source.len(), 8, "{in_source:?}");
     }
 
     #[test]

@@ -10,11 +10,10 @@
 
 use super::Invocation;
 use belenos::campaign::PaperSet;
-use belenos::env::DEFAULT_SAMPLING_INTERVALS;
 use belenos::experiment::{sampling_windows, Experiment};
 use belenos_profiler::report::{fmt, Table};
 use belenos_runner::run_caught;
-use belenos_uarch::{CoreConfig, SamplingConfig, SimStats};
+use belenos_uarch::{CoreConfig, SamplingConfig, SimStats, DEFAULT_SAMPLING_INTERVALS};
 use belenos_workloads::ScenarioSpec;
 use std::time::Instant;
 
@@ -47,12 +46,12 @@ fn selected_specs(inv: &Invocation) -> Vec<ScenarioSpec> {
 
 /// `belenos sampling`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
-    let overrides = inv.overrides();
-    let intervals = match &overrides.sampling {
-        Some(s) if !s.is_off() => s.intervals,
-        _ => DEFAULT_SAMPLING_INTERVALS,
+    let opts = inv.options();
+    let intervals = match opts.sampling.intervals {
+        0 => DEFAULT_SAMPLING_INTERVALS,
+        n => n,
     };
-    let cfg = CoreConfig::gem5_baseline().with_model(overrides.model.unwrap_or_default());
+    let cfg = CoreConfig::gem5_baseline().with_model(opts.model);
 
     let mut t = Table::new(&[
         "Model",

@@ -120,7 +120,7 @@ fn validate(inv: &Invocation) -> Result<(), String> {
 
 fn run_scenarios(inv: &Invocation) -> Result<(), String> {
     let specs = load_scenarios(scenario_arg(inv)?)?;
-    let opts = inv.overrides().options();
+    let opts = inv.options();
     eprintln!("solving {} scenario model(s)...", specs.len());
     let exps = prepare_all(&specs).map_err(|e| e.to_string())?;
     let (report, failures) = scenario_run(&Runner::from_env(), &exps, &opts);

@@ -6,10 +6,10 @@
 //! The CLI ([`cli`]) replaces the old one-binary-per-figure layout:
 //! every paper table/figure, the campaign driver, the cross-backend
 //! agreement table, the digest capture and the accuracy/ablation
-//! harnesses are subcommands sharing one environment/flag layer
-//! (`belenos::env::EnvOverrides` — the only place `BELENOS_MAX_OPS` /
-//! `BELENOS_SAMPLING` / `BELENOS_MODEL` are read, with CLI flags layered
-//! on top; `--jobs` / `BELENOS_JOBS` size `belenos_runner::Budget::global`).
+//! harnesses are subcommands sharing one flag layer (`--max-ops`,
+//! `--sampling`, `--model` set `belenos::SimOptions` over the defaults or
+//! over a campaign spec's own options; `--jobs` / `BELENOS_JOBS` size
+//! `belenos_runner::Budget::global`).
 //!
 //! Nothing in here times Belenos for a verdict: host performance is
 //! measured from outside by the harness under `benchmark/`.

@@ -36,7 +36,8 @@ use crate::experiment::{Experiment, PrepareError};
 use crate::figures;
 use crate::options::{SimFailure, SimOptions};
 use crate::report::Report;
-use belenos_json::{FromJson, Json, JsonError, ToJson};
+use belenos_json::schema::{self, Leaf};
+use belenos_json::{record, FromJson, Json, JsonError, ToJson};
 use belenos_runner::Runner;
 use belenos_workloads::{ScenarioError, ScenarioListError, ScenarioSpec};
 use std::collections::HashMap;
@@ -236,52 +237,55 @@ fn scenario_array_from_json(items: &[Json]) -> Result<WorkloadSet, JsonError> {
             .collect();
         return Ok(WorkloadSet::Ids(ids));
     }
-    let mut specs = Vec::with_capacity(items.len());
-    for item in items {
-        match item.as_str() {
-            Some(id) => {
-                specs.push(belenos_workloads::by_id(id).ok_or_else(|| {
-                    JsonError::new(format!("workloads: unknown preset id `{id}`"))
-                })?)
-            }
-            None => specs.push(
-                ScenarioSpec::from_json(item)
-                    .map_err(|e| JsonError::new(format!("workloads: {e}")))?,
-            ),
-        }
-    }
-    Ok(WorkloadSet::Scenarios(specs))
+    let resolve = |item: &Json| match item.as_str() {
+        Some(id) => belenos_workloads::by_id(id)
+            .ok_or_else(|| JsonError::new(format!("unknown preset id `{id}`"))),
+        None => ScenarioSpec::from_json(item),
+    };
+    items
+        .iter()
+        .map(resolve)
+        .collect::<Result<_, _>>()
+        .map(WorkloadSet::Scenarios)
 }
 
-/// Parses a mesh-sweep `base`: a non-`paper` named set or a scenario
-/// array (`paper` is per-analysis and would make the axis ambiguous).
-fn sweep_base_from_json(v: &Json) -> Result<Vec<ScenarioSpec>, JsonError> {
-    match v {
-        Json::Str(s) => match WorkloadSet::parse_named(s) {
-            Some(WorkloadSet::Paper) => Err(JsonError::new(
-                "workloads.base: `paper` is per-analysis; name vtune, gem5 or catalog",
-            )),
-            Some(named) => Ok(named.resolve(PaperSet::Catalog)),
-            None => Err(JsonError::new(format!(
-                "workloads.base: unknown set `{s}` (expected vtune, gem5, catalog or a list)"
-            ))),
-        },
-        Json::Arr(items) => Ok(match scenario_array_from_json(items)? {
-            WorkloadSet::Ids(ids) => {
-                let mut specs = Vec::with_capacity(ids.len());
-                for id in &ids {
-                    specs.push(belenos_workloads::by_id(id).ok_or_else(|| {
-                        JsonError::new(format!("workloads.base: unknown preset id `{id}`"))
-                    })?);
-                }
-                specs
+/// The `{base, resolutions}` object of a [`WorkloadSet::MeshSweep`].
+#[derive(Clone)]
+struct Sweep {
+    base: WorkloadSet,
+    resolutions: Vec<usize>,
+}
+
+record!(Sweep {
+    base: Any,
+    resolutions: Any,
+});
+
+impl Sweep {
+    /// The axis, with the base resolved to scenarios: a named set other
+    /// than `paper` (which is per-analysis and would make the axis
+    /// ambiguous) or a list.
+    fn into_set(self) -> Result<WorkloadSet, JsonError> {
+        let refused = match &self.base {
+            WorkloadSet::Paper => {
+                Some("`paper` is per-analysis; name vtune, gem5 or catalog".into())
             }
-            WorkloadSet::Scenarios(specs) => specs,
-            _ => unreachable!("scenario_array_from_json returns Ids or Scenarios"),
-        }),
-        _ => Err(JsonError::new(
-            "workloads.base: expected a set name or a list of scenarios",
-        )),
+            WorkloadSet::MeshSweep { .. } => {
+                Some("expected a set name or a list of scenarios".into())
+            }
+            WorkloadSet::Ids(ids) => ids
+                .iter()
+                .find(|id| belenos_workloads::by_id(id).is_none())
+                .map(|id| format!("unknown preset id `{id}`")),
+            _ => None,
+        };
+        match refused {
+            Some(what) => Err(JsonError::new(format!("workloads.base: {what}"))),
+            None => Ok(WorkloadSet::MeshSweep {
+                base: self.base.resolve(PaperSet::Catalog),
+                resolutions: self.resolutions,
+            }),
+        }
     }
 }
 
@@ -289,14 +293,12 @@ impl ToJson for WorkloadSet {
     fn to_json(&self) -> Json {
         match self {
             WorkloadSet::Ids(ids) => ids.to_json(),
-            WorkloadSet::Scenarios(specs) => Json::Arr(specs.iter().map(ToJson::to_json).collect()),
-            WorkloadSet::MeshSweep { base, resolutions } => Json::obj(vec![
-                (
-                    "base",
-                    Json::Arr(base.iter().map(ToJson::to_json).collect()),
-                ),
-                ("resolutions", resolutions.to_json()),
-            ]),
+            WorkloadSet::Scenarios(specs) => specs.to_json(),
+            WorkloadSet::MeshSweep { base, resolutions } => Sweep {
+                base: WorkloadSet::Scenarios(base.clone()),
+                resolutions: resolutions.clone(),
+            }
+            .to_json(),
             named => Json::Str(named.label()),
         }
     }
@@ -307,23 +309,30 @@ impl FromJson for WorkloadSet {
         match v {
             Json::Str(s) => WorkloadSet::parse_named(s).ok_or_else(|| {
                 JsonError::new(format!(
-                    "workloads: unknown set `{s}` (expected paper, vtune, gem5, catalog, \
+                    "unknown set `{s}` (expected paper, vtune, gem5, catalog, \
                      or a list of ids/scenarios)"
                 ))
             }),
             Json::Arr(items) => scenario_array_from_json(items),
             Json::Obj(_) => {
-                v.reject_unknown_fields("workloads", &["base", "resolutions"])?;
-                let base = sweep_base_from_json(v.expect_field("base")?)?;
-                let resolutions = Vec::<usize>::from_json(v.expect_field("resolutions")?)
-                    .map_err(|e| JsonError::new(format!("workloads.resolutions: {e}")))?;
-                Ok(WorkloadSet::MeshSweep { base, resolutions })
+                let shape = Sweep {
+                    base: WorkloadSet::Paper,
+                    resolutions: Vec::new(),
+                };
+                schema::read_exact(&shape, v, "workloads")?.into_set()
             }
             _ => Err(JsonError::new(
-                "workloads: expected a set name, a list of ids/scenarios, \
+                "expected a set name, a list of ids/scenarios, \
                  or a {base, resolutions} sweep",
             )),
         }
+    }
+}
+
+/// A workload set hashes as its JSON form.
+impl Leaf for WorkloadSet {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        schema::feed_str(&self.to_json().render(), sink);
     }
 }
 
@@ -503,9 +512,14 @@ impl FromJson for Analysis {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let s = v
             .as_str()
-            .ok_or_else(|| JsonError::new("analyses: expected analysis id strings"))?;
-        Analysis::parse(s)
-            .ok_or_else(|| JsonError::new(format!("analyses: unknown analysis `{s}`")))
+            .ok_or_else(|| JsonError::new("expected analysis id strings"))?;
+        Analysis::parse(s).ok_or_else(|| JsonError::new(format!("unknown analysis `{s}`")))
+    }
+}
+
+impl Leaf for Analysis {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        schema::feed_str(self.id(), sink);
     }
 }
 
@@ -683,7 +697,9 @@ impl CampaignSpec {
         self.workloads.validate()
     }
 
-    /// Parses and validates a JSON campaign spec.
+    /// Parses and validates a JSON campaign spec. Absent keys keep
+    /// [`CampaignSpec::new`]'s values (named `campaign`, paper sets,
+    /// default options, no analyses — which validation then refuses).
     ///
     /// # Errors
     ///
@@ -691,7 +707,7 @@ impl CampaignSpec {
     /// (including zero-interval sampling), unknown analyses, or unknown
     /// workload ids.
     pub fn parse(text: &str) -> Result<CampaignSpec, SpecError> {
-        let spec = CampaignSpec::from_json(&Json::parse(text)?)?;
+        let spec = schema::read(&CampaignSpec::new("campaign"), &Json::parse(text)?, "")?;
         spec.validate()?;
         Ok(spec)
     }
@@ -714,44 +730,14 @@ impl CampaignSpec {
     }
 }
 
-impl ToJson for CampaignSpec {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("workloads", self.workloads.to_json()),
-            ("options", self.options.to_json()),
-            ("analyses", self.analyses.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CampaignSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.reject_unknown_fields(
-            "campaign spec",
-            &["name", "workloads", "options", "analyses"],
-        )?;
-        let name = match v.get("name") {
-            Some(n) => String::from_json(n).map_err(|e| JsonError::new(format!("name: {e}")))?,
-            None => "campaign".to_string(),
-        };
-        let workloads = match v.get("workloads") {
-            Some(w) => WorkloadSet::from_json(w)?,
-            None => WorkloadSet::Paper,
-        };
-        let options = match v.get("options") {
-            Some(o) => SimOptions::from_json(o)?,
-            None => SimOptions::default(),
-        };
-        let analyses = Vec::<Analysis>::from_json(v.expect_field("analyses")?)?;
-        Ok(CampaignSpec {
-            name,
-            workloads,
-            options,
-            analyses,
-        })
-    }
-}
+// A campaign document: keys, order, and the sections a terse spec may
+// leave out.
+record!(CampaignSpec {
+    name: Any,
+    workloads: Any,
+    options: record,
+    analyses: Any,
+});
 
 /// The outcome of one analysis in a campaign.
 #[derive(Debug, Clone)]

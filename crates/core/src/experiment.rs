@@ -289,9 +289,9 @@ impl Experiment {
 
     /// Expands the log and runs it on a core configuration, simulating at
     /// most `max_ops` micro-ops (0 = unlimited). The core-model backend
-    /// is selected by `cfg.model` (`BELENOS_MODEL` in the bench
-    /// binaries); the default `o3` backend reproduces the historical
-    /// behavior bit for bit.
+    /// is selected by `cfg.model` (`--model` on the command line); the
+    /// default `o3` backend reproduces the historical behavior bit for
+    /// bit.
     ///
     /// This is the historical *prefix-truncation* mode: a budgeted run
     /// measures only the first `max_ops` ops of the trace, which biases

@@ -50,7 +50,6 @@
 //! ```
 
 pub mod campaign;
-pub mod env;
 pub mod experiment;
 pub mod figures;
 pub mod options;
@@ -61,7 +60,6 @@ pub mod trace_store;
 pub use campaign::{
     Analysis, Campaign, CampaignError, CampaignReport, CampaignSpec, SpecError, WorkloadSet,
 };
-pub use env::EnvOverrides;
 pub use experiment::{Experiment, PrepareError};
-pub use options::{SimFailure, SimOptions};
+pub use options::{SimFailure, SimOptions, DEFAULT_MAX_OPS};
 pub use report::{Cell, Report, Section};

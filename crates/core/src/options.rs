@@ -3,13 +3,19 @@
 //! Every figure and sweep function takes a [`SimOptions`]: the micro-op
 //! budget, how that budget is placed over the trace
 //! ([`SamplingConfig`]), and which core-model backend replays it
-//! ([`ModelKind`]). The bench binaries build one from the environment
-//! (`BELENOS_MAX_OPS` / `BELENOS_SAMPLING` / `BELENOS_MODEL`) and pass
-//! it through unchanged, so a whole campaign can be re-pointed at the
-//! in-order or analytical backend with a single variable.
+//! ([`ModelKind`]). Its fields are one `record!` listing: a campaign
+//! spec's `options` section, a served scenario batch's `options` and the
+//! JSON of every report are that listing read (over the caller's
+//! defaults) or written. The CLI's `--max-ops` / `--sampling` / `--model`
+//! set the same three fields, so a whole campaign can be re-pointed at
+//! the in-order or analytical backend with one flag.
 
-use belenos_json::{FromJson, Json, JsonError, ToJson};
+use belenos_json::{record, Json, ToJson};
 use belenos_uarch::{CoreConfig, ModelKind, SamplingConfig};
+
+/// The per-simulation micro-op budget of a one-shot CLI command or a
+/// served scenario batch that names none.
+pub const DEFAULT_MAX_OPS: usize = 1_000_000;
 
 /// How a simulation campaign runs: budget, budget placement, backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,36 +76,13 @@ impl Default for SimOptions {
     }
 }
 
-impl ToJson for SimOptions {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("max_ops", Json::Num(self.max_ops as f64)),
-            ("sampling", self.sampling.to_json()),
-            ("model", self.model.to_json()),
-        ])
-    }
-}
-
-/// Missing fields take the [`SimOptions::default`] values (unlimited
-/// budget, sampling off, `o3`), so terse specs stay valid.
-impl FromJson for SimOptions {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.reject_unknown_fields("options", &["max_ops", "sampling", "model"])?;
-        let mut opts = SimOptions::default();
-        if let Some(n) = v.get("max_ops") {
-            opts.max_ops = n.as_usize().ok_or_else(|| {
-                JsonError::new("options.max_ops: expected a non-negative integer")
-            })?;
-        }
-        if let Some(s) = v.get("sampling") {
-            opts.sampling = SamplingConfig::from_json(s)?;
-        }
-        if let Some(m) = v.get("model") {
-            opts.model = ModelKind::from_json(m)?;
-        }
-        Ok(opts)
-    }
-}
+// The `options` section of every document: keys, order, and what a
+// document that omits one keeps from the defaults it is read over.
+record!(SimOptions {
+    max_ops: Any,
+    sampling: Any,
+    model: Any,
+});
 
 /// A simulation point that failed (its backend panicked — e.g. a wedged
 /// pipeline hitting the simulator's stall limit).
@@ -142,6 +125,7 @@ impl ToJson for SimFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use belenos_json::schema;
 
     #[test]
     fn builder_composes() {
@@ -169,22 +153,26 @@ mod tests {
 
     #[test]
     fn options_json_roundtrip() {
+        let read = |over: &SimOptions, doc: &str| {
+            schema::read(over, &Json::parse(doc).unwrap(), "options")
+        };
         for opts in [
             SimOptions::default(),
             SimOptions::new(40_000)
                 .with_sampling(SamplingConfig::smarts(16))
                 .with_model(ModelKind::InOrder),
         ] {
-            assert_eq!(SimOptions::from_json(&opts.to_json()).unwrap(), opts);
+            let text = opts.to_json().render();
+            assert_eq!(read(&SimOptions::default(), &text).unwrap(), opts);
         }
-        // Missing fields default; unknown budget types are rejected.
-        let terse = Json::parse(r#"{"max_ops": 500}"#).unwrap();
-        let opts = SimOptions::from_json(&terse).unwrap();
-        assert_eq!(opts.max_ops, 500);
+        // Missing fields keep the defaults read over; unknown budget
+        // types are rejected.
+        let opts = read(&SimOptions::new(DEFAULT_MAX_OPS), r#"{"model": "inorder"}"#).unwrap();
+        assert_eq!(opts.max_ops, DEFAULT_MAX_OPS);
         assert!(opts.sampling.is_off());
-        assert_eq!(opts.model, ModelKind::O3);
-        assert!(SimOptions::from_json(&Json::parse(r#"{"max_ops": -1}"#).unwrap()).is_err());
-        assert!(SimOptions::from_json(&Json::parse("[]").unwrap()).is_err());
+        assert_eq!(opts.model, ModelKind::InOrder);
+        assert!(read(&SimOptions::default(), r#"{"max_ops": -1}"#).is_err());
+        assert!(read(&SimOptions::default(), "[]").is_err());
     }
 
     /// `SimOptions::to_json()` in its four shapes, as bytes: the wire

@@ -15,11 +15,12 @@
 //! still contains the full job description, so a steal hands the
 //! thief everything it needs with no extra read from the dead worker.
 
-use belenos_json::{FromJson, Json, ToJson};
+use belenos_json::schema::{self, Hex, Record, Rule, Version, Walker};
+use belenos_json::{Json, JsonError};
 use belenos_runner::entry::write_atomic;
 use belenos_runner::DistJob;
 use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig};
-use belenos_workloads::scenario::ScenarioSpec;
+use belenos_workloads::scenario::{Family, ScenarioSpec};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -162,7 +163,7 @@ pub fn sanitize_worker(name: &str) -> String {
 
 /// A published job: everything a worker in another process needs to
 /// reproduce one simulation bit-for-bit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobDoc {
     /// [`CacheKey::address`](belenos_runner::CacheKey::address) of the
     /// simulation — names the board entry and the cache entry.
@@ -181,9 +182,23 @@ pub struct JobDoc {
     pub sampling: SamplingConfig,
 }
 
-const JOB_FIELDS: &[&str] = &[
-    "v", "digest", "workload", "label", "max_ops", "sampling", "config", "scenario",
-];
+// The wire form: version stamp, keys and order. The digest rides as a hex
+// string (JSON numbers would round a 64-bit address); the configuration
+// is a nested record, so a document must spell out every field of it.
+impl Record for JobDoc {
+    fn walk<W: Walker>(&self, w: &mut W) -> Result<Self, JsonError> {
+        w.leaf("v", &Version::<1>, Rule::Any)?;
+        Ok(JobDoc {
+            digest: w.leaf("digest", &Hex(self.digest), Rule::Any)?.0,
+            workload: w.leaf("workload", &self.workload, Rule::Any)?,
+            label: w.leaf("label", &self.label, Rule::Any)?,
+            max_ops: w.leaf("max_ops", &self.max_ops, Rule::Any)?,
+            sampling: w.leaf("sampling", &self.sampling, Rule::Any)?,
+            config: w.nested("config", &self.config)?,
+            scenario: w.leaf("scenario", &self.scenario, Rule::Any)?,
+        })
+    }
+}
 
 impl JobDoc {
     /// Builds the publishable document for one [`DistJob`].
@@ -210,66 +225,47 @@ impl JobDoc {
     /// Serializes to the versioned wire form (pretty JSON — these files
     /// are what an operator inspects when a campaign wedges).
     pub fn encode(&self) -> String {
-        // The digest rides as a hex *string*: JSON numbers are f64 and
-        // would silently round 64-bit addresses.
-        Json::obj(vec![
-            ("v", Json::Num(1.0)),
-            ("digest", Json::Str(format!("{:016x}", self.digest))),
-            ("workload", Json::Str(self.workload.clone())),
-            ("label", Json::Str(self.label.clone())),
-            ("max_ops", Json::Num(self.max_ops as f64)),
-            ("sampling", self.sampling.to_json()),
-            ("config", self.config.to_json()),
-            ("scenario", ToJson::to_json(&self.scenario)),
-        ])
-        .pretty()
+        schema::write(self).pretty()
     }
 
-    /// Parses and validates the wire form.
+    /// Parses and validates the wire form: every field present, then the
+    /// scenario and the machine checked the way a worker would need them.
     ///
     /// # Errors
     ///
     /// A message naming the malformed field; a job that fails here is
     /// reported as a failed job, never silently dropped.
     pub fn decode(text: &str) -> Result<JobDoc, String> {
-        let v = Json::parse(text).map_err(|e| format!("job document: {e}"))?;
-        v.reject_unknown_fields("job document", JOB_FIELDS)
-            .map_err(|e| e.to_string())?;
-        expect_version(&v, "job document")?;
-        let scenario_json = v.expect_field("scenario").map_err(|e| e.to_string())?;
-        let scenario =
-            ScenarioSpec::from_json(scenario_json).map_err(|e| format!("job scenario: {e}"))?;
-        scenario
+        // Every field must be present, so what the document is read over
+        // never shows through.
+        let shape = JobDoc {
+            digest: 0,
+            workload: String::new(),
+            label: String::new(),
+            scenario: ScenarioSpec::new("", Family::Eye { iop: 0.0 }),
+            config: CoreConfig::gem5_baseline(),
+            max_ops: 0,
+            sampling: SamplingConfig::off(),
+        };
+        let doc = Json::parse(text)
+            .and_then(|v| schema::read_exact(&shape, &v, ""))
+            .map_err(|e| format!("job document: {e}"))?;
+        doc.scenario
             .validate()
             .map_err(|e| format!("job scenario: {e}"))?;
         // A zero way count or line size would divide by zero inside the
         // worker's simulator: refuse the document instead.
-        let config = CoreConfig::from_json(v.expect_field("config").map_err(|e| e.to_string())?)
-            .and_then(|config| config.validate().map(|()| config))
+        doc.config
+            .validate()
             .map_err(|e| format!("job document: {e}"))?;
-        Ok(JobDoc {
-            digest: decode_digest(&v)?,
-            workload: expect_str(&v, "workload")?,
-            label: expect_str(&v, "label")?,
-            scenario,
-            config,
-            max_ops: v
-                .expect_field("max_ops")
-                .map_err(|e| e.to_string())?
-                .as_usize()
-                .ok_or("job document: max_ops must be a non-negative integer")?,
-            sampling: SamplingConfig::from_json(
-                v.expect_field("sampling").map_err(|e| e.to_string())?,
-            )
-            .map_err(|e| format!("job sampling: {e}"))?,
-        })
+        Ok(doc)
     }
 }
 
 /// A completion marker: who finished the job, how long it took, and
 /// whether the simulation failed (in which case there is no cache
 /// entry and `error` carries the panic message).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DoneDoc {
     /// Digest of the finished job.
     pub digest: u64,
@@ -284,84 +280,36 @@ pub struct DoneDoc {
     pub error: Option<String>,
 }
 
-const DONE_FIELDS: &[&str] = &["v", "digest", "worker", "wall_s", "stolen", "error"];
+// The wire form, like a job's: version stamp, hex digest, then the fields.
+impl Record for DoneDoc {
+    fn walk<W: Walker>(&self, w: &mut W) -> Result<Self, JsonError> {
+        w.leaf("v", &Version::<1>, Rule::Any)?;
+        Ok(DoneDoc {
+            digest: w.leaf("digest", &Hex(self.digest), Rule::Any)?.0,
+            worker: w.leaf("worker", &self.worker, Rule::Any)?,
+            wall_s: w.leaf("wall_s", &self.wall_s, Rule::Any)?,
+            stolen: w.leaf("stolen", &self.stolen, Rule::Any)?,
+            error: w.leaf("error", &self.error, Rule::Any)?,
+        })
+    }
+}
 
 impl DoneDoc {
     /// Serializes to the versioned wire form.
     pub fn encode(&self) -> String {
-        Json::obj(vec![
-            ("v", Json::Num(1.0)),
-            ("digest", Json::Str(format!("{:016x}", self.digest))),
-            ("worker", Json::Str(self.worker.clone())),
-            ("wall_s", Json::Num(self.wall_s)),
-            ("stolen", Json::Bool(self.stolen)),
-            (
-                "error",
-                match &self.error {
-                    Some(msg) => Json::Str(msg.clone()),
-                    None => Json::Null,
-                },
-            ),
-        ])
-        .pretty()
+        schema::write(self).pretty()
     }
 
-    /// Parses the wire form.
+    /// Parses the wire form; every field must be present.
     ///
     /// # Errors
     ///
     /// A message naming the malformed field.
     pub fn decode(text: &str) -> Result<DoneDoc, String> {
-        let v = Json::parse(text).map_err(|e| format!("done marker: {e}"))?;
-        v.reject_unknown_fields("done marker", DONE_FIELDS)
-            .map_err(|e| e.to_string())?;
-        expect_version(&v, "done marker")?;
-        let error = match v.expect_field("error").map_err(|e| e.to_string())? {
-            Json::Null => None,
-            Json::Str(msg) => Some(msg.clone()),
-            _ => return Err("done marker: error must be null or a string".into()),
-        };
-        Ok(DoneDoc {
-            digest: decode_digest(&v)?,
-            worker: expect_str(&v, "worker")?,
-            wall_s: v
-                .expect_field("wall_s")
-                .map_err(|e| e.to_string())?
-                .as_f64()
-                .ok_or("done marker: wall_s must be a number")?,
-            stolen: v
-                .expect_field("stolen")
-                .map_err(|e| e.to_string())?
-                .as_bool()
-                .ok_or("done marker: stolen must be a boolean")?,
-            error,
-        })
+        Json::parse(text)
+            .and_then(|v| schema::read_exact(&DoneDoc::default(), &v, ""))
+            .map_err(|e| format!("done marker: {e}"))
     }
-}
-
-fn expect_version(v: &Json, context: &str) -> Result<(), String> {
-    match v.expect_field("v").map_err(|e| e.to_string())?.as_usize() {
-        Some(1) => Ok(()),
-        Some(n) => Err(format!("{context}: unsupported version {n}")),
-        None => Err(format!("{context}: v must be an integer")),
-    }
-}
-
-fn decode_digest(v: &Json) -> Result<u64, String> {
-    let s = v
-        .expect_field("digest")
-        .map_err(|e| e.to_string())?
-        .as_str()
-        .ok_or("digest must be a 16-hex-digit string")?;
-    u64::from_str_radix(s, 16).map_err(|e| format!("digest `{s}`: {e}"))
-}
-
-fn expect_str(v: &Json, name: &str) -> Result<String, String> {
-    Ok(v.expect_field(name)
-        .map_err(|e| e.to_string())?
-        .as_str()
-        .ok_or_else(|| format!("{name} must be a string"))?
-        .to_string())
 }
 
 // --- filesystem protocol ------------------------------------------------

@@ -15,9 +15,10 @@
 //! hash maps), so a parse → render round-trip is deterministic and
 //! diffs of serialized specs stay readable.
 //!
-//! Spec records (machine configurations, scenarios) do not hand-write
-//! their conversions: they list their fields once and [`schema`] derives
-//! JSON out, JSON in, stable-digest bytes and validation from that.
+//! Documents (machine configurations, scenarios, simulation options,
+//! campaign specs, job-board documents) do not hand-write their
+//! conversions: they list their fields once and [`schema`] derives JSON
+//! out, JSON in, stable-digest bytes and validation from that.
 
 use std::fmt;
 
@@ -148,36 +149,6 @@ impl Json {
             Json::Obj(fields) => Some(fields),
             _ => None,
         }
-    }
-
-    /// Rejects object fields outside `allowed` (typo guard for specs:
-    /// a misspelled key must fail loudly, not silently take a default).
-    ///
-    /// # Errors
-    ///
-    /// Names the first unknown field; a non-object is an error too (it
-    /// would otherwise read as an object with every field absent).
-    pub fn reject_unknown_fields(&self, context: &str, allowed: &[&str]) -> Result<(), JsonError> {
-        let fields = self
-            .as_obj()
-            .ok_or_else(|| JsonError::new(format!("{context}: expected an object")))?;
-        match fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
-            Some((k, _)) => Err(JsonError::new(format!(
-                "{context}: unknown field `{k}` (expected one of: {})",
-                allowed.join(", ")
-            ))),
-            None => Ok(()),
-        }
-    }
-
-    /// Required-field lookup with a descriptive error.
-    ///
-    /// # Errors
-    ///
-    /// When `self` is not an object or lacks `key`.
-    pub fn expect_field(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
     }
 
     /// Parses a JSON document (the full input must be one value) under
@@ -655,9 +626,12 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        // A literal past the `f64` range (`1e999`) has no value a
+        // document could render back: refuse it rather than read infinity.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -854,6 +828,8 @@ mod tests {
             "\"unterminated",
             "01x",
             "{\"a\":1,}",
+            "1e999",
+            "[-1e400]",
         ] {
             assert!(Json::parse(bad).is_err(), "must reject {bad:?}");
         }

@@ -5,7 +5,7 @@
 //! [`record!`](crate::record)). Everything that would otherwise spell
 //! the fields out again is a [`Walker`] over that listing:
 //!
-//! * JSON out — [`write()`], and [`ToJson`] for every record;
+//! * JSON out — [`write()`], and [`ToJson`] for every `record!`;
 //! * JSON in — [`read`] / [`read_exact`]: the unknown-key allow-list,
 //!   the "expected an object" check on every nested section and the
 //!   `path.key:` error prefixes all come from the walk;
@@ -108,14 +108,14 @@ pub trait Record: Clone {
     fn walk<W: Walker>(&self, w: &mut W) -> Result<Self, JsonError>;
 }
 
-/// Implements [`Record`](crate::schema::Record) from one listing of
-/// `field: Rule` lines — `record!(Point { x: Finite, y: Within(0.0,
-/// 1.0), origin: record })` for a struct, `record!(enum Shape { Dot {},
-/// Disc { r: Positive } })` for an enum of struct variants. The rule is
-/// a [`Rule`](crate::schema::Rule) variant or constant; `record` marks a
-/// field that is itself a record. The JSON key is the field's name, and
-/// the listing destructures without `..`, so a field it omits is a
-/// compile error.
+/// Implements [`Record`](crate::schema::Record) and [`ToJson`](crate::ToJson)
+/// from one listing of `field: Rule` lines — `record!(Point { x: Finite,
+/// y: Within(0.0, 1.0), origin: record })` for a struct, `record!(enum
+/// Shape { Dot {}, Disc { r: Positive } })` for an enum of struct
+/// variants. The rule is a [`Rule`](crate::schema::Rule) variant or
+/// constant; `record` marks a field that is itself a record. The JSON
+/// key is the field's name, and the listing destructures without `..`,
+/// so a field it omits is a compile error.
 #[macro_export]
 macro_rules! record {
     (enum $ty:ident { $($variant:ident { $($field:ident: $how:ident $(($($arg:expr),*))?),* $(,)? }),+ $(,)? }) => {
@@ -128,12 +128,21 @@ macro_rules! record {
                 })
             }
         }
+        $crate::record!(@json $ty);
     };
     ($ty:ident { $($field:ident: $how:ident $(($($arg:expr),*))?),* $(,)? }) => {
         impl $crate::schema::Record for $ty {
             fn walk<W: $crate::schema::Walker>(&self, w: &mut W) -> Result<Self, $crate::JsonError> {
                 let $ty { $($field),* } = self;
                 Ok($ty { $($field: $crate::record!(@visit w $field $how $(($($arg),*))?)),* })
+            }
+        }
+        $crate::record!(@json $ty);
+    };
+    (@json $ty:ident) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::schema::write(self)
             }
         }
     };
@@ -156,6 +165,15 @@ fn at(path: &str, name: &str) -> String {
         name.to_string()
     } else {
         format!("{path}.{name}")
+    }
+}
+
+/// `path: what`, or just `what` at the root.
+fn fail(path: &str, what: impl std::fmt::Display) -> JsonError {
+    if path.is_empty() {
+        JsonError::new(what.to_string())
+    } else {
+        JsonError::new(format!("{path}: {what}"))
     }
 }
 
@@ -182,12 +200,6 @@ pub fn write<R: Record>(record: &R) -> Json {
     Json::Obj(w.0)
 }
 
-impl<R: Record> ToJson for R {
-    fn to_json(&self) -> Json {
-        write(self)
-    }
-}
-
 struct Reader<'a> {
     fields: &'a [(String, Json)],
     path: &'a str,
@@ -202,21 +214,26 @@ impl<'a> Reader<'a> {
         self.listed.push(name);
         let found = self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
         if found.is_none() && self.exact {
-            return Err(JsonError::new(format!(
-                "{}: missing field `{name}`",
-                self.path
-            )));
+            return Err(fail(self.path, format!("missing field `{name}`")));
         }
         Ok(found)
+    }
+}
+
+/// A leaf's error under the field's path. A leaf that reads an object
+/// names the field itself (`scenario.mesh: …`, as a scenario read alone
+/// does): the path continues from that name instead of repeating it.
+fn within(path: &str, name: &str, e: JsonError) -> JsonError {
+    match e.message.strip_prefix(name) {
+        Some(rest) if rest.starts_with(['.', ':', '[']) => JsonError::new(format!("{path}{rest}")),
+        _ => fail(path, e),
     }
 }
 
 impl Walker for Reader<'_> {
     fn leaf<T: Leaf>(&mut self, name: &'static str, value: &T, _: Rule) -> Result<T, JsonError> {
         match self.find(name)? {
-            Some(v) => {
-                T::from_json(v).map_err(|e| JsonError::new(format!("{}: {e}", at(self.path, name))))
-            }
+            Some(v) => T::from_json(v).map_err(|e| within(&at(self.path, name), name, e)),
             None => Ok(value.clone()),
         }
     }
@@ -230,9 +247,7 @@ impl Walker for Reader<'_> {
 }
 
 fn read_object<R: Record>(over: &R, v: &Json, path: &str, exact: bool) -> Result<R, JsonError> {
-    let fields = v
-        .as_obj()
-        .ok_or_else(|| JsonError::new(format!("{path}: expected an object")))?;
+    let fields = v.as_obj().ok_or_else(|| fail(path, "expected an object"))?;
     let mut reader = Reader {
         fields,
         path,
@@ -245,17 +260,20 @@ fn read_object<R: Record>(over: &R, v: &Json, path: &str, exact: bool) -> Result
         .iter()
         .find(|(k, _)| !reader.listed.contains(&k.as_str()))
     {
-        Some((k, _)) => Err(JsonError::new(format!(
-            "{path}: unknown field `{k}` (expected one of: {})",
-            reader.listed.join(", ")
-        ))),
+        Some((k, _)) => Err(fail(
+            path,
+            format!(
+                "unknown field `{k}` (expected one of: {})",
+                reader.listed.join(", ")
+            ),
+        )),
         None => Ok(record),
     }
 }
 
 /// Reads a record from the JSON object `v`, field by field over
 /// `defaults`: an absent key (or nested section) keeps `defaults`' value.
-/// `path` prefixes every error (`path.section.key: ...`).
+/// `path` prefixes every error (`path.section.key: ...`; `""` for none).
 ///
 /// # Errors
 ///
@@ -385,14 +403,85 @@ impl<T: Leaf> Leaf for Option<T> {
     }
 }
 
+/// Checks every element, naming the first offender by index.
+fn check_each<T: Leaf>(items: &[T], rule: Rule) -> Result<(), String> {
+    let indexed = |(i, v): (usize, &T)| v.check(rule).map_err(|e| format!("[{i}]{e}"));
+    items.iter().enumerate().try_for_each(indexed)
+}
+
 impl<T: Leaf, const N: usize> Leaf for [T; N] {
     fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
         self.iter().for_each(|v| v.feed(sink));
     }
 
     fn check(&self, rule: Rule) -> Result<(), String> {
-        let indexed = |(i, v): (usize, &T)| v.check(rule).map_err(|e| format!("[{i}]{e}"));
-        self.iter().enumerate().try_for_each(indexed)
+        check_each(self, rule)
+    }
+}
+
+impl<T: Leaf> Leaf for Vec<T> {
+    /// A length word, then the elements.
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        self.len().feed(sink);
+        self.iter().for_each(|v| v.feed(sink));
+    }
+
+    fn check(&self, rule: Rule) -> Result<(), String> {
+        check_each(self, rule)
+    }
+}
+
+/// A 64-bit digest on the wire: 16 hex digits in a string, since JSON
+/// numbers are `f64` and would round it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Hex(pub u64);
+
+impl ToJson for Hex {
+    fn to_json(&self) -> Json {
+        Json::Str(format!("{:016x}", self.0))
+    }
+}
+
+impl FromJson for Hex {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v.as_str() {
+            Some(s) if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()) => {
+                Ok(Hex(u64::from_str_radix(s, 16).expect("16 hex digits")))
+            }
+            _ => Err(JsonError::new("expected a 16-hex-digit string")),
+        }
+    }
+}
+
+impl Leaf for Hex {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        self.0.feed(sink);
+    }
+}
+
+/// A wire format's version stamp: written as `V`, and any other value
+/// refused on read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Version<const V: usize>;
+
+impl<const V: usize> ToJson for Version<V> {
+    fn to_json(&self) -> Json {
+        V.to_json()
+    }
+}
+
+impl<const V: usize> FromJson for Version<V> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match usize::from_json(v)? {
+            n if n == V => Ok(Version),
+            n => Err(JsonError::new(format!("unsupported version {n}"))),
+        }
+    }
+}
+
+impl<const V: usize> Leaf for Version<V> {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        V.feed(sink);
     }
 }
 
@@ -492,6 +581,47 @@ mod tests {
             let e = read(&outer(), &Json::parse(doc).unwrap(), "o").unwrap_err();
             assert_eq!(e.message, message);
         }
+    }
+
+    #[test]
+    fn a_root_read_has_no_prefix_and_a_self_naming_leaf_continues_its_path() {
+        let e = read(&outer(), &Json::parse(r#"{"x": 1}"#).unwrap(), "").unwrap_err();
+        assert!(e.message.starts_with("unknown field `x`"), "{e}");
+        let e = read_exact(&outer(), &Json::parse("{}").unwrap(), "").unwrap_err();
+        assert_eq!(e.message, "missing field `name`");
+        // `Inner` read as a leaf under `inner` names its own fields.
+        assert_eq!(
+            within("o.inner", "inner", JsonError::new("inner.n: bad")).message,
+            "o.inner.n: bad"
+        );
+        assert_eq!(
+            within("o.inner", "inner", JsonError::new("inner: bad")).message,
+            "o.inner: bad"
+        );
+        assert_eq!(
+            within("o.inner", "inner", JsonError::new("innermost")).message,
+            "o.inner: innermost"
+        );
+    }
+
+    #[test]
+    fn wire_leaves_spell_digests_versions_and_lists() {
+        let hex = Hex(0xdead_beef_0123_4567);
+        assert_eq!(hex.to_json(), Json::Str("deadbeef01234567".into()));
+        assert_eq!(Hex::from_json(&hex.to_json()).unwrap(), hex);
+        for bad in [r#""deadbeef""#, r#""+eadbeef01234567""#, "5"] {
+            assert!(Hex::from_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
+        }
+        assert_eq!(Version::<1>.to_json(), Json::Num(1.0));
+        let e = Version::<1>::from_json(&Json::Num(2.0)).unwrap_err();
+        assert_eq!(e.message, "unsupported version 2");
+        let mut bytes = Vec::new();
+        vec![7u64].feed(&mut |b| bytes.extend_from_slice(b));
+        assert_eq!(bytes, [1u64.to_le_bytes(), 7u64.to_le_bytes()].concat());
+        assert_eq!(
+            vec![1.0, 0.0].check(Rule::Positive).unwrap_err(),
+            "[1] must be positive"
+        );
     }
 
     #[test]

@@ -59,9 +59,8 @@ pub use jobs::{JobKind, JobManager, JobSnapshot, JobState, Reject, Submission};
 pub use stats::ServeStats;
 
 use belenos::campaign::CampaignSpec;
-use belenos::env::DEFAULT_MAX_OPS;
-use belenos::SimOptions;
-use belenos_json::{FromJson, Json};
+use belenos::{SimOptions, DEFAULT_MAX_OPS};
+use belenos_json::{schema, FromJson, Json};
 use belenos_runner::{gc, Budget, Cache, Runner};
 use belenos_telemetry::Telemetry;
 use belenos_workloads::ScenarioSpec;
@@ -554,24 +553,24 @@ fn submit_scenarios(
 type FieldError = (String, Option<&'static str>);
 
 /// Accepts `{"scenarios": [...], "options": {...}}`, a bare scenario
-/// array, or a single scenario object; options default to the CLI's
-/// (`DEFAULT_MAX_OPS` budget, sampling off).
+/// array, or a single scenario object. Options are read over the CLI's
+/// defaults (`DEFAULT_MAX_OPS` budget, sampling off, `o3`), whether the
+/// request carries an `options` object or not.
 fn parse_scenario_request(doc: &Json) -> Result<(Vec<ScenarioSpec>, SimOptions), FieldError> {
-    let (list_json, options) = match doc.get("scenarios") {
-        Some(list) => {
-            let options = match doc.get("options") {
-                Some(v) => {
-                    SimOptions::from_json(v).map_err(|e| (e.to_string(), Some("options")))?
-                }
-                None => SimOptions::new(DEFAULT_MAX_OPS),
-            };
-            (list.clone(), options)
-        }
-        None => (doc.clone(), SimOptions::new(DEFAULT_MAX_OPS)),
+    let defaults = SimOptions::new(DEFAULT_MAX_OPS);
+    let (list, options) = match doc.get("scenarios") {
+        Some(list) => (list, doc.get("options")),
+        None => (doc, None),
     };
-    let items: Vec<Json> = match list_json {
-        Json::Arr(items) => items,
-        obj @ Json::Obj(_) => vec![obj],
+    let options = match options {
+        Some(v) => {
+            schema::read(&defaults, v, "options").map_err(|e| (e.message, Some("options")))?
+        }
+        None => defaults,
+    };
+    let items = match list {
+        Json::Arr(items) => items.as_slice(),
+        Json::Obj(_) => std::slice::from_ref(list),
         _ => {
             return Err((
                 "scenarios: expected a scenario object or an array of them".to_string(),
@@ -829,10 +828,75 @@ fn stats_document(state: &Arc<ServerState>) -> Json {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/hostile.rs"]
+mod hostile;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use belenos_json::ToJson;
+    use proptest::prelude::*;
     use std::io::{Read, Write};
     use std::sync::mpsc;
+
+    fn read_request(text: &str) -> Result<(Vec<ScenarioSpec>, SimOptions), String> {
+        let doc = Json::parse(text).map_err(|e| e.message)?;
+        parse_scenario_request(&doc).map_err(|(message, _)| message)
+    }
+
+    fn encode_request((specs, options): &(Vec<ScenarioSpec>, SimOptions)) -> String {
+        Json::obj(vec![
+            ("scenarios", specs.to_json()),
+            ("options", options.to_json()),
+        ])
+        .pretty()
+    }
+
+    /// A batch of the golden `co` scenario under the golden `smarts(8)`
+    /// options, as a request with an envelope, a bare array and a bare
+    /// scenario.
+    fn golden_requests() -> [String; 3] {
+        let co = include_str!("../../../tests/golden/specs/co.json");
+        let options = include_str!("../../../tests/golden/specs/options_smarts8.json");
+        [
+            format!(r#"{{"scenarios": [{co}], "options": {options}}}"#),
+            format!("[{co}]"),
+            co.to_string(),
+        ]
+    }
+
+    #[test]
+    fn hostile_scenario_requests_are_refused_or_read_to_a_fixed_point() {
+        for golden in golden_requests() {
+            hostile::check(&golden, read_request, encode_request);
+            for doc in hostile::mutations(&golden) {
+                hostile::check(&doc, read_request, encode_request);
+            }
+            for doc in hostile::type_swaps(&Json::parse(&golden).unwrap()) {
+                hostile::check(&doc.pretty(), read_request, encode_request);
+            }
+        }
+    }
+
+    fn words() -> Vec<String> {
+        let mut words = Vec::new();
+        for golden in golden_requests() {
+            hostile::keys(&Json::parse(&golden).unwrap(), &mut words);
+        }
+        words.extend(["contact", "co", "off", "on", "analytic"].map(str::to_string));
+        words
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn random_scenario_requests_are_refused_or_read_to_a_fixed_point(
+            doc in hostile::Trees { depth: 4, words: words() }
+        ) {
+            hostile::check(&doc.render(), read_request, encode_request);
+        }
+    }
 
     /// Everything the server sends on a fresh connection after `request`
     /// (nothing is sent for an empty one).

@@ -640,7 +640,7 @@ mod tests {
     #[test]
     fn warn_goes_to_the_sink_when_enabled() {
         let (t, buf) = Telemetry::to_buffer();
-        t.warn("BELENOS_MODEL=x86 not understood");
+        t.warn("BELENOS_JOBS=x86 not understood");
         let e = &buf.events()[0];
         assert_eq!(e.get("ev").unwrap().as_str(), Some("warn"));
         assert!(e.get("msg").unwrap().as_str().unwrap().contains("x86"));

@@ -6,7 +6,7 @@
 //! sizes, pipeline width, LQ/SQ depth, branch predictor) is a plain field
 //! edit on this struct.
 
-use belenos_json::schema::{self, Record};
+use belenos_json::schema::{self, Record, Rule, Walker};
 use belenos_json::{record, JsonError};
 
 /// Branch-predictor selection (the paper's Fig. 12 sweep axis).
@@ -78,6 +78,11 @@ pub struct SamplingConfig {
     pub warmup_frac: f64,
 }
 
+/// The interval count `on` means. Few large intervals alias with solver
+/// phase structure; ~a hundred or more converge tightly (see
+/// [`SamplingConfig::smarts`]).
+pub const DEFAULT_SAMPLING_INTERVALS: usize = 128;
+
 impl SamplingConfig {
     /// Sampling disabled: budgeted runs truncate the trace prefix.
     pub fn off() -> Self {
@@ -103,6 +108,29 @@ impl SamplingConfig {
         }
     }
 
+    /// Parses the one string spelling, shared by `--sampling` and a
+    /// document's string and number forms: `off`, `on` (SMARTS with
+    /// [`DEFAULT_SAMPLING_INTERVALS`]) or an interval count `N ≥ 1`,
+    /// case-insensitive.
+    ///
+    /// # Errors
+    ///
+    /// What the value should have been; `0` is refused as ambiguous.
+    pub fn parse(s: &str) -> Result<SamplingConfig, String> {
+        let s = s.trim();
+        if s.eq_ignore_ascii_case("off") {
+            return Ok(SamplingConfig::off());
+        }
+        if s.eq_ignore_ascii_case("on") {
+            return Ok(SamplingConfig::smarts(DEFAULT_SAMPLING_INTERVALS));
+        }
+        match s.parse::<usize>() {
+            Ok(0) => Err(ZERO_INTERVALS.to_string()),
+            Ok(n) => Ok(SamplingConfig::smarts(n)),
+            Err(_) => Err(format!("expected off, on or an interval count, got `{s}`")),
+        }
+    }
+
     /// True when sampling is disabled (prefix-truncation mode).
     pub fn is_off(&self) -> bool {
         self.intervals == 0
@@ -112,11 +140,23 @@ impl SamplingConfig {
     /// a sampled run can never alias a prefix-truncated (or differently
     /// sampled) run of the same workload/config/budget.
     pub fn stable_digest(&self) -> u64 {
-        let mut h = crate::Fnv64::new();
-        h.write_str("SamplingConfig-v1");
-        h.write_usize(self.intervals);
-        h.write_f64(self.warmup_frac);
-        h.finish()
+        record_digest("SamplingConfig-v1", self)
+    }
+}
+
+/// Why `0` is not an interval count: it would read as "off" in one
+/// place and as "one window" in another.
+pub(crate) const ZERO_INTERVALS: &str = "a zero interval count is ambiguous; write \"off\"";
+
+// The explicit `{intervals, warmup_frac}` form and the digest order. Its
+// JSON is written by hand (`json.rs`): the terse `"off"` / `N` spellings
+// come first.
+impl Record for SamplingConfig {
+    fn walk<W: Walker>(&self, w: &mut W) -> Result<Self, JsonError> {
+        Ok(SamplingConfig {
+            intervals: w.leaf("intervals", &self.intervals, Rule::Any)?,
+            warmup_frac: w.leaf("warmup_frac", &self.warmup_frac, Rule::Any)?,
+        })
     }
 }
 
@@ -183,9 +223,9 @@ impl CacheConfig {
 /// Full machine configuration for one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
-    /// Which core-model backend replays the trace (`BELENOS_MODEL`);
-    /// part of [`CoreConfig::stable_digest`] so backends never alias in
-    /// result caches.
+    /// Which core-model backend replays the trace (`--model`); part of
+    /// [`CoreConfig::stable_digest`] so backends never alias in result
+    /// caches.
     pub model: crate::model::ModelKind,
     /// Core clock in GHz (scales DRAM latency in cycles).
     pub freq_ghz: f64,
@@ -548,6 +588,21 @@ mod tests {
             SamplingConfig::smarts(4).stable_digest()
         );
         assert!(SamplingConfig::smarts(0).is_off());
+    }
+
+    #[test]
+    fn sampling_values_parse() {
+        assert!(SamplingConfig::parse("off").unwrap().is_off());
+        assert!(SamplingConfig::parse("OFF").unwrap().is_off());
+        assert_eq!(
+            SamplingConfig::parse("on").unwrap(),
+            SamplingConfig::smarts(DEFAULT_SAMPLING_INTERVALS)
+        );
+        assert_eq!(SamplingConfig::parse(" 16 ").unwrap().intervals, 16);
+        assert_eq!(SamplingConfig::parse("0").unwrap_err(), ZERO_INTERVALS);
+        for bad in ["", "-1", "sometimes", "2.5"] {
+            assert!(SamplingConfig::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

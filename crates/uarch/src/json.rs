@@ -10,13 +10,14 @@
 //!
 //! * [`ModelKind`] — a backend label string (`"o3"`, `"inorder"`,
 //!   `"analytic"`; anything [`ModelKind::parse`] accepts).
-//! * [`SamplingConfig`] — `"off"`, an interval count (`128` ≡
-//!   SMARTS sampling with the standard 25% per-window warmup), or an
-//!   explicit `{"intervals": N, "warmup_frac": F}` object. A literal
-//!   `0` interval count is rejected as ambiguous: write `"off"`.
+//! * [`SamplingConfig`] — what [`SamplingConfig::parse`] accepts, as a
+//!   string or a number (`"off"`, `"on"`, `128` ≡ SMARTS sampling with
+//!   the standard 25% per-window warmup), or the explicit
+//!   `{"intervals": N, "warmup_frac": F}` object of its listing, read
+//!   over `on`. A literal `0` interval count is rejected as ambiguous:
+//!   write `"off"`.
 //! * [`BranchPredictorKind`] — the paper's predictor label
 //!   (case-insensitive; `"LTAGE"`, `"TournamentBP"`, ...).
-
 //! * [`CacheConfig`](crate::config::CacheConfig) / [`CoreConfig`] —
 //!   fully explicit objects, every field of their one listing in
 //!   `config.rs` spelled out. These feed the distributed job board
@@ -25,7 +26,7 @@
 //!   must preserve [`CoreConfig::stable_digest`] bit-for-bit or the
 //!   shared result cache would never converge.
 
-use crate::config::{BranchPredictorKind, CoreConfig, SamplingConfig};
+use crate::config::{BranchPredictorKind, CoreConfig, SamplingConfig, DEFAULT_SAMPLING_INTERVALS};
 use crate::model::ModelKind;
 use belenos_json::schema::{self, Leaf};
 use belenos_json::{FromJson, Json, JsonError, ToJson};
@@ -40,10 +41,10 @@ impl FromJson for ModelKind {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let s = v
             .as_str()
-            .ok_or_else(|| JsonError::new("model: expected a backend name string"))?;
+            .ok_or_else(|| JsonError::new("expected a backend name string"))?;
         ModelKind::parse(s).ok_or_else(|| {
             JsonError::new(format!(
-                "model: unknown backend `{s}` (expected o3, inorder or analytic)"
+                "unknown backend `{s}` (expected o3, inorder or analytic)"
             ))
         })
     }
@@ -56,58 +57,40 @@ impl ToJson for SamplingConfig {
         } else if *self == SamplingConfig::smarts(self.intervals) {
             Json::Num(self.intervals as f64)
         } else {
-            Json::obj(vec![
-                ("intervals", Json::Num(self.intervals as f64)),
-                ("warmup_frac", Json::Num(self.warmup_frac)),
-            ])
+            schema::write(self)
         }
     }
 }
 
 impl FromJson for SamplingConfig {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Str(s) if s.eq_ignore_ascii_case("off") => Ok(SamplingConfig::off()),
-            Json::Str(s) => Err(JsonError::new(format!(
-                "sampling: expected \"off\", an interval count, or an object, got \"{s}\""
-            ))),
-            Json::Num(_) => {
-                let n = v.as_usize().ok_or_else(|| {
-                    JsonError::new("sampling: interval count must be a non-negative integer")
-                })?;
-                if n == 0 {
-                    return Err(JsonError::new(
-                        "sampling: a zero interval count is ambiguous; write \"off\"",
-                    ));
-                }
-                Ok(SamplingConfig::smarts(n))
-            }
+        let sampling = match v {
+            Json::Str(s) => SamplingConfig::parse(s),
+            Json::Num(_) => match v.as_usize() {
+                Some(n) => SamplingConfig::parse(&n.to_string()),
+                None => Err("interval count must be a non-negative integer".to_string()),
+            },
             Json::Obj(_) => {
-                v.reject_unknown_fields("sampling", &["intervals", "warmup_frac"])?;
-                let intervals = usize::from_json(v.expect_field("intervals")?)
-                    .map_err(|e| JsonError::new(format!("sampling.intervals: {e}")))?;
-                if intervals == 0 {
-                    return Err(JsonError::new(
-                        "sampling: a zero interval count is ambiguous; write \"off\"",
-                    ));
+                let on = SamplingConfig::smarts(DEFAULT_SAMPLING_INTERVALS);
+                let s = schema::read(&on, v, "sampling")?;
+                if s.intervals == 0 {
+                    Err(crate::config::ZERO_INTERVALS.to_string())
+                } else if !(0.0..1.0).contains(&s.warmup_frac) {
+                    Err("sampling.warmup_frac: must be in [0, 1)".to_string())
+                } else {
+                    Ok(s)
                 }
-                let warmup_frac = match v.get("warmup_frac") {
-                    Some(w) => f64::from_json(w)
-                        .map_err(|e| JsonError::new(format!("sampling.warmup_frac: {e}")))?,
-                    None => SamplingConfig::smarts(intervals).warmup_frac,
-                };
-                if !(0.0..1.0).contains(&warmup_frac) {
-                    return Err(JsonError::new("sampling.warmup_frac: must be in [0, 1)"));
-                }
-                Ok(SamplingConfig {
-                    intervals,
-                    warmup_frac,
-                })
             }
-            _ => Err(JsonError::new(
-                "sampling: expected \"off\", an interval count, or an object",
-            )),
-        }
+            _ => Err("expected \"off\", \"on\", an interval count or an object".to_string()),
+        };
+        sampling.map_err(JsonError::new)
+    }
+}
+
+/// A sampling strategy hashes as its explicit form, whatever its spelling.
+impl Leaf for SamplingConfig {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        schema::feed(self, sink);
     }
 }
 
@@ -121,10 +104,10 @@ impl FromJson for BranchPredictorKind {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let s = v
             .as_str()
-            .ok_or_else(|| JsonError::new("predictor: expected a predictor name string"))?;
+            .ok_or_else(|| JsonError::new("expected a predictor name string"))?;
         BranchPredictorKind::parse(s).ok_or_else(|| {
             JsonError::new(format!(
-                "predictor: unknown predictor `{s}` (expected LocalBP, TournamentBP, LTAGE or \
+                "unknown predictor `{s}` (expected LocalBP, TournamentBP, LTAGE or \
                  MultiperspectivePerceptron64KB)"
             ))
         })
@@ -196,6 +179,20 @@ mod tests {
         assert_eq!(
             SamplingConfig::from_json(&Json::Num(64.0)).unwrap(),
             SamplingConfig::smarts(64)
+        );
+        let on = SamplingConfig::smarts(DEFAULT_SAMPLING_INTERVALS);
+        assert_eq!(
+            SamplingConfig::from_json(&Json::Str("on".into())).unwrap(),
+            on
+        );
+        // The object form reads over `on`.
+        let half = Json::parse(r#"{"warmup_frac": 0.5}"#).unwrap();
+        assert_eq!(
+            SamplingConfig::from_json(&half).unwrap(),
+            SamplingConfig {
+                warmup_frac: 0.5,
+                ..on
+            }
         );
     }
 

@@ -16,7 +16,7 @@
 //! bound model ([`analytic::AnalyticCore`]) — share the same component
 //! models, so bottleneck diagnoses can be cross-validated across
 //! modeling fidelities exactly as the paper cross-validates gem5 against
-//! VTune. Select with [`CoreConfig::with_model`] / `BELENOS_MODEL`.
+//! VTune. Select with [`CoreConfig::with_model`] / `--model`.
 //!
 //! Every backend executes the micro-op streams produced by
 //! `belenos-trace` and produces gem5-style pipeline-stage counters plus
@@ -54,7 +54,7 @@ pub mod tlb;
 
 pub use analytic::AnalyticCore;
 pub use belenos_trace::Fnv64;
-pub use config::{CoreConfig, SamplingConfig};
+pub use config::{CoreConfig, SamplingConfig, DEFAULT_SAMPLING_INTERVALS};
 pub use inorder::InOrderCore;
 pub use model::{build_model, CoreModel, ModelKind};
 pub use o3::O3Core;

@@ -18,11 +18,11 @@
 //! | `inorder`  | [`crate::inorder::InOrderCore`] | ~10-20x | scalar in-order scoreboard, stalls at issue |
 //! | `analytic` | [`crate::analytic::AnalyticCore`] | ≥50x  | port-pressure + MLP bound model, no per-cycle simulation |
 //!
-//! Selection is a plain [`CoreConfig`] field ([`ModelKind`]), set from
-//! the environment with `BELENOS_MODEL=o3|inorder|analytic` by the bench
-//! binaries, and is part of [`CoreConfig::stable_digest`] so results
-//! from different backends can never alias in the runner's
-//! content-addressed cache.
+//! Selection is a plain [`CoreConfig`] field ([`ModelKind`]), set per
+//! campaign by its options (`"model": "inorder"` in a spec, `--model
+//! inorder` on the command line), and is part of
+//! [`CoreConfig::stable_digest`] so results from different backends can
+//! never alias in the runner's content-addressed cache.
 
 use crate::branch::{BranchPredictor, Btb};
 use crate::cache::Hierarchy;
@@ -50,7 +50,7 @@ impl ModelKind {
     /// Every backend, in fidelity order (most detailed first).
     pub const ALL: [ModelKind; 3] = [ModelKind::O3, ModelKind::InOrder, ModelKind::Analytic];
 
-    /// Stable lowercase name, as accepted by `BELENOS_MODEL`.
+    /// Stable lowercase name, as written in documents.
     pub fn label(self) -> &'static str {
         match self {
             ModelKind::O3 => "o3",
@@ -59,7 +59,8 @@ impl ModelKind {
         }
     }
 
-    /// Parses a `BELENOS_MODEL` value (case-insensitive).
+    /// Parses a backend name, as `--model` and documents spell it
+    /// (case-insensitive; a few aliases).
     pub fn parse(s: &str) -> Option<ModelKind> {
         match s.trim().to_ascii_lowercase().as_str() {
             "" | "o3" | "ooo" | "detailed" => Some(ModelKind::O3),

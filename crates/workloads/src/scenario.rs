@@ -48,7 +48,7 @@
 use crate::catalog::{Category, Row, TABLE_I};
 use crate::models;
 use belenos_fem::model::FeModel;
-use belenos_json::schema::{self, Record, Rule, Walker};
+use belenos_json::schema::{self, Leaf, Record, Rule, Walker};
 use belenos_json::{record, FromJson, Json, JsonError, ToJson};
 use belenos_trace::expand::ExpandConfig;
 use belenos_uarch::config::record_digest;
@@ -598,17 +598,26 @@ impl Record for ScenarioSpec {
     }
 }
 
+impl ToJson for ScenarioSpec {
+    fn to_json(&self) -> Json {
+        schema::write(self)
+    }
+}
+
 /// Missing optional sections take the family's historical defaults, so
 /// a terse `{"id": ..., "family": ...}` scenario is complete.
 impl FromJson for ScenarioSpec {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let text = |key: &str| {
-            String::from_json(v.expect_field(key)?)
-                .map_err(|e| JsonError::new(format!("scenario.{key}: {e}")))
-        };
         if v.as_obj().is_none() {
             return Err(JsonError::new("scenario: expected an object"));
         }
+        // The two keys the rest of the document is read over.
+        let text = |key: &str| match v.get(key) {
+            Some(s) => {
+                String::from_json(s).map_err(|e| JsonError::new(format!("scenario.{key}: {e}")))
+            }
+            None => Err(JsonError::new(format!("scenario: missing field `{key}`"))),
+        };
         let (id, label) = (text("id")?, text("family")?);
         let canonical = Family::canonical(&label).ok_or_else(|| {
             let known: Vec<&str> = TABLE_I.iter().map(|row| row.family_label).collect();
@@ -624,6 +633,14 @@ impl FromJson for ScenarioSpec {
             None => canonical,
         };
         schema::read(&ScenarioSpec::new(id, family), v, "scenario")
+    }
+}
+
+/// A scenario inside another document (a job on the board) is one value,
+/// read like a standalone scenario.
+impl Leaf for ScenarioSpec {
+    fn feed(&self, sink: &mut dyn FnMut(&[u8])) {
+        schema::feed(self, sink);
     }
 }
 

@@ -1,13 +1,17 @@
-//! Every document reader, by what it says when it refuses a document:
-//! campaign specs (with their `options` and `sampling` sections),
-//! scenarios, job-board documents and done markers. Each row is an
-//! unknown key, a missing wire field, a value of the wrong type or a
-//! section of the wrong shape, and the exact message a user sees.
+//! Every document reader — campaign specs (with their `options` and
+//! `sampling` sections), scenarios, job-board documents and done
+//! markers — by what it says when it refuses a document, and by what it
+//! survives. Each message row is an unknown key, a missing wire field, a
+//! value of the wrong type or a section of the wrong shape, and the
+//! exact message a user sees; the hostile inputs are `hostile.rs`'s.
+
+mod hostile;
 
 use belenos::campaign::CampaignSpec;
 use belenos_dist::board::{DoneDoc, JobDoc};
 use belenos_json::Json;
 use belenos_workloads::ScenarioSpec;
+use proptest::prelude::*;
 
 const JOB: &str = include_str!("golden/specs/job.json");
 const DONE: &str = include_str!("golden/specs/done.json");
@@ -61,24 +65,21 @@ fn campaign_spec_messages() {
     let rows: Vec<(String, &str)> = vec![
         (
             r#"{"analyses": ["table1"], "nmae": "x"}"#.into(),
-            "invalid campaign spec: campaign spec: unknown field `nmae` \
+            "invalid campaign spec: unknown field `nmae` \
              (expected one of: name, workloads, options, analyses)",
         ),
         (
             r#"{"name": "x"}"#.into(),
-            "invalid campaign spec: missing field `analyses`",
+            "invalid campaign spec: `analyses` must name at least one analysis",
         ),
-        (
-            "[]".into(),
-            "invalid campaign spec: campaign spec: expected an object",
-        ),
+        ("[]".into(), "invalid campaign spec: expected an object"),
         (
             r#"{"name": 5, "analyses": ["table1"]}"#.into(),
             "invalid campaign spec: name: expected a string",
         ),
         (
             r#"{"analyses": "table1"}"#.into(),
-            "invalid campaign spec: expected an array",
+            "invalid campaign spec: analyses: expected an array",
         ),
         (
             r#"{"analyses": [1]}"#.into(),
@@ -107,49 +108,54 @@ fn campaign_spec_messages() {
         ),
         (
             campaign(r#""options": {"model": "vliw"}"#),
-            "invalid campaign spec: model: unknown backend `vliw` (expected o3, inorder or analytic)",
+            "invalid campaign spec: options.model: unknown backend `vliw` \
+             (expected o3, inorder or analytic)",
         ),
         (
             campaign(r#""options": {"model": 3}"#),
-            "invalid campaign spec: model: expected a backend name string",
+            "invalid campaign spec: options.model: expected a backend name string",
         ),
         (
             campaign(r#""options": {"sampling": 0}"#),
-            "invalid campaign spec: sampling: a zero interval count is ambiguous; write \"off\"",
+            "invalid campaign spec: options.sampling: a zero interval count is ambiguous; \
+             write \"off\"",
         ),
         (
             campaign(r#""options": {"sampling": 2.5}"#),
-            "invalid campaign spec: sampling: interval count must be a non-negative integer",
+            "invalid campaign spec: options.sampling: interval count must be a \
+             non-negative integer",
         ),
         (
             campaign(r#""options": {"sampling": "sometimes"}"#),
-            "invalid campaign spec: sampling: expected \"off\", an interval count, or an object, \
-             got \"sometimes\"",
+            "invalid campaign spec: options.sampling: expected off, on or an interval count, \
+             got `sometimes`",
         ),
         (
             campaign(r#""options": {"sampling": true}"#),
-            "invalid campaign spec: sampling: expected \"off\", an interval count, or an object",
+            "invalid campaign spec: options.sampling: expected \"off\", \"on\", an interval \
+             count or an object",
         ),
         (
             campaign(r#""options": {"sampling": {"intervls": 8}}"#),
-            "invalid campaign spec: sampling: unknown field `intervls` \
+            "invalid campaign spec: options.sampling: unknown field `intervls` \
              (expected one of: intervals, warmup_frac)",
         ),
         (
             campaign(r#""options": {"sampling": {"intervals": "8"}}"#),
-            "invalid campaign spec: sampling.intervals: expected a non-negative integer",
+            "invalid campaign spec: options.sampling.intervals: expected a non-negative integer",
         ),
         (
             campaign(r#""options": {"sampling": {"intervals": 0}}"#),
-            "invalid campaign spec: sampling: a zero interval count is ambiguous; write \"off\"",
+            "invalid campaign spec: options.sampling: a zero interval count is ambiguous; \
+             write \"off\"",
         ),
         (
             campaign(r#""options": {"sampling": {"intervals": 8, "warmup_frac": 1.5}}"#),
-            "invalid campaign spec: sampling.warmup_frac: must be in [0, 1)",
+            "invalid campaign spec: options.sampling.warmup_frac: must be in [0, 1)",
         ),
         (
             campaign(r#""options": {"sampling": {"intervals": 8, "warmup_frac": "x"}}"#),
-            "invalid campaign spec: sampling.warmup_frac: expected a number",
+            "invalid campaign spec: options.sampling.warmup_frac: expected a number",
         ),
         (
             workloads("5"),
@@ -180,11 +186,11 @@ fn campaign_spec_messages() {
         ),
         (
             workloads(r#"{"base": ["pd"]}"#),
-            "invalid campaign spec: missing field `resolutions`",
+            "invalid campaign spec: workloads: missing field `resolutions`",
         ),
         (
             workloads(r#"{"resolutions": [3]}"#),
-            "invalid campaign spec: missing field `base`",
+            "invalid campaign spec: workloads: missing field `base`",
         ),
         (
             workloads(r#"{"base": "paper", "resolutions": [3]}"#),
@@ -194,7 +200,7 @@ fn campaign_spec_messages() {
         (
             workloads(r#"{"base": "nope", "resolutions": [3]}"#),
             "invalid campaign spec: workloads.base: unknown set `nope` \
-             (expected vtune, gem5, catalog or a list)",
+             (expected paper, vtune, gem5, catalog, or a list of ids/scenarios)",
         ),
         (
             workloads(r#"{"base": ["zz"], "resolutions": [3]}"#),
@@ -202,7 +208,8 @@ fn campaign_spec_messages() {
         ),
         (
             workloads(r#"{"base": 5, "resolutions": [3]}"#),
-            "invalid campaign spec: workloads.base: expected a set name or a list of scenarios",
+            "invalid campaign spec: workloads.base: expected a set name, a list of \
+             ids/scenarios, or a {base, resolutions} sweep",
         ),
         (
             workloads(r#"{"base": ["pd"], "resolutions": 3}"#),
@@ -226,9 +233,12 @@ fn scenario_messages() {
         ),
         (
             r#"{"family": "contact"}"#,
-            "invalid scenario: missing field `id`",
+            "invalid scenario: scenario: missing field `id`",
         ),
-        (r#"{"id": "x"}"#, "invalid scenario: missing field `family`"),
+        (
+            r#"{"id": "x"}"#,
+            "invalid scenario: scenario: missing field `family`",
+        ),
         ("[]", "invalid scenario: scenario: expected an object"),
         (
             r#"{"id": 5, "family": "contact"}"#,
@@ -283,42 +293,45 @@ fn job_document_messages() {
         ("5".into(), "job document: expected an object"),
         (
             with(JOB, "extra", Some("1")),
-            "job document: unknown field `extra` (expected one of: v, digest, workload, label, \
-             max_ops, sampling, config, scenario)",
+            "job document: unknown field `extra` (expected one of: v, digest, \
+             workload, label, max_ops, sampling, config, scenario)",
         ),
-        (with(JOB, "label", None), "missing field `label`"),
-        (with(JOB, "v", None), "missing field `v`"),
+        (
+            with(JOB, "label", None),
+            "job document: missing field `label`",
+        ),
+        (with(JOB, "v", None), "job document: missing field `v`"),
         (
             with(JOB, "v", Some("2")),
-            "job document: unsupported version 2",
+            "job document: v: unsupported version 2",
         ),
         (
             with(JOB, "v", Some("\"1\"")),
-            "job document: v must be an integer",
+            "job document: v: expected a non-negative integer",
         ),
         (
             with(JOB, "digest", Some("5")),
-            "digest must be a 16-hex-digit string",
+            "job document: digest: expected a 16-hex-digit string",
         ),
         (
             with(JOB, "digest", Some("\"zz\"")),
-            "digest `zz`: invalid digit found in string",
+            "job document: digest: expected a 16-hex-digit string",
         ),
         (
             with(JOB, "workload", Some("5")),
-            "workload must be a string",
+            "job document: workload: expected a string",
         ),
         (
             with(JOB, "max_ops", Some("\"many\"")),
-            "job document: max_ops must be a non-negative integer",
+            "job document: max_ops: expected a non-negative integer",
         ),
         (
             with(JOB, "sampling", Some("0")),
-            "job sampling: sampling: a zero interval count is ambiguous; write \"off\"",
+            "job document: sampling: a zero interval count is ambiguous; write \"off\"",
         ),
         (
             with(JOB, "sampling", Some("{\"intervls\": 8}")),
-            "job sampling: sampling: unknown field `intervls` \
+            "job document: sampling: unknown field `intervls` \
              (expected one of: intervals, warmup_frac)",
         ),
         (
@@ -331,7 +344,7 @@ fn job_document_messages() {
         ),
         (
             with(JOB, "scenario", Some("5")),
-            "job scenario: scenario: expected an object",
+            "job document: scenario: expected an object",
         ),
         (
             with(
@@ -339,7 +352,7 @@ fn job_document_messages() {
                 "scenario",
                 Some(r#"{"id": "x", "family": "contact", "mesh": 5}"#),
             ),
-            "job scenario: scenario.mesh: expected an object",
+            "job document: scenario.mesh: expected an object",
         ),
         (
             with(JOB, "scenario", Some(r#"{"id": "", "family": "contact"}"#)),
@@ -359,28 +372,107 @@ fn done_marker_messages() {
             "done marker: unknown field `extra` \
              (expected one of: v, digest, worker, wall_s, stolen, error)",
         ),
-        (with(DONE, "error", None), "missing field `error`"),
+        (
+            with(DONE, "error", None),
+            "done marker: missing field `error`",
+        ),
         (
             with(DONE, "v", Some("2")),
-            "done marker: unsupported version 2",
+            "done marker: v: unsupported version 2",
         ),
         (
             with(DONE, "digest", Some("5")),
-            "digest must be a 16-hex-digit string",
+            "done marker: digest: expected a 16-hex-digit string",
         ),
-        (with(DONE, "worker", Some("5")), "worker must be a string"),
+        (
+            with(DONE, "worker", Some("5")),
+            "done marker: worker: expected a string",
+        ),
         (
             with(DONE, "wall_s", Some("\"x\"")),
-            "done marker: wall_s must be a number",
+            "done marker: wall_s: expected a number",
         ),
         (
             with(DONE, "stolen", Some("1")),
-            "done marker: stolen must be a boolean",
+            "done marker: stolen: expected a boolean",
         ),
         (
             with(DONE, "error", Some("5")),
-            "done marker: error must be null or a string",
+            "done marker: error: expected a string",
         ),
     ];
     check(&rows, |doc| DoneDoc::decode(doc).map(drop));
+}
+
+/// The known-good documents the hostile inputs are made from.
+const GOLDENS: [&str; 10] = [
+    include_str!("golden/specs/job.json"),
+    include_str!("golden/specs/done.json"),
+    include_str!("golden/specs/done_error.json"),
+    include_str!("golden/specs/campaign_smoke.json"),
+    include_str!("golden/specs/campaign_example.json"),
+    include_str!("golden/specs/options_default.json"),
+    include_str!("golden/specs/options_smarts8.json"),
+    include_str!("golden/specs/options_sampling_object.json"),
+    include_str!("golden/specs/options_analytic.json"),
+    include_str!("golden/specs/co.json"),
+];
+
+/// Every reader, each with the encoding of what it accepted.
+fn read_everywhere(input: &str) {
+    hostile::check(input, CampaignSpec::parse, CampaignSpec::to_json);
+    hostile::check(input, ScenarioSpec::parse, ScenarioSpec::to_json);
+    hostile::check(input, JobDoc::decode, JobDoc::encode);
+    hostile::check(input, DoneDoc::decode, DoneDoc::encode);
+}
+
+#[test]
+fn byte_flips_and_truncations_are_refused_or_read_to_a_fixed_point() {
+    for golden in GOLDENS {
+        read_everywhere(golden);
+        hostile::mutations(golden)
+            .iter()
+            .for_each(|doc| read_everywhere(doc));
+    }
+}
+
+#[test]
+fn a_value_of_every_other_type_is_refused_or_read_to_a_fixed_point() {
+    for golden in GOLDENS {
+        let doc = Json::parse(golden).expect("golden parses");
+        for swapped in hostile::type_swaps(&doc) {
+            read_everywhere(&swapped.pretty());
+        }
+    }
+}
+
+/// The readers' vocabulary: every key of every golden, and a few values.
+fn words() -> Vec<String> {
+    let mut words = Vec::new();
+    for golden in GOLDENS {
+        hostile::keys(&Json::parse(golden).expect("golden parses"), &mut words);
+    }
+    let values = [
+        "off",
+        "on",
+        "o3",
+        "pd",
+        "contact",
+        "gem5",
+        "table1",
+        "deadbeef01234567",
+    ];
+    words.extend(values.map(str::to_string));
+    words
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn random_trees_are_refused_or_read_to_a_fixed_point(
+        doc in hostile::Trees { depth: 4, words: words() }
+    ) {
+        read_everywhere(&doc.render());
+    }
 }

@@ -17,7 +17,7 @@
 use belenos::campaign::CampaignSpec;
 use belenos::experiment::prepare_all;
 use belenos::figures::scenario_run;
-use belenos::SimOptions;
+use belenos::{SimOptions, DEFAULT_MAX_OPS};
 use belenos_json::{Json, ToJson};
 use belenos_runner::Runner;
 use belenos_serve::{ServeConfig, Server, ServerHandle};
@@ -322,6 +322,24 @@ fn full_queue_rejects_with_429_and_retry_after() {
 /// campaign's workloads, and reported by the builder `belenos scenario
 /// run` prints from. No benchmark workload posts scenario batches: this
 /// test and CI are that path's only coverage.
+#[test]
+fn a_partial_options_object_keeps_the_default_budget() {
+    // A served scenario batch runs on the CLI's budget unless it names
+    // another. Naming only the backend used to read the rest over an
+    // unlimited budget, which this ceiling then refused.
+    let config = ServeConfig {
+        op_budget_ceiling: DEFAULT_MAX_OPS,
+        ..test_config()
+    };
+    let (addr, _handle, thread) = start(config);
+    let body = r#"{"scenarios": [{"id": "pd", "family": "plastidamage"}],
+                   "options": {"model": "analytic"}}"#;
+    let (status, _, reply) = request(addr, "POST", "/v1/scenarios/run", Some(body));
+    assert_eq!(status, 202, "partial options: {reply}");
+    poll_until_state(addr, num(&json(&reply), "job") as u64, "completed");
+    shutdown(addr, thread);
+}
+
 #[test]
 fn budget_rejection_names_the_field_and_scenarios_run() {
     let text = smoke_spec_text();
