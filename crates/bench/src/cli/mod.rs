@@ -536,6 +536,25 @@ mod tests {
     }
 
     #[test]
+    fn overrides_apply_on_top_of_base() {
+        let inv = parse(&args(&[
+            "campaign",
+            "run",
+            "s.json",
+            "--max-ops",
+            "5000",
+            "--model",
+            "analytic",
+        ]))
+        .unwrap();
+        let opts = inv.options_over(SimOptions::new(100).with_sampling(SamplingConfig::smarts(4)));
+        assert_eq!(opts.max_ops, 5000);
+        assert_eq!(opts.model, ModelKind::Analytic);
+        // Untouched field passes through.
+        assert_eq!(opts.sampling, SamplingConfig::smarts(4));
+    }
+
+    #[test]
     fn default_options_match_the_historical_bench_defaults() {
         let opts = parse(&args(&["figure", "all"])).unwrap().options();
         assert_eq!(opts, SimOptions::new(DEFAULT_MAX_OPS));
