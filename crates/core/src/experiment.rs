@@ -932,41 +932,51 @@ mod tests {
 
     #[test]
     fn sampled_run_tracks_full_simulation() {
-        let exp = Experiment::prepare(&by_id("pd").expect("pd")).unwrap();
-        let cfg = CoreConfig::gem5_baseline();
-        let total = exp.total_trace_ops();
-        let full = exp.simulate(&cfg, 0);
-        assert_eq!(
-            full.committed_ops, total,
-            "every emitted op commits exactly once"
-        );
+        for id in ["pd", "co"] {
+            let exp = Experiment::prepare(&by_id(id).expect(id)).unwrap();
+            let cfg = CoreConfig::gem5_baseline();
+            let total = exp.total_trace_ops();
+            let full = exp.simulate(&cfg, 0);
+            assert_eq!(
+                full.committed_ops, total,
+                "{id}: every emitted op commits exactly once"
+            );
 
-        // One interval whose budget covers the whole trace is exactly
-        // O3Core::run.
-        let single = exp.simulate_sampled(&cfg, total as usize, &SamplingConfig::smarts(1));
-        assert_eq!(single, full, "full-budget interval must equal run()");
+            // One interval whose budget covers the whole trace is exactly
+            // O3Core::run.
+            let single = exp.simulate_sampled(&cfg, total as usize, &SamplingConfig::smarts(1));
+            assert_eq!(single, full, "{id}: full-budget interval must equal run()");
 
-        // A 10x reduced budget over many small intervals extrapolates
-        // close to the full simulation. (Few large intervals alias with
-        // the trace's phase structure — SMARTS' core observation is that
-        // many small windows beat few large ones at equal budget.)
-        let sampled = exp.simulate_sampled(&cfg, total as usize / 10, &SamplingConfig::smarts(100));
-        let ipc_err = (sampled.ipc() - full.ipc()).abs() / full.ipc();
-        assert!(
-            ipc_err < 0.05,
-            "sampled IPC {} vs full {} (err {:.1}%)",
-            sampled.ipc(),
-            full.ipc(),
-            ipc_err * 100.0
-        );
-        // Extrapolated op count lands near the whole trace.
-        let op_err = (sampled.committed_ops as f64 - total as f64).abs() / total as f64;
-        assert!(op_err < 0.02, "extrapolated ops {}", sampled.committed_ops);
-        // And it must beat prefix truncation's bias on the cycle
-        // estimate... at minimum, be a whole-trace-scale estimate at all
-        // (prefix mode reports only the measured window).
-        assert!(sampled.cycles > full.cycles / 2);
-        assert!(sampled.cycles < full.cycles * 2);
+            // A 10x reduced budget over many small intervals extrapolates
+            // close to the full simulation. (Few large intervals alias with
+            // the trace's phase structure — SMARTS' core observation is that
+            // many small windows beat few large ones at equal budget.) At
+            // the `--sampling on` default: pd 4.19%, co 2.25%.
+            for intervals in [100, belenos_uarch::DEFAULT_SAMPLING_INTERVALS] {
+                let smp = SamplingConfig::smarts(intervals);
+                let sampled = exp.simulate_sampled(&cfg, total as usize / 10, &smp);
+                let ipc_err = (sampled.ipc() - full.ipc()).abs() / full.ipc();
+                assert!(
+                    ipc_err < 0.05,
+                    "{id}/{intervals}: sampled IPC {} vs full {} (err {:.2}%)",
+                    sampled.ipc(),
+                    full.ipc(),
+                    ipc_err * 100.0
+                );
+                // Extrapolated op count lands near the whole trace.
+                let op_err = (sampled.committed_ops as f64 - total as f64).abs() / total as f64;
+                assert!(
+                    op_err < 0.02,
+                    "{id}/{intervals}: extrapolated ops {}",
+                    sampled.committed_ops
+                );
+                // And it must beat prefix truncation's bias on the cycle
+                // estimate... at minimum, be a whole-trace-scale estimate at
+                // all (prefix mode reports only the measured window).
+                assert!(sampled.cycles > full.cycles / 2, "{id}/{intervals}");
+                assert!(sampled.cycles < full.cycles * 2, "{id}/{intervals}");
+            }
+        }
     }
 
     #[test]
