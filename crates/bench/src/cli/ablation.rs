@@ -1,14 +1,11 @@
-//! `belenos ablation <rcm|rob-iq>`.
-//!
-//! * `rcm` — fill-reducing-ordering ablation: how much RCM matters for
-//!   factorization fill and bandwidth on an anatomically shuffled mesh
-//!   (the cache-locality lever behind the paper's recommendation that
-//!   solvers be reordering-aware).
-//! * `rob-iq` — the §IV-C4 instruction-window ablation, as a regular
-//!   campaign analysis (also available as `belenos figure rob_iq`).
+//! `belenos ablation rcm`: fill-reducing-ordering ablation — how much RCM
+//! matters for factorization fill and bandwidth on an anatomically
+//! shuffled mesh (the cache-locality lever behind the paper's
+//! recommendation that solvers be reordering-aware). The §IV-C4
+//! instruction-window ablation is the `rob_iq` analysis
+//! (`belenos figure rob_iq`).
 
-use super::{figures_cmd, Invocation};
-use belenos::campaign::Analysis;
+use super::Invocation;
 use belenos_fem::assembly::build_pattern;
 use belenos_fem::mesh::Mesh;
 use belenos_sparse::reorder::rcm;
@@ -60,13 +57,10 @@ fn run_rcm() -> Result<(), String> {
     Ok(())
 }
 
-/// `belenos ablation <rcm|rob-iq>`.
+/// `belenos ablation rcm`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
     match inv.positionals.get(1).map(String::as_str) {
         Some("rcm") => run_rcm(),
-        Some("rob-iq" | "rob_iq") => {
-            figures_cmd::emit_campaign(inv, figures_cmd::single(inv, Analysis::RobIq))
-        }
-        _ => Err("usage: belenos ablation <rcm|rob-iq>".into()),
+        _ => Err("usage: belenos ablation rcm".into()),
     }
 }

@@ -48,7 +48,7 @@ pub(crate) fn emit_campaign_with(
 }
 
 /// The one-analysis campaign an invocation's workloads and options ask for.
-pub(crate) fn single(inv: &Invocation, analysis: Analysis) -> CampaignSpec {
+fn single(inv: &Invocation, analysis: Analysis) -> CampaignSpec {
     CampaignSpec::new(analysis.id())
         .with_workloads(inv.workload_set())
         .with_options(inv.options())

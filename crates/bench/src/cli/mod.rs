@@ -11,10 +11,7 @@
 //! belenos campaign run <spec.json>     run a declarative campaign spec
 //! belenos campaign example             print a template spec
 //! belenos campaign validate <spec>     check a spec without running it
-//! belenos agreement                    cross-backend bottleneck agreement
-//! belenos digests                      o3 SimStats digests (regression capture)
-//! belenos sampling                     SMARTS sampling accuracy harness
-//! belenos ablation <rcm|rob-iq>        reordering / instruction-window ablations
+//! belenos ablation rcm                 RCM reordering ablation
 //! ```
 //!
 //! Every subcommand shares one option layer: `--max-ops`, `--sampling`
@@ -26,13 +23,10 @@
 //! PATH` / `--csv PATH` additionally write those renderings to files.
 
 mod ablation;
-mod agreement;
 mod cache_cmd;
 mod campaign_cmd;
-mod digests;
 mod figures_cmd;
 mod list;
-mod sampling;
 mod scenario_cmd;
 mod serve_cmd;
 mod worker_cmd;
@@ -330,10 +324,7 @@ SUBCOMMANDS
   campaign run <spec.json>    execute a declarative campaign spec
   campaign example            print a template campaign spec
   campaign validate <spec>    parse + validate a spec without running it
-  agreement                   cross-backend bottleneck agreement table
-  digests                     o3 SimStats digests (backend regression capture)
-  sampling                    SMARTS sampling accuracy/speed harness
-  ablation <rcm|rob-iq>       RCM reordering / ROB-IQ window ablations
+  ablation rcm                RCM reordering ablation
   serve                       long-running HTTP simulation server: submit
                               campaign/scenario specs, poll jobs, stream
                               NDJSON telemetry (see README \"Serving\")
@@ -447,9 +438,6 @@ pub fn main(args: Vec<String>) -> i32 {
         "figure" => figures_cmd::run_figure(&inv),
         "scenario" => scenario_cmd::run(&inv),
         "campaign" => campaign_cmd::run(&inv),
-        "agreement" => agreement::run(&inv),
-        "digests" => digests::run(&inv),
-        "sampling" => sampling::run(&inv),
         "ablation" => ablation::run(&inv),
         "serve" => serve_cmd::run(&inv),
         "worker" => worker_cmd::run(&inv),
@@ -761,12 +749,61 @@ mod tests {
     }
 
     #[test]
+    fn readme_usage_and_dispatch_name_the_same_subcommands() {
+        // The first word of each line.
+        let words = |lines: Vec<&str>| -> std::collections::BTreeSet<String> {
+            lines
+                .iter()
+                .filter_map(|line| line.split([' ', '`']).next())
+                .map(str::to_string)
+                .collect()
+        };
+        // The `match command` arms of `main`, bar `help` (USAGE itself).
+        let source = include_str!("mod.rs");
+        let arms = source
+            .split("let outcome = match command {")
+            .nth(1)
+            .and_then(|rest| rest.split("other => Err").next())
+            .expect("main dispatches on `command`");
+        let dispatch = words(
+            arms.lines()
+                .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+                .filter(|&command| command != "help")
+                .collect(),
+        );
+        // USAGE's SUBCOMMANDS block: rows start two spaces in.
+        let block = USAGE
+            .split("SUBCOMMANDS\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("USAGE has a SUBCOMMANDS block");
+        let usage = words(
+            block
+                .lines()
+                .filter_map(|line| line.strip_prefix("  "))
+                .filter(|line| !line.starts_with(' '))
+                .collect(),
+        );
+        // The README's subcommand table: rows are "| `belenos <word> ...".
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+        let table = words(
+            readme
+                .lines()
+                .filter_map(|line| line.strip_prefix("| `belenos "))
+                .collect(),
+        );
+        assert_eq!(usage, dispatch, "USAGE vs main");
+        assert_eq!(table, dispatch, "README vs main");
+    }
+
+    #[test]
     fn telemetry_flag_parses() {
         let inv = parse(&args(&["campaign", "run", "spec.json"])).unwrap();
         assert_eq!(inv.telemetry, None);
         let inv = parse(&args(&["figure", "all", "--telemetry", "out.jsonl"])).unwrap();
         assert_eq!(inv.telemetry.as_deref(), Some("out.jsonl"));
-        let inv = parse(&args(&["agreement", "--telemetry", "off"])).unwrap();
+        let inv = parse(&args(&["figure", "agreement", "--telemetry", "off"])).unwrap();
         assert_eq!(inv.telemetry.as_deref(), Some("off"));
     }
 }

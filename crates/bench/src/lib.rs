@@ -4,27 +4,20 @@
 //! (`cargo run -p belenos-bench --release --bin belenos -- <subcommand>`).
 //!
 //! The CLI ([`cli`]) replaces the old one-binary-per-figure layout:
-//! every paper table/figure, the campaign driver, the cross-backend
-//! agreement table, the digest capture and the accuracy/ablation
-//! harnesses are subcommands sharing one flag layer (`--max-ops`,
+//! every paper table/figure, the cross-backend agreement table and the
+//! campaign driver are subcommands sharing one flag layer (`--max-ops`,
 //! `--sampling`, `--model` set `belenos::SimOptions` over the defaults or
 //! over a campaign spec's own options; `--jobs` / `BELENOS_JOBS` size
-//! `belenos_runner::Budget::global`).
+//! `belenos_runner::Budget::global`). Every simulation a subcommand runs
+//! goes through `belenos::campaign::Analysis::report` or
+//! `belenos::figures::scenario_run`, and so through `belenos::sweep::run`
+//! and the runner's cache, thread budget and panic containment.
 //!
-//! Nothing in here times Belenos for a verdict: host performance is
-//! measured from outside by the harness under `benchmark/`.
-
-use belenos::experiment::{prepare_all, Experiment};
-use belenos_workloads::ScenarioSpec;
+//! Nothing in here times Belenos: host performance, per-backend
+//! throughput included, is measured from outside by the harness under
+//! `benchmark/`.
 
 pub mod cli;
-
-/// Prepares scenarios, printing progress, and panics with a clear message
-/// naming the failing scenario (the harness cannot proceed without it).
-pub fn prepare_or_die(specs: &[ScenarioSpec]) -> Vec<Experiment> {
-    eprintln!("solving {} workload model(s)...", specs.len());
-    prepare_all(specs).unwrap_or_else(|e| panic!("workload preparation failed: {e}"))
-}
 
 /// Prints the process-lifetime runner-cache summary to stderr; campaign
 /// commands call this last so shared-baseline reuse is visible.

@@ -12,7 +12,9 @@
 //!
 //! What an [`Analysis`] is called, which workloads it defaults to and how
 //! it runs is one row of one table (`analyses!` below); `Analysis::{ALL,
-//! id, describe, parse, paper_set}` and [`Campaign::run`] all read it.
+//! id, describe, parse, paper_set}` read it, and [`Analysis::report`] —
+//! what [`Campaign::run`] calls for each analysis — is the one way to run
+//! one.
 //!
 //! ```no_run
 //! use belenos::campaign::CampaignSpec;
@@ -384,6 +386,10 @@ pub enum Analysis {
     /// Mesh-resolution scaling: IPC and bottleneck class per family as
     /// the mesh refines (needs the parametric scenario space).
     MeshScaling,
+    /// Cross-backend bottleneck agreement: every workload on the gem5
+    /// baseline under each of the three core models. It compares the
+    /// backends, so the campaign's `model` option is ignored.
+    Agreement,
 }
 
 /// How an analysis produces its report, and so what it needs.
@@ -416,13 +422,16 @@ struct AnalysisRow {
 /// a variant plus a row.
 macro_rules! analyses {
     ($($variant:ident $describe:literal $names:tt $set:ident $how:ident($report:path);)*) => {
+        /// How many rows the table has.
+        const COUNT: usize = [$(stringify!($variant)),*].len();
+
         impl Analysis {
             /// Every analysis, in `belenos figure all` / `all_figures` print
             /// order (tables first, then figures by number, then supplements).
-            pub const ALL: [Analysis; 16] = [$(Analysis::$variant),*];
+            pub const ALL: [Analysis; COUNT] = [$(Analysis::$variant),*];
         }
 
-        static ANALYSES: [AnalysisRow; 16] = [$(AnalysisRow {
+        static ANALYSES: [AnalysisRow; COUNT] = [$(AnalysisRow {
             names: &$names,
             describe: $describe,
             paper_set: PaperSet::$set,
@@ -466,6 +475,8 @@ analyses! {
     // overrides the axis entirely.
     MeshScaling "IPC and bottleneck class vs mesh resolution per family"
         ["mesh_scaling", "mesh-scaling", "meshscaling"] Gem5 Simulated(figures::mesh_scaling);
+    Agreement "cross-backend bottleneck agreement (o3 vs inorder vs analytic)"
+        ["agreement"] Catalog Simulated(figures::agreement);
 }
 
 impl Analysis {
@@ -499,6 +510,26 @@ impl Analysis {
     /// True when the analysis needs prepared (solved) workload models.
     pub fn needs_experiments(self) -> bool {
         !matches!(self.row().run, Run::Table(_))
+    }
+
+    /// Builds this analysis's report over `experiments` (ignored by the
+    /// tables), simulating through `runner` under `opts` — the one way to
+    /// run an analysis, and what [`Campaign::run`] does for each one.
+    ///
+    /// # Errors
+    ///
+    /// The first failed simulation point.
+    pub fn report(
+        self,
+        runner: &Runner,
+        experiments: &[Experiment],
+        opts: &SimOptions,
+    ) -> Result<Report, SimFailure> {
+        match self.row().run {
+            Run::Table(report) => Ok(report()),
+            Run::Solved(report) => Ok(report(experiments)),
+            Run::Simulated(report) => report(runner, experiments, opts),
+        }
     }
 }
 
@@ -926,15 +957,9 @@ impl Campaign {
                 let _analysis_span = tele.span("analysis", &[("analysis", analysis.id().into())]);
                 let before = runner.cache().stats();
                 let t0 = std::time::Instant::now();
-                let exps = || {
-                    let key = set_key(&self.spec.workloads.specs_for(analysis));
-                    self.experiments.get(&key).map(Vec::as_slice).unwrap_or(&[])
-                };
-                let result = match analysis.row().run {
-                    Run::Table(report) => Ok(report()),
-                    Run::Solved(report) => Ok(report(exps())),
-                    Run::Simulated(report) => report(runner, exps(), opts),
-                };
+                let key = set_key(&self.spec.workloads.specs_for(analysis));
+                let exps = self.experiments.get(&key).map_or(&[][..], Vec::as_slice);
+                let result = analysis.report(runner, exps, opts);
                 if tele.enabled() {
                     let after = runner.cache().stats();
                     rollup_rows.push(RollupRow {

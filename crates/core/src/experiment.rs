@@ -746,7 +746,7 @@ fn emit_stage_counters(tele: &belenos_telemetry::Telemetry, stats: &SimStats) {
 /// functional-warming gap precedes every measurement and the last window
 /// reaches the tail of the trace — budgeted runs observe steady-state
 /// solver phases, not just the assembly-heavy prefix.
-pub fn sampling_windows(total: u64, budget: u64, intervals: usize) -> Vec<(u64, u64)> {
+fn sampling_windows(total: u64, budget: u64, intervals: usize) -> Vec<(u64, u64)> {
     if total == 0 || budget == 0 {
         return Vec::new();
     }

@@ -1,17 +1,21 @@
 //! Regeneration of every table and figure in the paper's evaluation.
 //!
-//! Each function produces a structured [`Report`] whose rows/series
+//! Each builder produces a structured [`Report`] whose rows/series
 //! match what the paper plots; [`Report::to_text`] reproduces the
 //! historical plain-text tables byte-for-byte, while
 //! [`Report::to_json`] / [`Report::to_csv`] expose the same rows as
-//! data. The `belenos` CLI prints them, and EXPERIMENTS.md records
-//! paper-vs-measured comparisons.
+//! data. The builders are private to the analysis table:
+//! [`Analysis::report`](crate::campaign::Analysis::report) is the one way
+//! to run them. [`scenario_run`] stays public for its
+//! partial-report-plus-failures contract (`belenos scenario run`, `POST
+//! /v1/scenarios/run`), and so do the bottleneck classifier
+//! ([`bottleneck_rank`], [`top_bottleneck`]) tests and reports share.
 //!
-//! Figures that simulate take the campaign's [`Runner`] (the
+//! Builders that simulate take the campaign's [`Runner`] (the
 //! cache-aware batch engine every job routes through) and [`SimOptions`]
-//! (budget, sampling, core-model backend), and return `Result`: a
-//! wedged simulation point surfaces as a [`SimFailure`] so one broken
-//! figure never kills a whole campaign.
+//! (budget, sampling, core-model backend), and return `Result`: the
+//! first wedged simulation point surfaces as a [`SimFailure`] so one
+//! broken figure never kills a whole campaign.
 //!
 //! Every one of them is rows over a [`sweep::Grid`]: it names an
 //! [`Axis`], runs it through [`sweep::run`] (the only thing here that
@@ -19,7 +23,7 @@
 //! experiment `w` — never by looking a row up again by workload id or
 //! point label. Figs. 2-4 and the memory profile share `host_profile`,
 //! Figs. 10-12 and the ROB/IQ ablation share `PercentDiff`,
-//! [`mesh_scaling`] and [`scenario_run`] share `characterize`; a new
+//! `mesh_scaling` and [`scenario_run`] share `characterize`; a new
 //! sensitivity figure is a new axis plus one of those rows.
 
 use crate::experiment::Experiment;
@@ -29,11 +33,11 @@ use crate::sweep::{self, Axis};
 use belenos_profiler::{HotspotProfile, MemoryProfile, TopDown};
 use belenos_runner::Runner;
 use belenos_uarch::config::BranchPredictorKind;
-use belenos_uarch::{CoreConfig, SimStats};
+use belenos_uarch::{CoreConfig, ModelKind, SimStats};
 use belenos_workloads::{catalog, Category};
 
 /// Table I: workload categories with paper vs generated input sizes.
-pub fn table1() -> Report {
+pub(crate) fn table1() -> Report {
     let mut r = Report::new("table1");
     let s = r.section(
         "Table I: Dataset Models Breakdown",
@@ -61,7 +65,7 @@ pub fn table1() -> Report {
 }
 
 /// Table II: the gem5 baseline configuration.
-pub fn table2() -> Report {
+pub(crate) fn table2() -> Report {
     let c = CoreConfig::gem5_baseline();
     let mut r = Report::new("table2");
     let s = r.section(
@@ -151,11 +155,7 @@ fn host_profile(
 }
 
 /// Fig. 2: top-down pipeline breakdown per VTune workload.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig02_topdown(
+pub(crate) fn fig02_topdown(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -175,11 +175,7 @@ pub fn fig02_topdown(
 }
 
 /// Fig. 3: front-end / back-end stall split per VTune workload.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig03_stalls(
+pub(crate) fn fig03_stalls(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -199,11 +195,7 @@ pub fn fig03_stalls(
 }
 
 /// Fig. 4: hotspot-category prevalence dots per workload.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig04_hotspots(
+pub(crate) fn fig04_hotspots(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -235,7 +227,7 @@ pub fn fig04_hotspots(
 }
 
 /// Fig. 5: numeric solve time vs model size over the full catalog.
-pub fn fig05_scaling(experiments: &[Experiment]) -> Report {
+pub(crate) fn fig05_scaling(experiments: &[Experiment]) -> Report {
     let mut r = Report::new("fig05_scaling");
     let s = r.section(
         "Fig. 5: Simulation time vs model size (log-log in the paper; the eye \
@@ -256,7 +248,7 @@ pub fn fig05_scaling(experiments: &[Experiment]) -> Report {
 
 /// Fig. 6: execution time of the biphasic, fluid and material scenarios,
 /// grouped by that Table I category (other categories have no row).
-pub fn fig06_exec_time(experiments: &[Experiment]) -> Report {
+pub(crate) fn fig06_exec_time(experiments: &[Experiment]) -> Report {
     let mut r = Report::new("fig06_exec_time");
     let s = r.section(
         "Fig. 6: Execution time by model group",
@@ -281,11 +273,7 @@ fn baseline_axis() -> Axis {
 }
 
 /// Fig. 7: fetch / execute / commit stage breakdowns on the gem5 baseline.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig07_pipeline(
+pub(crate) fn fig07_pipeline(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -343,11 +331,7 @@ pub fn fig07_pipeline(
 }
 
 /// Fig. 8: execution time and IPC vs core frequency.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig08_frequency(
+pub(crate) fn fig08_frequency(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -388,11 +372,7 @@ pub fn fig08_frequency(
 }
 
 /// Fig. 9: cache sensitivity (L1I/L1D MPKI, L2 MPKI, normalized times).
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig09_cache(
+pub(crate) fn fig09_cache(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -475,11 +455,7 @@ impl PercentDiff {
 }
 
 /// Fig. 10: execution-time delta vs pipeline width (baseline 6).
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig10_width(
+pub(crate) fn fig10_width(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -497,11 +473,7 @@ pub fn fig10_width(
 }
 
 /// Fig. 11: execution-time delta vs LQ/SQ depth (baseline 72/56).
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig11_lsq(
+pub(crate) fn fig11_lsq(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -519,11 +491,7 @@ pub fn fig11_lsq(
 
 /// Fig. 12: execution-time delta per branch predictor (vs TournamentBP,
 /// the first of [`BranchPredictorKind::ALL`]).
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn fig12_branch(
+pub(crate) fn fig12_branch(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -542,11 +510,7 @@ pub fn fig12_branch(
 /// Instruction-window ablation (paper §IV-C4 text): execution-time
 /// change from growing ROB/IQ 224/128 → 448/256 (the paper observes
 /// less than 4% improvement across workloads).
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn ablation_rob_iq(
+pub(crate) fn ablation_rob_iq(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -565,11 +529,7 @@ pub fn ablation_rob_iq(
 
 /// Supplementary: memory profile of each workload (bandwidth, MPKIs) —
 /// the paper quotes the eye model's DRAM pressure in §III-C.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn memory_profiles(
+pub(crate) fn memory_profiles(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -651,11 +611,7 @@ fn characterize(
 /// several resolutions. Rows group by family (experiments arrive
 /// base-major from the campaign's resolution axis) and label each point
 /// with its mesh resolution and model size.
-///
-/// # Errors
-///
-/// The first failed simulation point.
-pub fn mesh_scaling(
+pub(crate) fn mesh_scaling(
     runner: &Runner,
     experiments: &[Experiment],
     opts: &SimOptions,
@@ -672,6 +628,88 @@ pub fn mesh_scaling(
         Some(failure) => Err(failure),
         None => Ok(report),
     }
+}
+
+/// Cross-backend bottleneck agreement — the reproduction's version of the
+/// paper's gem5-vs-VTune cross-check, run across its own model stack:
+/// every experiment on the gem5 baseline under each [`ModelKind`]. The
+/// first section lists each backend's top bottleneck and IPC per
+/// workload; the second scores each cheaper backend against o3. The
+/// backends are what this analysis compares, so the campaign's `model`
+/// option is ignored.
+pub(crate) fn agreement(
+    runner: &Runner,
+    experiments: &[Experiment],
+    opts: &SimOptions,
+) -> Result<Report, SimFailure> {
+    // `runs[b][w]`: experiment `w` under backend `ModelKind::ALL[b]`.
+    let runs = ModelKind::ALL
+        .iter()
+        .map(|&kind| {
+            let opts = opts.clone().with_model(kind);
+            let rows = sweep::run(runner, experiments, &baseline_axis(), &opts).complete()?;
+            Ok(rows.into_iter().flatten().collect())
+        })
+        .collect::<Result<Vec<Vec<SimStats>>, SimFailure>>()?;
+    let mut tops = Section::new(
+        "Model agreement: top bottleneck and IPC per backend (gem5 baseline config)",
+        &[
+            "Model",
+            "o3 top",
+            "inorder top",
+            "analytic top",
+            "o3 IPC",
+            "inorder IPC",
+            "analytic IPC",
+        ],
+    );
+    for (w, exp) in experiments.iter().enumerate() {
+        let top = runs.iter().map(|r| Cell::text(top_bottleneck(&r[w])));
+        let ipc = runs.iter().map(|r| Cell::num(r[w].ipc(), 3));
+        tops.row(model_row(exp, top.chain(ipc)));
+    }
+    let mut scores = Section::new(
+        "Agreement with o3 (top-1: same top bottleneck; rank: share of the six\n\
+         pairwise stall-category orderings both rankings agree on)",
+        &["Backend", "Top-1 agreement", "Mean rank agreement"],
+    );
+    let ranks = |stats: &[SimStats]| stats.iter().map(bottleneck_rank).collect::<Vec<_>>();
+    let o3 = ranks(&runs[0]);
+    let n = experiments.len();
+    for (kind, stats) in ModelKind::ALL.iter().zip(&runs).skip(1) {
+        let other = ranks(stats);
+        let pairs = || o3.iter().zip(&other);
+        let top1 = pairs().filter(|(a, b)| a[0] == b[0]).count();
+        let top1_share = top1 as f64 / n.max(1) as f64;
+        let rank_share =
+            pairs().map(|(a, b)| pairwise_agreement(a, b)).sum::<f64>() / n.max(1) as f64;
+        scores.row(vec![
+            Cell::text(kind.label()),
+            Cell::labeled(
+                format!("{top1}/{n} ({:.0}%)", top1_share * 100.0),
+                top1_share,
+            ),
+            Cell::labeled(format!("{:.0}%", rank_share * 100.0), rank_share),
+        ]);
+    }
+    Ok(Report::new("agreement")
+        .with_section(tops)
+        .with_section(scores))
+}
+
+/// Fraction of the six pairwise category orderings two rankings share.
+fn pairwise_agreement(a: &[usize; 4], b: &[usize; 4]) -> f64 {
+    let pos = |order: &[usize; 4], cat: usize| {
+        order
+            .iter()
+            .position(|&c| c == cat)
+            .expect("a ranking orders every category")
+    };
+    let pairs = (0..4).flat_map(|x| ((x + 1)..4).map(move |y| (x, y)));
+    let agree = pairs
+        .filter(|&(x, y)| (pos(a, x) < pos(a, y)) == (pos(b, x) < pos(b, y)))
+        .count();
+    agree as f64 / 6.0
 }
 
 /// The scenario run behind both `belenos scenario run` and `POST
@@ -750,7 +788,6 @@ mod tests {
 
     #[test]
     fn figures_run_on_every_backend() {
-        use belenos_uarch::ModelKind;
         let spec = belenos_workloads::by_id("pd").expect("pd");
         let exps = vec![Experiment::prepare(&spec).unwrap()];
         let runner = Runner::isolated(2);
@@ -759,5 +796,13 @@ mod tests {
             let out = fig02_topdown(&runner, &exps, &opts).expect("figure");
             assert!(out.to_text().contains("pd"), "{kind} figure must render");
         }
+    }
+
+    #[test]
+    fn pairwise_agreement_counts_shared_orderings() {
+        assert_eq!(pairwise_agreement(&[0, 1, 2, 3], &[0, 1, 2, 3]), 1.0);
+        assert_eq!(pairwise_agreement(&[0, 1, 2, 3], &[3, 2, 1, 0]), 0.0);
+        // One adjacent swap flips one of the six orderings.
+        assert_eq!(pairwise_agreement(&[3, 0, 1, 2], &[3, 1, 0, 2]), 5.0 / 6.0);
     }
 }

@@ -305,7 +305,7 @@ fn verify_stats(text: &str) -> Result<SimStats, Miss> {
 }
 
 /// Stable 64-bit digest of every field of `stats` — what
-/// `tests/backends.rs` pins and `belenos digests` captures. It hashes
+/// `tests/backends.rs` pins and its `capture_o3_digests` prints. It hashes
 /// the field lines under the tag of the file format the pins were
 /// captured with, frozen here so a format bump leaves the pins alone.
 pub fn stats_digest(stats: &SimStats) -> u64 {

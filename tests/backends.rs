@@ -9,12 +9,14 @@
 //! keep the default `o3` backend **bit-identical** to that behavior; any
 //! digest drift here is a correctness regression, not noise.
 //!
-//! Recapture (after an *intentional* model change) with:
-//! `cargo run -p belenos-bench --release --bin belenos -- digests`.
+//! Recapture (after an *intentional* model change) with
+//! `cargo test -p belenos --release --test backends capture_o3_digests --
+//! --ignored --nocapture`, and paste what it prints over the pinned table.
 
 use belenos::experiment::Experiment;
+use belenos::figures::bottleneck_rank;
 use belenos_runner::cache::stats_digest as digest;
-use belenos_uarch::{CoreConfig, ModelKind, SamplingConfig, SimStats};
+use belenos_uarch::{CoreConfig, ModelKind, SamplingConfig};
 use belenos_workloads::by_id;
 
 /// (workload, prefix-40k digest, sampled-30k/8 digest, host-40k digest),
@@ -145,6 +147,24 @@ const O3_DIGESTS: [(&str, u64, u64, u64); 20] = [
 /// Full-trace pd run on the gem5 baseline, captured pre-refactor.
 const O3_FULL_PD_DIGEST: u64 = 0x630da4b8145284d8;
 
+/// One workload's row of [`O3_DIGESTS`]: its prefix-40k and sampled-30k/8
+/// runs on the gem5 baseline and its prefix-40k run on the host-like
+/// config. The asserting test and the capture both compute rows here.
+fn o3_digest_row(exp: &Experiment) -> (u64, u64, u64) {
+    let cfg = CoreConfig::gem5_baseline();
+    (
+        digest(&exp.simulate(&cfg, 40_000)),
+        digest(&exp.simulate_sampled(&cfg, 30_000, &SamplingConfig::smarts(8))),
+        digest(&exp.simulate(&CoreConfig::host_like(), 40_000)),
+    )
+}
+
+/// [`O3_FULL_PD_DIGEST`]'s run.
+fn o3_full_pd_digest() -> u64 {
+    let exp = Experiment::prepare(&by_id("pd").expect("pd")).unwrap();
+    digest(&exp.simulate(&CoreConfig::gem5_baseline(), 0))
+}
+
 #[test]
 fn o3_backend_is_bit_identical_to_pre_refactor_capture() {
     let catalog = belenos_workloads::catalog();
@@ -156,33 +176,46 @@ fn o3_backend_is_bit_identical_to_pre_refactor_capture() {
     for (spec, &(id, prefix_d, sampled_d, host_d)) in catalog.iter().zip(O3_DIGESTS.iter()) {
         assert_eq!(spec.id, id, "catalog order changed; recapture digests");
         let exp = Experiment::prepare(spec).unwrap();
-        let cfg = CoreConfig::gem5_baseline();
         assert_eq!(
-            digest(&exp.simulate(&cfg, 40_000)),
-            prefix_d,
-            "{id}: prefix-budget o3 run drifted from the pre-refactor capture"
-        );
-        assert_eq!(
-            digest(&exp.simulate_sampled(&cfg, 30_000, &SamplingConfig::smarts(8))),
-            sampled_d,
-            "{id}: sampled o3 run drifted from the pre-refactor capture"
-        );
-        assert_eq!(
-            digest(&exp.simulate(&CoreConfig::host_like(), 40_000)),
-            host_d,
-            "{id}: host-config o3 run drifted from the pre-refactor capture"
+            o3_digest_row(&exp),
+            (prefix_d, sampled_d, host_d),
+            "{id}: (prefix, sampled, host) o3 runs drifted from the pre-refactor capture"
         );
     }
 }
 
 #[test]
 fn o3_full_trace_is_bit_identical_to_pre_refactor_capture() {
-    let exp = Experiment::prepare(&by_id("pd").expect("pd")).unwrap();
-    let full = exp.simulate(&CoreConfig::gem5_baseline(), 0);
     assert_eq!(
-        digest(&full),
+        o3_full_pd_digest(),
         O3_FULL_PD_DIGEST,
         "full-trace o3 run drifted from the pre-refactor capture"
+    );
+}
+
+/// Prints the two pins above in their source form, ready to paste over
+/// them after an intentional model change (see the header).
+#[test]
+#[ignore = "capture tool: prints the o3 digest pins"]
+fn capture_o3_digests() {
+    let catalog = belenos_workloads::catalog();
+    println!(
+        "const O3_DIGESTS: [(&str, u64, u64, u64); {}] = [",
+        catalog.len()
+    );
+    for spec in &catalog {
+        let (prefix, sampled, host) = o3_digest_row(&Experiment::prepare(spec).unwrap());
+        println!("    (");
+        println!("        \"{}\",", spec.id);
+        for d in [prefix, sampled, host] {
+            println!("        0x{d:016x},");
+        }
+        println!("    ),");
+    }
+    println!("];");
+    println!(
+        "const O3_FULL_PD_DIGEST: u64 = 0x{:016x};",
+        o3_full_pd_digest()
     );
 }
 
@@ -277,18 +310,10 @@ fn backends_order_by_fidelity_cost() {
 
 #[test]
 fn analytic_backend_agrees_with_o3_on_the_top_bottleneck_of_pd() {
-    // One fixed, stable case of the model_agreement bench: the pd
-    // workload's dominant stall category matches across the detailed and
-    // the analytic backend.
-    fn top(stats: &SimStats) -> usize {
-        let slots = [
-            stats.slots_frontend,
-            stats.slots_bad_speculation,
-            stats.slots_be_core,
-            stats.slots_be_memory,
-        ];
-        (0..4).max_by_key(|&i| slots[i]).unwrap()
-    }
+    // One fixed, stable case of the agreement analysis: the pd workload's
+    // dominant stall category matches across the detailed and the analytic
+    // backend, classified as every report classifies it.
+    let top = |stats| bottleneck_rank(stats)[0];
     let exp = Experiment::prepare(&by_id("pd").expect("pd")).unwrap();
     let o3 = exp.simulate(&CoreConfig::gem5_baseline(), 60_000);
     let an = exp.simulate(

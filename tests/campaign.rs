@@ -13,12 +13,16 @@
 //! commit before figures became rows over one grid) printed for
 //! `belenos figure <id> --workloads pd --max-ops 30000`, one file per
 //! analysis, and for `belenos scenario run pd --max-ops 30000 --format
-//! json`. Figs. 5/6 print wall-clock and have no golden.
+//! json`. Figs. 5/6 print wall-clock and have no golden. `agreement.txt`
+//! is `belenos figure agreement --workloads pd --max-ops 30000`; its cells
+//! are the ones the retired `belenos agreement` subcommand printed for the
+//! same flags.
 
 use belenos::campaign::{Analysis, CampaignSpec, SpecError, WorkloadSet};
 use belenos::experiment::Experiment;
 use belenos::figures;
 use belenos::options::SimOptions;
+use belenos::report::Report;
 use belenos_runner::Runner;
 use belenos_workloads::by_id;
 
@@ -96,7 +100,7 @@ Model  fp%   int%  loads%  stores%
 pd     30.4  0.0   36.2    17.0
 "###;
 
-const GOLDEN_PD_30K: [(Analysis, &str); 10] = [
+const GOLDEN_PD_30K: [(Analysis, &str); 11] = [
     (Analysis::Stalls, include_str!("golden/pd_30k/stalls.txt")),
     (
         Analysis::Hotspots,
@@ -119,6 +123,10 @@ const GOLDEN_PD_30K: [(Analysis, &str); 10] = [
         Analysis::MeshScaling,
         include_str!("golden/pd_30k/mesh_scaling.txt"),
     ),
+    (
+        Analysis::Agreement,
+        include_str!("golden/pd_30k/agreement.txt"),
+    ),
 ];
 
 const GOLDEN_SCENARIO_RUN_PD_30K: &str = include_str!("golden/pd_30k/scenario_run.json");
@@ -127,10 +135,25 @@ fn pd() -> Vec<Experiment> {
     vec![Experiment::prepare(&by_id("pd").expect("pd")).expect("solves")]
 }
 
+/// `analysis` over `exps` on a fresh runner.
+fn report(analysis: Analysis, exps: &[Experiment], opts: &SimOptions) -> Report {
+    let runner = Runner::isolated(2);
+    analysis
+        .report(&runner, exps, opts)
+        .unwrap_or_else(|e| panic!("{}: {e}", analysis.id()))
+}
+
 #[test]
 fn table_reports_match_the_pre_refactor_strings_byte_for_byte() {
-    assert_eq!(figures::table1().to_text(), GOLDEN_TABLE1);
-    assert_eq!(figures::table2().to_text(), GOLDEN_TABLE2);
+    let opts = SimOptions::new(30_000);
+    assert_eq!(
+        report(Analysis::Table1, &[], &opts).to_text(),
+        GOLDEN_TABLE1
+    );
+    assert_eq!(
+        report(Analysis::Table2, &[], &opts).to_text(),
+        GOLDEN_TABLE2
+    );
 }
 
 #[test]
@@ -138,9 +161,9 @@ fn figure_reports_match_the_pre_refactor_strings_byte_for_byte() {
     let exps = pd();
     let runner = Runner::isolated(2);
     let opts = SimOptions::new(30_000);
-    let f2 = figures::fig02_topdown(&runner, &exps, &opts).expect("fig2");
+    let f2 = report(Analysis::Topdown, &exps, &opts);
     assert_eq!(f2.to_text(), GOLDEN_FIG02_PD_30K);
-    let f7 = figures::fig07_pipeline(&runner, &exps, &opts).expect("fig7");
+    let f7 = report(Analysis::Pipeline, &exps, &opts);
     assert_eq!(f7.to_text(), GOLDEN_FIG07_PD_30K);
 
     // The rest, through the campaign the CLI builds for `--workloads pd`
@@ -258,4 +281,19 @@ fn campaign_shares_grid_points_through_the_runner_cache() {
         "the shared baseline point must come from the cache (hits={})",
         stats.hits
     );
+}
+
+#[test]
+fn agreement_compares_every_backend_whatever_the_campaign_model() {
+    let exps = pd();
+    let golden = GOLDEN_PD_30K
+        .iter()
+        .find(|&&(a, _)| a == Analysis::Agreement)
+        .expect("pinned")
+        .1;
+    for kind in belenos_uarch::ModelKind::ALL {
+        let opts = SimOptions::new(30_000).with_model(kind);
+        let text = report(Analysis::Agreement, &exps, &opts).to_text();
+        assert_eq!(format!("{text}\n"), golden, "--model {kind}");
+    }
 }

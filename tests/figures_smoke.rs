@@ -1,11 +1,12 @@
 //! Smoke tests over the figure-regeneration layer: every table/figure
-//! function must produce plausible, well-formed reports on small
+//! analysis must produce plausible, well-formed reports on small
 //! budgets, in all three renderings.
 
+use belenos::campaign::Analysis;
 use belenos::experiment::Experiment;
-use belenos::options::{SimFailure, SimOptions};
+use belenos::options::SimOptions;
 use belenos::report::Report;
-use belenos::{figures, sweep};
+use belenos::sweep;
 use belenos_runner::Runner;
 use belenos_uarch::ModelKind;
 use belenos_workloads::by_id;
@@ -26,14 +27,21 @@ fn exps(ids: &[&str]) -> Vec<Experiment> {
         .collect()
 }
 
+/// `analysis` over `exps` through `runner` at the smoke budget.
+fn report(analysis: Analysis, runner: &Runner, exps: &[Experiment]) -> Report {
+    analysis
+        .report(runner, exps, &opts())
+        .unwrap_or_else(|e| panic!("{}: {e}", analysis.id()))
+}
+
 #[test]
 fn tables_contain_paper_values() {
-    let t1 = figures::table1().to_text();
+    let t1 = report(Analysis::Table1, &runner(), &[]).to_text();
     // Table I fixed points from the paper.
     for needle in ["Arterial Tissue", "Case Study", "98600.0", "Tumor"] {
         assert!(t1.contains(needle), "table1 missing {needle}");
     }
-    let t2 = figures::table2().to_text();
+    let t2 = report(Analysis::Table2, &runner(), &[]).to_text();
     for needle in [
         "4 / 6 / 6 / 4",
         "224",
@@ -50,20 +58,16 @@ fn tables_contain_paper_values() {
 fn figure_2_and_3_render_for_a_subset() {
     let e = exps(&["pd", "mu"]);
     let r = runner();
-    let f2 = figures::fig02_topdown(&r, &e, &opts())
-        .expect("fig2")
-        .to_text();
+    let f2 = report(Analysis::Topdown, &r, &e).to_text();
     assert!(f2.contains("pd") && f2.contains("Retiring%"));
-    let f3 = figures::fig03_stalls(&r, &e, &opts())
-        .expect("fig3")
-        .to_text();
+    let f3 = report(Analysis::Stalls, &r, &e).to_text();
     assert!(f3.contains("BE Memory%"));
 }
 
 #[test]
 fn figure_4_dots_have_legend_classes() {
     let e = exps(&["pd"]);
-    let f4 = figures::fig04_hotspots(&runner(), &e, &opts()).expect("fig4");
+    let f4 = report(Analysis::Hotspots, &runner(), &e);
     let text = f4.to_text();
     assert!(text.contains("R >75%"));
     assert!(text.contains("pd"));
@@ -75,11 +79,11 @@ fn figure_4_dots_have_legend_classes() {
 #[test]
 fn figures_5_and_6_use_solve_summaries() {
     let e = exps(&["pd", "mu"]);
-    let f5 = figures::fig05_scaling(&e).to_text();
+    let f5 = report(Analysis::Scaling, &runner(), &e).to_text();
     assert!(f5.contains("Size (kB)"));
     // fig6 groups only biphasic/fluid/material scenarios; with none
     // present it still renders.
-    let f6 = figures::fig06_exec_time(&e).to_text();
+    let f6 = report(Analysis::ExecTime, &runner(), &e).to_text();
     assert!(f6.contains("Fig. 6"));
 }
 
@@ -115,15 +119,11 @@ fn same_id_experiments_keep_their_own_rows() {
         exps(&["pd"]).remove(0),
         Experiment::prepare(&finer).expect("solves"),
     ];
-    type Figure = fn(&Runner, &[Experiment], &SimOptions) -> Result<Report, SimFailure>;
-    let figures: [(&str, Figure); 2] = [
-        ("fig08", figures::fig08_frequency),
-        ("fig10", figures::fig10_width),
-    ];
-    for (name, figure) in figures {
-        let both = figure(&runner(), &pair, &opts()).expect(name);
+    for analysis in [Analysis::Frequency, Analysis::Width] {
+        let name = analysis.id();
+        let both = report(analysis, &runner(), &pair);
         for (w, solo) in pair.iter().enumerate() {
-            let solo = figure(&runner(), std::slice::from_ref(solo), &opts()).expect(name);
+            let solo = report(analysis, &runner(), std::slice::from_ref(solo));
             for (both, solo) in both.sections.iter().zip(&solo.sections) {
                 assert_eq!(both.rows[w], solo.rows[0], "{name} row {w}");
             }
@@ -145,7 +145,7 @@ fn figure_6_groups_by_category_not_id_prefix() {
         .iter()
         .map(|spec| Experiment::prepare(spec).expect("solves"))
         .collect();
-    let f6 = figures::fig06_exec_time(&e);
+    let f6 = report(Analysis::ExecTime, &runner(), &e);
     let rows = &f6.sections[0].rows;
     assert_eq!(rows.len(), 1, "a contact scenario has no Fig. 6 group");
     assert_eq!(
@@ -158,17 +158,9 @@ fn figure_6_groups_by_category_not_id_prefix() {
 fn figure_10_to_12_render() {
     let e = exps(&["pd"]);
     let r = runner();
-    for (name, out) in [
-        (
-            "fig10",
-            figures::fig10_width(&r, &e, &opts()).expect("fig10"),
-        ),
-        ("fig11", figures::fig11_lsq(&r, &e, &opts()).expect("fig11")),
-        (
-            "fig12",
-            figures::fig12_branch(&r, &e, &opts()).expect("fig12"),
-        ),
-    ] {
+    for analysis in [Analysis::Width, Analysis::Lsq, Analysis::Branch] {
+        let name = analysis.id();
+        let out = report(analysis, &r, &e);
         let text = out.to_text();
         assert!(text.contains("pd"), "{name} missing workload row");
         assert!(text.lines().count() > 4, "{name} too short");
