@@ -841,6 +841,39 @@ mod tests {
     }
 
     #[test]
+    fn squash_cancels_wrong_path_completions_beyond_the_wheel_horizon() {
+        // A mispredicted branch waits ~1 100 cycles behind an FpDiv
+        // chain while the six independent loads after it issue to a
+        // bandwidth-starved DRAM channel (768 cycles a line): four of
+        // their completions lie past the wheel horizon when the branch
+        // squashes them. The squash also takes a parked consumer, three
+        // completed ops, and a pause with a cold load and its consumer
+        // behind it; the replayed load queues behind the squashed
+        // transfers, so the run outlives every withdrawn completion.
+        let mut cfg = CoreConfig::gem5_baseline();
+        cfg.dram_bandwidth_gbps = 0.25;
+        // One icache line of code.
+        let pc = |i: usize| 0x1000 + (i as u32 % 16) * 4;
+        let mut ops: Vec<MicroOp> = (0..6)
+            .map(|i| MicroOp::fp(OpKind::FpDiv, pc(i), u32::from(i > 0), 0, CAT))
+            .collect();
+        ops.push(MicroOp::branch(pc(6), 0x1000, true, 1, CAT));
+        ops.extend((7..13).map(|i| MicroOp::load(pc(i), 0x100_0000 + i as u64 * 4096, 8, 0, CAT)));
+        ops.extend((13..17).map(|i| MicroOp::int(pc(i), u32::from(i == 13), 0, CAT)));
+        ops.push(MicroOp::pause(pc(17), CAT));
+        ops.push(MicroOp::load(pc(18), 0x200_0000, 8, 0, CAT));
+        ops.push(MicroOp::int(pc(19), 1, 0, CAT));
+        let mut fast = O3Core::new(cfg.clone());
+        let a = fast.run(ops.clone().into_iter());
+        let mut stepped = O3Core::new(cfg);
+        stepped.set_fast_forward(false);
+        let b = stepped.run(ops.into_iter());
+        assert_eq!((a.mispredicts, a.squashed_ops), (1, 13));
+        assert_eq!(a.cycles, 6624);
+        assert_eq!(a, b, "fast-forward must not change any statistic");
+    }
+
+    #[test]
     fn flat_trace_run_is_bit_identical_to_streaming() {
         let ops: Vec<MicroOp> = (0..6000)
             .map(|i| match i % 5 {
