@@ -3,7 +3,7 @@
 //! the first structural hazard (full window, queue or register pool).
 
 use super::issue::fu_and_latency;
-use super::pipeline::{Pipeline, PACK_LIMIT};
+use super::pipeline::Pipeline;
 use super::O3Core;
 use belenos_trace::OpKind;
 
@@ -37,11 +37,6 @@ impl O3Core {
                 _ => {}
             }
             p.fetch_head += 1;
-            assert!(
-                p.dispatch_counter < PACK_LIMIT,
-                "an o3 run is limited to 2^32 - 1 dispatches (32-bit event epochs)"
-            );
-            p.dispatch_counter += 1;
             let mut lsq_slot = u32::MAX;
             match kind {
                 OpKind::Load => {
@@ -61,7 +56,7 @@ impl O3Core {
             // pending producer's wait list — the issue stage never sees
             // an op whose operands are not ready.
             let (fu, lat) = fu_and_latency(kind, cfg.pause_latency);
-            p.rob.push_back(idx, p.dispatch_counter, mispred, lsq_slot);
+            p.rob.push_back(idx, mispred, lsq_slot);
             p.iq_insert(idx, fu, lat);
             dispatched += 1;
         }

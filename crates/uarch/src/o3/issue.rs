@@ -151,10 +151,9 @@ impl O3Core {
                 if fu_used[fu] == counts[fu] && remaining[fu] > 0 {
                     open -= 1;
                 }
-                let rob_entry = p.rob.entry_mut(idx);
-                rob_entry.state = OpState::Issued;
+                p.rob.entry_mut(idx).state = OpState::Issued;
                 // The wheel files nothing at or before the current cycle.
-                p.events.push(done_at, idx, rob_entry.dispatch_id);
+                p.events.push(done_at, idx);
                 stats.exec_mix.count(kind);
                 issued += 1;
                 keep = false;

@@ -19,23 +19,25 @@
 //!
 //! Live ops carry contiguous trace indices, so an op's dynamic state
 //! lives exactly once, in rings keyed by `idx & mask`: the fetched
-//! `MicroOp`, a 16-byte ROB entry, and an issue-queue record that also
+//! `MicroOp`, an 8-byte ROB entry, an issue-queue record that also
 //! carries the intrusive wake-up lists (a consumer parks on its
 //! producer's slot; writeback wakes the list, squash unlinks what it
-//! pops). Everything else — ready queue, completion-event wheel, fetch
-//! and replay cursors — refers to ops by trace index; "has this
-//! producer completed" is read from the ROB, not from a mirror of it.
-//! One run is limited to 2³² − 1 trace ops and as many dispatches (the
-//! indices are held in 32 bits; the run panics at the bound). See
-//! `pipeline`.
+//! pops), and the op's one pending completion, threaded onto its
+//! cycle's list of the event wheel through the same slot (issue files
+//! it, writeback pops it, squash cancels it). Everything else — ready
+//! queue, fetch and replay cursors — refers to ops by trace index;
+//! "has this producer completed" is read from the ROB, not from a
+//! mirror of it. One run is limited to 2³² − 1 trace ops (the indices
+//! are held in 32 bits; the run panics at the bound). See `pipeline`.
 //!
 //! # Stage telemetry
 //!
 //! With a telemetry sink attached when a run starts, [`O3Core::run_warm`]
-//! counts loop iterations, squashes, parks and wake-ups exactly and
-//! times the five stage calls and the driver tail on every 64th
-//! iteration, emitting `o3_loop_iterations`, `o3_squashes`, `o3_parks`,
-//! `o3_wakeups` and `o3_stage_host_ns{stage=…}` (sampled time scaled
+//! counts loop iterations, squashes, cancelled completions, parks and
+//! wake-ups exactly and times the five stage calls and the driver tail
+//! on every 64th iteration, emitting `o3_loop_iterations`,
+//! `o3_squashes`, `o3_cancels`, `o3_parks`, `o3_wakeups` and
+//! `o3_stage_host_ns{stage=…}` (sampled time scaled
 //! by 64, the clock reads' own cost taken out) beside
 //! `ff_cycles_skipped` and `rob_ring_peak_occupancy`. The timers never
 //! touch simulated state; without a sink an iteration pays one
@@ -296,6 +298,7 @@ impl O3Core {
             tel.counter("rob_ring_peak_occupancy", p.rob_peak as u64, &[]);
             tel.counter("o3_loop_iterations", iterations, &[]);
             tel.counter("o3_squashes", p.squashes, &[]);
+            tel.counter("o3_cancels", p.cancels, &[]);
             tel.counter("o3_parks", p.parks, &[]);
             tel.counter("o3_wakeups", p.wakeups, &[]);
             // Each sampled lap carries the cost of reading the clock.

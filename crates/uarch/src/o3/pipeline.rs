@@ -13,10 +13,11 @@
 //! every ROB-sized ring, and an op's dynamic state lives exactly once —
 //! its fetched fields in [`OpBuf`], its dispatch-time state in a
 //! [`RobEntry`], its issue-queue record and wait-list links in an
-//! [`IqEntry`]. "Has this producer completed" is the producer's ROB
-//! state, not a mirror of it; the queues that refer to an op (the ready
-//! queue, the wait lists, the event wheel) hold its trace index and
-//! nothing else.
+//! [`IqEntry`], its pending completion in an [`EventHeap`] node. "Has
+//! this producer completed" is the producer's ROB state, not a mirror of
+//! it; the queues that refer to an op (the ready queue, the wait lists,
+//! the wheel's per-cycle lists) hold its trace index and nothing else,
+//! and a squash withdraws the op from each of them.
 
 use crate::config::CoreConfig;
 use belenos_trace::MicroOp;
@@ -26,15 +27,15 @@ use std::collections::VecDeque;
 /// wedged pipeline (a simulator bug, not a workload condition).
 pub(super) const STALL_LIMIT: u64 = 1_000_000;
 
-/// Exclusive bound on trace indices and dispatch epochs of one run.
-/// Event keys, the ready queue, resolved producers and wait-list links
-/// all hold them in 32 bits, with `u32::MAX` as the "none" sentinel, so
-/// a single `run_warm` call simulates at most 2³² − 1 ops and dispatches
-/// (squash replays included) at most as many times; [`Pipeline::accept`]
-/// and the dispatch stage panic at the bound instead of aliasing.
+/// Exclusive bound on the trace indices of one run. The ready queue,
+/// resolved producers, wait-list links and event-wheel links all hold
+/// them in 32 bits, with `u32::MAX` as the "none" sentinel, so a single
+/// `run_warm` call simulates at most 2³² − 1 ops; [`Pipeline::accept`]
+/// panics at the bound instead of aliasing.
 pub(super) const PACK_LIMIT: u64 = u32::MAX as u64;
 
-/// "No op": the ready-producer sentinel and the wait-list terminator.
+/// "No op": the ready-producer sentinel and the wait-list and wheel-list
+/// terminator.
 const NONE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +101,9 @@ impl OpBuf {
     }
 }
 
-/// Dispatch-time state of one ROB occupant (16 bytes).
+/// Dispatch-time state of one ROB occupant (8 bytes).
 #[derive(Debug, Clone, Copy)]
 pub(super) struct RobEntry {
-    /// Dispatch epoch: tells a live op's completion event from one
-    /// filed before a squash replayed the same trace index.
-    pub(super) dispatch_id: u64,
     /// Physical load/store-queue slot of a memory op (`u32::MAX`
     /// otherwise), recorded at dispatch so issue and writeback reach
     /// the LSQ entry directly instead of binary-searching by index.
@@ -142,7 +140,6 @@ impl RobRing {
             len: 0,
             entries: vec![
                 RobEntry {
-                    dispatch_id: 0,
                     lsq_slot: u32::MAX,
                     state: OpState::Waiting,
                     mispredicted: false,
@@ -191,14 +188,13 @@ impl RobRing {
         idx >= self.head_idx && ((idx - self.head_idx) as usize) < self.len
     }
 
-    pub(super) fn push_back(&mut self, idx: u64, dispatch_id: u64, mispred: bool, lsq_slot: u32) {
+    pub(super) fn push_back(&mut self, idx: u64, mispred: bool, lsq_slot: u32) {
         if self.len == 0 {
             self.head_idx = idx;
         }
         debug_assert_eq!(idx, self.head_idx + self.len as u64, "rob idx contiguity");
         debug_assert!(self.len <= self.mask as usize, "rob ring overflow");
         *self.entry_mut(idx) = RobEntry {
-            dispatch_id,
             lsq_slot,
             state: OpState::Waiting,
             mispredicted: mispred,
@@ -497,16 +493,26 @@ pub(super) enum FetchBlock {
 const EVENT_WHEEL_SIZE: usize = 2048;
 const EVENT_WHEEL_WORDS: usize = EVENT_WHEEL_SIZE / 64;
 
-/// Completion-event queue: a timing wheel with one list per future
-/// cycle, an occupancy bitmap and an overflow list, popped in place.
+/// An op's pending completion: its cycle and the next op on that
+/// cycle's list (`NONE` at the tail).
+#[derive(Debug, Clone, Copy, Default)]
+struct EventNode {
+    at: u64,
+    next: u32,
+}
+
+/// Completion-event queue: a timing wheel with one intrusive list per
+/// future cycle, an occupancy bitmap and an overflow list.
 ///
-/// An event is the key `(op idx << 32) | dispatch epoch`; its cycle is
-/// implied by the list it sits on. Each list is kept sorted at insert
-/// (same-cycle issue files rising indices, so the insert is an append
-/// almost always), which makes the pop order (cycle, op idx, epoch) —
-/// event for event that of a binary heap over those triples, which the
-/// digest pins observe through the writeback-width cap. Pushes are
-/// O(1), a pop is an index bump, and fast-forwarded idle gaps cost a
+/// An op has at most one pending completion (issue files it; the squash
+/// that pops an issued op cancels it), so its cycle and list links live
+/// in the node of its ROB slot, and a cycle's list is a `[head, tail]`
+/// pair of trace indices. Lists are sorted by index at insert
+/// (same-cycle issue files rising indices, so an insert is an append
+/// almost always), which makes the pop order (cycle, op idx) — the
+/// order the digest pins observe through the writeback-width cap. A pop
+/// unlinks the head; a cancel walks its cycle's list, which holds only
+/// the ops completing in that cycle. Fast-forwarded idle gaps cost a
 /// few bitmap word scans instead of per-event compares.
 ///
 /// The wheel keeps its own clock — the latest `now` handed to
@@ -515,20 +521,21 @@ const EVENT_WHEEL_WORDS: usize = EVENT_WHEEL_SIZE / 64;
 /// the cursor only ever moves to the earliest pending cycle or to
 /// `clock + 1`, whichever is lower.
 pub(super) struct EventHeap {
-    buckets: Vec<Vec<u64>>,
+    /// `[head, tail]` of each cycle's list, `NONE` when empty.
+    ends: Vec<[u32; 2]>,
     bitmap: [u64; EVENT_WHEEL_WORDS],
+    /// Per ROB slot (`idx & (len - 1)`), live while its op is filed.
+    nodes: Vec<EventNode>,
     /// Every wheel entry's cycle is in `[cursor, cursor +
-    /// EVENT_WHEEL_SIZE)`, and `cursor <= clock + 1`.
+    /// EVENT_WHEEL_SIZE)`, every overflow entry's past it, and `cursor
+    /// <= clock + 1`.
     cursor: u64,
-    /// How many keys of the cursor's list have been popped already
-    /// (the writeback-width cap can leave a list half drained).
-    popped: usize,
     clock: u64,
-    /// Live events on the wheel (excludes overflow).
+    /// Events on the wheel (excludes overflow).
     wheel_len: usize,
-    /// `(cycle, key)` of events beyond the wheel horizon, folded onto
+    /// `(cycle, op idx)` of events beyond the wheel horizon, folded onto
     /// the wheel as the cursor advances. Empty at the paper's settings.
-    overflow: Vec<(u64, u64)>,
+    overflow: Vec<(u64, u32)>,
     /// Cycle of the earliest event on the wheel or the overflow list
     /// (`u64::MAX` when both are empty), exact at all times: the
     /// per-cycle pop is one compare until an event actually comes due.
@@ -536,12 +543,15 @@ pub(super) struct EventHeap {
 }
 
 impl EventHeap {
-    fn new() -> Self {
+    /// An empty wheel for ops whose live indices span at most `slots`,
+    /// a power of two (the ROB ring's capacity).
+    fn new(slots: usize) -> Self {
+        debug_assert!(slots.is_power_of_two());
         EventHeap {
-            buckets: (0..EVENT_WHEEL_SIZE).map(|_| Vec::new()).collect(),
+            ends: vec![[NONE; 2]; EVENT_WHEEL_SIZE],
             bitmap: [0; EVENT_WHEEL_WORDS],
+            nodes: vec![EventNode::default(); slots],
             cursor: 0,
-            popped: 0,
             clock: 0,
             wheel_len: 0,
             overflow: Vec::new(),
@@ -549,20 +559,25 @@ impl EventHeap {
         }
     }
 
-    /// Files a completion for op `idx` (epoch `did`) at cycle `t`, or
-    /// at the cycle after the wheel's clock if `t` is not past it —
-    /// nothing completes in the cycle it issued. `idx` and `did` are
-    /// below [`PACK_LIMIT`], so the packing is lossless.
     #[inline]
-    pub(super) fn push(&mut self, t: u64, idx: u64, did: u64) {
-        debug_assert!(idx < PACK_LIMIT && did <= PACK_LIMIT);
-        let t = t.max(self.clock + 1);
-        let key = (idx << 32) | did;
+    fn node(&mut self, idx: u32) -> &mut EventNode {
+        let slot = idx as usize & (self.nodes.len() - 1);
+        &mut self.nodes[slot]
+    }
+
+    /// Files the completion of op `idx`, which has none pending, at
+    /// cycle `t`, or at the cycle after the wheel's clock if `t` is not
+    /// past it — nothing completes in the cycle it issued.
+    #[inline]
+    pub(super) fn push(&mut self, t: u64, idx: u64) {
+        debug_assert!(idx < PACK_LIMIT);
+        let (t, idx) = (t.max(self.clock + 1), idx as u32);
+        self.node(idx).at = t;
         self.next_pending = self.next_pending.min(t);
         if t - self.cursor < EVENT_WHEEL_SIZE as u64 {
-            self.file(t, key);
+            self.file(t, idx);
         } else {
-            self.push_far(t, key);
+            self.push_far(t, idx);
         }
     }
 
@@ -570,28 +585,67 @@ impl EventHeap {
     /// clock (no event came due for a while) catch up, then park the
     /// event on the overflow list if it still does not fit.
     #[cold]
-    fn push_far(&mut self, t: u64, key: u64) {
+    fn push_far(&mut self, t: u64, idx: u32) {
         self.advance_cursor((self.clock + 1).min(self.next_pending));
         if t - self.cursor < EVENT_WHEEL_SIZE as u64 {
-            self.file(t, key);
+            self.file(t, idx);
         } else {
-            self.overflow.push((t, key));
+            self.overflow.push((t, idx));
         }
     }
 
-    /// Inserts `key` into cycle `t`'s sorted list. Never the list being
-    /// drained: that one's cycle is at or before the clock.
+    /// Links op `idx` into cycle `t`'s list behind the youngest older
+    /// op: after the tail, or else found walking from the head.
     #[inline]
-    fn file(&mut self, t: u64, key: u64) {
+    fn file(&mut self, t: u64, idx: u32) {
         let b = (t as usize) & (EVENT_WHEEL_SIZE - 1);
-        let bucket = &mut self.buckets[b];
-        if bucket.last().is_none_or(|&l| l < key) {
-            bucket.push(key);
+        let [head, tail] = self.ends[b];
+        let (mut prev, mut next) = (NONE, head);
+        if tail < idx {
+            (prev, next) = (tail, NONE);
         } else {
-            bucket.insert(bucket.partition_point(|&k| k < key), key);
+            while next < idx {
+                (prev, next) = (next, self.node(next).next);
+            }
+        }
+        self.node(idx).next = next;
+        match prev {
+            NONE => self.ends[b][0] = idx,
+            p => self.node(p).next = idx,
+        }
+        if next == NONE {
+            self.ends[b][1] = idx;
         }
         self.bitmap[b >> 6] |= 1 << (b & 63);
         self.wheel_len += 1;
+    }
+
+    /// Unlinks wheel entry `idx`, found walking its cycle's list from the
+    /// head (at once, for a pop). Emptying the earliest list moves
+    /// `next_pending` on to the next pending cycle.
+    #[inline]
+    fn unlink(&mut self, idx: u32) {
+        let EventNode { at, next } = *self.node(idx);
+        let b = (at as usize) & (EVENT_WHEEL_SIZE - 1);
+        let (mut prev, mut cur) = (NONE, self.ends[b][0]);
+        while cur != idx {
+            assert!(cur != NONE, "a filed op is on its cycle's list");
+            (prev, cur) = (cur, self.node(cur).next);
+        }
+        match prev {
+            NONE => self.ends[b][0] = next,
+            p => self.node(p).next = next,
+        }
+        if next == NONE {
+            self.ends[b][1] = prev;
+        }
+        self.wheel_len -= 1;
+        if self.ends[b][0] == NONE {
+            self.bitmap[b >> 6] &= !(1u64 << (b & 63));
+            if at == self.next_pending {
+                self.next_pending = self.earliest();
+            }
+        }
     }
 
     /// Moves the cursor forward to `to` — at most the earliest pending
@@ -601,14 +655,14 @@ impl EventHeap {
         if to <= self.cursor {
             return;
         }
-        debug_assert!(self.popped == 0 && to <= self.next_pending && to <= self.clock + 1);
+        debug_assert!(to <= self.next_pending && to <= self.clock + 1);
         self.cursor = to;
         let mut i = 0;
         while i < self.overflow.len() {
-            let (t, key) = self.overflow[i];
+            let (t, idx) = self.overflow[i];
             if t - to < EVENT_WHEEL_SIZE as u64 {
                 self.overflow.swap_remove(i);
-                self.file(t, key);
+                self.file(t, idx);
             } else {
                 i += 1;
             }
@@ -616,65 +670,57 @@ impl EventHeap {
     }
 
     /// Pops the earliest event if it is due at or before `now`,
-    /// returning `(op idx, dispatch epoch)`. `now` never decreases from
-    /// one call to the next.
+    /// returning its op's trace index. `now` never decreases from one
+    /// call to the next.
     #[inline]
-    pub(super) fn pop_due(&mut self, now: u64) -> Option<(u64, u64)> {
+    pub(super) fn pop_due(&mut self, now: u64) -> Option<u64> {
         debug_assert!(now >= self.clock, "the pipeline clock is monotone");
         self.clock = now;
         if self.next_pending > now {
             return None;
         }
-        // The earliest event's list: the one already being drained, or
-        // (after the cursor moves there, folding any overflow event of
-        // that cycle in) a fresh one.
+        // The earliest event heads the cursor's list once the cursor
+        // moves there (folding in any overflow event of that cycle).
         self.advance_cursor(self.next_pending);
-        let b = (self.cursor as usize) & (EVENT_WHEEL_SIZE - 1);
-        let bucket = &mut self.buckets[b];
-        let key = bucket[self.popped];
-        self.popped += 1;
-        self.wheel_len -= 1;
-        if self.popped == bucket.len() {
-            bucket.clear();
-            self.popped = 0;
-            self.bitmap[b >> 6] &= !(1u64 << (b & 63));
-            self.next_pending = self.scan_wheel(self.cursor).unwrap_or(u64::MAX);
-            for &(t, _) in &self.overflow {
-                self.next_pending = self.next_pending.min(t);
-            }
-        }
-        Some((key >> 32, key & u32::MAX as u64))
+        let idx = self.ends[(self.cursor as usize) & (EVENT_WHEEL_SIZE - 1)][0];
+        self.unlink(idx);
+        Some(idx as u64)
     }
 
-    /// Earliest event time at or after `from` on the wheel, found by
-    /// scanning the occupancy bitmap a word at a time (wrapping once).
-    fn scan_wheel(&self, from: u64) -> Option<u64> {
+    /// Withdraws the pending completion of op `idx` (an issued op a
+    /// squash pops), keeping `next_pending` exact.
+    pub(super) fn cancel(&mut self, idx: u64) {
+        let idx = idx as u32;
+        let at = self.node(idx).at;
+        if at - self.cursor < EVENT_WHEEL_SIZE as u64 {
+            return self.unlink(idx);
+        }
+        self.overflow.retain(|&(_, o)| o != idx);
+        if at == self.next_pending {
+            self.next_pending = self.earliest();
+        }
+    }
+
+    /// Cycle of the earliest event (`u64::MAX` when there is none): the
+    /// first marked list at or after the cursor, found by scanning the
+    /// occupancy bitmap a word at a time and wrapping once; overflow
+    /// events lie past every wheel event.
+    fn earliest(&self) -> u64 {
         if self.wheel_len == 0 {
-            return None;
+            return self.overflow.iter().fold(u64::MAX, |e, &(t, _)| e.min(t));
         }
-        let mask = EVENT_WHEEL_SIZE as u64 - 1;
-        let start = (from & mask) as usize;
-        let sw = start >> 6;
-        let mut w = sw;
-        let mut bits = self.bitmap[sw] & (!0u64 << (start & 63));
-        loop {
+        let start = (self.cursor as usize) & (EVENT_WHEEL_SIZE - 1);
+        for k in 0..=EVENT_WHEEL_WORDS {
+            let w = ((start >> 6) + k) & (EVENT_WHEEL_WORDS - 1);
+            // The start word's bits below the cursor are the cycles just
+            // before the horizon wraps: they come last.
+            let bits = self.bitmap[w] & if k == 0 { !0u64 << (start & 63) } else { !0 };
             if bits != 0 {
-                let pos = ((w << 6) | bits.trailing_zeros() as usize) as u64;
-                return Some(from + (pos.wrapping_sub(from) & mask));
+                let pos = (w << 6) | bits.trailing_zeros() as usize;
+                return self.cursor + (pos.wrapping_sub(start) & (EVENT_WHEEL_SIZE - 1)) as u64;
             }
-            w = (w + 1) & (EVENT_WHEEL_WORDS - 1);
-            if w == sw {
-                // Full circle: only the start word's low bits (times
-                // just before the horizon wraps) remain unexamined.
-                bits = self.bitmap[sw] & !(!0u64 << (start & 63));
-                if bits != 0 {
-                    let pos = ((sw << 6) | bits.trailing_zeros() as usize) as u64;
-                    return Some(from + (pos.wrapping_sub(from) & mask));
-                }
-                return None;
-            }
-            bits = self.bitmap[w];
         }
+        unreachable!("a non-empty wheel has a marked list")
     }
 
     /// Cycle of the earliest pending event (the fast-forward's wake
@@ -683,21 +729,19 @@ impl EventHeap {
         (self.next_pending != u64::MAX).then_some(self.next_pending)
     }
 
-    /// Drops all events, keeping list allocations. The occupancy
-    /// bitmap names exactly the non-empty lists, so a reset touches
-    /// only those.
+    /// Drops all events. The occupancy bitmap names exactly the
+    /// non-empty lists, so a reset touches only those; a node is
+    /// rewritten whenever its op is filed.
     fn clear(&mut self) {
         for (wi, word) in self.bitmap.iter_mut().enumerate() {
             let mut bits = *word;
             while bits != 0 {
-                let b = (wi << 6) | bits.trailing_zeros() as usize;
-                self.buckets[b].clear();
+                self.ends[(wi << 6) | bits.trailing_zeros() as usize] = [NONE; 2];
                 bits &= bits - 1;
             }
             *word = 0;
         }
         self.cursor = 0;
-        self.popped = 0;
         self.clock = 0;
         self.wheel_len = 0;
         self.overflow.clear();
@@ -712,7 +756,6 @@ pub(super) struct Pipeline {
     pub(super) fetchq_cap: usize,
     pub(super) now: u64,
     pub(super) next_idx: u64,
-    pub(super) dispatch_counter: u64,
     pub(super) rob: RobRing,
     /// Issue-queue record of every ROB occupant, in the occupant's ROB
     /// slot (see [`IqEntry`]).
@@ -742,7 +785,7 @@ pub(super) struct Pipeline {
     /// stores.
     pub(super) fetch_head: u64,
     pub(super) replay_next: u64,
-    /// Writeback events: (completion cycle, op idx, dispatch epoch).
+    /// The pending completion of every issued op.
     pub(super) events: EventHeap,
     pub(super) serializers: VecDeque<u64>,
     pub(super) int_regs_used: usize,
@@ -767,6 +810,8 @@ pub(super) struct Pipeline {
     pub(super) wakeups: u64,
     /// Branch-misprediction squashes (telemetry).
     pub(super) squashes: u64,
+    /// Pending completions withdrawn at squash (telemetry).
+    pub(super) cancels: u64,
 }
 
 impl Pipeline {
@@ -782,8 +827,8 @@ impl Pipeline {
             fetchq_cap,
             now: 0,
             next_idx: 0,
-            dispatch_counter: 0,
             iq: vec![IqEntry::UNLINKED; rob.entries.len()],
+            events: EventHeap::new(rob.entries.len()),
             rob,
             ready_q: Vec::with_capacity(cfg.iq_entries),
             ready_fu_count: [0; 5],
@@ -793,7 +838,6 @@ impl Pipeline {
             sq: LsqRing::new(cfg.sq_entries),
             fetch_head: 0,
             replay_next: 0,
-            events: EventHeap::new(),
             serializers: VecDeque::new(),
             int_regs_used: 0,
             fp_regs_used: 0,
@@ -811,6 +855,7 @@ impl Pipeline {
             parks: 0,
             wakeups: 0,
             squashes: 0,
+            cancels: 0,
         }
     }
 
@@ -824,7 +869,6 @@ impl Pipeline {
     pub(super) fn reset(&mut self) {
         self.now = 0;
         self.next_idx = 0;
-        self.dispatch_counter = 0;
         self.rob.reset();
         self.ready_q.clear();
         self.ready_fu_count = [0; 5];
@@ -852,6 +896,7 @@ impl Pipeline {
         self.parks = 0;
         self.wakeups = 0;
         self.squashes = 0;
+        self.cancels = 0;
     }
 
     /// Files the next op read from the trace; it awaits fetch behind
@@ -993,15 +1038,19 @@ impl Pipeline {
         }
     }
 
-    /// Removes the youngest ROB occupant (squash) and, if it is parked,
-    /// unlinks it from its producer's wait list; returns its index.
-    /// Victims go youngest first, so by the time a producer is popped
-    /// every op that waited on it is already gone.
+    /// Removes the youngest ROB occupant (squash) and withdraws what
+    /// refers to it: an issued op's pending completion, a parked op's
+    /// node on its producer's wait list. Returns its index. Victims go
+    /// youngest first, so by the time a producer is popped every op
+    /// that waited on it is already gone.
     pub(super) fn squash_youngest(&mut self) -> u64 {
         let idx = self.rob.pop_back();
         let e = *self.iq_entry(idx);
         debug_assert_eq!(e.waiters, NONE, "a victim's consumers are younger victims");
-        if e.on != NONE {
+        if self.rob.entry(idx).state == OpState::Issued {
+            self.events.cancel(idx);
+            self.cancels += 1;
+        } else if e.on != NONE {
             match e.prev {
                 NONE => self.iq_mut(e.on).waiters = e.next,
                 prev => self.iq_mut(prev).next = e.next,
@@ -1032,11 +1081,45 @@ mod tests {
     use super::*;
     use belenos_trace::FnCategory;
     use proptest::prelude::*;
-    use std::cmp::Reverse;
-    use std::collections::{BTreeSet, BinaryHeap};
+    use std::collections::BTreeSet;
 
-    /// What the wait lists implement, spelled naively: who is parked on
-    /// whom as a list of pairs, the ready set as a sorted vector.
+    /// Every `(cycle, op idx)` the wheel holds, sorted, after checking
+    /// its structure: each marked list runs head to tail in rising index
+    /// order with every node in its cycle's list, unmarked lists are
+    /// empty, and `wheel_len` counts the lists' nodes.
+    fn wheel_entries(w: &EventHeap) -> Vec<(u64, u64)> {
+        let node = |i: u32| w.nodes[i as usize & (w.nodes.len() - 1)];
+        let mut entries = Vec::new();
+        for (b, &[head, tail]) in w.ends.iter().enumerate() {
+            let marked = w.bitmap[b >> 6] & (1 << (b & 63)) != 0;
+            assert_eq!(marked, head != NONE, "bitmap bit of list {b}");
+            let (mut i, mut prev) = (head, NONE);
+            while i != NONE {
+                let n = node(i);
+                assert!(prev == NONE || prev < i, "list {b} sorted by index");
+                assert_eq!((n.at as usize) & (EVENT_WHEEL_SIZE - 1), b);
+                assert!(n.at >= w.cursor && n.at - w.cursor < EVENT_WHEEL_SIZE as u64);
+                entries.push((n.at, i as u64));
+                (prev, i) = (i, n.next);
+            }
+            assert_eq!(tail, prev, "tail of list {b}");
+        }
+        assert_eq!(w.wheel_len, entries.len());
+        for &(t, i) in &w.overflow {
+            assert_eq!(node(i).at, t);
+            assert!(
+                t - w.cursor >= EVENT_WHEEL_SIZE as u64,
+                "overflow entry fits the wheel"
+            );
+            entries.push((t, i as u64));
+        }
+        entries.sort_unstable();
+        entries
+    }
+
+    /// What the wait lists and the wheel implement, spelled naively: who
+    /// is parked on whom as a list of pairs, the ready set as a sorted
+    /// vector, the pending completions as a set of `(cycle, op)`.
     #[derive(Default)]
     struct NaiveIq {
         head: u64,
@@ -1044,6 +1127,7 @@ mod tests {
         deps: Vec<(u32, u32)>,
         parked: Vec<(u64, u64)>,
         ready: Vec<u64>,
+        pending: BTreeSet<(u64, u64)>,
     }
 
     impl NaiveIq {
@@ -1092,6 +1176,15 @@ mod tests {
         let mut expected = m.parked.clone();
         expected.sort_unstable();
         assert_eq!(linked, expected);
+        // One completion per issued op, none for any other.
+        let entries = wheel_entries(&p.events);
+        assert_eq!(entries, m.pending.iter().copied().collect::<Vec<_>>());
+        let mut named: Vec<u64> = entries.iter().map(|&(_, i)| i).collect();
+        named.sort_unstable();
+        let issued: Vec<u64> = (p.rob.head_idx..p.rob.head_idx + p.rob.len() as u64)
+            .filter(|&i| p.rob.entry(i).state == OpState::Issued)
+            .collect();
+        assert_eq!(named, issued);
     }
 
     proptest! {
@@ -1101,33 +1194,51 @@ mod tests {
         fn event_wheel_pops_in_binary_heap_order(
             steps in prop::collection::vec(
                 (
-                    prop::collection::vec((0u8..10, 1u64..301, 1500u64..5501, 0u64..48, 0u64..4), 0..4),
+                    prop::collection::vec((0u8..10, 1u64..301, 1500u64..5501, 0u64..48), 0..4),
                     0u8..8,
                     1u64..5000,
                 ),
                 1..300,
             ),
             width in 1usize..5,
+            ops in 1u64..48,
         ) {
-            let mut wheel = EventHeap::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+            let mut wheel = EventHeap::new(64);
+            let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+            let earliest = |m: &BTreeSet<(u64, u64)>| m.first().map(|&(t, _)| t);
             let mut now = 0u64;
             for (pushes, advance, jump) in steps {
                 // Writeback: up to `width` due events, oldest first.
                 for _ in 0..width {
-                    let due = heap.peek().is_some_and(|&Reverse((t, ..))| t <= now);
-                    let expected = due.then(|| heap.pop().map(|Reverse((_, idx, did))| (idx, did))).flatten();
-                    prop_assert_eq!(wheel.pop_due(now), expected);
+                    let expected = model.first().copied().filter(|&(t, _)| t <= now);
+                    if let Some(e) = expected {
+                        model.remove(&e);
+                    }
+                    prop_assert_eq!(wheel.pop_due(now), expected.map(|(_, idx)| idx));
+                    prop_assert_eq!(wheel.next_time(), earliest(&model));
                 }
-                // Issue: completions strictly past the clock, now and
-                // then beyond the wheel horizon.
-                for (far, near_delta, far_delta, idx, did) in pushes {
-                    let t = now + if far == 0 { far_delta } else { near_delta };
-                    wheel.push(t, idx, did);
-                    heap.push(Reverse((t, idx, did)));
+                // Issue files completions strictly past the clock, now
+                // and then beyond the wheel horizon; an op that has one
+                // pending is squashed instead, which cancels it. With
+                // few ops, the wheel is often empty or holds only far
+                // events.
+                for (far, near_delta, far_delta, idx) in pushes {
+                    let idx = idx % ops;
+                    match model.iter().find(|&&(_, i)| i == idx).copied() {
+                        Some(pending) => {
+                            wheel.cancel(idx);
+                            model.remove(&pending);
+                        }
+                        None => {
+                            let t = now + if far == 0 { far_delta } else { near_delta };
+                            wheel.push(t, idx);
+                            model.insert((t, idx));
+                        }
+                    }
+                    prop_assert_eq!(wheel.next_time(), earliest(&model));
                 }
-                let next = heap.peek().map(|&Reverse((t, ..))| t);
-                prop_assert_eq!(wheel.next_time(), next);
+                prop_assert_eq!(wheel_entries(&wheel), model.iter().copied().collect::<Vec<_>>());
+                let next = earliest(&model);
                 // The driver steps one cycle or fast-forwards: to the
                 // next event, or anywhere short of it.
                 now = match (advance, next) {
@@ -1141,14 +1252,17 @@ mod tests {
 
         #[test]
         fn wait_lists_match_a_naive_pair_list(
-            script in prop::collection::vec((0u8..10, 0u32..6, 0u32..6, 0usize..64), 1..400)
+            script in prop::collection::vec(
+                (0u8..10, 0u32..6, 0u32..6, 0usize..64, 1u64..48),
+                1..400,
+            )
         ) {
             let rob_entries = 16;
             let cfg = CoreConfig::gem5_baseline().with_rob_iq(rob_entries, rob_entries);
             let mut p = Pipeline::new(&cfg);
             let mut m = NaiveIq::default();
-            let mut next = 0u64;
-            for (action, d1, d2, pick) in script {
+            let (mut next, mut now) = (0u64, 0u64);
+            for (action, d1, d2, pick, lat) in script {
                 match action {
                     // Dispatch (a replayed index keeps its first-drawn
                     // dependencies, as a replayed op does).
@@ -1157,18 +1271,28 @@ mod tests {
                             p.accept(&MicroOp::int(0x1000, d1, d2, FnCategory::Internal));
                             m.deps.push((d1, d2));
                         }
-                        p.dispatch_counter += 1;
-                        p.rob.push_back(next, p.dispatch_counter, false, u32::MAX);
+                        p.rob.push_back(next, false, u32::MAX);
                         p.iq_insert(next, 0, 1);
                         m.classify(next);
                         next += 1;
                     }
-                    // Issue and complete one ready op; wake its list.
-                    5..=7 if !m.ready.is_empty() => {
+                    // Issue one ready op: its completion is filed a
+                    // random latency out, now and then past the horizon.
+                    5..=6 if !m.ready.is_empty() => {
                         let at = pick % m.ready.len();
                         let idx = m.ready.remove(at);
                         prop_assert_eq!(p.ready_q.remove(at) as u64, idx);
                         p.ready_fu_count[0] -= 1;
+                        p.rob.entry_mut(idx).state = OpState::Issued;
+                        let t = now + if lat > 44 { lat * 60 } else { lat };
+                        p.events.push(t, idx);
+                        m.pending.insert((t, idx));
+                    }
+                    // Write back the earliest completion; wake its list.
+                    7 if !m.pending.is_empty() => {
+                        let (t, idx) = m.pending.pop_first().expect("not empty");
+                        now = now.max(t);
+                        prop_assert_eq!(p.events.pop_due(now), Some(idx));
                         p.rob.entry_mut(idx).state = OpState::Done;
                         p.wake_waiters(idx);
                         m.done.insert(idx);
@@ -1192,6 +1316,7 @@ mod tests {
                         m.parked.retain(|&(_, c)| c <= keep);
                         m.ready.retain(|&c| c <= keep);
                         m.done.retain(|&c| c <= keep);
+                        m.pending.retain(|&(_, c)| c <= keep);
                         next = keep + 1;
                     }
                     _ => {}
@@ -1205,21 +1330,21 @@ mod tests {
     fn rob_ring_roundtrips_and_pops_both_ends() {
         let mut rob = RobRing::new(4);
         for i in 0..4u64 {
-            rob.push_back(i, i + 1, false, u32::MAX);
+            rob.push_back(i, false, i as u32 + 1);
         }
         assert_eq!(rob.len(), 4);
         assert_eq!(rob.head_idx, 0);
-        assert_eq!(rob.entry(2).dispatch_id, 3);
+        assert_eq!(rob.entry(2).lsq_slot, 3);
         assert_eq!(rob.pop_back(), 3);
         rob.pop_front();
         assert_eq!(rob.head_idx, 1);
         assert_eq!(rob.len(), 2);
         // Wrap-around: ring capacity is 4, indices keep climbing.
-        rob.push_back(3, 9, true, u32::MAX);
-        rob.push_back(4, 10, false, u32::MAX);
-        assert_eq!(rob.entry(4).dispatch_id, 10);
+        rob.push_back(3, true, 9);
+        rob.push_back(4, false, 10);
+        assert_eq!(rob.entry(4).lsq_slot, 10);
         assert!(rob.entry(3).mispredicted);
-        assert_eq!(rob.entry(1).dispatch_id, 2, "old entries survive the wrap");
+        assert_eq!(rob.entry(1).lsq_slot, 2, "old entries survive the wrap");
     }
 
     #[test]

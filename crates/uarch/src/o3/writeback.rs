@@ -11,24 +11,24 @@ use belenos_trace::OpKind;
 impl O3Core {
     /// Drains up to `writeback_width` due completion events, completing
     /// ops and handling branch-misprediction squash-and-replay. Returns
-    /// how many events were popped (including stale ones) — any pop is a
-    /// state change the fast-forward must observe.
+    /// how many ops completed — any completion is a state change the
+    /// fast-forward must observe.
     pub(super) fn writeback_stage(&mut self, p: &mut Pipeline, stats: &mut SimStats) -> usize {
         let cfg = &self.cfg;
         let mut written_back = 0usize;
-        let mut popped = 0usize;
         while written_back < cfg.writeback_width {
-            let Some((idx, did)) = p.events.pop_due(p.now) else {
+            let Some(idx) = p.events.pop_due(p.now) else {
                 break;
             };
-            popped += 1;
-            if !p.rob.contains(idx) {
-                continue; // stale (already committed or squashed)
-            }
+            // A squash cancels its victims' completions: every event
+            // that comes due is an issued ROB occupant's.
+            debug_assert!(p.rob.contains(idx), "completion of an op outside the ROB");
             let entry = p.rob.entry_mut(idx);
-            if entry.dispatch_id != did || entry.state != OpState::Issued {
-                continue; // stale epoch after squash
-            }
+            debug_assert_eq!(
+                entry.state,
+                OpState::Issued,
+                "completion of an op not in flight"
+            );
             entry.state = OpState::Done;
             let (lsq_slot, entry_mispredicted) = (entry.lsq_slot, entry.mispredicted);
             let kind = p.ops.get(idx).kind;
@@ -70,7 +70,8 @@ impl O3Core {
                 let squash_count = squashed + p.fetchq_len();
                 // The index queues are trace-order sorted, so dropping
                 // everything younger truncates from the back; parked
-                // victims were unlinked as they were popped.
+                // victims were unlinked, and issued victims' completions
+                // cancelled, as they were popped.
                 p.squashes += 1;
                 p.ready_drop_younger(idx);
                 p.lq.truncate_younger(idx);
@@ -87,6 +88,6 @@ impl O3Core {
                 p.cur_fetch_line = u64::MAX;
             }
         }
-        popped
+        written_back
     }
 }

@@ -20,9 +20,13 @@ pub struct Tlb {
     pages: Vec<u64>,
     /// Last-use stamp per resident page.
     stamps: Vec<u64>,
-    /// Slot of the most recent hit; consecutive touches to one page
-    /// (the common pattern for streaming kernels) skip the scan.
+    /// Slots of the two most recent hits (or fills): consecutive
+    /// touches to one page, or a stream alternating between two (a
+    /// gather and its output, say), skip the scan. Hints are checked by
+    /// page equality, so one left stale by an eviction's `swap_remove`
+    /// only costs the scan.
     mru: usize,
+    mru2: usize,
     stamp: u64,
     /// Total lookups.
     pub accesses: u64,
@@ -45,6 +49,7 @@ impl Tlb {
             pages: Vec::with_capacity(capacity),
             stamps: Vec::with_capacity(capacity),
             mru: 0,
+            mru2: 0,
             stamp: 0,
             accesses: 0,
             misses: 0,
@@ -57,15 +62,18 @@ impl Tlb {
         self.accesses += 1;
         self.stamp += 1;
         let page = addr >> PAGE_SHIFT;
-        if let Some(&cached) = self.pages.get(self.mru) {
-            if cached == page {
-                self.stamps[self.mru] = self.stamp;
-                return true;
-            }
+        if self.pages.get(self.mru) == Some(&page) {
+            self.stamps[self.mru] = self.stamp;
+            return true;
+        }
+        if self.pages.get(self.mru2) == Some(&page) {
+            self.stamps[self.mru2] = self.stamp;
+            std::mem::swap(&mut self.mru, &mut self.mru2);
+            return true;
         }
         if let Some(i) = self.pages.iter().position(|&p| p == page) {
             self.stamps[i] = self.stamp;
-            self.mru = i;
+            self.mru2 = std::mem::replace(&mut self.mru, i);
             return true;
         }
         self.misses += 1;
@@ -81,7 +89,7 @@ impl Tlb {
             self.pages.swap_remove(victim);
             self.stamps.swap_remove(victim);
         }
-        self.mru = self.pages.len();
+        self.mru2 = std::mem::replace(&mut self.mru, self.pages.len());
         self.pages.push(page);
         self.stamps.push(self.stamp);
         false
@@ -93,6 +101,7 @@ impl Tlb {
         self.pages.clear();
         self.stamps.clear();
         self.mru = 0;
+        self.mru2 = 0;
         self.stamp = 0;
         self.accesses = 0;
         self.misses = 0;
@@ -131,6 +140,49 @@ mod tests {
         tlb.access(0x3000); // evicts page 2
         assert!(tlb.access(0x1000), "page 1 must survive");
         assert!(!tlb.access(0x2000), "page 2 must have been evicted");
+    }
+
+    #[test]
+    fn two_hints_follow_alternating_pages_and_survive_a_moving_eviction() {
+        // LRU spelled naively: resident pages, least recent first.
+        let mut lru: Vec<u64> = Vec::new();
+        let mut tlb = Tlb::new(4);
+        let mut touch = |tlb: &mut Tlb, page: u64| {
+            let resident = lru.contains(&page);
+            lru.retain(|&p| p != page);
+            if lru.len() == 4 {
+                lru.remove(0);
+            }
+            lru.push(page);
+            let hit = tlb.access(page << PAGE_SHIFT);
+            assert_eq!(hit, resident, "page {page}");
+            hit
+        };
+        for page in 1..=4 {
+            assert!(!touch(&mut tlb, page));
+        }
+        // Pages 1 and 4 alternate: after the first touch (a scan), both
+        // are hinted, and each touch swaps the two hints.
+        for _ in 0..3 {
+            assert!(touch(&mut tlb, 1));
+            assert!(touch(&mut tlb, 4));
+            let hinted = [tlb.pages[tlb.mru], tlb.pages[tlb.mru2]];
+            assert_eq!(hinted, [4, 1]);
+        }
+        // A miss evicts page 2 (slot 1); `swap_remove` moves page 4 out
+        // of its hinted last slot into slot 1, and the new page takes
+        // the last slot. Page 4 still hits (by scan), then hint-hits.
+        assert!(!touch(&mut tlb, 5));
+        assert_eq!(tlb.pages, [1, 4, 3, 5]);
+        assert!(touch(&mut tlb, 4));
+        assert_eq!(tlb.mru, 1);
+        assert!(touch(&mut tlb, 5));
+        assert!(touch(&mut tlb, 4));
+        // LRU order is unchanged by the hints: 3 is the victim, not 1.
+        assert!(!touch(&mut tlb, 6));
+        assert!(touch(&mut tlb, 1));
+        assert!(!touch(&mut tlb, 3));
+        assert_eq!((tlb.accesses, tlb.misses), (17, 7));
     }
 
     #[test]
