@@ -383,6 +383,10 @@ impl Experiment {
         if budget == 0 {
             return None;
         }
+        #[cfg(test)]
+        if tests::FORCE_STREAM.get() {
+            return None;
+        }
         let tele = belenos_telemetry::global();
         let mut cache = self.trace_cache.lock().unwrap();
         if cache.complete {
@@ -862,6 +866,59 @@ pub(crate) fn prepare_refs(specs: &[&ScenarioSpec]) -> Result<Vec<Experiment>, P
 mod tests {
     use super::*;
     use belenos_workloads::by_id;
+
+    thread_local! {
+        /// Makes this thread's simulations refuse the trace memo, so
+        /// every one of them streams its ops from the log.
+        pub(super) static FORCE_STREAM: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `f` with every simulation on this thread streamed.
+    fn streamed<T>(f: impl FnOnce() -> T) -> T {
+        FORCE_STREAM.set(true);
+        let out = f();
+        FORCE_STREAM.set(false);
+        out
+    }
+
+    fn flat_trace_hits(events: &[belenos_json::Json]) -> usize {
+        events
+            .iter()
+            .filter(|e| {
+                e.get("name").and_then(belenos_json::Json::as_str) == Some("flat_trace_hits")
+            })
+            .count()
+    }
+
+    #[test]
+    fn streamed_replay_is_bit_identical_to_memo_backed_replay() {
+        // Every backend, in prefix, full and sampled mode: a run that
+        // streams its ops from the log reports exactly the statistics of
+        // one that replays the memoized trace.
+        let exp = Experiment::prepare(&by_id("pd").expect("pd exists")).unwrap();
+        let modes = [
+            (40_000, SamplingConfig::off()),
+            (0, SamplingConfig::off()),
+            (30_000, SamplingConfig::smarts(8)),
+        ];
+        for kind in belenos_uarch::ModelKind::ALL {
+            let cfg = CoreConfig::gem5_baseline().with_model(kind);
+            for (max_ops, sampling) in &modes {
+                let run = || exp.simulate_sampled(&cfg, *max_ops, sampling);
+                let (memo, memo_events) = belenos_telemetry::capture(run);
+                let (stream, stream_events) = belenos_telemetry::capture(|| streamed(run));
+                let mode = format!("{kind}, {max_ops} ops, {sampling:?}");
+                assert!(flat_trace_hits(&memo_events) > 0, "{mode}: memo-backed");
+                assert_eq!(flat_trace_hits(&stream_events), 0, "{mode}: streamed");
+                assert!(memo.committed_ops > 0, "{mode}");
+                assert_eq!(stream, memo, "{mode}");
+            }
+        }
+        assert!(
+            exp.total_trace_ops() > 10 * 40_000,
+            "premise: the budgets are a prefix and a sample, not the whole trace"
+        );
+    }
 
     #[test]
     fn prepare_and_simulate_smallest_workload() {
