@@ -3,7 +3,7 @@
 
 use belenos_fem::FemError;
 use belenos_trace::expand::{ExpandConfig, Expander};
-use belenos_trace::{expand_fingerprint, trace_fingerprint, FlatTrace, MicroOp, PhaseLog};
+use belenos_trace::{expand_fingerprint, trace_fingerprint, FlatTrace, MicroOp, Ops, PhaseLog};
 use belenos_uarch::{build_model, CoreConfig, CoreModel, Fnv64, SamplingConfig, SimStats};
 use belenos_workloads::{ScenarioError, ScenarioSpec};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -50,7 +50,7 @@ pub struct Experiment {
     /// Memoized expanded-trace prefix (see [`Experiment::cached_trace`]).
     trace_cache: Mutex<TraceCache>,
     /// Pooled core model reused across simulation calls (see
-    /// [`Experiment::pooled_model`]).
+    /// [`Experiment::with_model`]).
     model_pool: ModelPool,
 }
 
@@ -78,13 +78,12 @@ impl std::fmt::Debug for ModelPool {
 }
 
 /// Memoized expansion of a trace prefix, stored as a struct-of-arrays
-/// [`FlatTrace`]. Replaying a cached flat trace yields the exact op
-/// sequence streaming expansion yields (expansion is deterministic and
-/// prefix-closed), so every backend's results are bit-identical either
-/// way — but repeated runs over the same experiment (sweeps,
-/// cross-backend comparisons) skip the per-op generation cost, and the
-/// columnar layout feeds the simulators' hot loops with a denser,
-/// monomorphized stream (see [`belenos_uarch::CoreModel::run_warm_flat`]).
+/// [`FlatTrace`]. A run replays it, or streams a trace it cannot hold,
+/// through the same [`Ops`] cursor, and both yield the exact same ops
+/// (expansion is deterministic and prefix-closed), so every backend's
+/// results are bit-identical either way — but repeated runs over the same
+/// experiment (sweeps, cross-backend comparisons) skip the per-op
+/// generation cost.
 #[derive(Debug, Default)]
 struct TraceCache {
     /// Longest prefix expanded so far, shared with in-flight runs.
@@ -96,19 +95,28 @@ struct TraceCache {
 }
 
 /// Process-wide trace-cache budget in ops, from `BELENOS_TRACE_CACHE_MB`
-/// (default 2048 MiB ≈ 64 M ops; `0` disables trace caching entirely).
+/// (default 2048 MiB ≈ 64 M ops, also for a value that is not a count of
+/// MiB, after a warning; `0` disables trace caching entirely).
 /// The budget is shared by every live [`Experiment`] — a campaign over
 /// dozens of workloads stays bounded instead of holding one cap each.
 fn trace_cache_budget_ops() -> u64 {
     static CAP: OnceLock<u64> = OnceLock::new();
     *CAP.get_or_init(|| {
-        let mb = std::env::var("BELENOS_TRACE_CACHE_MB")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(2048);
-        mb.saturating_mul(1 << 20) / std::mem::size_of::<MicroOp>() as u64
+        let asked = std::env::var("BELENOS_TRACE_CACHE_MB").ok();
+        let mb = asked.as_deref().and_then(|v| v.trim().parse::<u64>().ok());
+        if let (Some(v), None) = (&asked, mb) {
+            belenos_telemetry::global().warn(&format!(
+                "belenos: BELENOS_TRACE_CACHE_MB={v} not understood; ignored"
+            ));
+        }
+        mb.unwrap_or(2048).saturating_mul(1 << 20) / std::mem::size_of::<MicroOp>() as u64
     })
 }
+
+/// Ops a streamed run expands at a time: ~29 KiB of columns, which stay
+/// in the L1 data cache between the expander's writes and the model's
+/// reads.
+const STREAM_CHUNK_OPS: usize = 1024;
 
 /// Ops currently held by trace caches across all experiments. Updated
 /// under each experiment's cache lock; concurrent expansions can
@@ -309,74 +317,80 @@ impl Experiment {
                 ("max_ops", max_ops.into()),
             ],
         );
-        let stats = self.simulate_prefix(cfg, max_ops);
+        let stats = self.with_model(cfg, |model| self.simulate_prefix_on(model, max_ops));
         if tele.enabled() {
             emit_stage_counters(&tele, &stats);
         }
         stats
     }
 
-    /// Takes the pooled model for `cfg` (reset to its just-built state),
-    /// or builds a fresh one on a pool miss. Pair with
-    /// [`Experiment::pool_model`] to return it after the run.
-    fn pooled_model(&self, cfg: &CoreConfig) -> Box<dyn CoreModel> {
-        let mut slot = self.model_pool.slot.lock().unwrap();
-        if slot.as_ref().is_some_and(|(pooled, _)| pooled == cfg) {
-            let (_, mut model) = slot.take().expect("checked occupied");
-            drop(slot);
-            model.reset();
-            return model;
-        }
-        drop(slot);
-        build_model(cfg)
-    }
-
-    /// Returns a model to the pool for the next run on this config.
-    fn pool_model(&self, cfg: &CoreConfig, model: Box<dyn CoreModel>) {
+    /// Runs `run` on the pooled model if it was built for `cfg` (reset to
+    /// its just-built state), else on a fresh one, and pools the model
+    /// for the next run.
+    fn with_model<R>(&self, cfg: &CoreConfig, run: impl FnOnce(&mut dyn CoreModel) -> R) -> R {
+        let pooled = self
+            .model_pool
+            .slot
+            .lock()
+            .unwrap()
+            .take_if(|(built, _)| built == cfg);
+        let mut model = match pooled {
+            Some((_, mut model)) => {
+                model.reset();
+                model
+            }
+            None => build_model(cfg),
+        };
+        let out = run(model.as_mut());
         *self.model_pool.slot.lock().unwrap() = Some((cfg.clone(), model));
+        out
     }
 
-    /// Prefix-mode simulation body (see [`Experiment::simulate`], which
-    /// wraps it in a telemetry `phase` span).
-    fn simulate_prefix(&self, cfg: &CoreConfig, max_ops: usize) -> SimStats {
-        let mut model = self.pooled_model(cfg);
-        let stats = self.simulate_prefix_on(model.as_mut(), max_ops);
-        self.pool_model(cfg, model);
-        stats
-    }
-
+    /// The prefix-mode driver (see [`Experiment::simulate`], which wraps
+    /// it in a telemetry `phase` span).
     fn simulate_prefix_on(&self, model: &mut dyn CoreModel, max_ops: usize) -> SimStats {
         if max_ops == 0 {
-            if let Some(ops) = self.cached_trace(None) {
-                self.count_flat_hit();
-                return model.run_flat(&ops);
-            }
-            let mut expander = Expander::with_config(&self.log, self.expand.clone());
-            return model.run(&mut expander);
+            return self.replay(None, |ops| model.run_warm(ops, 0));
         }
-        // Discard the first quarter as measurement warmup (cold caches
-        // and untrained predictors), as gem5 checkpointed runs do. The
-        // quarter is of the *measured* window — the smaller of budget
-        // and actual trace — so an oversized budget cannot discard the
-        // whole trace as warmup and report empty statistics.
-        if let Some(ops) = self.cached_trace(Some(max_ops as u64)) {
-            self.count_flat_hit();
-            let end = max_ops.min(ops.len());
-            let measured = end as u64;
-            return model.run_warm_flat(&ops, 0, end, measured / 4);
+        let limit = max_ops as u64;
+        self.replay(Some(limit), |ops| {
+            // Discard the first quarter as measurement warmup (cold caches
+            // and untrained predictors), as gem5 checkpointed runs do. The
+            // quarter is of the *measured* window — the smaller of budget
+            // and actual trace — so an oversized budget cannot discard the
+            // whole trace as warmup and report empty statistics.
+            let measured = limit.min(self.trace_ops_up_to(limit));
+            ops.stop_at(limit);
+            model.run_warm(ops, measured / 4)
+        })
+    }
+
+    /// Runs `run` on a cursor over this experiment's trace: the memo when
+    /// it can hold `need` ops (the whole trace for `None`; see
+    /// [`Experiment::cached_trace`]), else a stream expanded from the
+    /// log. Both yield the same ops, so the run's result is the same.
+    fn replay<R>(&self, need: Option<u64>, run: impl FnOnce(&mut Ops<'_>) -> R) -> R {
+        let Some(memo) = self.cached_trace(need) else {
+            let expander = Expander::with_config(&self.log, self.expand.clone());
+            return run(&mut Ops::stream(expander, STREAM_CHUNK_OPS));
+        };
+        let tele = belenos_telemetry::global();
+        if tele.enabled() {
+            tele.counter(
+                "flat_trace_hits",
+                1,
+                &[("workload", self.id.as_str().into())],
+            );
         }
-        let measured = (max_ops as u64).min(self.trace_ops_up_to(max_ops as u64));
-        let expander = Expander::with_config(&self.log, self.expand.clone());
-        let mut limited = expander.take(max_ops);
-        model.run_warm(&mut limited, measured / 4)
+        run(&mut Ops::range(&memo, 0, memo.len()))
     }
 
     /// Returns a memoized expanded prefix of at least `need` ops (or the
     /// whole trace when `need` is `None`), expanding and caching it on
     /// first use. `None` when caching is disabled
     /// (`BELENOS_TRACE_CACHE_MB=0`), the request exceeds the cap, or a
-    /// whole-trace request finds the trace larger than the cap — callers
-    /// fall back to streaming expansion, which is always bit-equivalent.
+    /// whole-trace request finds the trace larger than the cap — the run
+    /// then streams, which is always bit-equivalent.
     fn cached_trace(&self, need: Option<u64>) -> Option<Arc<FlatTrace>> {
         use std::sync::atomic::Ordering;
         let budget = trace_cache_budget_ops();
@@ -446,16 +460,7 @@ impl Experiment {
         let limit = need.unwrap_or(u64::MAX).min(cap.saturating_add(1));
         let mut ops = FlatTrace::with_capacity(limit.min(1 << 22) as usize);
         let mut expander = Expander::with_config(&self.log, self.expand.clone());
-        let mut exhausted = false;
-        while (ops.len() as u64) < limit {
-            match expander.next() {
-                Some(op) => ops.push(op),
-                None => {
-                    exhausted = true;
-                    break;
-                }
-            }
-        }
+        let exhausted = !expander.fill(&mut ops, usize::try_from(limit).unwrap_or(usize::MAX));
         self.trace_at_least
             .fetch_max(ops.len() as u64, Ordering::Relaxed);
         if !exhausted && need.is_none() {
@@ -473,20 +478,6 @@ impl Experiment {
         TRACE_CACHE_USED_OPS.fetch_add(n - held, Ordering::Relaxed);
         cache.ops = Some(Arc::new(ops));
         cache.ops.clone()
-    }
-
-    /// Records that a simulation consumed the memoized [`FlatTrace`]
-    /// directly (the struct-of-arrays fast path, as opposed to streaming
-    /// expansion).
-    fn count_flat_hit(&self) {
-        let tele = belenos_telemetry::global();
-        if tele.enabled() {
-            tele.counter(
-                "flat_trace_hits",
-                1,
-                &[("workload", self.id.as_str().into())],
-            );
-        }
     }
 
     /// Releases this experiment's trace cache back to the process-wide
@@ -565,91 +556,47 @@ impl Experiment {
                 ("intervals", sampling.intervals.into()),
             ],
         );
-        let stats = self.simulate_sampled_inner(cfg, max_ops, sampling);
+        let stats = self.with_model(cfg, |model| {
+            self.simulate_sampled_on(model, max_ops, sampling)
+        });
         if tele.enabled() {
             emit_stage_counters(&tele, &stats);
         }
         stats
     }
 
-    /// Sampled-mode simulation body (see [`Experiment::simulate_sampled`],
+    /// The sampled-mode driver (see [`Experiment::simulate_sampled`],
     /// which wraps it in a telemetry `phase` span). Only reached when
     /// sampling is actually on.
-    fn simulate_sampled_inner(
-        &self,
-        cfg: &CoreConfig,
-        max_ops: usize,
-        sampling: &SamplingConfig,
-    ) -> SimStats {
-        let mut model = self.pooled_model(cfg);
-        let stats = self.simulate_sampled_on(model.as_mut(), cfg, max_ops, sampling);
-        self.pool_model(cfg, model);
-        stats
-    }
-
     fn simulate_sampled_on(
         &self,
         model: &mut dyn CoreModel,
-        cfg: &CoreConfig,
         max_ops: usize,
         sampling: &SamplingConfig,
     ) -> SimStats {
-        let cached = self.cached_trace(None);
-        let total = cached
-            .as_ref()
-            .map_or_else(|| self.total_trace_ops(), |ops| ops.len() as u64);
-        if let Some(ops) = &cached {
-            self.count_flat_hit();
+        self.replay(None, |ops| {
+            let total = self.total_trace_ops();
             if max_ops as u64 >= total {
                 // One interval covering the whole trace: simulate exactly.
-                return model.run_flat(ops);
+                return model.run_warm(ops, 0);
             }
-            // Window positions are absolute trace offsets, so the flat
-            // path warms and measures by range with no counting adapter.
-            let windows = sampling_windows(total, max_ops as u64, sampling.intervals);
+            // Window positions are trace positions: warm the gap up to a
+            // window's start, then measure up to its end.
             let mut merged = SimStats {
-                freq_ghz: cfg.freq_ghz,
+                freq_ghz: model.config().freq_ghz,
                 ..SimStats::default()
             };
-            let mut pos = 0usize;
-            for (start, len) in windows {
-                let start = start as usize;
-                let gap = start.saturating_sub(pos);
-                model.warm_only_flat(ops, pos, start, gap as u64);
+            for (start, len) in sampling_windows(total, max_ops as u64, sampling.intervals) {
+                ops.stop_at(start + len);
+                model.warm_only(ops, start.saturating_sub(ops.at()));
                 let warmup = (len as f64 * sampling.warmup_frac) as u64;
-                let end = start + len as usize;
-                let stats = model.run_warm_flat(ops, start, end, warmup);
-                merged.merge(&stats);
-                pos = end;
+                merged.merge(&model.run_warm(ops, warmup));
             }
             if merged.committed_ops == 0 {
                 return merged;
             }
-            return merged.scaled(total as f64 / merged.committed_ops as f64);
-        }
-        let mut inner = Expander::with_config(&self.log, self.expand.clone());
-        if max_ops as u64 >= total {
-            // One interval covering the whole trace: simulate it exactly.
-            return model.run(&mut inner);
-        }
-        let windows = sampling_windows(total, max_ops as u64, sampling.intervals);
-        let mut trace = Counted { inner, consumed: 0 };
-        let mut merged = SimStats {
-            freq_ghz: cfg.freq_ghz,
-            ..SimStats::default()
-        };
-        for (start, len) in windows {
-            let gap = start.saturating_sub(trace.consumed);
-            model.warm_only(&mut trace, gap);
-            let warmup = (len as f64 * sampling.warmup_frac) as u64;
-            let mut window = (&mut trace).take(len as usize);
-            let stats = model.run_warm(&mut window, warmup);
-            merged.merge(&stats);
-        }
-        if merged.committed_ops == 0 {
-            return merged;
-        }
-        merged.scaled(total as f64 / merged.committed_ops as f64)
+            merged.scaled(total as f64 / merged.committed_ops as f64)
+        })
     }
 
     /// Convenience: simulate on the Table II gem5 baseline.
@@ -695,25 +642,6 @@ impl belenos_runner::Simulate for Experiment {
     /// same cache key), which is what makes experiments distributable.
     fn scenario_json(&self) -> Option<String> {
         Some(self.scenario.to_json())
-    }
-}
-
-/// Iterator adapter counting consumed items, so the sampling driver knows
-/// its absolute position in the trace across warming and measuring.
-struct Counted<I> {
-    inner: I,
-    consumed: u64,
-}
-
-impl<I: Iterator<Item = MicroOp>> Iterator for Counted<I> {
-    type Item = MicroOp;
-
-    fn next(&mut self) -> Option<MicroOp> {
-        let op = self.inner.next();
-        if op.is_some() {
-            self.consumed += 1;
-        }
-        op
     }
 }
 
@@ -817,11 +745,11 @@ impl std::error::Error for PrepareError {
 /// Prepares a list of scenarios; failures abort with the failing scenario
 /// named.
 ///
-/// With more than one scenario the prepares run as one batch on the
-/// process's thread budget ([`belenos_runner::pool`]), each with its own
-/// queue-wait/exec telemetry span. Results come back in input order, so
-/// parallel and serial preparation are observationally identical apart
-/// from wall time.
+/// The prepares run as one batch on the process's thread budget
+/// ([`belenos_runner::pool`]) — a lone one too, on the calling thread —
+/// each with its own queue-wait/exec telemetry span. Results come back in
+/// input order, so parallel and serial preparation are observationally
+/// identical apart from wall time.
 ///
 /// # Errors
 ///
@@ -836,9 +764,6 @@ pub fn prepare_all(specs: &[ScenarioSpec]) -> Result<Vec<Experiment>, PrepareErr
 /// [`prepare_all`] over borrowed specs: the shared engine behind both the
 /// slice entry point and `Campaign::prepare`'s cross-set batch.
 pub(crate) fn prepare_refs(specs: &[&ScenarioSpec]) -> Result<Vec<Experiment>, PrepareError> {
-    if specs.len() <= 1 {
-        return specs.iter().map(|spec| Experiment::prepare(spec)).collect();
-    }
     let tele = belenos_telemetry::global();
     let batch = tele.span("prepare", &[("jobs", specs.len().into())]);
     let (ran, _threads) = belenos_runner::pool::run_batch(
@@ -950,6 +875,29 @@ mod tests {
             source: PrepareFailure::Fem(FemError::InvalidModel("bad".into())),
         };
         assert!(err.to_string().contains("workload `eye`"));
+    }
+
+    #[test]
+    fn a_lone_prepare_runs_as_a_batch_of_one() {
+        // One spec goes through the batch like many: one `prepare` span,
+        // one `job` inside it (and with it the batch's panic containment).
+        let (prepared, events) =
+            belenos_telemetry::capture(|| prepare_all(&[by_id("pd").expect("pd exists")]));
+        assert_eq!(prepared.expect("pd solves").len(), 1);
+        let opened = |name: &str| -> Vec<&belenos_json::Json> {
+            events
+                .iter()
+                .filter(|e| {
+                    e.get("ev").and_then(belenos_json::Json::as_str) == Some("span_open")
+                        && e.get("name").and_then(belenos_json::Json::as_str) == Some(name)
+                })
+                .collect()
+        };
+        let (batches, jobs) = (opened("prepare"), opened("job"));
+        assert_eq!(batches.len(), 1, "one prepare span: {batches:?}");
+        assert_eq!(jobs.len(), 1, "one job span: {jobs:?}");
+        assert_eq!(jobs[0].get("parent"), batches[0].get("id"));
+        assert_eq!(jobs[0].get("label").and_then(|l| l.as_str()), Some("pd"));
     }
 
     #[test]
@@ -1190,25 +1138,25 @@ mod tests {
     #[test]
     fn cached_trace_replay_is_bit_identical_to_streaming_expansion() {
         // `simulate` memoizes the expanded trace (pd fits the default
-        // cap); a hand-driven streaming expansion must produce the exact
-        // same statistics, and repeated (cache-hit) runs must too.
+        // cap); a core driven straight off the expander, op by op, must
+        // produce the exact same statistics, and repeated (cache-hit)
+        // runs must too.
         let spec = by_id("pd").expect("pd exists");
         let exp = Experiment::prepare(&spec).unwrap();
         let cfg = CoreConfig::gem5_baseline();
+        let expander = || Expander::with_config(exp.log(), spec.expand_config());
 
         let full = exp.simulate(&cfg, 0);
-        let mut model = build_model(&cfg);
-        let mut streamed = Expander::with_config(exp.log(), spec.expand_config());
-        assert_eq!(full, model.run(&mut streamed), "full-trace replay");
+        let mut core = belenos_uarch::O3Core::new(cfg.clone());
+        assert_eq!(full, core.run(expander()), "full-trace replay");
         assert_eq!(full, exp.simulate(&cfg, 0), "cache-hit replay");
 
         let budget = 40_000usize;
         let budgeted = exp.simulate(&cfg, budget);
-        let mut model = build_model(&cfg);
-        let mut limited = Expander::with_config(exp.log(), spec.expand_config()).take(budget);
+        let mut core = belenos_uarch::O3Core::new(cfg.clone());
         assert_eq!(
             budgeted,
-            model.run_warm(&mut limited, budget as u64 / 4),
+            core.run_warm(expander().take(budget), budget as u64 / 4),
             "budgeted replay"
         );
         assert_eq!(budgeted, exp.simulate(&cfg, budget), "budgeted cache hit");

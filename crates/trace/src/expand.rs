@@ -11,6 +11,7 @@
 //! how many dynamic ops the emitted stream stands for.
 
 use crate::digest::Fnv64;
+use crate::flat::FlatTrace;
 use crate::layout::{AddressSpace, ArrayHandle};
 use crate::op::{FnCategory, MicroOp, OpKind};
 use crate::program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
@@ -211,6 +212,21 @@ impl<'a> Expander<'a> {
     pub fn total_ops_up_to(mut self, limit: u64) -> u64 {
         while self.emitted < limit && self.generate_next_call() {}
         self.emitted
+    }
+
+    /// Appends the stream's next ops to `trace`, column by column, until
+    /// it holds `len` ops; `false` when the stream ends first. The ops
+    /// are the ones [`Iterator::next`] would have yielded.
+    pub fn fill(&mut self, trace: &mut FlatTrace, len: usize) -> bool {
+        while trace.len() < len {
+            if self.cursor == self.buf.len() && !self.generate_next_call() {
+                return false;
+            }
+            let take = (self.buf.len() - self.cursor).min(len - trace.len());
+            trace.extend_from_slice(&self.buf[self.cursor..self.cursor + take]);
+            self.cursor += take;
+        }
+        true
     }
 
     fn bloat_base(&self, region: u32) -> u32 {

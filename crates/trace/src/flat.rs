@@ -1,5 +1,6 @@
 //! Flattened, pre-decoded trace storage: a struct-of-arrays mirror of
-//! [`MicroOp`] built once and replayed many times.
+//! [`MicroOp`] built once and replayed many times, and [`Ops`], the one
+//! cursor every simulation replays a trace through.
 //!
 //! The expanded-trace memo used to hold a `Vec<MicroOp>`: 40 bytes per
 //! op, with every field of every op pulled through the cache even when a
@@ -10,12 +11,15 @@
 //! * replay iterates dense, homogeneous slices — the layout the hot
 //!   simulation loops are fastest at streaming.
 //!
-//! Replay is **bit-identical** to the `Vec<MicroOp>` (and streaming
-//! expander) form: [`FlatTrace::get`] reconstructs exactly the op that
-//! was pushed, field for field, and [`FlatTrace::range`] yields the same
-//! sequence any other trace source yields. The o3 digest pins in
-//! `tests/backends.rs` hold across all three representations.
+//! A trace too large to memoize streams through the same layout: an
+//! [`Ops`] cursor refills a fixed-size `FlatTrace` chunk from an
+//! [`Expander`] and replays it exactly as it replays a memo range.
+//! Replay is **bit-identical** either way: [`FlatTrace::get`]
+//! reconstructs exactly the op that was pushed, field for field, and
+//! expansion is deterministic, so a memo range and a stream over the
+//! same positions yield the same ops.
 
+use crate::expand::Expander;
 use crate::op::{FnCategory, MicroOp, OpKind};
 
 /// A micro-op trace in struct-of-arrays layout.
@@ -91,6 +95,32 @@ impl FlatTrace {
             + self.cat.capacity()
     }
 
+    /// Appends `ops`, one array at a time.
+    pub(crate) fn extend_from_slice(&mut self, ops: &[MicroOp]) {
+        self.kind.extend(ops.iter().map(|op| op.kind));
+        self.pc.extend(ops.iter().map(|op| op.pc));
+        self.addr.extend(ops.iter().map(|op| op.addr));
+        self.size.extend(ops.iter().map(|op| op.size));
+        self.taken.extend(ops.iter().map(|op| op.taken));
+        self.target.extend(ops.iter().map(|op| op.target));
+        self.dep1.extend(ops.iter().map(|op| op.dep1));
+        self.dep2.extend(ops.iter().map(|op| op.dep2));
+        self.cat.extend(ops.iter().map(|op| op.cat));
+    }
+
+    /// Empties every array, keeping its allocation.
+    fn clear(&mut self) {
+        self.kind.clear();
+        self.pc.clear();
+        self.addr.clear();
+        self.size.clear();
+        self.taken.clear();
+        self.target.clear();
+        self.dep1.clear();
+        self.dep2.clear();
+        self.cat.clear();
+    }
+
     /// Appends one op, scattering its fields across the arrays.
     pub fn push(&mut self, op: MicroOp) {
         self.kind.push(op.kind);
@@ -127,7 +157,7 @@ impl FlatTrace {
     /// Iterates ops `start..end` (clamped to the trace length) as
     /// reconstructed [`MicroOp`]s. The returned iterator is a concrete
     /// type, so loops driven by it monomorphize — no per-op virtual
-    /// dispatch, unlike the `&mut dyn Iterator` trace seam.
+    /// dispatch.
     pub fn range(&self, start: usize, end: usize) -> FlatIter<'_> {
         let end = end.min(self.len());
         FlatIter {
@@ -178,7 +208,7 @@ impl<'a> IntoIterator for &'a FlatTrace {
 /// unchecked loads: the single `next < end` compare subsumes every
 /// bounds check (all arrays share one length, and `end` is clamped to
 /// it at construction).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlatIter<'a> {
     kind: &'a [OpKind],
     pc: &'a [u32],
@@ -203,7 +233,8 @@ impl Iterator for FlatIter<'_> {
             return None;
         }
         self.next = i + 1;
-        // SAFETY: `i < end`, `end <= kind.len()` (clamped in `range`),
+        // SAFETY: `i < end`, `end <= kind.len()` (clamped in `range` and
+        // `Ops::stop_at`),
         // and every field array has the same length (`push` appends to
         // all nine in lockstep).
         unsafe {
@@ -233,6 +264,129 @@ impl ExactSizeIterator for FlatIter<'_> {}
 // specialize to a pass-through instead of tracking a done flag on the
 // simulator's per-op hot path.
 impl std::iter::FusedIterator for FlatIter<'_> {}
+
+/// The op cursor every simulation replays a trace through: a range of a
+/// memoized [`FlatTrace`], or an [`Expander`] that refills a fixed-size
+/// `FlatTrace` chunk out of line.
+///
+/// Either way the per-op path is [`FlatIter`]'s — one `next < end`
+/// compare and nine unchecked loads — and nothing on it depends on the
+/// source. Positions count ops from the start of the trace, so a sampling
+/// driver can warm up to one position and measure up to the next
+/// ([`Ops::at`], [`Ops::stop_at`]).
+#[derive(Debug)]
+pub struct Ops<'a> {
+    /// The current table's ops up to the stop: the memo range, or the
+    /// chunk. Declared before `stream`, so it is dropped before the
+    /// chunk it may borrow.
+    ops: FlatIter<'a>,
+    /// Trace position of the current table's first op.
+    base: u64,
+    /// Trace position the cursor ends at, unless the trace ends first.
+    stop: u64,
+    /// Where a streamed cursor refills from; `None` for a memo range
+    /// and for a stream that has run dry.
+    stream: Option<Stream<'a>>,
+}
+
+#[derive(Debug)]
+struct Stream<'a> {
+    expander: Expander<'a>,
+    chunk: FlatTrace,
+    chunk_ops: usize,
+}
+
+impl<'a> Ops<'a> {
+    /// A cursor over ops `start..end` of a memoized trace (clamped to its
+    /// length); trace positions are the memo's indices.
+    pub fn range(trace: &'a FlatTrace, start: usize, end: usize) -> Self {
+        let ops = trace.range(start, end);
+        Ops {
+            stop: ops.end as u64,
+            ops,
+            base: 0,
+            stream: None,
+        }
+    }
+
+    /// A cursor over the whole stream `expander` emits, expanded
+    /// `chunk_ops` ops (at least one) at a time.
+    pub fn stream(expander: Expander<'a>, chunk_ops: usize) -> Self {
+        let chunk_ops = chunk_ops.max(1);
+        Ops {
+            ops: FlatIter::default(),
+            base: 0,
+            stop: u64::MAX,
+            stream: Some(Stream {
+                expander,
+                chunk: FlatTrace::with_capacity(chunk_ops),
+                chunk_ops,
+            }),
+        }
+    }
+
+    /// Trace position of the next op.
+    pub fn at(&self) -> u64 {
+        self.base + self.ops.next as u64
+    }
+
+    /// Makes the cursor end at trace position `stop`, or where the trace
+    /// does if that is sooner. Moving the stop past the position resumes
+    /// a cursor that had ended.
+    pub fn stop_at(&mut self, stop: u64) {
+        self.stop = stop;
+        let table = self.ops.kind.len() as u64;
+        let end = stop
+            .saturating_sub(self.base)
+            .clamp(self.ops.next as u64, table);
+        self.ops.end = end as usize;
+    }
+
+    /// The cold half of [`Iterator::next`]: the table is used up, so a
+    /// stream short of its stop expands its next chunk.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) -> Option<MicroOp> {
+        let position = self.at();
+        let stream = self.stream.as_mut().filter(|_| position < self.stop)?;
+        // The iterator may borrow the chunk: let go of it first.
+        self.ops = FlatIter::default();
+        self.base = position;
+        stream.chunk.clear();
+        stream.expander.fill(&mut stream.chunk, stream.chunk_ops);
+        if stream.chunk.is_empty() {
+            self.stream = None;
+            return None;
+        }
+        // Borrowing the chunk for `'a` is what keeps the per-op path free
+        // of a branch on the source: a memo range and a chunk are both a
+        // `FlatIter<'a>`.
+        // SAFETY: the chunk's arrays live on the heap, so moving the
+        // cursor leaves them in place, and they are written only above,
+        // after `self.ops` has let go of them. `self.ops` is private, the
+        // only borrow made, and it drops before `self.stream`.
+        let chunk: &'a FlatTrace = unsafe { &*std::ptr::from_ref(&stream.chunk) };
+        self.ops = chunk.iter();
+        self.stop_at(self.stop);
+        self.ops.next()
+    }
+}
+
+impl Iterator for Ops<'_> {
+    type Item = MicroOp;
+
+    #[inline]
+    fn next(&mut self) -> Option<MicroOp> {
+        match self.ops.next() {
+            Some(op) => Some(op),
+            None => self.refill(),
+        }
+    }
+}
+
+// Once exhausted, a cursor stays exhausted until `stop_at` moves its
+// stop: within one run, `Fuse` passes it through unwrapped.
+impl std::iter::FusedIterator for Ops<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -279,6 +433,84 @@ mod tests {
         let flat = FlatTrace::new();
         assert!(flat.is_empty());
         assert_eq!(flat.iter().next(), None);
+    }
+
+    fn small_log() -> crate::PhaseLog {
+        use crate::KernelCall;
+        let mut log = crate::PhaseLog::new();
+        log.record(KernelCall::Dot { n: 40 });
+        log.record(KernelCall::Axpy { n: 33 });
+        log.record(KernelCall::VecOp { n: 50 });
+        log.record(KernelCall::Norm { n: 24 });
+        log
+    }
+
+    /// Splits a cursor the way the sampling driver does — warm the gap up
+    /// to each window, then run to the window's end — and returns the
+    /// pieces.
+    fn split(mut ops: Ops<'_>, windows: &[(u64, u64)]) -> Vec<Vec<MicroOp>> {
+        let mut pieces = Vec::new();
+        for &(start, len) in windows {
+            ops.stop_at(start + len);
+            let gap = start - ops.at();
+            pieces.push(ops.by_ref().take(gap as usize).collect());
+            pieces.push(ops.by_ref().collect());
+            assert_eq!(ops.at(), start + len);
+            assert_eq!(ops.next(), None, "ended at the stop");
+        }
+        pieces
+    }
+
+    #[test]
+    fn streamed_cursor_yields_the_memo_range() {
+        let log = small_log();
+        let flat: FlatTrace = Expander::new(&log).collect();
+        let total = flat.len();
+        let all: Vec<MicroOp> = flat.iter().collect();
+        assert!(total > 300, "premise: several chunks of every size below");
+
+        // Chunk sizes 1 and 7, a divisor of the trace, the whole trace
+        // and more: the last refill finds the expander dry.
+        let divisor = (20..total)
+            .find(|&d| total.is_multiple_of(d))
+            .expect("premise: a proper divisor");
+        for chunk in [1, 7, divisor, total, total + 1] {
+            let mut ops = Ops::stream(Expander::new(&log), chunk);
+            assert_eq!(ops.by_ref().collect::<Vec<_>>(), all, "chunk {chunk}");
+            assert_eq!(ops.at(), total as u64);
+            assert_eq!(ops.next(), None, "chunk {chunk}: stays exhausted");
+        }
+
+        // A limit inside a chunk, then one at a chunk's exact end; moving
+        // the stop resumes where the cursor ended.
+        let mut ops = Ops::stream(Expander::new(&log), 64);
+        ops.stop_at(100);
+        assert_eq!(ops.by_ref().collect::<Vec<_>>(), all[..100]);
+        ops.stop_at(192);
+        assert_eq!(ops.by_ref().collect::<Vec<_>>(), all[100..192]);
+        ops.stop_at(u64::MAX);
+        assert_eq!(ops.collect::<Vec<_>>(), all[192..]);
+        let mut memo = Ops::range(&flat, 0, 100);
+        assert_eq!(memo.by_ref().count(), 100);
+        memo.stop_at(u64::MAX);
+        assert_eq!(memo.collect::<Vec<_>>(), all[100..], "clamped to the memo");
+
+        // Warm gaps and windows straddling refills, and a window ending
+        // at the last op.
+        let last = total as u64 - 1;
+        let windows = [(5, 3), (20, 50), (127, 1), (128, 64), (300, 0), (last, 1)];
+        let expected = split(Ops::range(&flat, 0, total), &windows);
+        let mut pos = 0;
+        for (i, &(start, len)) in windows.iter().enumerate() {
+            let (start, end) = (start as usize, (start + len) as usize);
+            assert_eq!(expected[2 * i], all[pos..start], "memo gap {i}");
+            assert_eq!(expected[2 * i + 1], all[start..end], "memo window {i}");
+            pos = end;
+        }
+        for chunk in [1, 7, 64, divisor] {
+            let streamed = split(Ops::stream(Expander::new(&log), chunk), &windows);
+            assert_eq!(streamed, expected, "chunk {chunk}");
+        }
     }
 
     #[test]

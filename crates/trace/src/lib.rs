@@ -81,7 +81,7 @@ pub mod store;
 
 pub use digest::Fnv64;
 pub use expand::expand_fingerprint;
-pub use flat::{FlatIter, FlatTrace};
+pub use flat::{FlatIter, FlatTrace, Ops};
 pub use layout::AddressSpace;
 pub use op::{FnCategory, MicroOp, OpKind};
 pub use program::{trace_fingerprint, KernelCall, MaterialClass, PhaseLog, PrecondClass};

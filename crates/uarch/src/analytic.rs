@@ -45,7 +45,7 @@ use crate::model::{CoreModel, MemCounters, ModelKind};
 use crate::o3::fu_and_latency;
 use crate::stats::SimStats;
 use crate::tlb::Tlb;
-use belenos_trace::{MicroOp, OpKind};
+use belenos_trace::{MicroOp, OpKind, Ops};
 
 /// Ops fully modeled per sampling period (also the dependency-ring size;
 /// traces this short are modeled in full).
@@ -86,21 +86,16 @@ impl AnalyticCore {
     }
 
     /// Runs the trace through the functional pass and returns the bound
-    /// model's statistics.
-    pub fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) -> SimStats {
-        self.run_warm(trace, 0)
-    }
-
-    /// As [`AnalyticCore::run`], but the first `warmup_ops` trace ops only
-    /// warm the machine state (caches, TLBs, predictor, BTB) and are
-    /// excluded from the reported statistics.
-    pub fn run_warm(
+    /// model's statistics. The first `warmup_ops` trace ops only warm the
+    /// machine state (caches, TLBs, predictor, BTB) and are excluded from
+    /// the reported statistics.
+    pub fn run_warm<I: Iterator<Item = MicroOp>>(
         &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
+        mut trace: I,
         warmup_ops: u64,
     ) -> SimStats {
         if warmup_ops > 0 {
-            self.sampled_warm(trace, warmup_ops);
+            self.sampled_warm(&mut trace, warmup_ops);
         }
         let mut stats = SimStats {
             freq_ghz: self.cfg.freq_ghz,
@@ -135,25 +130,25 @@ impl AnalyticCore {
         let mut mem_acc = [0u64; 7];
         let mut mem_base = MemCounters::capture(&self.hierarchy);
 
-        for op in &mut *trace {
+        while let Some(op) = trace.next() {
             let pos = n % PERIOD;
-            if pos >= WINDOW {
-                // Gap op: counted, otherwise untouched.
-                if pos == WINDOW {
-                    dep_cycles += win_chain_max;
-                    win_chain_max = 0;
-                    for (a, d) in mem_acc
-                        .iter_mut()
-                        .zip(mem_base.delta_counts(&self.hierarchy))
-                    {
-                        *a += d;
-                    }
-                    // Re-baseline so the end-of-trace accumulation below
-                    // cannot add this window's delta a second time when
-                    // the trace ends in a gap.
-                    mem_base = MemCounters::capture(&self.hierarchy);
+            if pos == WINDOW {
+                // A gap: its first op closes the window, and its ops are
+                // counted, otherwise untouched.
+                dep_cycles += win_chain_max;
+                win_chain_max = 0;
+                for (a, d) in mem_acc
+                    .iter_mut()
+                    .zip(mem_base.delta_counts(&self.hierarchy))
+                {
+                    *a += d;
                 }
-                n += 1;
+                // Re-baseline so the end-of-trace accumulation below
+                // cannot add this window's delta a second time when the
+                // trace ends in a gap.
+                mem_base = MemCounters::capture(&self.hierarchy);
+                let rest = (PERIOD - WINDOW - 1) as usize;
+                n += 1 + trace.by_ref().take(rest).count() as u64;
                 continue;
             }
             if pos == 0 {
@@ -404,7 +399,7 @@ impl AnalyticCore {
     /// Window-sampled functional warming: inside the systematic windows
     /// caches, TLBs, predictor and BTB observe every access; gap ops are
     /// merely consumed. Same probe cost profile as the measuring pass.
-    fn sampled_warm(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_ops: u64) -> u64 {
+    fn sampled_warm<I: Iterator<Item = MicroOp>>(&mut self, trace: &mut I, max_ops: u64) -> u64 {
         let mut consumed = 0u64;
         let mut cur_line = u64::MAX;
         while consumed < max_ops {
@@ -467,11 +462,11 @@ impl CoreModel for AnalyticCore {
         self.btb.reset();
     }
 
-    fn run_warm(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, warmup_ops: u64) -> SimStats {
+    fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats {
         AnalyticCore::run_warm(self, trace, warmup_ops)
     }
 
-    fn warm_only(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_ops: u64) -> u64 {
+    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64 {
         self.sampled_warm(trace, max_ops)
     }
 }
@@ -486,7 +481,7 @@ mod tests {
 
     fn run_ops(ops: Vec<MicroOp>, cfg: CoreConfig) -> SimStats {
         let mut core = AnalyticCore::new(cfg);
-        core.run(&mut ops.into_iter())
+        core.run_warm(ops.into_iter(), 0)
     }
 
     fn int_stream(n: usize) -> Vec<MicroOp> {

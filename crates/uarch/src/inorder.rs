@@ -23,7 +23,7 @@ use crate::model::{functional_warm, CoreModel, MemCounters, ModelKind};
 use crate::o3::{fu_and_latency, FPDIV_BUSY};
 use crate::stats::SimStats;
 use crate::tlb::Tlb;
-use belenos_trace::{FlatTrace, MicroOp, OpKind};
+use belenos_trace::{MicroOp, OpKind, Ops};
 
 /// Minimum dependency-tracking window (producer distances beyond the
 /// window are treated as long-retired).
@@ -79,9 +79,8 @@ impl InOrderCore {
 
     /// Runs the trace, discarding the first `warmup_ops` committed ops
     /// from the reported statistics (machine state persists, as in
-    /// [`crate::o3::O3Core::run_warm`]). Generic so the flat-trace path
-    /// monomorphizes over [`belenos_trace::FlatIter`] with no per-op
-    /// virtual dispatch.
+    /// [`crate::o3::O3Core::run_warm`]). Generic so the [`Ops`] cursor
+    /// path monomorphizes with no per-op virtual dispatch.
     pub fn run_warm<I: Iterator<Item = MicroOp>>(&mut self, trace: I, warmup_ops: u64) -> SimStats {
         let mut stats = SimStats {
             freq_ghz: self.cfg.freq_ghz,
@@ -290,11 +289,11 @@ impl CoreModel for InOrderCore {
         self.btb.reset();
     }
 
-    fn run_warm(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, warmup_ops: u64) -> SimStats {
+    fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats {
         InOrderCore::run_warm(self, trace, warmup_ops)
     }
 
-    fn warm_only(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_ops: u64) -> u64 {
+    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64 {
         functional_warm(
             &mut self.hierarchy,
             &mut self.itlb,
@@ -305,35 +304,13 @@ impl CoreModel for InOrderCore {
             max_ops,
         )
     }
-
-    fn run_warm_flat(
-        &mut self,
-        trace: &FlatTrace,
-        start: usize,
-        end: usize,
-        warmup_ops: u64,
-    ) -> SimStats {
-        InOrderCore::run_warm(self, trace.range(start, end), warmup_ops)
-    }
-
-    fn warm_only_flat(&mut self, trace: &FlatTrace, start: usize, end: usize, max_ops: u64) -> u64 {
-        functional_warm(
-            &mut self.hierarchy,
-            &mut self.itlb,
-            &mut self.dtlb,
-            self.predictor.as_mut(),
-            &mut self.btb,
-            &mut trace.range(start, end),
-            max_ops,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::o3::O3Core;
-    use belenos_trace::FnCategory;
+    use belenos_trace::{FlatTrace, FnCategory};
 
     const CAT: FnCategory = FnCategory::Internal;
 

@@ -29,7 +29,7 @@ use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
 use crate::stats::SimStats;
 use crate::tlb::Tlb;
-use belenos_trace::{FlatTrace, MicroOp, OpKind};
+use belenos_trace::{FlatTrace, OpKind, Ops};
 
 /// Which core-model backend simulates a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -94,9 +94,10 @@ impl std::fmt::Display for ModelKind {
 ///   (retiring + front-end + bad-speculation + back-end), so top-down
 ///   bottleneck comparisons are meaningful across backends.
 ///
-/// Traces are taken as `&mut dyn Iterator` (not a generic parameter) so
-/// backends stay object-safe: the experiment layer holds a
-/// `Box<dyn CoreModel>` chosen at run time from [`ModelKind`].
+/// Traces arrive as an [`Ops`] cursor, memo-backed or streamed: one
+/// concrete type, so each backend's loop is monomorphized over it while
+/// the trait stays object-safe for the `Box<dyn CoreModel>` the
+/// experiment layer picks at run time from [`ModelKind`].
 ///
 /// `Send` so the experiment layer can pool built models and hand them
 /// between worker threads.
@@ -116,28 +117,20 @@ pub trait CoreModel: Send {
     /// bit-identical statistics.
     fn reset(&mut self);
 
-    /// Runs the trace to completion, discarding the first `warmup_ops`
+    /// Runs the cursor to its end, discarding the first `warmup_ops`
     /// committed ops from the reported statistics (machine state
     /// persists; this is measurement warmup). When the trace is shorter
     /// than the warmup, the reported measurement window is empty.
-    fn run_warm(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, warmup_ops: u64) -> SimStats;
-
-    /// Runs the whole trace and reports full statistics.
-    fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) -> SimStats {
-        self.run_warm(trace, 0)
-    }
+    fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats;
 
     /// Functionally warms long-lived machine state (caches, TLBs,
     /// predictor, BTB) from up to `max_ops` trace ops without simulating
     /// cycles or producing statistics; returns the ops consumed. This is
     /// the SMARTS-style gap warming between sampled measurement windows.
-    fn warm_only(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_ops: u64) -> u64;
+    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64;
 
     /// [`CoreModel::run_warm`] over ops `start..end` of a pre-expanded
-    /// [`FlatTrace`]. The default routes through the `dyn Iterator`
-    /// seam and is therefore bit-identical to streaming the same range;
-    /// the cycle-level backends override it with a monomorphized loop
-    /// (no per-op virtual dispatch) that produces identical statistics.
+    /// [`FlatTrace`].
     fn run_warm_flat(
         &mut self,
         trace: &FlatTrace,
@@ -145,18 +138,7 @@ pub trait CoreModel: Send {
         end: usize,
         warmup_ops: u64,
     ) -> SimStats {
-        self.run_warm(&mut trace.range(start, end), warmup_ops)
-    }
-
-    /// [`CoreModel::warm_only`] over ops `start..end` of a
-    /// [`FlatTrace`]; returns the ops consumed.
-    fn warm_only_flat(&mut self, trace: &FlatTrace, start: usize, end: usize, max_ops: u64) -> u64 {
-        self.warm_only(&mut trace.range(start, end), max_ops)
-    }
-
-    /// Runs an entire [`FlatTrace`] and reports full statistics.
-    fn run_flat(&mut self, trace: &FlatTrace) -> SimStats {
-        self.run_warm_flat(trace, 0, trace.len(), 0)
+        self.run_warm(&mut Ops::range(trace, start, end), warmup_ops)
     }
 }
 
@@ -173,13 +155,13 @@ pub fn build_model(cfg: &CoreConfig) -> Box<dyn CoreModel> {
 /// and fetch access, the branch predictor and BTB observe every branch
 /// outcome, but no cycles are simulated. Returns the ops consumed (fewer
 /// than `max_ops` only when the trace ends).
-pub(crate) fn functional_warm<I: Iterator<Item = MicroOp> + ?Sized>(
+pub(crate) fn functional_warm(
     hierarchy: &mut Hierarchy,
     itlb: &mut Tlb,
     dtlb: &mut Tlb,
     predictor: &mut dyn BranchPredictor,
     btb: &mut Btb,
-    trace: &mut I,
+    trace: &mut Ops<'_>,
     max_ops: u64,
 ) -> u64 {
     let mut consumed = 0u64;
@@ -282,6 +264,7 @@ impl MemCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use belenos_trace::MicroOp;
 
     #[test]
     fn labels_roundtrip_through_parse() {
@@ -309,13 +292,13 @@ mod tests {
     #[test]
     fn every_backend_commits_every_op() {
         use belenos_trace::FnCategory;
-        let ops: Vec<MicroOp> = (0..2000)
+        let ops: FlatTrace = (0..2000)
             .map(|i| MicroOp::int(0x1000 + (i as u32 % 16) * 4, 0, 0, FnCategory::Internal))
             .collect();
         for kind in ModelKind::ALL {
             let cfg = CoreConfig::gem5_baseline().with_model(kind);
             let mut model = build_model(&cfg);
-            let stats = model.run(&mut ops.clone().into_iter());
+            let stats = model.run_warm(&mut Ops::range(&ops, 0, ops.len()), 0);
             assert_eq!(stats.committed_ops, 2000, "{kind} must commit all ops");
             assert!(stats.cycles > 0, "{kind} must consume cycles");
             assert!(stats.ipc() > 0.0, "{kind} must report progress");
@@ -330,13 +313,13 @@ mod tests {
     #[test]
     fn every_backend_supports_interval_sampling_surface() {
         use belenos_trace::FnCategory;
-        let ops: Vec<MicroOp> = (0..4096)
+        let ops: FlatTrace = (0..4096)
             .map(|i| MicroOp::load(0x3000, (i % 64) as u64 * 64, 8, 0, FnCategory::Internal))
             .collect();
         for kind in ModelKind::ALL {
             let cfg = CoreConfig::gem5_baseline().with_model(kind);
             let mut model = build_model(&cfg);
-            let mut it = ops.clone().into_iter();
+            let mut it = Ops::range(&ops, 0, ops.len());
             let consumed = model.warm_only(&mut it, 1024);
             assert_eq!(consumed, 1024, "{kind} warming consumes the gap");
             let stats = model.run_warm(&mut it, 0);

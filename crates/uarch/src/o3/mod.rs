@@ -73,7 +73,7 @@ use crate::config::CoreConfig;
 use crate::model::{functional_warm, CoreModel, MemCounters, ModelKind};
 use crate::stats::SimStats;
 use crate::tlb::Tlb;
-use belenos_trace::{FlatTrace, MicroOp, OpKind};
+use belenos_trace::{MicroOp, OpKind, Ops};
 use pipeline::{FetchBlock, Pipeline, STALL_LIMIT};
 use std::time::Instant;
 
@@ -392,28 +392,6 @@ impl O3Core {
             stats.misc_stall_cycles += times;
         }
     }
-
-    /// Functionally warms the long-lived microarchitectural state from
-    /// the next `max_ops` ops of `trace` at zero pipeline cost: caches
-    /// and TLBs observe every memory and fetch access, the branch
-    /// predictor and BTB observe every branch outcome, but no cycles are
-    /// simulated and no statistics are produced.
-    ///
-    /// This is the SMARTS-style "functional warming" between detailed
-    /// measurement intervals; follow with [`O3Core::run_warm`] on the
-    /// same iterator to measure. Returns the number of ops consumed
-    /// (fewer than `max_ops` only when the trace ends).
-    pub fn warm_only<I: Iterator<Item = MicroOp>>(&mut self, trace: &mut I, max_ops: u64) -> u64 {
-        functional_warm(
-            &mut self.hierarchy,
-            &mut self.itlb,
-            &mut self.dtlb,
-            self.predictor.as_mut(),
-            &mut self.btb,
-            trace,
-            max_ops,
-        )
-    }
 }
 
 impl CoreModel for O3Core {
@@ -436,11 +414,11 @@ impl CoreModel for O3Core {
         // `scratch` is reset at the start of the next run.
     }
 
-    fn run_warm(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, warmup_ops: u64) -> SimStats {
+    fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats {
         O3Core::run_warm(self, trace, warmup_ops)
     }
 
-    fn warm_only(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_ops: u64) -> u64 {
+    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64 {
         functional_warm(
             &mut self.hierarchy,
             &mut self.itlb,
@@ -451,28 +429,12 @@ impl CoreModel for O3Core {
             max_ops,
         )
     }
-
-    fn run_warm_flat(
-        &mut self,
-        trace: &FlatTrace,
-        start: usize,
-        end: usize,
-        warmup_ops: u64,
-    ) -> SimStats {
-        // Monomorphized over the concrete FlatIter: the hot loop reads
-        // the struct-of-arrays trace with no per-op virtual dispatch.
-        O3Core::run_warm(self, trace.range(start, end), warmup_ops)
-    }
-
-    fn warm_only_flat(&mut self, trace: &FlatTrace, start: usize, end: usize, max_ops: u64) -> u64 {
-        O3Core::warm_only(self, &mut trace.range(start, end), max_ops)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use belenos_trace::{FnCategory, OpKind};
+    use belenos_trace::{FlatTrace, FnCategory, OpKind};
 
     const CAT: FnCategory = FnCategory::Internal;
 
@@ -723,13 +685,13 @@ mod tests {
     fn warm_only_consumes_and_warms_without_stats() {
         let mut core = O3Core::new(CoreConfig::gem5_baseline());
         // 64 hot lines, touched twice during warming.
-        let ops: Vec<MicroOp> = (0..8192)
+        let ops: FlatTrace = (0..8192)
             .map(|i| MicroOp::load(0x3000, (i % 64) as u64 * 64, 8, 0, CAT))
             .collect();
-        let mut it = ops.clone().into_iter();
+        let mut it = Ops::range(&ops, 0, ops.len());
         let consumed = core.warm_only(&mut it, 4096);
         assert_eq!(consumed, 4096);
-        assert_eq!(it.clone().count(), 8192 - 4096, "iterator shared");
+        assert_eq!(it.at(), 4096, "cursor shared");
         // A detailed run over the same lines now starts warm: every load
         // hits L1 and the reported counters cover only the detailed run.
         let stats = core.run_warm(it, 0);
@@ -742,8 +704,7 @@ mod tests {
         );
         // Trace shorter than the warming budget: consumption stops.
         let mut core = O3Core::new(CoreConfig::gem5_baseline());
-        let mut short = ops.into_iter().take(10);
-        assert_eq!(core.warm_only(&mut short, 100), 10);
+        assert_eq!(core.warm_only(&mut Ops::range(&ops, 0, 10), 100), 10);
     }
 
     #[test]

@@ -62,9 +62,11 @@ fn campaign_run_emits_the_full_span_hierarchy() {
         }
         names
     }
+    // The first simulation job: a prepare job chains to its `prepare`
+    // batch span instead.
     let job_open = opens
         .iter()
-        .find(|e| name(e) == "job")
+        .find(|e| name(e) == "job" && !chain_to_root(&opens, e).iter().any(|n| n == "prepare"))
         .expect("runner emits job spans");
     let chain = chain_to_root(&opens, job_open);
     assert_eq!(
