@@ -9,14 +9,22 @@
 //! keep the default `o3` backend **bit-identical** to that behavior; any
 //! digest drift here is a correctness regression, not noise.
 //!
+//! The `inorder` and `analytic` tables pin the same three runs for the
+//! two cheaper backends (captured at commit 575948f, before their machine
+//! state moved into the shared `Machine`); their sampled column is the
+//! only pin on each backend's functional warm-up.
+//!
 //! Recapture (after an *intentional* model change) with
-//! `cargo test -p belenos --release --test backends capture_o3_digests --
-//! --ignored --nocapture`, and paste what it prints over the pinned table.
+//! `cargo test -p belenos --release --test backends capture_digests --
+//! --ignored --nocapture`, and paste what it prints over the pinned tables.
 
 use belenos::experiment::Experiment;
 use belenos::figures::bottleneck_rank;
 use belenos_runner::cache::stats_digest as digest;
-use belenos_uarch::{CoreConfig, ModelKind, SamplingConfig};
+use belenos_trace::expand::Expander;
+use belenos_trace::{FlatTrace, Ops};
+use belenos_uarch::config::BranchPredictorKind;
+use belenos_uarch::{build_model, CoreConfig, CoreModel, ModelKind, SamplingConfig};
 use belenos_workloads::by_id;
 
 /// (workload, prefix-40k digest, sampled-30k/8 digest, host-40k digest),
@@ -147,15 +155,266 @@ const O3_DIGESTS: [(&str, u64, u64, u64); 20] = [
 /// Full-trace pd run on the gem5 baseline, captured pre-refactor.
 const O3_FULL_PD_DIGEST: u64 = 0x630da4b8145284d8;
 
-/// One workload's row of [`O3_DIGESTS`]: its prefix-40k and sampled-30k/8
-/// runs on the gem5 baseline and its prefix-40k run on the host-like
-/// config. The asserting test and the capture both compute rows here.
-fn o3_digest_row(exp: &Experiment) -> (u64, u64, u64) {
-    let cfg = CoreConfig::gem5_baseline();
+/// (workload, prefix-40k digest, sampled-30k/8 digest, host-40k digest)
+/// of the `inorder` backend.
+const INORDER_DIGESTS: [(&str, u64, u64, u64); 20] = [
+    (
+        "ar",
+        0x514bb8678396dbca,
+        0xd7d41f2f669bfeae,
+        0x1bb92fe4c6ac20d4,
+    ),
+    (
+        "bp",
+        0x63370b44917f6621,
+        0xa4e5d6c8684854fe,
+        0xebf8eafe664a9dbf,
+    ),
+    (
+        "co",
+        0x518d0de7a5efe2e3,
+        0x7878822feada55ef,
+        0x593dc7ca9470de04,
+    ),
+    (
+        "fl",
+        0xc08b2d9f74972556,
+        0x66b49aae67787844,
+        0xed9057fd809f9a38,
+    ),
+    (
+        "mu",
+        0x22a36f6ed3be872f,
+        0x7d9853f20a468608,
+        0xf19328a871476a7f,
+    ),
+    (
+        "mp",
+        0x59ab181088fe45ed,
+        0xa270c2239cabb022,
+        0x57e63e856954a673,
+    ),
+    (
+        "te",
+        0x56945abb816bc9a4,
+        0xf72bf96baa16e706,
+        0x2b36d6f09ce9b436,
+    ),
+    (
+        "ri",
+        0x084cc5911f0014b1,
+        0xc58d3aada57092e6,
+        0x1983b68aed2995bb,
+    ),
+    (
+        "ps",
+        0x56945abb816bc9a4,
+        0xc046b1ed7d8b592b,
+        0x2b36d6f09ce9b436,
+    ),
+    (
+        "pd",
+        0xb18593838eb4cc25,
+        0xa02eb01812d43044,
+        0x1697007a99aa22ec,
+    ),
+    (
+        "mg",
+        0x56945abb816bc9a4,
+        0x4f804e24a9358a05,
+        0x2b36d6f09ce9b436,
+    ),
+    (
+        "fs",
+        0x6c9bc639f9dc3ea2,
+        0x195005dd7d0c44e4,
+        0x535aebee6cb26b05,
+    ),
+    (
+        "mi",
+        0x1ca5c8d4ac396fec,
+        0x55f4dc36766120f4,
+        0x2d4127ea78ce7ef7,
+    ),
+    (
+        "ma",
+        0x25f846b24f77b8fc,
+        0x1fef1d8d2ec838db,
+        0x916218fd997c5c8e,
+    ),
+    (
+        "dm",
+        0x9be756b4b73e3d94,
+        0x790d93e1a77add85,
+        0xacb58be3d21b7255,
+    ),
+    (
+        "tu",
+        0x8b4902d83ce27028,
+        0xa9471109a6982f03,
+        0xa9193770ca4a2b7c,
+    ),
+    (
+        "rj",
+        0x69b861bd1a16db84,
+        0x2b491f53b2ddda6e,
+        0x5fc7fc9ee15274af,
+    ),
+    (
+        "vc",
+        0x9292464c7c431df6,
+        0x09978a5d0bcf0e62,
+        0xbdb790199d2cf4bb,
+    ),
+    (
+        "bi",
+        0x958ece239ab0bb78,
+        0x303a2c749651333f,
+        0x940271b33124667e,
+    ),
+    (
+        "eye",
+        0x56945abb816bc9a4,
+        0x05b2c30f659405c9,
+        0x2b36d6f09ce9b436,
+    ),
+];
+
+/// (workload, prefix-40k digest, sampled-30k/8 digest, host-40k digest)
+/// of the `analytic` backend.
+const ANALYTIC_DIGESTS: [(&str, u64, u64, u64); 20] = [
+    (
+        "ar",
+        0xfca4225c7c52fb3e,
+        0x0dd399deb7b39726,
+        0x3eee4416b6e2b018,
+    ),
+    (
+        "bp",
+        0x0f5f8e8dac8e325b,
+        0xc094093ecb40dc6e,
+        0x36455903102dddc3,
+    ),
+    (
+        "co",
+        0xca763ca6b43abb66,
+        0x032fbcefb7deef00,
+        0x2a4512bb6bdddfac,
+    ),
+    (
+        "fl",
+        0xe2c8dfa919cfbd9b,
+        0xd1c69689a6b9e1da,
+        0x89e7f02a54ee1121,
+    ),
+    (
+        "mu",
+        0x0b5d708af8aa134d,
+        0x750dd8d9c205046f,
+        0x6f3082deb8768c10,
+    ),
+    (
+        "mp",
+        0x6d769fd29a59b968,
+        0xd4a498d0c13a653c,
+        0xe1dae1c9f8ee0e09,
+    ),
+    (
+        "te",
+        0x54be783163cebf18,
+        0x2a6f72f701190146,
+        0x86f63594219d5b06,
+    ),
+    (
+        "ri",
+        0xb7e95fb12a3fbf10,
+        0x762997782a93f92c,
+        0x36c8f5b85d511424,
+    ),
+    (
+        "ps",
+        0x54be783163cebf18,
+        0x43ab3afff7b50475,
+        0x86f63594219d5b06,
+    ),
+    (
+        "pd",
+        0x6f8a410e513d701f,
+        0x46bfb98ac9ee0f34,
+        0x6ae83ce8f6438bd2,
+    ),
+    (
+        "mg",
+        0x54be783163cebf18,
+        0x7918b069607e1739,
+        0x86f63594219d5b06,
+    ),
+    (
+        "fs",
+        0x81215536f96df751,
+        0x11ee394b826782f0,
+        0x93cbf2663624a28e,
+    ),
+    (
+        "mi",
+        0x263db3ef55ba3244,
+        0x7102fb9d03af8f08,
+        0x36c8f5b85d511424,
+    ),
+    (
+        "ma",
+        0x0be75835ca66f647,
+        0x089b09ff2dd053a0,
+        0x677323441b00563a,
+    ),
+    (
+        "dm",
+        0xbd8c85b95b1f7906,
+        0xb9d2da6a76e5b409,
+        0xe3d22d23b573e300,
+    ),
+    (
+        "tu",
+        0xb624dfd9970170c5,
+        0x727e1866d118dbd7,
+        0x2d7cc26cf672a6db,
+    ),
+    (
+        "rj",
+        0x96855c7ef8ac814f,
+        0x691ab7f68333e71d,
+        0x64976f9340bfc424,
+    ),
+    (
+        "vc",
+        0x263db3ef55ba3244,
+        0x09f4450845675f85,
+        0x36c8f5b85d511424,
+    ),
+    (
+        "bi",
+        0x263db3ef55ba3244,
+        0xfbb7e84c6fc45bdb,
+        0x36c8f5b85d511424,
+    ),
+    (
+        "eye",
+        0x54be783163cebf18,
+        0xb6bf71d9cc9fbd6f,
+        0x86f63594219d5b06,
+    ),
+];
+
+/// One workload's row of a backend's table: its prefix-40k and
+/// sampled-30k/8 runs on the gem5 baseline and its prefix-40k run on the
+/// host-like config, all under `kind`. The asserting tests and the
+/// capture both compute rows here.
+fn digest_row(exp: &Experiment, kind: ModelKind) -> (u64, u64, u64) {
+    let cfg = CoreConfig::gem5_baseline().with_model(kind);
     (
         digest(&exp.simulate(&cfg, 40_000)),
         digest(&exp.simulate_sampled(&cfg, 30_000, &SamplingConfig::smarts(8))),
-        digest(&exp.simulate(&CoreConfig::host_like(), 40_000)),
+        digest(&exp.simulate(&CoreConfig::host_like().with_model(kind), 40_000)),
     )
 }
 
@@ -165,22 +424,80 @@ fn o3_full_pd_digest() -> u64 {
     digest(&exp.simulate(&CoreConfig::gem5_baseline(), 0))
 }
 
-#[test]
-fn o3_backend_is_bit_identical_to_pre_refactor_capture() {
+/// Asserts every catalog workload's row of `kind`'s pinned `table`.
+fn assert_pinned(kind: ModelKind, table: &[(&str, u64, u64, u64)]) {
     let catalog = belenos_workloads::catalog();
     assert_eq!(
         catalog.len(),
-        O3_DIGESTS.len(),
+        table.len(),
         "capture covers the full catalog; recapture after adding workloads"
     );
-    for (spec, &(id, prefix_d, sampled_d, host_d)) in catalog.iter().zip(O3_DIGESTS.iter()) {
+    for (spec, &(id, prefix_d, sampled_d, host_d)) in catalog.iter().zip(table.iter()) {
         assert_eq!(spec.id, id, "catalog order changed; recapture digests");
         let exp = Experiment::prepare(spec).unwrap();
         assert_eq!(
-            o3_digest_row(&exp),
+            digest_row(&exp, kind),
             (prefix_d, sampled_d, host_d),
-            "{id}: (prefix, sampled, host) o3 runs drifted from the pre-refactor capture"
+            "{id}: (prefix, sampled, host) {kind} runs drifted from the capture"
         );
+    }
+}
+
+#[test]
+fn o3_backend_is_bit_identical_to_pre_refactor_capture() {
+    assert_pinned(ModelKind::O3, &O3_DIGESTS);
+}
+
+#[test]
+fn inorder_backend_is_bit_identical_to_its_capture() {
+    assert_pinned(ModelKind::InOrder, &INORDER_DIGESTS);
+}
+
+#[test]
+fn analytic_backend_is_bit_identical_to_its_capture() {
+    assert_pinned(ModelKind::Analytic, &ANALYTIC_DIGESTS);
+}
+
+#[test]
+fn a_reset_model_replays_like_a_freshly_built_one() {
+    // The experiment layer pools a model and resets it between runs: for
+    // every backend and predictor, whatever trace A trained (caches,
+    // TLBs, predictor, BTB, retained pipeline), trace B on the reset
+    // model must match trace B on a new one, bit for bit.
+    let trace = |id: &str| -> FlatTrace {
+        let spec = by_id(id).expect(id);
+        let exp = Experiment::prepare(&spec).unwrap();
+        Expander::with_config(exp.log(), spec.expand_config())
+            .take(24_000)
+            .collect()
+    };
+    let (a, b) = (trace("co"), trace("pd"));
+    // A functional warm-up over half of A, then a detailed run that
+    // discards its own warm-up: every piece of machine state is touched.
+    let train = |model: &mut dyn CoreModel| {
+        let mut ops = Ops::range(&a, 0, a.len());
+        model.warm_only(&mut ops, a.len() as u64 / 2);
+        model.run_warm(&mut ops, 2_000);
+    };
+    // B is measured from its first op, so no leftover can wash out.
+    let run_b = |model: &mut dyn CoreModel| model.run_warm(&mut Ops::range(&b, 0, b.len()), 0);
+    for kind in ModelKind::ALL {
+        for predictor in BranchPredictorKind::ALL {
+            let cfg = CoreConfig::gem5_baseline()
+                .with_model(kind)
+                .with_predictor(predictor);
+            let mut reused = build_model(&cfg);
+            train(reused.as_mut());
+            reused.reset();
+            let fresh = run_b(build_model(&cfg).as_mut());
+            assert!(fresh.committed_ops > 0, "{kind}: B measures something");
+            assert_eq!(
+                run_b(reused.as_mut()),
+                fresh,
+                "{kind} with {}: reset left state behind",
+                predictor.label()
+            );
+        }
     }
 }
 
@@ -193,26 +510,38 @@ fn o3_full_trace_is_bit_identical_to_pre_refactor_capture() {
     );
 }
 
-/// Prints the two pins above in their source form, ready to paste over
-/// them after an intentional model change (see the header).
+/// Prints the pins above in their source form, ready to paste over them
+/// after an intentional model change (see the header).
 #[test]
-#[ignore = "capture tool: prints the o3 digest pins"]
-fn capture_o3_digests() {
+#[ignore = "capture tool: prints the digest pins of every backend"]
+fn capture_digests() {
     let catalog = belenos_workloads::catalog();
-    println!(
-        "const O3_DIGESTS: [(&str, u64, u64, u64); {}] = [",
-        catalog.len()
-    );
-    for spec in &catalog {
-        let (prefix, sampled, host) = o3_digest_row(&Experiment::prepare(spec).unwrap());
-        println!("    (");
-        println!("        \"{}\",", spec.id);
-        for d in [prefix, sampled, host] {
-            println!("        0x{d:016x},");
+    let rows: Vec<_> = catalog
+        .iter()
+        .map(|spec| {
+            let exp = Experiment::prepare(spec).unwrap();
+            ModelKind::ALL.map(|kind| digest_row(&exp, kind))
+        })
+        .collect();
+    for (k, name) in ["O3_DIGESTS", "INORDER_DIGESTS", "ANALYTIC_DIGESTS"]
+        .into_iter()
+        .enumerate()
+    {
+        println!(
+            "const {name}: [(&str, u64, u64, u64); {}] = [",
+            catalog.len()
+        );
+        for (spec, row) in catalog.iter().zip(&rows) {
+            let (prefix, sampled, host) = row[k];
+            println!("    (");
+            println!("        \"{}\",", spec.id);
+            for d in [prefix, sampled, host] {
+                println!("        0x{d:016x},");
+            }
+            println!("    ),");
         }
-        println!("    ),");
+        println!("];");
     }
-    println!("];");
     println!(
         "const O3_FULL_PD_DIGEST: u64 = 0x{:016x};",
         o3_full_pd_digest()
