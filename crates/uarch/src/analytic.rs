@@ -2,10 +2,10 @@
 //!
 //! One functional pass over the trace collects everything a first-order
 //! performance bound needs — per-functional-unit op counts (port
-//! pressure), a dependency-chain critical path, cache/TLB miss counts
-//! from the *same* hierarchy component model the detailed cores use, and
-//! branch-predictor outcomes. Cycle count is then the maximum of the
-//! classic bounds:
+//! pressure), a dependency-chain critical path, and cache/TLB miss counts
+//! and branch-predictor outcomes from one [`Machine`] — the same
+//! components the detailed cores hold. Cycle count is then the maximum of
+//! the classic bounds:
 //!
 //! * **retire/issue bandwidth** — `ops / width` for the narrowest stage;
 //! * **port pressure** — `ops_on_class / units_in_class` per FU class;
@@ -38,13 +38,11 @@
 //! backend-agreement cross-validation over full catalogs practical (the
 //! paper's gem5-vs-VTune methodology, across our own model stack).
 
-use crate::branch::{build, BranchPredictor, Btb};
-use crate::cache::{Hierarchy, ServiceLevel};
+use crate::cache::ServiceLevel;
 use crate::config::CoreConfig;
-use crate::model::{CoreModel, MemCounters, ModelKind};
+use crate::model::{mem_fields, CoreModel, Machine, ModelKind};
 use crate::o3::fu_and_latency;
 use crate::stats::SimStats;
-use crate::tlb::Tlb;
 use belenos_trace::{MicroOp, OpKind, Ops};
 
 /// Ops fully modeled per sampling period (also the dependency-ring size;
@@ -55,33 +53,26 @@ pub const WINDOW: u64 = 8192;
 pub const PERIOD: u64 = 16 * WINDOW;
 
 /// The analytical bound model.
+#[derive(Debug)]
 pub struct AnalyticCore {
-    cfg: CoreConfig,
-    hierarchy: Hierarchy,
-    itlb: Tlb,
-    dtlb: Tlb,
-    predictor: Box<dyn BranchPredictor>,
-    btb: Btb,
+    machine: Machine,
 }
 
-impl std::fmt::Debug for AnalyticCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AnalyticCore")
-            .field("cfg", &self.cfg)
-            .finish_non_exhaustive()
+/// Adds the machine's memory-counter growth since `base` to `acc`, and
+/// moves `base` to now.
+fn bank(acc: &mut [u64; 7], base: &mut [u64; 7], m: &Machine) {
+    let now = m.mem_counts();
+    for ((a, n), b) in acc.iter_mut().zip(now).zip(*base) {
+        *a += n - b;
     }
+    *base = now;
 }
 
 impl AnalyticCore {
     /// Builds the bound model for one configuration.
     pub fn new(cfg: CoreConfig) -> Self {
         AnalyticCore {
-            hierarchy: Hierarchy::new(&cfg),
-            itlb: Tlb::new(cfg.tlb_entries),
-            dtlb: Tlb::new(cfg.tlb_entries),
-            predictor: build(cfg.predictor),
-            btb: Btb::new(cfg.btb_entries),
-            cfg,
+            machine: Machine::new(cfg),
         }
     }
 
@@ -94,15 +85,14 @@ impl AnalyticCore {
         mut trace: I,
         warmup_ops: u64,
     ) -> SimStats {
-        if warmup_ops > 0 {
-            self.sampled_warm(&mut trace, warmup_ops);
-        }
+        self.windowed_warm(&mut trace, warmup_ops);
+        let m = &mut self.machine;
+        let cfg = &m.cfg;
         let mut stats = SimStats {
-            freq_ghz: self.cfg.freq_ghz,
+            freq_ghz: cfg.freq_ghz,
             ..SimStats::default()
         };
-        self.hierarchy.reset_timing();
-        let cfg = self.cfg.clone();
+        m.hierarchy.reset_timing();
         let l1d_lat = cfg.l1d.hit_latency;
         let l2_lat = cfg.l2.hit_latency;
         let dram_lat = cfg.ns_to_cycles(cfg.dram_latency_ns);
@@ -128,7 +118,7 @@ impl AnalyticCore {
         // discarded — exactly the detailed-warmup discard budgeted SMARTS
         // runs apply.
         let mut mem_acc = [0u64; 7];
-        let mut mem_base = MemCounters::capture(&self.hierarchy);
+        let mut mem_base = m.mem_counts();
 
         while let Some(op) = trace.next() {
             let pos = n % PERIOD;
@@ -137,16 +127,10 @@ impl AnalyticCore {
                 // counted, otherwise untouched.
                 dep_cycles += win_chain_max;
                 win_chain_max = 0;
-                for (a, d) in mem_acc
-                    .iter_mut()
-                    .zip(mem_base.delta_counts(&self.hierarchy))
-                {
-                    *a += d;
-                }
-                // Re-baseline so the end-of-trace accumulation below
-                // cannot add this window's delta a second time when the
-                // trace ends in a gap.
-                mem_base = MemCounters::capture(&self.hierarchy);
+                // Banking re-baselines, so the end-of-trace accumulation
+                // below cannot add this window's delta a second time when
+                // the trace ends in a gap.
+                bank(&mut mem_acc, &mut mem_base, m);
                 let rest = (PERIOD - WINDOW - 1) as usize;
                 n += 1 + trace.by_ref().take(rest).count() as u64;
                 continue;
@@ -160,16 +144,16 @@ impl AnalyticCore {
             // their first quarter while the machine state re-warms.
             let counting = n < WINDOW || pos >= WINDOW / 4;
             if n >= WINDOW && pos == WINDOW / 4 {
-                mem_base = MemCounters::capture(&self.hierarchy);
+                mem_base = m.mem_counts();
             }
             // Instruction side on line crossings: misses serialize the
             // front end.
-            let line = (op.pc as u64) >> 6;
+            let line = m.fetch_line(op.pc);
             if line != cur_line {
-                if !self.itlb.access(op.pc as u64) && counting {
+                if !m.itlb.access(op.pc as u64) && counting {
                     fe_fill_cycles += cfg.tlb_miss_penalty;
                 }
-                let level = self.hierarchy.inst_access(op.pc as u64, n).level;
+                let level = m.hierarchy.inst_access(op.pc as u64, n).level;
                 if counting {
                     match level {
                         ServiceLevel::L1 => {}
@@ -184,7 +168,7 @@ impl AnalyticCore {
             match op.kind {
                 OpKind::Load => {
                     let mut penalty = 0;
-                    if !self.dtlb.access(op.addr) {
+                    if !m.dtlb.access(op.addr) {
                         penalty = cfg.tlb_miss_penalty;
                         if counting {
                             stats.dtlb_misses += 1;
@@ -193,7 +177,7 @@ impl AnalyticCore {
                     // Fixed per-level service charges (no queueing model):
                     // the MLP divisor below captures overlap, the DRAM
                     // roofline captures bandwidth.
-                    let service = match self.hierarchy.data_access(op.addr, false, n).level {
+                    let service = match m.hierarchy.data_access(op.addr, false, n).level {
                         ServiceLevel::L1 => l1d_lat,
                         ServiceLevel::L2 => l1d_lat + l2_lat,
                         ServiceLevel::Dram => l1d_lat + l2_lat + dram_lat,
@@ -208,22 +192,22 @@ impl AnalyticCore {
                     lat = service;
                 }
                 OpKind::Store => {
-                    if !self.dtlb.access(op.addr) && counting {
+                    if !m.dtlb.access(op.addr) && counting {
                         stats.dtlb_misses += 1;
                     }
-                    self.hierarchy.data_access(op.addr, true, n);
+                    m.hierarchy.data_access(op.addr, true, n);
                 }
                 OpKind::Branch => {
-                    let pred = self.predictor.predict(op.pc);
-                    self.predictor.update(op.pc, op.taken);
+                    let pred = m.predictor.predict(op.pc);
+                    m.predictor.update(op.pc, op.taken);
                     if counting {
                         stats.branches += 1;
                     }
                     if op.taken {
-                        if self.btb.lookup(op.pc).is_none() && counting {
+                        if m.btb.lookup(op.pc).is_none() && counting {
                             stats.btb_misses += 1;
                         }
-                        self.btb.install(op.pc, op.target);
+                        m.btb.install(op.pc, op.target);
                         cur_line = u64::MAX;
                     }
                     if pred != op.taken {
@@ -263,16 +247,11 @@ impl AnalyticCore {
             // As in functional warming: drop accumulated outstanding-miss
             // timestamps so long traces cannot hoard them.
             if n.is_multiple_of(65_536) {
-                self.hierarchy.reset_timing();
+                m.hierarchy.reset_timing();
             }
         }
         dep_cycles += win_chain_max;
-        for (a, d) in mem_acc
-            .iter_mut()
-            .zip(mem_base.delta_counts(&self.hierarchy))
-        {
-            *a += d;
-        }
+        bank(&mut mem_acc, &mut mem_base, m);
         if n == 0 {
             return stats;
         }
@@ -280,25 +259,20 @@ impl AnalyticCore {
         // Scale window-measured extensive counters to the full stream.
         let scale = n as f64 / measured.max(1) as f64;
         let dep_scale = n as f64 / dep_ops.max(1) as f64;
+        let s = |v: u64| (v as f64 * scale).round() as u64;
         if scale > 1.0 {
             stats = stats.scaled(scale);
             for c in fu_ops.iter_mut() {
-                *c = (*c as f64 * scale).round() as u64;
+                *c = s(*c);
             }
-            let s = |v: u64| (v as f64 * scale).round() as u64;
             mem_service_cycles = s(mem_service_cycles);
             fe_fill_cycles = s(fe_fill_cycles);
             serialize_cycles = s(serialize_cycles);
         }
         dep_cycles = (dep_cycles as f64 * dep_scale).round() as u64;
-        let m = |v: u64| (v as f64 * scale).round() as u64;
-        stats.l1i_accesses = m(mem_acc[0]);
-        stats.l1i_misses = m(mem_acc[1]);
-        stats.l1d_accesses = m(mem_acc[2]);
-        stats.l1d_misses = m(mem_acc[3]);
-        stats.l2_accesses = m(mem_acc[4]);
-        stats.l2_misses = m(mem_acc[5]);
-        stats.dram_lines = m(mem_acc[6]);
+        for (field, acc) in mem_fields(&mut stats).into_iter().zip(mem_acc) {
+            *field = s(acc);
+        }
         stats.committed_ops = n;
 
         // ---------------- the bounds ----------------
@@ -396,51 +370,22 @@ impl AnalyticCore {
         stats
     }
 
-    /// Window-sampled functional warming: inside the systematic windows
-    /// caches, TLBs, predictor and BTB observe every access; gap ops are
-    /// merely consumed. Same probe cost profile as the measuring pass.
-    fn sampled_warm<I: Iterator<Item = MicroOp>>(&mut self, trace: &mut I, max_ops: u64) -> u64 {
-        let mut consumed = 0u64;
-        let mut cur_line = u64::MAX;
+    /// Window-sampled functional warming over up to `max_ops` ops:
+    /// [`Machine::warm`] over the first [`WINDOW`] ops of every
+    /// [`PERIOD`], the gap ops merely consumed — the measuring pass's
+    /// probe cost profile. Returns the ops consumed.
+    fn windowed_warm<I: Iterator<Item = MicroOp>>(&mut self, trace: &mut I, max_ops: u64) -> u64 {
+        let mut consumed = 0;
         while consumed < max_ops {
-            let Some(op) = trace.next() else { break };
-            let pos = consumed % PERIOD;
-            consumed += 1;
-            if pos >= WINDOW {
-                continue;
-            }
-            if pos == 0 {
-                cur_line = u64::MAX;
-            }
-            let line = (op.pc as u64) >> 6;
-            if line != cur_line {
-                self.itlb.access(op.pc as u64);
-                self.hierarchy.inst_access(op.pc as u64, consumed);
-                cur_line = line;
-            }
-            match op.kind {
-                OpKind::Load => {
-                    self.dtlb.access(op.addr);
-                    self.hierarchy.data_access(op.addr, false, consumed);
-                }
-                OpKind::Store => {
-                    self.dtlb.access(op.addr);
-                    self.hierarchy.data_access(op.addr, true, consumed);
-                }
-                OpKind::Branch => {
-                    self.predictor.update(op.pc, op.taken);
-                    if op.taken {
-                        self.btb.install(op.pc, op.target);
-                        cur_line = u64::MAX;
-                    }
-                }
-                _ => {}
-            }
-            if consumed.is_multiple_of(65_536) {
-                self.hierarchy.reset_timing();
+            let window = WINDOW.min(max_ops - consumed);
+            let gap = (PERIOD - WINDOW).min(max_ops - consumed - window);
+            let warmed = self.machine.warm(trace, window);
+            let skipped = trace.by_ref().take(gap as usize).count() as u64;
+            consumed += warmed + skipped;
+            if warmed + skipped < window + gap {
+                break;
             }
         }
-        self.hierarchy.reset_timing();
         consumed
     }
 }
@@ -450,16 +395,12 @@ impl CoreModel for AnalyticCore {
         ModelKind::Analytic
     }
 
-    fn config(&self) -> &CoreConfig {
-        &self.cfg
+    fn machine(&self) -> &Machine {
+        &self.machine
     }
 
-    fn reset(&mut self) {
-        self.hierarchy.reset();
-        self.itlb.reset();
-        self.dtlb.reset();
-        self.predictor.reset();
-        self.btb.reset();
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
     }
 
     fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats {
@@ -467,7 +408,7 @@ impl CoreModel for AnalyticCore {
     }
 
     fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64 {
-        self.sampled_warm(trace, max_ops)
+        self.windowed_warm(trace, max_ops)
     }
 }
 

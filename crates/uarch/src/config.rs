@@ -190,13 +190,20 @@ record!(CacheConfig {
 });
 
 impl CacheConfig {
-    /// Number of sets, when the size is a whole, non-zero number of
+    /// Number of sets, when the line is a power of two (a cache indexes
+    /// by shifting it off) and the size a whole, non-zero number of
     /// `assoc * line` sets.
     ///
     /// # Errors
     ///
     /// A description of the inconsistent geometry.
     pub fn geometry(&self) -> Result<usize, String> {
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!(
+                "line_bytes must be a power of two, got {}",
+                self.line_bytes
+            ));
+        }
         let set_bytes = self.assoc.saturating_mul(self.line_bytes);
         let sets = self.size_bytes.checked_div(set_bytes).unwrap_or(0);
         if sets > 0 && sets * set_bytes == self.size_bytes {
@@ -676,6 +683,16 @@ mod tests {
         assert_eq!(
             broken(|c| c.l2.size_bytes = 1000),
             "config.l2: inconsistent cache geometry: 1000 B / (16 ways x 64 B)"
+        );
+        // 64 whole sets, but a 48 B line cannot be shifted off an address:
+        // the cache would index 16 B lines while DRAM moves 48 B ones.
+        assert_eq!(
+            broken(|c| c.l1d = CacheConfig {
+                size_bytes: 24_576,
+                line_bytes: 48,
+                ..c.l1d
+            }),
+            "config.l1d: line_bytes must be a power of two, got 48"
         );
     }
 

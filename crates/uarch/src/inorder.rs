@@ -1,10 +1,10 @@
 //! Scalar in-order core backend.
 //!
-//! Reuses the exact same cache hierarchy, TLBs, branch predictor and BTB
-//! component models as the out-of-order core, but issues exactly one op
-//! per cycle in program order and **stalls at issue**: an op waits for
-//! its producers' results, the front end, and the (unpipelined) FP
-//! divider before the next op may issue. Completion may overlap —
+//! Holds one [`Machine`] — the cache hierarchy, TLBs, branch predictor
+//! and BTB every backend shares — but issues exactly one op per cycle in
+//! program order and **stalls at issue**: an op waits for its producers'
+//! results, the front end, and the (unpipelined) FP divider before the
+//! next op may issue. Completion may overlap —
 //! a load's consumer stalls, an independent successor does not — which
 //! makes this a classic scoreboard machine rather than a blocking one.
 //!
@@ -16,13 +16,11 @@
 //! clock: every cycle is either a retire slot or a stall attributed to
 //! the resource that bound it, so `total_slots() == cycles` exactly.
 
-use crate::branch::{build, BranchPredictor, Btb};
-use crate::cache::{Hierarchy, ServiceLevel};
+use crate::cache::ServiceLevel;
 use crate::config::CoreConfig;
-use crate::model::{functional_warm, CoreModel, MemCounters, ModelKind};
+use crate::model::{CoreModel, Machine, ModelKind, Window};
 use crate::o3::{fu_and_latency, FPDIV_BUSY};
 use crate::stats::SimStats;
-use crate::tlb::Tlb;
 use belenos_trace::{MicroOp, OpKind, Ops};
 
 /// Minimum dependency-tracking window (producer distances beyond the
@@ -37,21 +35,9 @@ fn done_window_for(cfg: &CoreConfig) -> usize {
 }
 
 /// The scalar in-order core simulator.
+#[derive(Debug)]
 pub struct InOrderCore {
-    cfg: CoreConfig,
-    hierarchy: Hierarchy,
-    itlb: Tlb,
-    dtlb: Tlb,
-    predictor: Box<dyn BranchPredictor>,
-    btb: Btb,
-}
-
-impl std::fmt::Debug for InOrderCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InOrderCore")
-            .field("cfg", &self.cfg)
-            .finish_non_exhaustive()
-    }
+    machine: Machine,
 }
 
 /// Completion record of a recent op: (cycle its result is ready, whether
@@ -63,12 +49,7 @@ impl InOrderCore {
     /// Builds an in-order core for one configuration.
     pub fn new(cfg: CoreConfig) -> Self {
         InOrderCore {
-            hierarchy: Hierarchy::new(&cfg),
-            itlb: Tlb::new(cfg.tlb_entries),
-            dtlb: Tlb::new(cfg.tlb_entries),
-            predictor: build(cfg.predictor),
-            btb: Btb::new(cfg.btb_entries),
-            cfg,
+            machine: Machine::new(cfg),
         }
     }
 
@@ -82,18 +63,13 @@ impl InOrderCore {
     /// [`crate::o3::O3Core::run_warm`]). Generic so the [`Ops`] cursor
     /// path monomorphizes with no per-op virtual dispatch.
     pub fn run_warm<I: Iterator<Item = MicroOp>>(&mut self, trace: I, warmup_ops: u64) -> SimStats {
-        let mut stats = SimStats {
-            freq_ghz: self.cfg.freq_ghz,
-            ..SimStats::default()
-        };
-        self.hierarchy.reset_timing();
-        let base = MemCounters::capture(&self.hierarchy);
-        let window = done_window_for(&self.cfg) as u64;
+        let (mut window, mut stats) = Window::open(&mut self.machine, warmup_ops);
+        let m = &mut self.machine;
+        let ring = done_window_for(&m.cfg) as u64;
         // `done_window_for` is always a power of two: ring indexing is a
         // mask, never a modulo.
-        let wmask = window - 1;
-        let mut done_at: Vec<Completion> = vec![(0, false); window as usize];
-        let mut warm_snapshot: Option<SimStats> = None;
+        let wmask = ring - 1;
+        let mut done_at: Vec<Completion> = vec![(0, false); ring as usize];
 
         // The issue clock: cycle the previous op issued (scalar machine,
         // at most one issue per cycle).
@@ -110,17 +86,17 @@ impl InOrderCore {
         let mut cur_line = u64::MAX;
         for (idx, op) in (0_u64..).zip(trace) {
             // ---------------- frontend ----------------
-            let line = (op.pc as u64) >> 6;
+            let line = m.fetch_line(op.pc);
             if line != cur_line {
                 let fetch_at = fe_ready.max(if started { issue_clock + 1 } else { 0 });
                 let mut at = fetch_at;
-                if !self.itlb.access(op.pc as u64) {
-                    at += self.cfg.tlb_miss_penalty;
+                if !m.itlb.access(op.pc as u64) {
+                    at += m.cfg.tlb_miss_penalty;
                     fe_is_tlb = true;
                 } else {
                     fe_is_tlb = false;
                 }
-                let r = self.hierarchy.inst_access(op.pc as u64, at);
+                let r = m.hierarchy.inst_access(op.pc as u64, at);
                 if r.level != ServiceLevel::L1 {
                     at = r.done;
                 }
@@ -149,7 +125,7 @@ impl InOrderCore {
                 at = fe_ready;
             }
             let dep = |d: u32| -> Completion {
-                if d == 0 || d as u64 > idx || d as u64 >= window {
+                if d == 0 || d as u64 > idx || d as u64 >= ring {
                     return (0, false);
                 }
                 done_at[((idx - d as u64) & wmask) as usize]
@@ -175,42 +151,42 @@ impl InOrderCore {
             }
 
             // ---------------- execute ----------------
-            let (_, latency) = fu_and_latency(op.kind, self.cfg.pause_latency);
+            let (_, latency) = fu_and_latency(op.kind, m.cfg.pause_latency);
             let mut done = at + latency;
             let mut is_load = false;
             match op.kind {
                 OpKind::Load => {
                     let mut penalty = 0;
-                    if !self.dtlb.access(op.addr) {
-                        penalty = self.cfg.tlb_miss_penalty;
+                    if !m.dtlb.access(op.addr) {
+                        penalty = m.cfg.tlb_miss_penalty;
                         stats.dtlb_misses += 1;
                     }
-                    let r = self.hierarchy.data_access(op.addr, false, at + penalty);
+                    let r = m.hierarchy.data_access(op.addr, false, at + penalty);
                     done = r.done;
                     is_load = true;
                 }
                 OpKind::Store => {
                     // Stores retire into the cache immediately at issue
                     // (no store queue to drain on a scalar machine).
-                    self.hierarchy.data_access(op.addr, true, at);
+                    m.hierarchy.data_access(op.addr, true, at);
                     done = at + 1;
                 }
                 OpKind::Branch => {
-                    let pred = self.predictor.predict(op.pc);
-                    self.predictor.update(op.pc, op.taken);
+                    let pred = m.predictor.predict(op.pc);
+                    m.predictor.update(op.pc, op.taken);
                     stats.branches += 1;
                     if op.taken {
-                        if self.btb.lookup(op.pc).is_none() {
+                        if m.btb.lookup(op.pc).is_none() {
                             stats.btb_misses += 1;
                         }
-                        self.btb.install(op.pc, op.target);
+                        m.btb.install(op.pc, op.target);
                         cur_line = u64::MAX;
                     }
                     if pred != op.taken {
                         stats.mispredicts += 1;
                         // Redirect bubble: the front end restarts once the
                         // branch resolves and the pipeline refills.
-                        redirect_ready = done + self.cfg.frontend_depth;
+                        redirect_ready = done + m.cfg.frontend_depth;
                         cur_line = u64::MAX;
                     }
                 }
@@ -239,13 +215,7 @@ impl InOrderCore {
             stats.slots_retiring += 1;
             stats.committed_ops += 1;
             stats.active_fetch_cycles += 1;
-
-            if warm_snapshot.is_none() && warmup_ops > 0 && stats.committed_ops >= warmup_ops {
-                let mut snap = stats.clone();
-                snap.cycles = issue_clock + 1;
-                base.delta_into(&mut snap, &self.hierarchy);
-                warm_snapshot = Some(snap);
-            }
+            window.observe(&stats, issue_clock + 1, m);
         }
 
         // Drain: cycles until the last op's result lands, attributed to
@@ -260,15 +230,7 @@ impl InOrderCore {
             }
             stats.slots_backend += drain;
         }
-        stats.cycles = issue_cycles + drain;
-        base.delta_into(&mut stats, &self.hierarchy);
-        if warmup_ops > 0 {
-            // As in the O3 model: a trace shorter than the warmup reports
-            // an empty measurement window, never unwarmed full stats.
-            let snap = warm_snapshot.unwrap_or_else(|| stats.clone());
-            stats.subtract(&snap);
-        }
-        stats
+        window.close(stats, issue_cycles + drain, m)
     }
 }
 
@@ -277,32 +239,16 @@ impl CoreModel for InOrderCore {
         ModelKind::InOrder
     }
 
-    fn config(&self) -> &CoreConfig {
-        &self.cfg
+    fn machine(&self) -> &Machine {
+        &self.machine
     }
 
-    fn reset(&mut self) {
-        self.hierarchy.reset();
-        self.itlb.reset();
-        self.dtlb.reset();
-        self.predictor.reset();
-        self.btb.reset();
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
     }
 
     fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats {
         InOrderCore::run_warm(self, trace, warmup_ops)
-    }
-
-    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64 {
-        functional_warm(
-            &mut self.hierarchy,
-            &mut self.itlb,
-            &mut self.dtlb,
-            self.predictor.as_mut(),
-            &mut self.btb,
-            trace,
-            max_ops,
-        )
     }
 }
 

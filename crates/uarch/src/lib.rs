@@ -13,8 +13,8 @@
 //! predictors (LocalBP, TournamentBP, LTAGE,
 //! MultiperspectivePerceptron) behind a BTB. Two cheaper backends — a
 //! scalar in-order core ([`inorder::InOrderCore`]) and an analytical
-//! bound model ([`analytic::AnalyticCore`]) — share the same component
-//! models, so bottleneck diagnoses can be cross-validated across
+//! bound model ([`analytic::AnalyticCore`]) — hold the same
+//! [`model::Machine`], so bottleneck diagnoses can be cross-validated across
 //! modeling fidelities exactly as the paper cross-validates gem5 against
 //! VTune. Select with [`CoreConfig::with_model`] / `--model`.
 //!

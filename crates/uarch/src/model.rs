@@ -5,10 +5,11 @@
 //! gem5 detailed simulation against VTune top-down on real hardware). The
 //! [`CoreModel`] trait is the seam that makes the same comparison
 //! possible inside this reproduction: every backend consumes the same
-//! micro-op trace, shares the same cache/TLB/branch-predictor/DRAM
-//! component models, and produces the same [`SimStats`] (including TMA
-//! slot accounting), so the figure and sweep layers are
-//! backend-agnostic.
+//! micro-op trace, simulates on one [`Machine`] — the cache hierarchy
+//! with its DRAM channel, the two TLBs, the branch predictor and the BTB,
+//! built, reset and functionally warmed in one place — and produces the
+//! same [`SimStats`] (including TMA slot accounting), so the figure and
+//! sweep layers are backend-agnostic.
 //!
 //! Three backends exist today:
 //!
@@ -24,12 +25,12 @@
 //! [`CoreConfig::stable_digest`] so results from different backends can
 //! never alias in the runner's content-addressed cache.
 
-use crate::branch::{BranchPredictor, Btb};
+use crate::branch::{build, BranchPredictor, Btb};
 use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
 use crate::stats::SimStats;
 use crate::tlb::Tlb;
-use belenos_trace::{FlatTrace, OpKind, Ops};
+use belenos_trace::{FlatTrace, MicroOp, OpKind, Ops};
 
 /// Which core-model backend simulates a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -85,10 +86,11 @@ impl std::fmt::Display for ModelKind {
 /// * **Determinism** — equal configuration and trace produce bit-equal
 ///   statistics, so results are cacheable and parallel runs are
 ///   reproducible.
-/// * **Persistent machine state** — caches, TLBs, branch predictor and
-///   BTB survive across calls on one instance; interval sampling
-///   interleaves [`CoreModel::warm_only`] gaps with
-///   [`CoreModel::run_warm`] measurement windows on a single model.
+/// * **Persistent machine state** — the model's [`Machine`] (caches,
+///   TLBs, branch predictor and BTB) survives across calls on one
+///   instance; interval sampling interleaves [`CoreModel::warm_only`]
+///   gaps with [`CoreModel::run_warm`] measurement windows on a single
+///   model.
 /// * **Complete accounting** — every committed op is counted exactly
 ///   once, and the TMA slot buckets partition `cycles × commit_width`
 ///   (retiring + front-end + bad-speculation + back-end), so top-down
@@ -105,8 +107,16 @@ pub trait CoreModel: Send {
     /// Which backend this is.
     fn kind(&self) -> ModelKind;
 
+    /// The machine the model simulates on.
+    fn machine(&self) -> &Machine;
+
+    /// The machine the model simulates on, for warming and resetting.
+    fn machine_mut(&mut self) -> &mut Machine;
+
     /// The configuration the model was built from.
-    fn config(&self) -> &CoreConfig;
+    fn config(&self) -> &CoreConfig {
+        &self.machine().cfg
+    }
 
     /// Returns the model to its just-built state — cold caches and TLBs,
     /// untrained predictor and BTB, zeroed counters — while keeping
@@ -114,8 +124,11 @@ pub trait CoreModel: Send {
     /// indistinguishable from a freshly constructed one: the experiment
     /// layer reuses pooled models across simulation calls on the
     /// strength of this contract, and the backend digest pins hold it to
-    /// bit-identical statistics.
-    fn reset(&mut self);
+    /// bit-identical statistics. The machine is the model's only state
+    /// that outlives a run.
+    fn reset(&mut self) {
+        self.machine_mut().reset();
+    }
 
     /// Runs the cursor to its end, discarding the first `warmup_ops`
     /// committed ops from the reported statistics (machine state
@@ -126,8 +139,11 @@ pub trait CoreModel: Send {
     /// Functionally warms long-lived machine state (caches, TLBs,
     /// predictor, BTB) from up to `max_ops` trace ops without simulating
     /// cycles or producing statistics; returns the ops consumed. This is
-    /// the SMARTS-style gap warming between sampled measurement windows.
-    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64;
+    /// the SMARTS-style gap warming between sampled measurement windows:
+    /// `Machine::warm` over every op, unless a backend samples it.
+    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64 {
+        self.machine_mut().warm(trace, max_ops)
+    }
 
     /// [`CoreModel::run_warm`] over ops `start..end` of a pre-expanded
     /// [`FlatTrace`].
@@ -151,113 +167,209 @@ pub fn build_model(cfg: &CoreConfig) -> Box<dyn CoreModel> {
     }
 }
 
-/// Shared functional-warming pass: caches and TLBs observe every memory
-/// and fetch access, the branch predictor and BTB observe every branch
-/// outcome, but no cycles are simulated. Returns the ops consumed (fewer
-/// than `max_ops` only when the trace ends).
-pub(crate) fn functional_warm(
-    hierarchy: &mut Hierarchy,
-    itlb: &mut Tlb,
-    dtlb: &mut Tlb,
-    predictor: &mut dyn BranchPredictor,
-    btb: &mut Btb,
-    trace: &mut Ops<'_>,
-    max_ops: u64,
-) -> u64 {
-    let mut consumed = 0u64;
-    let mut now = 0u64;
-    let mut cur_line = u64::MAX;
-    while consumed < max_ops {
-        let Some(op) = trace.next() else { break };
-        consumed += 1;
-        let line = (op.pc as u64) >> 6;
-        if line != cur_line {
-            itlb.access(op.pc as u64);
-            hierarchy.inst_access(op.pc as u64, now);
-            cur_line = line;
+/// The machine a backend simulates on: its configuration and the
+/// long-lived components every core model shares — the cache hierarchy
+/// with its DRAM channel, the two TLBs, the branch predictor and the BTB.
+/// They are built, reset and functionally warmed here and nowhere else,
+/// so adding a component is one edit and no backend can forget to reset
+/// or warm it.
+pub struct Machine {
+    pub(crate) cfg: CoreConfig,
+    pub(crate) hierarchy: Hierarchy,
+    pub(crate) itlb: Tlb,
+    pub(crate) dtlb: Tlb,
+    pub(crate) predictor: Box<dyn BranchPredictor>,
+    pub(crate) btb: Btb,
+    /// log2 of the L1I line: `pc >> line_shift` is the line a fetch
+    /// probes.
+    line_shift: u32,
+}
+
+impl std::fmt::Debug for Machine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Machine")
+            .field("cfg", &self.cfg)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Machine {
+    /// Builds every component, cold, from one configuration.
+    pub(crate) fn new(cfg: CoreConfig) -> Self {
+        let [itlb, dtlb] = std::array::from_fn(|_| Tlb::new(cfg.tlb_entries));
+        Machine {
+            hierarchy: Hierarchy::new(&cfg),
+            itlb,
+            dtlb,
+            predictor: build(cfg.predictor),
+            btb: Btb::new(cfg.btb_entries),
+            line_shift: cfg.l1i.line_bytes.trailing_zeros(),
+            cfg,
         }
-        match op.kind {
-            OpKind::Load => {
-                dtlb.access(op.addr);
-                hierarchy.data_access(op.addr, false, now);
+    }
+
+    /// Returns every component to its just-built state, keeping their
+    /// allocations.
+    pub(crate) fn reset(&mut self) {
+        self.hierarchy.reset();
+        self.itlb.reset();
+        self.dtlb.reset();
+        self.predictor.reset();
+        self.btb.reset();
+    }
+
+    /// Functional warming: caches and TLBs observe every memory and
+    /// fetch access, the branch predictor and BTB every branch outcome,
+    /// but no cycles are simulated. Returns the ops consumed (fewer than
+    /// `max_ops` only when the trace ends).
+    pub(crate) fn warm<I: Iterator<Item = MicroOp>>(&mut self, trace: &mut I, max_ops: u64) -> u64 {
+        let mut consumed = 0u64;
+        let mut now = 0u64;
+        let mut cur_line = u64::MAX;
+        while consumed < max_ops {
+            let Some(op) = trace.next() else { break };
+            consumed += 1;
+            let line = self.fetch_line(op.pc);
+            if line != cur_line {
+                self.itlb.access(op.pc as u64);
+                self.hierarchy.inst_access(op.pc as u64, now);
+                cur_line = line;
             }
-            OpKind::Store => {
-                dtlb.access(op.addr);
-                hierarchy.data_access(op.addr, true, now);
-            }
-            OpKind::Branch => {
-                predictor.update(op.pc, op.taken);
-                if op.taken {
-                    btb.install(op.pc, op.target);
-                    cur_line = u64::MAX;
+            match op.kind {
+                OpKind::Load | OpKind::Store => {
+                    self.dtlb.access(op.addr);
+                    self.hierarchy
+                        .data_access(op.addr, op.kind == OpKind::Store, now);
                 }
+                OpKind::Branch => {
+                    self.predictor.update(op.pc, op.taken);
+                    if op.taken {
+                        self.btb.install(op.pc, op.target);
+                        cur_line = u64::MAX;
+                    }
+                }
+                _ => {}
             }
-            _ => {}
+            now += 1;
+            // Warming never reads completion timestamps, but every miss
+            // records one (`note_miss_outstanding`); drop them regularly
+            // so a long warm gap cannot accumulate millions of them.
+            if consumed.is_multiple_of(65_536) {
+                self.hierarchy.reset_timing();
+            }
         }
-        now += 1;
-        // Warming never reads completion timestamps, but every miss
-        // records one (`note_miss_outstanding`); drop them regularly
-        // so a long warm gap cannot accumulate millions of them.
-        if consumed.is_multiple_of(65_536) {
-            hierarchy.reset_timing();
-        }
-    }
-    hierarchy.reset_timing();
-    consumed
-}
-
-/// Snapshot of the hierarchy's cumulative memory counters; reports
-/// per-run deltas when one core runs several measurement intervals (the
-/// counters on the cache structs are process-cumulative).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MemCounters {
-    l1i_accesses: u64,
-    l1i_misses: u64,
-    l1d_accesses: u64,
-    l1d_misses: u64,
-    l2_accesses: u64,
-    l2_misses: u64,
-    dram_lines: u64,
-}
-
-impl MemCounters {
-    pub(crate) fn capture(h: &Hierarchy) -> Self {
-        MemCounters {
-            l1i_accesses: h.l1i.accesses,
-            l1i_misses: h.l1i.misses,
-            l1d_accesses: h.l1d.accesses,
-            l1d_misses: h.l1d.misses,
-            l2_accesses: h.l2.accesses,
-            l2_misses: h.l2.misses,
-            dram_lines: h.dram.lines_transferred,
-        }
+        self.hierarchy.reset_timing();
+        consumed
     }
 
-    /// `current - baseline` counters as a flat array, in the order
-    /// `[l1i_accesses, l1i_misses, l1d_accesses, l1d_misses,
-    /// l2_accesses, l2_misses, dram_lines]` — used by the analytic
-    /// backend's per-window accumulation.
-    pub(crate) fn delta_counts(&self, h: &Hierarchy) -> [u64; 7] {
+    /// The fetch line of `pc`: what the instruction side probes once per
+    /// line crossing.
+    #[inline]
+    pub(crate) fn fetch_line(&self, pc: u32) -> u64 {
+        (pc as u64) >> self.line_shift
+    }
+
+    /// The hierarchy's cumulative memory counters (the cache structs
+    /// count for the machine's lifetime), in [`mem_fields`] order.
+    pub(crate) fn mem_counts(&self) -> [u64; 7] {
+        let h = &self.hierarchy;
         [
-            h.l1i.accesses - self.l1i_accesses,
-            h.l1i.misses - self.l1i_misses,
-            h.l1d.accesses - self.l1d_accesses,
-            h.l1d.misses - self.l1d_misses,
-            h.l2.accesses - self.l2_accesses,
-            h.l2.misses - self.l2_misses,
-            h.dram.lines_transferred - self.dram_lines,
+            h.l1i.accesses,
+            h.l1i.misses,
+            h.l1d.accesses,
+            h.l1d.misses,
+            h.l2.accesses,
+            h.l2.misses,
+            h.dram.lines_transferred,
         ]
     }
+}
 
-    /// Writes `current - baseline` memory counters into `stats`.
-    pub(crate) fn delta_into(&self, stats: &mut SimStats, h: &Hierarchy) {
-        stats.l1i_accesses = h.l1i.accesses - self.l1i_accesses;
-        stats.l1i_misses = h.l1i.misses - self.l1i_misses;
-        stats.l1d_accesses = h.l1d.accesses - self.l1d_accesses;
-        stats.l1d_misses = h.l1d.misses - self.l1d_misses;
-        stats.l2_accesses = h.l2.accesses - self.l2_accesses;
-        stats.l2_misses = h.l2.misses - self.l2_misses;
-        stats.dram_lines = h.dram.lines_transferred - self.dram_lines;
+/// The memory counters of `stats`, in [`Machine::mem_counts`] order.
+pub(crate) fn mem_fields(stats: &mut SimStats) -> [&mut u64; 7] {
+    [
+        &mut stats.l1i_accesses,
+        &mut stats.l1i_misses,
+        &mut stats.l1d_accesses,
+        &mut stats.l1d_misses,
+        &mut stats.l2_accesses,
+        &mut stats.l2_misses,
+        &mut stats.dram_lines,
+    ]
+}
+
+/// The measurement window of one detailed run (`o3`, `inorder`): the
+/// run's memory counters are deltas from its start, and the first
+/// `warmup_ops` committed ops are discarded as measurement warm-up
+/// (machine state persists; gem5 resets its stats the same way after a
+/// checkpoint restore).
+pub(crate) struct Window {
+    /// The machine's memory counters when the run started.
+    base: [u64; 7],
+    /// Committed ops at which the warm-up snapshot is due; `u64::MAX`
+    /// without a warm-up or once the snapshot is taken.
+    due: u64,
+    /// The run's statistics when the warm-up ended.
+    snapshot: Option<SimStats>,
+}
+
+impl Window {
+    /// Opens the window of a run whose clock starts at cycle 0, with the
+    /// run's empty statistics. A warm machine (interval sampling reuses
+    /// one across runs) may carry completion timestamps from an earlier
+    /// run; they are dropped.
+    pub(crate) fn open(m: &mut Machine, warmup_ops: u64) -> (Window, SimStats) {
+        m.hierarchy.reset_timing();
+        let window = Window {
+            base: m.mem_counts(),
+            due: if warmup_ops > 0 { warmup_ops } else { u64::MAX },
+            snapshot: None,
+        };
+        (
+            window,
+            SimStats {
+                freq_ghz: m.cfg.freq_ghz,
+                ..SimStats::default()
+            },
+        )
+    }
+
+    /// Takes the warm-up snapshot the first time `stats` has committed
+    /// the warm-up, `cycles` into the run.
+    #[inline]
+    pub(crate) fn observe(&mut self, stats: &SimStats, cycles: u64, m: &Machine) {
+        if stats.committed_ops >= self.due {
+            self.due = u64::MAX;
+            self.snapshot = Some(self.measure(stats.clone(), cycles, m));
+        }
+    }
+
+    /// Closes the run `cycles` in: fills in the memory deltas and
+    /// subtracts the warm-up. A trace that commits fewer ops than its
+    /// warm-up was all warm-up, and reports an empty window — never the
+    /// unwarmed full statistics.
+    pub(crate) fn close(mut self, stats: SimStats, cycles: u64, m: &Machine) -> SimStats {
+        let mut stats = self.measure(stats, cycles, m);
+        if self.due != u64::MAX {
+            // The warm-up never ended: the whole run was warm-up.
+            self.snapshot = Some(stats.clone());
+        }
+        if let Some(snap) = self.snapshot {
+            stats.subtract(&snap);
+        }
+        stats
+    }
+
+    fn measure(&self, mut stats: SimStats, cycles: u64, m: &Machine) -> SimStats {
+        stats.cycles = cycles;
+        for ((field, now), base) in mem_fields(&mut stats)
+            .into_iter()
+            .zip(m.mem_counts())
+            .zip(self.base)
+        {
+            *field = now - base;
+        }
+        stats
     }
 }
 

@@ -12,7 +12,7 @@ impl O3Core {
     /// then attributes this cycle's retire slots (TMA level 1 and 2).
     /// Returns how many ops committed.
     pub(super) fn commit_stage(&mut self, p: &mut Pipeline, stats: &mut SimStats) -> usize {
-        let commit_width = self.cfg.commit_width;
+        let commit_width = self.machine.cfg.commit_width;
         let mut committed_this_cycle = 0usize;
         while committed_this_cycle < commit_width {
             if p.rob.is_empty() {
@@ -30,7 +30,7 @@ impl O3Core {
                     // Drain the store to the cache at commit.
                     let entry = p.sq.pop_front();
                     debug_assert_eq!(entry, Some(head_idx));
-                    self.hierarchy.data_access(op.addr, true, p.now);
+                    self.machine.hierarchy.data_access(op.addr, true, p.now);
                 }
                 OpKind::Load => {
                     let entry = p.lq.pop_front();
@@ -38,9 +38,9 @@ impl O3Core {
                     p.fp_regs_used = p.fp_regs_used.saturating_sub(1);
                 }
                 OpKind::Branch => {
-                    self.predictor.update(op.pc, op.taken);
+                    self.machine.predictor.update(op.pc, op.taken);
                     if op.taken {
-                        self.btb.install(op.pc, op.target);
+                        self.machine.btb.install(op.pc, op.target);
                     }
                     stats.branches += 1;
                     if entry.mispredicted {

@@ -11,7 +11,7 @@ impl O3Core {
     /// Dispatches up to the effective front-end width of ops from the
     /// fetch queue into the out-of-order window; returns how many moved.
     pub(super) fn dispatch_stage(&mut self, p: &mut Pipeline) -> usize {
-        let cfg = &self.cfg;
+        let cfg = &self.machine.cfg;
         let mut dispatched = 0usize;
         for _ in 0..p.fe_width {
             // Peek the front op straight out of the op buffer; nothing

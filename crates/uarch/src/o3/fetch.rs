@@ -20,7 +20,7 @@ impl O3Core {
         stats: &mut SimStats,
         trace: &mut std::iter::Fuse<I>,
     ) -> bool {
-        let cfg = &self.cfg;
+        let cfg = &self.machine.cfg;
         let mut fetched = 0usize;
         let mut changed = false;
         if p.now < p.fetch_stall_until {
@@ -66,14 +66,14 @@ impl O3Core {
                 // to be touched even if the op stalls and replays.
                 changed = true;
                 // Instruction-side cache/TLB on line crossings.
-                let line = (pc as u64) >> 6;
+                let line = self.machine.fetch_line(pc);
                 if line != p.cur_fetch_line {
-                    if !self.itlb.access(pc as u64) {
+                    if !self.machine.itlb.access(pc as u64) {
                         p.icache_pending_until = p.now + cfg.tlb_miss_penalty;
                         p.fetch_block = FetchBlock::ITlb;
                         break;
                     }
-                    let r = self.hierarchy.inst_access(pc as u64, p.now);
+                    let r = self.machine.hierarchy.inst_access(pc as u64, p.now);
                     if r.level != ServiceLevel::L1 {
                         p.icache_pending_until = r.done;
                         p.fetch_block = FetchBlock::ICache;
@@ -84,9 +84,9 @@ impl O3Core {
                 let mut pred_taken = false;
                 let mut end_group = false;
                 if kind == OpKind::Branch {
-                    pred_taken = self.predictor.predict(pc);
+                    pred_taken = self.machine.predictor.predict(pc);
                     if pred_taken {
-                        if self.btb.lookup(pc).is_none() {
+                        if self.machine.btb.lookup(pc).is_none() {
                             // Unknown target: bubble until decode fixes it.
                             p.fetch_stall_until = p.now + cfg.btb_miss_penalty;
                             stats.btb_misses += 1;

@@ -56,7 +56,7 @@ impl O3Core {
         // the saturation check is a single compare per entry instead of
         // a five-class scan.
         let mut remaining = p.ready_fu_count;
-        let counts = self.cfg.fu_counts;
+        let counts = self.machine.cfg.fu_counts;
         let mut open = (0..5)
             .filter(|&c| remaining[c] > 0 && fu_used[c] < counts[c])
             .count();
@@ -68,7 +68,7 @@ impl O3Core {
             // Serialization: ops younger than an in-flight
             // pause/serialize cannot issue; the queue is sorted, so
             // everything from here on is younger too.
-            if issued >= self.cfg.issue_width
+            if issued >= self.machine.cfg.issue_width
                 || blocked_by_barrier
                 || open == 0
                 || barrier.is_some_and(|b| idx > b)
@@ -96,10 +96,10 @@ impl O3Core {
                 let latency = entry.lat as u64;
                 debug_assert_eq!(
                     (fu, latency),
-                    fu_and_latency(kind, self.cfg.pause_latency),
+                    fu_and_latency(kind, self.machine.cfg.pause_latency),
                     "dispatch-time fu/latency must match the op kind"
                 );
-                if fu_used[fu] >= self.cfg.fu_counts[fu] {
+                if fu_used[fu] >= self.machine.cfg.fu_counts[fu] {
                     break 'op;
                 }
                 if kind == OpKind::FpDiv && p.fpdiv_busy_until > p.now {
@@ -124,18 +124,15 @@ impl O3Core {
                             }
                             done_at = p.now + 1;
                         } else {
-                            if !self.hierarchy.l1d.mshr_available(p.now) {
+                            if !self.machine.hierarchy.l1d.mshr_available(p.now) {
                                 break 'op;
                             }
-                            let mut penalty = 0;
-                            if !self.dtlb.access(addr) {
-                                penalty = self.cfg.tlb_miss_penalty;
+                            let mut at = p.now;
+                            if !self.machine.dtlb.access(addr) {
+                                at += self.machine.cfg.tlb_miss_penalty;
                                 stats.dtlb_misses += 1;
                             }
-                            done_at = self
-                                .hierarchy
-                                .data_access(addr, false, p.now + penalty)
-                                .done;
+                            done_at = self.machine.hierarchy.data_access(addr, false, at).done;
                         }
                         p.lq.mark_issued(idx, addr, lsq_slot);
                     }

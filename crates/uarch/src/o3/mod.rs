@@ -67,12 +67,9 @@ mod writeback;
 
 pub(crate) use issue::{fu_and_latency, FPDIV_BUSY};
 
-use crate::branch::{build, BranchPredictor, Btb};
-use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
-use crate::model::{functional_warm, CoreModel, MemCounters, ModelKind};
+use crate::model::{CoreModel, Machine, ModelKind, Window};
 use crate::stats::SimStats;
-use crate::tlb::Tlb;
 use belenos_trace::{MicroOp, OpKind, Ops};
 use pipeline::{FetchBlock, Pipeline, STALL_LIMIT};
 use std::time::Instant;
@@ -109,17 +106,8 @@ fn lap_cost_ns() -> u64 {
 
 /// The out-of-order core simulator.
 pub struct O3Core {
-    pub(crate) cfg: CoreConfig,
-    pub(crate) hierarchy: Hierarchy,
-    pub(crate) itlb: Tlb,
-    pub(crate) dtlb: Tlb,
-    pub(crate) predictor: Box<dyn BranchPredictor>,
-    pub(crate) btb: Btb,
+    machine: Machine,
     fast_forward: bool,
-    /// Dead cycles skipped by the most recent run (telemetry).
-    pub(crate) ff_skipped_last_run: u64,
-    /// Peak ROB-ring occupancy of the most recent run (telemetry).
-    pub(crate) rob_peak_last_run: usize,
     /// Pipeline retained from the previous run. `run_warm` resets it in
     /// place instead of rebuilding, so repeated runs on one core skip
     /// the ring-buffer allocation cost entirely (the profiler measured
@@ -130,7 +118,7 @@ pub struct O3Core {
 impl std::fmt::Debug for O3Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("O3Core")
-            .field("cfg", &self.cfg)
+            .field("machine", &self.machine)
             .finish_non_exhaustive()
     }
 }
@@ -139,15 +127,8 @@ impl O3Core {
     /// Builds a core for one configuration.
     pub fn new(cfg: CoreConfig) -> Self {
         O3Core {
-            hierarchy: Hierarchy::new(&cfg),
-            itlb: Tlb::new(cfg.tlb_entries),
-            dtlb: Tlb::new(cfg.tlb_entries),
-            predictor: build(cfg.predictor),
-            btb: Btb::new(cfg.btb_entries),
-            cfg,
+            machine: Machine::new(cfg),
             fast_forward: true,
-            ff_skipped_last_run: 0,
-            rob_peak_last_run: 0,
             scratch: None,
         }
     }
@@ -179,24 +160,15 @@ impl O3Core {
     ///
     /// As in [`O3Core::run`].
     pub fn run_warm<I: Iterator<Item = MicroOp>>(&mut self, trace: I, warmup_ops: u64) -> SimStats {
-        let mut stats = SimStats {
-            freq_ghz: self.cfg.freq_ghz,
-            ..SimStats::default()
-        };
-        // A warm core (interval sampling reuses one core across runs) may
-        // carry completion timestamps from an earlier run; this run's
-        // clock restarts at zero, and memory counters report deltas.
-        self.hierarchy.reset_timing();
-        let base = MemCounters::capture(&self.hierarchy);
+        let (mut window, mut stats) = Window::open(&mut self.machine, warmup_ops);
         let mut p = match self.scratch.take() {
             Some(mut p) => {
                 p.reset();
                 p
             }
-            None => Pipeline::new(&self.cfg),
+            None => Pipeline::new(&self.machine.cfg),
         };
         let mut trace = trace.fuse();
-        let mut warm_snapshot: Option<SimStats> = None;
         // Host-time split of the loop by stage, for a telemetry sink
         // attached now: every `STAGE_SAMPLE_EVERY`-th iteration is
         // timed, lap by lap.
@@ -219,13 +191,7 @@ impl O3Core {
             let fetch_active = self.fetch_stage(&mut p, &mut stats, &mut trace);
             lap_into(&mut lap, &mut stage_ns[4]);
 
-            if warm_snapshot.is_none() && warmup_ops > 0 && stats.committed_ops >= warmup_ops {
-                let mut snap = stats.clone();
-                snap.cycles = p.now;
-                base.delta_into(&mut snap, &self.hierarchy);
-                warm_snapshot = Some(snap);
-            }
-
+            window.observe(&stats, p.now, &self.machine);
             p.now += 1;
 
             // ---------------- event-driven fast-forward ----------------
@@ -281,18 +247,7 @@ impl O3Core {
             lap_into(&mut lap, &mut stage_ns[5]);
         }
 
-        stats.cycles = p.now;
-        base.delta_into(&mut stats, &self.hierarchy);
-        if warmup_ops > 0 {
-            // Clamp the warmup to the observed trace: when the trace
-            // commits fewer ops than `warmup_ops` the whole run was
-            // warmup, and the reported measurement window is empty (it
-            // must never silently fall back to unwarmed full stats).
-            let snap = warm_snapshot.unwrap_or_else(|| stats.clone());
-            stats.subtract(&snap);
-        }
-        self.ff_skipped_last_run = p.ff_cycles_skipped;
-        self.rob_peak_last_run = p.rob_peak;
+        let stats = window.close(stats, p.now, &self.machine);
         if timed {
             tel.counter("ff_cycles_skipped", p.ff_cycles_skipped, &[]);
             tel.counter("rob_ring_peak_occupancy", p.rob_peak as u64, &[]);
@@ -326,7 +281,7 @@ impl O3Core {
             debug_assert!(t >= now, "writeback must have drained due events");
             wake = wake.min(t);
         }
-        if let Some(t) = self.hierarchy.l1d.next_outstanding(now) {
+        if let Some(t) = self.machine.hierarchy.l1d.next_outstanding(now) {
             wake = wake.min(t);
         }
         for t in [
@@ -356,7 +311,7 @@ impl O3Core {
     /// across the skipped span — anything that could flip it is a wake
     /// candidate in [`O3Core::wake_cycle`].
     fn account_skipped(&self, p: &Pipeline, stats: &mut SimStats, times: u64) {
-        let missing = self.cfg.commit_width as u64 * times;
+        let missing = self.machine.cfg.commit_width as u64 * times;
         if !p.rob.is_empty() {
             let head = p.ops.get(p.rob.head_idx);
             stats.slots_backend += missing;
@@ -386,7 +341,7 @@ impl O3Core {
                 FetchBlock::ITlb => stats.tlb_stall_cycles += times,
                 _ => stats.icache_stall_cycles += times,
             }
-        } else if p.fetchq_len() + self.cfg.fetch_width > p.fetchq_cap {
+        } else if p.fetchq_len() + self.machine.cfg.fetch_width > p.fetchq_cap {
             stats.active_fetch_cycles += times;
         } else if p.fetchq_len() > 0 || !p.rob.is_empty() {
             stats.misc_stall_cycles += times;
@@ -399,35 +354,16 @@ impl CoreModel for O3Core {
         ModelKind::O3
     }
 
-    fn config(&self) -> &CoreConfig {
-        &self.cfg
+    fn machine(&self) -> &Machine {
+        &self.machine
     }
 
-    fn reset(&mut self) {
-        self.hierarchy.reset();
-        self.itlb.reset();
-        self.dtlb.reset();
-        self.predictor.reset();
-        self.btb.reset();
-        self.ff_skipped_last_run = 0;
-        self.rob_peak_last_run = 0;
-        // `scratch` is reset at the start of the next run.
+    fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
     }
 
     fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats {
         O3Core::run_warm(self, trace, warmup_ops)
-    }
-
-    fn warm_only(&mut self, trace: &mut Ops<'_>, max_ops: u64) -> u64 {
-        functional_warm(
-            &mut self.hierarchy,
-            &mut self.itlb,
-            &mut self.dtlb,
-            self.predictor.as_mut(),
-            &mut self.btb,
-            trace,
-            max_ops,
-        )
     }
 }
 
@@ -738,15 +674,16 @@ mod tests {
             .collect();
         let mut fast = O3Core::new(CoreConfig::gem5_baseline());
         let a = fast.run(ops.clone().into_iter());
+        let last = fast.scratch.as_ref().unwrap();
         assert!(
-            fast.ff_skipped_last_run > 0,
+            last.ff_cycles_skipped > 0,
             "dead cycles must actually be skipped"
         );
-        assert!(fast.rob_peak_last_run > 0);
+        assert!(last.rob_peak > 0);
         let mut slow = O3Core::new(CoreConfig::gem5_baseline());
         slow.set_fast_forward(false);
         let b = slow.run(ops.into_iter());
-        assert_eq!(slow.ff_skipped_last_run, 0);
+        assert_eq!(slow.scratch.as_ref().unwrap().ff_cycles_skipped, 0);
         assert_eq!(a, b, "fast-forward must not change any statistic");
     }
 
@@ -769,7 +706,8 @@ mod tests {
         }
         let mut fast = O3Core::new(CoreConfig::gem5_baseline());
         let a = fast.run(ops.clone().into_iter());
-        assert!(fast.ff_skipped_last_run > 0, "fpdiv/pause spans skip");
+        let skipped = fast.scratch.as_ref().unwrap().ff_cycles_skipped;
+        assert!(skipped > 0, "fpdiv/pause spans skip");
         let mut slow = O3Core::new(CoreConfig::gem5_baseline());
         slow.set_fast_forward(false);
         let b = slow.run(ops.into_iter());

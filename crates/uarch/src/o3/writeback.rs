@@ -14,7 +14,7 @@ impl O3Core {
     /// how many ops completed — any completion is a state change the
     /// fast-forward must observe.
     pub(super) fn writeback_stage(&mut self, p: &mut Pipeline, stats: &mut SimStats) -> usize {
-        let cfg = &self.cfg;
+        let cfg = &self.machine.cfg;
         let mut written_back = 0usize;
         while written_back < cfg.writeback_width {
             let Some(idx) = p.events.pop_due(p.now) else {
