@@ -1277,6 +1277,92 @@ mod tests {
         belenos_trace::Fnv64::new().write_bytes(bytes).finish()
     }
 
+    /// `(op count, FNV-64 over all nine fields of every op)`.
+    fn stream_pin(ops: impl Iterator<Item = MicroOp>) -> (u64, u64) {
+        let mut h = belenos_trace::Fnv64::new();
+        let mut n = 0;
+        for op in ops {
+            n += 1;
+            h.write_bytes(&[op.kind as u8, op.cat as u8, op.size, op.taken as u8])
+                .write_bytes(&op.pc.to_le_bytes())
+                .write_u64(op.addr)
+                .write_bytes(&op.target.to_le_bytes())
+                .write_bytes(&op.dep1.to_le_bytes())
+                .write_bytes(&op.dep2.to_le_bytes());
+        }
+        (n, h.finish())
+    }
+
+    /// The expander's output itself: every op `every_kernel_log` expands
+    /// to, under the default knobs and under tuned ones whose cap strides
+    /// every subsampled loop.
+    #[test]
+    fn every_kernel_stream_is_pinned() {
+        use belenos_trace::{KernelCall, PrecondClass};
+        let log = every_kernel_log();
+        let tuned = ExpandConfig {
+            sample: 2,
+            code_bloat: 3,
+            spin_scale: 1.5,
+            max_kernel_ops: 11,
+        };
+        let uncapped = ExpandConfig {
+            max_kernel_ops: usize::MAX,
+            ..tuned.clone()
+        };
+        let alone = |call: &KernelCall, cfg: &ExpandConfig| {
+            let mut one = PhaseLog::new();
+            one.record(call.clone());
+            Expander::with_config(&one, cfg.clone()).count()
+        };
+        // Under the cap every strided kernel emits fewer ops than
+        // uncapped, so its stride is > 1. Rigid bodies have no trip loop,
+        // and the 8-node residual covers one element.
+        for call in log.calls() {
+            let one_trip = matches!(
+                call,
+                KernelCall::RigidUpdate { .. }
+                    | KernelCall::AssembleResidual {
+                        nodes_per_elem: 8,
+                        ..
+                    }
+            );
+            assert_eq!(
+                alone(call, &tuned) < alone(call, &uncapped),
+                !one_trip,
+                "{call:?}"
+            );
+        }
+        // The Jacobi sweep runs only inside a solve: it is the difference
+        // between one-iteration solves with and without it.
+        let pattern = log
+            .calls()
+            .iter()
+            .find_map(|c| match c {
+                KernelCall::CgSolve { pattern, .. } => Some(Arc::clone(pattern)),
+                _ => None,
+            })
+            .expect("the log has a CG solve");
+        let jacobi = |cfg: &ExpandConfig| {
+            let cg = |precond| KernelCall::CgSolve {
+                pattern: Arc::clone(&pattern),
+                iterations: 1,
+                precond,
+            };
+            alone(&cg(PrecondClass::Jacobi), cfg) - alone(&cg(PrecondClass::None), cfg)
+        };
+        assert!(jacobi(&tuned) < jacobi(&uncapped));
+
+        assert_eq!(
+            stream_pin(Expander::new(&log)),
+            (30812, 0x5441_ec46_9462_0ed1)
+        );
+        assert_eq!(
+            stream_pin(Expander::with_config(&log, tuned)),
+            (3034, 0x7ce4_77ae_a536_205f)
+        );
+    }
+
     /// Captured at 448fc7c, before the kernel listing: the store bytes
     /// and both fingerprint hash streams of a log that uses every
     /// kernel variant must never move without a version bump.

@@ -18,6 +18,8 @@ use belenos::campaign::{Analysis, CampaignSpec, SpecError, WorkloadSet};
 use belenos::experiment::Experiment;
 use belenos_json::ToJson;
 use belenos_runner::{CacheKey, Runner, Simulate};
+use belenos_trace::expand::{ExpandConfig, Expander};
+use belenos_trace::{Fnv64, MicroOp};
 use belenos_uarch::{CoreConfig, SamplingConfig};
 use belenos_workloads::{by_id, Family, ScenarioSpec};
 
@@ -57,9 +59,76 @@ const PRESET_TRACE_FINGERPRINTS: [(&str, u64); 31] = [
     ("ma31", 0x4229e3a4e9594c3d),
 ];
 
+/// Knobs whose cap strides every subsampled kernel loop, so the stream
+/// pins below cover the strided paths of real solves.
+const TUNED: ExpandConfig = ExpandConfig {
+    sample: 2,
+    code_bloat: 3,
+    spin_scale: 1.5,
+    max_kernel_ops: 11,
+};
+
+/// (preset id, `stream_pin` of its log expanded under [`TUNED`]), in the
+/// order of [`PRESET_TRACE_FINGERPRINTS`].
+const PRESET_TUNED_STREAMS: [(&str, (u64, u64)); 31] = [
+    ("ar", (33276, 0xd65b0fd11378a16d)),
+    ("bp", (25392, 0xfa1f48075eca04cd)),
+    ("co", (20761, 0x31b21858271f4c02)),
+    ("fl", (41848, 0x1c3e23f63afb5f2e)),
+    ("mu", (16299, 0x40874b6039a145bf)),
+    ("mp", (37584, 0x1ec8081840b8676b)),
+    ("te", (7322, 0xc7889390c21cc304)),
+    ("ri", (12756, 0x15ff5d9f40565130)),
+    ("ps", (6631, 0x08f334aa5c48fa8c)),
+    ("pd", (40236, 0x818b334acc66e079)),
+    ("mg", (18120, 0xb9a7047c20644ccc)),
+    ("fs", (37878, 0x91a1e59bee325b48)),
+    ("mi", (31026, 0x57bf886d1472a188)),
+    ("ma", (24240, 0x43b1e19b53dfbdc4)),
+    ("dm", (83580, 0xa9cd838dd0fc50c6)),
+    ("tu", (13584, 0xdf25751266f41e98)),
+    ("rj", (158160, 0xdf003956932f1cf0)),
+    ("vc", (7880, 0x5dfb3cfaf3ed45c9)),
+    ("bi", (25392, 0xb675bf417ab38cae)),
+    ("eye", (18776, 0x91698ed9686ae981)),
+    ("bp07", (25392, 0xfa1f48075eca04cd)),
+    ("bp08", (25392, 0xfa1f48075eca04cd)),
+    ("bp09", (25392, 0xfa1f48075eca04cd)),
+    ("fl33", (10462, 0x5ad797083cf9d0da)),
+    ("fl34", (41848, 0x1c3e23f63afb5f2e)),
+    ("ma26", (24240, 0x43b1e19b53dfbdc4)),
+    ("ma27", (24240, 0x43b1e19b53dfbdc4)),
+    ("ma28", (24240, 0x43b1e19b53dfbdc4)),
+    ("ma29", (24240, 0x43b1e19b53dfbdc4)),
+    ("ma30", (24240, 0x43b1e19b53dfbdc4)),
+    ("ma31", (24240, 0x43b1e19b53dfbdc4)),
+];
+
+/// `stream_pin` of `co`'s full stream under its own knobs.
+const CO_STREAM: (u64, u64) = (1702608, 0xefac3b6122432704);
+
+/// `(op count, FNV-64 over all nine fields of every op)`.
+fn stream_pin(ops: impl Iterator<Item = MicroOp>) -> (u64, u64) {
+    let mut h = Fnv64::new();
+    let mut n = 0;
+    for op in ops {
+        n += 1;
+        h.write_bytes(&[op.kind as u8, op.cat as u8, op.size, op.taken as u8])
+            .write_bytes(&op.pc.to_le_bytes())
+            .write_u64(op.addr)
+            .write_bytes(&op.target.to_le_bytes())
+            .write_bytes(&op.dep1.to_le_bytes())
+            .write_bytes(&op.dep2.to_le_bytes());
+    }
+    (n, h.finish())
+}
+
 #[test]
 fn every_preset_trace_is_bit_identical_to_the_pre_refactor_builders() {
-    for &(id, pinned) in &PRESET_TRACE_FINGERPRINTS {
+    for (&(id, pinned), &(stream_id, stream)) in
+        PRESET_TRACE_FINGERPRINTS.iter().zip(&PRESET_TUNED_STREAMS)
+    {
+        assert_eq!(id, stream_id);
         let spec = by_id(id).unwrap_or_else(|| panic!("preset {id} missing"));
         let exp = Experiment::prepare(&spec).unwrap_or_else(|e| panic!("{id}: {e}"));
         assert_eq!(
@@ -67,7 +136,36 @@ fn every_preset_trace_is_bit_identical_to_the_pre_refactor_builders() {
             pinned,
             "{id}: parametric preset drifted from the pre-refactor hardcoded builder"
         );
+        assert_eq!(
+            stream_pin(Expander::with_config(exp.log(), TUNED)),
+            stream,
+            "{id}: tuned stream"
+        );
+        if id == "co" {
+            let full = Expander::with_config(exp.log(), spec.expand_config());
+            assert_eq!(stream_pin(full), CO_STREAM, "co: default stream");
+        }
     }
+}
+
+/// Prints the stream pins above in their source form, ready to paste
+/// over them after an intentional expander change: `cargo test -p belenos
+/// --release --test scenarios capture_stream_pins -- --ignored
+/// --nocapture`.
+#[test]
+#[ignore = "capture tool: prints the preset stream pins"]
+fn capture_stream_pins() {
+    println!("const PRESET_TUNED_STREAMS: [(&str, (u64, u64)); 31] = [");
+    for &(id, _) in &PRESET_TRACE_FINGERPRINTS {
+        let exp = Experiment::prepare(&by_id(id).unwrap()).unwrap();
+        let (n, h) = stream_pin(Expander::with_config(exp.log(), TUNED));
+        println!("    (\"{id}\", ({n}, 0x{h:016x})),");
+    }
+    println!("];");
+    let co = by_id("co").unwrap();
+    let exp = Experiment::prepare(&co).unwrap();
+    let (n, h) = stream_pin(Expander::with_config(exp.log(), co.expand_config()));
+    println!("const CO_STREAM: (u64, u64) = ({n}, 0x{h:016x});");
 }
 
 #[test]
