@@ -1049,7 +1049,6 @@ impl<'a> Expander<'a> {
         let work_per_entry = if factor { per_col.min(64) } else { 1 };
         let (stride, _) = self.stride_for(n, 4 * per_col * work_per_entry.max(1) + 4);
         let mut offset = 0usize;
-        let mut j = 0usize;
         let mut jj = 0usize;
         while jj < n {
             let h = heights[jj];
@@ -1082,10 +1081,9 @@ impl<'a> Expander<'a> {
                 None,
                 None,
             );
-            offset += h;
-            j += 1;
+            // Skip the unsampled columns' envelopes too.
+            offset += heights[jj..(jj + stride).min(n)].iter().sum::<usize>();
             jj += stride;
-            let _ = j;
         }
         self.represented += (total * if factor { 9 } else { 4 } + n * 3) as u64;
     }
@@ -1786,6 +1784,38 @@ mod tests {
         assert!(ops.iter().any(|o| o.kind == OpKind::FpDiv));
         assert!(ops.iter().filter(|o| o.kind == OpKind::Store).count() >= 3);
         assert!(ops.iter().all(|o| o.cat == FnCategory::MklPardiso));
+    }
+
+    #[test]
+    fn subsampled_skyline_reads_each_sampled_columns_envelope() {
+        let heights = vec![3usize, 1, 4, 1, 5, 9, 2, 6];
+        let mut log = PhaseLog::new();
+        log.record(KernelCall::SkylineFactor {
+            heights: Arc::new(heights.clone()),
+        });
+        // 40 ops per column: a 160-op cap samples every second column.
+        let cfg = ExpandConfig {
+            max_kernel_ops: 160,
+            ..ExpandConfig::default()
+        };
+        // A column's loads run up to its diagonal store.
+        let mut firsts = Vec::new();
+        let mut open = true;
+        for op in Expander::with_config(&log, cfg) {
+            match op.kind {
+                OpKind::Load if open => {
+                    firsts.push(op.addr);
+                    open = false;
+                }
+                OpKind::Store => open = true,
+                _ => {}
+            }
+        }
+        let expected: Vec<u64> = (0..heights.len())
+            .step_by(2)
+            .map(|jj| firsts[0] + 8 * heights[..jj].iter().sum::<usize>() as u64)
+            .collect();
+        assert_eq!(firsts, expected);
     }
 
     #[test]
