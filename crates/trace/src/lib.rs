@@ -76,7 +76,6 @@ pub mod flat;
 pub mod layout;
 pub mod op;
 pub mod program;
-pub mod stats;
 pub mod store;
 
 pub use digest::Fnv64;
@@ -85,5 +84,4 @@ pub use flat::{FlatIter, FlatTrace, Ops};
 pub use layout::AddressSpace;
 pub use op::{FnCategory, MicroOp, OpKind};
 pub use program::{trace_fingerprint, KernelCall, MaterialClass, PhaseLog, PrecondClass};
-pub use stats::TraceStats;
 pub use store::{SolveMeta, StoreError, StoreHeader, TraceArtifact, HEADER_LEN, STORE_VERSION};
