@@ -13,7 +13,6 @@
 //!   of scraping stdout.
 
 use belenos_json::{Json, ToJson};
-use belenos_profiler::report::{fmt, Table};
 
 /// One table cell: the exact text shown in the rendered table, plus the
 /// raw numeric value when the cell is a measurement.
@@ -37,7 +36,7 @@ impl Cell {
     /// A numeric cell displayed with fixed precision.
     pub fn num(value: f64, digits: usize) -> Cell {
         Cell {
-            text: fmt(value, digits),
+            text: format!("{value:.digits$}"),
             value: Some(value),
         }
     }
@@ -101,14 +100,63 @@ impl Section {
         self
     }
 
-    fn table(&self) -> Table {
-        let columns: Vec<&str> = self.columns.iter().map(String::as_str).collect();
-        let mut t = Table::new(&columns);
+    /// Renders the table with aligned columns under a dashed rule.
+    pub fn render(&self) -> String {
+        let mut width: Vec<usize> = self.columns.iter().map(String::len).collect();
         for row in &self.rows {
-            t.row(row.iter().map(|c| c.text.clone()).collect());
+            for (w, c) in width.iter_mut().zip(row) {
+                *w = (*w).max(c.text.len());
+            }
         }
-        t
+        let mut out = String::new();
+        push_line(&mut out, &width, self.columns.iter().map(String::as_str));
+        out.push_str(&"-".repeat(width.iter().sum::<usize>() + 2 * (width.len() - 1)));
+        out.push('\n');
+        for row in &self.rows {
+            push_line(&mut out, &width, row.iter().map(|c| c.text.as_str()));
+        }
+        out
     }
+
+    /// Renders the table as comma-separated values (RFC 4180 quoting:
+    /// fields containing commas, quotes or newlines are quoted, embedded
+    /// quotes doubled).
+    pub fn to_csv(&self) -> String {
+        let field = |s: &str| {
+            if s.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        };
+        let mut out = self
+            .columns
+            .iter()
+            .map(|c| field(c))
+            .collect::<Vec<_>>()
+            .join(",");
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(
+                &row.iter()
+                    .map(|c| field(&c.text))
+                    .collect::<Vec<_>>()
+                    .join(","),
+            );
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Appends one table line: each cell left-aligned to its column's width,
+/// two spaces apart, without trailing spaces.
+fn push_line<'c>(out: &mut String, width: &[usize], cells: impl Iterator<Item = &'c str>) {
+    for (c, w) in cells.zip(width) {
+        out.push_str(&format!("{c:<w$}  "));
+    }
+    out.truncate(out.trim_end_matches(' ').len());
+    out.push('\n');
 }
 
 impl ToJson for Section {
@@ -160,7 +208,7 @@ impl Report {
     pub fn to_text(&self) -> String {
         self.sections
             .iter()
-            .map(|s| format!("{}\n\n{}", s.title, s.table().render()))
+            .map(|s| format!("{}\n\n{}", s.title, s.render()))
             .collect::<Vec<_>>()
             .join("\n")
     }
@@ -178,7 +226,7 @@ impl Report {
                 out.push_str(line);
                 out.push('\n');
             }
-            out.push_str(&s.table().to_csv());
+            out.push_str(&s.to_csv());
         }
         out
     }
@@ -252,6 +300,40 @@ mod tests {
         let csv = sample().to_csv();
         assert!(csv.starts_with("# Demo: a table\nModel,IPC\n"));
         assert!(csv.contains("pd,1.235"));
+    }
+
+    #[test]
+    fn renders_aligned_table() {
+        let mut s = Section::new("t", &["model", "ipc"]);
+        s.row(vec![Cell::text("ar"), Cell::num(1.234567, 3)]);
+        s.row(vec![Cell::text("co"), Cell::num(0.5, 3)]);
+        assert_eq!(
+            s.render(),
+            "model  ipc\n------------\nar     1.235\nco     0.500\n"
+        );
+    }
+
+    #[test]
+    fn csv_output() {
+        let mut s = Section::new("t", &["a", "b"]);
+        s.row(vec![Cell::num(1.0, 0), Cell::num(2.0, 0)]);
+        assert_eq!(s.to_csv(), "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn csv_quotes_fields_with_commas_and_quotes() {
+        let mut s = Section::new("t", &["Parameter", "Value"]);
+        s.row(vec![Cell::text("L2 cache"), Cell::text("1 MB, 16-way")]);
+        s.row(vec![Cell::text("note"), Cell::text("says \"hi\"")]);
+        assert_eq!(
+            s.to_csv(),
+            "Parameter,Value\nL2 cache,\"1 MB, 16-way\"\nnote,\"says \"\"hi\"\"\"\n"
+        );
+    }
+
+    #[test]
+    fn helpers() {
+        assert_eq!(Cell::num(1.0 / 3.0, 2).text, "0.33");
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 pub mod hotspots;
 pub mod memory;
-pub mod report;
 pub mod tma;
 
 pub use hotspots::{HotspotDot, HotspotProfile};
