@@ -4,7 +4,7 @@
 use belenos_fem::FemError;
 use belenos_trace::expand::{ExpandConfig, Expander};
 use belenos_trace::{expand_fingerprint, trace_fingerprint, FlatTrace, MicroOp, Ops, PhaseLog};
-use belenos_uarch::{build_model, CoreConfig, CoreModel, Fnv64, SamplingConfig, SimStats};
+use belenos_uarch::{build_model, CoreConfig, Fnv64, SamplingConfig, SimStats};
 use belenos_workloads::{ScenarioError, ScenarioSpec};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -49,32 +49,6 @@ pub struct Experiment {
     trace_at_least: std::sync::atomic::AtomicU64,
     /// Memoized expanded-trace prefix (see [`Experiment::cached_trace`]).
     trace_cache: Mutex<TraceCache>,
-    /// Pooled core model reused across simulation calls (see
-    /// [`Experiment::with_model`]).
-    model_pool: ModelPool,
-}
-
-/// One-slot pool holding the most recently used core model together
-/// with the configuration it was built for. Rebuilding a model per
-/// `simulate` call was the single largest cost of a short timed run —
-/// the ring buffers, cache tag arrays and predictor tables are freed
-/// and re-allocated (and re-page-faulted) every call. Reusing the model
-/// via [`CoreModel::reset`] keeps those arrays resident; the reset
-/// contract guarantees bit-identical statistics, which the backend
-/// digest pins enforce. A config change simply misses the pool and
-/// rebuilds, so alternating-config sweeps are never worse than before.
-#[derive(Default)]
-struct ModelPool {
-    slot: Mutex<Option<(CoreConfig, Box<dyn CoreModel>)>>,
-}
-
-impl std::fmt::Debug for ModelPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let occupied = self.slot.lock().map(|s| s.is_some()).unwrap_or(false);
-        f.debug_struct("ModelPool")
-            .field("occupied", &occupied)
-            .finish()
-    }
 }
 
 /// Memoized expansion of a trace prefix, stored as a struct-of-arrays
@@ -90,8 +64,6 @@ struct TraceCache {
     ops: Option<Arc<FlatTrace>>,
     /// The cached prefix is the entire trace.
     complete: bool,
-    /// The full trace exceeds the cache cap; never re-attempt it.
-    too_big: bool,
 }
 
 /// Process-wide trace-cache budget in ops, from `BELENOS_TRACE_CACHE_MB`
@@ -208,7 +180,6 @@ impl Experiment {
             total_ops: OnceLock::new(),
             trace_at_least: std::sync::atomic::AtomicU64::new(0),
             trace_cache: Mutex::new(TraceCache::default()),
-            model_pool: ModelPool::default(),
         };
         if let Some(store) = store {
             store.save(&exp.id, &exp.to_artifact(), &exp.expand);
@@ -251,7 +222,6 @@ impl Experiment {
             total_ops: OnceLock::new(),
             trace_at_least: std::sync::atomic::AtomicU64::new(0),
             trace_cache: Mutex::new(TraceCache::default()),
-            model_pool: ModelPool::default(),
         }
     }
 
@@ -317,52 +287,27 @@ impl Experiment {
                 ("max_ops", max_ops.into()),
             ],
         );
-        let stats = self.with_model(cfg, |model| self.simulate_prefix_on(model, max_ops));
+        let mut model = build_model(cfg);
+        let stats = if max_ops == 0 {
+            self.replay(None, |ops| model.run_warm(ops, 0))
+        } else {
+            let limit = max_ops as u64;
+            self.replay(Some(limit), |ops| {
+                // Discard the first quarter as measurement warmup (cold
+                // caches and untrained predictors), as gem5 checkpointed
+                // runs do. The quarter is of the *measured* window — the
+                // smaller of budget and actual trace — so an oversized
+                // budget cannot discard the whole trace as warmup and
+                // report empty statistics.
+                let measured = limit.min(self.trace_ops_up_to(limit));
+                ops.stop_at(limit);
+                model.run_warm(ops, measured / 4)
+            })
+        };
         if tele.enabled() {
             emit_stage_counters(&tele, &stats);
         }
         stats
-    }
-
-    /// Runs `run` on the pooled model if it was built for `cfg` (reset to
-    /// its just-built state), else on a fresh one, and pools the model
-    /// for the next run.
-    fn with_model<R>(&self, cfg: &CoreConfig, run: impl FnOnce(&mut dyn CoreModel) -> R) -> R {
-        let pooled = self
-            .model_pool
-            .slot
-            .lock()
-            .unwrap()
-            .take_if(|(built, _)| built == cfg);
-        let mut model = match pooled {
-            Some((_, mut model)) => {
-                model.reset();
-                model
-            }
-            None => build_model(cfg),
-        };
-        let out = run(model.as_mut());
-        *self.model_pool.slot.lock().unwrap() = Some((cfg.clone(), model));
-        out
-    }
-
-    /// The prefix-mode driver (see [`Experiment::simulate`], which wraps
-    /// it in a telemetry `phase` span).
-    fn simulate_prefix_on(&self, model: &mut dyn CoreModel, max_ops: usize) -> SimStats {
-        if max_ops == 0 {
-            return self.replay(None, |ops| model.run_warm(ops, 0));
-        }
-        let limit = max_ops as u64;
-        self.replay(Some(limit), |ops| {
-            // Discard the first quarter as measurement warmup (cold caches
-            // and untrained predictors), as gem5 checkpointed runs do. The
-            // quarter is of the *measured* window — the smaller of budget
-            // and actual trace — so an oversized budget cannot discard the
-            // whole trace as warmup and report empty statistics.
-            let measured = limit.min(self.trace_ops_up_to(limit));
-            ops.stop_at(limit);
-            model.run_warm(ops, measured / 4)
-        })
     }
 
     /// Runs `run` on a cursor over this experiment's trace: the memo when
@@ -394,6 +339,8 @@ impl Experiment {
     fn cached_trace(&self, need: Option<u64>) -> Option<Arc<FlatTrace>> {
         use std::sync::atomic::Ordering;
         let budget = trace_cache_budget_ops();
+        #[cfg(test)]
+        let budget = tests::MEMO_ROOM.get().map_or(budget, |(budget, _)| budget);
         if budget == 0 {
             return None;
         }
@@ -414,11 +361,12 @@ impl Experiment {
         let held = cache.ops.as_ref().map_or(0, |ops| ops.len() as u64);
         // What this experiment may grow to: the process-wide budget minus
         // what *other* experiments' caches already hold.
-        let cap = budget.saturating_sub(
-            TRACE_CACHE_USED_OPS
-                .load(Ordering::Relaxed)
-                .saturating_sub(held),
-        );
+        let others = TRACE_CACHE_USED_OPS
+            .load(Ordering::Relaxed)
+            .saturating_sub(held);
+        #[cfg(test)]
+        let others = tests::MEMO_ROOM.get().map_or(others, |(_, others)| others);
+        let cap = budget.saturating_sub(others);
         match need {
             Some(n) => {
                 if n > cap {
@@ -436,16 +384,16 @@ impl Experiment {
                 }
             }
             None => {
-                if cache.too_big {
+                // A trace known to outrun the cap would only be expanded
+                // up to it and dropped: stream it instead. Once other
+                // memos make room, the known length fits and it fills.
+                let known = self
+                    .total_ops
+                    .get()
+                    .copied()
+                    .unwrap_or_else(|| self.trace_at_least.load(Ordering::Relaxed));
+                if known > cap {
                     return None;
-                }
-                if let Some(&total) = self.total_ops.get() {
-                    if total > cap {
-                        // Over the whole budget: permanently too big.
-                        // Merely crowded out by other caches: retry later.
-                        cache.too_big = total > budget;
-                        return None;
-                    }
                 }
             }
         }
@@ -464,10 +412,8 @@ impl Experiment {
         self.trace_at_least
             .fetch_max(ops.len() as u64, Ordering::Relaxed);
         if !exhausted && need.is_none() {
-            // Whole-trace request, and the trace outruns the cap. Only
-            // outrunning the whole process budget is permanent; being
-            // crowded out by other experiments' caches is worth retrying.
-            cache.too_big = limit > budget;
+            // Whole-trace request, and the trace outruns the cap: the
+            // length just learned keeps the next request from refilling.
             return None;
         }
         let n = ops.len() as u64;
@@ -556,25 +502,8 @@ impl Experiment {
                 ("intervals", sampling.intervals.into()),
             ],
         );
-        let stats = self.with_model(cfg, |model| {
-            self.simulate_sampled_on(model, max_ops, sampling)
-        });
-        if tele.enabled() {
-            emit_stage_counters(&tele, &stats);
-        }
-        stats
-    }
-
-    /// The sampled-mode driver (see [`Experiment::simulate_sampled`],
-    /// which wraps it in a telemetry `phase` span). Only reached when
-    /// sampling is actually on.
-    fn simulate_sampled_on(
-        &self,
-        model: &mut dyn CoreModel,
-        max_ops: usize,
-        sampling: &SamplingConfig,
-    ) -> SimStats {
-        self.replay(None, |ops| {
+        let mut model = build_model(cfg);
+        let stats = self.replay(None, |ops| {
             let total = self.total_trace_ops();
             if max_ops as u64 >= total {
                 // One interval covering the whole trace: simulate exactly.
@@ -596,7 +525,11 @@ impl Experiment {
                 return merged;
             }
             merged.scaled(total as f64 / merged.committed_ops as f64)
-        })
+        });
+        if tele.enabled() {
+            emit_stage_counters(&tele, &stats);
+        }
+        stats
     }
 
     /// Convenience: simulate on the Table II gem5 baseline.
@@ -796,6 +729,9 @@ mod tests {
         /// Makes this thread's simulations refuse the trace memo, so
         /// every one of them streams its ops from the log.
         pub(super) static FORCE_STREAM: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        /// Overrides, on this thread, the trace-memo budget and the ops
+        /// other experiments' memos hold: `(budget, others)` in ops.
+        pub(super) static MEMO_ROOM: std::cell::Cell<Option<(u64, u64)>> = const { std::cell::Cell::new(None) };
     }
 
     /// Runs `f` with every simulation on this thread streamed.
@@ -842,6 +778,36 @@ mod tests {
         assert!(
             exp.total_trace_ops() > 10 * 40_000,
             "premise: the budgets are a prefix and a sample, not the whole trace"
+        );
+    }
+
+    #[test]
+    fn a_crowded_out_whole_trace_request_fills_the_memo_once() {
+        // Other experiments' memos leave this one room for 10 000 ops, far
+        // less than the trace: the first whole-trace run expands up to the
+        // cap and learns the trace is longer; later runs stream without
+        // refilling. Every run reports what a streamed run does.
+        let exp = Experiment::prepare(&by_id("pd").expect("pd exists")).unwrap();
+        let cfg = CoreConfig::gem5_baseline().with_model(belenos_uarch::ModelKind::Analytic);
+        let streamed_run = streamed(|| exp.simulate(&cfg, 0));
+        let budget = 1 << 20;
+        MEMO_ROOM.set(Some((budget, budget - 10_000)));
+        let (runs, events) = belenos_telemetry::capture(|| [(); 3].map(|()| exp.simulate(&cfg, 0)));
+        MEMO_ROOM.set(None);
+        let misses = events
+            .iter()
+            .filter(|e| {
+                e.get("name").and_then(belenos_json::Json::as_str) == Some("trace_memo_miss")
+            })
+            .count();
+        assert_eq!(misses, 1, "one fill, not one per call");
+        assert_eq!(flat_trace_hits(&events), 0, "every run streamed");
+        for run in runs {
+            assert_eq!(run, streamed_run);
+        }
+        assert!(
+            exp.total_trace_ops() > 10_000,
+            "premise: the trace outruns the cap"
         );
     }
 

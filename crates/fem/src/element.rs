@@ -116,25 +116,6 @@ pub fn strain_at(geom: &GeomEval, u_e: &[f64]) -> Voigt {
     e
 }
 
-/// Result of one element integration: stiffness block (row-major
-/// `dofs x dofs`) and internal-force vector.
-#[derive(Debug, Clone)]
-pub struct ElementMatrices {
-    /// Row-major square stiffness block.
-    pub k: Vec<f64>,
-    /// Internal force (same dof ordering).
-    pub f_int: Vec<f64>,
-}
-
-impl ElementMatrices {
-    fn zeroed(ndof: usize) -> Self {
-        ElementMatrices {
-            k: vec![0.0; ndof * ndof],
-            f_int: vec![0.0; ndof],
-        }
-    }
-}
-
 /// Displacement-formulation solid element (3 dofs/node).
 #[derive(Debug)]
 pub struct SolidKernel {
@@ -156,46 +137,12 @@ impl SolidKernel {
         self.rule.len()
     }
 
-    /// Integrates stiffness + internal force for one element.
+    /// Integrates stiffness + internal force for one element into
+    /// caller-owned storage: `k` (row-major `ndof x ndof`) and `f`
+    /// (`ndof`) are overwritten, nothing is allocated.
     ///
     /// `states_old` / `states_new` are the per-Gauss-point history slices
     /// (length `gauss_points * material.state_size()`).
-    ///
-    /// # Errors
-    ///
-    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate(
-        &self,
-        element: usize,
-        coords: &[[f64; 3]],
-        u_e: &[f64],
-        material: &dyn Material,
-        states_old: &[f64],
-        states_new: &mut [f64],
-        dt: f64,
-        t: f64,
-    ) -> Result<ElementMatrices> {
-        let ndof = 3 * self.kind.nodes();
-        let mut em = ElementMatrices::zeroed(ndof);
-        self.integrate_into(
-            element,
-            coords,
-            u_e,
-            material,
-            states_old,
-            states_new,
-            dt,
-            t,
-            &mut em.k,
-            &mut em.f_int,
-        )?;
-        Ok(em)
-    }
-
-    /// [`SolidKernel::integrate`] into caller-owned storage: `k` (row-major
-    /// `ndof x ndof`) and `f` (`ndof`) are overwritten, nothing is
-    /// allocated.
     ///
     /// # Errors
     ///
@@ -321,48 +268,12 @@ impl PoroKernel {
         self.solid.gauss_points()
     }
 
-    /// Integrates the coupled block system for one element.
+    /// Integrates the coupled block system for one element into
+    /// caller-owned storage: `k` (row-major `ndof x ndof`) and `f`
+    /// (`ndof`) are overwritten, nothing is allocated.
     ///
     /// Element dofs are node-major `[ux, uy, uz, p]`. `u_e`/`u_old` hold
     /// current and previous-step element solution in the same ordering.
-    ///
-    /// # Errors
-    ///
-    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate(
-        &self,
-        element: usize,
-        coords: &[[f64; 3]],
-        u_e: &[f64],
-        u_old: &[f64],
-        material: &dyn Material,
-        states_old: &[f64],
-        states_new: &mut [f64],
-        dt: f64,
-        t: f64,
-    ) -> Result<ElementMatrices> {
-        let ndof = 4 * self.solid.kind.nodes();
-        let mut em = ElementMatrices::zeroed(ndof);
-        self.integrate_into(
-            element,
-            coords,
-            u_e,
-            u_old,
-            material,
-            states_old,
-            states_new,
-            dt,
-            t,
-            &mut em.k,
-            &mut em.f_int,
-        )?;
-        Ok(em)
-    }
-
-    /// [`PoroKernel::integrate`] into caller-owned storage: `k` (row-major
-    /// `ndof x ndof`) and `f` (`ndof`) are overwritten, nothing is
-    /// allocated.
     ///
     /// # Errors
     ///
@@ -522,40 +433,10 @@ impl FluidKernel {
     }
 
     /// Integrates the Picard-linearized operator `A(v̄) v` and residual for
-    /// one element. `v_e` is the current iterate, `v_bar` the previous
-    /// Picard iterate, `v_old` the previous time step.
-    ///
-    /// # Errors
-    ///
-    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate(
-        &self,
-        element: usize,
-        coords: &[[f64; 3]],
-        v_e: &[f64],
-        v_bar: &[f64],
-        v_old: &[f64],
-        dt: f64,
-    ) -> Result<ElementMatrices> {
-        let ndof = 3 * self.kind.nodes();
-        let mut em = ElementMatrices::zeroed(ndof);
-        self.integrate_into(
-            element,
-            coords,
-            v_e,
-            v_bar,
-            v_old,
-            dt,
-            &mut em.k,
-            &mut em.f_int,
-        )?;
-        Ok(em)
-    }
-
-    /// [`FluidKernel::integrate`] into caller-owned storage: `k` (row-major
-    /// `ndof x ndof`) and `f` (`ndof`) are overwritten, nothing is
-    /// allocated.
+    /// one element into caller-owned storage: `k` (row-major `ndof x
+    /// ndof`) and `f` (`ndof`) are overwritten, nothing is allocated.
+    /// `v_e` is the current iterate, `v_bar` the previous Picard iterate,
+    /// `v_old` the previous time step.
     ///
     /// # Errors
     ///
@@ -776,10 +657,21 @@ mod tests {
                     unhoisted_stiffness(geom.grad(), &d, gp.w * geom.detj, 3, &mut want);
                 }
                 let mut new = vec![0.0; gps * ssz];
-                let got = kern
-                    .integrate(0, &coords, &u, mat.as_ref(), &old, &mut new, dt, t)
-                    .unwrap();
-                assert_eq!(bits(&got.k), bits(&want), "{} {kind:?} solid", mat.name());
+                let (mut k, mut f) = (vec![0.0; 9 * npe * npe], vec![0.0; 3 * npe]);
+                kern.integrate_into(
+                    0,
+                    &coords,
+                    &u,
+                    mat.as_ref(),
+                    &old,
+                    &mut new,
+                    dt,
+                    t,
+                    &mut k,
+                    &mut f,
+                )
+                .unwrap();
+                assert_eq!(bits(&k), bits(&want), "{} {kind:?} solid", mat.name());
 
                 // Same displacements, zero pressures: K_uu of the coupled
                 // block is the solid stiffness, entry for entry.
@@ -792,14 +684,26 @@ mod tests {
                         }
                     })
                     .collect();
-                let got = poro
-                    .integrate(0, &coords, &up, &up, mat.as_ref(), &old, &mut new, dt, t)
-                    .unwrap();
+                let (mut k, mut f) = (vec![0.0; 16 * npe * npe], vec![0.0; 4 * npe]);
+                poro.integrate_into(
+                    0,
+                    &coords,
+                    &up,
+                    &up,
+                    mat.as_ref(),
+                    &old,
+                    &mut new,
+                    dt,
+                    t,
+                    &mut k,
+                    &mut f,
+                )
+                .unwrap();
                 for a in 0..3 * npe {
                     for b in 0..3 * npe {
                         let (ra, rb) = (4 * (a / 3) + a % 3, 4 * (b / 3) + b % 3);
                         assert_eq!(
-                            got.k[ra * 4 * npe + rb].to_bits(),
+                            k[ra * 4 * npe + rb].to_bits(),
                             want[a * 3 * npe + b].to_bits(),
                             "{} {kind:?} poro K_uu ({a}, {b})",
                             mat.name()
@@ -863,13 +767,13 @@ mod tests {
         let kern = SolidKernel::new(ElementKind::Hex8);
         let coords = unit_hex_coords();
         let u = vec![0.0; 24];
-        let em = kern
-            .integrate(0, &coords, &u, &mat, &[], &mut [], 1.0, 0.0)
+        let (mut k, mut f) = (vec![0.0; 24 * 24], vec![0.0; 24]);
+        kern.integrate_into(0, &coords, &u, &mat, &[], &mut [], 1.0, 0.0, &mut k, &mut f)
             .unwrap();
         for i in 0..24 {
             for j in 0..24 {
                 assert!(
-                    (em.k[i * 24 + j] - em.k[j * 24 + i]).abs() < 1e-9,
+                    (k[i * 24 + j] - k[j * 24 + i]).abs() < 1e-9,
                     "K not symmetric at ({i},{j})"
                 );
             }
@@ -879,7 +783,7 @@ mod tests {
             .map(|d| if d % 3 == 0 { 1.0 } else { 0.0 })
             .collect();
         for i in 0..24 {
-            let acc: f64 = (0..24).map(|j| em.k[i * 24 + j] * t[j]).sum();
+            let acc: f64 = (0..24).map(|j| k[i * 24 + j] * t[j]).sum();
             assert!(acc.abs() < 1e-9, "rigid mode produces force {acc} at {i}");
         }
     }
@@ -893,16 +797,12 @@ mod tests {
         let u: Vec<f64> = (0..24)
             .map(|i| 0.001 * ((i * 7 % 5) as f64 - 2.0))
             .collect();
-        let em = kern
-            .integrate(0, &coords, &u, &mat, &[], &mut [], 1.0, 0.0)
+        let (mut k, mut f) = (vec![0.0; 24 * 24], vec![0.0; 24]);
+        kern.integrate_into(0, &coords, &u, &mat, &[], &mut [], 1.0, 0.0, &mut k, &mut f)
             .unwrap();
         for i in 0..24 {
-            let ku: f64 = (0..24).map(|j| em.k[i * 24 + j] * u[j]).sum();
-            assert!(
-                (ku - em.f_int[i]).abs() < 1e-10,
-                "row {i}: {ku} vs {}",
-                em.f_int[i]
-            );
+            let ku: f64 = (0..24).map(|j| k[i * 24 + j] * u[j]).sum();
+            assert!((ku - f[i]).abs() < 1e-10, "row {i}: {ku} vs {}", f[i]);
         }
     }
 
@@ -916,14 +816,24 @@ mod tests {
             .iter()
             .map(|&n| m.coords()[n as usize])
             .collect();
-        let em = kern
-            .integrate(0, &coords, &[0.0; 12], &mat, &[], &mut [], 1.0, 0.0)
-            .unwrap();
-        assert_eq!(em.k.len(), 144);
+        let (mut k, mut f) = (vec![0.0; 144], vec![0.0; 12]);
+        kern.integrate_into(
+            0,
+            &coords,
+            &[0.0; 12],
+            &mat,
+            &[],
+            &mut [],
+            1.0,
+            0.0,
+            &mut k,
+            &mut f,
+        )
+        .unwrap();
         // Symmetry.
         for i in 0..12 {
             for j in 0..12 {
-                assert!((em.k[i * 12 + j] - em.k[j * 12 + i]).abs() < 1e-10);
+                assert!((k[i * 12 + j] - k[j * 12 + i]).abs() < 1e-10);
             }
         }
     }
@@ -934,21 +844,32 @@ mod tests {
         let kern = PoroKernel::new(ElementKind::Hex8, [1e-3, 1e-3, 1e-3], 1e-4);
         let coords = unit_hex_coords();
         let u = vec![0.0; 32];
-        let em = kern
-            .integrate(0, &coords, &u, &u, &mat, &[], &mut [], 0.1, 0.0)
-            .unwrap();
-        assert_eq!(em.k.len(), 32 * 32);
+        let (mut k, mut f) = (vec![0.0; 32 * 32], vec![0.0; 32]);
+        kern.integrate_into(
+            0,
+            &coords,
+            &u,
+            &u,
+            &mat,
+            &[],
+            &mut [],
+            0.1,
+            0.0,
+            &mut k,
+            &mut f,
+        )
+        .unwrap();
         // K_pp must be negative definite on the diagonal (symmetric
         // indefinite saddle form).
         for a in 0..8 {
-            let d = em.k[(4 * a + 3) * 32 + (4 * a + 3)];
+            let d = k[(4 * a + 3) * 32 + (4 * a + 3)];
             assert!(d < 0.0, "K_pp diagonal {d} should be negative");
         }
         // Global symmetry of the block matrix.
         for i in 0..32 {
             for j in 0..32 {
                 assert!(
-                    (em.k[i * 32 + j] - em.k[j * 32 + i]).abs() < 1e-9,
+                    (k[i * 32 + j] - k[j * 32 + i]).abs() < 1e-9,
                     "poro K not symmetric at ({i},{j})"
                 );
             }
@@ -962,13 +883,15 @@ mod tests {
         let v_bar: Vec<f64> = (0..24)
             .map(|d| if d % 3 == 0 { 1.0 } else { 0.0 })
             .collect();
-        let em = kern
-            .integrate(0, &coords, &[0.0; 24], &v_bar, &[0.0; 24], 0.1)
-            .unwrap();
+        let (mut k, mut f) = (vec![0.0; 24 * 24], vec![0.0; 24]);
+        kern.integrate_into(
+            0, &coords, &[0.0; 24], &v_bar, &[0.0; 24], 0.1, &mut k, &mut f,
+        )
+        .unwrap();
         let mut asym = 0.0f64;
         for i in 0..24 {
             for j in 0..24 {
-                asym = asym.max((em.k[i * 24 + j] - em.k[j * 24 + i]).abs());
+                asym = asym.max((k[i * 24 + j] - k[j * 24 + i]).abs());
             }
         }
         assert!(
@@ -983,13 +906,14 @@ mod tests {
         let trans = FluidKernel::new(ElementKind::Hex8, 0.01, 10.0, 1.0, false);
         let coords = unit_hex_coords();
         let zero = vec![0.0; 24];
-        let ks = steady
-            .integrate(0, &coords, &zero, &zero, &zero, 0.01)
-            .unwrap();
-        let kt = trans
-            .integrate(0, &coords, &zero, &zero, &zero, 0.01)
-            .unwrap();
+        let k00 = |kern: &FluidKernel| {
+            let (mut k, mut f) = (vec![0.0; 24 * 24], vec![0.0; 24]);
+            kern.integrate_into(0, &coords, &zero, &zero, &zero, 0.01, &mut k, &mut f)
+                .unwrap();
+            k[0]
+        };
+        let (ks, kt) = (k00(&steady), k00(&trans));
         // Transient diagonal is much stiffer (mass / dt).
-        assert!(kt.k[0] > ks.k[0] * 2.0, "{} vs {}", kt.k[0], ks.k[0]);
+        assert!(kt > ks * 2.0, "{kt} vs {ks}");
     }
 }

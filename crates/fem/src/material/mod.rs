@@ -176,12 +176,6 @@ pub fn deviator(eps: &Voigt) -> Voigt {
     [eps[0] - m, eps[1] - m, eps[2] - m, eps[3], eps[4], eps[5]]
 }
 
-/// Frobenius norm of a Voigt *stress-like* tensor (shears counted twice).
-pub fn tensor_norm(s: &Voigt) -> f64 {
-    (s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + 2.0 * (s[3] * s[3] + s[4] * s[4] + s[5] * s[5]))
-        .sqrt()
-}
-
 /// Central-difference numeric tangent of an arbitrary stress law.
 pub fn numeric_tangent<F>(stress: F, eps: &Voigt, state_size: usize) -> Tangent
 where

@@ -300,16 +300,6 @@ impl Mesh {
             .ok_or_else(|| FemError::InvalidModel(format!("unknown node set '{name}'")))
     }
 
-    /// Registers a named node set.
-    pub fn add_node_set(&mut self, name: &str, nodes: Vec<u32>) {
-        self.sets.insert(name.to_string(), nodes);
-    }
-
-    /// Names of all node sets.
-    pub fn set_names(&self) -> Vec<&str> {
-        self.sets.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Estimated FEBio `.feb` input-file size in kB (Table-I surrogate):
     /// XML overhead per node (~65 B) and per element (~55 B) plus a fixed
     /// header/material block.

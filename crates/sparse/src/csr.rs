@@ -33,33 +33,6 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from raw parts, validating the pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseError::InvalidInput`] if the structure is malformed or
-    /// `vals.len() != nnz`.
-    pub fn from_parts(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        vals: Vec<f64>,
-    ) -> Result<Self> {
-        let pattern = CsrPattern::new(nrows, ncols, row_ptr, col_idx)?;
-        if vals.len() != pattern.nnz() {
-            return Err(SparseError::InvalidInput(format!(
-                "vals length {} != nnz {}",
-                vals.len(),
-                pattern.nnz()
-            )));
-        }
-        Ok(CsrMatrix {
-            pattern: Arc::new(pattern),
-            vals,
-        })
-    }
-
     /// Builds from parts that are already known to be valid (used by
     /// [`crate::CooMatrix::to_csr`], which constructs sorted unique rows).
     pub(crate) fn from_parts_unchecked(

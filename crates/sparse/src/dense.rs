@@ -97,11 +97,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutable flat row-major view of the entries.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> DenseMatrix {
         let mut t = DenseMatrix::zeros(self.ncols, self.nrows);

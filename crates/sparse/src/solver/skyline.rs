@@ -82,11 +82,6 @@ impl SkylineMatrix {
         self.n
     }
 
-    /// Stored-entry count (the matrix profile plus the diagonal).
-    pub fn stored_entries(&self) -> usize {
-        self.data.len()
-    }
-
     /// Column heights (diagonal inclusive) — the trace layer uses these to
     /// replay the factorization's exact access extents.
     pub fn heights(&self) -> &[usize] {

@@ -43,10 +43,6 @@ impl BranchPredictor for LocalBp {
         }
     }
 
-    fn reset(&mut self) {
-        self.counters.fill(1);
-    }
-
     fn name(&self) -> &'static str {
         "LocalBP"
     }

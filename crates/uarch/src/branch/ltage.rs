@@ -15,7 +15,7 @@ const BASE_ENTRIES: usize = 4096;
 const INVALID_TAG: u16 = u16::MAX;
 
 /// Fixed xorshift seed for the allocation tie-breaker (deterministic
-/// across runs and across [`BranchPredictor::reset`]).
+/// across runs).
 const RNG_SEED: u64 = 0x2545_F491_4F6C_DD1D;
 
 #[derive(Debug, Clone, Copy)]
@@ -194,19 +194,6 @@ impl BranchPredictor for LtageBp {
             }
         }
         self.ghr = (self.ghr << 1) | taken as u128;
-    }
-
-    fn reset(&mut self) {
-        self.base.fill(1);
-        for table in &mut self.tables {
-            table.fill(TageEntry {
-                tag: INVALID_TAG,
-                ctr: 3,
-                useful: 0,
-            });
-        }
-        self.ghr = 0;
-        self.rng = RNG_SEED;
     }
 
     fn name(&self) -> &'static str {

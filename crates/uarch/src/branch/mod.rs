@@ -17,20 +17,12 @@ pub use tournament::TournamentBp;
 use crate::config::BranchPredictorKind;
 
 /// A conditional-branch direction predictor.
-///
-/// `Send` so core models holding a boxed predictor can be pooled and
-/// handed between worker threads by the experiment layer.
-pub trait BranchPredictor: Send {
+pub trait BranchPredictor {
     /// Predicts the direction of the branch at `pc`.
     fn predict(&mut self, pc: u32) -> bool;
 
     /// Trains with the resolved outcome (called at commit, in order).
     fn update(&mut self, pc: u32, taken: bool);
-
-    /// Forgets all training, returning the predictor to its just-built
-    /// state without releasing its tables. Must be indistinguishable
-    /// from a freshly constructed instance.
-    fn reset(&mut self);
 
     /// Predictor display name.
     fn name(&self) -> &'static str;
@@ -91,14 +83,6 @@ impl Btb {
     pub fn install(&mut self, pc: u32, target: u32) {
         let idx = (pc as usize >> 2) & self.mask;
         self.entries[idx] = (pc, target);
-    }
-
-    /// Empties the buffer and zeroes its counters (just-built state),
-    /// keeping the entry array allocated.
-    pub fn reset(&mut self) {
-        self.entries.fill((u32::MAX, 0));
-        self.accesses = 0;
-        self.misses = 0;
     }
 }
 

@@ -78,13 +78,6 @@ impl BranchPredictor for PerceptronBp {
         self.ghr = (self.ghr << 1) | taken as u64;
     }
 
-    fn reset(&mut self) {
-        for table in &mut self.weights {
-            table.fill(0);
-        }
-        self.ghr = 0;
-    }
-
     fn name(&self) -> &'static str {
         "MultiperspectivePerceptron64KB"
     }

@@ -91,14 +91,6 @@ impl BranchPredictor for TournamentBp {
         self.ghr = ((self.ghr << 1) | taken as u32) & ((1 << GLOBAL_BITS) - 1) as u32;
     }
 
-    fn reset(&mut self) {
-        self.local_hist.fill(0);
-        self.local_ctrs.fill(1);
-        self.global_ctrs.fill(1);
-        self.choice.fill(1);
-        self.ghr = 0;
-    }
-
     fn name(&self) -> &'static str {
         "TournamentBP"
     }

@@ -110,21 +110,6 @@ impl Cache {
         self.outstanding.clear();
     }
 
-    /// Returns the level to its just-built state — all lines invalid,
-    /// counters zero — without releasing the tag/LRU arrays, so a reused
-    /// model skips the allocation and page-fault cost of rebuilding them.
-    pub fn reset(&mut self) {
-        self.tags.fill(u64::MAX);
-        self.dirty.fill(false);
-        self.lru.fill(0);
-        self.mru_way.fill(0);
-        self.stamp = 0;
-        self.outstanding.clear();
-        self.accesses = 0;
-        self.misses = 0;
-        self.writebacks = 0;
-    }
-
     /// Probes (and updates) the level for the line containing `addr`.
     /// `write` marks the line dirty on hit or after allocation.
     pub fn access(&mut self, addr: u64, write: bool) -> Probe {
@@ -250,15 +235,6 @@ impl Hierarchy {
         self.l1d.reset_timing();
         self.l2.reset_timing();
         self.dram.reset_timing();
-    }
-
-    /// Cold-resets every level and the memory channel to the just-built
-    /// state, keeping their arrays allocated (see [`Cache::reset`]).
-    pub fn reset(&mut self) {
-        self.l1i.reset();
-        self.l1d.reset();
-        self.l2.reset();
-        self.dram.reset();
     }
 
     /// Data access (load or store) at cycle `now`; returns completion time

@@ -68,16 +68,6 @@ impl Dram {
         self.next_free = 0.0;
     }
 
-    /// Returns the channel to its just-built state: occupancy and all
-    /// traffic counters cleared.
-    pub fn reset(&mut self) {
-        self.next_free = 0.0;
-        self.lines_transferred = 0;
-        self.reads = 0;
-        self.writebacks = 0;
-        self.queue_delay_cycles = 0;
-    }
-
     fn transfer(&mut self, now: u64) -> u64 {
         self.lines_transferred += 1;
         let start = (now as f64).max(self.next_free);

@@ -7,7 +7,7 @@
 //! possible inside this reproduction: every backend consumes the same
 //! micro-op trace, simulates on one [`Machine`] — the cache hierarchy
 //! with its DRAM channel, the two TLBs, the branch predictor and the BTB,
-//! built, reset and functionally warmed in one place — and produces the
+//! built and functionally warmed in one place — and produces the
 //! same [`SimStats`] (including TMA slot accounting), so the figure and
 //! sweep layers are backend-agnostic.
 //!
@@ -99,35 +99,22 @@ impl std::fmt::Display for ModelKind {
 /// Traces arrive as an [`Ops`] cursor, memo-backed or streamed: one
 /// concrete type, so each backend's loop is monomorphized over it while
 /// the trait stays object-safe for the `Box<dyn CoreModel>` the
-/// experiment layer picks at run time from [`ModelKind`].
-///
-/// `Send` so the experiment layer can pool built models and hand them
-/// between worker threads.
-pub trait CoreModel: Send {
+/// experiment layer picks at run time from [`ModelKind`]. That layer
+/// builds one per simulation and drops it when the run ends: a model is
+/// cold only when new.
+pub trait CoreModel {
     /// Which backend this is.
     fn kind(&self) -> ModelKind;
 
     /// The machine the model simulates on.
     fn machine(&self) -> &Machine;
 
-    /// The machine the model simulates on, for warming and resetting.
+    /// The machine the model simulates on, for warming.
     fn machine_mut(&mut self) -> &mut Machine;
 
     /// The configuration the model was built from.
     fn config(&self) -> &CoreConfig {
         &self.machine().cfg
-    }
-
-    /// Returns the model to its just-built state — cold caches and TLBs,
-    /// untrained predictor and BTB, zeroed counters — while keeping
-    /// every internal allocation. A reset model must be observationally
-    /// indistinguishable from a freshly constructed one: the experiment
-    /// layer reuses pooled models across simulation calls on the
-    /// strength of this contract, and the backend digest pins hold it to
-    /// bit-identical statistics. The machine is the model's only state
-    /// that outlives a run.
-    fn reset(&mut self) {
-        self.machine_mut().reset();
     }
 
     /// Runs the cursor to its end, discarding the first `warmup_ops`
@@ -170,9 +157,8 @@ pub fn build_model(cfg: &CoreConfig) -> Box<dyn CoreModel> {
 /// The machine a backend simulates on: its configuration and the
 /// long-lived components every core model shares — the cache hierarchy
 /// with its DRAM channel, the two TLBs, the branch predictor and the BTB.
-/// They are built, reset and functionally warmed here and nowhere else,
-/// so adding a component is one edit and no backend can forget to reset
-/// or warm it.
+/// They are built cold and functionally warmed here and nowhere else, so
+/// adding a component is one edit and no backend can forget to warm it.
 pub struct Machine {
     pub(crate) cfg: CoreConfig,
     pub(crate) hierarchy: Hierarchy,
@@ -206,16 +192,6 @@ impl Machine {
             line_shift: cfg.l1i.line_bytes.trailing_zeros(),
             cfg,
         }
-    }
-
-    /// Returns every component to its just-built state, keeping their
-    /// allocations.
-    pub(crate) fn reset(&mut self) {
-        self.hierarchy.reset();
-        self.itlb.reset();
-        self.dtlb.reset();
-        self.predictor.reset();
-        self.btb.reset();
     }
 
     /// Functional warming: caches and TLBs observe every memory and

@@ -65,29 +65,39 @@ impl O3Core {
         stats.slots_retiring += committed_this_cycle as u64;
         let missing = (commit_width - committed_this_cycle) as u64;
         if missing > 0 {
-            if !p.rob.is_empty() {
-                let head = p.ops.get(p.rob.head_idx);
-                stats.slots_backend += missing;
-                stats.slots_by_category[crate::stats::category_index(head.cat)] += missing;
-                let memory_bound = match head.kind {
-                    OpKind::Load | OpKind::Store => true,
-                    _ => p.lq.has_inflight(),
-                };
-                if memory_bound {
-                    stats.slots_be_memory += missing;
-                } else {
-                    stats.slots_be_core += missing;
-                }
-            } else if p.now < p.squash_recovery_until {
-                stats.slots_bad_speculation += missing;
-            } else {
-                stats.slots_frontend += missing;
-                match p.fetch_block {
-                    FetchBlock::ICache | FetchBlock::ITlb => stats.slots_fe_latency += missing,
-                    _ => stats.slots_fe_bandwidth += missing,
-                }
-            }
+            idle_slots(p, stats, missing);
         }
         committed_this_cycle
+    }
+}
+
+/// Attributes `missing` unused commit slots at `p.now`: to the back end
+/// (memory or core, by the ROB head and in-flight loads) while the ROB
+/// holds ops, to bad speculation during squash recovery, else to the
+/// front end (latency or bandwidth, by what blocks fetch). The one rule
+/// behind a simulated cycle and a fast-forwarded span.
+#[inline]
+pub(super) fn idle_slots(p: &Pipeline, stats: &mut SimStats, missing: u64) {
+    if !p.rob.is_empty() {
+        let head = p.ops.get(p.rob.head_idx);
+        stats.slots_backend += missing;
+        stats.slots_by_category[crate::stats::category_index(head.cat)] += missing;
+        let memory_bound = match head.kind {
+            OpKind::Load | OpKind::Store => true,
+            _ => p.lq.has_inflight(),
+        };
+        if memory_bound {
+            stats.slots_be_memory += missing;
+        } else {
+            stats.slots_be_core += missing;
+        }
+    } else if p.now < p.squash_recovery_until {
+        stats.slots_bad_speculation += missing;
+    } else {
+        stats.slots_frontend += missing;
+        match p.fetch_block {
+            FetchBlock::ICache | FetchBlock::ITlb => stats.slots_fe_latency += missing,
+            _ => stats.slots_fe_bandwidth += missing,
+        }
     }
 }

@@ -70,7 +70,7 @@ pub(crate) use issue::{fu_and_latency, FPDIV_BUSY};
 use crate::config::CoreConfig;
 use crate::model::{CoreModel, Machine, ModelKind, Window};
 use crate::stats::SimStats;
-use belenos_trace::{MicroOp, OpKind, Ops};
+use belenos_trace::{MicroOp, Ops};
 use pipeline::{FetchBlock, Pipeline, STALL_LIMIT};
 use std::time::Instant;
 
@@ -311,29 +311,7 @@ impl O3Core {
     /// across the skipped span — anything that could flip it is a wake
     /// candidate in [`O3Core::wake_cycle`].
     fn account_skipped(&self, p: &Pipeline, stats: &mut SimStats, times: u64) {
-        let missing = self.machine.cfg.commit_width as u64 * times;
-        if !p.rob.is_empty() {
-            let head = p.ops.get(p.rob.head_idx);
-            stats.slots_backend += missing;
-            stats.slots_by_category[crate::stats::category_index(head.cat)] += missing;
-            let memory_bound = match head.kind {
-                OpKind::Load | OpKind::Store => true,
-                _ => p.lq.has_inflight(),
-            };
-            if memory_bound {
-                stats.slots_be_memory += missing;
-            } else {
-                stats.slots_be_core += missing;
-            }
-        } else if p.now < p.squash_recovery_until {
-            stats.slots_bad_speculation += missing;
-        } else {
-            stats.slots_frontend += missing;
-            match p.fetch_block {
-                FetchBlock::ICache | FetchBlock::ITlb => stats.slots_fe_latency += missing,
-                _ => stats.slots_fe_bandwidth += missing,
-            }
-        }
+        commit::idle_slots(p, stats, self.machine.cfg.commit_width as u64 * times);
         if p.now < p.fetch_stall_until {
             stats.squash_cycles += times;
         } else if p.now < p.icache_pending_until {
@@ -773,6 +751,51 @@ mod tests {
         assert_eq!((a.mispredicts, a.squashed_ops), (1, 13));
         assert_eq!(a.cycles, 6624);
         assert_eq!(a, b, "fast-forward must not change any statistic");
+    }
+
+    /// Loads and stores over a footprint larger than the L1D, branches
+    /// with hashed outcomes, dependent FP work, and occasional divides
+    /// and serializing ops; `salt` varies the addresses and outcomes.
+    fn mixed_stream(n: usize, salt: u64) -> Vec<MicroOp> {
+        (0..n)
+            .map(|i| {
+                let x = (i as u64 ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let pc = 0x4000 + (i as u32 % 48) * 4;
+                match i % 8 {
+                    0 | 1 => MicroOp::load(pc, ((x >> 20) % (1 << 22)) & !7, 8, 1, CAT),
+                    2 => MicroOp::store(pc, ((x >> 24) % (1 << 20)) & !7, 8, 0, CAT),
+                    3 => MicroOp::branch(pc, 0x4000, x >> 63 == 1, 1, CAT),
+                    4 => MicroOp::fp(OpKind::FpMul, pc, 1, 2, CAT),
+                    5 if i % 64 == 5 => MicroOp::fp(OpKind::FpDiv, pc, 1, 0, CAT),
+                    6 if i % 256 == 6 => MicroOp::serialize(pc, CAT),
+                    _ => MicroOp::int(pc, 1, 0, CAT),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_retained_pipeline_leaves_nothing_behind() {
+        // `run_warm` reuses the previous run's pipeline. On a cold
+        // machine, trace B after trace A must replay exactly like B on a
+        // new core, for every predictor. A's last op (20 016 = 417 × 48)
+        // sits on the code line B starts on.
+        let (a, b) = (mixed_stream(20_017, 1), mixed_stream(12_000, 2));
+        for predictor in crate::config::BranchPredictorKind::ALL {
+            let cfg = CoreConfig::gem5_baseline().with_predictor(predictor);
+            let mut reused = O3Core::new(cfg.clone());
+            reused.run_warm(a.iter().copied(), 2_000);
+            assert!(reused.scratch.is_some(), "the pipeline is retained");
+            reused.machine = Machine::new(cfg.clone());
+            let fresh = O3Core::new(cfg).run(b.iter().copied());
+            assert!(fresh.mispredicts > 0 && fresh.l1d_misses > 0);
+            assert_eq!(
+                reused.run(b.iter().copied()),
+                fresh,
+                "{}: the retained pipeline left state behind",
+                predictor.label()
+            );
+        }
     }
 
     #[test]

@@ -95,18 +95,6 @@ impl Tlb {
         false
     }
 
-    /// Returns the TLB to its just-built state (empty, counters zero),
-    /// keeping the entry vectors' allocations.
-    pub fn reset(&mut self) {
-        self.pages.clear();
-        self.stamps.clear();
-        self.mru = 0;
-        self.mru2 = 0;
-        self.stamp = 0;
-        self.accesses = 0;
-        self.misses = 0;
-    }
-
     /// Miss rate over all accesses so far.
     pub fn miss_rate(&self) -> f64 {
         if self.accesses == 0 {

@@ -21,10 +21,7 @@
 use belenos::experiment::Experiment;
 use belenos::figures::bottleneck_rank;
 use belenos_runner::cache::stats_digest as digest;
-use belenos_trace::expand::Expander;
-use belenos_trace::{FlatTrace, Ops};
-use belenos_uarch::config::BranchPredictorKind;
-use belenos_uarch::{build_model, CoreConfig, CoreModel, ModelKind, SamplingConfig};
+use belenos_uarch::{CoreConfig, ModelKind, SamplingConfig};
 use belenos_workloads::by_id;
 
 /// (workload, prefix-40k digest, sampled-30k/8 digest, host-40k digest),
@@ -456,49 +453,6 @@ fn inorder_backend_is_bit_identical_to_its_capture() {
 #[test]
 fn analytic_backend_is_bit_identical_to_its_capture() {
     assert_pinned(ModelKind::Analytic, &ANALYTIC_DIGESTS);
-}
-
-#[test]
-fn a_reset_model_replays_like_a_freshly_built_one() {
-    // The experiment layer pools a model and resets it between runs: for
-    // every backend and predictor, whatever trace A trained (caches,
-    // TLBs, predictor, BTB, retained pipeline), trace B on the reset
-    // model must match trace B on a new one, bit for bit.
-    let trace = |id: &str| -> FlatTrace {
-        let spec = by_id(id).expect(id);
-        let exp = Experiment::prepare(&spec).unwrap();
-        Expander::with_config(exp.log(), spec.expand_config())
-            .take(24_000)
-            .collect()
-    };
-    let (a, b) = (trace("co"), trace("pd"));
-    // A functional warm-up over half of A, then a detailed run that
-    // discards its own warm-up: every piece of machine state is touched.
-    let train = |model: &mut dyn CoreModel| {
-        let mut ops = Ops::range(&a, 0, a.len());
-        model.warm_only(&mut ops, a.len() as u64 / 2);
-        model.run_warm(&mut ops, 2_000);
-    };
-    // B is measured from its first op, so no leftover can wash out.
-    let run_b = |model: &mut dyn CoreModel| model.run_warm(&mut Ops::range(&b, 0, b.len()), 0);
-    for kind in ModelKind::ALL {
-        for predictor in BranchPredictorKind::ALL {
-            let cfg = CoreConfig::gem5_baseline()
-                .with_model(kind)
-                .with_predictor(predictor);
-            let mut reused = build_model(&cfg);
-            train(reused.as_mut());
-            reused.reset();
-            let fresh = run_b(build_model(&cfg).as_mut());
-            assert!(fresh.committed_ops > 0, "{kind}: B measures something");
-            assert_eq!(
-                run_b(reused.as_mut()),
-                fresh,
-                "{kind} with {}: reset left state behind",
-                predictor.label()
-            );
-        }
-    }
 }
 
 #[test]
