@@ -178,26 +178,16 @@ impl SolidKernel {
             let d = material.tangent(&eps, so, dt, t);
             // f_int += Bᵀ σ w ; K += Bᵀ D B w, with B in gradient form.
             for a in 0..npe {
-                // Rows of Bᵀ for node a: the three dof rows.
-                // dof (a,0): [ga0, 0, 0, ga1, 0, ga2] against Voigt.
-                let rows = b_rows(grad[a]);
-                for i in 0..3 {
-                    let mut acc = 0.0;
-                    for v in 0..6 {
-                        acc += rows[i][v] * sigma[v];
-                    }
-                    f[3 * a + i] += acc * w;
+                let ga = grad[a];
+                for (i, row) in B_NZ.iter().enumerate() {
+                    f[3 * a + i] += b_dot(row, ga, &sigma) * w;
                 }
-                let bd = bt_d(&rows, &d);
+                let bd = bt_d(ga, &d);
                 for b in 0..npe {
-                    let rows_b = b_rows(grad[b]);
+                    let gb = grad[b];
                     for i in 0..3 {
-                        for jj in 0..3 {
-                            let mut acc = 0.0;
-                            for v in 0..6 {
-                                acc += bd[i][v] * rows_b[jj][v];
-                            }
-                            k[(3 * a + i) * ndof + (3 * b + jj)] += acc * w;
+                        for (jj, row) in B_NZ.iter().enumerate() {
+                            k[(3 * a + i) * ndof + (3 * b + jj)] += b_dot(row, gb, &bd[i]) * w;
                         }
                     }
                 }
@@ -207,31 +197,46 @@ impl SolidKernel {
     }
 }
 
-/// The three B-matrix rows (Voigt, engineering shear) for one node's
-/// gradient `g`: row `i` maps strain components to dof `(node, i)`.
-fn b_rows(g: [f64; 3]) -> [[f64; 6]; 3] {
-    [
-        [g[0], 0.0, 0.0, g[1], 0.0, g[2]],
-        [0.0, g[1], 0.0, g[0], g[2], 0.0],
-        [0.0, 0.0, g[2], 0.0, g[1], g[0]],
-    ]
-}
+/// The nonzeros of one node's three B-matrix rows (Voigt, engineering
+/// shear), which map strain components to dof `(node, i)`: row `i` holds
+/// the gradient component `g[c]` at Voigt position `v` for each `(v, c)`
+/// of `B_NZ[i]`, in ascending `v`, and zeros elsewhere.
+///
+/// The sums over a row read only these three entries. Each skipped term
+/// is a finite value times zero, i.e. ±0, and a sum that starts at +0.0
+/// never becomes −0.0 under round-to-nearest, so adding ±0 never changes
+/// it: the result carries the bits of the dense six-term sum.
+const B_NZ: [[(usize, usize); 3]; 3] = [
+    [(0, 0), (3, 1), (5, 2)],
+    [(1, 1), (3, 0), (4, 2)],
+    [(2, 2), (4, 1), (5, 0)],
+];
 
-/// The three `(Bᵀ D)` rows of one node: they depend on the node and the
-/// tangent only, so the stiffness loops compute them once per node `a`
-/// and contract them with every node `b`.
-fn bt_d(rows: &[[f64; 6]; 3], d: &[[f64; 6]; 6]) -> [[f64; 6]; 3] {
+/// The three `(Bᵀ D)` rows of the node with gradient `g`: they depend on
+/// the node and the tangent only, so the stiffness loops compute them
+/// once per node `a` and contract them with every node `b`.
+fn bt_d(g: [f64; 3], d: &[[f64; 6]; 6]) -> [[f64; 6]; 3] {
     let mut bd = [[0.0; 6]; 3];
-    for i in 0..3 {
-        for v in 0..6 {
+    for (bd_i, row) in bd.iter_mut().zip(&B_NZ) {
+        for (v, x) in bd_i.iter_mut().enumerate() {
             let mut acc = 0.0;
-            for u in 0..6 {
-                acc += rows[i][u] * d[u][v];
+            for &(u, c) in row {
+                acc += g[c] * d[u][v];
             }
-            bd[i][v] = acc;
+            *x = acc;
         }
     }
     bd
+}
+
+/// B-matrix row `row` of the node with gradient `g` dotted with the Voigt
+/// vector `s` (a stress, or a `Bᵀ D` row).
+fn b_dot(row: &[(usize, usize); 3], g: [f64; 3], s: &[f64; 6]) -> f64 {
+    let mut acc = 0.0;
+    for &(v, c) in row {
+        acc += g[c] * s[v];
+    }
+    acc
 }
 
 /// Coupled u-p (biphasic) element: 4 dofs/node, backward-Euler Biot.
@@ -332,17 +337,13 @@ impl PoroKernel {
                     divu_old += grad[a][i] * u_old[dpn * a + i];
                 }
             }
+            // Effective stress σ - p m, for the momentum residual.
+            let total: Voigt = std::array::from_fn(|v| sigma[v] - if v < 3 { p_val } else { 0.0 });
             for a in 0..npe {
                 let ga = grad[a];
-                let rows = b_rows(ga);
-                // Momentum residual: Bᵀ(σ - p m) (effective stress).
-                for i in 0..3 {
-                    let mut acc = 0.0;
-                    for v in 0..6 {
-                        let total = sigma[v] - if v < 3 { p_val } else { 0.0 };
-                        acc += rows[i][v] * total;
-                    }
-                    f[dpn * a + i] += acc * w;
+                // Momentum residual: Bᵀ(σ - p m).
+                for (i, row) in B_NZ.iter().enumerate() {
+                    f[dpn * a + i] += b_dot(row, ga, &total) * w;
                 }
                 // Mass residual (× -1 for symmetry): see crate docs.
                 let mut mass = self.storage * (p_val - p_old_val) * geom.n[a];
@@ -351,18 +352,13 @@ impl PoroKernel {
                     mass += dt * self.permeability[i] * ga[i] * dp[i];
                 }
                 f[dpn * a + 3] -= mass * w;
-                let bd = bt_d(&rows, &d);
+                let bd = bt_d(ga, &d);
                 for b in 0..npe {
                     let gb = grad[b];
-                    let rows_b = b_rows(gb);
                     // K_uu.
                     for i in 0..3 {
-                        for jj in 0..3 {
-                            let mut acc = 0.0;
-                            for v in 0..6 {
-                                acc += bd[i][v] * rows_b[jj][v];
-                            }
-                            k[(dpn * a + i) * ndof + (dpn * b + jj)] += acc * w;
+                        for (jj, row) in B_NZ.iter().enumerate() {
+                            k[(dpn * a + i) * ndof + (dpn * b + jj)] += b_dot(row, gb, &bd[i]) * w;
                         }
                         // K_up = -∫ dN_a/dx_i N_b  (pressure in momentum).
                         k[(dpn * a + i) * ndof + (dpn * b + 3)] -= ga[i] * geom.n[b] * w;
@@ -535,21 +531,43 @@ mod tests {
     };
     use crate::mesh::Mesh;
 
-    /// The stiffness loop as it stood before `Bᵀ D` was hoisted: the
-    /// `(a, i)` row of `Bᵀ D` recomputed for every node `b`. Oracle for
-    /// the differential test below; `k` is `dpn * npe` wide with the
-    /// displacement components leading each node.
-    fn unhoisted_stiffness(
+    /// One node's B-matrix rows as dense Voigt rows, the form the element
+    /// loops read before `B_NZ`.
+    fn b_rows(g: [f64; 3]) -> [[f64; 6]; 3] {
+        [
+            [g[0], 0.0, 0.0, g[1], 0.0, g[2]],
+            [0.0, g[1], 0.0, g[0], g[2], 0.0],
+            [0.0, 0.0, g[2], 0.0, g[1], g[0]],
+        ]
+    }
+
+    /// One Gauss point's displacement block as it stood before the
+    /// B-sparse contraction and the `Bᵀ D` hoist: dense `b_rows`, six-term
+    /// sums, and the `(a, i)` row of `Bᵀ D` recomputed for every node `b`.
+    /// Adds `Bᵀ s w` to `f` and `Bᵀ D B w` to `k`; both are `dpn * npe`
+    /// wide with the displacement components leading each node. Oracle
+    /// for the differential tests below.
+    #[allow(clippy::too_many_arguments)]
+    fn dense_u_block(
         grad: &[[f64; 3]],
         d: &[[f64; 6]; 6],
+        s: &Voigt,
         w: f64,
         dpn: usize,
         k: &mut [f64],
+        f: &mut [f64],
     ) {
         let npe = grad.len();
         let ndof = dpn * npe;
         for a in 0..npe {
             let rows = b_rows(grad[a]);
+            for i in 0..3 {
+                let mut acc = 0.0;
+                for v in 0..6 {
+                    acc += rows[i][v] * s[v];
+                }
+                f[dpn * a + i] += acc * w;
+            }
             for b in 0..npe {
                 let rows_b = b_rows(grad[b]);
                 for i in 0..3 {
@@ -613,104 +631,145 @@ mod tests {
         ]
     }
 
+    /// For every material: the solid kernel's `k` and `f`, and the
+    /// displacement rows and columns of the u-p kernel's `k` and `f`
+    /// (nodal pressures `p`), carry the bits of `dense_u_block`.
+    fn assert_u_block_matches_dense(kind: ElementKind, coords: &[[f64; 3]], u: &[f64], p: &[f64]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let npe = kind.nodes();
+        let kern = SolidKernel::new(kind);
+        let poro = PoroKernel::new(kind, [1e-3, 2e-3, 3e-3], 1e-4);
+        let gps = kern.gauss_points();
+        let up: Vec<f64> = (0..4 * npe)
+            .map(|i| {
+                if i % 4 < 3 {
+                    u[3 * (i / 4) + i % 4]
+                } else {
+                    p[i / 4]
+                }
+            })
+            .collect();
+        let (dt, t) = (0.1, 0.7);
+        for mat in every_material() {
+            let name = mat.name();
+            let ssz = mat.state_size();
+            let mut old = vec![0.0; gps * ssz];
+            for g in 0..gps {
+                mat.init_state(&mut old[g * ssz..(g + 1) * ssz]);
+            }
+            let mut scratch = vec![0.0; ssz];
+            let (mut want_k, mut want_f) = (vec![0.0; 9 * npe * npe], vec![0.0; 3 * npe]);
+            let (mut want_pk, mut want_pf) = (vec![0.0; 16 * npe * npe], vec![0.0; 4 * npe]);
+            for (g, (gp, shape)) in kern.rule.iter().zip(&kern.shapes).enumerate() {
+                let geom = geometry(coords, shape, 0).unwrap();
+                let w = gp.w * geom.detj;
+                let eps = strain_at(&geom, u);
+                let so = &old[g * ssz..(g + 1) * ssz];
+                let sigma = mat.stress(&eps, so, &mut scratch, dt, t);
+                let d = mat.tangent(&eps, so, dt, t);
+                assert!(sigma
+                    .iter()
+                    .chain(d.iter().flatten())
+                    .all(|x| x.is_finite()));
+                dense_u_block(geom.grad(), &d, &sigma, w, 3, &mut want_k, &mut want_f);
+                let mut p_val = 0.0;
+                for a in 0..npe {
+                    p_val += geom.n[a] * p[a];
+                }
+                let total: Voigt =
+                    std::array::from_fn(|v| sigma[v] - if v < 3 { p_val } else { 0.0 });
+                dense_u_block(geom.grad(), &d, &total, w, 4, &mut want_pk, &mut want_pf);
+            }
+
+            let mut new = vec![0.0; gps * ssz];
+            let (mut k, mut f) = (vec![0.0; 9 * npe * npe], vec![0.0; 3 * npe]);
+            kern.integrate_into(
+                0,
+                coords,
+                u,
+                mat.as_ref(),
+                &old,
+                &mut new,
+                dt,
+                t,
+                &mut k,
+                &mut f,
+            )
+            .unwrap();
+            assert_eq!(bits(&k), bits(&want_k), "{name} {kind:?} solid k");
+            assert_eq!(bits(&f), bits(&want_f), "{name} {kind:?} solid f");
+
+            let (mut k, mut f) = (vec![0.0; 16 * npe * npe], vec![0.0; 4 * npe]);
+            poro.integrate_into(
+                0,
+                coords,
+                &up,
+                &up,
+                mat.as_ref(),
+                &old,
+                &mut new,
+                dt,
+                t,
+                &mut k,
+                &mut f,
+            )
+            .unwrap();
+            let ndof = 4 * npe;
+            for r in (0..ndof).filter(|r| r % 4 < 3) {
+                assert_eq!(
+                    f[r].to_bits(),
+                    want_pf[r].to_bits(),
+                    "{name} {kind:?} poro f_u ({r})"
+                );
+                for c in (0..ndof).filter(|c| c % 4 < 3) {
+                    assert_eq!(
+                        k[r * ndof + c].to_bits(),
+                        want_pk[r * ndof + c].to_bits(),
+                        "{name} {kind:?} poro K_uu ({r}, {c})"
+                    );
+                }
+            }
+        }
+    }
+
+    fn box_element(kind: ElementKind) -> Vec<[f64; 3]> {
+        let mesh = match kind {
+            ElementKind::Hex8 => Mesh::box_hex(1, 1, 1, 1.0, 0.8, 1.3),
+            ElementKind::Tet4 => Mesh::box_tet(1, 1, 1, 1.0, 0.8, 1.3),
+        };
+        mesh.element(0)
+            .iter()
+            .map(|&n| mesh.coords()[n as usize])
+            .collect()
+    }
+
     #[test]
     fn hoisted_stiffness_is_bit_identical_for_every_material() {
-        // Distorted hex and a tet, a strain state large enough to yield
-        // and damage: K_uu of the solid and of the u-p kernel must carry
-        // the bits of the un-hoisted loop.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Distorted hex and tet, a strain state large enough to yield and
+        // damage, nonzero pressures.
         for kind in [ElementKind::Hex8, ElementKind::Tet4] {
-            let mesh = match kind {
-                ElementKind::Hex8 => Mesh::box_hex(1, 1, 1, 1.0, 0.8, 1.3),
-                ElementKind::Tet4 => Mesh::box_tet(1, 1, 1, 1.0, 0.8, 1.3),
-            };
             let npe = kind.nodes();
-            let mut coords: Vec<[f64; 3]> = mesh
-                .element(0)
-                .iter()
-                .map(|&n| mesh.coords()[n as usize])
-                .collect();
+            let mut coords = box_element(kind);
             coords[1][0] += 0.07;
             coords[npe - 1][2] -= 0.05;
             let u: Vec<f64> = (0..3 * npe)
                 .map(|i| 0.02 * ((i * 7 % 5) as f64 - 2.0))
                 .collect();
-            let kern = SolidKernel::new(kind);
-            let poro = PoroKernel::new(kind, [1e-3, 2e-3, 3e-3], 1e-4);
-            let gps = kern.gauss_points();
-            for mat in every_material() {
-                let ssz = mat.state_size();
-                let mut old = vec![0.0; gps * ssz];
-                for g in 0..gps {
-                    mat.init_state(&mut old[g * ssz..(g + 1) * ssz]);
-                }
-                let (dt, t) = (0.1, 0.7);
+            let p: Vec<f64> = (0..npe).map(|a| 0.3 * (a as f64 - 1.5)).collect();
+            assert_u_block_matches_dense(kind, &coords, &u, &p);
+        }
+    }
 
-                let mut want = vec![0.0; 9 * npe * npe];
-                let mut scratch = vec![0.0; ssz];
-                for (g, (gp, shape)) in kern.rule.iter().zip(&kern.shapes).enumerate() {
-                    let geom = geometry(&coords, shape, 0).unwrap();
-                    let eps = strain_at(&geom, &u);
-                    let so = &old[g * ssz..(g + 1) * ssz];
-                    mat.stress(&eps, so, &mut scratch, dt, t);
-                    let d = mat.tangent(&eps, so, dt, t);
-                    unhoisted_stiffness(geom.grad(), &d, gp.w * geom.detj, 3, &mut want);
-                }
-                let mut new = vec![0.0; gps * ssz];
-                let (mut k, mut f) = (vec![0.0; 9 * npe * npe], vec![0.0; 3 * npe]);
-                kern.integrate_into(
-                    0,
-                    &coords,
-                    &u,
-                    mat.as_ref(),
-                    &old,
-                    &mut new,
-                    dt,
-                    t,
-                    &mut k,
-                    &mut f,
-                )
-                .unwrap();
-                assert_eq!(bits(&k), bits(&want), "{} {kind:?} solid", mat.name());
-
-                // Same displacements, zero pressures: K_uu of the coupled
-                // block is the solid stiffness, entry for entry.
-                let up: Vec<f64> = (0..4 * npe)
-                    .map(|i| {
-                        if i % 4 < 3 {
-                            u[3 * (i / 4) + i % 4]
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                let (mut k, mut f) = (vec![0.0; 16 * npe * npe], vec![0.0; 4 * npe]);
-                poro.integrate_into(
-                    0,
-                    &coords,
-                    &up,
-                    &up,
-                    mat.as_ref(),
-                    &old,
-                    &mut new,
-                    dt,
-                    t,
-                    &mut k,
-                    &mut f,
-                )
-                .unwrap();
-                for a in 0..3 * npe {
-                    for b in 0..3 * npe {
-                        let (ra, rb) = (4 * (a / 3) + a % 3, 4 * (b / 3) + b % 3);
-                        assert_eq!(
-                            k[ra * 4 * npe + rb].to_bits(),
-                            want[a * 3 * npe + b].to_bits(),
-                            "{} {kind:?} poro K_uu ({a}, {b})",
-                            mat.name()
-                        );
-                    }
-                }
-            }
+    #[test]
+    fn b_sparse_contraction_keeps_the_signed_zeros_of_an_undistorted_element() {
+        // Axis-aligned, undistorted and at rest: strains and stresses are
+        // exact zeros of either sign, and so are the tet's shape-gradient
+        // components and many `Bᵀ D` entries, so whole sums of the dense
+        // loops are signed zeros.
+        for kind in [ElementKind::Hex8, ElementKind::Tet4] {
+            let npe = kind.nodes();
+            let coords = box_element(kind);
+            assert_u_block_matches_dense(kind, &coords, &vec![0.0; 3 * npe], &vec![0.0; npe]);
         }
     }
 

@@ -23,6 +23,10 @@ pub enum SparseError {
     NotConverged { iterations: usize, residual: f64 },
     /// The operation requires a square matrix.
     NotSquare { nrows: usize, ncols: usize },
+    /// A numeric factorization was given a matrix whose sparsity pattern
+    /// is not the one its symbolic analysis describes; `row` is the first
+    /// row whose columns differ.
+    PatternMismatch { row: usize },
     /// Input data was malformed (e.g. unsorted column indices where sorted
     /// ones are required).
     InvalidInput(String),
@@ -60,6 +64,10 @@ impl fmt::Display for SparseError {
             SparseError::NotSquare { nrows, ncols } => {
                 write!(f, "operation requires a square matrix, got {nrows}x{ncols}")
             }
+            SparseError::PatternMismatch { row } => write!(
+                f,
+                "sparsity pattern differs from the analysed one at row {row}"
+            ),
             SparseError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }

@@ -16,36 +16,53 @@ pub struct AdjacencyGraph {
 
 impl AdjacencyGraph {
     /// Builds the adjacency graph of `pattern` symmetrized with its
-    /// transpose (so works for unsymmetric patterns too).
+    /// transpose (so works for unsymmetric patterns too), in time linear
+    /// in its size: the transpose is built by counting, and each vertex's
+    /// neighbors are its row merged with its transpose row.
     pub fn from_pattern(pattern: &CsrPattern) -> Self {
         let n = pattern.nrows();
-        // Collect both (r, c) and (c, r) for every off-diagonal entry.
-        let mut degree = vec![0usize; n];
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(pattern.nnz() * 2);
+        // Off-diagonal entries that name a vertex; rows are strictly
+        // increasing, so each row's are too.
+        let row = |r: usize| {
+            pattern
+                .row(r)
+                .iter()
+                .copied()
+                .filter(move |&c| c as usize != r && (c as usize) < n)
+        };
+        let mut tptr = vec![0usize; n + 1];
         for r in 0..n {
-            for &c in pattern.row(r) {
-                let c = c as usize;
-                if c == r || c >= n {
-                    continue;
-                }
-                edges.push((r as u32, c as u32));
-                edges.push((c as u32, r as u32));
+            for c in row(r) {
+                tptr[c as usize + 1] += 1;
             }
         }
-        edges.sort_unstable();
-        edges.dedup();
-        for &(a, _) in &edges {
-            degree[a as usize] += 1;
-        }
-        let mut offsets = vec![0usize; n + 1];
         for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
+            tptr[i + 1] += tptr[i];
         }
-        let mut neighbors = vec![0u32; edges.len()];
-        let mut cursor = offsets.clone();
-        for (a, b) in edges {
-            neighbors[cursor[a as usize]] = b;
-            cursor[a as usize] += 1;
+        // Rows arrive in ascending order, so every transpose row is sorted.
+        let mut tidx = vec![0u32; tptr[n]];
+        let mut cursor = tptr.clone();
+        for r in 0..n {
+            for c in row(r) {
+                tidx[cursor[c as usize]] = r as u32;
+                cursor[c as usize] += 1;
+            }
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(2 * tidx.len());
+        offsets.push(0);
+        for v in 0..n {
+            let mut a = row(v).peekable();
+            let mut b = tidx[tptr[v]..tptr[v + 1]].iter().copied().peekable();
+            while let Some(w) = match (a.peek(), b.peek()) {
+                (Some(&x), Some(&y)) if y < x => b.next(),
+                (Some(&x), Some(&y)) if y == x => b.next().and(a.next()),
+                (Some(_), _) => a.next(),
+                (None, _) => b.next(),
+            } {
+                neighbors.push(w);
+            }
+            offsets.push(neighbors.len());
         }
         AdjacencyGraph { offsets, neighbors }
     }
@@ -121,6 +138,75 @@ impl AdjacencyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The builder `from_pattern` replaced: every off-diagonal entry as
+    /// two directed edges, sorted and deduplicated. Oracle of the
+    /// differential test below.
+    fn from_pattern_by_sorting(pattern: &CsrPattern) -> AdjacencyGraph {
+        let n = pattern.nrows();
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(pattern.nnz() * 2);
+        for r in 0..n {
+            for &c in pattern.row(r) {
+                let c = c as usize;
+                if c == r || c >= n {
+                    continue;
+                }
+                edges.push((r as u32, c as u32));
+                edges.push((c as u32, r as u32));
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let mut offsets = vec![0usize; n + 1];
+        for &(a, _) in &edges {
+            offsets[a as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let neighbors = edges.into_iter().map(|(_, b)| b).collect();
+        AdjacencyGraph { offsets, neighbors }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn linear_builder_matches_the_sorting_one(
+            nrows in 1usize..30,
+            extra_cols in 0usize..4,
+            symmetric in any::<bool>(),
+            diagonal in any::<bool>(),
+            entries in prop::collection::vec((0usize..40, 0usize..40), 0..120)
+        ) {
+            // `extra_cols` > 0 puts columns past the last vertex.
+            let ncols = nrows + extra_cols;
+            let mut rows = vec![std::collections::BTreeSet::new(); nrows];
+            for &(r, c) in &entries {
+                let (r, c) = (r % nrows, c % ncols);
+                rows[r].insert(c as u32);
+                if symmetric && c < nrows {
+                    rows[c].insert(r as u32);
+                }
+            }
+            if diagonal {
+                for (r, row) in rows.iter_mut().enumerate() {
+                    row.insert(r as u32);
+                }
+            }
+            let mut row_ptr = vec![0];
+            let mut col_idx = Vec::new();
+            for row in &rows {
+                col_idx.extend(row.iter().copied());
+                row_ptr.push(col_idx.len());
+            }
+            let p = CsrPattern::new(nrows, ncols, row_ptr, col_idx).unwrap();
+            let (got, want) = (AdjacencyGraph::from_pattern(&p), from_pattern_by_sorting(&p));
+            prop_assert_eq!(got.offsets, want.offsets);
+            prop_assert_eq!(got.neighbors, want.neighbors);
+        }
+    }
 
     fn path_pattern(n: usize) -> CsrPattern {
         // Tridiagonal pattern = path graph.

@@ -246,4 +246,9 @@ fn cold_prepare_span_closes_with_the_solve_split() {
     assert!(secs("assemble_s") + secs("linear_solve_s") <= secs("wall_s"));
     assert_eq!(num(close, "newton_iterations"), exp.solve.iterations as u64);
     assert_eq!(num(close, "n_dofs"), exp.solve.n_dofs as u64);
+    // `pd` solves with LDLᵀ: at least one numeric factorization, at most
+    // one per Newton iteration.
+    let factorizations = num(close, "factorizations");
+    assert!(factorizations > 0);
+    assert!(factorizations <= num(close, "newton_iterations"));
 }
