@@ -815,28 +815,18 @@ mod tests {
     fn refactorize_refuses_a_pattern_it_was_not_analysed_for() {
         // Analysed for a 5x5 tridiagonal; an arrow matrix of the same
         // size must not be factorized with that structure.
-        let tri = {
+        let five = |other: fn(usize) -> usize| {
             let mut coo = CooMatrix::new(5, 5);
             for i in 0..5 {
                 coo.push(i, i, 4.0);
                 if i > 0 {
-                    coo.push(i, i - 1, -1.0);
-                    coo.push(i - 1, i, -1.0);
+                    coo.push(i, other(i), -1.0);
+                    coo.push(other(i), i, -1.0);
                 }
             }
             coo.to_csr()
         };
-        let arrow = {
-            let mut coo = CooMatrix::new(5, 5);
-            for i in 0..5 {
-                coo.push(i, i, 4.0);
-                if i > 0 {
-                    coo.push(i, 0, -1.0);
-                    coo.push(0, i, -1.0);
-                }
-            }
-            coo.to_csr()
-        };
+        let (tri, arrow) = (five(|i| i - 1), five(|_| 0));
         let sym = SymbolicLdl::analyze(&tri).unwrap();
         assert_eq!(
             LdlFactor::factorize(&arrow, &sym).unwrap_err(),
