@@ -1130,10 +1130,11 @@ mod tests {
         assert_eq!(budgeted, exp.simulate(&cfg, budget), "budgeted cache hit");
     }
 
-    /// A log of all 20 kernel variants, every `MaterialClass` and
-    /// `PrecondClass`, with one pattern, one `conn` and one `col_ptr`
-    /// shared across calls, a second pattern (table order) and a
-    /// content-equal copy of `conn` in its own allocation.
+    /// A log of every kernel variant but the two skyline ones (no solver
+    /// records them), every `MaterialClass` and `PrecondClass`, with one
+    /// pattern, one `conn` and one `col_ptr` shared across calls, a
+    /// second pattern (table order) and a content-equal copy of `conn`
+    /// in its own allocation.
     fn every_kernel_log() -> belenos_trace::PhaseLog {
         use belenos_sparse::CsrPattern;
         use belenos_trace::{KernelCall, MaterialClass as M, PrecondClass};
@@ -1145,7 +1146,6 @@ mod tests {
         let conn_copy = Arc::new(conn.to_vec());
         let col_ptr = Arc::new(vec![0usize, 2, 3, 3]);
         let row_idx = Arc::new(vec![1u32, 2, 2]);
-        let heights = Arc::new(vec![1usize, 2, 2]);
         let mut log = belenos_trace::PhaseLog::new();
         let mut rec = |call| log.record(call);
         rec(KernelCall::Dot { n: 64 });
@@ -1185,10 +1185,6 @@ mod tests {
             row_idx: Arc::clone(&row_idx),
         });
         rec(KernelCall::LdlSolve { col_ptr, row_idx });
-        rec(KernelCall::SkylineFactor {
-            heights: Arc::clone(&heights),
-        });
-        rec(KernelCall::SkylineSolve { heights });
         rec(KernelCall::CgSolve {
             pattern: Arc::clone(&pat),
             iterations: 7,
@@ -1323,22 +1319,23 @@ mod tests {
 
         assert_eq!(
             stream_pin(Expander::new(&log)),
-            (30812, 0x5441_ec46_9462_0ed1)
+            (30746, 0xc405_07f7_61f9_aa74)
         );
         assert_eq!(
             stream_pin(Expander::with_config(&log, tuned)),
-            (3034, 0x7ce4_77ae_a536_205f)
+            (3020, 0x4bc3_fe0b_a0cb_aea4)
         );
     }
 
-    /// Captured at 448fc7c, before the kernel listing: the store bytes
-    /// and both fingerprint hash streams of a log that uses every
-    /// kernel variant must never move without a version bump.
+    /// Captured at 448fc7c, before the kernel listing, and recaptured
+    /// when the skyline calls left the log: the store bytes and both
+    /// fingerprint hash streams of a log that uses every kernel variant
+    /// must never move without a version bump.
     #[test]
     fn every_kernel_store_bytes_and_fingerprints_are_pinned() {
         use belenos_trace::{FnCategory, MicroOp, OpKind, SolveMeta, TraceArtifact};
         let log = every_kernel_log();
-        assert_eq!(log.len(), 34);
+        assert_eq!(log.len(), 32);
         let tuned = ExpandConfig {
             sample: 3,
             code_bloat: 2,
@@ -1347,9 +1344,9 @@ mod tests {
         };
         assert_eq!(
             trace_fingerprint(&log, &ExpandConfig::default()),
-            0x3ec3_97a9_b5ff_2a89
+            0xd081_c266_3d47_a606
         );
-        assert_eq!(trace_fingerprint(&log, &tuned), 0xf31d_8202_c833_c04e);
+        assert_eq!(trace_fingerprint(&log, &tuned), 0x8ba3_663e_700e_510d);
         assert_eq!(
             expand_fingerprint(&ExpandConfig::default()),
             0x2ad7_a124_9f0b_7a8e
@@ -1374,7 +1371,7 @@ mod tests {
         let log_only = artifact.encode();
         assert_eq!(
             (log_only.len(), fnv(&log_only)),
-            (876, 0x17d5_7c3c_0354_734e)
+            (834, 0xdc90_a935_dd50_6545)
         );
         artifact.flat = Some(Arc::new(
             [
@@ -1387,7 +1384,7 @@ mod tests {
         let with_flat = artifact.encode();
         assert_eq!(
             (with_flat.len(), fnv(&with_flat)),
-            (940, 0x3f58_3cc5_0115_ad9c)
+            (898, 0x58f3_97ae_8369_a457)
         );
         // Every op-kind and category tag of the flat section.
         artifact.flat = Some(Arc::new(
@@ -1412,7 +1409,7 @@ mod tests {
         let every_op = artifact.encode();
         assert_eq!(
             (every_op.len(), fnv(&every_op)),
-            (1164, 0x36c4_acfb_abb8_019b)
+            (1122, 0x34d6_76c8_db86_0784)
         );
     }
 

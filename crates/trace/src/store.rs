@@ -640,7 +640,6 @@ mod tests {
     fn sample_artifact() -> TraceArtifact {
         let pat = Arc::new(CsrPattern::new(2, 2, vec![0, 1, 2], vec![0, 1]).unwrap());
         let conn = Arc::new(vec![0u32, 1, 2, 3]);
-        let heights = Arc::new(vec![1usize, 2]);
         let mut log = PhaseLog::new();
         log.record(KernelCall::Dot { n: 64 });
         log.record(KernelCall::SpMv {
@@ -654,10 +653,6 @@ mod tests {
             material: MaterialClass::Viscoelastic,
             pattern: Arc::clone(&pat),
         });
-        log.record(KernelCall::SkylineFactor {
-            heights: Arc::clone(&heights),
-        });
-        log.record(KernelCall::SkylineSolve { heights });
         log.record(KernelCall::ContactSearch {
             outcomes: Arc::new(vec![true, false, true]),
         });
