@@ -1130,11 +1130,10 @@ mod tests {
         assert_eq!(budgeted, exp.simulate(&cfg, budget), "budgeted cache hit");
     }
 
-    /// A log of every kernel variant but the two skyline ones (no solver
-    /// records them), every `MaterialClass` and `PrecondClass`, with one
-    /// pattern, one `conn` and one `col_ptr` shared across calls, a
-    /// second pattern (table order) and a content-equal copy of `conn`
-    /// in its own allocation.
+    /// A log of all 18 kernel variants, every `MaterialClass` and
+    /// `PrecondClass`, with one pattern, one `conn` and one `col_ptr`
+    /// shared across calls, a second pattern (table order) and a
+    /// content-equal copy of `conn` in its own allocation.
     fn every_kernel_log() -> belenos_trace::PhaseLog {
         use belenos_sparse::CsrPattern;
         use belenos_trace::{KernelCall, MaterialClass as M, PrecondClass};
@@ -1327,8 +1326,8 @@ mod tests {
         );
     }
 
-    /// Captured at 448fc7c, before the kernel listing, and recaptured
-    /// when the skyline calls left the log: the store bytes and both
+    /// Captured at 448fc7c, before the kernel listing, and recaptured at
+    /// 6bfb883 without the skyline calls: the store bytes and both
     /// fingerprint hash streams of a log that uses every kernel variant
     /// must never move without a version bump.
     #[test]

@@ -5,9 +5,8 @@
 //!
 //! FEBio's Stage 2 (the phase the paper profiles) reads a model, assembles
 //! large sparse stiffness systems from element-level kernels, and iterates
-//! Newton solves through direct (PARDISO/Skyline) or iterative
-//! (CG/FGMRES) linear solvers. This crate implements that pipeline from
-//! scratch:
+//! Newton solves through the direct PARDISO or the iterative CG/FGMRES
+//! linear solvers. This crate implements that pipeline from scratch:
 //!
 //! * [`mesh`] — hexahedral/tetrahedral meshes with structured generators
 //!   and anatomical-irregularity relabeling;

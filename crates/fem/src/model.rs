@@ -11,7 +11,7 @@ use crate::element::{geometry, FluidKernel, PoroKernel, SolidKernel, MAX_NODES};
 use crate::error::FemError;
 use crate::material::Material;
 use crate::mesh::Mesh;
-use crate::newton::{solve_linear, LinearSolver, PrecondKind, SolverCache};
+use crate::newton::{solve_linear, LinearSolver, SolverCache};
 use crate::quadrature::{rule_for, GaussPoint};
 use crate::shape::{eval, ShapeEval};
 use crate::Result;
@@ -80,11 +80,11 @@ pub struct SolveReport {
     /// Part of `wall_time` spent in element assembly (constitutive update,
     /// stiffness, residual), summed over all iterations.
     pub assemble_time: Duration,
-    /// Part of `wall_time` spent in linear solves (for the direct solvers:
-    /// permute, factorize, triangular solves).
+    /// Part of `wall_time` spent in linear solves (for LDLᵀ: permute,
+    /// factorize, triangular solves).
     pub linear_time: Duration,
-    /// Numeric factorizations performed (direct solvers; 0 for the
-    /// iterative ones).
+    /// Numeric LDLᵀ factorizations performed (0 for the iterative
+    /// solvers).
     pub factorizations: usize,
     /// Total dof count.
     pub n_dofs: usize,
@@ -183,7 +183,7 @@ impl FeModel {
         formulation: Formulation,
     ) -> Self {
         let solver = match formulation {
-            Formulation::Fluid { .. } => LinearSolver::Fgmres(PrecondKind::Ilu0),
+            Formulation::Fluid { .. } => LinearSolver::Fgmres,
             _ => LinearSolver::Ldl,
         };
         FeModel {
@@ -509,7 +509,7 @@ impl FeModel {
                     &mut log,
                 )?;
                 linear_time += linear_start.elapsed();
-                if matches!(self.solver, LinearSolver::Ldl | LinearSolver::Skyline) {
+                if self.solver == LinearSolver::Ldl {
                     factorizations += 1;
                 }
                 for (ui, di) in u.iter_mut().zip(&du) {
@@ -1348,8 +1348,8 @@ mod tests {
     }
 
     #[test]
-    fn skyline_and_cg_solvers_work_end_to_end() {
-        for solver in [LinearSolver::Skyline, LinearSolver::Cg(PrecondKind::Ilu0)] {
+    fn every_solver_works_end_to_end() {
+        for solver in [LinearSolver::Ldl, LinearSolver::Cg, LinearSolver::Fgmres] {
             let mesh = Mesh::box_hex(2, 2, 2, 1.0, 1.0, 1.0);
             let mut model = FeModel::solid(mesh, Box::new(LinearElastic::new(1e3, 0.3)));
             model.fix_face("z0");

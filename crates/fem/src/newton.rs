@@ -1,60 +1,40 @@
 //! Linear-solver dispatch for the Newton loop, with phase-log recording.
 //!
-//! FEBio selects among PARDISO (sparse LDLᵀ), Skyline, CG and FGMRES; the
-//! same choice exists here, and every solve records the kernels it ran so
-//! the trace layer can replay them.
+//! FEBio selects among PARDISO (sparse LDLᵀ), CG and FGMRES; so does this
+//! module, each iterative solver with the one preconditioner the workloads
+//! run it with. Every solve records the kernels it ran so the trace layer
+//! can replay them.
 
 use belenos_sparse::reorder::{rcm, MatrixGather, Permutation};
 use belenos_sparse::solver::cg::{self, CgOptions};
 use belenos_sparse::solver::fgmres::{self, FgmresOptions};
 use belenos_sparse::solver::ldl::LdlFactor;
 use belenos_sparse::solver::precond::{Ilu0Precond, JacobiPrecond};
-use belenos_sparse::solver::skyline::SkylineMatrix;
 use belenos_sparse::CsrMatrix;
 use belenos_trace::{KernelCall, PhaseLog, PrecondClass};
 use std::sync::Arc;
 
 use crate::Result;
 
-/// Preconditioner selection for iterative solvers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrecondKind {
-    /// Unpreconditioned.
-    None,
-    /// Diagonal (Jacobi).
-    Jacobi,
-    /// Incomplete LU with zero fill.
-    Ilu0,
-}
-
-impl PrecondKind {
-    fn to_trace(self) -> PrecondClass {
-        match self {
-            PrecondKind::None => PrecondClass::None,
-            PrecondKind::Jacobi => PrecondClass::Jacobi,
-            PrecondKind::Ilu0 => PrecondClass::Ilu0,
-        }
-    }
-}
-
 /// Linear solver selection (FEBio's solver keyword).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinearSolver {
     /// Sparse LDLᵀ with symbolic reuse (the PARDISO analogue).
     Ldl,
-    /// Skyline (profile) direct solver.
-    Skyline,
-    /// Conjugate gradient (SPD systems).
-    Cg(PrecondKind),
-    /// Restarted flexible GMRES (unsymmetric systems).
-    Fgmres(PrecondKind),
+    /// Jacobi-preconditioned conjugate gradient (SPD systems).
+    Cg,
+    /// ILU(0)-preconditioned restarted flexible GMRES (unsymmetric
+    /// systems).
+    Fgmres,
 }
 
-/// Everything about an LDLᵀ solve that depends on the pattern alone: how
-/// the permuted matrix is filled, and the factor whose structure and work
-/// vectors each refactorization reuses.
+/// Everything about an LDLᵀ solve that depends on the pattern alone: the
+/// fill-reducing permutation (PARDISO computes one internally; so do we,
+/// via reverse Cuthill-McKee), how the permuted matrix is filled, and the
+/// factor whose structure and work vectors each refactorization reuses.
 #[derive(Debug)]
 struct LdlState {
+    perm: Permutation,
     gather: MatrixGather,
     factor: LdlFactor,
 }
@@ -63,10 +43,6 @@ struct LdlState {
 #[derive(Debug, Default)]
 pub struct SolverCache {
     ldl: Option<LdlState>,
-    skyline_heights: Option<Arc<Vec<usize>>>,
-    /// Fill-reducing permutation (PARDISO computes one internally; so do
-    /// we, via reverse Cuthill-McKee).
-    perm: Option<Permutation>,
 }
 
 impl SolverCache {
@@ -100,14 +76,17 @@ pub fn solve_linear(
                 }
                 // First solve over this pattern: order, plan, analyse.
                 slot => {
-                    let perm = cache.perm.insert(rcm(matrix.pattern()));
+                    let perm = rcm(matrix.pattern());
                     let mut gather = perm.gather_for(&matrix.pattern_arc())?;
                     let factor = LdlFactor::new(gather.apply(matrix))?;
-                    slot.insert(LdlState { gather, factor })
+                    slot.insert(LdlState {
+                        perm,
+                        gather,
+                        factor,
+                    })
                 }
             };
-            let perm = cache.perm.as_ref().expect("set with the state");
-            let pb = perm.apply_vec(rhs);
+            let pb = state.perm.apply_vec(rhs);
             let sym = state.factor.symbolic();
             log.record(KernelCall::LdlFactor {
                 col_ptr: Arc::clone(sym.l_col_ptr()),
@@ -118,75 +97,35 @@ pub fn solve_linear(
                 col_ptr: Arc::clone(sym.l_col_ptr()),
                 row_idx: Arc::clone(sym.l_row_idx()),
             });
-            Ok(perm.apply_inv_vec(&y))
+            Ok(state.perm.apply_inv_vec(&y))
         }
-        LinearSolver::Skyline => {
-            if cache.perm.is_none() {
-                cache.perm = Some(rcm(matrix.pattern()));
-            }
-            let perm = cache.perm.as_ref().expect("just set");
-            let pm = perm.apply_matrix(matrix)?;
-            let pb = perm.apply_vec(rhs);
-            let sky = SkylineMatrix::from_csr(&pm)?;
-            if cache.skyline_heights.is_none() {
-                cache.skyline_heights = Some(Arc::new(sky.heights().to_vec()));
-            }
-            let h = cache.skyline_heights.as_ref().expect("just set");
-            log.record(KernelCall::SkylineFactor {
-                heights: Arc::clone(h),
-            });
-            let factor = sky.factorize()?;
-            let y = factor.solve(&pb)?;
-            log.record(KernelCall::SkylineSolve {
-                heights: Arc::clone(h),
-            });
-            Ok(perm.apply_inv_vec(&y))
-        }
-        LinearSolver::Cg(pk) => {
+        LinearSolver::Cg => {
             let opts = CgOptions {
                 tol: 1e-9,
                 max_iter: 4 * matrix.nrows().max(100),
             };
-            let sol = match pk {
-                PrecondKind::None => cg::solve(matrix, rhs, &opts)?,
-                PrecondKind::Jacobi => {
-                    let m = JacobiPrecond::new(matrix)?;
-                    cg::solve_preconditioned(matrix, rhs, &m, &opts)?
-                }
-                PrecondKind::Ilu0 => {
-                    let m = Ilu0Precond::new(matrix)?;
-                    cg::solve_preconditioned(matrix, rhs, &m, &opts)?
-                }
-            };
+            let m = JacobiPrecond::new(matrix)?;
+            let sol = cg::solve_preconditioned(matrix, rhs, &m, &opts)?;
             log.record(KernelCall::CgSolve {
                 pattern: matrix.pattern_arc(),
                 iterations: sol.iterations.max(1),
-                precond: pk.to_trace(),
+                precond: PrecondClass::Jacobi,
             });
             Ok(sol.x)
         }
-        LinearSolver::Fgmres(pk) => {
+        LinearSolver::Fgmres => {
             let opts = FgmresOptions {
                 tol: 1e-9,
                 restart: 30,
                 max_outer: 60,
             };
-            let sol = match pk {
-                PrecondKind::None => fgmres::solve(matrix, rhs, &opts)?,
-                PrecondKind::Jacobi => {
-                    let m = JacobiPrecond::new(matrix)?;
-                    fgmres::solve_preconditioned(matrix, rhs, &m, &opts)?
-                }
-                PrecondKind::Ilu0 => {
-                    let m = Ilu0Precond::new(matrix)?;
-                    fgmres::solve_preconditioned(matrix, rhs, &m, &opts)?
-                }
-            };
+            let m = Ilu0Precond::new(matrix)?;
+            let sol = fgmres::solve_preconditioned(matrix, rhs, &m, &opts)?;
             log.record(KernelCall::FgmresSolve {
                 pattern: matrix.pattern_arc(),
                 iterations: sol.iterations.max(1),
-                restart: 30,
-                precond: pk.to_trace(),
+                restart: opts.restart,
+                precond: PrecondClass::Ilu0,
             });
             Ok(sol.x)
         }
@@ -215,13 +154,7 @@ mod tests {
         let a = spd(24);
         let x_true: Vec<f64> = (0..24).map(|i| ((i as f64) * 0.3).sin()).collect();
         let b = a.spmv(&x_true).unwrap();
-        for solver in [
-            LinearSolver::Ldl,
-            LinearSolver::Skyline,
-            LinearSolver::Cg(PrecondKind::Jacobi),
-            LinearSolver::Cg(PrecondKind::Ilu0),
-            LinearSolver::Fgmres(PrecondKind::Ilu0),
-        ] {
+        for solver in [LinearSolver::Ldl, LinearSolver::Cg, LinearSolver::Fgmres] {
             let mut cache = SolverCache::new();
             let mut log = PhaseLog::new();
             let x = solve_linear(solver, &a, &b, &mut cache, &mut log).unwrap();
@@ -249,20 +182,47 @@ mod tests {
         assert_eq!(log.len(), 4); // factor + solve, twice
     }
 
+    /// Each solver records its own kernels, with the one preconditioner
+    /// it always runs.
     #[test]
     fn recorded_kernels_match_solver() {
         let a = spd(8);
         let b = vec![1.0; 8];
-        let mut cache = SolverCache::new();
-        let mut log = PhaseLog::new();
-        solve_linear(
-            LinearSolver::Cg(PrecondKind::None),
-            &a,
-            &b,
-            &mut cache,
-            &mut log,
-        )
-        .unwrap();
-        assert!(matches!(log.calls()[0], KernelCall::CgSolve { .. }));
+        for solver in [LinearSolver::Ldl, LinearSolver::Cg, LinearSolver::Fgmres] {
+            let mut cache = SolverCache::new();
+            let mut log = PhaseLog::new();
+            solve_linear(solver, &a, &b, &mut cache, &mut log).unwrap();
+            let calls = log.calls();
+            match solver {
+                LinearSolver::Ldl => assert!(
+                    matches!(
+                        calls,
+                        [KernelCall::LdlFactor { .. }, KernelCall::LdlSolve { .. }]
+                    ),
+                    "{calls:?}"
+                ),
+                LinearSolver::Cg => assert!(
+                    matches!(
+                        calls,
+                        [KernelCall::CgSolve {
+                            precond: PrecondClass::Jacobi,
+                            ..
+                        }]
+                    ),
+                    "{calls:?}"
+                ),
+                LinearSolver::Fgmres => assert!(
+                    matches!(
+                        calls,
+                        [KernelCall::FgmresSolve {
+                            restart: 30,
+                            precond: PrecondClass::Ilu0,
+                            ..
+                        }]
+                    ),
+                    "{calls:?}"
+                ),
+            }
+        }
     }
 }

@@ -93,27 +93,6 @@ impl CooMatrix {
         self.vals.push(val);
     }
 
-    /// Appends a whole dense block (element stiffness scatter).
-    ///
-    /// `dofs` maps local block indices to global indices; `block` is a
-    /// row-major `dofs.len() x dofs.len()` slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len() != dofs.len()^2` or any dof is out of range.
-    pub fn push_block(&mut self, dofs: &[usize], block: &[f64]) {
-        let n = dofs.len();
-        assert_eq!(block.len(), n * n, "block must be square over the dof list");
-        for (i, &gi) in dofs.iter().enumerate() {
-            for (j, &gj) in dofs.iter().enumerate() {
-                let v = block[i * n + j];
-                if v != 0.0 {
-                    self.push(gi, gj, v);
-                }
-            }
-        }
-    }
-
     /// Clears all triplets, keeping capacity.
     pub fn clear(&mut self) {
         self.rows.clear();
@@ -204,20 +183,6 @@ mod tests {
         coo.push(0, 2, 2.0);
         let csr = coo.to_csr();
         assert_eq!(csr.pattern().row(0), &[0, 2, 3]);
-    }
-
-    #[test]
-    fn push_block_scatters_element_matrix() {
-        let mut coo = CooMatrix::new(4, 4);
-        // 2x2 element touching global dofs {1, 3}.
-        coo.push_block(&[1, 3], &[10.0, -1.0, -1.0, 10.0]);
-        coo.push_block(&[1, 3], &[1.0, 0.0, 0.0, 1.0]);
-        let csr = coo.to_csr();
-        assert_eq!(csr.get(1, 1), 11.0);
-        assert_eq!(csr.get(3, 3), 11.0);
-        assert_eq!(csr.get(1, 3), -1.0);
-        assert_eq!(csr.get(3, 1), -1.0);
-        assert_eq!(csr.get(0, 0), 0.0);
     }
 
     #[test]

@@ -203,34 +203,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Transposed product `y = Aᵀ x`.
-    ///
-    /// # Errors
-    ///
-    /// [`SparseError::DimensionMismatch`] if `x.len() != nrows`.
-    pub fn spmv_transpose(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.nrows() {
-            return Err(SparseError::DimensionMismatch(format!(
-                "transpose spmv: matrix has {} rows, vector has {}",
-                self.nrows(),
-                x.len()
-            )));
-        }
-        let mut y = vec![0.0; self.ncols()];
-        let rp = self.pattern.row_ptr();
-        let ci = self.pattern.col_idx();
-        for r in 0..self.nrows() {
-            let xr = x[r];
-            if xr == 0.0 {
-                continue;
-            }
-            for k in rp[r]..rp[r + 1] {
-                y[ci[k] as usize] += self.vals[k] * xr;
-            }
-        }
-        Ok(y)
-    }
-
     /// Returns the explicit transpose.
     pub fn transpose(&self) -> CsrMatrix {
         let nr = self.nrows();
@@ -380,19 +352,6 @@ mod tests {
         let att = a.transpose().transpose();
         assert_eq!(a.to_dense(), att.to_dense());
         assert_eq!(a.transpose().nrows(), 4);
-    }
-
-    #[test]
-    fn spmv_transpose_matches_explicit_transpose() {
-        let mut coo = CooMatrix::new(3, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 2.0);
-        coo.push(2, 0, 3.0);
-        let a = coo.to_csr();
-        let x = vec![1.0, -1.0, 0.5];
-        let y1 = a.spmv_transpose(&x).unwrap();
-        let y2 = a.transpose().spmv(&x).unwrap();
-        assert_eq!(y1, y2);
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! Sparse and dense linear-algebra substrate for the Belenos workload study.
 //!
 //! FEBio (the biomechanics simulator characterized by the Belenos paper)
-//! delegates its linear algebra to Intel MKL: PARDISO / Skyline direct
-//! solvers and FGMRES / conjugate-gradient iterative solvers over large
-//! sparse stiffness matrices. This crate is the from-scratch substitute:
-//! it provides the same algorithm classes with the same data-structure
-//! shapes, so the memory-access patterns that the paper profiles (irregular
-//! gathers through CSR index arrays, triangular-solve dependency chains,
-//! skyline column sweeps) are reproduced faithfully.
+//! delegates its linear algebra to Intel MKL: the PARDISO direct solver
+//! and FGMRES / conjugate-gradient iterative solvers over large sparse
+//! stiffness matrices. This crate is the from-scratch substitute: it
+//! provides the same algorithm classes with the same data-structure
+//! shapes, so the memory-access patterns that the paper profiles
+//! (irregular gathers through CSR index arrays, triangular-solve
+//! dependency chains) are reproduced faithfully.
 //!
 //! ## Quick example
 //!

@@ -142,18 +142,6 @@ impl CsrPattern {
         bw
     }
 
-    /// Profile (sum over rows of the distance from the first stored column
-    /// to the diagonal); the quantity a skyline solver stores.
-    pub fn profile(&self) -> usize {
-        let mut p = 0usize;
-        for r in 0..self.nrows {
-            if let Some(&first) = self.row(r).first() {
-                p += r.saturating_sub(first as usize);
-            }
-        }
-        p
-    }
-
     /// True if the pattern is structurally symmetric.
     pub fn is_structurally_symmetric(&self) -> bool {
         if self.nrows != self.ncols {
@@ -198,11 +186,8 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_and_profile() {
-        let p = sample();
-        assert_eq!(p.bandwidth(), 2);
-        // row 0 first col 0 -> 0; row 1 first col 1 -> 0; row 2 first col 0 -> 2.
-        assert_eq!(p.profile(), 2);
+    fn bandwidth() {
+        assert_eq!(sample().bandwidth(), 2);
     }
 
     #[test]

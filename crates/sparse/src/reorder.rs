@@ -1,9 +1,9 @@
 //! Fill-reducing / bandwidth-reducing orderings.
 //!
-//! PARDISO applies a fill-reducing permutation before factorizing; FEBio's
-//! skyline solver benefits from bandwidth reduction. We implement reverse
-//! Cuthill-McKee (RCM), the classic profile-reduction ordering, which is
-//! also the lever for the cache-locality ablation benches.
+//! PARDISO applies a fill-reducing permutation before factorizing. We
+//! implement reverse Cuthill-McKee (RCM), the classic profile-reduction
+//! ordering, which is also the lever for the cache-locality ablation
+//! benches.
 
 use crate::graph::AdjacencyGraph;
 use crate::pattern::CsrPattern;
@@ -57,11 +57,6 @@ impl Permutation {
     /// True for the empty permutation.
     pub fn is_empty(&self) -> bool {
         self.perm.is_empty()
-    }
-
-    /// Old index placed at `new`.
-    pub fn old_of(&self, new: usize) -> usize {
-        self.perm[new] as usize
     }
 
     /// New position of `old`.
@@ -308,7 +303,6 @@ mod tests {
         let w = p.apply_vec(&v);
         assert_eq!(w, vec![30.0, 10.0, 20.0]);
         assert_eq!(p.apply_inv_vec(&w), v);
-        assert_eq!(p.new_of(p.old_of(1)), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Linear solvers: the MKL PARDISO / Skyline / FGMRES / CG substitutes.
+//! Linear solvers: the MKL PARDISO / FGMRES / CG substitutes.
 //!
-//! FEBio offers direct solvers (PARDISO, Skyline) and iterative ones
-//! (FGMRES, conjugate gradient) — Belenos profiles all of them as the
+//! The workloads run FEBio's direct PARDISO solver and its iterative
+//! FGMRES and conjugate-gradient solvers — Belenos profiles them as the
 //! dominant consumers of Stage-2 runtime. Each submodule implements one
 //! solver class with the same algorithmic structure (and therefore the same
 //! memory-access and dependency-chain shape) as the original.
@@ -10,7 +10,6 @@ pub mod cg;
 pub mod fgmres;
 pub mod ldl;
 pub mod precond;
-pub mod skyline;
 
 /// Outcome of an iterative solve.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,7 +1,6 @@
 //! Property-based tests over the sparse linear-algebra invariants.
 
 use belenos_sparse::solver::ldl::{LdlFactor, SymbolicLdl};
-use belenos_sparse::solver::skyline::SkylineMatrix;
 use belenos_sparse::{reorder, CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 
@@ -105,20 +104,6 @@ proptest! {
         let got = f.solve(&b).unwrap();
         for (u, v) in got.iter().zip(x_true) {
             prop_assert!((u - v).abs() < 1e-7, "{} vs {}", u, v);
-        }
-    }
-
-    #[test]
-    fn skyline_and_ldl_agree(
-        n in 2usize..9,
-        entries in prop::collection::vec((0usize..9, 0usize..9, 0.1f64..2.0), 1..20)
-    ) {
-        let a = spd_matrix(n, entries);
-        let b = vec![1.0; n];
-        let x1 = LdlFactor::new(&a).unwrap().solve(&b).unwrap();
-        let x2 = SkylineMatrix::from_csr(&a).unwrap().factorize().unwrap().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            prop_assert!((u - v).abs() < 1e-8);
         }
     }
 

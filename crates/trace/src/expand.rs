@@ -18,9 +18,9 @@
 //!   identical per-iteration structure. The helper picks the stride and
 //!   yields each sampled iteration with its loop-back outcome.
 //! * the **array memo** (`Expander::placed`): the arrays of a sparse
-//!   pattern, factor, skyline or mesh are placed in the synthetic address
-//!   space once, keyed by kind and `Arc` pointer, so repeated kernels over
-//!   the same structure touch the same addresses.
+//!   pattern, factor or mesh are placed in the synthetic address space
+//!   once, keyed by kind and `Arc` pointer, so repeated kernels over the
+//!   same structure touch the same addresses.
 //! * the **material rows** (`material_profile`): one constitutive cost
 //!   row per [`MaterialClass`].
 
@@ -91,7 +91,6 @@ pub fn expand_fingerprint(expand: &ExpandConfig) -> u64 {
 enum Placed {
     Pattern,
     Factor,
-    Skyline,
     Mesh,
     /// A mesh's precomputed scatter-index (LM) table.
     Scatter,
@@ -136,8 +135,6 @@ const PC_ASSEMBLE: u32 = 0x0030_0000;
 const PC_RESIDUAL: u32 = 0x0038_0000;
 const PC_LDLFAC: u32 = 0x0040_0000;
 const PC_LDLSOL: u32 = 0x0048_0000;
-const PC_SKYFAC: u32 = 0x0050_0000;
-const PC_SKYSOL: u32 = 0x0058_0000;
 const PC_CONST: u32 = 0x0060_0000;
 const PC_CONTACT: u32 = 0x0070_0000;
 const PC_BARRIER: u32 = 0x0071_0000;
@@ -340,8 +337,6 @@ impl<'a> Expander<'a> {
             ),
             KernelCall::LdlFactor { col_ptr, row_idx } => self.gen_ldl_factor(col_ptr, row_idx),
             KernelCall::LdlSolve { col_ptr, row_idx } => self.gen_ldl_solve(col_ptr, row_idx),
-            KernelCall::SkylineFactor { heights } => self.gen_skyline(heights, true),
-            KernelCall::SkylineSolve { heights } => self.gen_skyline(heights, false),
             KernelCall::CgSolve {
                 pattern,
                 iterations,
@@ -620,51 +615,6 @@ impl<'a> Expander<'a> {
             let dd = e.fp(OpKind::FpDiv, 32, lxj, dv);
             e.store(36, work.addr(j), 8, dd);
             e.branch(40, 0, more, None);
-        }
-    }
-
-    fn gen_skyline(&mut self, heights: &Arc<Vec<usize>>, factor: bool) {
-        let n = heights.len();
-        let total: usize = heights.iter().sum();
-        let [_, _, lx, _, diag] =
-            self.placed(Placed::Skyline, Arc::as_ptr(heights) as usize, |s| {
-                [
-                    s.alloc_u64(n.max(1) + 1),
-                    s.alloc_u32(1),
-                    s.alloc_f64(total.max(1)),
-                    s.alloc_f64(n.max(1)),
-                    s.alloc_f64(n.max(1)),
-                ]
-            });
-        let per_col = (total / n.max(1)).max(1);
-        let work_per_entry = if factor { per_col.min(64) } else { 1 };
-        let trips = self.trips(n, 4 * per_col * work_per_entry + 4);
-        let mut e = self.emit(
-            if factor { PC_SKYFAC } else { PC_SKYSOL },
-            FnCategory::MklPardiso,
-        );
-        // `offset` is where column `summed` starts in the envelope.
-        let (mut offset, mut summed) = (0, 0);
-        for (jj, more) in trips {
-            offset += heights[summed..jj].iter().sum::<usize>();
-            summed = jj;
-            let h = heights[jj];
-            // Column sweep: sequential loads through the envelope, with an
-            // inner reduction against overlapping previous columns when
-            // factorizing (quadratic in height, the skyline cost signature).
-            let inner = if factor { h.min(4) } else { 1 };
-            let mut acc = None;
-            for k in 0..h {
-                let l1 = e.load(0, lx.addr(offset + k), 8, None);
-                for _ in 0..inner {
-                    let m = e.fp(OpKind::FpMul, 4, l1, acc);
-                    acc = Some(e.fp(OpKind::FpAdd, 8, m, acc));
-                }
-                e.branch(12, 0, k + 1 < h, None);
-            }
-            let d = e.fp(OpKind::FpDiv, 16, acc, None);
-            e.store(20, diag.addr(jj), 8, d);
-            e.branch(24, 0, more, None);
         }
     }
 
@@ -1273,38 +1223,6 @@ mod tests {
         assert!(ops.iter().any(|o| o.kind == OpKind::FpDiv));
         assert!(ops.iter().filter(|o| o.kind == OpKind::Store).count() >= 3);
         assert!(ops.iter().all(|o| o.cat == FnCategory::MklPardiso));
-    }
-
-    #[test]
-    fn subsampled_skyline_reads_each_sampled_columns_envelope() {
-        let heights = vec![3usize, 1, 4, 1, 5, 9, 2, 6];
-        let mut log = PhaseLog::new();
-        log.record(KernelCall::SkylineFactor {
-            heights: Arc::new(heights.clone()),
-        });
-        // 40 ops per column: a 160-op cap samples every second column.
-        let cfg = ExpandConfig {
-            max_kernel_ops: 160,
-            ..ExpandConfig::default()
-        };
-        // A column's loads run up to its diagonal store.
-        let mut firsts = Vec::new();
-        let mut open = true;
-        for op in Expander::with_config(&log, cfg) {
-            match op.kind {
-                OpKind::Load if open => {
-                    firsts.push(op.addr);
-                    open = false;
-                }
-                OpKind::Store => open = true,
-                _ => {}
-            }
-        }
-        let expected: Vec<u64> = (0..heights.len())
-            .step_by(2)
-            .map(|jj| firsts[0] + 8 * heights[..jj].iter().sum::<usize>() as u64)
-            .collect();
-        assert_eq!(firsts, expected);
     }
 
     #[test]

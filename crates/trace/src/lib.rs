@@ -13,8 +13,9 @@
 //! [`expand`] module then replays that log as a lazy stream of
 //! [`MicroOp`]s whose
 //!
-//! * **memory addresses** come from the real CSR/skyline index arrays (so
-//!   gather irregularity and reuse distances match the workload),
+//! * **memory addresses** come from the real CSR and LDLᵀ-factor index
+//!   arrays (so gather irregularity and reuse distances match the
+//!   workload),
 //! * **dependency distances** encode the true kernel dataflow (accumulation
 //!   chains, independent streams, triangular-solve recurrences),
 //! * **branch outcomes** follow actual loop trip counts and data-dependent

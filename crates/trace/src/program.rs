@@ -134,16 +134,6 @@ pub enum KernelCall {
         /// Row indices of L.
         row_idx: Arc<Vec<u32>>,
     },
-    /// Skyline LDLᵀ factorization (FEBio's Skyline solver).
-    SkylineFactor {
-        /// Column heights (diagonal inclusive).
-        heights: Arc<Vec<usize>>,
-    },
-    /// Skyline forward/backward solve.
-    SkylineSolve {
-        /// Column heights.
-        heights: Arc<Vec<usize>>,
-    },
     /// A whole preconditioned-CG solve of `iterations` steps.
     CgSolve {
         /// System pattern (drives the per-iteration SpMV).
@@ -212,6 +202,10 @@ pub enum KernelCall {
 /// [`Source`]: `count`, `material`, `precond`, or one of the shared
 /// index structures `pattern`, `usizes`, `u32s`, `bools`.
 ///
+/// Tags 9 and 10 are retired: they stored the skyline solver's factor and
+/// solve, which no longer exist. Decoding refuses them, and no new row may
+/// reuse them.
+///
 /// Exported so that tests outside the crate can build every variant
 /// from it; inside, its one consumer is `walks!` below.
 #[doc(hidden)]
@@ -234,8 +228,6 @@ macro_rules! kernels {
             }
             7 "ldl_f" LdlFactor { col_ptr: usizes, row_idx: u32s }
             8 "ldl_s" LdlSolve { col_ptr: usizes, row_idx: u32s }
-            9 "sky_f" SkylineFactor { heights: usizes }
-            10 "sky_s" SkylineSolve { heights: usizes }
             11 "cg" CgSolve { pattern: pattern, iterations: count, precond: precond }
             12 "fgmres" FgmresSolve {
                 pattern: pattern, iterations: count, restart: count, precond: precond

@@ -698,11 +698,15 @@ mod tests {
             }
         }
 
-        /// One call per listing row, in tag order (tags have no gaps).
+        /// One call per listing row, in tag order, read over all 256 tags:
+        /// the retired 9 and 10 read nothing.
         fn every_kernel(&mut self) -> Vec<KernelCall> {
-            let mut read = |tag| KernelCall::read(tag, self).unwrap();
-            let calls: Vec<_> = (0u8..).map_while(&mut read).collect();
-            assert!((calls.len() as u8..=u8::MAX).all(|tag| read(tag).is_none()));
+            let rows: Vec<_> = (0..=u8::MAX)
+                .map(|tag| KernelCall::read(tag, self).unwrap())
+                .collect();
+            assert!(rows[9].is_none() && rows[10].is_none());
+            let calls: Vec<_> = rows.into_iter().flatten().collect();
+            assert_eq!(calls.len(), 18);
             calls
         }
     }
@@ -841,13 +845,13 @@ mod tests {
     #[test]
     fn every_field_of_every_kernel_is_stored_and_fingerprinted() {
         let calls = Sample::new().every_kernel();
-        for (tag, call) in calls.iter().enumerate() {
+        for call in &calls {
             let mut count = Perturb::new(usize::MAX);
             let same = [call.walk(&mut count)];
             let base = std::slice::from_ref(call);
-            assert_eq!(encoded(&same), encoded(base), "kernel {tag}");
-            assert_eq!(fingerprint(&same), fingerprint(base), "kernel {tag}");
-            assert!(count.fields > 0, "kernel {tag} has no fields");
+            assert_eq!(encoded(&same), encoded(base), "{call:?}");
+            assert_eq!(fingerprint(&same), fingerprint(base), "{call:?}");
+            assert!(count.fields > 0, "{call:?} has no fields");
             for field in 0..count.fields {
                 let changed = [call.walk(&mut Perturb::new(field))];
                 let ctx = format!("field {field} of {call:?}");
@@ -867,7 +871,7 @@ mod tests {
     #[test]
     fn every_kernel_roundtrips_and_a_shared_array_is_stored_once() {
         let calls = Sample::new().every_kernel();
-        // Twice over: 40 calls, still one allocation per kind.
+        // Twice over: 36 calls, still one allocation per kind.
         let twice = [calls.clone(), calls].concat();
         let bytes = encoded(&twice);
         let decoded = TraceArtifact::decode(&bytes).unwrap();
@@ -886,6 +890,31 @@ mod tests {
         let other = twice[4].walk(&mut Perturb::new(0));
         let grown = [twice.as_slice(), &[other]].concat();
         assert!(encoded(&grown).len() > bytes.len() + 5);
+    }
+
+    /// Tags 9 and 10 stored the deleted skyline kernels: a log carrying
+    /// one is malformed, not a call.
+    #[test]
+    fn retired_kernel_tags_are_refused() {
+        let bytes = encoded(&[KernelCall::Dot { n: 64 }]);
+        // The log section ends with the call (its tag, then `n`), and
+        // the section's checksum follows.
+        let log_end = bytes.len() - 8;
+        let tag_at = log_end - 9;
+        assert_eq!(bytes[tag_at], 0, "the tag of `Dot`");
+        for retired in [9, 10] {
+            let mut bytes = bytes.clone();
+            bytes[tag_at] = retired;
+            let sum = Fnv64::new()
+                .write_bytes(&bytes[HEADER_LEN..log_end])
+                .finish();
+            bytes[log_end..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                TraceArtifact::decode(&bytes).unwrap_err(),
+                StoreError::Malformed("kernel call tag"),
+                "tag {retired}"
+            );
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use belenos_fem::material::{
 };
 use belenos_fem::mesh::Mesh;
 use belenos_fem::model::{FeModel, Formulation};
-use belenos_fem::newton::{LinearSolver, PrecondKind};
+use belenos_fem::newton::LinearSolver;
 
 impl MeshParams {
     /// Generates the structured mesh (hex or tet box, optionally
@@ -94,7 +94,7 @@ pub(crate) fn build(spec: &ScenarioSpec) -> FeModel {
                 penalty: *penalty,
                 from_above: true,
             });
-            m.set_solver(LinearSolver::Cg(PrecondKind::Jacobi));
+            m.set_solver(LinearSolver::Cg);
             m
         }
         // `fl` — fluid dynamics channel flow; `steady` selects `fl33`
@@ -325,7 +325,6 @@ pub(crate) fn build(spec: &ScenarioSpec) -> FeModel {
             m.add_load("z1", 2, *iop);
             m.add_load("x0", 0, -1.0);
             m.add_load("x1", 0, 1.0);
-            m.set_solver(LinearSolver::Ldl);
             m
         }
     };
