@@ -193,36 +193,28 @@ mod tests {
             let mut log = PhaseLog::new();
             solve_linear(solver, &a, &b, &mut cache, &mut log).unwrap();
             let calls = log.calls();
-            match solver {
-                LinearSolver::Ldl => assert!(
-                    matches!(
-                        calls,
-                        [KernelCall::LdlFactor { .. }, KernelCall::LdlSolve { .. }]
-                    ),
-                    "{calls:?}"
+            let expected = match solver {
+                LinearSolver::Ldl => matches!(
+                    calls,
+                    [KernelCall::LdlFactor { .. }, KernelCall::LdlSolve { .. }]
                 ),
-                LinearSolver::Cg => assert!(
-                    matches!(
-                        calls,
-                        [KernelCall::CgSolve {
-                            precond: PrecondClass::Jacobi,
-                            ..
-                        }]
-                    ),
-                    "{calls:?}"
+                LinearSolver::Cg => matches!(
+                    calls,
+                    [KernelCall::CgSolve {
+                        precond: PrecondClass::Jacobi,
+                        ..
+                    }]
                 ),
-                LinearSolver::Fgmres => assert!(
-                    matches!(
-                        calls,
-                        [KernelCall::FgmresSolve {
-                            restart: 30,
-                            precond: PrecondClass::Ilu0,
-                            ..
-                        }]
-                    ),
-                    "{calls:?}"
+                LinearSolver::Fgmres => matches!(
+                    calls,
+                    [KernelCall::FgmresSolve {
+                        restart: 30,
+                        precond: PrecondClass::Ilu0,
+                        ..
+                    }]
                 ),
-            }
+            };
+            assert!(expected, "{solver:?} recorded {calls:?}");
         }
     }
 }
