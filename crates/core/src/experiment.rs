@@ -156,12 +156,14 @@ impl Experiment {
         let report = model.solve().map_err(|e| fail(PrepareFailure::Fem(e)))?;
         drop(helpers);
         let fingerprint = trace_fingerprint(&report.log, &expand);
-        // Where the cold solve's time went, and how many numeric
-        // factorizations it paid for, for the span's close.
+        // Where the cold solve's time went, and how many stiffness
+        // assemblies and numeric factorizations it paid for, for the
+        // span's close.
         let solve_split = [
             ("assemble_s", report.assemble_time.as_secs_f64().into()),
             ("linear_solve_s", report.linear_time.as_secs_f64().into()),
             ("newton_iterations", report.total_iterations.into()),
+            ("stiffness_assemblies", report.stiffness_assemblies.into()),
             ("factorizations", report.factorizations.into()),
             ("n_dofs", report.n_dofs.into()),
         ];

@@ -139,9 +139,20 @@ impl Assembler {
         }
     }
 
-    /// Zeroes all values (start of a new Newton iteration).
+    /// Zeroes all values (start of a stiffness pass).
     pub fn reset(&mut self) {
         self.matrix.values_mut().fill(0.0);
+    }
+
+    /// Overwrites all values with `values`, a copy of an earlier
+    /// `matrix().values()`: a stiffness that does not change within a
+    /// solve is assembled once and restored after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is not one value per pattern entry.
+    pub(crate) fn restore(&mut self, values: &[f64]) {
+        self.matrix.values_mut().copy_from_slice(values);
     }
 
     /// Shared pattern handle.

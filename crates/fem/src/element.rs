@@ -137,9 +137,10 @@ impl SolidKernel {
         self.rule.len()
     }
 
-    /// Integrates stiffness + internal force for one element into
-    /// caller-owned storage: `k` (row-major `ndof x ndof`) and `f`
-    /// (`ndof`) are overwritten, nothing is allocated.
+    /// Residual pass for one element: the stress and trial history at
+    /// every Gauss point and the internal force `f` (`ndof`, overwritten),
+    /// `f_int = Σ Bᵀ σ w`. Nothing is allocated. Of the two passes, only
+    /// this one evaluates stress or writes `states_new`.
     ///
     /// `states_old` / `states_new` are the per-Gauss-point history slices
     /// (length `gauss_points * material.state_size()`).
@@ -148,7 +149,7 @@ impl SolidKernel {
     ///
     /// [`FemError::InvertedElement`] on a non-positive Jacobian.
     #[allow(clippy::too_many_arguments)]
-    pub fn integrate_into(
+    pub fn residual_into(
         &self,
         element: usize,
         coords: &[[f64; 3]],
@@ -158,42 +159,79 @@ impl SolidKernel {
         states_new: &mut [f64],
         dt: f64,
         t: f64,
-        k: &mut [f64],
         f: &mut [f64],
     ) -> Result<()> {
-        let npe = self.kind.nodes();
-        let ndof = 3 * npe;
         let ssz = material.state_size();
-        assert_eq!((k.len(), f.len()), (ndof * ndof, ndof));
-        k.fill(0.0);
+        assert_eq!(f.len(), 3 * self.kind.nodes());
         f.fill(0.0);
         for (g, (gp, shape)) in self.rule.iter().zip(&self.shapes).enumerate() {
             let geom = geometry(coords, shape, element)?;
-            let grad = geom.grad();
-            let w = gp.w * geom.detj;
             let eps = strain_at(&geom, u_e);
             let so = &states_old[g * ssz..(g + 1) * ssz];
             let sn = &mut states_new[g * ssz..(g + 1) * ssz];
             let sigma = material.stress(&eps, so, sn, dt, t);
-            let d = material.tangent(&eps, so, dt, t);
-            // f_int += Bᵀ σ w ; K += Bᵀ D B w, with B in gradient form.
-            for a in 0..npe {
-                let ga = grad[a];
-                for (i, row) in B_NZ.iter().enumerate() {
-                    f[3 * a + i] += b_dot(row, ga, &sigma) * w;
-                }
-                let bd = bt_d(ga, &d);
-                for b in 0..npe {
-                    let gb = grad[b];
-                    for i in 0..3 {
-                        for (jj, row) in B_NZ.iter().enumerate() {
-                            k[(3 * a + i) * ndof + (3 * b + jj)] += b_dot(row, gb, &bd[i]) * w;
-                        }
-                    }
+            add_bt_s(geom.grad(), &sigma, gp.w * geom.detj, 3, f);
+        }
+        Ok(())
+    }
+
+    /// Stiffness pass for one element at the iterate the residual pass
+    /// saw: `k` (row-major `ndof x ndof`, overwritten) `= Σ Bᵀ D B w`.
+    /// Nothing is allocated. The tangent reads the converged history
+    /// `states_old`; no stress is evaluated and no history written.
+    ///
+    /// # Errors
+    ///
+    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
+    #[allow(clippy::too_many_arguments)]
+    pub fn stiffness_into(
+        &self,
+        element: usize,
+        coords: &[[f64; 3]],
+        u_e: &[f64],
+        material: &dyn Material,
+        states_old: &[f64],
+        dt: f64,
+        t: f64,
+        k: &mut [f64],
+    ) -> Result<()> {
+        let ssz = material.state_size();
+        let ndof = 3 * self.kind.nodes();
+        assert_eq!(k.len(), ndof * ndof);
+        k.fill(0.0);
+        for (g, (gp, shape)) in self.rule.iter().zip(&self.shapes).enumerate() {
+            let geom = geometry(coords, shape, element)?;
+            let eps = strain_at(&geom, u_e);
+            let d = material.tangent(&eps, &states_old[g * ssz..(g + 1) * ssz], dt, t);
+            add_bt_d_b(geom.grad(), &d, gp.w * geom.detj, 3, k);
+        }
+        Ok(())
+    }
+}
+
+/// `f += Bᵀ s w` over the displacement components, which lead each of
+/// the element's `dpn`-wide node blocks.
+fn add_bt_s(grad: &[[f64; 3]], s: &Voigt, w: f64, dpn: usize, f: &mut [f64]) {
+    for (a, &ga) in grad.iter().enumerate() {
+        for (i, row) in B_NZ.iter().enumerate() {
+            f[dpn * a + i] += b_dot(row, ga, s) * w;
+        }
+    }
+}
+
+/// `k += Bᵀ D B w` over the displacement rows and columns of a
+/// row-major `dpn * npe`-wide block, B in gradient form.
+fn add_bt_d_b(grad: &[[f64; 3]], d: &[[f64; 6]; 6], w: f64, dpn: usize, k: &mut [f64]) {
+    let ndof = dpn * grad.len();
+    for (a, &ga) in grad.iter().enumerate() {
+        let bd = bt_d(ga, d);
+        for (b, &gb) in grad.iter().enumerate() {
+            for (i, bd_i) in bd.iter().enumerate() {
+                for (jj, row) in B_NZ.iter().enumerate() {
+                    k[(dpn * a + i) * ndof + (dpn * b + jj)] += b_dot(row, gb, bd_i) * w;
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -273,9 +311,11 @@ impl PoroKernel {
         self.solid.gauss_points()
     }
 
-    /// Integrates the coupled block system for one element into
-    /// caller-owned storage: `k` (row-major `ndof x ndof`) and `f`
-    /// (`ndof`) are overwritten, nothing is allocated.
+    /// Residual pass for one element: stress and trial history at every
+    /// Gauss point, and the internal force `f` (`ndof`, overwritten) —
+    /// momentum `Bᵀ(σ − p m)` and the mass balance. Nothing is allocated.
+    /// Of the two passes, only this one evaluates stress or writes
+    /// `states_new`.
     ///
     /// Element dofs are node-major `[ux, uy, uz, p]`. `u_e`/`u_old` hold
     /// current and previous-step element solution in the same ordering.
@@ -284,7 +324,7 @@ impl PoroKernel {
     ///
     /// [`FemError::InvertedElement`] on a non-positive Jacobian.
     #[allow(clippy::too_many_arguments)]
-    pub fn integrate_into(
+    pub fn residual_into(
         &self,
         element: usize,
         coords: &[[f64; 3]],
@@ -295,23 +335,14 @@ impl PoroKernel {
         states_new: &mut [f64],
         dt: f64,
         t: f64,
-        k: &mut [f64],
         f: &mut [f64],
     ) -> Result<()> {
         let npe = self.solid.kind.nodes();
         let dpn = 4;
-        let ndof = dpn * npe;
         let ssz = material.state_size();
-        assert_eq!((k.len(), f.len()), (ndof * ndof, ndof));
-        k.fill(0.0);
+        assert_eq!(f.len(), dpn * npe);
         f.fill(0.0);
-        // Displacement view of the element vector.
-        let mut u_disp = [0.0; 3 * MAX_NODES];
-        for a in 0..npe {
-            for i in 0..3 {
-                u_disp[3 * a + i] = u_e[dpn * a + i];
-            }
-        }
+        let u_disp = displacements(u_e, npe);
         for (g, (gp, shape)) in self.solid.rule.iter().zip(&self.solid.shapes).enumerate() {
             let geom = geometry(coords, shape, element)?;
             let grad = geom.grad();
@@ -320,7 +351,6 @@ impl PoroKernel {
             let so = &states_old[g * ssz..(g + 1) * ssz];
             let sn = &mut states_new[g * ssz..(g + 1) * ssz];
             let sigma = material.stress(&eps, so, sn, dt, t);
-            let d = material.tangent(&eps, so, dt, t);
             // Pressure and its gradient at the point.
             let mut p_val = 0.0;
             let mut dp = [0.0; 3];
@@ -337,14 +367,10 @@ impl PoroKernel {
                     divu_old += grad[a][i] * u_old[dpn * a + i];
                 }
             }
-            // Effective stress σ - p m, for the momentum residual.
+            // Momentum residual: Bᵀ(σ - p m).
             let total: Voigt = std::array::from_fn(|v| sigma[v] - if v < 3 { p_val } else { 0.0 });
-            for a in 0..npe {
-                let ga = grad[a];
-                // Momentum residual: Bᵀ(σ - p m).
-                for (i, row) in B_NZ.iter().enumerate() {
-                    f[dpn * a + i] += b_dot(row, ga, &total) * w;
-                }
+            add_bt_s(grad, &total, w, dpn, f);
+            for (a, ga) in grad.iter().enumerate() {
                 // Mass residual (× -1 for symmetry): see crate docs.
                 let mut mass = self.storage * (p_val - p_old_val) * geom.n[a];
                 mass += geom.n[a] * (divu - divu_old);
@@ -352,14 +378,49 @@ impl PoroKernel {
                     mass += dt * self.permeability[i] * ga[i] * dp[i];
                 }
                 f[dpn * a + 3] -= mass * w;
-                let bd = bt_d(ga, &d);
-                for b in 0..npe {
-                    let gb = grad[b];
-                    // K_uu.
+            }
+        }
+        Ok(())
+    }
+
+    /// Stiffness pass for one element at the iterate the residual pass
+    /// saw: the coupled block `k` (row-major `ndof x ndof`, overwritten).
+    /// Nothing is allocated. The tangent reads the converged history
+    /// `states_old`; no stress is evaluated and no history written.
+    ///
+    /// # Errors
+    ///
+    /// [`FemError::InvertedElement`] on a non-positive Jacobian.
+    #[allow(clippy::too_many_arguments)]
+    pub fn stiffness_into(
+        &self,
+        element: usize,
+        coords: &[[f64; 3]],
+        u_e: &[f64],
+        material: &dyn Material,
+        states_old: &[f64],
+        dt: f64,
+        t: f64,
+        k: &mut [f64],
+    ) -> Result<()> {
+        let npe = self.solid.kind.nodes();
+        let dpn = 4;
+        let ndof = dpn * npe;
+        let ssz = material.state_size();
+        assert_eq!(k.len(), ndof * ndof);
+        k.fill(0.0);
+        let u_disp = displacements(u_e, npe);
+        for (g, (gp, shape)) in self.solid.rule.iter().zip(&self.solid.shapes).enumerate() {
+            let geom = geometry(coords, shape, element)?;
+            let grad = geom.grad();
+            let w = gp.w * geom.detj;
+            let eps = strain_at(&geom, &u_disp[..3 * npe]);
+            let d = material.tangent(&eps, &states_old[g * ssz..(g + 1) * ssz], dt, t);
+            // K_uu.
+            add_bt_d_b(grad, &d, w, dpn, k);
+            for (a, ga) in grad.iter().enumerate() {
+                for (b, gb) in grad.iter().enumerate() {
                     for i in 0..3 {
-                        for (jj, row) in B_NZ.iter().enumerate() {
-                            k[(dpn * a + i) * ndof + (dpn * b + jj)] += b_dot(row, gb, &bd[i]) * w;
-                        }
                         // K_up = -∫ dN_a/dx_i N_b  (pressure in momentum).
                         k[(dpn * a + i) * ndof + (dpn * b + 3)] -= ga[i] * geom.n[b] * w;
                         // K_pu = -∫ N_a dN_b/dx_i (symmetrized mass row).
@@ -377,6 +438,15 @@ impl PoroKernel {
         }
         Ok(())
     }
+}
+
+/// The displacement view `[ux, uy, uz]` per node of a u-p element vector.
+fn displacements(u_e: &[f64], npe: usize) -> [f64; 3 * MAX_NODES] {
+    let mut u_disp = [0.0; 3 * MAX_NODES];
+    for a in 0..npe {
+        u_disp[3 * a..3 * a + 3].copy_from_slice(&u_e[4 * a..4 * a + 3]);
+    }
+    u_disp
 }
 
 /// Velocity-formulation incompressible-flow element (3 dofs/node):
@@ -525,11 +595,165 @@ impl FluidKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::material::{
-        ActiveMuscle, DamageElastic, FiberExponential, GrowthElastic, J2Plasticity, LinearElastic,
-        Multigeneration, NeoHookeanSmall, PrestrainElastic, PronyTerm, Viscoelastic,
-    };
+    use crate::material::{every_material, LinearElastic};
     use crate::mesh::Mesh;
+    use proptest::prelude::*;
+
+    impl SolidKernel {
+        /// The combined kernel as it stood before the residual and
+        /// stiffness passes were split: `k` and `f` from one Gauss loop that
+        /// evaluates stress and tangent together. Oracle for the split.
+        #[allow(clippy::too_many_arguments)]
+        fn integrate_into(
+            &self,
+            element: usize,
+            coords: &[[f64; 3]],
+            u_e: &[f64],
+            material: &dyn Material,
+            states_old: &[f64],
+            states_new: &mut [f64],
+            dt: f64,
+            t: f64,
+            k: &mut [f64],
+            f: &mut [f64],
+        ) -> Result<()> {
+            let npe = self.kind.nodes();
+            let ndof = 3 * npe;
+            let ssz = material.state_size();
+            assert_eq!((k.len(), f.len()), (ndof * ndof, ndof));
+            k.fill(0.0);
+            f.fill(0.0);
+            for (g, (gp, shape)) in self.rule.iter().zip(&self.shapes).enumerate() {
+                let geom = geometry(coords, shape, element)?;
+                let grad = geom.grad();
+                let w = gp.w * geom.detj;
+                let eps = strain_at(&geom, u_e);
+                let so = &states_old[g * ssz..(g + 1) * ssz];
+                let sn = &mut states_new[g * ssz..(g + 1) * ssz];
+                let sigma = material.stress(&eps, so, sn, dt, t);
+                let d = material.tangent(&eps, so, dt, t);
+                // f_int += Bᵀ σ w ; K += Bᵀ D B w, with B in gradient form.
+                for a in 0..npe {
+                    let ga = grad[a];
+                    for (i, row) in B_NZ.iter().enumerate() {
+                        f[3 * a + i] += b_dot(row, ga, &sigma) * w;
+                    }
+                    let bd = bt_d(ga, &d);
+                    for b in 0..npe {
+                        let gb = grad[b];
+                        for i in 0..3 {
+                            for (jj, row) in B_NZ.iter().enumerate() {
+                                k[(3 * a + i) * ndof + (3 * b + jj)] += b_dot(row, gb, &bd[i]) * w;
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
+    impl PoroKernel {
+        /// The combined kernel as it stood before the residual and
+        /// stiffness passes were split: `k` and `f` from one Gauss loop that
+        /// evaluates stress and tangent together. Oracle for the split.
+        #[allow(clippy::too_many_arguments)]
+        fn integrate_into(
+            &self,
+            element: usize,
+            coords: &[[f64; 3]],
+            u_e: &[f64],
+            u_old: &[f64],
+            material: &dyn Material,
+            states_old: &[f64],
+            states_new: &mut [f64],
+            dt: f64,
+            t: f64,
+            k: &mut [f64],
+            f: &mut [f64],
+        ) -> Result<()> {
+            let npe = self.solid.kind.nodes();
+            let dpn = 4;
+            let ndof = dpn * npe;
+            let ssz = material.state_size();
+            assert_eq!((k.len(), f.len()), (ndof * ndof, ndof));
+            k.fill(0.0);
+            f.fill(0.0);
+            // Displacement view of the element vector.
+            let mut u_disp = [0.0; 3 * MAX_NODES];
+            for a in 0..npe {
+                for i in 0..3 {
+                    u_disp[3 * a + i] = u_e[dpn * a + i];
+                }
+            }
+            for (g, (gp, shape)) in self.solid.rule.iter().zip(&self.solid.shapes).enumerate() {
+                let geom = geometry(coords, shape, element)?;
+                let grad = geom.grad();
+                let w = gp.w * geom.detj;
+                let eps = strain_at(&geom, &u_disp[..3 * npe]);
+                let so = &states_old[g * ssz..(g + 1) * ssz];
+                let sn = &mut states_new[g * ssz..(g + 1) * ssz];
+                let sigma = material.stress(&eps, so, sn, dt, t);
+                let d = material.tangent(&eps, so, dt, t);
+                // Pressure and its gradient at the point.
+                let mut p_val = 0.0;
+                let mut dp = [0.0; 3];
+                let mut p_old_val = 0.0;
+                let mut divu = 0.0;
+                let mut divu_old = 0.0;
+                for a in 0..npe {
+                    let pa = u_e[dpn * a + 3];
+                    p_val += geom.n[a] * pa;
+                    p_old_val += geom.n[a] * u_old[dpn * a + 3];
+                    for i in 0..3 {
+                        dp[i] += grad[a][i] * pa;
+                        divu += grad[a][i] * u_e[dpn * a + i];
+                        divu_old += grad[a][i] * u_old[dpn * a + i];
+                    }
+                }
+                // Effective stress σ - p m, for the momentum residual.
+                let total: Voigt =
+                    std::array::from_fn(|v| sigma[v] - if v < 3 { p_val } else { 0.0 });
+                for a in 0..npe {
+                    let ga = grad[a];
+                    // Momentum residual: Bᵀ(σ - p m).
+                    for (i, row) in B_NZ.iter().enumerate() {
+                        f[dpn * a + i] += b_dot(row, ga, &total) * w;
+                    }
+                    // Mass residual (× -1 for symmetry): see crate docs.
+                    let mut mass = self.storage * (p_val - p_old_val) * geom.n[a];
+                    mass += geom.n[a] * (divu - divu_old);
+                    for i in 0..3 {
+                        mass += dt * self.permeability[i] * ga[i] * dp[i];
+                    }
+                    f[dpn * a + 3] -= mass * w;
+                    let bd = bt_d(ga, &d);
+                    for b in 0..npe {
+                        let gb = grad[b];
+                        // K_uu.
+                        for i in 0..3 {
+                            for (jj, row) in B_NZ.iter().enumerate() {
+                                k[(dpn * a + i) * ndof + (dpn * b + jj)] +=
+                                    b_dot(row, gb, &bd[i]) * w;
+                            }
+                            // K_up = -∫ dN_a/dx_i N_b  (pressure in momentum).
+                            k[(dpn * a + i) * ndof + (dpn * b + 3)] -= ga[i] * geom.n[b] * w;
+                            // K_pu = -∫ N_a dN_b/dx_i (symmetrized mass row).
+                            k[(dpn * a + 3) * ndof + (dpn * b + i)] -= geom.n[a] * gb[i] * w;
+                        }
+                        // K_pp = -(S N_a N_b + dt ∇N_aᵀ k ∇N_b).
+                        let mut perm = 0.0;
+                        for i in 0..3 {
+                            perm += self.permeability[i] * ga[i] * gb[i];
+                        }
+                        k[(dpn * a + 3) * ndof + (dpn * b + 3)] -=
+                            (self.storage * geom.n[a] * geom.n[b] + dt * perm) * w;
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
 
     /// One node's B-matrix rows as dense Voigt rows, the form the element
     /// loops read before `B_NZ`.
@@ -591,44 +815,46 @@ mod tests {
         }
     }
 
-    fn every_material() -> Vec<Box<dyn Material>> {
-        vec![
-            Box::new(LinearElastic::new(1000.0, 0.3)),
-            Box::new(NeoHookeanSmall::from_young(500.0, 0.25, 20.0)),
-            Box::new(FiberExponential::new(
-                100.0,
-                0.3,
-                [0.6, 0.0, 0.8],
-                1000.0,
-                10.0,
-            )),
-            Box::new(DamageElastic::new(1000.0, 0.3, 0.0, 0.01)),
-            Box::new(J2Plasticity::new(1000.0, 0.3, 5.0, 50.0)),
-            Box::new(ActiveMuscle::new(
-                100.0,
-                0.3,
-                [1.0, 0.0, 0.0],
-                10.0,
-                1.0,
-                50.0,
-                2.0,
-            )),
-            Box::new(GrowthElastic::new(1000.0, 0.3, 0.01)),
-            Box::new(PrestrainElastic::new(
-                1000.0,
-                0.2,
-                [0.01, 0.0, -0.01, 0.002, 0.0, 0.0],
-            )),
-            Box::new(Multigeneration::new(&[(0.0, 100.0, 0.3), (0.5, 50.0, 0.3)])),
-            Box::new(Viscoelastic::new(
-                1000.0,
-                0.3,
-                vec![
-                    PronyTerm { g: 0.3, tau: 0.5 },
-                    PronyTerm { g: 0.2, tau: 5.0 },
-                ],
-            )),
-        ]
+    /// The solid kernel's residual and stiffness passes over one element:
+    /// `(k, f, states_new)`.
+    fn solid_passes(
+        kern: &SolidKernel,
+        coords: &[[f64; 3]],
+        u: &[f64],
+        mat: &dyn Material,
+        old: &[f64],
+        dt: f64,
+        t: f64,
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let ndof = 3 * kern.kind.nodes();
+        let (mut k, mut f, mut new) = (vec![0.0; ndof * ndof], vec![0.0; ndof], old.to_vec());
+        kern.residual_into(0, coords, u, mat, old, &mut new, dt, t, &mut f)
+            .unwrap();
+        kern.stiffness_into(0, coords, u, mat, old, dt, t, &mut k)
+            .unwrap();
+        (k, f, new)
+    }
+
+    /// The u-p kernel's residual and stiffness passes over one element:
+    /// `(k, f, states_new)`.
+    #[allow(clippy::too_many_arguments)]
+    fn poro_passes(
+        kern: &PoroKernel,
+        coords: &[[f64; 3]],
+        u: &[f64],
+        u_old: &[f64],
+        mat: &dyn Material,
+        old: &[f64],
+        dt: f64,
+        t: f64,
+    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let ndof = 4 * kern.solid.kind.nodes();
+        let (mut k, mut f, mut new) = (vec![0.0; ndof * ndof], vec![0.0; ndof], old.to_vec());
+        kern.residual_into(0, coords, u, u_old, mat, old, &mut new, dt, t, &mut f)
+            .unwrap();
+        kern.stiffness_into(0, coords, u, mat, old, dt, t, &mut k)
+            .unwrap();
+        (k, f, new)
     }
 
     /// For every material: the solid kernel's `k` and `f`, and the
@@ -681,39 +907,11 @@ mod tests {
                 dense_u_block(geom.grad(), &d, &total, w, 4, &mut want_pk, &mut want_pf);
             }
 
-            let mut new = vec![0.0; gps * ssz];
-            let (mut k, mut f) = (vec![0.0; 9 * npe * npe], vec![0.0; 3 * npe]);
-            kern.integrate_into(
-                0,
-                coords,
-                u,
-                mat.as_ref(),
-                &old,
-                &mut new,
-                dt,
-                t,
-                &mut k,
-                &mut f,
-            )
-            .unwrap();
+            let (k, f, _) = solid_passes(&kern, coords, u, mat.as_ref(), &old, dt, t);
             assert_eq!(bits(&k), bits(&want_k), "{name} {kind:?} solid k");
             assert_eq!(bits(&f), bits(&want_f), "{name} {kind:?} solid f");
 
-            let (mut k, mut f) = (vec![0.0; 16 * npe * npe], vec![0.0; 4 * npe]);
-            poro.integrate_into(
-                0,
-                coords,
-                &up,
-                &up,
-                mat.as_ref(),
-                &old,
-                &mut new,
-                dt,
-                t,
-                &mut k,
-                &mut f,
-            )
-            .unwrap();
+            let (k, f, _) = poro_passes(&poro, coords, &up, &up, mat.as_ref(), &old, dt, t);
             let ndof = 4 * npe;
             for r in (0..ndof).filter(|r| r % 4 < 3) {
                 assert_eq!(
@@ -741,6 +939,79 @@ mod tests {
             .iter()
             .map(|&n| mesh.coords()[n as usize])
             .collect()
+    }
+
+    // For every material, on a randomly distorted hex or tet with
+    // random displacements, pressures and a history left by an earlier
+    // step: the residual pass's `f` and history and the stiffness
+    // pass's `k` carry the combined kernel's bits, solid and u-p.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn split_passes_are_bit_identical_to_the_combined_kernel(
+            tets in any::<bool>(),
+            jiggle in prop::collection::vec(-0.08f64..0.08, 3 * MAX_NODES),
+            u in prop::collection::vec(-0.03f64..0.03, 4 * MAX_NODES),
+            u_old in prop::collection::vec(-0.03f64..0.03, 4 * MAX_NODES),
+            dt in 0.01f64..2.0,
+            t in 0.0f64..5.0,
+        ) {
+            let kind = if tets { ElementKind::Tet4 } else { ElementKind::Hex8 };
+            let npe = kind.nodes();
+            let mut coords = box_element(kind);
+            for (a, c) in coords.iter_mut().enumerate() {
+                for i in 0..3 {
+                    c[i] += jiggle[3 * a + i];
+                }
+            }
+            let kern = SolidKernel::new(kind);
+            let poro = PoroKernel::new(kind, [1e-3, 2e-3, 3e-3], 1e-4);
+            let gps = kern.gauss_points();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (u3, u3_old) = (&u[..3 * npe], &u_old[..3 * npe]);
+            let (u4, u4_old) = (&u[..4 * npe], &u_old[..4 * npe]);
+            for mat in every_material() {
+                let name = mat.name();
+                let ssz = mat.state_size();
+                let mut virgin = vec![0.0; gps * ssz];
+                for g in 0..gps {
+                    mat.init_state(&mut virgin[g * ssz..(g + 1) * ssz]);
+                }
+                // The converged history of a step that ended at `u_old`.
+                let mut old = virgin.clone();
+                let (mut k, mut f) = (vec![0.0; 16 * npe * npe], vec![0.0; 4 * npe]);
+                kern.integrate_into(
+                    0, &coords, u3_old, mat.as_ref(), &virgin, &mut old, dt, t,
+                    &mut k[..9 * npe * npe], &mut f[..3 * npe],
+                )
+                .unwrap();
+
+                let mut want_new = old.clone();
+                kern.integrate_into(
+                    0, &coords, u3, mat.as_ref(), &old, &mut want_new, dt, t,
+                    &mut k[..9 * npe * npe], &mut f[..3 * npe],
+                )
+                .unwrap();
+                let (got_k, got_f, got_new) =
+                    solid_passes(&kern, &coords, u3, mat.as_ref(), &old, dt, t);
+                prop_assert_eq!(bits(&got_k), bits(&k[..9 * npe * npe]), "{} solid k", name);
+                prop_assert_eq!(bits(&got_f), bits(&f[..3 * npe]), "{} solid f", name);
+                prop_assert_eq!(bits(&got_new), bits(&want_new), "{} solid history", name);
+
+                let mut want_new = old.clone();
+                poro.integrate_into(
+                    0, &coords, u4, u4_old, mat.as_ref(), &old, &mut want_new, dt, t,
+                    &mut k, &mut f,
+                )
+                .unwrap();
+                let (got_k, got_f, got_new) =
+                    poro_passes(&poro, &coords, u4, u4_old, mat.as_ref(), &old, dt, t);
+                prop_assert_eq!(bits(&got_k), bits(&k), "{} u-p k", name);
+                prop_assert_eq!(bits(&got_f), bits(&f), "{} u-p f", name);
+                prop_assert_eq!(bits(&got_new), bits(&want_new), "{} u-p history", name);
+            }
+        }
     }
 
     #[test]

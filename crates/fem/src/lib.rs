@@ -24,6 +24,31 @@
 //!   every kernel recorded into a [`belenos_trace::PhaseLog`] for the
 //!   microarchitecture simulator.
 //!
+//! ## One Newton iteration
+//!
+//! Each iteration of [`model::FeModel::solve`] runs residual first:
+//!
+//! 1. the **residual pass** evaluates geometry, strain, stress and the
+//!    Gauss-point history and assembles the internal force;
+//! 2. external loads, contact forces and the Dirichlet increments complete
+//!    the right-hand side, and the **convergence check** decides;
+//! 3. only an iteration that goes on to a linear solve runs the
+//!    **stiffness pass** (tangent, `Bᵀ D B`, scatter), then adds the
+//!    contact penalties and the Dirichlet rows;
+//! 4. the **linear solve** updates the iterate.
+//!
+//! Two results are reused because they are already known. When every
+//! material is linear in strain, history-free and time-independent
+//! ([`material::Material::is_linear`]), the stiffness pass runs once per
+//! solve and later iterations restore a copy of its values. And LDLᵀ
+//! refactors only a matrix that differs in some bit from the one it last
+//! factored. The fluid's residual is its Picard operator times the
+//! iterate, so its residual pass assembles that operator too. The phase
+//! log records FEBio's full iteration either way: stiffness assembly
+//! before the check, a factorization with every direct solve. Operands
+//! and operation order are those of one combined pass, so every solution
+//! bit is the same.
+//!
 //! ## Quick example
 //!
 //! ```

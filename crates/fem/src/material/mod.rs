@@ -67,8 +67,12 @@ pub trait Material: fmt::Debug + Send + Sync {
         )
     }
 
-    /// True when stress is linear in strain and history-free (lets the
-    /// solver skip re-assembly).
+    /// True when stress is linear in strain, history-free and
+    /// time-independent, so the tangent is one constant matrix. Its one
+    /// reader, `FeModel::solve`, assembles a model's stiffness once per
+    /// solve when every material says so, and restores that copy for
+    /// every later linear solve; a material that claims it falsely gets a
+    /// stale stiffness.
     fn is_linear(&self) -> bool {
         false
     }
@@ -210,6 +214,49 @@ where
     d
 }
 
+/// One of every material in this module, with parameters that keep
+/// stresses and tangents finite at moderate strains.
+#[cfg(test)]
+pub(crate) fn every_material() -> Vec<Box<dyn Material>> {
+    vec![
+        Box::new(LinearElastic::new(1000.0, 0.3)),
+        Box::new(NeoHookeanSmall::from_young(500.0, 0.25, 20.0)),
+        Box::new(FiberExponential::new(
+            100.0,
+            0.3,
+            [0.6, 0.0, 0.8],
+            1000.0,
+            10.0,
+        )),
+        Box::new(DamageElastic::new(1000.0, 0.3, 0.0, 0.01)),
+        Box::new(J2Plasticity::new(1000.0, 0.3, 5.0, 50.0)),
+        Box::new(ActiveMuscle::new(
+            100.0,
+            0.3,
+            [1.0, 0.0, 0.0],
+            10.0,
+            1.0,
+            50.0,
+            2.0,
+        )),
+        Box::new(GrowthElastic::new(1000.0, 0.3, 0.01)),
+        Box::new(PrestrainElastic::new(
+            1000.0,
+            0.2,
+            [0.01, 0.0, -0.01, 0.002, 0.0, 0.0],
+        )),
+        Box::new(Multigeneration::new(&[(0.0, 100.0, 0.3), (0.5, 50.0, 0.3)])),
+        Box::new(Viscoelastic::new(
+            1000.0,
+            0.3,
+            vec![
+                PronyTerm { g: 0.3, tau: 0.5 },
+                PronyTerm { g: 0.2, tau: 5.0 },
+            ],
+        )),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +284,42 @@ mod tests {
         let eps: Voigt = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]; // γ12 = 1
         let s = apply_tangent(&d, &eps);
         assert!((s[3] - mu).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_material_that_reports_linear_has_a_constant_tangent_and_no_history() {
+        // Premise: the list holds every `Material` impl in this module.
+        let impls: usize = [
+            include_str!("mod.rs"),
+            include_str!("hyper.rs"),
+            include_str!("inelastic.rs"),
+            include_str!("special.rs"),
+            include_str!("visco.rs"),
+        ]
+        .iter()
+        .map(|src| src.matches(concat!("impl Mat", "erial for ")).count())
+        .sum();
+        let materials = every_material();
+        let mut names: Vec<_> = materials.iter().map(|m| m.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), impls, "every_material misses a material");
+
+        let bits = |d: Tangent| d.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let a: Voigt = [0.01, -0.02, 0.005, 0.003, -0.001, 0.002];
+        let b: Voigt = [-0.03, 0.012, 0.02, -0.004, 0.006, 0.0];
+        let mut linear = 0;
+        for m in materials.iter().filter(|m| m.is_linear()) {
+            linear += 1;
+            assert_eq!(m.state_size(), 0, "{} keeps history", m.name());
+            assert_eq!(
+                bits(m.tangent(&a, &[], 0.1, 0.3)),
+                bits(m.tangent(&b, &[], 2.5, 7.0)),
+                "{}: tangent moves with strain, time or step",
+                m.name()
+            );
+        }
+        assert!(linear > 0);
     }
 
     #[test]

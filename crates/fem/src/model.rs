@@ -77,13 +77,22 @@ pub struct SolveReport {
     pub final_residual: f64,
     /// Wall-clock time of the numeric solve.
     pub wall_time: Duration,
-    /// Part of `wall_time` spent in element assembly (constitutive update,
-    /// stiffness, residual), summed over all iterations.
+    /// Part of `wall_time` spent in element assembly: every iteration's
+    /// residual pass (constitutive update, internal force) and, in each
+    /// iteration that goes on to a linear solve, the stiffness pass or the
+    /// restore of its constant copy.
     pub assemble_time: Duration,
-    /// Part of `wall_time` spent in linear solves (for LDLᵀ: permute,
-    /// factorize, triangular solves).
+    /// Part of `wall_time` spent in linear solves: the Dirichlet rows and,
+    /// for LDLᵀ, permute, numeric factorization (when the matrix changed)
+    /// and triangular solves.
     pub linear_time: Duration,
-    /// Numeric LDLᵀ factorizations performed (0 for the iterative
+    /// Element stiffness assemblies run: one per iteration that solves,
+    /// but one per solve when every material is linear (later iterations
+    /// restore it), and one per iteration for the fluid, whose residual
+    /// pass assembles its operator.
+    pub stiffness_assemblies: usize,
+    /// Numeric LDLᵀ factorizations run: a solve whose matrix is bit for
+    /// bit the one last factored reuses that factor (0 for the iterative
     /// solvers).
     pub factorizations: usize,
     /// Total dof count.
@@ -391,7 +400,17 @@ impl FeModel {
         let mut all_converged = true;
         let mut assemble_time = Duration::ZERO;
         let mut linear_time = Duration::ZERO;
-        let mut factorizations = 0usize;
+        let mut stiffness_assemblies = 0usize;
+        // The fluid's residual is `A(v̄)·v`: its residual pass assembles
+        // the operator too. Every other formulation assembles its
+        // stiffness in a pass of its own, only when an iteration solves;
+        // with every material linear in strain, history-free and
+        // time-independent, that stiffness is the same at every iterate,
+        // so the pass runs once and later iterations restore a copy.
+        let stiffness_in_residual = self.stiffness_in_residual();
+        let stiffness_is_constant =
+            !stiffness_in_residual && self.materials.iter().all(|m| m.is_linear());
+        let mut constant_stiffness: Option<Vec<f64>> = None;
 
         for step in 1..=self.steps {
             let t = step as f64 * self.dt;
@@ -401,10 +420,11 @@ impl FeModel {
             let mut converged = false;
             for _it in 0..self.max_iterations {
                 total_iters += 1;
-                // --- assembly pass (constitutive + stiffness + residual) ---
+                // --- residual pass (constitutive update + internal force) ---
                 let assemble_start = Instant::now();
                 self.assemble(
                     &mut asm,
+                    Pass::Residual,
                     &u,
                     &u_old,
                     &states_old,
@@ -414,6 +434,11 @@ impl FeModel {
                     t,
                 )?;
                 assemble_time += assemble_start.elapsed();
+                if stiffness_in_residual {
+                    stiffness_assemblies += 1;
+                }
+                // The log records FEBio's full iteration, which assembles
+                // the stiffness before it checks convergence.
                 log.record(KernelCall::ConstitutiveUpdate {
                     gauss_points: self.mesh.num_elems() * gp_count,
                     material: dominant_class,
@@ -455,16 +480,14 @@ impl FeModel {
                     *r -= f;
                 }
 
-                // --- contact ---
+                // --- contact (its penalty stiffness waits for a solve) ---
+                let mut penalties = Vec::new();
                 if let Some(contact) = &self.contact {
                     let res = contact.evaluate(&self.mesh, &u, dpn, t)?;
                     for &(d, f) in &res.forces {
                         rhs[d] += f;
                     }
-                    // Penalty stiffness on the diagonal.
-                    for &(d, k) in &res.stiffness {
-                        asm.assembler.scatter(&[d], &[k]);
-                    }
+                    penalties = res.stiffness;
                     log.record(KernelCall::ContactSearch {
                         outcomes: Arc::new(res.outcomes),
                     });
@@ -498,6 +521,36 @@ impl FeModel {
                     break;
                 }
 
+                // --- stiffness pass, for the iterate the residual saw ---
+                if !stiffness_in_residual {
+                    let assemble_start = Instant::now();
+                    match &constant_stiffness {
+                        Some(values) => asm.assembler.restore(values),
+                        None => {
+                            self.assemble(
+                                &mut asm,
+                                Pass::Stiffness,
+                                &u,
+                                &u_old,
+                                &states_old,
+                                &mut states_new,
+                                &state_offsets,
+                                gp_count,
+                                t,
+                            )?;
+                            stiffness_assemblies += 1;
+                            if stiffness_is_constant {
+                                constant_stiffness = Some(asm.assembler.matrix().values().to_vec());
+                            }
+                        }
+                    }
+                    assemble_time += assemble_start.elapsed();
+                }
+                // Penalty stiffness on the diagonal.
+                for &(d, k) in &penalties {
+                    asm.assembler.scatter(&[d], &[k]);
+                }
+
                 // --- linear solve ---
                 let linear_start = Instant::now();
                 asm.assembler.apply_dirichlet(&mut rhs, &constraints);
@@ -509,9 +562,6 @@ impl FeModel {
                     &mut log,
                 )?;
                 linear_time += linear_start.elapsed();
-                if self.solver == LinearSolver::Ldl {
-                    factorizations += 1;
-                }
                 for (ui, di) in u.iter_mut().zip(&du) {
                     *ui += di;
                 }
@@ -548,7 +598,8 @@ impl FeModel {
             wall_time: start.elapsed(),
             assemble_time,
             linear_time,
-            factorizations,
+            stiffness_assemblies,
+            factorizations: cache.factorizations(),
             n_dofs,
             log,
             solution: u,
@@ -593,12 +644,21 @@ impl FeModel {
         (state_offsets, states)
     }
 
-    /// Assembles stiffness into `asm.assembler` and internal force into
-    /// `asm.f_int` (both zeroed first) for the current iterate.
+    /// True when the residual pass also assembles the stiffness: the
+    /// fluid's residual is its Picard operator times the iterate.
+    fn stiffness_in_residual(&self) -> bool {
+        matches!(self.formulation, Formulation::Fluid { .. })
+    }
+
+    /// Runs one assembly pass over every element for the current iterate:
+    /// [`Pass::Residual`] into `asm.f_int` (and the history into
+    /// `states_new`), [`Pass::Stiffness`] into `asm.assembler`, each
+    /// zeroed first.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         asm: &mut Assembly,
+        pass: Pass,
         u: &[f64],
         u_old: &[f64],
         states_old: &[f64],
@@ -614,30 +674,30 @@ impl FeModel {
             let ssz = self.material_for(e).state_size();
             &states_old[state_offsets[e]..state_offsets[e] + gp_count * ssz]
         };
+        let layout = |comps: usize, extra: bool| ElemLayout {
+            npe,
+            comps,
+            extra,
+            stiffness: pass == Pass::Stiffness || self.stiffness_in_residual(),
+            residual: pass == Pass::Residual,
+        };
         match &self.formulation {
             Formulation::Solid => {
                 let kernel = SolidKernel::new(kind);
-                let layout = ElemLayout {
-                    npe,
-                    comps: 3,
-                    extra: false,
-                };
+                let layout = layout(3, false);
                 self.assemble_with(asm, states_new, state_offsets, layout, |e, sn, out| {
                     let nodes = self.mesh.element(e);
-                    let coords = self.elem_coords(nodes);
-                    let u_e = gather_dofs(nodes, u, dpn, 3);
-                    kernel.integrate_into(
-                        e,
-                        &coords[..npe],
-                        &u_e[..3 * npe],
-                        self.material_for(e),
-                        states_of(e),
-                        sn,
-                        self.dt,
-                        t,
-                        out.k,
-                        out.f,
-                    )
+                    let coords = &self.elem_coords(nodes)[..npe];
+                    let u_e = &gather_dofs(nodes, u, dpn, 3)[..3 * npe];
+                    let (mat, so) = (self.material_for(e), states_of(e));
+                    match pass {
+                        Pass::Residual => {
+                            kernel.residual_into(e, coords, u_e, mat, so, sn, self.dt, t, out.f)
+                        }
+                        Pass::Stiffness => {
+                            kernel.stiffness_into(e, coords, u_e, mat, so, self.dt, t, out.k)
+                        }
+                    }
                 })
             }
             Formulation::Poro {
@@ -664,36 +724,31 @@ impl FeModel {
                     }
                     _ => None,
                 };
-                let layout = ElemLayout {
-                    npe,
-                    comps: 4,
-                    extra: solute.is_some(),
-                };
+                let layout = layout(4, solute.is_some());
                 self.assemble_with(asm, states_new, state_offsets, layout, |e, sn, out| {
                     let nodes = self.mesh.element(e);
-                    let coords = self.elem_coords(nodes);
+                    let coords = &self.elem_coords(nodes)[..npe];
                     // The u-p subset of the element vector.
-                    let u_e = gather_dofs(nodes, u, dpn, 4);
-                    let uo_e = gather_dofs(nodes, u_old, dpn, 4);
-                    kernel.integrate_into(
-                        e,
-                        &coords[..npe],
-                        &u_e[..4 * npe],
-                        &uo_e[..4 * npe],
-                        self.material_for(e),
-                        states_of(e),
-                        sn,
-                        self.dt,
-                        t,
-                        out.k,
-                        out.f,
-                    )?;
+                    let u_e = &gather_dofs(nodes, u, dpn, 4)[..4 * npe];
+                    let (mat, so) = (self.material_for(e), states_of(e));
+                    match pass {
+                        Pass::Residual => {
+                            let uo_e = &gather_dofs(nodes, u_old, dpn, 4)[..4 * npe];
+                            kernel.residual_into(
+                                e, coords, u_e, uo_e, mat, so, sn, self.dt, t, out.f,
+                            )?
+                        }
+                        Pass::Stiffness => {
+                            kernel.stiffness_into(e, coords, u_e, mat, so, self.dt, t, out.k)?
+                        }
+                    }
                     if let Some((diffusivity, quadrature)) = &solute {
                         self.scalar_diffusion(
+                            pass,
                             u,
                             u_old,
                             e,
-                            &coords[..npe],
+                            coords,
                             quadrature,
                             *diffusivity,
                             out.extra_k,
@@ -709,12 +764,12 @@ impl FeModel {
                 density,
                 steady,
             } => {
+                if pass == Pass::Stiffness {
+                    // Assembled by the residual pass.
+                    return Ok(());
+                }
                 let kernel = FluidKernel::new(kind, *viscosity, *penalty, *density, *steady);
-                let layout = ElemLayout {
-                    npe,
-                    comps: 3,
-                    extra: false,
-                };
+                let layout = layout(3, false);
                 self.assemble_with(asm, states_new, state_offsets, layout, |e, _sn, out| {
                     let nodes = self.mesh.element(e);
                     let coords = self.elem_coords(nodes);
@@ -736,8 +791,8 @@ impl FeModel {
         coords
     }
 
-    /// Element-assembly driver: zeroes the accumulators, runs `compute`
-    /// over every element and scatters the results into
+    /// Element-assembly driver: zeroes the accumulators `layout` names,
+    /// runs `compute` over every element and scatters the results into
     /// `asm.assembler`/`asm.f_int` in ascending element order.
     ///
     /// With more than one worker, elements are computed in parallel over
@@ -769,19 +824,27 @@ impl FeModel {
             f_int,
             elem_buf,
         } = asm;
-        assembler.reset();
-        f_int.fill(0.0);
+        if layout.stiffness {
+            assembler.reset();
+        }
+        if layout.residual {
+            f_int.fill(0.0);
+        }
         let n = self.mesh.num_elems();
         let stride = layout.stride();
         let dpn = self.formulation.dofs_per_node();
         let mut scatter = |e: usize, out: ElemOut<'_>| {
             let nodes = self.mesh.element(e);
             let mut add = |first_comp: usize, comps: usize, k: &[f64], f: &[f64]| {
-                assembler.scatter_planned(plan, e, first_comp, comps, k);
-                for (a, &node) in nodes.iter().enumerate() {
-                    let d = node as usize * dpn + first_comp;
-                    for c in 0..comps {
-                        f_int[d + c] += f[a * comps + c];
+                if layout.stiffness {
+                    assembler.scatter_planned(plan, e, first_comp, comps, k);
+                }
+                if layout.residual {
+                    for (a, &node) in nodes.iter().enumerate() {
+                        let d = node as usize * dpn + first_comp;
+                        for c in 0..comps {
+                            f_int[d + c] += f[a * comps + c];
+                        }
                     }
                 }
             };
@@ -907,26 +970,31 @@ impl FeModel {
         let (state_offsets, states_old) = self.virgin_states(gp_count);
         let mut states_new = vec![0.0f64; states_old.len()];
         let u_old = vec![0.0f64; n_dofs];
-        self.assemble(
-            &mut asm,
-            u,
-            &u_old,
-            &states_old,
-            &mut states_new,
-            &state_offsets,
-            gp_count,
-            self.dt,
-        )?;
+        for pass in [Pass::Residual, Pass::Stiffness] {
+            self.assemble(
+                &mut asm,
+                pass,
+                u,
+                &u_old,
+                &states_old,
+                &mut states_new,
+                &state_offsets,
+                gp_count,
+                self.dt,
+            )?;
+        }
         Ok((asm.assembler.into_matrix(), asm.f_int))
     }
 
     /// Scalar diffusion block for the multiphasic concentration field:
-    /// the element's stiffness `k` (`npe x npe`) and residual `r` on dof
-    /// [`SOLUTE_COMP`], scattered by the assembly driver immediately after
-    /// the element's u-p block.
+    /// the element's residual `r` in the residual pass, its stiffness `k`
+    /// (`npe x npe`) in the stiffness pass, on dof [`SOLUTE_COMP`],
+    /// scattered by the assembly driver immediately after the element's
+    /// u-p block.
     #[allow(clippy::too_many_arguments)]
     fn scalar_diffusion(
         &self,
+        pass: Pass,
         u: &[f64],
         u_old: &[f64],
         e: usize,
@@ -945,6 +1013,21 @@ impl FeModel {
             let geom = geometry(coords, shape, e)?;
             let grad = geom.grad();
             let w = gp.w * geom.detj;
+            if pass == Pass::Stiffness {
+                for a in 0..npe {
+                    let ga = grad[a];
+                    for b in 0..npe {
+                        let gb = grad[b];
+                        let mut perm = 0.0;
+                        for i in 0..3 {
+                            perm += ga[i] * gb[i];
+                        }
+                        k[a * npe + b] +=
+                            (geom.n[a] * geom.n[b] + self.dt * diffusivity * perm) * w;
+                    }
+                }
+                continue;
+            }
             let mut c_val = 0.0;
             let mut c_old = 0.0;
             let mut dc = [0.0; 3];
@@ -963,14 +1046,6 @@ impl FeModel {
                     res += self.dt * diffusivity * ga[i] * dc[i];
                 }
                 r[a] += res * w;
-                for b in 0..npe {
-                    let gb = grad[b];
-                    let mut perm = 0.0;
-                    for i in 0..3 {
-                        perm += ga[i] * gb[i];
-                    }
-                    k[a * npe + b] += (geom.n[a] * geom.n[b] + self.dt * diffusivity * perm) * w;
-                }
             }
         }
         Ok(())
@@ -1012,18 +1087,34 @@ impl Assembly {
     }
 }
 
+/// Which element terms an assembly pass computes and accumulates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Stress, trial history and internal force, for the convergence
+    /// check. The fluid's operator is assembled here too.
+    Residual,
+    /// The stiffness at the iterate the residual pass saw, for a linear
+    /// solve: tangent, `Bᵀ D B`, scatter. It reads the converged history
+    /// and evaluates no stress.
+    Stiffness,
+}
+
 /// Shape of one element's assembly contribution inside a flat `f64`
 /// buffer: the dense stiffness block over `comps` leading components of
-/// each node (row-major, node-major dofs), its internal-force block, and
-/// for the multiphasic formulation the trailing solute block.
+/// each node (row-major, node-major dofs) when the pass assembles
+/// stiffness, its internal-force block when it assembles the residual,
+/// and for the multiphasic formulation the trailing solute blocks.
 #[derive(Debug, Clone, Copy)]
 struct ElemLayout {
     npe: usize,
     comps: usize,
     extra: bool,
+    stiffness: bool,
+    residual: bool,
 }
 
-/// One element's slot of the buffer, cut up by [`ElemLayout::split`].
+/// One element's slot of the buffer, cut up by [`ElemLayout::split`];
+/// the parts the pass does not assemble are empty.
 struct ElemOut<'a> {
     k: &'a mut [f64],
     f: &'a mut [f64],
@@ -1032,20 +1123,28 @@ struct ElemOut<'a> {
 }
 
 impl ElemLayout {
+    /// Lengths of the stiffness and force parts of a `width`-dof block.
+    fn parts(&self, width: usize) -> (usize, usize) {
+        (
+            if self.stiffness { width * width } else { 0 },
+            if self.residual { width } else { 0 },
+        )
+    }
+
     /// `f64`s per element.
     fn stride(&self) -> usize {
-        let width = self.npe * self.comps;
-        let extra = if self.extra { self.npe } else { 0 };
-        width * width + width + extra * extra + extra
+        let (k, f) = self.parts(self.npe * self.comps);
+        let (extra_k, extra_f) = self.parts(if self.extra { self.npe } else { 0 });
+        k + f + extra_k + extra_f
     }
 
     fn split<'a>(&self, slot: &'a mut [f64]) -> ElemOut<'a> {
         debug_assert_eq!(slot.len(), self.stride());
-        let width = self.npe * self.comps;
-        let extra = if self.extra { self.npe } else { 0 };
-        let (k, rest) = slot.split_at_mut(width * width);
-        let (f, rest) = rest.split_at_mut(width);
-        let (extra_k, extra_f) = rest.split_at_mut(extra * extra);
+        let (k_len, f_len) = self.parts(self.npe * self.comps);
+        let (extra_k_len, _) = self.parts(if self.extra { self.npe } else { 0 });
+        let (k, rest) = slot.split_at_mut(k_len);
+        let (f, rest) = rest.split_at_mut(f_len);
+        let (extra_k, extra_f) = rest.split_at_mut(extra_k_len);
         ElemOut {
             k,
             f,

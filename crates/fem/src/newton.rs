@@ -39,10 +39,12 @@ struct LdlState {
     factor: LdlFactor,
 }
 
-/// Cached symbolic/structure data reused across Newton iterations.
+/// Cached symbolic/structure data reused across Newton iterations, and
+/// the last numeric factor while its matrix is unchanged.
 #[derive(Debug, Default)]
 pub struct SolverCache {
     ldl: Option<LdlState>,
+    factorizations: usize,
 }
 
 impl SolverCache {
@@ -50,9 +52,19 @@ impl SolverCache {
     pub fn new() -> Self {
         SolverCache::default()
     }
+
+    /// Numeric LDLᵀ factorizations run through this cache.
+    pub(crate) fn factorizations(&self) -> usize {
+        self.factorizations
+    }
 }
 
 /// Solves `K du = r`, recording the kernels into `log`.
+///
+/// LDLᵀ refactors only when the permuted matrix differs in some bit from
+/// the one its factor holds; the log records a factorization either way,
+/// as FEBio's iteration runs one. A failed factorization drops the cached
+/// state, so no later solve reuses a half-written factor.
 ///
 /// # Errors
 ///
@@ -70,15 +82,22 @@ pub fn solve_linear(
         LinearSolver::Ldl => {
             let state = match &mut cache.ldl {
                 Some(state) if state.gather.is_for(matrix.pattern()) => {
-                    let pm = state.gather.apply(matrix);
-                    state.factor.refactorize(pm)?;
+                    let (pm, changed) = state.gather.apply(matrix);
+                    if changed {
+                        if let Err(e) = state.factor.refactorize(pm) {
+                            cache.ldl = None;
+                            return Err(e.into());
+                        }
+                        cache.factorizations += 1;
+                    }
                     state
                 }
                 // First solve over this pattern: order, plan, analyse.
                 slot => {
                     let perm = rcm(matrix.pattern());
                     let mut gather = perm.gather_for(&matrix.pattern_arc())?;
-                    let factor = LdlFactor::new(gather.apply(matrix))?;
+                    let factor = LdlFactor::new(gather.apply(matrix).0)?;
+                    cache.factorizations += 1;
                     slot.insert(LdlState {
                         perm,
                         gather,
@@ -135,7 +154,7 @@ pub fn solve_linear(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use belenos_sparse::CooMatrix;
+    use belenos_sparse::{CooMatrix, SparseError};
 
     fn spd(n: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
@@ -175,11 +194,54 @@ mod tests {
             let sym = cache.ldl.as_ref().expect("ldl state").factor.symbolic();
             Arc::as_ptr(sym.l_col_ptr())
         };
-        solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        let first = solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
         let before = structure(&cache);
-        solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        let again = solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
         assert_eq!(before, structure(&cache), "factor structure must be cached");
         assert_eq!(log.len(), 4); // factor + solve, twice
+
+        // The unchanged matrix reuses its numeric factor too; a changed
+        // one is refactored.
+        assert_eq!(cache.factorizations(), 1);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&again));
+        let mut scaled = a.clone();
+        scaled.values_mut()[0] *= 2.0;
+        solve_linear(LinearSolver::Ldl, &scaled, &b, &mut cache, &mut log).unwrap();
+        assert_eq!(cache.factorizations(), 2);
+    }
+
+    #[test]
+    fn a_failed_refactorization_is_not_reused() {
+        // Over `spd`'s pattern: row and column 9 all zero, so elimination
+        // writes part of the factor and then meets an exactly zero pivot.
+        let a = spd(16);
+        let b = vec![1.0; 16];
+        let mut singular = a.clone();
+        let pattern = a.pattern();
+        for r in 0..16 {
+            for k in pattern.row_ptr()[r]..pattern.row_ptr()[r + 1] {
+                if r == 9 || pattern.col_idx()[k] == 9 {
+                    singular.values_mut()[k] = 0.0;
+                }
+            }
+        }
+        let mut cache = SolverCache::new();
+        let mut log = PhaseLog::new();
+        solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        for attempt in 0..2 {
+            let result = solve_linear(LinearSolver::Ldl, &singular, &b, &mut cache, &mut log);
+            assert!(
+                matches!(
+                    result,
+                    Err(crate::FemError::Linear(SparseError::SingularPivot { .. }))
+                ),
+                "attempt {attempt}: {result:?}"
+            );
+        }
+        let x = solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        let r = a.spmv(&x).unwrap();
+        assert!(r.iter().zip(&b).all(|(ri, bi)| (ri - bi).abs() < 1e-12));
     }
 
     /// Each solver records its own kernels, with the one preconditioner

@@ -170,23 +170,28 @@ impl MatrixGather {
     }
 
     /// The permuted matrix for `a`, bit for bit what
-    /// [`Permutation::apply_matrix`] returns.
+    /// [`Permutation::apply_matrix`] returns, and whether any of its
+    /// values differs in some bit from the previous `apply`'s (on the
+    /// first, from an arbitrary fill).
     ///
     /// # Panics
     ///
     /// Panics if `a` is not over the pattern the plan was built for.
-    pub fn apply(&mut self, a: &CsrMatrix) -> &CsrMatrix {
+    pub fn apply(&mut self, a: &CsrMatrix) -> (&CsrMatrix, bool) {
         assert!(
             self.is_for(a.pattern()),
             "matrix is not over the planned pattern"
         );
         let av = a.values();
+        let mut changed = false;
         for (out, &k) in self.permuted.values_mut().iter_mut().zip(&self.src) {
             // `apply_matrix` sums each entry into a zeroed accumulator,
             // which turns a stored -0.0 into +0.0; so does this.
-            *out = 0.0 + av[k as usize];
+            let v = 0.0 + av[k as usize];
+            changed |= v.to_bits() != out.to_bits();
+            *out = v;
         }
-        &self.permuted
+        (&self.permuted, changed)
     }
 }
 
@@ -340,17 +345,25 @@ mod tests {
                 };
             }
             let want = p.apply_matrix(&a).unwrap();
-            let got = gather.apply(&a);
+            let (got, changed) = gather.apply(&a);
+            assert!(changed, "round {round}");
             assert_eq!(got.pattern(), want.pattern());
             let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(&want), "round {round}");
         }
+        // The same values again, NaN included: nothing changed.
+        let (got, changed) = gather.apply(&a);
+        assert!(!changed);
         let neg_zero = (-0.0f64).to_bits();
-        assert!(gather
-            .apply(&a)
-            .values()
-            .iter()
-            .all(|v| v.to_bits() != neg_zero));
+        assert!(got.values().iter().all(|v| v.to_bits() != neg_zero));
+        // A source zero that flips its sign gathers to the same +0.0.
+        let zero = a.values().iter().position(|v| *v == 0.0).unwrap();
+        a.values_mut()[zero] = -a.values()[zero];
+        assert!(!gather.apply(&a).1);
+        // One value one ulp away is a change.
+        let last = a.values().len() - 1;
+        a.values_mut()[last] = f64::from_bits(a.values()[last].to_bits() + 1);
+        assert!(gather.apply(&a).1);
     }
 
     #[test]

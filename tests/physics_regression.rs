@@ -180,3 +180,38 @@ fn catalog_solutions_are_bit_identical_to_the_pre_hoisting_solver() {
         );
     }
 }
+
+/// `(preset, Newton iterations, load steps, stiffness assemblies, numeric
+/// LDLᵀ factorizations)`. An iteration assembles the stiffness only when
+/// it goes on to a linear solve, so each load step's converged iteration
+/// builds none; a model whose materials are all linear (`bp`, `co`)
+/// assembles it once per solve, and LDLᵀ refactors only a matrix that
+/// changed (`bp` factors once for its four solves; `co` solves with CG).
+/// Before the residual-first iteration, every iteration assembled and
+/// every LDLᵀ solve factored: `bp` 8 assemblies and 4 factorizations,
+/// `co` 10 and 0, `pd` 17 and 13, `tu` 6 and 3.
+const REUSE_PINS: [(&str, usize, usize, usize, usize); 4] = [
+    ("bp", 8, 4, 1, 1),
+    ("co", 10, 4, 1, 0),
+    ("pd", 17, 4, 13, 13),
+    ("tu", 6, 3, 3, 3),
+];
+
+#[test]
+fn catalog_solves_assemble_and_factor_only_what_changed() {
+    for &(id, iterations, steps, assemblies, factorizations) in &REUSE_PINS {
+        let spec = belenos_workloads::by_id(id).unwrap_or_else(|| panic!("preset {id} missing"));
+        let mut model = spec.build_model().unwrap_or_else(|e| panic!("{id}: {e}"));
+        let report = model.solve().unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(
+            (
+                report.total_iterations,
+                report.steps_completed,
+                report.stiffness_assemblies,
+                report.factorizations
+            ),
+            (iterations, steps, assemblies, factorizations),
+            "{id}: (iterations, steps, stiffness assemblies, factorizations)"
+        );
+    }
+}

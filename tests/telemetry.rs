@@ -247,8 +247,12 @@ fn cold_prepare_span_closes_with_the_solve_split() {
     assert_eq!(num(close, "newton_iterations"), exp.solve.iterations as u64);
     assert_eq!(num(close, "n_dofs"), exp.solve.n_dofs as u64);
     // `pd` solves with LDLᵀ: at least one numeric factorization, at most
-    // one per Newton iteration.
+    // one per Newton iteration; an iteration assembles the stiffness only
+    // for a linear solve, so at most once too.
     let factorizations = num(close, "factorizations");
     assert!(factorizations > 0);
     assert!(factorizations <= num(close, "newton_iterations"));
+    let assemblies = num(close, "stiffness_assemblies");
+    assert!(assemblies > 0);
+    assert!(assemblies <= num(close, "newton_iterations"));
 }
