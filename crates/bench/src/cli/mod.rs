@@ -745,7 +745,7 @@ mod tests {
             .map(|line| line.split('|').nth(1).unwrap_or(""))
             .collect();
         assert_eq!(knob_names(&table, "BELENOS_"), in_source);
-        assert_eq!(in_source.len(), 8, "{in_source:?}");
+        assert_eq!(in_source.len(), 7, "{in_source:?}");
     }
 
     #[test]

@@ -113,6 +113,8 @@ pub struct Expander<'a> {
     placed: HashMap<(Placed, usize), Box<[ArrayHandle]>>,
     instance: u32,
     emitted: u64,
+    /// Where the stream ends, at the latest (see [`Expander::truncated`]).
+    limit: u64,
 }
 
 impl std::fmt::Debug for Expander<'_> {
@@ -164,7 +166,16 @@ impl<'a> Expander<'a> {
             placed: HashMap::new(),
             instance: 0,
             emitted: 0,
+            limit: u64::MAX,
         }
+    }
+
+    /// Ends the stream after its first `limit` ops: the kernel call that
+    /// reaches the limit stores no op past it, and no later call is
+    /// generated. The ops up to the limit are the untruncated stream's.
+    pub fn truncated(mut self, limit: u64) -> Self {
+        self.limit = limit;
+        self
     }
 
     /// Ops emitted so far.
@@ -184,11 +195,10 @@ impl<'a> Expander<'a> {
 
     /// Like [`Expander::into_total_ops`] but stops generating once
     /// `limit` ops have been counted, doing only `O(min(limit, total))`
-    /// work. The result is exact when it is below `limit`; otherwise it
-    /// only certifies that the trace holds at least `limit` ops (the
-    /// returned value can overshoot by up to one kernel call).
+    /// work: the smaller of the total and `limit`.
     pub fn total_ops_up_to(mut self, limit: u64) -> u64 {
-        while self.emitted < limit && self.generate_next_call() {}
+        self.limit = self.limit.min(limit);
+        while self.generate_next_call() {}
         self.emitted
     }
 
@@ -269,6 +279,7 @@ impl<'a> Expander<'a> {
         let pc = region + (self.instance % self.config.code_bloat.max(1)) * BLOAT_SPAN;
         Emit {
             buf: &mut self.buf,
+            room: usize::try_from(self.limit - self.emitted).unwrap_or(usize::MAX),
             pc,
             cat,
         }
@@ -296,6 +307,9 @@ impl<'a> Expander<'a> {
         let Some(call) = calls.get(self.call_idx) else {
             return false;
         };
+        if self.emitted >= self.limit {
+            return false;
+        }
         self.buf.clear();
         self.cursor = 0;
         self.call_idx += 1;
@@ -815,6 +829,9 @@ type Dep = Option<usize>;
 /// call naming its pc offset from `pc`, its operands and its producers.
 struct Emit<'b> {
     buf: &'b mut Vec<MicroOp>,
+    /// Ops the call may store before the stream's limit; the rest are
+    /// dropped.
+    room: usize,
     /// Code address the ops' pc offsets count from.
     pc: u32,
     cat: FnCategory,
@@ -822,13 +839,19 @@ struct Emit<'b> {
 
 impl Emit<'_> {
     /// Distance from the next op back to producer `p` (`0` = none).
+    /// Saturating: past the room, a dropped op may name a dropped
+    /// producer beyond the buffer's end.
     fn dist(&self, p: impl Into<Dep>) -> u32 {
-        p.into().map_or(0, |p| (self.buf.len() - p) as u32)
+        p.into()
+            .map_or(0, |p| self.buf.len().saturating_sub(p) as u32)
     }
 
     fn add(&mut self, op: MicroOp) -> usize {
-        self.buf.push(op);
-        self.buf.len() - 1
+        let at = self.buf.len();
+        if at < self.room {
+            self.buf.push(op);
+        }
+        at
     }
 
     fn load(&mut self, at: u32, addr: u64, size: u8, dep: impl Into<Dep>) -> usize {
@@ -1270,10 +1293,46 @@ mod tests {
             half.next();
         }
         assert_eq!(half.into_total_ops(), counted);
-        // Bounded counting: exact when the trace is shorter than the
-        // limit, an early stop (>= limit) when it is longer.
+        // Bounded counting: the smaller of the total and the limit.
         assert_eq!(Expander::new(&log).total_ops_up_to(counted * 2), counted);
-        let bounded = Expander::new(&log).total_ops_up_to(10);
-        assert!((10..counted).contains(&bounded), "bounded {bounded}");
+        assert_eq!(Expander::new(&log).total_ops_up_to(10), 10);
+    }
+
+    #[test]
+    fn a_truncated_stream_is_the_prefix_up_to_its_limit() {
+        let p = tri_pattern(64);
+        let mut log = PhaseLog::new();
+        log.record(KernelCall::Dot { n: 100 });
+        log.record(KernelCall::SpMv {
+            pattern: Arc::clone(&p),
+        });
+        log.record(KernelCall::OmpBarrier { spin_iters: 7 });
+        let all: Vec<MicroOp> = Expander::new(&log).collect();
+        let total = all.len() as u64;
+        // Where the SpMV and the barrier start.
+        let mut ex = Expander::new(&log);
+        let starts = [1, 2].map(|_| {
+            ex.generate_next_call();
+            ex.emitted_ops()
+        });
+        // `(limit, kernel calls generated)`: a limit inside a call stores
+        // that call's ops up to it, and generates no later call.
+        for (limit, calls) in [
+            (0, 0),
+            (1, 1),
+            (starts[0], 1),
+            (starts[0] + 1, 2),
+            (starts[1], 2),
+            (starts[1] + 1, 3),
+            (total, 3),
+            (total + 3, 3),
+        ] {
+            let mut ex = Expander::new(&log).truncated(limit);
+            let ops: Vec<MicroOp> = ex.by_ref().collect();
+            let kept = limit.min(total);
+            assert_eq!(ops, all[..kept as usize], "limit {limit}");
+            assert_eq!(ex.emitted_ops(), kept, "limit {limit}");
+            assert_eq!(ex.call_idx, calls, "limit {limit}");
+        }
     }
 }

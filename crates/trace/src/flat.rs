@@ -1,23 +1,24 @@
 //! Flattened, pre-decoded trace storage: a struct-of-arrays mirror of
-//! [`MicroOp`] built once and replayed many times, and [`Ops`], the one
-//! cursor every simulation replays a trace through.
+//! [`MicroOp`], and [`Ops`], the one cursor every simulation replays a
+//! trace through.
 //!
-//! The expanded-trace memo used to hold a `Vec<MicroOp>`: 40 bytes per
-//! op, with every field of every op pulled through the cache even when a
-//! consumer only needs the op kind and dependency distances. `FlatTrace`
-//! stores the same sequence as parallel primitive arrays, so
+//! A `Vec<MicroOp>` costs 32 bytes per op, with every field of every op
+//! pulled through the cache even when a consumer only needs the op kind
+//! and dependency distances. `FlatTrace` stores the same sequence as
+//! parallel primitive arrays, so
 //!
-//! * the memo footprint drops to ~29 bytes/op, and
+//! * a stored op costs ~29 bytes, and
 //! * replay iterates dense, homogeneous slices — the layout the hot
 //!   simulation loops are fastest at streaming.
 //!
-//! A trace too large to memoize streams through the same layout: an
-//! [`Ops`] cursor refills a fixed-size `FlatTrace` chunk from an
-//! [`Expander`] and replays it exactly as it replays a memo range.
-//! Replay is **bit-identical** either way: [`FlatTrace::get`]
-//! reconstructs exactly the op that was pushed, field for field, and
-//! expansion is deterministic, so a memo range and a stream over the
-//! same positions yield the same ops.
+//! A simulation streams its trace through this layout: an [`Ops`] cursor
+//! refills a fixed-size `FlatTrace` chunk from an [`Expander`], never
+//! past the cursor's stop. A caller that already holds an expanded
+//! `FlatTrace` (a store entry, a test, a benchmark) replays a range of it
+//! through the same cursor. Replay is **bit-identical** either way:
+//! [`FlatTrace::get`] reconstructs exactly the op that was pushed, field
+//! for field, and expansion is deterministic, so a range and a stream
+//! over the same positions yield the same ops.
 
 use crate::expand::Expander;
 use crate::op::{FnCategory, MicroOp, OpKind};
@@ -265,9 +266,9 @@ impl ExactSizeIterator for FlatIter<'_> {}
 // simulator's per-op hot path.
 impl std::iter::FusedIterator for FlatIter<'_> {}
 
-/// The op cursor every simulation replays a trace through: a range of a
-/// memoized [`FlatTrace`], or an [`Expander`] that refills a fixed-size
-/// `FlatTrace` chunk out of line.
+/// The op cursor every simulation replays a trace through: an
+/// [`Expander`] that refills a fixed-size [`FlatTrace`] chunk out of
+/// line, or a range of a caller's pre-expanded `FlatTrace`.
 ///
 /// Either way the per-op path is [`FlatIter`]'s — one `next < end`
 /// compare and nine unchecked loads — and nothing on it depends on the
@@ -276,19 +277,20 @@ impl std::iter::FusedIterator for FlatIter<'_> {}
 /// ([`Ops::at`], [`Ops::stop_at`]).
 #[derive(Debug)]
 pub struct Ops<'a> {
-    /// The current table's ops up to the stop: the memo range, or the
-    /// chunk. Declared before `stream`, so it is dropped before the
+    /// The current table's ops up to the stop: the chunk, or the
+    /// range. Declared before `stream`, so it is dropped before the
     /// chunk it may borrow.
     ops: FlatIter<'a>,
     /// Trace position of the current table's first op.
     base: u64,
     /// Trace position the cursor ends at, unless the trace ends first.
     stop: u64,
-    /// Where a streamed cursor refills from; `None` for a memo range
-    /// and for a stream that has run dry.
+    /// Where a streamed cursor refills from; `None` for a range and for
+    /// a stream that has run dry.
     stream: Option<Stream<'a>>,
 }
 
+/// A streamed cursor's source: the expander and the chunk it refills.
 #[derive(Debug)]
 struct Stream<'a> {
     expander: Expander<'a>,
@@ -297,8 +299,8 @@ struct Stream<'a> {
 }
 
 impl<'a> Ops<'a> {
-    /// A cursor over ops `start..end` of a memoized trace (clamped to its
-    /// length); trace positions are the memo's indices.
+    /// A cursor over ops `start..end` of a pre-expanded trace (clamped to
+    /// its length); trace positions are the trace's indices.
     pub fn range(trace: &'a FlatTrace, start: usize, end: usize) -> Self {
         let ops = trace.range(start, end);
         Ops {
@@ -310,7 +312,7 @@ impl<'a> Ops<'a> {
     }
 
     /// A cursor over the whole stream `expander` emits, expanded
-    /// `chunk_ops` ops (at least one) at a time.
+    /// `chunk_ops` ops (at least one) at a time and never past the stop.
     pub fn stream(expander: Expander<'a>, chunk_ops: usize) -> Self {
         let chunk_ops = chunk_ops.max(1);
         Ops {
@@ -343,7 +345,9 @@ impl<'a> Ops<'a> {
     }
 
     /// The cold half of [`Iterator::next`]: the table is used up, so a
-    /// stream short of its stop expands its next chunk.
+    /// stream short of its stop expands its next chunk — no further than
+    /// the stop, so a cursor that ends there has generated no kernel call
+    /// past it. A stop moved later only costs one more refill.
     #[cold]
     #[inline(never)]
     fn refill(&mut self) -> Option<MicroOp> {
@@ -353,13 +357,14 @@ impl<'a> Ops<'a> {
         self.ops = FlatIter::default();
         self.base = position;
         stream.chunk.clear();
-        stream.expander.fill(&mut stream.chunk, stream.chunk_ops);
+        let len = (stream.chunk_ops as u64).min(self.stop - position) as usize;
+        stream.expander.fill(&mut stream.chunk, len);
         if stream.chunk.is_empty() {
             self.stream = None;
             return None;
         }
         // Borrowing the chunk for `'a` is what keeps the per-op path free
-        // of a branch on the source: a memo range and a chunk are both a
+        // of a branch on the source: a range and a chunk are both a
         // `FlatIter<'a>`.
         // SAFETY: the chunk's arrays live on the heap, so moving the
         // cursor leaves them in place, and they are written only above,
@@ -490,10 +495,14 @@ mod tests {
         assert_eq!(ops.by_ref().collect::<Vec<_>>(), all[100..192]);
         ops.stop_at(u64::MAX);
         assert_eq!(ops.collect::<Vec<_>>(), all[192..]);
-        let mut memo = Ops::range(&flat, 0, 100);
-        assert_eq!(memo.by_ref().count(), 100);
-        memo.stop_at(u64::MAX);
-        assert_eq!(memo.collect::<Vec<_>>(), all[100..], "clamped to the memo");
+        let mut range = Ops::range(&flat, 0, 100);
+        assert_eq!(range.by_ref().count(), 100);
+        range.stop_at(u64::MAX);
+        assert_eq!(
+            range.collect::<Vec<_>>(),
+            all[100..],
+            "clamped to the trace"
+        );
 
         // Warm gaps and windows straddling refills, and a window ending
         // at the last op.
@@ -503,13 +512,50 @@ mod tests {
         let mut pos = 0;
         for (i, &(start, len)) in windows.iter().enumerate() {
             let (start, end) = (start as usize, (start + len) as usize);
-            assert_eq!(expected[2 * i], all[pos..start], "memo gap {i}");
-            assert_eq!(expected[2 * i + 1], all[start..end], "memo window {i}");
+            assert_eq!(expected[2 * i], all[pos..start], "range gap {i}");
+            assert_eq!(expected[2 * i + 1], all[start..end], "range window {i}");
             pos = end;
         }
         for chunk in [1, 7, 64, divisor] {
             let streamed = split(Ops::stream(Expander::new(&log), chunk), &windows);
             assert_eq!(streamed, expected, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn a_stopped_stream_generates_no_call_past_its_stop() {
+        // Where each kernel call's ops start: the op count of the log's
+        // prefix before it (expansion is prefix-closed).
+        let log = small_log();
+        let starts: Vec<u64> = (0..=log.len())
+            .map(|i| {
+                let mut prefix = crate::PhaseLog::new();
+                for call in &log.calls()[..i] {
+                    prefix.record(call.clone());
+                }
+                Expander::new(&prefix).count() as u64
+            })
+            .collect();
+        let total = starts[log.len()];
+        assert!(
+            starts.windows(2).all(|w| w[0] < w[1]),
+            "premise: every call emits"
+        );
+
+        for chunk in [7, 64, 1024] {
+            for stop in [1, starts[1], starts[1] + 1, starts[2] + 5, total - 1] {
+                let mut ops = Ops::stream(Expander::new(&log), chunk);
+                ops.stop_at(stop);
+                assert_eq!(ops.by_ref().count() as u64, stop);
+                let expander = &ops.stream.as_ref().expect("stopped, not dry").expander;
+                // The calls that start before the stop, and no other.
+                let reached = starts[..log.len()].iter().filter(|&&s| s < stop).count();
+                assert_eq!(
+                    expander.emitted_ops(),
+                    starts[reached],
+                    "chunk {chunk}, stop {stop}"
+                );
+            }
         }
     }
 

@@ -189,7 +189,8 @@ pub struct TraceArtifact {
     pub solve: SolveMeta,
     /// The recorded kernel log.
     pub log: PhaseLog,
-    /// Fully expanded trace, when it fit the in-memory budget at save time.
+    /// Fully expanded trace, when the writer included one (a prepared
+    /// experiment saves its log only and re-expands it on load).
     pub flat: Option<Arc<FlatTrace>>,
 }
 

@@ -96,10 +96,11 @@ impl std::fmt::Display for ModelKind {
 ///   (retiring + front-end + bad-speculation + back-end), so top-down
 ///   bottleneck comparisons are meaningful across backends.
 ///
-/// Traces arrive as an [`Ops`] cursor, memo-backed or streamed: one
-/// concrete type, so each backend's loop is monomorphized over it while
-/// the trait stays object-safe for the `Box<dyn CoreModel>` the
-/// experiment layer picks at run time from [`ModelKind`]. That layer
+/// Traces arrive as an [`Ops`] cursor, streamed from a log or over a
+/// pre-expanded [`FlatTrace`]: one concrete type, so each backend's loop
+/// is monomorphized over it while the trait stays object-safe for the
+/// `Box<dyn CoreModel>` the experiment layer picks at run time from
+/// [`ModelKind`]. That layer
 /// builds one per simulation and drops it when the run ends: a model is
 /// cold only when new.
 pub trait CoreModel {
