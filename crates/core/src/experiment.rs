@@ -49,11 +49,6 @@ pub struct Experiment {
     trace_at_least: std::sync::atomic::AtomicU64,
 }
 
-/// Ops a streamed run expands at a time: ~29 KiB of columns, which stay
-/// in the L1 data cache between the expander's writes and the model's
-/// reads.
-const STREAM_CHUNK_OPS: usize = 1024;
-
 impl Experiment {
     /// Validates the scenario, builds and solves its model, and captures
     /// the phase log.
@@ -230,9 +225,9 @@ impl Experiment {
     /// `cfg.model` (`--model` on the command line); the default `o3`
     /// backend reproduces the historical behavior bit for bit.
     ///
-    /// The ops stream from the log as the model consumes them, a chunk
-    /// at a time, and expansion stops at the budget: a run holds at most
-    /// one kernel call's ops, never the whole trace.
+    /// The ops stream from the log as the model consumes them, a kernel
+    /// call at a time, and expansion stops at the budget: a run holds at
+    /// most one kernel call's ops, never the whole trace.
     ///
     /// This is the historical *prefix-truncation* mode: a budgeted run
     /// measures only the first `max_ops` ops of the trace, which biases
@@ -271,11 +266,10 @@ impl Experiment {
     }
 
     /// A cursor streaming the first `limit` ops of this experiment's
-    /// trace from the log, expanded [`STREAM_CHUNK_OPS`] at a time and
-    /// never past the cursor's stop or the limit.
+    /// trace from the log, a kernel call at a time and never past the
+    /// cursor's stop or the limit.
     fn stream(&self, limit: u64) -> Ops<'_> {
-        let expander = Expander::with_config(&self.log, self.expand.clone()).truncated(limit);
-        Ops::stream(expander, STREAM_CHUNK_OPS)
+        Ops::stream(Expander::with_config(&self.log, self.expand.clone()).truncated(limit))
     }
 
     /// Total micro-ops the full trace expands to (counted once, lazily;
@@ -564,11 +558,12 @@ mod tests {
     use super::*;
     use belenos_workloads::by_id;
 
-    use belenos_trace::{FlatTrace, MicroOp};
+    use belenos_trace::MicroOp;
     use std::sync::Arc;
 
     /// The run `simulate_sampled` makes, over a range of the whole trace
-    /// expanded up front by one `Expander::fill` instead of a stream.
+    /// collected up front from the expander's iterator instead of a
+    /// stream.
     /// Covers the prefix, full and sampled modes; a sampled budget must
     /// be short of the trace.
     fn pre_expanded_replay(
@@ -577,12 +572,10 @@ mod tests {
         max_ops: usize,
         sampling: &SamplingConfig,
     ) -> SimStats {
-        let mut flat = FlatTrace::new();
-        let mut expander = Expander::with_config(exp.log(), exp.expand.clone());
-        assert!(!expander.fill(&mut flat, usize::MAX), "the whole trace");
-        let total = flat.len() as u64;
+        let all: Vec<MicroOp> = Expander::with_config(exp.log(), exp.expand.clone()).collect();
+        let total = all.len() as u64;
         let limit = max_ops as u64;
-        let ops = &mut Ops::range(&flat, 0, flat.len());
+        let ops = &mut Ops::range(&all, 0, all.len());
         let mut model = build_model(cfg);
         if max_ops == 0 {
             return model.run_warm(ops, 0);

@@ -543,29 +543,42 @@ fn submit_scenarios(
         Ok((specs, options)) => submit(state, stream, JobKind::Scenarios { specs, options }),
         Err((message, field)) => {
             state.stats.note_rejected_invalid();
-            respond_error(stream, 400, &message, field, &[])
+            respond_error(stream, 400, &message, field.as_deref(), &[])
         }
     }
 }
 
 /// A submission-validation failure: the message plus the offending
 /// field's name for the structured 400 body.
-type FieldError = (String, Option<&'static str>);
+type FieldError = (String, Option<String>);
 
 /// Accepts `{"scenarios": [...], "options": {...}}`, a bare scenario
 /// array, or a single scenario object. Options are read over the CLI's
 /// defaults (`DEFAULT_MAX_OPS` budget, sampling off, `o3`), whether the
-/// request carries an `options` object or not.
+/// request carries an `options` object or not. An envelope key other
+/// than those two is refused by name, not ignored: a misspelled
+/// `options` would otherwise run at the defaults.
 fn parse_scenario_request(doc: &Json) -> Result<(Vec<ScenarioSpec>, SimOptions), FieldError> {
     let defaults = SimOptions::new(DEFAULT_MAX_OPS);
     let (list, options) = match doc.get("scenarios") {
-        Some(list) => (list, doc.get("options")),
+        Some(list) => {
+            let envelope = doc.as_obj().unwrap_or_default();
+            if let Some((key, _)) = envelope
+                .iter()
+                .find(|(k, _)| k != "scenarios" && k != "options")
+            {
+                return Err((
+                    format!("unknown field `{key}` (expected one of: scenarios, options)"),
+                    Some(key.clone()),
+                ));
+            }
+            (list, doc.get("options"))
+        }
         None => (doc, None),
     };
     let options = match options {
-        Some(v) => {
-            schema::read(&defaults, v, "options").map_err(|e| (e.message, Some("options")))?
-        }
+        Some(v) => schema::read(&defaults, v, "options")
+            .map_err(|e| (e.message, Some("options".to_string())))?,
         None => defaults,
     };
     let items = match list {
@@ -574,17 +587,17 @@ fn parse_scenario_request(doc: &Json) -> Result<(Vec<ScenarioSpec>, SimOptions),
         _ => {
             return Err((
                 "scenarios: expected a scenario object or an array of them".to_string(),
-                Some("scenarios"),
+                Some("scenarios".to_string()),
             ))
         }
     };
     if items.is_empty() {
         return Err((
             "scenarios: empty scenario list".to_string(),
-            Some("scenarios"),
+            Some("scenarios".to_string()),
         ));
     }
-    let in_scenarios = |e: &dyn std::fmt::Display| (e.to_string(), Some("scenarios"));
+    let in_scenarios = |e: &dyn std::fmt::Display| (e.to_string(), Some("scenarios".to_string()));
     let specs: Vec<ScenarioSpec> = items
         .iter()
         .map(ScenarioSpec::from_json)

@@ -25,7 +25,6 @@
 //!   row per [`MaterialClass`].
 
 use crate::digest::Fnv64;
-use crate::flat::FlatTrace;
 use crate::layout::{AddressSpace, ArrayHandle};
 use crate::op::{FnCategory, MicroOp, OpKind};
 use crate::program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
@@ -202,19 +201,19 @@ impl<'a> Expander<'a> {
         self.emitted
     }
 
-    /// Appends the stream's next ops to `trace`, column by column, until
-    /// it holds `len` ops; `false` when the stream ends first. The ops
-    /// are the ones [`Iterator::next`] would have yielded.
-    pub fn fill(&mut self, trace: &mut FlatTrace, len: usize) -> bool {
-        while trace.len() < len {
-            if self.cursor == self.buf.len() && !self.generate_next_call() {
-                return false;
+    /// The rest of the current kernel call's ops, or, once those are
+    /// used up, the next call's; `None` when the stream ends. The ops
+    /// are the ones [`Iterator::next`] would have yielded, and they
+    /// count as yielded.
+    pub fn next_call(&mut self) -> Option<&[MicroOp]> {
+        while self.cursor == self.buf.len() {
+            if !self.generate_next_call() {
+                return None;
             }
-            let take = (self.buf.len() - self.cursor).min(len - trace.len());
-            trace.extend_from_slice(&self.buf[self.cursor..self.cursor + take]);
-            self.cursor += take;
         }
-        true
+        let rest = &self.buf[self.cursor..];
+        self.cursor = self.buf.len();
+        Some(rest)
     }
 
     // ---- the array memo ---------------------------------------------------
@@ -1333,6 +1332,58 @@ mod tests {
             assert_eq!(ops, all[..kept as usize], "limit {limit}");
             assert_eq!(ex.emitted_ops(), kept, "limit {limit}");
             assert_eq!(ex.call_idx, calls, "limit {limit}");
+        }
+    }
+
+    #[test]
+    fn next_call_yields_the_rest_of_each_call() {
+        let p = tri_pattern(64);
+        let mut log = PhaseLog::new();
+        log.record(KernelCall::Dot { n: 100 });
+        log.record(KernelCall::SpMv {
+            pattern: Arc::clone(&p),
+        });
+        log.record(KernelCall::OmpBarrier { spin_iters: 7 });
+        let all: Vec<MicroOp> = Expander::new(&log).collect();
+        let total = all.len() as u64;
+        // Where each call ends.
+        let mut ex = Expander::new(&log);
+        let ends: Vec<u64> =
+            std::iter::from_fn(|| ex.generate_next_call().then(|| ex.emitted_ops())).collect();
+        assert_eq!(ends.len(), 3, "premise: every call emits");
+
+        // After `k` ops one at a time, the rest of the call holding op
+        // `k`; at a call's end, the whole next call.
+        for k in [
+            0,
+            1,
+            5,
+            ends[0] - 1,
+            ends[0],
+            ends[0] + 1,
+            ends[1],
+            total - 1,
+        ] {
+            let mut ex = Expander::new(&log);
+            for _ in 0..k {
+                ex.next();
+            }
+            let end = *ends.iter().find(|&&e| e > k).unwrap();
+            let rest = ex.next_call().expect("short of the end");
+            assert_eq!(rest, &all[k as usize..end as usize], "after {k} ops");
+            assert_eq!(ex.next(), all.get(end as usize).copied(), "after {k} ops");
+        }
+
+        // The calls in a row are the op stream, whole or truncated.
+        for limit in [u64::MAX, 0, 1, ends[0], ends[0] + 1, total - 1] {
+            let mut ex = Expander::new(&log).truncated(limit);
+            let mut ops = Vec::new();
+            while let Some(call) = ex.next_call() {
+                assert!(!call.is_empty(), "limit {limit}");
+                ops.extend_from_slice(call);
+            }
+            assert_eq!(ops, all[..limit.min(total) as usize], "limit {limit}");
+            assert_eq!(ex.next_call(), None, "limit {limit}: stays dry");
         }
     }
 }

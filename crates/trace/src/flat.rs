@@ -1,24 +1,20 @@
-//! Flattened, pre-decoded trace storage: a struct-of-arrays mirror of
-//! [`MicroOp`], and [`Ops`], the one cursor every simulation replays a
-//! trace through.
+//! [`Ops`], the one cursor every simulation replays a trace through, and
+//! [`FlatTrace`], the struct-of-arrays layout of a stored trace.
 //!
-//! A `Vec<MicroOp>` costs 32 bytes per op, with every field of every op
-//! pulled through the cache even when a consumer only needs the op kind
-//! and dependency distances. `FlatTrace` stores the same sequence as
-//! parallel primitive arrays, so
-//!
-//! * a stored op costs ~29 bytes, and
-//! * replay iterates dense, homogeneous slices — the layout the hot
-//!   simulation loops are fastest at streaming.
-//!
-//! A simulation streams its trace through this layout: an [`Ops`] cursor
-//! refills a fixed-size `FlatTrace` chunk from an [`Expander`], never
-//! past the cursor's stop. A caller that already holds an expanded
-//! `FlatTrace` (a store entry, a test, a benchmark) replays a range of it
+//! A simulation streams its trace: an [`Ops`] cursor replays the
+//! [`Expander`]'s buffer of one kernel call in place and asks for the
+//! next call only while it is short of its stop, so a cursor that ends
+//! there has generated no kernel call past it. A caller that already
+//! holds the expanded ops (a test, a benchmark) replays a range of them
 //! through the same cursor. Replay is **bit-identical** either way:
-//! [`FlatTrace::get`] reconstructs exactly the op that was pushed, field
-//! for field, and expansion is deterministic, so a range and a stream
-//! over the same positions yield the same ops.
+//! expansion is deterministic, so a range and a stream over the same
+//! positions yield the same ops.
+//!
+//! `FlatTrace` is the layout of the trace store's optional flat section
+//! and of the benchmark harness: the same op sequence as parallel
+//! primitive arrays, ~29 bytes a stored op. [`FlatTrace::get`]
+//! reconstructs exactly the op that was pushed, field for field. No
+//! simulation reads it.
 
 use crate::expand::Expander;
 use crate::op::{FnCategory, MicroOp, OpKind};
@@ -94,32 +90,6 @@ impl FlatTrace {
             + self.dep1.capacity() * 4
             + self.dep2.capacity() * 4
             + self.cat.capacity()
-    }
-
-    /// Appends `ops`, one array at a time.
-    pub(crate) fn extend_from_slice(&mut self, ops: &[MicroOp]) {
-        self.kind.extend(ops.iter().map(|op| op.kind));
-        self.pc.extend(ops.iter().map(|op| op.pc));
-        self.addr.extend(ops.iter().map(|op| op.addr));
-        self.size.extend(ops.iter().map(|op| op.size));
-        self.taken.extend(ops.iter().map(|op| op.taken));
-        self.target.extend(ops.iter().map(|op| op.target));
-        self.dep1.extend(ops.iter().map(|op| op.dep1));
-        self.dep2.extend(ops.iter().map(|op| op.dep2));
-        self.cat.extend(ops.iter().map(|op| op.cat));
-    }
-
-    /// Empties every array, keeping its allocation.
-    fn clear(&mut self) {
-        self.kind.clear();
-        self.pc.clear();
-        self.addr.clear();
-        self.size.clear();
-        self.taken.clear();
-        self.target.clear();
-        self.dep1.clear();
-        self.dep2.clear();
-        self.cat.clear();
     }
 
     /// Appends one op, scattering its fields across the arrays.
@@ -234,8 +204,7 @@ impl Iterator for FlatIter<'_> {
             return None;
         }
         self.next = i + 1;
-        // SAFETY: `i < end`, `end <= kind.len()` (clamped in `range` and
-        // `Ops::stop_at`),
+        // SAFETY: `i < end`, `end <= kind.len()` (clamped in `range`),
         // and every field array has the same length (`push` appends to
         // all nine in lockstep).
         unsafe {
@@ -266,70 +235,63 @@ impl ExactSizeIterator for FlatIter<'_> {}
 // simulator's per-op hot path.
 impl std::iter::FusedIterator for FlatIter<'_> {}
 
-/// The op cursor every simulation replays a trace through: an
-/// [`Expander`] that refills a fixed-size [`FlatTrace`] chunk out of
-/// line, or a range of a caller's pre-expanded `FlatTrace`.
+/// The op cursor every simulation replays a trace through: the
+/// [`Expander`]'s buffer of one kernel call at a time, refilled out of
+/// line, or a range of a caller's pre-expanded ops.
 ///
-/// Either way the per-op path is [`FlatIter`]'s — one `next < end`
-/// compare and nine unchecked loads — and nothing on it depends on the
+/// Either way the per-op path is one `next < end` compare and one
+/// unchecked load from a `&[MicroOp]`, and nothing on it depends on the
 /// source. Positions count ops from the start of the trace, so a sampling
 /// driver can warm up to one position and measure up to the next
 /// ([`Ops::at`], [`Ops::stop_at`]).
 #[derive(Debug)]
 pub struct Ops<'a> {
-    /// The current table's ops up to the stop: the chunk, or the
-    /// range. Declared before `stream`, so it is dropped before the
-    /// chunk it may borrow.
-    ops: FlatIter<'a>,
-    /// Trace position of the current table's first op.
+    /// The current table: the rest of a kernel call, or the range's ops.
+    table: &'a [MicroOp],
+    /// Index in `table` of the next op.
+    next: usize,
+    /// Index in `table` the cursor ends at: the stop, or the table's end.
+    end: usize,
+    /// Trace position of `table[0]`.
     base: u64,
     /// Trace position the cursor ends at, unless the trace ends first.
     stop: u64,
     /// Where a streamed cursor refills from; `None` for a range and for
     /// a stream that has run dry.
-    stream: Option<Stream<'a>>,
-}
-
-/// A streamed cursor's source: the expander and the chunk it refills.
-#[derive(Debug)]
-struct Stream<'a> {
-    expander: Expander<'a>,
-    chunk: FlatTrace,
-    chunk_ops: usize,
+    expander: Option<Expander<'a>>,
 }
 
 impl<'a> Ops<'a> {
     /// A cursor over ops `start..end` of a pre-expanded trace (clamped to
     /// its length); trace positions are the trace's indices.
-    pub fn range(trace: &'a FlatTrace, start: usize, end: usize) -> Self {
-        let ops = trace.range(start, end);
+    pub fn range(trace: &'a [MicroOp], start: usize, end: usize) -> Self {
+        let end = end.min(trace.len());
         Ops {
-            stop: ops.end as u64,
-            ops,
+            table: trace,
+            next: start.min(end),
+            end,
             base: 0,
-            stream: None,
+            stop: end as u64,
+            expander: None,
         }
     }
 
-    /// A cursor over the whole stream `expander` emits, expanded
-    /// `chunk_ops` ops (at least one) at a time and never past the stop.
-    pub fn stream(expander: Expander<'a>, chunk_ops: usize) -> Self {
-        let chunk_ops = chunk_ops.max(1);
+    /// A cursor over the whole stream `expander` emits, generated a
+    /// kernel call at a time and never past the stop.
+    pub fn stream(expander: Expander<'a>) -> Self {
         Ops {
-            ops: FlatIter::default(),
+            table: &[],
+            next: 0,
+            end: 0,
             base: 0,
             stop: u64::MAX,
-            stream: Some(Stream {
-                expander,
-                chunk: FlatTrace::with_capacity(chunk_ops),
-                chunk_ops,
-            }),
+            expander: Some(expander),
         }
     }
 
     /// Trace position of the next op.
     pub fn at(&self) -> u64 {
-        self.base + self.ops.next as u64
+        self.base + self.next as u64
     }
 
     /// Makes the cursor end at trace position `stop`, or where the trace
@@ -337,43 +299,39 @@ impl<'a> Ops<'a> {
     /// a cursor that had ended.
     pub fn stop_at(&mut self, stop: u64) {
         self.stop = stop;
-        let table = self.ops.kind.len() as u64;
         let end = stop
             .saturating_sub(self.base)
-            .clamp(self.ops.next as u64, table);
-        self.ops.end = end as usize;
+            .clamp(self.next as u64, self.table.len() as u64);
+        self.end = end as usize;
     }
 
     /// The cold half of [`Iterator::next`]: the table is used up, so a
-    /// stream short of its stop expands its next chunk — no further than
-    /// the stop, so a cursor that ends there has generated no kernel call
-    /// past it. A stop moved later only costs one more refill.
+    /// stream short of its stop replays the rest of the expander's
+    /// current kernel call, or generates the next one. A cursor at its
+    /// stop generates nothing; a stop moved later only costs this call.
     #[cold]
     #[inline(never)]
     fn refill(&mut self) -> Option<MicroOp> {
         let position = self.at();
-        let stream = self.stream.as_mut().filter(|_| position < self.stop)?;
-        // The iterator may borrow the chunk: let go of it first.
-        self.ops = FlatIter::default();
-        self.base = position;
-        stream.chunk.clear();
-        let len = (stream.chunk_ops as u64).min(self.stop - position) as usize;
-        stream.expander.fill(&mut stream.chunk, len);
-        if stream.chunk.is_empty() {
-            self.stream = None;
+        let expander = self.expander.as_mut().filter(|_| position < self.stop)?;
+        // The table may borrow the call buffer: let go of it first.
+        self.table = &[];
+        let Some(call) = expander.next_call() else {
+            self.expander = None;
             return None;
-        }
-        // Borrowing the chunk for `'a` is what keeps the per-op path free
-        // of a branch on the source: a range and a chunk are both a
-        // `FlatIter<'a>`.
-        // SAFETY: the chunk's arrays live on the heap, so moving the
-        // cursor leaves them in place, and they are written only above,
-        // after `self.ops` has let go of them. `self.ops` is private, the
-        // only borrow made, and it drops before `self.stream`.
-        let chunk: &'a FlatTrace = unsafe { &*std::ptr::from_ref(&stream.chunk) };
-        self.ops = chunk.iter();
+        };
+        // Borrowing the call buffer for `'a` is what keeps the per-op path
+        // free of a branch on the source: a range and a call are both a
+        // `&'a [MicroOp]`.
+        // SAFETY: the buffer lives on the heap, so moving the cursor
+        // leaves it in place, and the expander writes it only in
+        // `next_call` above, after `self.table` has let go of it.
+        // `self.table` is private and the only borrow made.
+        self.table = unsafe { &*std::ptr::from_ref(call) };
+        self.base = position;
+        self.next = 0;
         self.stop_at(self.stop);
-        self.ops.next()
+        self.next()
     }
 }
 
@@ -382,10 +340,15 @@ impl Iterator for Ops<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<MicroOp> {
-        match self.ops.next() {
-            Some(op) => Some(op),
-            None => self.refill(),
+        let i = self.next;
+        if i >= self.end {
+            return self.refill();
         }
+        self.next = i + 1;
+        // SAFETY: `i < end` and `end <= table.len()`: `stream` sets both
+        // to 0, and `range` and `stop_at`, the other writers of `end`,
+        // clamp it to the table.
+        Some(unsafe { *self.table.get_unchecked(i) })
     }
 }
 
@@ -466,36 +429,49 @@ mod tests {
         pieces
     }
 
+    /// Where each kernel call of `log` starts, then the trace's length:
+    /// the op count of the log's prefix before it (expansion is
+    /// prefix-closed).
+    fn call_starts(log: &crate::PhaseLog) -> Vec<u64> {
+        (0..=log.len())
+            .map(|i| {
+                let mut prefix = crate::PhaseLog::new();
+                for call in &log.calls()[..i] {
+                    prefix.record(call.clone());
+                }
+                Expander::new(&prefix).count() as u64
+            })
+            .collect()
+    }
+
     #[test]
-    fn streamed_cursor_yields_the_memo_range() {
+    fn streamed_cursor_yields_the_range() {
         let log = small_log();
-        let flat: FlatTrace = Expander::new(&log).collect();
-        let total = flat.len();
-        let all: Vec<MicroOp> = flat.iter().collect();
-        assert!(total > 300, "premise: several chunks of every size below");
+        let all: Vec<MicroOp> = Expander::new(&log).collect();
+        let total = all.len();
+        let starts = call_starts(&log);
+        assert!(starts[1] > 192, "premise: the stops below are in one call");
 
-        // Chunk sizes 1 and 7, a divisor of the trace, the whole trace
-        // and more: the last refill finds the expander dry.
-        let divisor = (20..total)
-            .find(|&d| total.is_multiple_of(d))
-            .expect("premise: a proper divisor");
-        for chunk in [1, 7, divisor, total, total + 1] {
-            let mut ops = Ops::stream(Expander::new(&log), chunk);
-            assert_eq!(ops.by_ref().collect::<Vec<_>>(), all, "chunk {chunk}");
-            assert_eq!(ops.at(), total as u64);
-            assert_eq!(ops.next(), None, "chunk {chunk}: stays exhausted");
-        }
+        let mut ops = Ops::stream(Expander::new(&log));
+        assert_eq!(ops.by_ref().collect::<Vec<_>>(), all);
+        assert_eq!(ops.at(), total as u64);
+        assert_eq!(ops.next(), None, "stays exhausted");
 
-        // A limit inside a chunk, then one at a chunk's exact end; moving
+        // A stop inside a call, then one at a call's exact end; moving
         // the stop resumes where the cursor ended.
-        let mut ops = Ops::stream(Expander::new(&log), 64);
+        let mut ops = Ops::stream(Expander::new(&log));
         ops.stop_at(100);
         assert_eq!(ops.by_ref().collect::<Vec<_>>(), all[..100]);
         ops.stop_at(192);
         assert_eq!(ops.by_ref().collect::<Vec<_>>(), all[100..192]);
+        ops.stop_at(starts[1]);
+        assert_eq!(
+            ops.by_ref().collect::<Vec<_>>(),
+            all[192..starts[1] as usize]
+        );
         ops.stop_at(u64::MAX);
-        assert_eq!(ops.collect::<Vec<_>>(), all[192..]);
-        let mut range = Ops::range(&flat, 0, 100);
+        assert_eq!(ops.collect::<Vec<_>>(), all[starts[1] as usize..]);
+        let mut range = Ops::range(&all, 0, 100);
         assert_eq!(range.by_ref().count(), 100);
         range.stop_at(u64::MAX);
         assert_eq!(
@@ -504,11 +480,20 @@ mod tests {
             "clamped to the trace"
         );
 
-        // Warm gaps and windows straddling refills, and a window ending
-        // at the last op.
+        // Warm gaps and windows inside a call and straddling calls, and a
+        // window ending at the last op.
         let last = total as u64 - 1;
-        let windows = [(5, 3), (20, 50), (127, 1), (128, 64), (300, 0), (last, 1)];
-        let expected = split(Ops::range(&flat, 0, total), &windows);
+        let windows = [
+            (5, 3),
+            (20, 50),
+            (127, 1),
+            (128, 64),
+            (starts[1] - 10, 20),
+            (starts[2] + 60, 0),
+            (starts[3] - 1, 2),
+            (last, 1),
+        ];
+        let expected = split(Ops::range(&all, 0, total), &windows);
         let mut pos = 0;
         for (i, &(start, len)) in windows.iter().enumerate() {
             let (start, end) = (start as usize, (start + len) as usize);
@@ -516,46 +501,28 @@ mod tests {
             assert_eq!(expected[2 * i + 1], all[start..end], "range window {i}");
             pos = end;
         }
-        for chunk in [1, 7, 64, divisor] {
-            let streamed = split(Ops::stream(Expander::new(&log), chunk), &windows);
-            assert_eq!(streamed, expected, "chunk {chunk}");
-        }
+        let streamed = split(Ops::stream(Expander::new(&log)), &windows);
+        assert_eq!(streamed, expected);
     }
 
     #[test]
     fn a_stopped_stream_generates_no_call_past_its_stop() {
-        // Where each kernel call's ops start: the op count of the log's
-        // prefix before it (expansion is prefix-closed).
         let log = small_log();
-        let starts: Vec<u64> = (0..=log.len())
-            .map(|i| {
-                let mut prefix = crate::PhaseLog::new();
-                for call in &log.calls()[..i] {
-                    prefix.record(call.clone());
-                }
-                Expander::new(&prefix).count() as u64
-            })
-            .collect();
+        let starts = call_starts(&log);
         let total = starts[log.len()];
         assert!(
             starts.windows(2).all(|w| w[0] < w[1]),
             "premise: every call emits"
         );
 
-        for chunk in [7, 64, 1024] {
-            for stop in [1, starts[1], starts[1] + 1, starts[2] + 5, total - 1] {
-                let mut ops = Ops::stream(Expander::new(&log), chunk);
-                ops.stop_at(stop);
-                assert_eq!(ops.by_ref().count() as u64, stop);
-                let expander = &ops.stream.as_ref().expect("stopped, not dry").expander;
-                // The calls that start before the stop, and no other.
-                let reached = starts[..log.len()].iter().filter(|&&s| s < stop).count();
-                assert_eq!(
-                    expander.emitted_ops(),
-                    starts[reached],
-                    "chunk {chunk}, stop {stop}"
-                );
-            }
+        for stop in [1, starts[1], starts[1] + 1, starts[2] + 5, total - 1] {
+            let mut ops = Ops::stream(Expander::new(&log));
+            ops.stop_at(stop);
+            assert_eq!(ops.by_ref().count() as u64, stop);
+            let expander = ops.expander.as_ref().expect("stopped, not dry");
+            // The calls that start before the stop, and no other.
+            let reached = starts[..log.len()].iter().filter(|&&s| s < stop).count();
+            assert_eq!(expander.emitted_ops(), starts[reached], "stop {stop}");
         }
     }
 

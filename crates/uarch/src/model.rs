@@ -96,8 +96,9 @@ impl std::fmt::Display for ModelKind {
 ///   (retiring + front-end + bad-speculation + back-end), so top-down
 ///   bottleneck comparisons are meaningful across backends.
 ///
-/// Traces arrive as an [`Ops`] cursor, streamed from a log or over a
-/// pre-expanded [`FlatTrace`]: one concrete type, so each backend's loop
+/// Traces arrive as an [`Ops`] cursor, streamed from a log a kernel call
+/// at a time or over a range of pre-expanded ops: one concrete type, and
+/// a `&[MicroOp]` underneath either way, so each backend's loop
 /// is monomorphized over it while the trait stays object-safe for the
 /// `Box<dyn CoreModel>` the experiment layer picks at run time from
 /// [`ModelKind`]. That layer
@@ -134,7 +135,8 @@ pub trait CoreModel {
     }
 
     /// [`CoreModel::run_warm`] over ops `start..end` of a pre-expanded
-    /// [`FlatTrace`].
+    /// [`FlatTrace`], which it first copies out into `MicroOp`s: no
+    /// simulation replays this layout directly.
     fn run_warm_flat(
         &mut self,
         trace: &FlatTrace,
@@ -142,7 +144,8 @@ pub trait CoreModel {
         end: usize,
         warmup_ops: u64,
     ) -> SimStats {
-        self.run_warm(&mut Ops::range(trace, start, end), warmup_ops)
+        let ops: Vec<MicroOp> = trace.range(start, end).collect();
+        self.run_warm(&mut Ops::range(&ops, 0, ops.len()), warmup_ops)
     }
 }
 
@@ -381,7 +384,7 @@ mod tests {
     #[test]
     fn every_backend_commits_every_op() {
         use belenos_trace::FnCategory;
-        let ops: FlatTrace = (0..2000)
+        let ops: Vec<MicroOp> = (0..2000)
             .map(|i| MicroOp::int(0x1000 + (i as u32 % 16) * 4, 0, 0, FnCategory::Internal))
             .collect();
         for kind in ModelKind::ALL {
@@ -402,7 +405,7 @@ mod tests {
     #[test]
     fn every_backend_supports_interval_sampling_surface() {
         use belenos_trace::FnCategory;
-        let ops: FlatTrace = (0..4096)
+        let ops: Vec<MicroOp> = (0..4096)
             .map(|i| MicroOp::load(0x3000, (i % 64) as u64 * 64, 8, 0, FnCategory::Internal))
             .collect();
         for kind in ModelKind::ALL {

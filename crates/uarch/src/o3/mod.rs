@@ -599,7 +599,7 @@ mod tests {
     fn warm_only_consumes_and_warms_without_stats() {
         let mut core = O3Core::new(CoreConfig::gem5_baseline());
         // 64 hot lines, touched twice during warming.
-        let ops: FlatTrace = (0..8192)
+        let ops: Vec<MicroOp> = (0..8192)
             .map(|i| MicroOp::load(0x3000, (i % 64) as u64 * 64, 8, 0, CAT))
             .collect();
         let mut it = Ops::range(&ops, 0, ops.len());

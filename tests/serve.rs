@@ -340,6 +340,24 @@ fn a_partial_options_object_keeps_the_default_budget() {
     shutdown(addr, thread);
 }
 
+/// An envelope key other than `scenarios` and `options` is a 400 naming
+/// it: a misspelled `options` used to run the batch at the defaults.
+#[test]
+fn an_unknown_envelope_key_is_refused_by_name() {
+    let (addr, _handle, thread) = start(test_config());
+    let body = r#"{"scenarios": [{"id": "pd", "family": "plastidamage"}],
+                   "option": {"max_ops": 5000}}"#;
+    let (status, _, reply) = request(addr, "POST", "/v1/scenarios/run", Some(body));
+    assert_eq!(status, 400, "misspelled options: {reply}");
+    let doc = json(&reply);
+    assert_eq!(doc.get("field").and_then(Json::as_str), Some("option"));
+    assert!(doc
+        .get("error")
+        .and_then(Json::as_str)
+        .is_some_and(|e| e.contains("unknown field `option`")));
+    shutdown(addr, thread);
+}
+
 #[test]
 fn budget_rejection_names_the_field_and_scenarios_run() {
     let text = smoke_spec_text();
