@@ -73,7 +73,6 @@
 
 pub mod assembly;
 pub mod bc;
-pub mod dof;
 pub mod element;
 pub mod error;
 pub mod material;

@@ -167,14 +167,6 @@ impl Multigeneration {
                 .collect(),
         }
     }
-
-    /// Number of generations alive at time `t`.
-    pub fn active_at(&self, t: f64) -> usize {
-        self.generations
-            .iter()
-            .filter(|(birth, _)| *birth <= t)
-            .count()
-    }
 }
 
 impl Material for Multigeneration {
@@ -287,8 +279,6 @@ mod tests {
     #[test]
     fn multigeneration_counts_active() {
         let m = Multigeneration::new(&[(0.0, 100.0, 0.3), (1.0, 50.0, 0.3)]);
-        assert_eq!(m.active_at(0.5), 1);
-        assert_eq!(m.active_at(1.5), 2);
         assert_eq!(m.state_size(), 12);
     }
 

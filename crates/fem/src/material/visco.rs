@@ -45,11 +45,6 @@ impl Viscoelastic {
         }
     }
 
-    /// Number of Prony branches.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     fn elastic_stress(&self, eps: &Voigt) -> Voigt {
         apply_tangent(&self.d, eps)
     }
@@ -162,7 +157,6 @@ mod tests {
         assert_eq!(material().state_size(), 18);
         let one = Viscoelastic::new(10.0, 0.2, vec![PronyTerm { g: 0.5, tau: 2.0 }]);
         assert_eq!(one.state_size(), 12);
-        assert_eq!(one.num_terms(), 1);
     }
 
     #[test]

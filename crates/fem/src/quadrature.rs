@@ -37,14 +37,6 @@ pub fn hex8_2x2x2() -> Vec<GaussPoint> {
     pts
 }
 
-/// Single-point rule at the hex centroid (reduced integration).
-pub fn hex8_1pt() -> Vec<GaussPoint> {
-    vec![GaussPoint {
-        xi: [0.0, 0.0, 0.0],
-        w: 8.0,
-    }]
-}
-
 /// 4-point rule on the reference tetrahedron (degree-2 exact).
 pub fn tet4_4pt() -> Vec<GaussPoint> {
     let a = (5.0 + 3.0 * 5.0_f64.sqrt()) / 20.0;
@@ -58,14 +50,6 @@ pub fn tet4_4pt() -> Vec<GaussPoint> {
     ]
 }
 
-/// Single-point centroid rule on the reference tetrahedron.
-pub fn tet4_1pt() -> Vec<GaussPoint> {
-    vec![GaussPoint {
-        xi: [0.25, 0.25, 0.25],
-        w: 1.0 / 6.0,
-    }]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,8 +59,6 @@ mod tests {
         // Reference hex volume = 8.
         let total: f64 = hex8_2x2x2().iter().map(|p| p.w).sum();
         assert!((total - 8.0).abs() < 1e-14);
-        let total1: f64 = hex8_1pt().iter().map(|p| p.w).sum();
-        assert!((total1 - 8.0).abs() < 1e-14);
     }
 
     #[test]
@@ -93,8 +75,6 @@ mod tests {
     fn tet_rule_integrates_volume() {
         let total: f64 = tet4_4pt().iter().map(|p| p.w).sum();
         assert!((total - 1.0 / 6.0).abs() < 1e-14);
-        let total1: f64 = tet4_1pt().iter().map(|p| p.w).sum();
-        assert!((total1 - 1.0 / 6.0).abs() < 1e-14);
     }
 
     #[test]

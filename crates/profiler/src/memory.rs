@@ -41,11 +41,6 @@ impl MemoryProfile {
             },
         }
     }
-
-    /// Coarse classification: does the working set escape the L2?
-    pub fn dram_resident(&self) -> bool {
-        self.l2_mpki > 1.0
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +68,6 @@ mod tests {
         assert!((m.l1d_mpki - 50.0).abs() < 1e-9);
         assert!((m.l2_mpki - 20.0).abs() < 1e-9);
         assert!((m.dtlb_mpki - 0.5).abs() < 1e-9);
-        assert!(m.dram_resident());
         assert!(m.memory_bound > 0.4);
         // 20k lines * 64 B over 1 ms = 1.28 GB/s.
         assert!((m.dram_gbps - 1.28).abs() < 0.01, "{}", m.dram_gbps);
@@ -87,6 +81,6 @@ mod tests {
             ..SimStats::default()
         };
         let m = MemoryProfile::from_stats("ma26", &stats);
-        assert!(!m.dram_resident());
+        assert!((m.l2_mpki - 0.1).abs() < 1e-9);
     }
 }

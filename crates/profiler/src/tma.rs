@@ -44,11 +44,6 @@ impl TopDown {
         }
     }
 
-    /// Level-1 fractions sum (should be ~1 for a complete accounting).
-    pub fn level1_sum(&self) -> f64 {
-        self.retiring + self.frontend_bound + self.bad_speculation + self.backend_bound
-    }
-
     /// True when the workload is predominantly memory-bound (the paper's
     /// classification for biphasic/fluid models).
     pub fn is_memory_bound(&self) -> bool {
@@ -99,7 +94,8 @@ mod tests {
     #[test]
     fn fractions_and_sums() {
         let td = TopDown::from_stats("x", &stats());
-        assert!((td.level1_sum() - 1.0).abs() < 1e-12);
+        let level1 = td.retiring + td.frontend_bound + td.bad_speculation + td.backend_bound;
+        assert!((level1 - 1.0).abs() < 1e-12);
         assert!((td.retiring - 0.2).abs() < 1e-12);
         assert!((td.backend_bound - 0.69).abs() < 1e-12);
         assert!(td.is_memory_bound());

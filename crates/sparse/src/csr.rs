@@ -264,19 +264,6 @@ impl CsrMatrix {
             .map(|(a, bi)| (bi - a).abs())
             .fold(0.0, f64::max))
     }
-
-    /// Converts to a dense matrix (tests / tiny systems only).
-    pub fn to_dense(&self) -> crate::DenseMatrix {
-        let mut d = crate::DenseMatrix::zeros(self.nrows(), self.ncols());
-        let rp = self.pattern.row_ptr();
-        let ci = self.pattern.col_idx();
-        for r in 0..self.nrows() {
-            for k in rp[r]..rp[r + 1] {
-                d[(r, ci[k] as usize)] = self.vals[k];
-            }
-        }
-        d
-    }
 }
 
 /// Dot product of two equal-length vectors.
@@ -325,13 +312,20 @@ mod tests {
         coo.to_csr()
     }
 
+    /// Row-major dense copy, read entry by entry through `get`.
+    fn dense(a: &CsrMatrix) -> Vec<f64> {
+        (0..a.nrows())
+            .flat_map(|r| (0..a.ncols()).map(move |c| a.get(r, c)))
+            .collect()
+    }
+
     #[test]
     fn spmv_matches_dense() {
         let a = lap1d(8);
         let x: Vec<f64> = (0..8).map(|i| (i as f64 * 0.7).sin()).collect();
         let y = a.spmv(&x).unwrap();
-        let yd = a.to_dense().matvec(&x).unwrap();
-        for (u, v) in y.iter().zip(&yd) {
+        for (u, row) in y.iter().zip(dense(&a).chunks(8)) {
+            let v: f64 = row.iter().zip(&x).map(|(a, x)| a * x).sum();
             assert!((u - v).abs() < 1e-14);
         }
     }
@@ -350,7 +344,7 @@ mod tests {
         coo.push(1, 0, 5.0);
         let a = coo.to_csr();
         let att = a.transpose().transpose();
-        assert_eq!(a.to_dense(), att.to_dense());
+        assert_eq!(dense(&a), dense(&att));
         assert_eq!(a.transpose().nrows(), 4);
     }
 

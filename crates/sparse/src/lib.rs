@@ -1,6 +1,6 @@
 //! # belenos-sparse
 //!
-//! Sparse and dense linear-algebra substrate for the Belenos workload study.
+//! Sparse linear-algebra substrate for the Belenos workload study.
 //!
 //! FEBio (the biomechanics simulator characterized by the Belenos paper)
 //! delegates its linear algebra to Intel MKL: the PARDISO direct solver
@@ -35,7 +35,6 @@
 
 pub mod coo;
 pub mod csr;
-pub mod dense;
 pub mod error;
 pub mod graph;
 pub mod pattern;
@@ -44,7 +43,6 @@ pub mod solver;
 
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
-pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use pattern::CsrPattern;
 

@@ -298,7 +298,7 @@ mod tests {
         let a = arrow_matrix(5);
         let p = Permutation::identity(5);
         let b = p.apply_matrix(&a).unwrap();
-        assert_eq!(a.to_dense(), b.to_dense());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -451,25 +451,6 @@ impl LdlFactor {
     pub fn l_row_idx(&self) -> &[u32] {
         &self.sym.li
     }
-
-    /// Reconstructs `L D Lᵀ` densely (tests only — O(n²) memory).
-    pub fn reconstruct(&self) -> crate::DenseMatrix {
-        let n = self.sym.n;
-        let (lp, li) = (&self.sym.lp[..], &self.sym.li[..]);
-        let mut l = crate::DenseMatrix::identity(n);
-        for j in 0..n {
-            for p in lp[j]..lp[j + 1] {
-                l[(li[p] as usize, j)] = self.lx[p];
-            }
-        }
-        let mut ld = l.clone();
-        for j in 0..n {
-            for i in 0..n {
-                ld[(i, j)] *= self.d[j];
-            }
-        }
-        ld.matmul(&l.transpose()).expect("square")
-    }
 }
 
 /// Row `k`'s update by the `M` chained columns `c, …, c + M − 1` (`M = 1`
@@ -793,12 +774,12 @@ mod tests {
         // (its row and column, diagonal included) zeroes the pivot of
         // column 6, a chained column, right after row 6 was updated by
         // the chain of columns 4 and 5.
-        let dense = fe_shaped(2, 4, true, false, &[(0, 1, 0.5)]).to_dense();
+        let a = fe_shaped(2, 4, true, false, &[(0, 1, 0.5)]);
         let mut coo = CooMatrix::new(8, 8);
         for r in 0..8 {
             for c in 0..8 {
                 let (rr, cc) = (if r == 6 { 5 } else { r }, if c == 6 { 5 } else { c });
-                coo.push(r, c, dense[(rr, cc)]);
+                coo.push(r, c, a.get(rr, cc));
             }
         }
         let b = coo.to_csr();
@@ -934,12 +915,38 @@ mod tests {
         );
     }
 
+    /// `L D Lᵀ` as a row-major dense matrix (O(n²) memory).
+    fn reconstruct(f: &LdlFactor) -> Vec<f64> {
+        let n = f.sym.n;
+        let (lp, li) = (&f.sym.lp[..], &f.sym.li[..]);
+        let mut l = vec![0.0; n * n];
+        for j in 0..n {
+            l[j * n + j] = 1.0;
+            for p in lp[j]..lp[j + 1] {
+                l[li[p] as usize * n + j] = f.lx[p];
+            }
+        }
+        let mut ldlt = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                ldlt[i * n + j] = (0..n).map(|k| l[i * n + k] * f.d[k] * l[j * n + k]).sum();
+            }
+        }
+        ldlt
+    }
+
     #[test]
     fn reconstruction_matches_original() {
         let a = lap2d(4);
         let f = LdlFactor::new(&a).unwrap();
-        let rec = f.reconstruct();
-        let err = (&rec - &a.to_dense()).norm();
+        let rec = reconstruct(&f);
+        let n = a.nrows();
+        let err = rec
+            .iter()
+            .enumerate()
+            .map(|(k, v)| (v - a.get(k / n, k % n)).powi(2))
+            .sum::<f64>()
+            .sqrt();
         assert!(err < 1e-10, "reconstruction error {err}");
     }
 

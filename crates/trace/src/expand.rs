@@ -28,12 +28,13 @@ use crate::digest::Fnv64;
 use crate::layout::{AddressSpace, ArrayHandle};
 use crate::op::{FnCategory, MicroOp, OpKind};
 use crate::program::{KernelCall, MaterialClass, PhaseLog, PrecondClass};
+use belenos_json::record;
 use belenos_sparse::CsrPattern;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tuning knobs for trace expansion (per-workload character).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExpandConfig {
     /// Stride applied inside the heaviest per-element loops (Gauss FP work,
     /// stiffness scatter): `1` = emit everything.
@@ -46,6 +47,13 @@ pub struct ExpandConfig {
     /// Hard cap on ops emitted for a single kernel call (strided down).
     pub max_kernel_ops: usize,
 }
+
+record!(ExpandConfig {
+    sample: COUNT,
+    code_bloat: COUNT,
+    spin_scale: Positive,
+    max_kernel_ops: COUNT,
+});
 
 impl Default for ExpandConfig {
     fn default() -> Self {

@@ -54,11 +54,6 @@ impl OpKind {
     pub fn is_fp(self) -> bool {
         matches!(self, OpKind::FpAdd | OpKind::FpMul | OpKind::FpDiv)
     }
-
-    /// True for integer arithmetic.
-    pub fn is_int(self) -> bool {
-        matches!(self, OpKind::IntAlu | OpKind::IntMul)
-    }
 }
 
 /// Function category for hotspot attribution (the paper's Figure 4 rows).
@@ -264,7 +259,6 @@ mod tests {
         assert!(OpKind::Store.is_mem());
         assert!(!OpKind::FpAdd.is_mem());
         assert!(OpKind::FpDiv.is_fp());
-        assert!(OpKind::IntMul.is_int());
         assert!(!OpKind::Pause.is_fp());
     }
 

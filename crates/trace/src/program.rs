@@ -445,11 +445,6 @@ impl PhaseLog {
     pub fn is_empty(&self) -> bool {
         self.calls.is_empty()
     }
-
-    /// Merges another log onto the end of this one.
-    pub fn extend_from(&mut self, other: &PhaseLog) {
-        self.calls.extend_from_slice(&other.calls);
-    }
 }
 
 #[cfg(test)]
@@ -480,16 +475,6 @@ mod tests {
         for (tag, p) in preconds.into_iter().enumerate() {
             assert_eq!((p.tag() as usize, p.name()), (tag, &*format!("{p:?}")));
         }
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut a = PhaseLog::new();
-        a.record(KernelCall::Norm { n: 8 });
-        let mut b = PhaseLog::new();
-        b.record(KernelCall::Axpy { n: 4 });
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -76,15 +76,6 @@ impl Dram {
         self.next_free = start + self.cycles_per_line;
         now + self.latency_cycles + queue as u64 + self.cycles_per_line.ceil() as u64
     }
-
-    /// Average achieved bandwidth in bytes/cycle over `cycles`.
-    pub fn achieved_bytes_per_cycle(&self, cycles: u64, line_bytes: usize) -> f64 {
-        if cycles == 0 {
-            0.0
-        } else {
-            (self.lines_transferred * line_bytes as u64) as f64 / cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +126,6 @@ mod tests {
         for i in 0..100 {
             d.read(i * 2);
         }
-        let bpc = d.achieved_bytes_per_cycle(200, 64);
-        assert!(bpc > 30.0, "achieved {bpc} B/cycle");
+        assert_eq!(d.lines_transferred, 100);
     }
 }

@@ -108,10 +108,10 @@ fn lap_cost_ns() -> u64 {
 pub struct O3Core {
     machine: Machine,
     fast_forward: bool,
-    /// Pipeline retained from the previous run. `run_warm` resets it in
-    /// place instead of rebuilding, so repeated runs on one core skip
-    /// the ring-buffer allocation cost entirely (the profiler measured
-    /// it as the single largest slice of a short timed run).
+    /// Pipeline retained from the previous `run_warm` on this core. Every
+    /// simulation builds its core cold, so only the windows of one
+    /// sampled run share it: each window resets it in place instead of
+    /// reallocating its ring buffers.
     scratch: Option<Pipeline>,
 }
 

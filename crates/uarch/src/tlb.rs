@@ -94,15 +94,6 @@ impl Tlb {
         self.stamps.push(self.stamp);
         false
     }
-
-    /// Miss rate over all accesses so far.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +173,7 @@ mod tests {
         for i in 0..8 {
             tlb.access(i << 12);
         }
-        assert!((tlb.miss_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((tlb.accesses, tlb.misses), (16, 8));
     }
 
     #[test]

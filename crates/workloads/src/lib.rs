@@ -32,6 +32,6 @@ pub mod scenario;
 
 pub use catalog::{by_id, catalog, distinct_presets, gem5_set, vtune_set, Category};
 pub use scenario::{
-    ExpandParams, Family, MeshParams, NewtonParams, ScenarioError, ScenarioListError, ScenarioSpec,
+    Family, MeshParams, NewtonParams, ScenarioError, ScenarioListError, ScenarioSpec,
     SteppingParams,
 };

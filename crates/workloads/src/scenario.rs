@@ -170,50 +170,6 @@ record!(NewtonParams {
     tolerance: Positive,
 });
 
-/// Trace-expansion knobs (mirrors [`ExpandConfig`], serializable).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpandParams {
-    /// Stride inside the heaviest per-element loops (`1` = everything).
-    pub sample: usize,
-    /// Distinct code copies per kernel (instruction-footprint bloat).
-    pub code_bloat: u32,
-    /// Multiplier on recorded spin-barrier iterations at expansion time.
-    pub spin_scale: f64,
-    /// Hard cap on ops emitted per kernel call.
-    pub max_kernel_ops: usize,
-}
-
-record!(ExpandParams {
-    sample: COUNT,
-    code_bloat: COUNT,
-    spin_scale: Positive,
-    max_kernel_ops: COUNT,
-});
-
-impl Default for ExpandParams {
-    fn default() -> Self {
-        let d = ExpandConfig::default();
-        ExpandParams {
-            sample: d.sample,
-            code_bloat: d.code_bloat,
-            spin_scale: d.spin_scale,
-            max_kernel_ops: d.max_kernel_ops,
-        }
-    }
-}
-
-impl ExpandParams {
-    /// The [`ExpandConfig`] the trace expander consumes.
-    pub fn to_config(&self) -> ExpandConfig {
-        ExpandConfig {
-            sample: self.sample,
-            code_bloat: self.code_bloat,
-            spin_scale: self.spin_scale,
-            max_kernel_ops: self.max_kernel_ops,
-        }
-    }
-}
-
 /// A typed model family — one per Table I workload category — carrying
 /// the physics parameters that distinguish scenarios within the family.
 ///
@@ -425,7 +381,7 @@ pub struct ScenarioSpec {
     /// Model-level OpenMP spin-barrier scale (recorded into the log).
     pub spin_scale: f64,
     /// Trace-expansion knobs.
-    pub expand: ExpandParams,
+    pub expand: ExpandConfig,
 }
 
 impl ScenarioSpec {
@@ -444,7 +400,7 @@ impl ScenarioSpec {
             stepping,
             newton: row.newton.clone(),
             spin_scale: row.spin_scale,
-            expand: ExpandParams::default(),
+            expand: ExpandConfig::default(),
         }
     }
 
@@ -481,7 +437,7 @@ impl ScenarioSpec {
 
     /// The trace-expansion configuration.
     pub fn expand_config(&self) -> ExpandConfig {
-        self.expand.to_config()
+        self.expand.clone()
     }
 
     /// Checks every field for structural validity.

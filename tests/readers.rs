@@ -1,17 +1,22 @@
 //! Every document reader — campaign specs (with their `options` and
 //! `sampling` sections), scenarios, job-board documents and done
 //! markers — by what it says when it refuses a document, and by what it
-//! survives. Each message row is an unknown key, a missing wire field, a
-//! value of the wrong type or a section of the wrong shape, and the
-//! exact message a user sees; the hostile inputs are `hostile.rs`'s.
+//! survives; and the runner's `.stats` decoder by what it refuses. Each
+//! message row is an unknown key, a missing wire field, a value of the
+//! wrong type or a section of the wrong shape, and the exact message a
+//! user sees; the hostile inputs are `hostile.rs`'s.
 
 mod hostile;
 
 use belenos::campaign::CampaignSpec;
 use belenos_dist::board::{DoneDoc, JobDoc};
 use belenos_json::Json;
+use belenos_runner::cache::{decode_stats, encode_stats, read_stats};
+use belenos_runner::entry::Miss;
+use belenos_uarch::SimStats;
 use belenos_workloads::ScenarioSpec;
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const JOB: &str = include_str!("golden/specs/job.json");
 const DONE: &str = include_str!("golden/specs/done.json");
@@ -444,6 +449,42 @@ fn a_value_of_every_other_type_is_refused_or_read_to_a_fixed_point() {
             read_everywhere(&swapped.pretty());
         }
     }
+}
+
+#[test]
+fn a_damaged_stats_entry_never_decodes() {
+    // Every field nonzero, so each line has digits a flip can alter.
+    let mut stats = SimStats {
+        freq_ghz: 3.0,
+        ..SimStats::default()
+    };
+    for (k, (_, slot)) in stats.counters_mut().into_iter().enumerate() {
+        *slot = 1000 + k as u64;
+    }
+    let entry = encode_stats(&stats);
+    assert_eq!(decode_stats(&entry), Some(stats));
+    for damaged in hostile::mutations(&entry) {
+        let decoded = catch_unwind(AssertUnwindSafe(|| decode_stats(&damaged)))
+            .unwrap_or_else(|_| panic!("decode_stats panicked on:\n{damaged}"));
+        assert!(decoded.is_none(), "a damaged entry decoded:\n{damaged}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("belenos-stats-readers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, bytes) in [
+        ("binary", &[0xff, 0xfe, 0x00, 0xc3][..]),
+        ("empty", &[][..]),
+    ] {
+        let path = dir.join(format!("{name}.stats"));
+        std::fs::write(&path, bytes).unwrap();
+        let read = catch_unwind(|| read_stats(&path))
+            .unwrap_or_else(|_| panic!("read_stats panicked on the {name} file"));
+        assert!(
+            matches!(read, Err(miss) if miss != Miss::Absent),
+            "{name} file: {read:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The readers' vocabulary: every key of every golden, and a few values.
