@@ -1,11 +1,10 @@
 //! `belenos cache <stats|gc>` — inspect and bound the disk stores.
 //!
-//! Both the disk result cache (`BELENOS_CACHE_DIR`/`--cache-dir`) and
-//! the persistent trace store (`BELENOS_TRACE_DIR`/`--trace-dir`) grow
-//! without bound; `stats` sizes them and `gc --max-bytes B` evicts
-//! least-recently-written entries across *both* stores until at most
-//! `B` bytes remain (in-flight write temps are never touched — see
-//! [`belenos_runner::gc`]).
+//! Both the disk result cache (`--cache-dir`) and the persistent trace
+//! store (`--trace-dir`) grow without bound; `stats` sizes them and `gc
+//! --max-bytes B` evicts least-recently-written entries across *both*
+//! stores until at most `B` bytes remain (in-flight write temps are
+//! never touched — see [`belenos_runner::gc`]).
 
 use super::{serve_cmd::store_dirs, worker_cmd, Invocation};
 use belenos_dist::board_stats;
@@ -23,11 +22,7 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
 fn dirs_or_usage(inv: &Invocation) -> Result<Vec<std::path::PathBuf>, String> {
     let dirs = store_dirs(inv);
     if dirs.is_empty() {
-        return Err(
-            "cache: no stores configured — set --cache-dir/BELENOS_CACHE_DIR \
-             and/or --trace-dir/BELENOS_TRACE_DIR"
-                .into(),
-        );
+        return Err("cache: no stores configured — pass --cache-dir and/or --trace-dir".into());
     }
     Ok(dirs)
 }
@@ -35,7 +30,7 @@ fn dirs_or_usage(inv: &Invocation) -> Result<Vec<std::path::PathBuf>, String> {
 fn stats(inv: &Invocation) -> Result<(), String> {
     // A configured dist dir is a store in its own right: its census
     // prints even when no cache/trace store is configured separately.
-    let dist = worker_cmd::dist_dir(inv);
+    let dist = &inv.dist_dir;
     let dirs = match dirs_or_usage(inv) {
         Ok(dirs) => dirs,
         Err(_) if dist.is_some() => Vec::new(),
@@ -60,7 +55,7 @@ fn stats(inv: &Invocation) -> Result<(), String> {
         );
     }
     if let Some(dist) = dist {
-        dist_stats(inv, &dist)?;
+        dist_stats(inv, dist)?;
     }
     Ok(())
 }

@@ -11,7 +11,6 @@ use super::{figures_cmd, worker_cmd, Invocation};
 use belenos::campaign::CampaignSpec;
 use belenos::{SimOptions, DEFAULT_MAX_OPS};
 use belenos_dist::Coordinator;
-use belenos_runner::Runner;
 use std::sync::Arc;
 
 /// `belenos campaign run|example|validate ...`.
@@ -56,7 +55,6 @@ fn run_spec(inv: &Invocation) -> Result<(), String> {
     } else {
         figures_cmd::emit_campaign(inv, spec)?;
     }
-    crate::print_run_summary();
     Ok(())
 }
 
@@ -71,10 +69,11 @@ fn run_spec_distributed(inv: &Invocation, spec: CampaignSpec) -> Result<(), Stri
     // configured) so this coordinator, its local workers, and every
     // external worker resolve the same cache keys to the same files —
     // that is what makes kill -9 + rerun a pure cache replay.
-    worker_cmd::install_shared_stores(inv, &cfg);
+    worker_cmd::install_shared_traces(inv, &cfg);
+    let runner = inv.runner(Some(cfg.cache_dir()));
     let coordinator =
         Arc::new(Coordinator::new(cfg).with_local_workers(inv.local_workers.unwrap_or(1)));
-    let runner = Runner::from_env().with_distributor(Arc::clone(&coordinator) as _);
+    let runner = runner.with_distributor(Arc::clone(&coordinator) as _);
     let cache = runner.cache().clone();
     figures_cmd::emit_campaign_with(inv, spec, &runner, |report| {
         if let Some(rollup) = report.rollup.as_mut() {

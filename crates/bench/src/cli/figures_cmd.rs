@@ -12,7 +12,7 @@ use belenos_runner::Runner;
 /// Runs a prepared single-or-multi-analysis campaign and emits it in
 /// the invocation's format(s).
 pub(crate) fn emit_campaign(inv: &Invocation, spec: CampaignSpec) -> Result<(), String> {
-    emit_campaign_with(inv, spec, &Runner::from_env(), |_| {})
+    emit_campaign_with(inv, spec, &inv.runner(None), |_| {})
 }
 
 /// [`emit_campaign`] against an explicit runner (a distributed
@@ -62,9 +62,7 @@ pub fn run_figure(inv: &Invocation) -> Result<(), String> {
     };
     if id == "all" {
         let spec = CampaignSpec::paper_campaign(inv.options()).with_workloads(inv.workload_set());
-        emit_campaign(inv, spec)?;
-        crate::print_run_summary();
-        return Ok(());
+        return emit_campaign(inv, spec);
     }
     let analysis = Analysis::parse(id)
         .ok_or_else(|| format!("unknown figure `{id}` (see `belenos list` for ids)"))?;

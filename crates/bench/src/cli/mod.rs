@@ -33,7 +33,9 @@ mod worker_cmd;
 
 use belenos::campaign::WorkloadSet;
 use belenos::{SimOptions, DEFAULT_MAX_OPS};
+use belenos_runner::{Budget, Cache, Runner};
 use belenos_uarch::{ModelKind, SamplingConfig};
+use std::path::PathBuf;
 
 /// Output rendering selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,13 +72,13 @@ pub struct Invocation {
     /// `--csv PATH`: also write the CSV rendering here.
     pub csv_out: Option<String>,
     /// `--telemetry V`: structured-event sink (`off`, `stderr`, or a
-    /// JSONL path). `None` = leave the `BELENOS_TELEMETRY` selection.
+    /// JSONL path). `None` = disabled.
     pub telemetry: Option<String>,
-    /// `--trace-dir PATH`: persistent trace store directory. `None` =
-    /// leave the `BELENOS_TRACE_DIR` selection.
+    /// `--trace-dir PATH`: persistent trace store directory. `None` = no
+    /// trace store (`<dist>/traces` for a worker or `--distributed`).
     pub trace_dir: Option<String>,
-    /// `--cache-dir PATH`: disk result cache directory. `None` = leave
-    /// the `BELENOS_CACHE_DIR` selection.
+    /// `--cache-dir PATH`: disk result cache directory. `None` = results
+    /// stay in memory (`<dist>/cache` under `--distributed`).
     pub cache_dir: Option<String>,
     /// `--addr HOST:PORT`: `serve` listen address.
     pub addr: Option<String>,
@@ -91,7 +93,6 @@ pub struct Invocation {
     /// `--max-bytes BYTES`: `cache gc` target size.
     pub max_bytes: Option<u64>,
     /// `--dist-dir PATH`: shared distributed job-board directory.
-    /// `None` = the `BELENOS_DIST_DIR` selection, if any.
     pub dist_dir: Option<String>,
     /// `--distributed`: route `campaign run` cache misses through the
     /// job board instead of running them locally.
@@ -130,6 +131,16 @@ impl Invocation {
     /// Resolves `--workloads` with a fallback.
     pub fn workload_set(&self) -> WorkloadSet {
         self.workloads.clone().unwrap_or_default()
+    }
+
+    /// The one runner a simulating subcommand runs on: the process's
+    /// thread budget (`--jobs`) in front of a result cache on
+    /// `--cache-dir`, else on `shared` (a distributed campaign's
+    /// `<dist>/cache`), else in memory; progress streaming on.
+    pub fn runner(&self, shared: Option<PathBuf>) -> Runner {
+        let disk = self.cache_dir.as_ref().map(PathBuf::from).or(shared);
+        let cache = disk.map_or_else(Cache::fresh, Cache::with_disk);
+        Runner::with_budget(Budget::global().clone(), cache).progress(true)
     }
 }
 
@@ -191,6 +202,16 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
             .cloned()
             .ok_or_else(|| format!("{flag} needs a value"))
     };
+    // An empty path would put a store's files in the working directory.
+    let directory = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
+                     flag: &str|
+     -> Result<String, String> {
+        let v = value(it, flag)?;
+        if v.is_empty() {
+            return Err(format!("{flag}: expected a directory, got an empty path"));
+        }
+        Ok(v)
+    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--max-ops" => {
@@ -235,8 +256,8 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
             "--json" => inv.json_out = Some(value(&mut it, "--json")?),
             "--csv" => inv.csv_out = Some(value(&mut it, "--csv")?),
             "--telemetry" => inv.telemetry = Some(value(&mut it, "--telemetry")?),
-            "--trace-dir" => inv.trace_dir = Some(value(&mut it, "--trace-dir")?),
-            "--cache-dir" => inv.cache_dir = Some(value(&mut it, "--cache-dir")?),
+            "--trace-dir" => inv.trace_dir = Some(directory(&mut it, "--trace-dir")?),
+            "--cache-dir" => inv.cache_dir = Some(directory(&mut it, "--cache-dir")?),
             "--addr" => inv.addr = Some(value(&mut it, "--addr")?),
             "--serve-workers" => {
                 let v = value(&mut it, "--serve-workers")?;
@@ -271,7 +292,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
                     format!("--max-bytes: `{v}` is not a byte size (K/M/G suffixes ok)")
                 })?);
             }
-            "--dist-dir" => inv.dist_dir = Some(value(&mut it, "--dist-dir")?),
+            "--dist-dir" => inv.dist_dir = Some(directory(&mut it, "--dist-dir")?),
             "--distributed" => inv.distributed = true,
             "--lease-ttl" => {
                 let v = value(&mut it, "--lease-ttl")?;
@@ -335,7 +356,7 @@ SUBCOMMANDS
                               (+ job-board census when a dist dir is set)
   cache gc --max-bytes B      LRU-evict the stores down to a byte budget
 
-FLAGS (shared; flags override BELENOS_* environment variables)
+FLAGS (shared)
   --max-ops N        micro-op budget per simulation   [1000000]
   --sampling V       off | on | N intervals           [off]
   --model V          o3 | inorder | analytic          [o3]
@@ -344,12 +365,12 @@ FLAGS (shared; flags override BELENOS_* environment variables)
   --format V         text | json | csv                [text]
   --json PATH        also write the JSON report to PATH
   --csv PATH         also write the CSV report to PATH
-  --telemetry V      off | stderr | PATH (JSONL events) [BELENOS_TELEMETRY, off]
-  --trace-dir PATH   persistent trace store directory   [BELENOS_TRACE_DIR, off]
-  --cache-dir PATH   disk result cache directory        [BELENOS_CACHE_DIR, off]
+  --telemetry V      off | stderr | PATH (JSONL events) [off]
+  --trace-dir PATH   persistent trace store directory   [off]
+  --cache-dir PATH   disk result cache directory        [off]
 
 SERVE / CACHE FLAGS
-  --addr HOST:PORT   serve listen address       [BELENOS_SERVE_ADDR, 127.0.0.1:7878]
+  --addr HOST:PORT   serve listen address                              [127.0.0.1:7878]
   --serve-workers N  concurrent jobs, sharing the one --jobs budget    [2]
   --queue-depth N    jobs that may wait before 429                     [32]
   --op-ceiling N     per-request max_ops ceiling, 0 = unlimited        [100000000]
@@ -357,7 +378,8 @@ SERVE / CACHE FLAGS
   --max-bytes B      cache gc target size (K/M/G ok)
 
 DISTRIBUTED FLAGS
-  --dist-dir D       shared job-board directory         [BELENOS_DIST_DIR]
+  --dist-dir D       shared job-board directory; workers and --distributed
+                     keep results and traces in its cache/ and traces/
   --distributed      campaign run: execute via the job board
   --local-workers N  in-process workers beside the coordinator         [1]
   --lease-ttl S      steal leases unheartbeated for S seconds          [30]
@@ -366,13 +388,18 @@ DISTRIBUTED FLAGS
   --idle-timeout S   worker exits after S idle seconds       [run until killed]
 ";
 
-/// The variables `--max-ops`, `--sampling` and `--model` replaced. Set,
-/// they stop the CLI rather than being ignored, so an old script cannot
-/// silently get numbers from another budget or backend.
-const RETIRED: [(&str, &str); 3] = [
+/// The variables flags replaced. Set, they stop the CLI rather than
+/// being ignored, so an old script cannot silently get numbers from
+/// another budget or backend, or results and traces from another store.
+const RETIRED: [(&str, &str); 8] = [
     ("BELENOS_MAX_OPS", "--max-ops"),
     ("BELENOS_SAMPLING", "--sampling"),
     ("BELENOS_MODEL", "--model"),
+    ("BELENOS_CACHE_DIR", "--cache-dir"),
+    ("BELENOS_TRACE_DIR", "--trace-dir"),
+    ("BELENOS_TELEMETRY", "--telemetry"),
+    ("BELENOS_DIST_DIR", "--dist-dir"),
+    ("BELENOS_SERVE_ADDR", "--addr"),
 ];
 
 /// The refusal for the first retired variable `is_set` says is set.
@@ -395,8 +422,7 @@ pub fn main(args: Vec<String>) -> i32 {
             return 2;
         }
     };
-    // Install the telemetry selection before anything else runs: the
-    // flag wins over BELENOS_TELEMETRY (which `global()` would read).
+    // Install the telemetry selection before anything else runs.
     if let Some(sel) = &inv.telemetry {
         match belenos_telemetry::Telemetry::parse(sel) {
             Ok(t) => {
@@ -408,15 +434,9 @@ pub fn main(args: Vec<String>) -> i32 {
             }
         }
     }
-    // Same for the trace store: the flag wins over BELENOS_TRACE_DIR
-    // (which `trace_store::global()` would read on first use).
+    // Same for the trace store.
     if let Some(dir) = &inv.trace_dir {
         belenos::trace_store::install_dir(dir);
-    }
-    // And the disk result cache: `Cache::global()` reads
-    // BELENOS_CACHE_DIR on first use, which is still ahead of us here.
-    if let Some(dir) = &inv.cache_dir {
-        std::env::set_var("BELENOS_CACHE_DIR", dir);
     }
     // And the thread budget every subcommand's simulation batches, prepare
     // batches and FE assembly draw on (else BELENOS_JOBS, read on first use).
@@ -552,6 +572,20 @@ mod tests {
     #[test]
     fn retired_variables_name_the_flag_that_replaced_them() {
         assert_eq!(retired_variable(|_| false), None);
+        let names: Vec<&str> = RETIRED.iter().map(|(var, _)| *var).collect();
+        assert_eq!(
+            names,
+            [
+                "BELENOS_MAX_OPS",
+                "BELENOS_SAMPLING",
+                "BELENOS_MODEL",
+                "BELENOS_CACHE_DIR",
+                "BELENOS_TRACE_DIR",
+                "BELENOS_TELEMETRY",
+                "BELENOS_DIST_DIR",
+                "BELENOS_SERVE_ADDR",
+            ]
+        );
         for (var, flag) in RETIRED {
             let e = retired_variable(|v| v == var).unwrap();
             assert!(
@@ -580,6 +614,9 @@ mod tests {
         assert!(parse(&args(&["--frobnicate"])).is_err());
         assert!(parse(&args(&["--format", "xml"])).is_err());
         assert!(parse(&args(&["--telemetry"])).is_err());
+        for flag in ["--cache-dir", "--trace-dir", "--dist-dir"] {
+            assert!(parse(&args(&[flag, ""])).is_err(), "{flag}");
+        }
     }
 
     #[test]
@@ -660,6 +697,29 @@ mod tests {
         assert!(parse(&args(&["worker", "--lease-ttl", "0"])).is_err());
         assert!(parse(&args(&["worker", "--lease-ttl", "soon"])).is_err());
         assert!(parse(&args(&["worker", "--local-workers", "two"])).is_err());
+    }
+
+    #[test]
+    fn worker_refuses_a_cache_dir_it_would_not_write_to() {
+        // A worker's results must land where the coordinator reads them,
+        // so `--cache-dir` is a usage error rather than silently unused.
+        let root =
+            std::env::temp_dir().join(format!("belenos-worker-cache-{}", std::process::id()));
+        let (dist, mine) = (root.join("dist"), root.join("mycache"));
+        let words = [
+            "worker",
+            "--dist-dir",
+            dist.to_str().unwrap(),
+            "--cache-dir",
+            mine.to_str().unwrap(),
+            "--idle-timeout",
+            "0.05",
+        ];
+        let e = worker_cmd::run(&parse(&args(&words)).unwrap()).unwrap_err();
+        assert!(e.starts_with("usage:") && e.contains("<dist>/cache"), "{e}");
+        assert_eq!(main(args(&words)), 2);
+        assert!(!mine.exists() && !dist.exists());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -745,7 +805,7 @@ mod tests {
             .map(|line| line.split('|').nth(1).unwrap_or(""))
             .collect();
         assert_eq!(knob_names(&table, "BELENOS_"), in_source);
-        assert_eq!(in_source.len(), 7, "{in_source:?}");
+        assert_eq!(in_source.len(), 2, "{in_source:?}");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use super::{write_side_outputs, Format, Invocation};
 use belenos::experiment::prepare_all;
 use belenos::figures::scenario_run;
 use belenos_json::{FromJson, Json, ToJson};
-use belenos_runner::Runner;
 use belenos_workloads::{by_id, distinct_presets, ScenarioSpec};
 
 /// `belenos scenario <list|show|validate|run> ...`.
@@ -123,7 +122,7 @@ fn run_scenarios(inv: &Invocation) -> Result<(), String> {
     let opts = inv.options();
     eprintln!("solving {} scenario model(s)...", specs.len());
     let exps = prepare_all(&specs).map_err(|e| e.to_string())?;
-    let (report, failures) = scenario_run(&Runner::from_env(), &exps, &opts);
+    let (report, failures) = scenario_run(&inv.runner(None), &exps, &opts);
     for failure in &failures {
         eprintln!("SIMULATION FAILED: {}", failure.message);
     }
@@ -133,7 +132,6 @@ fn run_scenarios(inv: &Invocation) -> Result<(), String> {
         Format::Csv => print!("{}", report.to_csv()),
     }
     write_side_outputs(inv, || report.to_json(), || report.to_csv())?;
-    crate::print_run_summary();
     if !failures.is_empty() {
         return Err(format!("{} scenario simulation(s) failed", failures.len()));
     }

@@ -1,10 +1,10 @@
 //! `belenos serve` — run the long-running simulation server.
 //!
-//! Thin assembly over [`belenos_serve::Server`]: resolve the listen
-//! address (`--addr` wins over `BELENOS_SERVE_ADDR`), size the pool and
-//! queue, wire the optional cache GC budget to the disk cache and trace
-//! store directories, install the SIGTERM/SIGINT watcher, and block in
-//! the accept loop until a graceful drain completes.
+//! Thin assembly over [`belenos_serve::Server`]: take the listen
+//! address, pool and queue sizes and the result cache's disk tier from
+//! the flags, wire the optional cache GC budget to the disk cache and
+//! trace store directories, install the SIGTERM/SIGINT watcher, and
+//! block in the accept loop until a graceful drain completes.
 
 use super::Invocation;
 use belenos_serve::{signal, ServeConfig, Server};
@@ -15,12 +15,10 @@ use std::time::Duration;
 /// `belenos serve [--addr A] [--serve-workers N] [--queue-depth N]
 /// [--op-ceiling N] [--cache-budget B]`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
-    let mut config = ServeConfig::default();
-    if let Ok(addr) = std::env::var("BELENOS_SERVE_ADDR") {
-        if !addr.is_empty() {
-            config.addr = addr;
-        }
-    }
+    let mut config = ServeConfig {
+        cache_dir: inv.cache_dir.as_ref().map(PathBuf::from),
+        ..ServeConfig::default()
+    };
     if let Some(addr) = &inv.addr {
         config.addr = addr.clone();
     }
@@ -37,9 +35,7 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
         let dirs = store_dirs(inv);
         if budget > 0 && dirs.is_empty() {
             return Err(
-                "--cache-budget: nothing to collect — set --cache-dir/BELENOS_CACHE_DIR \
-                 and/or --trace-dir/BELENOS_TRACE_DIR"
-                    .into(),
+                "--cache-budget: nothing to collect — pass --cache-dir and/or --trace-dir".into(),
             );
         }
         config.cache_budget_bytes = budget;
@@ -74,22 +70,11 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
 }
 
 /// The disk stores a cache budget governs: the result cache and the
-/// trace store, whichever are configured (flags win over environment).
+/// trace store, whichever are configured.
 pub(crate) fn store_dirs(inv: &Invocation) -> Vec<PathBuf> {
-    let mut dirs = Vec::new();
-    let cache = inv
-        .cache_dir
-        .clone()
-        .or_else(|| std::env::var("BELENOS_CACHE_DIR").ok());
-    if let Some(dir) = cache.filter(|d| !d.is_empty()) {
-        dirs.push(PathBuf::from(dir));
-    }
-    let trace = inv
-        .trace_dir
-        .clone()
-        .or_else(|| std::env::var("BELENOS_TRACE_DIR").ok());
-    if let Some(dir) = trace.filter(|d| !d.is_empty()) {
-        dirs.push(PathBuf::from(dir));
-    }
-    dirs
+    [&inv.cache_dir, &inv.trace_dir]
+        .into_iter()
+        .flatten()
+        .map(PathBuf::from)
+        .collect()
 }

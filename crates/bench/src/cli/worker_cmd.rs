@@ -1,10 +1,10 @@
 //! `belenos worker` — join a distributed campaign as a worker process.
 //!
 //! Thin assembly over [`belenos_dist::run_worker`]: resolve the dist
-//! directory and lease knobs, point the shared stores (result cache,
-//! trace store) inside it unless the operator configured them
-//! elsewhere, install the SIGTERM/SIGINT flag so a drain finishes the
-//! in-flight job before exiting, and loop.
+//! directory and lease knobs, point the trace store inside it unless
+//! `--trace-dir` chose another, install the SIGTERM/SIGINT flag so a
+//! drain finishes the in-flight job before exiting, and loop. Results
+//! always go to `<dist>/cache`, where the coordinator reads them.
 
 use super::Invocation;
 use belenos_dist::{run_worker, DistConfig};
@@ -14,11 +14,15 @@ use std::time::SystemTime;
 /// `belenos worker --dist-dir D [--name ID] [--lease-ttl S]
 /// [--heartbeat S] [--idle-timeout S]`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
+    if inv.cache_dir.is_some() {
+        return Err(
+            "usage: a worker writes its results to <dist>/cache, where the \
+             coordinator reads them — drop --cache-dir"
+                .into(),
+        );
+    }
     let cfg = dist_config(inv, &worker_name(inv))?;
-    // The shared stores default to living inside the dist dir so every
-    // participant resolves identical cache keys to identical files; an
-    // explicit --cache-dir/--trace-dir (or env) still wins.
-    install_shared_stores(inv, &cfg);
+    install_shared_traces(inv, &cfg);
     eprintln!(
         "belenos worker {}: board {} (lease-ttl {:.1}s, heartbeat {:.1}s)",
         cfg.worker,
@@ -40,16 +44,16 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves the dist directory (`--dist-dir` wins over
-/// `BELENOS_DIST_DIR`) and lease knobs into a [`DistConfig`].
+/// Resolves `--dist-dir` and the lease knobs into a [`DistConfig`].
 ///
 /// # Errors
 ///
 /// A usage-shaped message when no dist directory is configured.
 pub(crate) fn dist_config(inv: &Invocation, worker: &str) -> Result<DistConfig, String> {
-    let dir = dist_dir(inv).ok_or(
-        "usage: a dist directory is required — pass --dist-dir PATH or set BELENOS_DIST_DIR",
-    )?;
+    let dir = inv
+        .dist_dir
+        .as_ref()
+        .ok_or("usage: a dist directory is required — pass --dist-dir PATH")?;
     let mut cfg = DistConfig::new(dir, worker);
     if let Some(ttl) = inv.lease_ttl {
         cfg = cfg.with_lease_ttl(ttl);
@@ -60,24 +64,11 @@ pub(crate) fn dist_config(inv: &Invocation, worker: &str) -> Result<DistConfig, 
     Ok(cfg)
 }
 
-/// The configured dist directory, if any (flag wins over environment).
-pub(crate) fn dist_dir(inv: &Invocation) -> Option<String> {
-    inv.dist_dir.clone().or_else(|| {
-        std::env::var("BELENOS_DIST_DIR")
-            .ok()
-            .filter(|d| !d.is_empty())
-    })
-}
-
-/// Points the process-wide result cache and trace store into the dist
-/// directory unless the operator already chose locations (flags were
-/// installed by `cli::main` before dispatch; env counts as chosen).
-pub(crate) fn install_shared_stores(inv: &Invocation, cfg: &DistConfig) {
-    let unset = |var: &str| std::env::var(var).map(|v| v.is_empty()).unwrap_or(true);
-    if inv.cache_dir.is_none() && unset("BELENOS_CACHE_DIR") {
-        std::env::set_var("BELENOS_CACHE_DIR", cfg.cache_dir());
-    }
-    if inv.trace_dir.is_none() && unset("BELENOS_TRACE_DIR") {
+/// Points the trace store into the dist directory unless `--trace-dir`
+/// chose another, so every participant resolves a scenario to the same
+/// stored trace.
+pub(crate) fn install_shared_traces(inv: &Invocation, cfg: &DistConfig) {
+    if inv.trace_dir.is_none() {
         belenos::trace_store::install_dir(cfg.traces_dir());
     }
 }

@@ -18,9 +18,3 @@
 //! `benchmark/`.
 
 pub mod cli;
-
-/// Prints the process-lifetime runner-cache summary to stderr; campaign
-/// commands call this last so shared-baseline reuse is visible.
-pub fn print_run_summary() {
-    eprintln!("{}", belenos_runner::process_summary());
-}

@@ -18,7 +18,7 @@
 //!
 //! ```no_run
 //! use belenos::campaign::CampaignSpec;
-//! use belenos_runner::Runner;
+//! use belenos_runner::{Cache, Runner};
 //!
 //! let spec = CampaignSpec::parse(
 //!     r#"{
@@ -29,7 +29,7 @@
 //!     }"#,
 //! )
 //! .expect("valid spec");
-//! let report = spec.prepare().expect("models solve").run(&Runner::from_env());
+//! let report = spec.prepare().expect("models solve").run(&Runner::new(4, Cache::with_disk("cache")));
 //! print!("{}", report.to_text());
 //! std::fs::write("report.json", report.to_json()).unwrap();
 //! ```

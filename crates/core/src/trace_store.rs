@@ -2,8 +2,8 @@
 //!
 //! [`TraceStore`] keys prepared traces by `ScenarioSpec::stable_digest` ×
 //! the [`ExpandConfig`]'s [`expand_fingerprint`] and persists them under
-//! `BELENOS_TRACE_DIR` (or `--trace-dir`) in the versioned binary format
-//! of [`belenos_trace::store`]. A hit lets [`Experiment::prepare`]
+//! `--trace-dir` in the versioned binary format of
+//! [`belenos_trace::store`]. A hit lets [`Experiment::prepare`]
 //! reconstruct the phase log without building or solving the FE model, so
 //! the prepare phase is paid once *ever* per scenario across processes,
 //! sweeps, and fleet workers. Entries the program writes are header +
@@ -34,33 +34,20 @@ pub struct TraceStore {
     dir: PathBuf,
 }
 
-static DIR_OVERRIDE: OnceLock<PathBuf> = OnceLock::new();
-static GLOBAL: OnceLock<Option<TraceStore>> = OnceLock::new();
+static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
 
 /// Routes the process-wide store at `dir` (the `--trace-dir` flag).
 ///
-/// Must run before the first [`global`] call; returns `false` when an
-/// override was already installed (first caller wins, matching the
-/// telemetry `install` contract).
+/// Returns `false` when a store was already installed (first caller
+/// wins, matching the telemetry `install` contract).
 pub fn install_dir(dir: impl Into<PathBuf>) -> bool {
-    DIR_OVERRIDE.set(dir.into()).is_ok()
+    GLOBAL.set(TraceStore::at(dir)).is_ok()
 }
 
-/// The process-wide trace store: the `--trace-dir` override when
-/// installed, else `BELENOS_TRACE_DIR` (read once, here — keeping the
-/// one-env-read-per-knob rule), else `None` (store disabled).
+/// The process-wide trace store: the one [`install_dir`] routed, else
+/// `None` (store disabled).
 pub fn global() -> Option<&'static TraceStore> {
-    GLOBAL
-        .get_or_init(|| {
-            if let Some(dir) = DIR_OVERRIDE.get() {
-                return Some(TraceStore::at(dir.clone()));
-            }
-            match std::env::var("BELENOS_TRACE_DIR") {
-                Ok(dir) if !dir.is_empty() => Some(TraceStore::at(dir)),
-                _ => None,
-            }
-        })
-        .as_ref()
+    GLOBAL.get()
 }
 
 impl TraceStore {

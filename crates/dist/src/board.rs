@@ -23,7 +23,6 @@ use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig};
 use belenos_workloads::scenario::{Family, ScenarioSpec};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, SystemTime};
 
@@ -509,13 +508,12 @@ struct HeartbeatShared {
 ///
 /// Refreshes the lease mtime every `heartbeat` interval (counter
 /// `dist_heartbeats`); a `NotFound` on refresh means the lease was
-/// stolen — the thread stops beating and [`Heartbeat::lost`] turns
-/// true, but the job itself keeps running (its result is deterministic
-/// and the duplicate cache insert is idempotent). Dropping stops the
-/// thread promptly regardless of the interval.
+/// stolen — the thread stops beating, but the job itself keeps running
+/// (its result is deterministic and the duplicate cache insert is
+/// idempotent). Dropping stops the thread promptly regardless of the
+/// interval.
 pub struct Heartbeat {
     shared: Arc<HeartbeatShared>,
-    lost: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -526,12 +524,10 @@ impl Heartbeat {
             stop: Mutex::new(false),
             wake: Condvar::new(),
         });
-        let lost = Arc::new(AtomicBool::new(false));
         let path = cfg.lease_path(digest);
         let interval = cfg.heartbeat;
         let thread = {
             let shared = Arc::clone(&shared);
-            let lost = Arc::clone(&lost);
             let tele = belenos_telemetry::global();
             std::thread::spawn(move || {
                 let mut stopped = shared.stop.lock().unwrap();
@@ -549,10 +545,7 @@ impl Heartbeat {
                     }
                     match touch(&path) {
                         Ok(()) => tele.counter("dist_heartbeats", 1, &[]),
-                        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                            lost.store(true, Ordering::Relaxed);
-                            return;
-                        }
+                        Err(e) if e.kind() == io::ErrorKind::NotFound => return,
                         // Transient refresh failures (e.g. an NFS hiccup)
                         // are survivable as long as one lands within TTL.
                         Err(_) => {}
@@ -562,14 +555,8 @@ impl Heartbeat {
         };
         Heartbeat {
             shared,
-            lost,
             thread: Some(thread),
         }
-    }
-
-    /// True when the lease vanished mid-job (stolen after a stall).
-    pub fn lost(&self) -> bool {
-        self.lost.load(Ordering::Relaxed)
     }
 }
 
@@ -865,7 +852,6 @@ mod tests {
             claim_expired(&thief).is_none(),
             "a heartbeating lease must never be stolen"
         );
-        assert!(!hb.lost());
         drop(hb);
 
         // Once the heart stops, the lease ages out and is stolen.

@@ -12,8 +12,7 @@
 //!
 //! ## The job board
 //!
-//! A dist directory (`BELENOS_DIST_DIR` / `--dist-dir`) holds five
-//! subdirectories:
+//! A dist directory (`--dist-dir`) holds five subdirectories:
 //!
 //! ```text
 //! <dist-dir>/

@@ -151,38 +151,19 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (the full input must be one value) under
-    /// the default [`ParseLimits`].
+    /// Parses a JSON document (the full input must be one value).
+    /// Nesting deeper than [`MAX_DEPTH`] is an error, not a stack
+    /// overflow, so this is safe on network bytes too.
     ///
     /// # Errors
     ///
-    /// A [`JsonError`] with a byte offset for malformed input.
+    /// A [`JsonError`] with a byte offset for malformed input or
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        Json::parse_with_limits(text, &ParseLimits::default())
-    }
-
-    /// Parses a JSON document under explicit [`ParseLimits`] — the
-    /// untrusted-input entry point: the server feeds this network bytes,
-    /// so both the total size and the nesting depth are bounded before
-    /// any recursion happens.
-    ///
-    /// # Errors
-    ///
-    /// A [`JsonError`] for malformed input, input longer than
-    /// `limits.max_bytes`, or nesting deeper than `limits.max_depth`.
-    pub fn parse_with_limits(text: &str, limits: &ParseLimits) -> Result<Json, JsonError> {
-        if limits.max_bytes > 0 && text.len() > limits.max_bytes {
-            return Err(JsonError::new(format!(
-                "input of {} bytes exceeds the {}-byte limit",
-                text.len(),
-                limits.max_bytes
-            )));
-        }
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
-            max_depth: limits.max_depth,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -287,32 +268,10 @@ impl Json {
     }
 }
 
-/// Bounds on what [`Json::parse_with_limits`] accepts — the defense
-/// layer for parsing bytes that arrived over a network rather than from
-/// a file the operator wrote.
-#[derive(Debug, Clone)]
-pub struct ParseLimits {
-    /// Maximum input length in bytes (0 = unlimited).
-    pub max_bytes: usize,
-    /// Maximum array/object nesting depth. The parser is recursive
-    /// descent, so this bounds stack growth; the default (512) is far
-    /// above any legitimate spec while staying well inside the smallest
-    /// thread stack.
-    pub max_depth: usize,
-}
-
-/// The nesting depth [`Json::parse`] allows (and the [`ParseLimits`]
-/// default).
-pub const DEFAULT_MAX_DEPTH: usize = 512;
-
-impl Default for ParseLimits {
-    fn default() -> Self {
-        ParseLimits {
-            max_bytes: 0,
-            max_depth: DEFAULT_MAX_DEPTH,
-        }
-    }
-}
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// is recursive descent, so this bounds stack growth: far above any
+/// legitimate spec, well inside the smallest thread stack.
+pub const MAX_DEPTH: usize = 512;
 
 /// Routes `fmt::Write` output into an `io::Write` sink, parking the
 /// first I/O error so [`Json::render_to`] can surface it.
@@ -376,7 +335,6 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
-    max_depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -430,10 +388,9 @@ impl<'a> Parser<'a> {
     /// on adversarial `[[[[...` input.
     fn descend(&mut self) -> Result<(), JsonError> {
         self.depth += 1;
-        if self.depth > self.max_depth {
+        if self.depth > MAX_DEPTH {
             return Err(self.err(&format!(
-                "nesting exceeds the {}-level depth limit",
-                self.max_depth
+                "nesting exceeds the {MAX_DEPTH}-level depth limit"
             )));
         }
         Ok(())
@@ -889,28 +846,23 @@ mod tests {
 
     #[test]
     fn explicit_depth_limit_is_exact() {
-        let limits = ParseLimits {
-            max_bytes: 0,
-            max_depth: 3,
-        };
-        assert!(Json::parse_with_limits("[[[1]]]", &limits).is_ok());
-        let err = Json::parse_with_limits("[[[[1]]]]", &limits).unwrap_err();
-        assert!(err.message.contains("3-level"), "{err}");
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("512-level"), "{err}");
         // Mixed containers count the same way.
-        assert!(Json::parse_with_limits(r#"{"a":[{"b":1}]}"#, &limits).is_ok());
-        assert!(Json::parse_with_limits(r#"{"a":[{"b":[]}]}"#, &limits).is_err());
-    }
-
-    #[test]
-    fn oversized_input_is_rejected_before_parsing() {
-        let limits = ParseLimits {
-            max_bytes: 16,
-            max_depth: DEFAULT_MAX_DEPTH,
+        let mixed = |depth: usize| {
+            let open: String = (0..depth)
+                .map(|i| if i % 2 == 0 { "{\"a\":" } else { "[" })
+                .collect();
+            let close: String = (0..depth)
+                .rev()
+                .map(|i| if i % 2 == 0 { "}" } else { "]" })
+                .collect();
+            format!("{open}1{close}")
         };
-        assert!(Json::parse_with_limits("[1,2,3]", &limits).is_ok());
-        let big = format!("[{}]", "1,".repeat(100));
-        let err = Json::parse_with_limits(&big, &limits).unwrap_err();
-        assert!(err.message.contains("16-byte limit"), "{err}");
+        assert!(Json::parse(&mixed(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&mixed(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

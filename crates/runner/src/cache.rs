@@ -5,7 +5,7 @@
 //! so any two jobs that would replay the exact same simulation share one
 //! entry, no matter which sweep or figure submitted them. The cache is
 //! in-memory (shared, thread-safe) with an optional on-disk tier
-//! (`BELENOS_CACHE_DIR`) that survives across processes.
+//! (`--cache-dir`) that survives across processes.
 
 use crate::entry::{write_atomic, Miss};
 use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig, SimStats};
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Identity of one simulation: equal keys guarantee bit-identical stats.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -130,24 +130,6 @@ impl Cache {
                 inserts: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// A fresh cache as the environment configures it: an on-disk tier at
-    /// `BELENOS_CACHE_DIR` when that is set, memory-only otherwise. Its
-    /// in-memory entries live as long as the returned value (and its
-    /// clones) — a server builds one at bind and drops it on exit.
-    pub fn from_env() -> Cache {
-        match std::env::var("BELENOS_CACHE_DIR") {
-            Ok(dir) if !dir.is_empty() => Cache::with_disk(dir),
-            _ => Cache::fresh(),
-        }
-    }
-
-    /// The process-wide shared cache: [`Cache::from_env`], built once (at
-    /// first use) and kept for the life of the process.
-    pub fn global() -> Cache {
-        static GLOBAL: OnceLock<Cache> = OnceLock::new();
-        GLOBAL.get_or_init(Cache::from_env).clone()
     }
 
     /// Looks `key` up in memory, then on disk; counts a hit or miss.

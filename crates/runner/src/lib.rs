@@ -11,8 +11,8 @@
 //! 1. callers describe work as a [`RunPlan`] of [`JobSpec`]s — a workload
 //!    index, a human label, a [`CoreConfig`] and a micro-op budget;
 //! 2. [`Runner::run`] deduplicates jobs by content ([`CacheKey`]),
-//!    consults the process-wide content-addressed result [`Cache`]
-//!    (optionally disk-backed via `BELENOS_CACHE_DIR`), and runs the
+//!    consults the runner's content-addressed result [`Cache`]
+//!    (optionally disk-backed, `--cache-dir`), and runs the
 //!    remaining unique simulations on the calling thread plus whatever
 //!    helper threads the runner's [`Budget`] has free ([`pool`]: one
 //!    budget — `--jobs`, `BELENOS_JOBS`, default available parallelism
@@ -21,7 +21,7 @@
 //!    cache-hit and dedup counters plus queue-wait and p50/p95 job wall
 //!    times.
 //!
-//! When `BELENOS_TELEMETRY` (or the CLI's `--telemetry`) selects a sink,
+//! When the CLI's `--telemetry` selects a sink,
 //! every batch additionally emits structured events through
 //! `belenos-telemetry`: a `batch` span wrapping per-executed-job `job`
 //! spans (parented across the worker-thread boundary), a
@@ -353,12 +353,6 @@ impl std::fmt::Debug for Runner {
 }
 
 impl Runner {
-    /// Engine on the process's budget ([`Budget::global`]: `--jobs`,
-    /// `BELENOS_JOBS`) and shared cache, progress streaming on.
-    pub fn from_env() -> Self {
-        Runner::with_budget(Budget::global().clone(), Cache::global()).progress(true)
-    }
-
     /// Engine with a budget of its own — at most `threads` simulations
     /// at once per top-level batch — and an explicit cache (no progress
     /// noise).
@@ -633,20 +627,6 @@ impl Runner {
         }
         (results, summary)
     }
-}
-
-/// One-line process-lifetime summary of the shared cache (total lookups,
-/// hits, resident entries) — printed by the figure binaries after a
-/// campaign so shared-baseline reuse is visible.
-pub fn process_summary() -> String {
-    let cache = Cache::global();
-    let s = cache.stats();
-    format!(
-        "runner cache: {} lookup(s), {} hit(s), {} unique simulation(s) resident",
-        s.lookups(),
-        s.hits,
-        cache.len()
-    )
 }
 
 #[cfg(test)]

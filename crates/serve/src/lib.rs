@@ -79,10 +79,16 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// length of a job, so the cap is a few hundred rather than a few.
 const MAX_HANDLERS: usize = 256;
 
+/// Request body cap in bytes.
+const MAX_BODY_BYTES: usize = 1024 * 1024;
+
+/// Time between background GC sweeps.
+const GC_INTERVAL: Duration = Duration::from_secs(60);
+
 /// Everything tunable about a server, with serving-friendly defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Listen address (`BELENOS_SERVE_ADDR` / `--addr`).
+    /// Listen address (`--addr`).
     pub addr: String,
     /// Concurrent jobs (job threads). Each runs its batches itself and
     /// borrows helpers from the one budget below, shared by all of them.
@@ -92,17 +98,16 @@ pub struct ServeConfig {
     /// Per-request `options.max_ops` ceiling; `0` disables the check
     /// (and then unlimited-budget specs are admitted too).
     pub op_budget_ceiling: usize,
-    /// Request body cap in bytes.
-    pub max_body_bytes: usize,
     /// Thread budget of the server's runner, shared by all of its
     /// jobs' simulation batches; `0` = the process's budget (`--jobs`,
     /// `BELENOS_JOBS` or the machine's parallelism), which prepare
     /// batches and FE assembly draw on either way.
     pub runner_threads: usize,
+    /// Disk tier of the server's result cache (`--cache-dir`); `None`
+    /// = memory-only.
+    pub cache_dir: Option<PathBuf>,
     /// Combined disk budget for `gc_dirs` in bytes; `0` = GC off.
     pub cache_budget_bytes: u64,
-    /// Seconds between background GC sweeps.
-    pub gc_interval_s: u64,
     /// Directories the GC budget covers (disk cache, trace store).
     pub gc_dirs: Vec<PathBuf>,
 }
@@ -114,10 +119,9 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 32,
             op_budget_ceiling: 100_000_000,
-            max_body_bytes: 1024 * 1024,
             runner_threads: 0,
+            cache_dir: None,
             cache_budget_bytes: 0,
-            gc_interval_s: 60,
             gc_dirs: Vec::new(),
         }
     }
@@ -242,7 +246,7 @@ impl Drop for HandlerSlot {
 impl Server {
     /// Binds the listener and builds the persistent runner. Its result
     /// cache is made here and lives exactly as long as the server
-    /// (`BELENOS_CACHE_DIR` set: with that disk tier, else memory-only):
+    /// (with the [`ServeConfig::cache_dir`] disk tier, if any):
     /// servers sharing a process share no results, and what a server
     /// holds does not depend on what ran before it. The calling
     /// thread's current telemetry handle becomes the server's: it
@@ -262,7 +266,11 @@ impl Server {
         };
         // No progress lines: job progress goes to watchers via the event
         // stream; the server's stderr stays quiet.
-        let runner = Runner::with_budget(budget, Cache::from_env());
+        let cache = match &config.cache_dir {
+            Some(dir) => Cache::with_disk(dir),
+            None => Cache::fresh(),
+        };
+        let runner = Runner::with_budget(budget, cache);
         let telemetry = belenos_telemetry::global();
         let feeds = Arc::new(JobFeeds::new(&telemetry));
         let stats = Arc::new(ServeStats::new());
@@ -387,7 +395,6 @@ fn spawn_gc_sweeper(state: &Arc<ServerState>) -> Option<std::thread::JoinHandle<
             .name("serve-gc".into())
             .spawn(move || {
                 let _tele = state.telemetry.scope();
-                let interval = Duration::from_secs(state.config.gc_interval_s.max(1));
                 loop {
                     match gc::gc_dirs(&state.config.gc_dirs, budget) {
                         Ok(outcome) => state
@@ -398,7 +405,7 @@ fn spawn_gc_sweeper(state: &Arc<ServerState>) -> Option<std::thread::JoinHandle<
                     // One wait per interval, ended early by shutdown.
                     let (shutdown, _) = state
                         .shutdown_signal
-                        .wait_timeout_while(lock(&state.shutdown), interval, |flag| !*flag)
+                        .wait_timeout_while(lock(&state.shutdown), GC_INTERVAL, |flag| !*flag)
                         .expect(NOT_POISONED);
                     if *shutdown {
                         return;
@@ -413,7 +420,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
     // A stalled or dribbling client shouldn't pin a handler thread: the
     // whole request, head and body, has one deadline.
     let deadline = Instant::now() + REQUEST_DEADLINE;
-    let request = match read_request(&mut stream, state.config.max_body_bytes, deadline) {
+    let request = match read_request(&mut stream, MAX_BODY_BYTES, deadline) {
         Ok(request) => request,
         Err(e) => {
             if e.status == 408 {

@@ -3,7 +3,7 @@
 //! Structured observability for the Belenos stack: hierarchical spans
 //! with wall-time, monotonic counters, gauges, and `warn`/`progress`
 //! events, serialized as JSONL (one compact [`belenos_json`] object per
-//! line) to a sink selected by `BELENOS_TELEMETRY=<path|stderr|off>`.
+//! line) to a sink selected by `--telemetry <path|stderr|off>`.
 //! Like `belenos-json` and the proptest shim, the crate is std-only —
 //! the build environment has no registry access, so the usual tracing
 //! ecosystem is out of reach.
@@ -50,7 +50,7 @@ use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A field value attached to an event.
@@ -176,7 +176,7 @@ thread_local! {
 ///
 /// Disabled handles (the default) are a `None` and every method is a
 /// no-op. The `quiet` flag distinguishes *explicitly* silenced telemetry
-/// (`BELENOS_TELEMETRY=off`, which also suppresses the stderr fallback
+/// (`--telemetry off`, which also suppresses the stderr fallback
 /// of [`Telemetry::warn`]) from merely unconfigured telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
@@ -210,14 +210,14 @@ impl TelemetryBuffer {
 impl Telemetry {
     /// A disabled handle: every emit is a no-op, but [`Telemetry::warn`]
     /// still falls back to stderr (telemetry was not *asked* to be off).
-    pub fn disabled() -> Telemetry {
+    pub const fn disabled() -> Telemetry {
         Telemetry {
             sink: None,
             quiet: false,
         }
     }
 
-    /// An explicitly-off handle (`BELENOS_TELEMETRY=off`): every emit is
+    /// An explicitly-off handle (`--telemetry off`): every emit is
     /// a no-op *and* the stderr warning fallback is suppressed.
     pub fn off() -> Telemetry {
         Telemetry {
@@ -296,7 +296,7 @@ impl Telemetry {
     }
 
     /// Parses a sink selection: `off` (silent), `stderr`, or a file
-    /// path. This is the `BELENOS_TELEMETRY` / `--telemetry` vocabulary.
+    /// path. This is the `--telemetry` vocabulary.
     ///
     /// # Errors
     ///
@@ -306,20 +306,6 @@ impl Telemetry {
             "" | "off" | "0" | "none" => Ok(Telemetry::off()),
             "stderr" => Ok(Telemetry::to_stderr()),
             path => Telemetry::to_path(path),
-        }
-    }
-
-    /// The handle `BELENOS_TELEMETRY` selects: unset → disabled (warnings
-    /// still reach stderr), `off` → fully silent, `stderr` or a path →
-    /// enabled. An unusable path disables telemetry with a stderr note
-    /// rather than failing the run.
-    pub fn from_env() -> Telemetry {
-        match std::env::var("BELENOS_TELEMETRY") {
-            Ok(v) => Telemetry::parse(&v).unwrap_or_else(|e| {
-                eprintln!("{e}; telemetry disabled");
-                Telemetry::disabled()
-            }),
-            Err(_) => Telemetry::disabled(),
         }
     }
 
@@ -400,7 +386,7 @@ impl Telemetry {
 
     /// Emits a structured warning. With telemetry merely unconfigured the
     /// message falls back to stderr (misconfiguration must stay visible);
-    /// `BELENOS_TELEMETRY=off` suppresses it entirely.
+    /// `--telemetry off` suppresses it entirely.
     pub fn warn(&self, msg: &str) {
         match &self.sink {
             Some(sink) => sink.write_line(
@@ -507,28 +493,25 @@ impl Drop for Scope {
     }
 }
 
-static GLOBAL: OnceLock<Mutex<Telemetry>> = OnceLock::new();
-
-fn global_slot() -> &'static Mutex<Telemetry> {
-    GLOBAL.get_or_init(|| Mutex::new(Telemetry::from_env()))
-}
+/// The process-wide handle: disabled until [`install`] replaces it.
+static GLOBAL: Mutex<Telemetry> = Mutex::new(Telemetry::disabled());
 
 /// The calling thread's current handle: the innermost
-/// [`Telemetry::scope`], else the process-wide handle (initialized from
-/// `BELENOS_TELEMETRY` on first access). Layers that cannot thread a
+/// [`Telemetry::scope`], else the process-wide handle (disabled unless
+/// [`install`]ed). Layers that cannot thread a
 /// handle through their call graph (the runner's `Simulate` trait, the
 /// uarch env parser) emit through this.
 pub fn global() -> Telemetry {
     CURRENT
         .with(|c| c.borrow().clone())
-        .unwrap_or_else(|| global_slot().lock().unwrap().clone())
+        .unwrap_or_else(|| GLOBAL.lock().unwrap().clone())
 }
 
 /// Replaces the process-wide handle (the CLI's `--telemetry` flag),
 /// returning the previous one. Threads inside a [`Telemetry::scope`]
 /// are unaffected.
 pub fn install(t: Telemetry) -> Telemetry {
-    std::mem::replace(&mut *global_slot().lock().unwrap(), t)
+    std::mem::replace(&mut *GLOBAL.lock().unwrap(), t)
 }
 
 /// Runs `f` with a fresh buffer sink as this thread's current handle

@@ -10,9 +10,7 @@
 //! The tests run on parallel threads, several servers alive at once: a
 //! server observes its jobs through telemetry handles of its own and
 //! never touches the process-wide one, and its result cache is made at
-//! bind and dropped with it — no server sees what another simulated
-//! (`BELENOS_CACHE_DIR` must be unset here, as it is under `cargo test`:
-//! a disk tier would be shared by design).
+//! bind and dropped with it — no server sees what another simulated.
 
 use belenos::campaign::CampaignSpec;
 use belenos::experiment::prepare_all;
