@@ -7,16 +7,35 @@
 //! column counts) are exposed so the trace layer can replay the exact
 //! per-column access extents of the numeric factorization.
 //!
-//! The numeric phase updates *chains* of columns in one sweep. Column `i`
-//! is chained when its structure is `{i + 1} ∪ struct(i + 1)` — every dof
-//! but the last of an assembled node block is, since the block's columns
-//! share one elimination path. When row `k`'s elimination visits chained
-//! columns `c, c + 1, …, c + m − 1` back to back, the update computes each
-//! column's final `y` value in visit order (the in-chain entries come
-//! first in every column), then walks the rows below the chain once,
-//! subtracting the `m` column terms from each `y[r]` in the order the
-//! column-by-column loop applied them. Every operand, operation and order
-//! is that loop's: only the number of loads and stores of `y` drops.
+//! The numeric phase follows a *visit plan* the analysis computes once:
+//! the order in which each row's elimination visits the columns of L
+//! depends on the pattern alone, so no refactorization walks the etree.
+//!
+//! **Row blocks.** Rows `k..k + B` (`B ≤ 4`) form a block when row
+//! `k + j` visits exactly row `k`'s columns, in row `k`'s order, followed
+//! by `k, …, k + j − 1`. Every dof of an assembled node block does: its
+//! rows couple to the same neighbours and to each other. The block's rows
+//! are eliminated together: their accumulators are the `B` lanes of one
+//! interleaved work vector, so each column segment of L is read once per
+//! block instead of once per row. After a column's update, rows `k, k + 1,
+//! …` place their entries in order, and each later row subtracts the terms
+//! of the block rows just placed. The in-block columns `k, …, k + B − 2`
+//! come last, through the same kernel.
+//!
+//! **Chains.** Column `i` is chained when its structure is `{i + 1} ∪
+//! struct(i + 1)` — every dof but the last of a node block is, since the
+//! block's columns share one elimination path. When a block visits
+//! chained columns `c, c + 1, …, c + m − 1` back to back, the update
+//! computes each column's final lane values in visit order (the in-chain
+//! entries come first in every column), then walks the rows below the
+//! chain once, subtracting the `m` column terms from each lane in the
+//! order the column-by-column loop applied them.
+//!
+//! **Why no bit changes.** Lanes never mix: each accumulator — one row's
+//! value at one column, or one row's pivot — receives exactly the
+//! subtractions of the textbook row-at-a-time loop, with the same
+//! operands, in the same order. Blocking and chaining only change how
+//! often the operands are loaded.
 
 use crate::csr::CsrMatrix;
 use crate::pattern::CsrPattern;
@@ -31,8 +50,12 @@ use std::sync::Arc;
 /// 16 slower on both; 4 keeps half the kernel instances for that.
 const CHAIN_CAP: usize = 4;
 
-/// Symbolic analysis of a symmetric sparse matrix: elimination tree and
-/// the complete nonzero structure of the L factor.
+/// Most rows one block eliminates together: a u-p node block's four.
+const BLOCK_CAP: usize = 4;
+
+/// Symbolic analysis of a symmetric sparse matrix: elimination tree, the
+/// complete nonzero structure of the L factor and the numeric phase's
+/// visit plan.
 ///
 /// Everything here depends on the pattern alone, so one analysis serves
 /// every numeric (re)factorization of a Newton loop, and the structure
@@ -42,7 +65,7 @@ const CHAIN_CAP: usize = 4;
 pub struct SymbolicLdl {
     n: usize,
     /// The analysed pattern: a numeric factorization of any other pattern
-    /// is refused, since the chains and runs below describe this one.
+    /// is refused, since the plan below describes this one.
     pattern: Arc<CsrPattern>,
     /// Parent of each column in the elimination tree (`usize::MAX` = root).
     parent: Vec<usize>,
@@ -52,6 +75,23 @@ pub struct SymbolicLdl {
     lp: Arc<Vec<usize>>,
     /// Row indices of L, ascending within each column.
     li: Arc<Vec<u32>>,
+    /// How the numeric phase walks L.
+    plan: Arc<VisitPlan>,
+}
+
+/// The numeric phase's walk over L, fixed by the pattern: which rows are
+/// eliminated together, which column chains update them and in what
+/// order, and where each column's rows are consecutive.
+#[derive(Debug)]
+struct VisitPlan {
+    /// Row block `b` is rows `block_row[b]..block_row[b + 1]`, at most
+    /// [`BLOCK_CAP`] of them.
+    block_row: Vec<usize>,
+    /// Row block `b` visits `chains[chain_ptr[b]..chain_ptr[b + 1]]`.
+    chain_ptr: Vec<usize>,
+    /// Each chain visit of the block's first row, in visit order, as
+    /// `(first column, columns)`: cut greedily at [`CHAIN_CAP`].
+    chains: Vec<(u32, u32)>,
     /// Every column of L cut into maximal runs of consecutive rows:
     /// column `i` owns `runs[run_ptr[i]..run_ptr[i + 1]]`, each
     /// `(first position in li, length)`. Under a bandwidth-reducing
@@ -59,10 +99,42 @@ pub struct SymbolicLdl {
     /// walks them as slices instead of as an indexed scatter.
     run_ptr: Vec<usize>,
     runs: Vec<(u32, u32)>,
-    /// `chained[i]`: column `i`'s structure is `{i + 1} ∪ struct(i + 1)`,
-    /// so `L(i + 1, i)` leads it and the rest of it lines up with column
-    /// `i + 1` entry for entry.
-    chained: Vec<bool>,
+}
+
+/// Row `k`'s elimination order over the columns of L: the etree path up
+/// from each upper-triangle entry `(i, k)`, `i < k`, stopping at a column
+/// already on the list, with later entries' paths taken first — Davis'
+/// topological order. `flag` must not hold `k` on entry; `stack` has one
+/// slot per row.
+fn visit_order<'s>(
+    k: usize,
+    a: &CsrPattern,
+    parent: &[usize],
+    flag: &mut [usize],
+    stack: &'s mut [usize],
+) -> &'s [usize] {
+    let n = stack.len();
+    let mut top = n;
+    flag[k] = k;
+    for &i in a.row(k) {
+        let mut i = i as usize;
+        if i >= k {
+            continue;
+        }
+        let mut len = 0usize;
+        while flag[i] != k {
+            stack[len] = i;
+            len += 1;
+            flag[i] = k;
+            i = parent[i];
+        }
+        // Reverse onto the top of the stack region.
+        for s in 0..len {
+            top -= 1;
+            stack[top] = stack[len - 1 - s];
+        }
+    }
+    &stack[top..]
 }
 
 impl SymbolicLdl {
@@ -108,27 +180,25 @@ impl SymbolicLdl {
         for k in 0..n {
             lp[k + 1] = lp[k] + col_counts[k];
         }
+        let chained: Vec<bool> = (0..n)
+            .map(|i| i + 1 < n && parent[i] == i + 1 && col_counts[i] == col_counts[i + 1] + 1)
+            .collect();
         // Second walk, now that the column extents are known: row k lands
-        // in every column its etree walk visits, and rows arrive in
-        // ascending order — exactly the order the up-looking numeric
-        // phase appends them in.
+        // in every column it visits, and rows arrive in ascending order —
+        // exactly the order the numeric phase appends them in. The same
+        // walk groups rows into blocks.
         let mut li = vec![0u32; lp[n]];
         let mut next = lp[..n].to_vec();
         flag.fill(usize::MAX);
+        let mut stack = vec![0usize; n];
+        let mut plan = PlanBuilder::new(&chained);
         for k in 0..n {
-            flag[k] = k;
-            for p in rp[k]..rp[k + 1] {
-                let mut i = ci[p] as usize;
-                if i >= k {
-                    continue;
-                }
-                while flag[i] != k {
-                    li[next[i]] = k as u32;
-                    next[i] += 1;
-                    flag[i] = k;
-                    i = parent[i];
-                }
+            let visits = visit_order(k, a.pattern(), &parent, &mut flag, &mut stack);
+            for &i in visits {
+                li[next[i]] = k as u32;
+                next[i] += 1;
             }
+            plan.row(k, visits);
         }
         let mut run_ptr = Vec::with_capacity(n + 1);
         let mut runs: Vec<(u32, u32)> = Vec::new();
@@ -142,9 +212,6 @@ impl SymbolicLdl {
             }
             run_ptr.push(runs.len());
         }
-        let chained = (0..n)
-            .map(|i| i + 1 < n && parent[i] == i + 1 && col_counts[i] == col_counts[i + 1] + 1)
-            .collect();
         Ok(SymbolicLdl {
             n,
             pattern: a.pattern_arc(),
@@ -152,9 +219,7 @@ impl SymbolicLdl {
             col_counts,
             lp: Arc::new(lp),
             li: Arc::new(li),
-            run_ptr,
-            runs,
-            chained,
+            plan: Arc::new(plan.finish(n, run_ptr, runs)),
         })
     }
 
@@ -220,9 +285,93 @@ impl SymbolicLdl {
     }
 }
 
+/// Groups rows into blocks and cuts each block's visits into chains as
+/// the analysis walks the rows in order.
+struct PlanBuilder<'a> {
+    /// `chained[i]`: column `i`'s structure is `{i + 1} ∪ struct(i + 1)`,
+    /// so `L(i + 1, i)` leads it and the rest of it lines up with column
+    /// `i + 1` entry for entry.
+    chained: &'a [bool],
+    /// The open block's first row, its row count and its visit order.
+    first: usize,
+    rows: usize,
+    lead: Vec<usize>,
+    block_row: Vec<usize>,
+    chain_ptr: Vec<usize>,
+    chains: Vec<(u32, u32)>,
+}
+
+impl<'a> PlanBuilder<'a> {
+    fn new(chained: &'a [bool]) -> Self {
+        PlanBuilder {
+            chained,
+            first: 0,
+            rows: 0,
+            lead: Vec::new(),
+            block_row: Vec::new(),
+            chain_ptr: vec![0],
+            chains: Vec::new(),
+        }
+    }
+
+    /// Row `k` joins the open block when it visits the block's first row's
+    /// columns, in that order, followed by the block's rows so far.
+    fn row(&mut self, k: usize, visits: &[usize]) {
+        let lead = self.lead.len();
+        if self.rows > 0
+            && self.rows < BLOCK_CAP
+            && visits.len() == lead + self.rows
+            && visits[..lead] == self.lead[..]
+            && visits[lead..].iter().copied().eq(self.first..k)
+        {
+            self.rows += 1;
+            return;
+        }
+        self.close();
+        self.lead.clear();
+        self.lead.extend_from_slice(visits);
+        self.first = k;
+        self.rows = 1;
+    }
+
+    /// Cuts the open block's visits into chains: a chain grows while the
+    /// next visit is the next column and the chain's last column is
+    /// chained to it.
+    fn close(&mut self) {
+        if self.rows == 0 {
+            return;
+        }
+        let v = &self.lead;
+        let mut s = 0;
+        while s < v.len() {
+            let c = v[s];
+            let mut m = 1;
+            while m < CHAIN_CAP && s + m < v.len() && self.chained[c + m - 1] && v[s + m] == c + m {
+                m += 1;
+            }
+            self.chains.push((c as u32, m as u32));
+            s += m;
+        }
+        self.block_row.push(self.first);
+        self.chain_ptr.push(self.chains.len());
+    }
+
+    fn finish(mut self, n: usize, run_ptr: Vec<usize>, runs: Vec<(u32, u32)>) -> VisitPlan {
+        self.close();
+        self.block_row.push(n);
+        VisitPlan {
+            block_row: self.block_row,
+            chain_ptr: self.chain_ptr,
+            chains: self.chains,
+            run_ptr,
+            runs,
+        }
+    }
+}
+
 /// Numeric LDLᵀ factors: `A = L D Lᵀ` with unit-diagonal L in CSC.
 ///
-/// The factor keeps its symbolic structure and its work vectors, so
+/// The factor keeps its symbolic structure and its work vector, so
 /// [`LdlFactor::refactorize`] on a matrix with the same pattern rewrites
 /// only the values of `L` and `D`.
 #[derive(Debug, Clone)]
@@ -232,10 +381,10 @@ pub struct LdlFactor {
     d: Vec<f64>,
     /// Entries placed so far per column of L.
     lnz: Vec<usize>,
-    /// Dense accumulator for the row being eliminated (all zero between rows).
-    y: Vec<f64>,
-    pattern_stack: Vec<usize>,
-    flag: Vec<usize>,
+    /// The dense accumulators of the block being eliminated, interleaved:
+    /// row `r` of a `B`-row block's lane `j` is `lanes[r * B + j]` (all
+    /// zero between blocks).
+    lanes: Vec<f64>,
 }
 
 impl LdlFactor {
@@ -257,9 +406,7 @@ impl LdlFactor {
             lx: vec![0.0; sym.l_nnz()],
             d: vec![0.0; n],
             lnz: vec![0; n],
-            y: vec![0.0; n],
-            pattern_stack: vec![0; n],
-            flag: vec![usize::MAX; n],
+            lanes: vec![0.0; n * BLOCK_CAP],
             sym,
         };
         factor.refactorize(a)?;
@@ -267,32 +414,30 @@ impl LdlFactor {
     }
 
     /// Numeric factorization of another matrix with the pattern this
-    /// factor was analysed for, in place: no structure is re-derived and
-    /// nothing is allocated.
+    /// factor was analysed for, in place: no structure is re-derived, no
+    /// elimination tree is walked and nothing is allocated.
     ///
     /// The arithmetic is that of the textbook up-looking loop, operation
-    /// for operation. Two things differ only in how `y` is walked: a
-    /// column's update runs over its runs of consecutive rows as slices,
-    /// and chained columns the row's elimination visits back to back
-    /// (see the module docs) share one sweep of the rows below them. In
-    /// that sweep each `y[r]` still receives exactly one `-= L(r, i) * y_i`
-    /// per column `i`, in visit order, so no result bit can differ.
+    /// for operation; only the walk differs (see the module docs). Each
+    /// row block's rows share every load of a column segment of L, chained
+    /// columns share one sweep of the rows below them, and a column's
+    /// update runs over its runs of consecutive rows as slices. Every
+    /// accumulator still receives exactly one `-= L(r, i) * y_i` per
+    /// column `i`, in visit order, so no result bit can differ.
     ///
     /// # Errors
     ///
     /// [`SparseError::PatternMismatch`] if `a`'s pattern is not the
-    /// analysed one; otherwise as in [`LdlFactor::factorize`]. After an
-    /// error the factor's values are unspecified until a later call
-    /// succeeds.
+    /// analysed one; otherwise as in [`LdlFactor::factorize`], naming the
+    /// first singular row. After an error the factor's values are
+    /// unspecified until a later call succeeds.
     pub fn refactorize(&mut self, a: &CsrMatrix) -> Result<()> {
         let LdlFactor {
             sym,
             lx,
             d,
             lnz,
-            y,
-            pattern_stack,
-            flag,
+            lanes,
         } = self;
         let n = sym.n;
         if a.nrows() != n || a.ncols() != n {
@@ -303,75 +448,28 @@ impl LdlFactor {
             )));
         }
         sym.check_pattern(a.pattern())?;
-        let rp = a.pattern().row_ptr();
-        let ci = a.pattern().col_idx();
-        let av = a.values();
         lnz.fill(0);
-        y.fill(0.0);
-        flag.fill(usize::MAX);
-
-        for k in 0..n {
-            // Compute the k-th row of L: solve L(0:k-1, 0:k-1) y = A(0:k-1, k).
-            let mut top = n;
-            y[k] = 0.0;
-            flag[k] = k;
-            for p in rp[k]..rp[k + 1] {
-                let i = ci[p] as usize;
-                if i > k {
-                    continue;
-                }
-                y[i] = av[p];
-                // Walk up the etree collecting the nonzero pattern of row k of L.
-                let mut len = 0usize;
-                let mut ii = i;
-                while flag[ii] != k {
-                    pattern_stack[len] = ii;
-                    len += 1;
-                    flag[ii] = k;
-                    ii = sym.parent[ii];
-                    debug_assert!(ii != usize::MAX || len <= n);
-                    if ii == usize::MAX {
-                        break;
-                    }
-                }
-                // Reverse onto the top of the stack region.
-                for s in 0..len {
-                    top -= 1;
-                    pattern_stack[top] = pattern_stack[len - 1 - s];
-                }
-            }
-            // Numeric sparse triangular solve over the collected pattern,
-            // one chain of back-to-back chained columns per step.
-            d[k] = y[k];
-            y[k] = 0.0;
-            let mut s = top;
-            while s < n {
-                let c = pattern_stack[s];
-                let mut m = 1;
-                while m < CHAIN_CAP
-                    && s + m < n
-                    && sym.chained[c + m - 1]
-                    && pattern_stack[s + m] == c + m
-                {
-                    m += 1;
-                }
-                #[cfg(test)]
-                tests::CHAIN_VISITS.with(|v| v.borrow_mut()[m] += 1);
-                match m {
-                    1 => update_chain::<1>(sym, k, c, lnz, lx, d, y),
-                    2 => update_chain::<2>(sym, k, c, lnz, lx, d, y),
-                    3 => update_chain::<3>(sym, k, c, lnz, lx, d, y),
-                    4 => update_chain::<4>(sym, k, c, lnz, lx, d, y),
-                    _ => unreachable!("chains are cut at {CHAIN_CAP} columns"),
-                }
-                s += m;
-            }
-            if d[k].abs() < 1e-300 {
-                return Err(SparseError::SingularPivot {
-                    index: k,
-                    value: d[k],
-                });
-            }
+        lanes.fill(0.0);
+        let plan = &*sym.plan;
+        let mut sweep = Sweep {
+            lp: &sym.lp,
+            li: &sym.li,
+            plan,
+            lnz,
+            lx,
+            d,
+            lanes,
+        };
+        for b in 0..plan.block_row.len() - 1 {
+            let k = plan.block_row[b];
+            let chains = &plan.chains[plan.chain_ptr[b]..plan.chain_ptr[b + 1]];
+            match plan.block_row[b + 1] - k {
+                1 => sweep.block::<1>(a, k, chains),
+                2 => sweep.block::<2>(a, k, chains),
+                3 => sweep.block::<3>(a, k, chains),
+                4 => sweep.block::<4>(a, k, chains),
+                _ => unreachable!("blocks are cut at {BLOCK_CAP} rows"),
+            }?;
         }
         Ok(())
     }
@@ -453,66 +551,172 @@ impl LdlFactor {
     }
 }
 
-/// Row `k`'s update by the `M` chained columns `c, …, c + M − 1` (`M = 1`
-/// is a lone column): subtracts their contributions from `y`, clears
-/// their `y` entries, appends `L(k, c + j)` to each column and updates
-/// `d[k]`, all in the order of the column-by-column loop.
-#[inline(always)]
-fn update_chain<const M: usize>(
-    sym: &SymbolicLdl,
-    k: usize,
-    c: usize,
-    lnz: &mut [usize],
-    lx: &mut [f64],
-    d: &mut [f64],
-    y: &mut [f64],
-) {
-    let (lp, li) = (&sym.lp[..], &sym.li[..]);
-    let last = c + M - 1;
-    // Final y of each chain column, in visit order: the in-chain entry
-    // L(c + j, c + t) sits at offset j − t − 1 of column c + t.
-    let mut yc = [0.0f64; M];
-    for j in 0..M {
-        let mut v = y[c + j];
-        for t in 0..j {
-            v -= lx[lp[c + t] + (j - t - 1)] * yc[t];
-        }
-        y[c + j] = 0.0;
-        yc[j] = v;
-    }
-    // The rows below the chain: column c + t's entries past its in-chain
-    // ones line up with the prefix of column `last` placed so far.
-    let tail = lnz[last];
-    debug_assert!((0..M).all(|t| lnz[c + t] == M - 1 - t + tail));
-    let end = lp[last] + tail;
-    for &(start, len) in &sym.runs[sym.run_ptr[last]..sym.run_ptr[last + 1]] {
-        let start = start as usize;
-        if start >= end {
-            break;
-        }
-        let len = (len as usize).min(end - start);
-        let first = li[start] as usize;
-        let at = start - lp[last];
-        let cols: [&[f64]; M] = std::array::from_fn(|t| {
-            let p = lp[c + t] + (M - 1 - t) + at;
-            &lx[p..p + len]
-        });
-        for (r, yr) in y[first..first + len].iter_mut().enumerate() {
-            let mut v = *yr;
-            for t in 0..M {
-                v -= cols[t][r] * yc[t];
+/// The numeric phase's state while it walks the plan: `L`'s structure,
+/// and the values it writes.
+struct Sweep<'a> {
+    lp: &'a [usize],
+    li: &'a [u32],
+    plan: &'a VisitPlan,
+    lnz: &'a mut [usize],
+    lx: &'a mut [f64],
+    d: &'a mut [f64],
+    lanes: &'a mut [f64],
+}
+
+impl Sweep<'_> {
+    /// Eliminates the `B` rows `k..k + B` of `a`: their chains of visits,
+    /// then the in-block columns, checking each row's pivot as soon as it
+    /// is final.
+    #[inline(always)]
+    fn block<const B: usize>(
+        &mut self,
+        a: &CsrMatrix,
+        k: usize,
+        chains: &[(u32, u32)],
+    ) -> Result<()> {
+        let rp = a.pattern().row_ptr();
+        let ci = a.pattern().col_idx();
+        let av = a.values();
+        for j in 0..B {
+            let row = k + j;
+            for p in rp[row]..rp[row + 1] {
+                let i = ci[p] as usize;
+                if i <= row {
+                    self.lanes[i * B + j] = av[p];
+                }
             }
-            *yr = v;
+            self.d[row] = std::mem::take(&mut self.lanes[row * B + j]);
         }
+        for &(c, m) in chains {
+            let c = c as usize;
+            match m {
+                1 => self.update::<1, B>(k, c, 0),
+                2 => self.update::<2, B>(k, c, 0),
+                3 => self.update::<3, B>(k, c, 0),
+                4 => self.update::<4, B>(k, c, 0),
+                _ => unreachable!("chains are cut at {CHAIN_CAP} columns"),
+            }
+        }
+        self.pivot(k)?;
+        // In-block column k + t updates the block's rows below it, after
+        // which row k + t + 1 is final.
+        for t in 0..B - 1 {
+            self.update::<1, B>(k, k + t, t + 1);
+            self.pivot(k + t + 1)?;
+        }
+        Ok(())
     }
-    for (j, &yj) in yc.iter().enumerate() {
-        let i = c + j;
-        let p = lp[i] + lnz[i];
-        let lki = yj / d[i];
-        d[k] -= lki * yj;
-        debug_assert_eq!(li[p] as usize, k);
-        lx[p] = lki;
-        lnz[i] += 1;
+
+    fn pivot(&self, k: usize) -> Result<()> {
+        if self.d[k].abs() < 1e-300 {
+            return Err(SparseError::SingularPivot {
+                index: k,
+                value: self.d[k],
+            });
+        }
+        Ok(())
+    }
+
+    /// The update of lanes `j0..B` of the block at row `k` by the `M`
+    /// chained columns `c, …, c + M − 1` (`M = 1` is a lone column): takes
+    /// each lane's final values at the chain (clearing them), subtracts the
+    /// chain's terms from the rows below it placed before the block, then
+    /// appends `L(k + j, c + t)` for every lane and takes the chain's terms
+    /// off each lane's pivot and off its entries at the block rows above
+    /// it, which were just placed. Every accumulator sees the operands and
+    /// the order of the column-by-column loop.
+    #[inline(always)]
+    fn update<const M: usize, const B: usize>(&mut self, k: usize, c: usize, j0: usize) {
+        #[cfg(test)]
+        tests::KERNEL_RUNS.with(|v| v.borrow_mut()[M][B] += 1);
+        let (lp, li, lx, w) = (self.lp, self.li, &mut *self.lx, &mut *self.lanes);
+        let last = c + M - 1;
+        // Final value of each chain column in each lane, in visit order:
+        // the in-chain entry L(c + t, c + s) sits at offset t − s − 1 of
+        // column c + s.
+        let mut yc = [[0.0f64; B]; M];
+        for t in 0..M {
+            let at = &mut w[(c + t) * B..(c + t + 1) * B];
+            let mut v = [0.0f64; B];
+            for j in j0..B {
+                v[j] = std::mem::take(&mut at[j]);
+            }
+            for s in 0..t {
+                let l = lx[lp[c + s] + (t - s - 1)];
+                for j in j0..B {
+                    v[j] -= l * yc[s][j];
+                }
+            }
+            yc[t] = v;
+        }
+        // The rows below the chain placed before the block: column c + t's
+        // entries past its in-chain ones line up with the prefix of column
+        // `last` placed so far. (An in-block column has none yet.)
+        let tail = self.lnz[last];
+        debug_assert!((0..M).all(|t| self.lnz[c + t] == M - 1 - t + tail));
+        debug_assert!(j0 == 0 || tail == 0);
+        let end = lp[last] + tail;
+        let plan = self.plan;
+        for &(start, len) in &plan.runs[plan.run_ptr[last]..plan.run_ptr[last + 1]] {
+            let start = start as usize;
+            if start >= end {
+                break;
+            }
+            let len = (len as usize).min(end - start);
+            let first = li[start] as usize;
+            let at = start - lp[last];
+            let cols: [&[f64]; M] = std::array::from_fn(|t| {
+                let p = lp[c + t] + (M - 1 - t) + at;
+                &lx[p..p + len]
+            });
+            let rows = w[first * B..].chunks_exact_mut(B).take(len);
+            for (r, wr) in rows.enumerate() {
+                let mut v = [0.0f64; B];
+                v.copy_from_slice(wr);
+                for t in 0..M {
+                    let l = cols[t][r];
+                    for j in j0..B {
+                        v[j] -= l * yc[t][j];
+                    }
+                }
+                wr.copy_from_slice(&v);
+            }
+        }
+        // The block's entries L(k + j, c + t): no lane's depends on
+        // another's. Row k + j's pivot takes the chain's terms in order,
+        // and so does each block row p < j placed before it.
+        let mut lkc = [[0.0f64; B]; M];
+        for t in 0..M {
+            let dc = self.d[c + t];
+            for j in j0..B {
+                lkc[t][j] = yc[t][j] / dc;
+            }
+        }
+        let dk = &mut self.d[k..k + B];
+        for t in 0..M {
+            for j in j0..B {
+                dk[j] -= lkc[t][j] * yc[t][j];
+            }
+        }
+        for j in j0 + 1..B {
+            for p in j0..j {
+                let at = &mut w[(k + p) * B + j];
+                let mut v = *at;
+                for t in 0..M {
+                    v -= lkc[t][p] * yc[t][j];
+                }
+                *at = v;
+            }
+        }
+        for t in 0..M {
+            let i = c + t;
+            let at = lp[i] + self.lnz[i];
+            for j in j0..B {
+                debug_assert_eq!(li[at + j - j0] as usize, k + j);
+                lx[at + j - j0] = lkc[t][j];
+            }
+            self.lnz[i] += B - j0;
+        }
     }
 }
 
@@ -592,9 +796,10 @@ mod tests {
     use std::cell::RefCell;
 
     thread_local! {
-        /// Column visits of `refactorize` on this thread, by chain length.
-        pub(super) static CHAIN_VISITS: RefCell<[usize; CHAIN_CAP + 1]> =
-            const { RefCell::new([0; CHAIN_CAP + 1]) };
+        /// Update kernel runs on this thread, by chain length `M` and
+        /// block rows `B`: `KERNEL_RUNS[M][B]`.
+        pub(super) static KERNEL_RUNS: RefCell<[[usize; BLOCK_CAP + 1]; CHAIN_CAP + 1]> =
+            const { RefCell::new([[0; BLOCK_CAP + 1]; CHAIN_CAP + 1]) };
     }
 
     /// Symmetric matrix from `(i, j, v)` couplings: `band` > 0 folds every
@@ -678,21 +883,25 @@ mod tests {
     /// dense `dpn`-dof block and every edge couples two nodes' blocks in
     /// full. `spd` makes it diagonally dominant; otherwise the last dof of
     /// each node (the pressure of a u-p block) gets a negative diagonal,
-    /// the saddle-point shape. `reorder` applies RCM, as the solver does.
+    /// the saddle-point shape. A nonzero `shuffle` numbers the nodes in a
+    /// random order (a node's dofs stay consecutive); `reorder` applies
+    /// RCM, as the solver does.
     fn fe_shaped(
         nodes: usize,
         dpn: usize,
         spd: bool,
+        shuffle: u64,
         reorder: bool,
         edges: &[(usize, usize, f64)],
     ) -> CsrMatrix {
+        let number = shuffled(nodes, shuffle);
         let n = nodes * dpn;
         let mut coo = CooMatrix::new(n, n);
         let mut diag = vec![1.0f64; n];
         let mut couple = |a: usize, b: usize, v: f64| {
             for i in 0..dpn {
                 for j in 0..dpn {
-                    let (r, c) = (a * dpn + i, b * dpn + j);
+                    let (r, c) = (number[a] * dpn + i, number[b] * dpn + j);
                     if r != c {
                         let x = v * (1.0 + 0.125 * (i + j) as f64);
                         coo.push(r, c, x);
@@ -723,8 +932,39 @@ mod tests {
         }
     }
 
-    fn chain_visits() -> [usize; CHAIN_CAP + 1] {
-        CHAIN_VISITS.with(|v| *v.borrow())
+    /// A numbering of `nodes` nodes: the identity for `seed` 0, else a
+    /// Fisher-Yates shuffle driven by a xorshift generator.
+    fn shuffled(nodes: usize, seed: u64) -> Vec<usize> {
+        let mut number: Vec<usize> = (0..nodes).collect();
+        if seed == 0 {
+            return number;
+        }
+        let mut x = seed;
+        for i in (1..nodes).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            number.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        number
+    }
+
+    /// The hex mesh of `e³` elements as a node graph: two of its `(e + 1)³`
+    /// nodes couple when they share an element.
+    fn hex_mesh_edges(e: usize) -> (usize, Vec<(usize, usize, f64)>) {
+        let m = e + 1;
+        let nodes = m * m * m;
+        let at = |i: usize| [i % m, i / m % m, i / (m * m)];
+        let edges = (0..nodes)
+            .flat_map(|a| (a + 1..nodes).map(move |b| (a, b)))
+            .filter(|&(a, b)| (0..3).all(|d| at(a)[d].abs_diff(at(b)[d]) <= 1))
+            .map(|(a, b)| (a, b, -0.1))
+            .collect();
+        (nodes, edges)
+    }
+
+    fn kernel_runs() -> [[usize; BLOCK_CAP + 1]; CHAIN_CAP + 1] {
+        KERNEL_RUNS.with(|v| *v.borrow())
     }
 
     proptest! {
@@ -733,20 +973,22 @@ mod tests {
         #[test]
         fn fe_shaped_factorize_is_bit_identical_to_the_scalar_loop(
             nodes in 2usize..24,
-            dpn in 3usize..5,
+            dpn in 1usize..5,
             spd in any::<bool>(),
+            shuffle in any::<u64>(),
             reorder in any::<bool>(),
             edges in prop::collection::vec((0usize..24, 0usize..24, -1.0f64..1.0), 1..60)
         ) {
-            assert_matches_scalar(&fe_shaped(nodes, dpn, spd, reorder, &edges));
+            assert_matches_scalar(&fe_shaped(nodes, dpn, spd, shuffle, reorder, &edges));
         }
     }
 
     #[test]
     fn fe_shaped_matrices_exercise_every_chain_length() {
-        // A ring of nodes with a chord every third node, 3 and 4 dofs a
-        // node, SPD and saddle, natural and RCM order.
-        let before = chain_visits();
+        // A ring of nodes with a chord every third node, 1 to 4 dofs a
+        // node, SPD and saddle, natural, shuffled and RCM order: every
+        // kernel instance, each chain length with each block size, runs.
+        let before = kernel_runs();
         for nodes in [9, 16, 30] {
             let edges: Vec<(usize, usize, f64)> = (0..nodes)
                 .flat_map(|a| {
@@ -754,42 +996,73 @@ mod tests {
                     [(a, a + 1, 0.5)].into_iter().chain(chord)
                 })
                 .collect();
-            for dpn in [3, 4] {
+            for dpn in 1..=4 {
                 for spd in [true, false] {
-                    for reorder in [false, true] {
-                        assert_matches_scalar(&fe_shaped(nodes, dpn, spd, reorder, &edges));
+                    for (shuffle, reorder) in [(0, false), (7, false), (0, true)] {
+                        assert_matches_scalar(&fe_shaped(
+                            nodes, dpn, spd, shuffle, reorder, &edges,
+                        ));
                     }
                 }
             }
         }
-        let after = chain_visits();
-        for m in 2..=CHAIN_CAP {
-            assert!(after[m] > before[m], "no chain of {m} visited: {after:?}");
+        let after = kernel_runs();
+        for m in 1..=CHAIN_CAP {
+            for b in 1..=BLOCK_CAP {
+                assert!(
+                    after[m][b] > before[m][b],
+                    "no chain of {m} ran on a block of {b}: {after:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rcm_keeps_node_blocks_whole() {
+        // The speedup's precondition: under RCM, nearly every dof of an
+        // assembled mesh sits in a block of its node's dofs.
+        let (nodes, edges) = hex_mesh_edges(4);
+        for dpn in [3, 4] {
+            let a = fe_shaped(nodes, dpn, true, 99, true, &edges);
+            let sym = SymbolicLdl::analyze(&a).unwrap();
+            // by_size[b]: rows that sit in blocks of b rows.
+            let mut by_size = [0; BLOCK_CAP + 1];
+            for w in sym.plan.block_row.windows(2) {
+                by_size[w[1] - w[0]] += w[1] - w[0];
+            }
+            assert!(
+                by_size[dpn] * 10 >= a.nrows() * 9,
+                "{dpn} dofs a node: rows by block size {by_size:?} of {}",
+                a.nrows()
+            );
         }
     }
 
     #[test]
     fn a_singular_pivot_inside_a_chain_matches_the_oracle() {
-        // Two 4-dof nodes coupled in full. Making dof 6 a copy of dof 5
-        // (its row and column, diagonal included) zeroes the pivot of
-        // column 6, a chained column, right after row 6 was updated by
-        // the chain of columns 4 and 5.
-        let a = fe_shaped(2, 4, true, false, &[(0, 1, 0.5)]);
-        let mut coo = CooMatrix::new(8, 8);
-        for r in 0..8 {
-            for c in 0..8 {
-                let (rr, cc) = (if r == 6 { 5 } else { r }, if c == 6 { 5 } else { c });
-                coo.push(r, c, a.get(rr, cc));
+        // Two 4-dof nodes coupled in full; rows 4..8 form one block.
+        // Making dof `to` a copy of dof `to − 1` (its row and column,
+        // diagonal included) zeroes the pivot of row `to`, the second or
+        // third row of that block, right after the chain of columns 0..4
+        // and the in-block columns before it updated it.
+        let a = fe_shaped(2, 4, true, 0, false, &[(0, 1, 0.5)]);
+        for to in [5, 6] {
+            let mut coo = CooMatrix::new(8, 8);
+            let from = |i: usize| if i == to { to - 1 } else { i };
+            for r in 0..8 {
+                for c in 0..8 {
+                    coo.push(r, c, a.get(from(r), from(c)));
+                }
             }
+            let b = coo.to_csr();
+            let sym = SymbolicLdl::analyze(&b).unwrap();
+            assert_eq!(sym.plan.block_row, [0, 4, 8]);
+            match factorize_scalar(&b, &sym) {
+                Err(SparseError::SingularPivot { index, .. }) if index == to => {}
+                other => panic!("expected the pivot of row {to} to vanish: {other:?}"),
+            }
+            assert_matches_scalar(&b);
         }
-        let b = coo.to_csr();
-        let sym = SymbolicLdl::analyze(&b).unwrap();
-        assert!(sym.chained[4] && sym.chained[5] && sym.chained[6]);
-        match factorize_scalar(&b, &sym) {
-            Err(SparseError::SingularPivot { index: 6, .. }) => {}
-            other => panic!("expected the pivot of column 6 to vanish: {other:?}"),
-        }
-        assert_matches_scalar(&b);
     }
 
     #[test]
@@ -856,8 +1129,8 @@ mod tests {
         let a = symmetric(n, 3, true, &entries);
         let sym = SymbolicLdl::analyze(&a).unwrap();
         let nonempty = sym.col_counts().iter().filter(|&&c| c > 0).count();
-        assert_eq!(sym.runs.len(), nonempty);
-        let in_runs: usize = sym.runs.iter().map(|&(_, len)| len as usize).sum();
+        assert_eq!(sym.plan.runs.len(), nonempty);
+        let in_runs: usize = sym.plan.runs.iter().map(|&(_, len)| len as usize).sum();
         assert_eq!(in_runs, sym.l_nnz());
     }
 

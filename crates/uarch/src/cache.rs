@@ -94,6 +94,12 @@ impl Cache {
         self.outstanding.push(done);
     }
 
+    /// Misses noted as outstanding and not yet pruned.
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> usize {
+        self.outstanding.len()
+    }
+
     /// Earliest outstanding-miss completion at or after `now`, if any —
     /// the next cycle at which an MSHR frees up. Used by the o3
     /// fast-forward as a wake candidate (misses noted by store commits
@@ -239,6 +245,8 @@ impl Hierarchy {
 
     /// Data access (load or store) at cycle `now`; returns completion time
     /// and the servicing level. Write misses allocate (write-allocate).
+    /// A miss is not noted as outstanding here: only the o3 core reads
+    /// L1D's MSHR occupancy, and it notes its own misses.
     pub fn data_access(&mut self, addr: u64, write: bool, now: u64) -> AccessResult {
         let l1_lat = self.l1d.hit_latency();
         match self.l1d.access(addr, write) {
@@ -260,25 +268,18 @@ impl Hierarchy {
                 }
                 let l2_lat = self.l2.hit_latency();
                 match self.l2.access(addr, false) {
-                    Probe::Hit => {
-                        let done = now + l1_lat + l2_lat;
-                        self.l1d.note_miss_outstanding(done);
-                        AccessResult {
-                            done,
-                            level: ServiceLevel::L2,
-                        }
-                    }
+                    Probe::Hit => AccessResult {
+                        done: now + l1_lat + l2_lat,
+                        level: ServiceLevel::L2,
+                    },
                     Probe::Miss {
                         victim_dirty: l2_dirty,
                     } => {
                         if l2_dirty {
                             self.dram.writeback(now);
                         }
-                        let done = self.dram.read(now + l1_lat + l2_lat);
-                        self.l1d.note_miss_outstanding(done);
-                        self.l2.note_miss_outstanding(done);
                         AccessResult {
-                            done,
+                            done: self.dram.read(now + l1_lat + l2_lat),
                             level: ServiceLevel::Dram,
                         }
                     }

@@ -272,6 +272,24 @@ mod tests {
     }
 
     #[test]
+    fn an_inorder_run_notes_no_outstanding_miss() {
+        // Only o3 reads outstanding misses: an in-order run, which misses
+        // in every level, leaves both lists empty.
+        let ops = (0..20_000u64)
+            .map(|i| match i % 3 {
+                0 => MicroOp::load(0x1000, (i * 4160) % (1 << 24), 8, 0, CAT),
+                1 => MicroOp::store(0x1004, (i * 8256) % (1 << 23), 8, 0, CAT),
+                _ => MicroOp::int(0x1008, 1, 0, CAT),
+            })
+            .collect::<Vec<_>>();
+        let mut core = InOrderCore::new(CoreConfig::gem5_baseline());
+        let stats = core.run(ops.into_iter());
+        assert!(stats.l1d_misses > 0 && stats.l2_misses > 0);
+        let h = &core.machine.hierarchy;
+        assert_eq!((h.l1d.outstanding(), h.l2.outstanding()), (0, 0));
+    }
+
+    #[test]
     fn scalar_issue_caps_ipc_at_one() {
         let stats = run_ops(int_stream(10_000), CoreConfig::gem5_baseline());
         assert_eq!(stats.committed_ops, 10_000);

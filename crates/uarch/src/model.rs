@@ -231,9 +231,9 @@ impl Machine {
                 _ => {}
             }
             now += 1;
-            // Warming never reads completion timestamps, but every miss
-            // records one (`note_miss_outstanding`); drop them regularly
-            // so a long warm gap cannot accumulate millions of them.
+            // Warming never reads completion timestamps; resetting the
+            // timing state regularly keeps the DRAM channel's occupancy
+            // from running ahead of the warm clock.
             if consumed.is_multiple_of(65_536) {
                 self.hierarchy.reset_timing();
             }

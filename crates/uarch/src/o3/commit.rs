@@ -30,7 +30,7 @@ impl O3Core {
                     // Drain the store to the cache at commit.
                     let entry = p.sq.pop_front();
                     debug_assert_eq!(entry, Some(head_idx));
-                    self.machine.hierarchy.data_access(op.addr, true, p.now);
+                    self.data_access(op.addr, true, p.now);
                 }
                 OpKind::Load => {
                     let entry = p.lq.pop_front();

@@ -132,7 +132,7 @@ impl O3Core {
                                 at += self.machine.cfg.tlb_miss_penalty;
                                 stats.dtlb_misses += 1;
                             }
-                            done_at = self.machine.hierarchy.data_access(addr, false, at).done;
+                            done_at = self.data_access(addr, false, at);
                         }
                         p.lq.mark_issued(idx, addr, lsq_slot);
                     }

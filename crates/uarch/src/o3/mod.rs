@@ -67,6 +67,7 @@ mod writeback;
 
 pub(crate) use issue::{fu_and_latency, FPDIV_BUSY};
 
+use crate::cache::ServiceLevel;
 use crate::config::CoreConfig;
 use crate::model::{CoreModel, Machine, ModelKind, Window};
 use crate::stats::SimStats;
@@ -266,6 +267,19 @@ impl O3Core {
         }
         self.scratch = Some(p);
         stats
+    }
+
+    /// A load's or a draining store's data access at cycle `now`; returns
+    /// its completion cycle. An L1D miss is noted as outstanding: the MSHR
+    /// limit at load issue and [`O3Core::wake_cycle`] read L1D's list, and
+    /// nothing else in the machine does.
+    fn data_access(&mut self, addr: u64, write: bool, now: u64) -> u64 {
+        let h = &mut self.machine.hierarchy;
+        let r = h.data_access(addr, write, now);
+        if r.level != ServiceLevel::L1 {
+            h.l1d.note_miss_outstanding(r.done);
+        }
+        r.done
     }
 
     /// First cycle at or after `p.now` at which a dead pipeline could
@@ -796,6 +810,18 @@ mod tests {
                 predictor.label()
             );
         }
+    }
+
+    #[test]
+    fn only_l1d_misses_are_noted_outstanding() {
+        // The MSHR limit and the fast-forward read L1D's list; L2's has no
+        // reader, so an o3 run notes nothing there.
+        let mut core = O3Core::new(CoreConfig::gem5_baseline());
+        let stats = core.run(mixed_stream(20_000, 3).into_iter());
+        assert!(stats.l2_misses > 0);
+        let h = &core.machine.hierarchy;
+        assert!(h.l1d.outstanding() > 0, "o3 notes its L1D misses");
+        assert_eq!(h.l2.outstanding(), 0);
     }
 
     #[test]
