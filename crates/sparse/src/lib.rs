@@ -11,10 +11,18 @@
 //! (irregular gathers through CSR index arrays, triangular-solve
 //! dependency chains) are reproduced faithfully.
 //!
+//! The iterative solvers run only as the FE driver calls them,
+//! preconditioned: CG with Jacobi and FGMRES with ILU(0), each through its
+//! `solve_preconditioned`. The direct solver's symbolic analysis
+//! (`solver::ldl::SymbolicLdl`) exposes the structure of L as column
+//! pointers and row indices, which the trace layer replays.
+//!
 //! ## Quick example
 //!
 //! ```
-//! use belenos_sparse::{CooMatrix, solver::cg::{self, CgOptions}};
+//! use belenos_sparse::CooMatrix;
+//! use belenos_sparse::solver::cg::{self, CgOptions};
+//! use belenos_sparse::solver::precond::JacobiPrecond;
 //!
 //! # fn main() -> Result<(), belenos_sparse::SparseError> {
 //! // Assemble a small SPD system in triplet form, as FE assembly does.
@@ -23,7 +31,9 @@
 //! coo.push(0, 1, 1.0); coo.push(1, 0, 1.0);
 //! let a = coo.to_csr();
 //! let b = vec![1.0, 2.0, 3.0];
-//! let sol = cg::solve(&a, &b, &CgOptions::default())?;
+//! // The FE driver's CG path: Jacobi-preconditioned.
+//! let m = JacobiPrecond::new(&a)?;
+//! let sol = cg::solve_preconditioned(&a, &b, &m, &CgOptions::default())?;
 //! assert!(sol.converged);
 //! # Ok(())
 //! # }

@@ -4,7 +4,7 @@
 //! is the memory-bandwidth-bound inner loop that dominates the iterative
 //! solver phases the Belenos paper profiles.
 
-use super::precond::{IdentityPrecond, Preconditioner};
+use super::precond::Preconditioner;
 use super::IterativeSolution;
 use crate::csr::{axpy, dot, CsrMatrix};
 use crate::{Result, SparseError};
@@ -27,23 +27,14 @@ impl Default for CgOptions {
     }
 }
 
-/// Solves `A x = b` with (unpreconditioned) CG.
-///
-/// # Errors
-///
-/// [`SparseError::NotSquare`] / [`SparseError::DimensionMismatch`] for shape
-/// problems. A non-converged run returns `Ok` with `converged == false` so
-/// callers can inspect the partial solution (FEBio logs and continues).
-pub fn solve(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> Result<IterativeSolution> {
-    let m = IdentityPrecond::new(a.nrows());
-    solve_preconditioned(a, b, &m, opts)
-}
-
 /// Solves `A x = b` with left-preconditioned CG.
 ///
 /// # Errors
 ///
-/// Shape errors as in [`solve`]; preconditioner failures propagate.
+/// [`SparseError::NotSquare`] / [`SparseError::DimensionMismatch`] for shape
+/// problems; preconditioner failures propagate. A non-converged run
+/// returns `Ok` with `converged == false` so callers can inspect the
+/// partial solution (FEBio logs and continues).
 pub fn solve_preconditioned(
     a: &CsrMatrix,
     b: &[f64],
@@ -126,7 +117,13 @@ pub fn solve_preconditioned(
 mod tests {
     use super::*;
     use crate::solver::precond::{Ilu0Precond, JacobiPrecond};
+    use crate::solver::Plain;
     use crate::CooMatrix;
+
+    /// The unpreconditioned solve, through an identity `M`.
+    fn solve(a: &CsrMatrix, b: &[f64], opts: &CgOptions) -> Result<IterativeSolution> {
+        solve_preconditioned(a, b, &Plain, opts)
+    }
 
     fn lap2d(nx: usize) -> CsrMatrix {
         let n = nx * nx;

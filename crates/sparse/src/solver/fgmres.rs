@@ -4,7 +4,7 @@
 //! the sparse SpMV, producing the mixed dense/sparse hotspot profile the
 //! paper's Figure 4 attributes to "MKL BLAS" in fluid and biphasic models.
 
-use super::precond::{IdentityPrecond, Preconditioner};
+use super::precond::Preconditioner;
 use super::IterativeSolution;
 use crate::csr::{dot, norm2, CsrMatrix};
 use crate::{Result, SparseError};
@@ -28,16 +28,6 @@ impl Default for FgmresOptions {
             max_outer: 100,
         }
     }
-}
-
-/// Solves `A x = b` with restarted FGMRES and no preconditioner.
-///
-/// # Errors
-///
-/// Shape errors as in [`solve_preconditioned`].
-pub fn solve(a: &CsrMatrix, b: &[f64], opts: &FgmresOptions) -> Result<IterativeSolution> {
-    let m = IdentityPrecond::new(a.nrows());
-    solve_preconditioned(a, b, &m, opts)
 }
 
 /// Solves `A x = b` with restarted, right-preconditioned flexible GMRES.
@@ -223,7 +213,13 @@ pub fn solve_preconditioned(
 mod tests {
     use super::*;
     use crate::solver::precond::Ilu0Precond;
+    use crate::solver::Plain;
     use crate::CooMatrix;
+
+    /// The unpreconditioned solve, through an identity `M`.
+    fn solve(a: &CsrMatrix, b: &[f64], opts: &FgmresOptions) -> Result<IterativeSolution> {
+        solve_preconditioned(a, b, &Plain, opts)
+    }
 
     fn convection_diffusion(nx: usize, wind: f64) -> CsrMatrix {
         // Unsymmetric 1D convection-diffusion: tests GMRES where CG fails.

@@ -3,9 +3,11 @@
 //! PARDISO performs a symbolic phase (elimination tree, fill-in pattern)
 //! followed by a numeric phase and triangular solves. We implement the
 //! up-looking sparse LDLᵀ of Davis (the algorithm behind the `LDL` package
-//! that informed modern direct solvers). The symbolic structures (etree,
-//! column counts) are exposed so the trace layer can replay the exact
-//! per-column access extents of the numeric factorization.
+//! that informed modern direct solvers). The analysis walks the
+//! elimination tree (etree) once to find L's structure; it exposes that
+//! structure as column pointers and row indices (`l_col_ptr`,
+//! `l_row_idx`), which the trace layer replays as the exact per-column
+//! access extents of the numeric factorization.
 //!
 //! The numeric phase follows a *visit plan* the analysis computes once:
 //! the order in which each row's elimination visits the columns of L
@@ -53,9 +55,9 @@ const CHAIN_CAP: usize = 4;
 /// Most rows one block eliminates together: a u-p node block's four.
 const BLOCK_CAP: usize = 4;
 
-/// Symbolic analysis of a symmetric sparse matrix: elimination tree, the
-/// complete nonzero structure of the L factor and the numeric phase's
-/// visit plan.
+/// Symbolic analysis of a symmetric sparse matrix: the complete nonzero
+/// structure of the L factor and the numeric phase's visit plan, both
+/// found by walking the elimination tree.
 ///
 /// Everything here depends on the pattern alone, so one analysis serves
 /// every numeric (re)factorization of a Newton loop, and the structure
@@ -67,10 +69,6 @@ pub struct SymbolicLdl {
     /// The analysed pattern: a numeric factorization of any other pattern
     /// is refused, since the plan below describes this one.
     pattern: Arc<CsrPattern>,
-    /// Parent of each column in the elimination tree (`usize::MAX` = root).
-    parent: Vec<usize>,
-    /// Number of below-diagonal nonzeros per column of L.
-    col_counts: Vec<usize>,
     /// Column pointers of L (size `n + 1`).
     lp: Arc<Vec<usize>>,
     /// Row indices of L, ascending within each column.
@@ -153,6 +151,8 @@ impl SymbolicLdl {
         let n = a.nrows();
         let rp = a.pattern().row_ptr();
         let ci = a.pattern().col_idx();
+        // Parent of each column in the etree (`usize::MAX` = root) and the
+        // below-diagonal nonzero count of each column of L.
         let mut parent = vec![usize::MAX; n];
         let mut flag = vec![usize::MAX; n];
         let mut col_counts = vec![0usize; n];
@@ -215,8 +215,6 @@ impl SymbolicLdl {
         Ok(SymbolicLdl {
             n,
             pattern: a.pattern_arc(),
-            parent,
-            col_counts,
             lp: Arc::new(lp),
             li: Arc::new(li),
             plan: Arc::new(plan.finish(n, run_ptr, runs)),
@@ -226,16 +224,6 @@ impl SymbolicLdl {
     /// Problem dimension.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// Elimination-tree parent array (`usize::MAX` marks roots).
-    pub fn etree(&self) -> &[usize] {
-        &self.parent
-    }
-
-    /// Below-diagonal nonzero count of each column of L.
-    pub fn col_counts(&self) -> &[usize] {
-        &self.col_counts
     }
 
     /// Total below-diagonal nonzeros in L (fill-in included).
@@ -722,7 +710,8 @@ impl Sweep<'_> {
 
 /// The textbook scalar up-looking loop this module started from, kept as
 /// the oracle of the differential tests: it discovers `li` while it
-/// factorizes and updates every entry through an indexed scatter.
+/// factorizes and updates every entry through an indexed scatter. A
+/// column's etree parent is its first below-diagonal row in L.
 #[cfg(test)]
 fn factorize_scalar(a: &CsrMatrix, sym: &SymbolicLdl) -> Result<(Vec<u32>, Vec<f64>, Vec<f64>)> {
     let n = sym.n;
@@ -753,10 +742,10 @@ fn factorize_scalar(a: &CsrMatrix, sym: &SymbolicLdl) -> Result<(Vec<u32>, Vec<f
                 pattern_stack[len] = ii;
                 len += 1;
                 flag[ii] = k;
-                ii = sym.parent[ii];
-                if ii == usize::MAX {
+                if lp[ii] == lp[ii + 1] {
                     break;
                 }
+                ii = sym.li[lp[ii]] as usize;
             }
             for s in 0..len {
                 top -= 1;
@@ -1128,7 +1117,7 @@ mod tests {
             .collect();
         let a = symmetric(n, 3, true, &entries);
         let sym = SymbolicLdl::analyze(&a).unwrap();
-        let nonempty = sym.col_counts().iter().filter(|&&c| c > 0).count();
+        let nonempty = sym.l_col_ptr().windows(2).filter(|c| c[1] > c[0]).count();
         assert_eq!(sym.plan.runs.len(), nonempty);
         let in_runs: usize = sym.plan.runs.iter().map(|&(_, len)| len as usize).sum();
         assert_eq!(in_runs, sym.l_nnz());
@@ -1170,9 +1159,11 @@ mod tests {
         }
         let a = coo.to_csr();
         let sym = SymbolicLdl::analyze(&a).unwrap();
-        assert_eq!(sym.etree()[..4], [1, 2, 3, 4]);
-        assert_eq!(sym.etree()[4], usize::MAX);
+        // A column's etree parent is its first row in L: column i's one
+        // entry is row i + 1, and the last column is the empty root.
         // Tridiagonal has no fill: one below-diagonal entry per column except last.
+        assert_eq!(sym.l_col_ptr()[..], [0, 1, 2, 3, 4, 4]);
+        assert_eq!(sym.l_row_idx()[..], [1, 2, 3, 4]);
         assert_eq!(sym.l_nnz(), 4);
         assert!((sym.fill_ratio(&a) - 1.0).abs() < 1e-12);
     }

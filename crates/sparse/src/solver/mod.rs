@@ -23,3 +23,14 @@ pub struct IterativeSolution {
     /// Whether the tolerance was met within the iteration budget.
     pub converged: bool,
 }
+
+/// `M = I`: the plain solve the solvers' tests compare against.
+#[cfg(test)]
+pub(crate) struct Plain;
+
+#[cfg(test)]
+impl precond::Preconditioner for Plain {
+    fn apply(&self, r: &[f64]) -> crate::Result<Vec<f64>> {
+        Ok(r.to_vec())
+    }
+}

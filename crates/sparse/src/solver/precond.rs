@@ -16,39 +16,6 @@ pub trait Preconditioner {
     /// Implementations return [`SparseError::DimensionMismatch`] when `r`
     /// has the wrong length.
     fn apply(&self, r: &[f64]) -> Result<Vec<f64>>;
-
-    /// Problem dimension.
-    fn dim(&self) -> usize;
-}
-
-/// Identity preconditioner (no-op).
-#[derive(Debug, Clone)]
-pub struct IdentityPrecond {
-    n: usize,
-}
-
-impl IdentityPrecond {
-    /// Identity preconditioner for an `n`-dimensional system.
-    pub fn new(n: usize) -> Self {
-        IdentityPrecond { n }
-    }
-}
-
-impl Preconditioner for IdentityPrecond {
-    fn apply(&self, r: &[f64]) -> Result<Vec<f64>> {
-        if r.len() != self.n {
-            return Err(SparseError::DimensionMismatch(format!(
-                "identity preconditioner dim {} applied to vector of {}",
-                self.n,
-                r.len()
-            )));
-        }
-        Ok(r.to_vec())
-    }
-
-    fn dim(&self) -> usize {
-        self.n
-    }
 }
 
 /// Jacobi (diagonal) preconditioner.
@@ -92,10 +59,6 @@ impl Preconditioner for JacobiPrecond {
             .zip(&self.inv_diag)
             .map(|(ri, di)| ri * di)
             .collect())
-    }
-
-    fn dim(&self) -> usize {
-        self.inv_diag.len()
     }
 }
 
@@ -237,10 +200,6 @@ impl Preconditioner for Ilu0Precond {
         }
         Ok(z)
     }
-
-    fn dim(&self) -> usize {
-        self.lu.nrows()
-    }
 }
 
 #[cfg(test)]
@@ -258,14 +217,6 @@ mod tests {
             }
         }
         coo.to_csr()
-    }
-
-    #[test]
-    fn identity_precond_is_noop() {
-        let p = IdentityPrecond::new(3);
-        assert_eq!(p.apply(&[1.0, 2.0, 3.0]).unwrap(), vec![1.0, 2.0, 3.0]);
-        assert!(p.apply(&[1.0]).is_err());
-        assert_eq!(p.dim(), 3);
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! Each pipeline stage lives in its own module (`fetch`, `dispatch`,
 //! `issue`, `writeback`, `commit`), operating on the shared per-run
 //! `pipeline::Pipeline` state; [`O3Core::run_warm`] is the cycle driver
-//! that steps them commit-first (gem5's reverse-stage order, so each
-//! cycle observes the previous cycle's state). The O3 model is one
+//! that builds that state new on every call and steps the stages
+//! commit-first (gem5's reverse-stage order, so each cycle observes the
+//! previous cycle's state). Only the [`Machine`] (caches, TLBs,
+//! predictor, BTB) outlives a run: the windows of a sampled run share it,
+//! nothing else. The O3 model is one
 //! [`crate::model::CoreModel`] backend among several — see
 //! [`crate::model`] for the in-order and analytical alternatives.
 //!
@@ -34,14 +37,15 @@
 //!
 //! With a telemetry sink attached when a run starts, [`O3Core::run_warm`]
 //! counts loop iterations, squashes, cancelled completions, parks and
-//! wake-ups exactly and times the five stage calls and the driver tail
-//! on every 64th iteration, emitting `o3_loop_iterations`,
-//! `o3_squashes`, `o3_cancels`, `o3_parks`, `o3_wakeups` and
-//! `o3_stage_host_ns{stage=…}` (sampled time scaled
-//! by 64, the clock reads' own cost taken out) beside
-//! `ff_cycles_skipped` and `rob_ring_peak_occupancy`. The timers never
-//! touch simulated state; without a sink an iteration pays one
-//! never-taken branch per lap point.
+//! wake-ups exactly, times the whole loop once, and times the five stage
+//! calls and the driver tail on every 64th iteration. It emits
+//! `o3_loop_iterations`, `o3_squashes`, `o3_cancels`, `o3_parks`,
+//! `o3_wakeups` and `o3_stage_host_ns{stage=…}` beside
+//! `ff_cycles_skipped` and `rob_ring_peak_occupancy`. The six
+//! `o3_stage_host_ns` rows are the loop's one measured wall, split in the
+//! proportions of the sampled laps, so they sum to at most that wall. The
+//! timers never touch simulated state; without a sink an iteration pays
+//! one never-taken branch per lap point.
 //!
 //! # Event-driven fast-forward
 //!
@@ -80,9 +84,9 @@ use std::time::Instant;
 /// fast-forward, termination pull and wedge checks).
 const STAGES: [&str; 6] = ["commit", "writeback", "issue", "dispatch", "fetch", "drive"];
 
-/// One loop iteration in this many (a power of two) is timed when
-/// telemetry is on; the emitted nanoseconds are the sampled ones scaled
-/// back up.
+/// One loop iteration in this many (a power of two), the first included,
+/// is timed stage by stage when telemetry is on. The sampled laps only set
+/// the proportions in which the loop's measured wall is split.
 const STAGE_SAMPLE_EVERY: u64 = 64;
 
 /// Closes a timed lap: adds the host time since `*from` to `ns` and
@@ -96,24 +100,10 @@ fn lap_into(from: &mut Option<Instant>, ns: &mut u64) {
     }
 }
 
-/// What closing one lap costs by itself on this host, in nanoseconds.
-fn lap_cost_ns() -> u64 {
-    let (mut lap, mut ns) = (Some(Instant::now()), 0);
-    for _ in 0..16 {
-        lap_into(&mut lap, &mut ns);
-    }
-    ns / 16
-}
-
 /// The out-of-order core simulator.
 pub struct O3Core {
     machine: Machine,
     fast_forward: bool,
-    /// Pipeline retained from the previous `run_warm` on this core. Every
-    /// simulation builds its core cold, so only the windows of one
-    /// sampled run share it: each window resets it in place instead of
-    /// reallocating its ring buffers.
-    scratch: Option<Pipeline>,
 }
 
 impl std::fmt::Debug for O3Core {
@@ -130,7 +120,6 @@ impl O3Core {
         O3Core {
             machine: Machine::new(cfg),
             fast_forward: true,
-            scratch: None,
         }
     }
 
@@ -162,25 +151,20 @@ impl O3Core {
     /// As in [`O3Core::run`].
     pub fn run_warm<I: Iterator<Item = MicroOp>>(&mut self, trace: I, warmup_ops: u64) -> SimStats {
         let (mut window, mut stats) = Window::open(&mut self.machine, warmup_ops);
-        let mut p = match self.scratch.take() {
-            Some(mut p) => {
-                p.reset();
-                p
-            }
-            None => Pipeline::new(&self.machine.cfg),
-        };
+        let mut p = Pipeline::new(&self.machine.cfg);
         let mut trace = trace.fuse();
         // Host-time split of the loop by stage, for a telemetry sink
-        // attached now: every `STAGE_SAMPLE_EVERY`-th iteration is
-        // timed, lap by lap.
+        // attached now: the loop is timed whole, and every
+        // `STAGE_SAMPLE_EVERY`-th iteration lap by lap.
         let tel = belenos_telemetry::global();
         let timed = tel.enabled();
         let mut iterations = 0u64;
         let mut stage_ns = [0u64; STAGES.len()];
+        let started = timed.then(Instant::now);
 
         loop {
-            iterations += 1;
             let mut lap = (timed && iterations & (STAGE_SAMPLE_EVERY - 1) == 0).then(Instant::now);
+            iterations += 1;
             let committed = self.commit_stage(&mut p, &mut stats);
             lap_into(&mut lap, &mut stage_ns[0]);
             let completed = self.writeback_stage(&mut p, &mut stats);
@@ -248,6 +232,7 @@ impl O3Core {
             lap_into(&mut lap, &mut stage_ns[5]);
         }
 
+        let wall_ns = started.map_or(0, |t0| t0.elapsed().as_nanos());
         let stats = window.close(stats, p.now, &self.machine);
         if timed {
             tel.counter("ff_cycles_skipped", p.ff_cycles_skipped, &[]);
@@ -257,15 +242,15 @@ impl O3Core {
             tel.counter("o3_cancels", p.cancels, &[]);
             tel.counter("o3_parks", p.parks, &[]);
             tel.counter("o3_wakeups", p.wakeups, &[]);
-            // Each sampled lap carries the cost of reading the clock.
-            let clock_ns = lap_cost_ns() * (iterations / STAGE_SAMPLE_EVERY);
+            // The loop's wall in the proportions of the sampled laps:
+            // the six rows sum to at most the wall.
+            let sampled = stage_ns.iter().sum::<u64>().max(1) as u128;
             for (stage, ns) in STAGES.iter().zip(stage_ns) {
                 let fields = [("stage", (*stage).into())];
-                let ns = ns.saturating_sub(clock_ns) * STAGE_SAMPLE_EVERY;
+                let ns = (wall_ns * ns as u128 / sampled) as u64;
                 tel.counter("o3_stage_host_ns", ns, &fields);
             }
         }
-        self.scratch = Some(p);
         stats
     }
 
@@ -648,6 +633,24 @@ mod tests {
         assert!(second.cycles * 2 > first.cycles, "rerun must stay sane");
     }
 
+    /// Runs `ops` on a new baseline core with the fast-forward on or off,
+    /// returning the statistics and a lookup of the counters the run
+    /// emitted to a captured telemetry sink.
+    fn run_counted(ops: &[MicroOp], fast_forward: bool) -> (SimStats, impl Fn(&str) -> u64) {
+        let mut core = O3Core::new(CoreConfig::gem5_baseline());
+        core.set_fast_forward(fast_forward);
+        let (stats, events) = belenos_telemetry::capture(|| core.run(ops.iter().copied()));
+        let counter = move |name: &str| {
+            let hit = events.iter().find(|e| {
+                e.get("ev").and_then(|v| v.as_str()) == Some("counter")
+                    && e.get("name").and_then(|v| v.as_str()) == Some(name)
+            });
+            hit.and_then(|e| e.get("value")?.as_f64())
+                .unwrap_or_else(|| panic!("the run emits {name}")) as u64
+        };
+        (stats, counter)
+    }
+
     #[test]
     fn fast_forward_skips_dead_cycles_with_identical_stats() {
         // A serial chain of cold DRAM-missing loads leaves hundreds of
@@ -664,18 +667,14 @@ mod tests {
                 )
             })
             .collect();
-        let mut fast = O3Core::new(CoreConfig::gem5_baseline());
-        let a = fast.run(ops.clone().into_iter());
-        let last = fast.scratch.as_ref().unwrap();
+        let (a, fast) = run_counted(&ops, true);
         assert!(
-            last.ff_cycles_skipped > 0,
+            fast("ff_cycles_skipped") > 0,
             "dead cycles must actually be skipped"
         );
-        assert!(last.rob_peak > 0);
-        let mut slow = O3Core::new(CoreConfig::gem5_baseline());
-        slow.set_fast_forward(false);
-        let b = slow.run(ops.into_iter());
-        assert_eq!(slow.scratch.as_ref().unwrap().ff_cycles_skipped, 0);
+        assert!(fast("rob_ring_peak_occupancy") > 0);
+        let (b, slow) = run_counted(&ops, false);
+        assert_eq!(slow("ff_cycles_skipped"), 0);
         assert_eq!(a, b, "fast-forward must not change any statistic");
     }
 
@@ -696,13 +695,9 @@ mod tests {
             ops.push(MicroOp::pause(0x2004, CAT));
             ops.push(MicroOp::int(0x2008, 1, 0, CAT));
         }
-        let mut fast = O3Core::new(CoreConfig::gem5_baseline());
-        let a = fast.run(ops.clone().into_iter());
-        let skipped = fast.scratch.as_ref().unwrap().ff_cycles_skipped;
-        assert!(skipped > 0, "fpdiv/pause spans skip");
-        let mut slow = O3Core::new(CoreConfig::gem5_baseline());
-        slow.set_fast_forward(false);
-        let b = slow.run(ops.into_iter());
+        let (a, fast) = run_counted(&ops, true);
+        assert!(fast("ff_cycles_skipped") > 0, "fpdiv/pause spans skip");
+        let (b, _) = run_counted(&ops, false);
         assert_eq!(a, b);
     }
 
@@ -786,30 +781,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn a_retained_pipeline_leaves_nothing_behind() {
-        // `run_warm` reuses the previous run's pipeline. On a cold
-        // machine, trace B after trace A must replay exactly like B on a
-        // new core, for every predictor. A's last op (20 016 = 417 × 48)
-        // sits on the code line B starts on.
-        let (a, b) = (mixed_stream(20_017, 1), mixed_stream(12_000, 2));
-        for predictor in crate::config::BranchPredictorKind::ALL {
-            let cfg = CoreConfig::gem5_baseline().with_predictor(predictor);
-            let mut reused = O3Core::new(cfg.clone());
-            reused.run_warm(a.iter().copied(), 2_000);
-            assert!(reused.scratch.is_some(), "the pipeline is retained");
-            reused.machine = Machine::new(cfg.clone());
-            let fresh = O3Core::new(cfg).run(b.iter().copied());
-            assert!(fresh.mispredicts > 0 && fresh.l1d_misses > 0);
-            assert_eq!(
-                reused.run(b.iter().copied()),
-                fresh,
-                "{}: the retained pipeline left state behind",
-                predictor.label()
-            );
-        }
     }
 
     #[test]

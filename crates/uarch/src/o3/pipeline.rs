@@ -149,14 +149,6 @@ impl RobRing {
         }
     }
 
-    /// Empties the ring (just-built state). Slot contents need no
-    /// clearing: `push_back` writes a whole entry before any stage
-    /// reads it, and reads are bounded by `len`.
-    pub(super) fn reset(&mut self) {
-        self.head_idx = 0;
-        self.len = 0;
-    }
-
     pub(super) fn len(&self) -> usize {
         self.len
     }
@@ -267,15 +259,6 @@ impl LsqRing {
 
     pub(super) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Empties the queue (just-built state); entry slots are fully
-    /// rewritten by `push_back` before use.
-    pub(super) fn reset(&mut self) {
-        self.start = 0;
-        self.len = 0;
-        self.inflight = 0;
-        self.filter.fill(0);
     }
 
     #[inline]
@@ -728,25 +711,6 @@ impl EventHeap {
     pub(super) fn next_time(&self) -> Option<u64> {
         (self.next_pending != u64::MAX).then_some(self.next_pending)
     }
-
-    /// Drops all events. The occupancy bitmap names exactly the
-    /// non-empty lists, so a reset touches only those; a node is
-    /// rewritten whenever its op is filed.
-    fn clear(&mut self) {
-        for (wi, word) in self.bitmap.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                self.ends[(wi << 6) | bits.trailing_zeros() as usize] = [NONE; 2];
-                bits &= bits - 1;
-            }
-            *word = 0;
-        }
-        self.cursor = 0;
-        self.clock = 0;
-        self.wheel_len = 0;
-        self.overflow.clear();
-        self.next_pending = u64::MAX;
-    }
 }
 
 /// The per-run pipeline state; one instance per `run_warm` invocation.
@@ -857,46 +821,6 @@ impl Pipeline {
             squashes: 0,
             cancels: 0,
         }
-    }
-
-    /// Returns the pipeline to the state [`Pipeline::new`] would build
-    /// for the same configuration, reusing every allocation. The run
-    /// driver resets a retained scratch pipeline instead of building a
-    /// fresh one, which removes the dominant per-run cost the profiler
-    /// found: re-allocating (and re-page-faulting) the ring buffers on
-    /// every simulation call. Sound only for an unchanged `CoreConfig` —
-    /// the owning core's configuration is fixed at construction.
-    pub(super) fn reset(&mut self) {
-        self.now = 0;
-        self.next_idx = 0;
-        self.rob.reset();
-        self.ready_q.clear();
-        self.ready_fu_count = [0; 5];
-        self.parked = 0;
-        // `ops` and `iq` need no clearing: a slot is always written
-        // (at the trace read, at dispatch) before any stage reads it,
-        // and the capacities exceed the maximum live-index span.
-        self.lq.reset();
-        self.sq.reset();
-        self.fetch_head = 0;
-        self.replay_next = 0;
-        self.events.clear();
-        self.serializers.clear();
-        self.int_regs_used = 0;
-        self.fp_regs_used = 0;
-        self.fetch_stall_until = 0;
-        self.fetch_block = FetchBlock::None;
-        self.squash_recovery_until = 0;
-        self.icache_pending_until = 0;
-        self.cur_fetch_line = u64::MAX;
-        self.fpdiv_busy_until = 0;
-        self.last_commit_cycle = 0;
-        self.rob_peak = 0;
-        self.ff_cycles_skipped = 0;
-        self.parks = 0;
-        self.wakeups = 0;
-        self.squashes = 0;
-        self.cancels = 0;
     }
 
     /// Files the next op read from the trace; it awaits fetch behind

@@ -256,3 +256,38 @@ fn cold_prepare_span_closes_with_the_solve_split() {
     assert!(assemblies > 0);
     assert!(assemblies <= num(close, "newton_iterations"));
 }
+
+#[test]
+fn o3_stage_times_add_up_to_at_most_the_simulate_span() {
+    // The six `o3_stage_host_ns` rows split the loop's one measured wall,
+    // so together they fit inside the `simulate` span that holds the run.
+    let spec = belenos_workloads::by_id("pd").expect("pd");
+    let exp = belenos::experiment::Experiment::prepare(&spec).expect("pd solves");
+    let cfg = belenos_uarch::CoreConfig::gem5_baseline();
+    let (_, events) = capture(|| exp.simulate(&cfg, 20_000));
+    let open = events
+        .iter()
+        .find(|e| {
+            ev(e) == "span_open"
+                && name(e) == "phase"
+                && e.get("phase").and_then(Json::as_str) == Some("simulate")
+        })
+        .expect("simulate phase span");
+    let wall_s = events
+        .iter()
+        .find(|e| ev(e) == "span_close" && num(e, "id") == num(open, "id"))
+        .and_then(|e| e.get("wall_s").and_then(Json::as_f64))
+        .expect("simulate span closes with its wall");
+    let stages: Vec<u64> = events
+        .iter()
+        .filter(|e| ev(e) == "counter" && name(e) == "o3_stage_host_ns")
+        .map(|e| num(e, "value"))
+        .collect();
+    assert_eq!(stages.len(), 6, "one row per stage");
+    let sum: u64 = stages.iter().sum();
+    assert!(sum > 0);
+    assert!(
+        sum as f64 <= wall_s * 1e9,
+        "stage rows sum to {sum} ns, the span's wall is {wall_s} s"
+    );
+}
