@@ -64,13 +64,12 @@ fn run_spec(inv: &Invocation) -> Result<(), String> {
 /// Results are bit-identical to a single-process run — the report only
 /// gains a `distributed` roll-up section when telemetry is on.
 fn run_spec_distributed(inv: &Invocation, spec: CampaignSpec) -> Result<(), String> {
-    let cfg = worker_cmd::dist_config(inv, &worker_cmd::worker_name(inv))?;
-    // The shared stores move into the dist dir (unless explicitly
-    // configured) so this coordinator, its local workers, and every
-    // external worker resolve the same cache keys to the same files —
-    // that is what makes kill -9 + rerun a pure cache replay.
-    worker_cmd::install_shared_traces(inv, &cfg);
-    let runner = inv.runner(Some(cfg.cache_dir()));
+    // The board, the results and the traces share one store root, so
+    // this coordinator, its local workers, and every external worker
+    // resolve the same cache keys to the same files — that is what
+    // makes kill -9 + rerun a pure cache replay.
+    let cfg = worker_cmd::dist_config(inv)?;
+    let runner = inv.runner();
     let coordinator =
         Arc::new(Coordinator::new(cfg).with_local_workers(inv.local_workers.unwrap_or(1)));
     let runner = runner.with_distributor(Arc::clone(&coordinator) as _);

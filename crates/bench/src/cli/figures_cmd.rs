@@ -12,7 +12,7 @@ use belenos_runner::Runner;
 /// Runs a prepared single-or-multi-analysis campaign and emits it in
 /// the invocation's format(s).
 pub(crate) fn emit_campaign(inv: &Invocation, spec: CampaignSpec) -> Result<(), String> {
-    emit_campaign_with(inv, spec, &inv.runner(None), |_| {})
+    emit_campaign_with(inv, spec, &inv.runner(), |_| {})
 }
 
 /// [`emit_campaign`] against an explicit runner (a distributed

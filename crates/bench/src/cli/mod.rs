@@ -33,9 +33,9 @@ mod worker_cmd;
 
 use belenos::campaign::WorkloadSet;
 use belenos::{SimOptions, DEFAULT_MAX_OPS};
+use belenos_dist::DistConfig;
 use belenos_runner::{Budget, Cache, Runner};
 use belenos_uarch::{ModelKind, SamplingConfig};
-use std::path::PathBuf;
 
 /// Output rendering selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,12 +74,10 @@ pub struct Invocation {
     /// `--telemetry V`: structured-event sink (`off`, `stderr`, or a
     /// JSONL path). `None` = disabled.
     pub telemetry: Option<String>,
-    /// `--trace-dir PATH`: persistent trace store directory. `None` = no
-    /// trace store (`<dist>/traces` for a worker or `--distributed`).
-    pub trace_dir: Option<String>,
-    /// `--cache-dir PATH`: disk result cache directory. `None` = results
-    /// stay in memory (`<dist>/cache` under `--distributed`).
-    pub cache_dir: Option<String>,
+    /// `--store DIR`: the one on-disk root — results in its `cache/`,
+    /// traces in its `traces/`, the job board beside them. `None` =
+    /// results stay in memory and there is no trace store.
+    pub store: Option<String>,
     /// `--addr HOST:PORT`: `serve` listen address.
     pub addr: Option<String>,
     /// `--serve-workers N`: concurrent jobs in the serve pool.
@@ -92,16 +90,12 @@ pub struct Invocation {
     pub cache_budget: Option<u64>,
     /// `--max-bytes BYTES`: `cache gc` target size.
     pub max_bytes: Option<u64>,
-    /// `--dist-dir PATH`: shared distributed job-board directory.
-    pub dist_dir: Option<String>,
     /// `--distributed`: route `campaign run` cache misses through the
     /// job board instead of running them locally.
     pub distributed: bool,
     /// `--lease-ttl SECONDS`: age past which an unheartbeated lease is
     /// stealable.
     pub lease_ttl: Option<std::time::Duration>,
-    /// `--heartbeat SECONDS`: lease mtime refresh interval.
-    pub heartbeat: Option<std::time::Duration>,
     /// `--local-workers N`: in-process workers a distributed
     /// coordinator hosts alongside external `belenos worker`s.
     pub local_workers: Option<usize>,
@@ -133,13 +127,24 @@ impl Invocation {
         self.workloads.clone().unwrap_or_default()
     }
 
+    /// The `--store` root's layout, as job-board participant `--name`
+    /// with `--lease-ttl` applied: [`DistConfig`] is the one place that
+    /// names the root's subdirectories. `None` without `--store`.
+    pub fn layout(&self) -> Option<DistConfig> {
+        let cfg = DistConfig::new(self.store.as_ref()?, &worker_cmd::worker_name(self));
+        Some(match self.lease_ttl {
+            Some(ttl) => cfg.with_lease_ttl(ttl),
+            None => cfg,
+        })
+    }
+
     /// The one runner a simulating subcommand runs on: the process's
-    /// thread budget (`--jobs`) in front of a result cache on
-    /// `--cache-dir`, else on `shared` (a distributed campaign's
-    /// `<dist>/cache`), else in memory; progress streaming on.
-    pub fn runner(&self, shared: Option<PathBuf>) -> Runner {
-        let disk = self.cache_dir.as_ref().map(PathBuf::from).or(shared);
-        let cache = disk.map_or_else(Cache::fresh, Cache::with_disk);
+    /// thread budget (`--jobs`) in front of a result cache in the
+    /// store's `cache/`, else in memory; progress streaming on.
+    pub fn runner(&self) -> Runner {
+        let cache = self
+            .layout()
+            .map_or_else(Cache::fresh, |store| Cache::with_disk(store.cache_dir()));
         Runner::with_budget(Budget::global().clone(), cache).progress(true)
     }
 }
@@ -202,16 +207,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
             .cloned()
             .ok_or_else(|| format!("{flag} needs a value"))
     };
-    // An empty path would put a store's files in the working directory.
-    let directory = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                     flag: &str|
-     -> Result<String, String> {
-        let v = value(it, flag)?;
-        if v.is_empty() {
-            return Err(format!("{flag}: expected a directory, got an empty path"));
-        }
-        Ok(v)
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--max-ops" => {
@@ -256,8 +251,14 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
             "--json" => inv.json_out = Some(value(&mut it, "--json")?),
             "--csv" => inv.csv_out = Some(value(&mut it, "--csv")?),
             "--telemetry" => inv.telemetry = Some(value(&mut it, "--telemetry")?),
-            "--trace-dir" => inv.trace_dir = Some(directory(&mut it, "--trace-dir")?),
-            "--cache-dir" => inv.cache_dir = Some(directory(&mut it, "--cache-dir")?),
+            "--store" => {
+                let v = value(&mut it, "--store")?;
+                // An empty root would put the stores in the working directory.
+                if v.is_empty() {
+                    return Err("--store: expected a directory, got an empty path".into());
+                }
+                inv.store = Some(v);
+            }
             "--addr" => inv.addr = Some(value(&mut it, "--addr")?),
             "--serve-workers" => {
                 let v = value(&mut it, "--serve-workers")?;
@@ -292,15 +293,10 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
                     format!("--max-bytes: `{v}` is not a byte size (K/M/G suffixes ok)")
                 })?);
             }
-            "--dist-dir" => inv.dist_dir = Some(directory(&mut it, "--dist-dir")?),
             "--distributed" => inv.distributed = true,
             "--lease-ttl" => {
                 let v = value(&mut it, "--lease-ttl")?;
                 inv.lease_ttl = Some(parse_seconds("--lease-ttl", &v)?);
-            }
-            "--heartbeat" => {
-                let v = value(&mut it, "--heartbeat")?;
-                inv.heartbeat = Some(parse_seconds("--heartbeat", &v)?);
             }
             "--idle-timeout" => {
                 let v = value(&mut it, "--idle-timeout")?;
@@ -349,12 +345,12 @@ SUBCOMMANDS
   serve                       long-running HTTP simulation server: submit
                               campaign/scenario specs, poll jobs, stream
                               NDJSON telemetry (see README \"Serving\")
-  worker --dist-dir D         distributed campaign worker: claim jobs off the
-                              shared board, simulate, publish results (see
-                              README \"Distributed campaigns\")
-  cache stats                 disk result cache + trace store usage
-                              (+ job-board census when a dist dir is set)
-  cache gc --max-bytes B      LRU-evict the stores down to a byte budget
+  worker --store D            distributed campaign worker: claim jobs off the
+                              store's job board, simulate, publish results
+                              (see README \"Distributed campaigns\")
+  cache stats                 the store's result cache + trace store usage,
+                              then its job-board census
+  cache gc --max-bytes B      LRU-evict the store down to a byte budget
 
 FLAGS (shared)
   --max-ops N        micro-op budget per simulation   [1000000]
@@ -366,8 +362,8 @@ FLAGS (shared)
   --json PATH        also write the JSON report to PATH
   --csv PATH         also write the CSV report to PATH
   --telemetry V      off | stderr | PATH (JSONL events) [off]
-  --trace-dir PATH   persistent trace store directory   [off]
-  --cache-dir PATH   disk result cache directory        [off]
+  --store DIR        on-disk root: results in cache/, traces in traces/,
+                     the job board beside them      [off: results in memory]
 
 SERVE / CACHE FLAGS
   --addr HOST:PORT   serve listen address                              [127.0.0.1:7878]
@@ -378,12 +374,10 @@ SERVE / CACHE FLAGS
   --max-bytes B      cache gc target size (K/M/G ok)
 
 DISTRIBUTED FLAGS
-  --dist-dir D       shared job-board directory; workers and --distributed
-                     keep results and traces in its cache/ and traces/
-  --distributed      campaign run: execute via the job board
+  --distributed      campaign run: execute via the --store's job board
   --local-workers N  in-process workers beside the coordinator         [1]
-  --lease-ttl S      steal leases unheartbeated for S seconds          [30]
-  --heartbeat S      lease refresh interval                            [ttl/4]
+  --lease-ttl S      steal leases unheartbeated for S seconds (refreshed
+                     every S/4)                                        [30]
   --name ID          worker name (lease files, merged summary)  [w<pid>-<rand>]
   --idle-timeout S   worker exits after S idle seconds       [run until killed]
 ";
@@ -395,10 +389,10 @@ const RETIRED: [(&str, &str); 8] = [
     ("BELENOS_MAX_OPS", "--max-ops"),
     ("BELENOS_SAMPLING", "--sampling"),
     ("BELENOS_MODEL", "--model"),
-    ("BELENOS_CACHE_DIR", "--cache-dir"),
-    ("BELENOS_TRACE_DIR", "--trace-dir"),
+    ("BELENOS_CACHE_DIR", "--store"),
+    ("BELENOS_TRACE_DIR", "--store"),
     ("BELENOS_TELEMETRY", "--telemetry"),
-    ("BELENOS_DIST_DIR", "--dist-dir"),
+    ("BELENOS_DIST_DIR", "--store"),
     ("BELENOS_SERVE_ADDR", "--addr"),
 ];
 
@@ -434,9 +428,9 @@ pub fn main(args: Vec<String>) -> i32 {
             }
         }
     }
-    // Same for the trace store.
-    if let Some(dir) = &inv.trace_dir {
-        belenos::trace_store::install_dir(dir);
+    // Same for the trace store, in the store root's `traces/`.
+    if let Some(store) = inv.layout() {
+        belenos::trace_store::install_dir(store.traces_dir());
     }
     // And the thread budget every subcommand's simulation batches, prepare
     // batches and FE assembly draw on (else BELENOS_JOBS, read on first use).
@@ -614,8 +608,15 @@ mod tests {
         assert!(parse(&args(&["--frobnicate"])).is_err());
         assert!(parse(&args(&["--format", "xml"])).is_err());
         assert!(parse(&args(&["--telemetry"])).is_err());
-        for flag in ["--cache-dir", "--trace-dir", "--dist-dir"] {
-            assert!(parse(&args(&[flag, ""])).is_err(), "{flag}");
+        assert!(parse(&args(&["--store", ""])).is_err());
+        // One root replaced the three directory flags, and the lease
+        // refresh follows `--lease-ttl`: the old flags are unknown.
+        for flag in ["--cache-dir", "--trace-dir", "--dist-dir", "--heartbeat"] {
+            assert_eq!(
+                parse(&args(&["list", flag, "x"])).unwrap_err(),
+                format!("unknown flag `{flag}`")
+            );
+            assert!(!USAGE.contains(flag), "{flag}");
         }
     }
 
@@ -666,25 +667,25 @@ mod tests {
             "run",
             "spec.json",
             "--distributed",
-            "--dist-dir",
-            "/tmp/dist",
+            "--store",
+            "/tmp/store",
             "--local-workers",
             "0",
             "--lease-ttl",
             "2.5",
-            "--heartbeat",
-            "0.5",
         ]))
         .unwrap();
         assert!(inv.distributed);
-        assert_eq!(inv.dist_dir.as_deref(), Some("/tmp/dist"));
+        assert_eq!(inv.store.as_deref(), Some("/tmp/store"));
         assert_eq!(inv.local_workers, Some(0));
         assert_eq!(inv.lease_ttl, Some(std::time::Duration::from_millis(2500)));
-        assert_eq!(inv.heartbeat, Some(std::time::Duration::from_millis(500)));
+        let cfg = worker_cmd::dist_config(&inv).unwrap();
+        assert_eq!(cfg.dir, std::path::Path::new("/tmp/store"));
+        assert_eq!(cfg.heartbeat, std::time::Duration::from_millis(625));
         let inv = parse(&args(&[
             "worker",
-            "--dist-dir",
-            "/tmp/dist",
+            "--store",
+            "/tmp/store",
             "--name",
             "w1",
             "--idle-timeout",
@@ -693,33 +694,14 @@ mod tests {
         .unwrap();
         assert_eq!(inv.positionals, ["worker"]);
         assert_eq!(inv.worker_name.as_deref(), Some("w1"));
+        assert_eq!(inv.layout().unwrap().worker, "w1");
         assert_eq!(inv.idle_timeout, Some(std::time::Duration::from_secs(10)));
         assert!(parse(&args(&["worker", "--lease-ttl", "0"])).is_err());
         assert!(parse(&args(&["worker", "--lease-ttl", "soon"])).is_err());
         assert!(parse(&args(&["worker", "--local-workers", "two"])).is_err());
-    }
-
-    #[test]
-    fn worker_refuses_a_cache_dir_it_would_not_write_to() {
-        // A worker's results must land where the coordinator reads them,
-        // so `--cache-dir` is a usage error rather than silently unused.
-        let root =
-            std::env::temp_dir().join(format!("belenos-worker-cache-{}", std::process::id()));
-        let (dist, mine) = (root.join("dist"), root.join("mycache"));
-        let words = [
-            "worker",
-            "--dist-dir",
-            dist.to_str().unwrap(),
-            "--cache-dir",
-            mine.to_str().unwrap(),
-            "--idle-timeout",
-            "0.05",
-        ];
-        let e = worker_cmd::run(&parse(&args(&words)).unwrap()).unwrap_err();
-        assert!(e.starts_with("usage:") && e.contains("<dist>/cache"), "{e}");
-        assert_eq!(main(args(&words)), 2);
-        assert!(!mine.exists() && !dist.exists());
-        let _ = std::fs::remove_dir_all(&root);
+        assert!(worker_cmd::dist_config(&parse(&args(&["worker"])).unwrap())
+            .unwrap_err()
+            .starts_with("usage:"));
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn run_scenarios(inv: &Invocation) -> Result<(), String> {
     let opts = inv.options();
     eprintln!("solving {} scenario model(s)...", specs.len());
     let exps = prepare_all(&specs).map_err(|e| e.to_string())?;
-    let (report, failures) = scenario_run(&inv.runner(None), &exps, &opts);
+    let (report, failures) = scenario_run(&inv.runner(), &exps, &opts);
     for failure in &failures {
         eprintln!("SIMULATION FAILED: {}", failure.message);
     }

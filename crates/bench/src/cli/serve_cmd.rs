@@ -1,22 +1,23 @@
 //! `belenos serve` — run the long-running simulation server.
 //!
 //! Thin assembly over [`belenos_serve::Server`]: take the listen
-//! address, pool and queue sizes and the result cache's disk tier from
-//! the flags, wire the optional cache GC budget to the disk cache and
-//! trace store directories, install the SIGTERM/SIGINT watcher, and
-//! block in the accept loop until a graceful drain completes.
+//! address and pool and queue sizes from the flags and the result
+//! cache's disk tier from the `--store` root, wire the optional cache GC
+//! budget to the store's result cache and trace store, install the
+//! SIGTERM/SIGINT watcher, and block in the accept loop until a graceful
+//! drain completes.
 
 use super::Invocation;
 use belenos_serve::{signal, ServeConfig, Server};
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// `belenos serve [--addr A] [--serve-workers N] [--queue-depth N]
-/// [--op-ceiling N] [--cache-budget B]`.
+/// [--op-ceiling N] [--store D [--cache-budget B]]`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
+    let store = inv.layout();
     let mut config = ServeConfig {
-        cache_dir: inv.cache_dir.as_ref().map(PathBuf::from),
+        cache_dir: store.as_ref().map(|store| store.cache_dir()),
         ..ServeConfig::default()
     };
     if let Some(addr) = &inv.addr {
@@ -32,14 +33,14 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
         config.op_budget_ceiling = ceiling;
     }
     if let Some(budget) = inv.cache_budget {
-        let dirs = store_dirs(inv);
-        if budget > 0 && dirs.is_empty() {
-            return Err(
-                "--cache-budget: nothing to collect — pass --cache-dir and/or --trace-dir".into(),
-            );
+        if budget > 0 && store.is_none() {
+            return Err("--cache-budget: nothing to collect — pass --store DIR".into());
         }
         config.cache_budget_bytes = budget;
-        config.gc_dirs = dirs;
+        config.gc_dirs = store
+            .iter()
+            .flat_map(|store| [store.cache_dir(), store.traces_dir()])
+            .collect();
     }
     let server = Server::bind(config).map_err(|e| format!("serve: could not bind: {e}"))?;
     let handle = server.handle();
@@ -67,14 +68,4 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
     server.run().map_err(|e| format!("serve: {e}"))?;
     eprintln!("belenos serve: drained, exiting");
     Ok(())
-}
-
-/// The disk stores a cache budget governs: the result cache and the
-/// trace store, whichever are configured.
-pub(crate) fn store_dirs(inv: &Invocation) -> Vec<PathBuf> {
-    [&inv.cache_dir, &inv.trace_dir]
-        .into_iter()
-        .flatten()
-        .map(PathBuf::from)
-        .collect()
 }

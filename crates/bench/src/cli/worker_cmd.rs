@@ -1,28 +1,20 @@
 //! `belenos worker` — join a distributed campaign as a worker process.
 //!
-//! Thin assembly over [`belenos_dist::run_worker`]: resolve the dist
-//! directory and lease knobs, point the trace store inside it unless
-//! `--trace-dir` chose another, install the SIGTERM/SIGINT flag so a
-//! drain finishes the in-flight job before exiting, and loop. Results
-//! always go to `<dist>/cache`, where the coordinator reads them.
+//! Thin assembly over [`belenos_dist::run_worker`]: take the job board
+//! and the lease TTL from the `--store` root, install the SIGTERM/SIGINT
+//! flag so a drain finishes the in-flight job before exiting, and loop.
+//! Results go to the store's `cache/` and traces to its `traces/`,
+//! where the coordinator and every other worker read them.
 
 use super::Invocation;
 use belenos_dist::{run_worker, DistConfig};
 use belenos_serve::signal;
 use std::time::SystemTime;
 
-/// `belenos worker --dist-dir D [--name ID] [--lease-ttl S]
-/// [--heartbeat S] [--idle-timeout S]`.
+/// `belenos worker --store D [--name ID] [--lease-ttl S]
+/// [--idle-timeout S]`.
 pub fn run(inv: &Invocation) -> Result<(), String> {
-    if inv.cache_dir.is_some() {
-        return Err(
-            "usage: a worker writes its results to <dist>/cache, where the \
-             coordinator reads them — drop --cache-dir"
-                .into(),
-        );
-    }
-    let cfg = dist_config(inv, &worker_name(inv))?;
-    install_shared_traces(inv, &cfg);
+    let cfg = dist_config(inv)?;
     eprintln!(
         "belenos worker {}: board {} (lease-ttl {:.1}s, heartbeat {:.1}s)",
         cfg.worker,
@@ -32,7 +24,7 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
     );
     let stop = signal::termination_flag();
     let summary = run_worker(&cfg, &stop, inv.idle_timeout)
-        .map_err(|e| format!("worker: dist dir {}: {e}", cfg.dir.display()))?;
+        .map_err(|e| format!("worker: store {}: {e}", cfg.dir.display()))?;
     eprintln!(
         "belenos worker {}: executed {} job(s) ({} stolen, {} failed, {:.2}s busy)",
         summary.worker,
@@ -44,33 +36,15 @@ pub fn run(inv: &Invocation) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves `--dist-dir` and the lease knobs into a [`DistConfig`].
+/// The `--store` root's layout, for a subcommand that cannot run
+/// without one.
 ///
 /// # Errors
 ///
-/// A usage-shaped message when no dist directory is configured.
-pub(crate) fn dist_config(inv: &Invocation, worker: &str) -> Result<DistConfig, String> {
-    let dir = inv
-        .dist_dir
-        .as_ref()
-        .ok_or("usage: a dist directory is required — pass --dist-dir PATH")?;
-    let mut cfg = DistConfig::new(dir, worker);
-    if let Some(ttl) = inv.lease_ttl {
-        cfg = cfg.with_lease_ttl(ttl);
-    }
-    if let Some(hb) = inv.heartbeat {
-        cfg = cfg.with_heartbeat(hb);
-    }
-    Ok(cfg)
-}
-
-/// Points the trace store into the dist directory unless `--trace-dir`
-/// chose another, so every participant resolves a scenario to the same
-/// stored trace.
-pub(crate) fn install_shared_traces(inv: &Invocation, cfg: &DistConfig) {
-    if inv.trace_dir.is_none() {
-        belenos::trace_store::install_dir(cfg.traces_dir());
-    }
+/// A usage-shaped message when `--store` is not given.
+pub(crate) fn dist_config(inv: &Invocation) -> Result<DistConfig, String> {
+    inv.layout()
+        .ok_or_else(|| "usage: this subcommand needs a store — pass --store DIR".into())
 }
 
 /// `--name`, or a name unique enough for one shared board: pid plus a

@@ -7,7 +7,7 @@ use belenos_trace::{expand_fingerprint, trace_fingerprint, Ops, PhaseLog};
 use belenos_uarch::{build_model, CoreConfig, Fnv64, SamplingConfig, SimStats};
 use belenos_workloads::{ScenarioError, ScenarioSpec};
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Summary of the numeric solve that produced the phase log.
 #[derive(Debug, Clone)]
@@ -328,7 +328,7 @@ impl Experiment {
             return self.simulate(cfg, max_ops);
         }
         let tele = belenos_telemetry::global();
-        let _span = tele.span(
+        let span = tele.span(
             "phase",
             &[
                 ("phase", "simulate".into()),
@@ -338,10 +338,17 @@ impl Experiment {
                 ("intervals", sampling.intervals.into()),
             ],
         );
+        // The span's two parts outside the detailed windows, timed only
+        // while telemetry records: the count pass and functional warming.
+        let clock = || tele.enabled().then(Instant::now);
+        let seconds = |start: Option<Instant>| start.map_or(0.0, |t| t.elapsed().as_secs_f64());
         let mut model = build_model(cfg);
         // Counted before the stream opens, so one expander is alive at a
         // time.
+        let counting = clock();
         let total = self.total_trace_ops();
+        let count_s = seconds(counting);
+        let mut warm_s = 0.0;
         let ops = &mut self.stream(u64::MAX);
         let stats = if max_ops as u64 >= total {
             // One interval covering the whole trace: simulate exactly.
@@ -355,7 +362,9 @@ impl Experiment {
             };
             for (start, len) in sampling_windows(total, max_ops as u64, sampling.intervals) {
                 ops.stop_at(start + len);
+                let warming = clock();
                 model.warm_only(ops, start.saturating_sub(ops.at()));
+                warm_s += seconds(warming);
                 let warmup = (len as f64 * sampling.warmup_frac) as u64;
                 merged.merge(&model.run_warm(ops, warmup));
             }
@@ -368,6 +377,7 @@ impl Experiment {
         if tele.enabled() {
             emit_stage_counters(&tele, &stats);
         }
+        span.close_with(&[("count_s", count_s.into()), ("warm_s", warm_s.into())]);
         stats
     }
 

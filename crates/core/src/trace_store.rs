@@ -1,8 +1,8 @@
 //! Persistent content-addressed trace store.
 //!
 //! [`TraceStore`] keys prepared traces by `ScenarioSpec::stable_digest` ×
-//! the [`ExpandConfig`]'s [`expand_fingerprint`] and persists them under
-//! `--trace-dir` in the versioned binary format of
+//! the [`ExpandConfig`]'s [`expand_fingerprint`] and persists them in a
+//! `--store` root's `traces/` in the versioned binary format of
 //! [`belenos_trace::store`]. A hit lets [`Experiment::prepare`]
 //! reconstruct the phase log without building or solving the FE model, so
 //! the prepare phase is paid once *ever* per scenario across processes,
@@ -36,7 +36,7 @@ pub struct TraceStore {
 
 static GLOBAL: OnceLock<TraceStore> = OnceLock::new();
 
-/// Routes the process-wide store at `dir` (the `--trace-dir` flag).
+/// Routes the process-wide store at `dir` (a `--store` root's `traces/`).
 ///
 /// Returns `false` when a store was already installed (first caller
 /// wins, matching the telemetry `install` contract).

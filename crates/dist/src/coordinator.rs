@@ -345,7 +345,7 @@ impl DistExecutor for Coordinator {
             {
                 eprintln!(
                     "dist: no progress after {:.0}s and no local workers — start one with \
-                     `belenos worker --dist-dir {}`",
+                     `belenos worker --store {}`",
                     started.elapsed().as_secs_f64(),
                     cfg.dir.display()
                 );

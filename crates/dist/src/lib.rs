@@ -12,10 +12,12 @@
 //!
 //! ## The job board
 //!
-//! A dist directory (`--dist-dir`) holds five subdirectories:
+//! A store root (`--store`) holds five subdirectories; the result cache
+//! and the trace store are there for every command, the board for a
+//! distributed campaign:
 //!
 //! ```text
-//! <dist-dir>/
+//! <store>/
 //!   board/   <digest>.job            open jobs, one JSON document each
 //!   leases/  <digest>.<worker>.lease claimed jobs; mtime = last heartbeat
 //!   done/    <digest>.done           completion markers (worker, wall, error)

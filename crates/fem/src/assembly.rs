@@ -382,7 +382,10 @@ mod tests {
         let mesh = Mesh::box_hex(2, 1, 1, 2.0, 1.0, 1.0);
         let p = build_pattern(&mesh, 3);
         assert_eq!(p.nrows(), mesh.num_nodes() * 3);
-        assert!(p.is_structurally_symmetric());
+        // Structurally symmetric: every stored (r, c) has its (c, r).
+        for r in 0..p.nrows() {
+            assert!(p.row(r).iter().all(|&c| p.contains(c as usize, r)));
+        }
         // Nodes 0 and 1 share element 0: dof (0,0) couples to (1, 2).
         assert!(p.contains(0, 5));
     }

@@ -5,7 +5,7 @@
 //! so any two jobs that would replay the exact same simulation share one
 //! entry, no matter which sweep or figure submitted them. The cache is
 //! in-memory (shared, thread-safe) with an optional on-disk tier
-//! (`--cache-dir`) that survives across processes.
+//! (the `--store` root's `cache/`) that survives across processes.
 
 use crate::entry::{write_atomic, Miss};
 use belenos_uarch::{CoreConfig, Fnv64, SamplingConfig, SimStats};

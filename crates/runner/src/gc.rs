@@ -1,7 +1,7 @@
 //! LRU disk garbage collection for the cache directories.
 //!
-//! The disk result cache (`--cache-dir`) and the persistent trace store
-//! (`--trace-dir`) both grow monotonically: every new
+//! The disk result cache and the persistent trace store (a `--store`
+//! root's `cache/` and `traces/`) both grow monotonically: every new
 //! (workload × config) point adds a file and nothing ever removes one.
 //! Fine for one-shot CLI runs; a long-running `belenos serve` daemon
 //! needs a bound. [`gc_dirs`] enforces a byte budget by deleting the

@@ -12,7 +12,7 @@
 //!    index, a human label, a [`CoreConfig`] and a micro-op budget;
 //! 2. [`Runner::run`] deduplicates jobs by content ([`CacheKey`]),
 //!    consults the runner's content-addressed result [`Cache`]
-//!    (optionally disk-backed, `--cache-dir`), and runs the
+//!    (optionally disk-backed, `--store`), and runs the
 //!    remaining unique simulations on the calling thread plus whatever
 //!    helper threads the runner's [`Budget`] has free ([`pool`]: one
 //!    budget — `--jobs`, `BELENOS_JOBS`, default available parallelism

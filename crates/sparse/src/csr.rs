@@ -243,27 +243,6 @@ impl CsrMatrix {
             *v *= alpha;
         }
     }
-
-    /// Infinity norm of the residual `b - A x` (convergence checks).
-    ///
-    /// # Errors
-    ///
-    /// [`SparseError::DimensionMismatch`] on shape mismatch.
-    pub fn residual_inf_norm(&self, x: &[f64], b: &[f64]) -> Result<f64> {
-        if b.len() != self.nrows() {
-            return Err(SparseError::DimensionMismatch(format!(
-                "rhs has {} entries for {} rows",
-                b.len(),
-                self.nrows()
-            )));
-        }
-        let ax = self.spmv(x)?;
-        Ok(ax
-            .iter()
-            .zip(b)
-            .map(|(a, bi)| (bi - a).abs())
-            .fold(0.0, f64::max))
-    }
 }
 
 /// Dot product of two equal-length vectors.
@@ -369,14 +348,6 @@ mod tests {
     fn diagonal_extraction() {
         let a = lap1d(4);
         assert_eq!(a.diagonal(), vec![2.0; 4]);
-    }
-
-    #[test]
-    fn residual_of_exact_solution_is_zero() {
-        let a = lap1d(6);
-        let x = vec![1.0; 6];
-        let b = a.spmv(&x).unwrap();
-        assert!(a.residual_inf_norm(&x, &b).unwrap() < 1e-15);
     }
 
     #[test]

@@ -142,22 +142,6 @@ impl CsrPattern {
         bw
     }
 
-    /// True if the pattern is structurally symmetric.
-    pub fn is_structurally_symmetric(&self) -> bool {
-        if self.nrows != self.ncols {
-            return false;
-        }
-        for r in 0..self.nrows {
-            for &c in self.row(r) {
-                let c = c as usize;
-                if self.row(c).binary_search(&(r as u32)).is_err() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Returns `true` if `(r, c)` is a stored position.
     pub fn contains(&self, r: usize, c: usize) -> bool {
         r < self.nrows && c < self.ncols && self.row(r).binary_search(&(c as u32)).is_ok()
@@ -188,13 +172,6 @@ mod tests {
     #[test]
     fn bandwidth() {
         assert_eq!(sample().bandwidth(), 2);
-    }
-
-    #[test]
-    fn symmetry_detection() {
-        assert!(sample().is_structurally_symmetric());
-        let asym = CsrPattern::new(2, 2, vec![0, 2, 3], vec![0, 1, 1]).unwrap();
-        assert!(!asym.is_structurally_symmetric());
     }
 
     #[test]

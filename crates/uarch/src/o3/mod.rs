@@ -392,7 +392,12 @@ mod tests {
             .map(|i| MicroOp::fp(OpKind::FpDiv, 0x2000, if i == 0 { 0 } else { 1 }, 0, CAT))
             .collect();
         let stats = run_ops(ops, CoreConfig::gem5_baseline());
-        assert!(stats.cpi() > 10.0, "fpdiv chain cpi {}", stats.cpi());
+        assert!(
+            stats.cycles > 10 * stats.committed_ops,
+            "fpdiv chain: {} cycles for {} ops",
+            stats.cycles,
+            stats.committed_ops
+        );
     }
 
     #[test]
@@ -464,9 +469,10 @@ mod tests {
         }
         let stats = run_ops(ops, CoreConfig::gem5_baseline());
         assert!(
-            stats.mispredict_rate() < 0.1,
-            "loop branches should predict well: {}",
-            stats.mispredict_rate()
+            stats.mispredicts * 10 < stats.branches,
+            "loop branches should predict well: {} of {} mispredicted",
+            stats.mispredicts,
+            stats.branches
         );
     }
 

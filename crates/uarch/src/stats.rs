@@ -297,16 +297,6 @@ impl SimStats {
         }
     }
 
-    /// Cycles per instruction.
-    pub fn cpi(&self) -> f64 {
-        let ipc = self.ipc();
-        if ipc == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / ipc
-        }
-    }
-
     /// Simulated wall-clock seconds at the configured frequency.
     pub fn seconds(&self) -> f64 {
         if self.freq_ghz <= 0.0 {
@@ -365,15 +355,6 @@ impl SimStats {
         mpki(self.l2_misses, self.committed_ops)
     }
 
-    /// Branch misprediction rate.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
-
     /// Clocktick-equivalent fraction attributed to each function category.
     pub fn category_fractions(&self) -> [f64; 6] {
         let total: u64 = self.slots_by_category.iter().sum();
@@ -418,7 +399,6 @@ mod tests {
             ..SimStats::default()
         };
         assert!((s.ipc() - 2.5).abs() < 1e-12);
-        assert!((s.cpi() - 0.4).abs() < 1e-12);
         assert!((s.seconds() - 0.5e-6).abs() < 1e-18);
     }
 
@@ -517,7 +497,6 @@ mod tests {
     fn empty_stats_are_safe() {
         let s = SimStats::default();
         assert_eq!(s.ipc(), 0.0);
-        assert!(s.cpi().is_infinite());
         assert_eq!(s.topdown(), (0.0, 0.0, 0.0, 0.0));
         assert_eq!(s.l1d_mpki(), 0.0);
     }

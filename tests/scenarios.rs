@@ -393,8 +393,8 @@ fn mesh_sweep_resolution_still_respects_scenario_validation() {
 /// (preset id, `ScenarioSpec::stable_digest()`) for every distinct
 /// preset, in `distinct_presets()` order, captured at 6a2b59a — the
 /// commit before spec records listed their fields once. These values
-/// name entries in every existing `--cache-dir`, trace store and
-/// dist board: a refactor of how specs are hashed or serialised must
+/// name entries in every existing result cache, trace store and
+/// job board: a refactor of how specs are hashed or serialised must
 /// leave them, and the byte goldens under `tests/golden/specs/`, alone.
 const PRESET_SPEC_DIGESTS: [(&str, u64); 31] = [
     ("bp07", 0x3d7f8acbbedd520d),

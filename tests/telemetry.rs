@@ -257,14 +257,9 @@ fn cold_prepare_span_closes_with_the_solve_split() {
     assert!(assemblies <= num(close, "newton_iterations"));
 }
 
-#[test]
-fn o3_stage_times_add_up_to_at_most_the_simulate_span() {
-    // The six `o3_stage_host_ns` rows split the loop's one measured wall,
-    // so together they fit inside the `simulate` span that holds the run.
-    let spec = belenos_workloads::by_id("pd").expect("pd");
-    let exp = belenos::experiment::Experiment::prepare(&spec).expect("pd solves");
-    let cfg = belenos_uarch::CoreConfig::gem5_baseline();
-    let (_, events) = capture(|| exp.simulate(&cfg, 20_000));
+/// The `simulate` phase span's `span_close`, and the summed
+/// `o3_stage_host_ns` rows (six per detailed run) in seconds.
+fn simulate_close_and_stage_sum(events: &[Json]) -> (&Json, f64) {
     let open = events
         .iter()
         .find(|e| {
@@ -273,21 +268,60 @@ fn o3_stage_times_add_up_to_at_most_the_simulate_span() {
                 && e.get("phase").and_then(Json::as_str) == Some("simulate")
         })
         .expect("simulate phase span");
-    let wall_s = events
+    let close = events
         .iter()
         .find(|e| ev(e) == "span_close" && num(e, "id") == num(open, "id"))
-        .and_then(|e| e.get("wall_s").and_then(Json::as_f64))
-        .expect("simulate span closes with its wall");
+        .expect("simulate span closes");
     let stages: Vec<u64> = events
         .iter()
         .filter(|e| ev(e) == "counter" && name(e) == "o3_stage_host_ns")
         .map(|e| num(e, "value"))
         .collect();
-    assert_eq!(stages.len(), 6, "one row per stage");
+    assert!(
+        !stages.is_empty() && stages.len().is_multiple_of(6),
+        "one row per stage and detailed run: {}",
+        stages.len()
+    );
     let sum: u64 = stages.iter().sum();
     assert!(sum > 0);
+    (close, sum as f64 / 1e9)
+}
+
+fn secs(e: &Json, k: &str) -> f64 {
+    e.get(k)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("span_close has `{k}`"))
+}
+
+#[test]
+fn o3_stage_times_add_up_to_at_most_the_simulate_span() {
+    // The six `o3_stage_host_ns` rows split the loop's one measured wall,
+    // so together they fit inside the `simulate` span that holds the run.
+    let cfg = belenos_uarch::CoreConfig::gem5_baseline();
+    let spec = belenos_workloads::by_id("pd").expect("pd");
+    let exp = belenos::experiment::Experiment::prepare(&spec).expect("pd solves");
+    let (_, events) = capture(|| exp.simulate(&cfg, 20_000));
+    let (close, stages_s) = simulate_close_and_stage_sum(&events);
+    let wall_s = secs(close, "wall_s");
     assert!(
-        sum as f64 <= wall_s * 1e9,
-        "stage rows sum to {sum} ns, the span's wall is {wall_s} s"
+        stages_s <= wall_s,
+        "stage rows sum to {stages_s} s, the span's wall is {wall_s} s"
+    );
+    // A sampled run also counts the trace and warms between its windows;
+    // the span closes with both, and the four parts fit inside it.
+    let spec = belenos_workloads::by_id("co").expect("co");
+    let exp = belenos::experiment::Experiment::prepare(&spec).expect("co solves");
+    let sampling = belenos_uarch::SamplingConfig::smarts(8);
+    let (_, events) = capture(|| exp.simulate_sampled(&cfg, 20_000, &sampling));
+    let (close, stages_s) = simulate_close_and_stage_sum(&events);
+    let (wall_s, count_s, warm_s) = (
+        secs(close, "wall_s"),
+        secs(close, "count_s"),
+        secs(close, "warm_s"),
+    );
+    assert!(warm_s > 0.0);
+    assert!(
+        stages_s + count_s + warm_s <= wall_s,
+        "stages {stages_s} s + count {count_s} s + warm {warm_s} s, the span's wall is {wall_s} s"
     );
 }
