@@ -225,9 +225,10 @@ impl Experiment {
     /// `cfg.model` (`--model` on the command line); the default `o3`
     /// backend reproduces the historical behavior bit for bit.
     ///
-    /// The ops stream from the log as the model consumes them, a kernel
-    /// call at a time, and expansion stops at the budget: a run holds at
-    /// most one kernel call's ops, never the whole trace.
+    /// The ops stream from the log as the model consumes them, a bounded
+    /// chunk of whole trips at a time, and expansion stops at the budget:
+    /// a run holds at most one chunk plus one trip
+    /// ([`belenos_trace::expand::CHUNK_OPS`]), never a whole kernel call.
     ///
     /// This is the historical *prefix-truncation* mode: a budgeted run
     /// measures only the first `max_ops` ops of the trace, which biases
@@ -260,14 +261,15 @@ impl Experiment {
             model.run_warm(&mut self.stream(limit), measured / 4)
         };
         if tele.enabled() {
+            model.emit_counters();
             emit_stage_counters(&tele, &stats);
         }
         stats
     }
 
     /// A cursor streaming the first `limit` ops of this experiment's
-    /// trace from the log, a kernel call at a time and never past the
-    /// cursor's stop or the limit.
+    /// trace from the log, a bounded chunk at a time and never past the
+    /// chunk that holds the cursor's stop or the limit.
     fn stream(&self, limit: u64) -> Ops<'_> {
         Ops::stream(Expander::with_config(&self.log, self.expand.clone()).truncated(limit))
     }
@@ -375,6 +377,7 @@ impl Experiment {
             }
         };
         if tele.enabled() {
+            model.emit_counters();
             emit_stage_counters(&tele, &stats);
         }
         span.close_with(&[("count_s", count_s.into()), ("warm_s", warm_s.into())]);
@@ -633,6 +636,38 @@ mod tests {
             exp.total_trace_ops() > 10 * 40_000,
             "premise: the budgets are a prefix and a sample, not the whole trace"
         );
+    }
+
+    #[test]
+    fn a_stream_holds_at_most_one_chunk_and_one_trip() {
+        use belenos_trace::expand::CHUNK_OPS;
+        for id in ["co", "tu"] {
+            let exp = Experiment::prepare(&by_id(id).expect("preset")).unwrap();
+            let expander = || Expander::with_config(exp.log(), exp.expand.clone());
+            // Streamed: checked after each chunk a cursor would replay.
+            let mut ex = expander();
+            let mut total = 0;
+            while let Some(chunk) = ex.next_chunk() {
+                total += chunk.len() as u64;
+                let f = ex.footprint();
+                assert!(f.capacity <= CHUNK_OPS + f.largest_trip, "{id}: {f:?}");
+            }
+            assert!(total > 10 * CHUNK_OPS as u64, "premise: {id} spans chunks");
+            // Counted: the count pass drains the same chunks.
+            assert_eq!(expander().into_total_ops(), total, "{id}");
+            assert_eq!(exp.total_trace_ops(), total, "{id}");
+            // Truncated: the trip that reaches the limit is the last one
+            // started.
+            for limit in [1, CHUNK_OPS as u64 + 1, 60_000, total / 3, total - 1] {
+                let mut ex = expander().truncated(limit);
+                while ex.next_chunk().is_some() {}
+                assert_eq!(ex.emitted_ops(), limit, "{id} at {limit}");
+                let f = ex.footprint();
+                assert!(f.last_trip_at < limit, "{id} at {limit}: {f:?}");
+                assert!(f.capacity <= CHUNK_OPS + f.largest_trip, "{id}: {f:?}");
+                assert_eq!(expander().total_ops_up_to(limit), limit, "{id}");
+            }
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! [`FlatTrace`], the struct-of-arrays layout of a stored trace.
 //!
 //! A simulation streams its trace: an [`Ops`] cursor replays the
-//! [`Expander`]'s buffer of one kernel call in place and asks for the
-//! next call only while it is short of its stop, so a cursor that ends
-//! there has generated no kernel call past it. A caller that already
-//! holds the expanded ops (a test, a benchmark) replays a range of them
-//! through the same cursor. Replay is **bit-identical** either way:
+//! [`Expander`]'s chunk buffer in place and asks for the next chunk only
+//! while it is short of its stop, so a cursor that ends there has
+//! generated no chunk past it. A caller that already holds the expanded
+//! ops (a test, a benchmark) replays a range of them through the same
+//! cursor. Replay is **bit-identical** either way:
 //! expansion is deterministic, so a range and a stream over the same
 //! positions yield the same ops.
 //!
@@ -236,7 +236,7 @@ impl ExactSizeIterator for FlatIter<'_> {}
 impl std::iter::FusedIterator for FlatIter<'_> {}
 
 /// The op cursor every simulation replays a trace through: the
-/// [`Expander`]'s buffer of one kernel call at a time, refilled out of
+/// [`Expander`]'s buffer of one bounded chunk at a time, refilled out of
 /// line, or a range of a caller's pre-expanded ops.
 ///
 /// Either way the per-op path is one `next < end` compare and one
@@ -246,7 +246,7 @@ impl std::iter::FusedIterator for FlatIter<'_> {}
 /// ([`Ops::at`], [`Ops::stop_at`]).
 #[derive(Debug)]
 pub struct Ops<'a> {
-    /// The current table: the rest of a kernel call, or the range's ops.
+    /// The current table: the rest of a chunk, or the range's ops.
     table: &'a [MicroOp],
     /// Index in `table` of the next op.
     next: usize,
@@ -277,7 +277,7 @@ impl<'a> Ops<'a> {
     }
 
     /// A cursor over the whole stream `expander` emits, generated a
-    /// kernel call at a time and never past the stop.
+    /// chunk at a time and never past the chunk that holds the stop.
     pub fn stream(expander: Expander<'a>) -> Self {
         Ops {
             table: &[],
@@ -307,27 +307,27 @@ impl<'a> Ops<'a> {
 
     /// The cold half of [`Iterator::next`]: the table is used up, so a
     /// stream short of its stop replays the rest of the expander's
-    /// current kernel call, or generates the next one. A cursor at its
-    /// stop generates nothing; a stop moved later only costs this call.
+    /// current chunk, or generates the next one. A cursor at its stop
+    /// generates nothing; a stop moved later only costs this call.
     #[cold]
     #[inline(never)]
     fn refill(&mut self) -> Option<MicroOp> {
         let position = self.at();
         let expander = self.expander.as_mut().filter(|_| position < self.stop)?;
-        // The table may borrow the call buffer: let go of it first.
+        // The table may borrow the chunk buffer: let go of it first.
         self.table = &[];
-        let Some(call) = expander.next_call() else {
+        let Some(chunk) = expander.next_chunk() else {
             self.expander = None;
             return None;
         };
-        // Borrowing the call buffer for `'a` is what keeps the per-op path
-        // free of a branch on the source: a range and a call are both a
-        // `&'a [MicroOp]`.
+        // Borrowing the chunk buffer for `'a` is what keeps the per-op
+        // path free of a branch on the source: a range and a chunk are
+        // both a `&'a [MicroOp]`.
         // SAFETY: the buffer lives on the heap, so moving the cursor
-        // leaves it in place, and the expander writes it only in
-        // `next_call` above, after `self.table` has let go of it.
-        // `self.table` is private and the only borrow made.
-        self.table = unsafe { &*std::ptr::from_ref(call) };
+        // leaves it in place, and the expander writes, grows or shrinks
+        // it only in `next_chunk` above, after `self.table` has let go of
+        // it. `self.table` is private and the only borrow made.
+        self.table = unsafe { &*std::ptr::from_ref(chunk) };
         self.base = position;
         self.next = 0;
         self.stop_at(self.stop);
@@ -359,6 +359,7 @@ impl std::iter::FusedIterator for Ops<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expand::CHUNK_OPS;
 
     fn sample_ops() -> Vec<MicroOp> {
         vec![
@@ -513,6 +514,10 @@ mod tests {
         assert!(
             starts.windows(2).all(|w| w[0] < w[1]),
             "premise: every call emits"
+        );
+        assert!(
+            starts.windows(2).all(|w| w[1] - w[0] < CHUNK_OPS as u64),
+            "premise: every call is one chunk"
         );
 
         for stop in [1, starts[1], starts[1] + 1, starts[2] + 5, total - 1] {

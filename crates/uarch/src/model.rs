@@ -96,9 +96,9 @@ impl std::fmt::Display for ModelKind {
 ///   (retiring + front-end + bad-speculation + back-end), so top-down
 ///   bottleneck comparisons are meaningful across backends.
 ///
-/// Traces arrive as an [`Ops`] cursor, streamed from a log a kernel call
-/// at a time or over a range of pre-expanded ops: one concrete type, and
-/// a `&[MicroOp]` underneath either way, so each backend's loop
+/// Traces arrive as an [`Ops`] cursor, streamed from a log a bounded
+/// chunk at a time or over a range of pre-expanded ops: one concrete
+/// type, and a `&[MicroOp]` underneath either way, so each backend's loop
 /// is monomorphized over it while the trait stays object-safe for the
 /// `Box<dyn CoreModel>` the experiment layer picks at run time from
 /// [`ModelKind`]. That layer
@@ -124,6 +124,11 @@ pub trait CoreModel {
     /// persists; this is measurement warmup). When the trace is shorter
     /// than the warmup, the reported measurement window is empty.
     fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats;
+
+    /// Emits the backend's own telemetry counters for its runs since the
+    /// last call, once, and starts over; the experiment layer calls it
+    /// when a simulation ends. Only o3 keeps counters.
+    fn emit_counters(&mut self) {}
 
     /// Functionally warms long-lived machine state (caches, TLBs,
     /// predictor, BTB) from up to `max_ops` trace ops without simulating

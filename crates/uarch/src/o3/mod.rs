@@ -38,14 +38,18 @@
 //! With a telemetry sink attached when a run starts, [`O3Core::run_warm`]
 //! counts loop iterations, squashes, cancelled completions, parks and
 //! wake-ups exactly, times the whole loop once, and times the five stage
-//! calls and the driver tail on every 64th iteration. It emits
+//! calls and the driver tail on one iteration in 64. The first iteration
+//! is not among them: it opens the trace stream, and its first chunk's
+//! generation would land in the `fetch` lap. A simulation's runs add
+//! their counts up, and [`CoreModel::emit_counters`] emits them once
+//! when it ends ([`O3Core::run`] does so itself):
 //! `o3_loop_iterations`, `o3_squashes`, `o3_cancels`, `o3_parks`,
 //! `o3_wakeups` and `o3_stage_host_ns{stage=…}` beside
-//! `ff_cycles_skipped` and `rob_ring_peak_occupancy`. The six
-//! `o3_stage_host_ns` rows are the loop's one measured wall, split in the
-//! proportions of the sampled laps, so they sum to at most that wall. The
-//! timers never touch simulated state; without a sink an iteration pays
-//! one never-taken branch per lap point.
+//! `ff_cycles_skipped` and `rob_ring_peak_occupancy` (the peak of the
+//! runs). The six `o3_stage_host_ns` rows are each run's one measured
+//! wall, split in the proportions of its sampled laps, so they sum to at
+//! most the runs' walls. The timers never touch simulated state; without
+//! a sink an iteration pays one never-taken branch per lap point.
 //!
 //! # Event-driven fast-forward
 //!
@@ -84,10 +88,14 @@ use std::time::Instant;
 /// fast-forward, termination pull and wedge checks).
 const STAGES: [&str; 6] = ["commit", "writeback", "issue", "dispatch", "fetch", "drive"];
 
-/// One loop iteration in this many (a power of two), the first included,
-/// is timed stage by stage when telemetry is on. The sampled laps only set
-/// the proportions in which the loop's measured wall is split.
+/// One loop iteration in this many (a power of two) is timed stage by
+/// stage when telemetry is on. The sampled laps only set the proportions
+/// in which the loop's measured wall is split.
 const STAGE_SAMPLE_EVERY: u64 = 64;
+
+/// Which iteration of each `STAGE_SAMPLE_EVERY` is timed: not the first,
+/// which pulls the trace's first chunk.
+const STAGE_SAMPLE_AT: u64 = 17;
 
 /// Closes a timed lap: adds the host time since `*from` to `ns` and
 /// restarts the lap. Untimed iterations (`None`) pay the one branch.
@@ -100,10 +108,25 @@ fn lap_into(from: &mut Option<Instant>, ns: &mut u64) {
     }
 }
 
+/// The telemetry counts of the runs since the last emission: sums, but
+/// the ROB ring's peak is the largest of the runs'.
+#[derive(Debug, Default)]
+struct Counts {
+    ff_cycles_skipped: u64,
+    rob_ring_peak_occupancy: u64,
+    loop_iterations: u64,
+    squashes: u64,
+    cancels: u64,
+    parks: u64,
+    wakeups: u64,
+    stage_host_ns: [u64; STAGES.len()],
+}
+
 /// The out-of-order core simulator.
 pub struct O3Core {
     machine: Machine,
     fast_forward: bool,
+    counts: Counts,
 }
 
 impl std::fmt::Debug for O3Core {
@@ -120,6 +143,7 @@ impl O3Core {
         O3Core {
             machine: Machine::new(cfg),
             fast_forward: true,
+            counts: Counts::default(),
         }
     }
 
@@ -131,14 +155,17 @@ impl O3Core {
         self.fast_forward = on;
     }
 
-    /// Runs the trace to completion and returns the statistics.
+    /// Runs the trace to completion and returns the statistics; a
+    /// telemetry sink receives the run's counters.
     ///
     /// # Panics
     ///
     /// Panics if the pipeline wedges (no commit for a very long time),
     /// which indicates a simulator bug.
     pub fn run<I: Iterator<Item = MicroOp>>(&mut self, trace: I) -> SimStats {
-        self.run_warm(trace, 0)
+        let stats = self.run_warm(trace, 0);
+        self.emit_counters();
+        stats
     }
 
     /// Runs the trace, discarding the first `warmup_ops` committed ops
@@ -154,16 +181,16 @@ impl O3Core {
         let mut p = Pipeline::new(&self.machine.cfg);
         let mut trace = trace.fuse();
         // Host-time split of the loop by stage, for a telemetry sink
-        // attached now: the loop is timed whole, and every
-        // `STAGE_SAMPLE_EVERY`-th iteration lap by lap.
-        let tel = belenos_telemetry::global();
-        let timed = tel.enabled();
+        // attached now: the loop is timed whole, and one iteration in
+        // `STAGE_SAMPLE_EVERY` lap by lap.
+        let timed = belenos_telemetry::global().enabled();
         let mut iterations = 0u64;
         let mut stage_ns = [0u64; STAGES.len()];
         let started = timed.then(Instant::now);
 
         loop {
-            let mut lap = (timed && iterations & (STAGE_SAMPLE_EVERY - 1) == 0).then(Instant::now);
+            let mut lap = (timed && iterations & (STAGE_SAMPLE_EVERY - 1) == STAGE_SAMPLE_AT)
+                .then(Instant::now);
             iterations += 1;
             let committed = self.commit_stage(&mut p, &mut stats);
             lap_into(&mut lap, &mut stage_ns[0]);
@@ -235,20 +262,19 @@ impl O3Core {
         let wall_ns = started.map_or(0, |t0| t0.elapsed().as_nanos());
         let stats = window.close(stats, p.now, &self.machine);
         if timed {
-            tel.counter("ff_cycles_skipped", p.ff_cycles_skipped, &[]);
-            tel.counter("rob_ring_peak_occupancy", p.rob_peak as u64, &[]);
-            tel.counter("o3_loop_iterations", iterations, &[]);
-            tel.counter("o3_squashes", p.squashes, &[]);
-            tel.counter("o3_cancels", p.cancels, &[]);
-            tel.counter("o3_parks", p.parks, &[]);
-            tel.counter("o3_wakeups", p.wakeups, &[]);
+            let c = &mut self.counts;
+            c.ff_cycles_skipped += p.ff_cycles_skipped;
+            c.rob_ring_peak_occupancy = c.rob_ring_peak_occupancy.max(p.rob_peak as u64);
+            c.loop_iterations += iterations;
+            c.squashes += p.squashes;
+            c.cancels += p.cancels;
+            c.parks += p.parks;
+            c.wakeups += p.wakeups;
             // The loop's wall in the proportions of the sampled laps:
             // the six rows sum to at most the wall.
             let sampled = stage_ns.iter().sum::<u64>().max(1) as u128;
-            for (stage, ns) in STAGES.iter().zip(stage_ns) {
-                let fields = [("stage", (*stage).into())];
-                let ns = (wall_ns * ns as u128 / sampled) as u64;
-                tel.counter("o3_stage_host_ns", ns, &fields);
+            for (row, ns) in c.stage_host_ns.iter_mut().zip(stage_ns) {
+                *row += (wall_ns * ns as u128 / sampled) as u64;
             }
         }
         stats
@@ -341,6 +367,26 @@ impl CoreModel for O3Core {
 
     fn run_warm(&mut self, trace: &mut Ops<'_>, warmup_ops: u64) -> SimStats {
         O3Core::run_warm(self, trace, warmup_ops)
+    }
+
+    /// Emits the counts of the runs since the last emission, if any ran
+    /// timed, and starts over.
+    fn emit_counters(&mut self) {
+        let c = std::mem::take(&mut self.counts);
+        let tel = belenos_telemetry::global();
+        if c.loop_iterations == 0 || !tel.enabled() {
+            return;
+        }
+        tel.counter("ff_cycles_skipped", c.ff_cycles_skipped, &[]);
+        tel.counter("rob_ring_peak_occupancy", c.rob_ring_peak_occupancy, &[]);
+        tel.counter("o3_loop_iterations", c.loop_iterations, &[]);
+        tel.counter("o3_squashes", c.squashes, &[]);
+        tel.counter("o3_cancels", c.cancels, &[]);
+        tel.counter("o3_parks", c.parks, &[]);
+        tel.counter("o3_wakeups", c.wakeups, &[]);
+        for (stage, ns) in STAGES.iter().zip(c.stage_host_ns) {
+            tel.counter("o3_stage_host_ns", ns, &[("stage", (*stage).into())]);
+        }
     }
 }
 

@@ -258,7 +258,9 @@ fn cold_prepare_span_closes_with_the_solve_split() {
 }
 
 /// The `simulate` phase span's `span_close`, and the summed
-/// `o3_stage_host_ns` rows (six per detailed run) in seconds.
+/// `o3_stage_host_ns` rows in seconds. A simulation emits each o3
+/// counter once, however many detailed runs it makes: one
+/// `o3_loop_iterations` and one row per stage.
 fn simulate_close_and_stage_sum(events: &[Json]) -> (&Json, f64) {
     let open = events
         .iter()
@@ -277,11 +279,12 @@ fn simulate_close_and_stage_sum(events: &[Json]) -> (&Json, f64) {
         .filter(|e| ev(e) == "counter" && name(e) == "o3_stage_host_ns")
         .map(|e| num(e, "value"))
         .collect();
-    assert!(
-        !stages.is_empty() && stages.len().is_multiple_of(6),
-        "one row per stage and detailed run: {}",
-        stages.len()
-    );
+    assert_eq!(stages.len(), 6, "one row per stage");
+    let iterations = events
+        .iter()
+        .filter(|e| ev(e) == "counter" && name(e) == "o3_loop_iterations")
+        .count();
+    assert_eq!(iterations, 1, "one o3_loop_iterations");
     let sum: u64 = stages.iter().sum();
     assert!(sum > 0);
     (close, sum as f64 / 1e9)
