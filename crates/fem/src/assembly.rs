@@ -32,7 +32,10 @@ fn pattern_of(adj: &[Vec<u32>], dofs_per_node: usize) -> Arc<CsrPattern> {
     let n_dofs = adj.len() * dofs_per_node;
     let mut row_ptr = Vec::with_capacity(n_dofs + 1);
     row_ptr.push(0usize);
-    let mut col_idx: Vec<u32> = Vec::new();
+    // Counted first: the pattern outlives the solve in the phase log, so
+    // `col_idx` is allocated at its exact length.
+    let nnz = adj.iter().map(|nbrs| nbrs.len()).sum::<usize>() * dofs_per_node * dofs_per_node;
+    let mut col_idx: Vec<u32> = Vec::with_capacity(nnz);
     for nbrs in adj {
         for _comp in 0..dofs_per_node {
             for &nb in nbrs {

@@ -30,8 +30,10 @@ pub enum LinearSolver {
 
 /// Everything about an LDLᵀ solve that depends on the pattern alone: the
 /// fill-reducing permutation (PARDISO computes one internally; so do we,
-/// via reverse Cuthill-McKee), how the permuted matrix is filled, and the
-/// factor whose structure and work vectors each refactorization reuses.
+/// via reverse Cuthill-McKee), the gather that fills the permuted
+/// matrix's lower triangle — the only half the factor reads — straight
+/// from the stiffness, and the factor whose structure and work vectors
+/// each refactorization reuses.
 #[derive(Debug)]
 struct LdlState {
     perm: Permutation,
@@ -61,10 +63,10 @@ impl SolverCache {
 
 /// Solves `K du = r`, recording the kernels into `log`.
 ///
-/// LDLᵀ refactors only when the permuted matrix differs in some bit from
-/// the one its factor holds; the log records a factorization either way,
-/// as FEBio's iteration runs one. A failed factorization drops the cached
-/// state, so no later solve reuses a half-written factor.
+/// LDLᵀ refactors only when the permuted lower triangle differs in some
+/// bit from the one its factor holds; the log records a factorization
+/// either way, as FEBio's iteration runs one. A failed factorization drops
+/// the cached state, so no later solve reuses a half-written factor.
 ///
 /// # Errors
 ///

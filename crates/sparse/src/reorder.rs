@@ -88,6 +88,20 @@ impl Permutation {
         out
     }
 
+    /// Refuses a matrix shape this permutation cannot act on.
+    fn check_square(&self, nrows: usize, ncols: usize) -> Result<()> {
+        if nrows != ncols {
+            return Err(SparseError::NotSquare { nrows, ncols });
+        }
+        if nrows != self.len() {
+            return Err(SparseError::DimensionMismatch(format!(
+                "matrix is {nrows}x{ncols} but permutation has {} entries",
+                self.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Symmetric permutation of a square CSR matrix: `B = P A Pᵀ`, i.e.
     /// `B[new_i, new_j] = A[old_i, old_j]`.
     ///
@@ -95,20 +109,7 @@ impl Permutation {
     ///
     /// [`SparseError::NotSquare`] or [`SparseError::DimensionMismatch`].
     pub fn apply_matrix(&self, a: &CsrMatrix) -> Result<CsrMatrix> {
-        if a.nrows() != a.ncols() {
-            return Err(SparseError::NotSquare {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-            });
-        }
-        if a.nrows() != self.len() {
-            return Err(SparseError::DimensionMismatch(format!(
-                "matrix is {}x{} but permutation has {} entries",
-                a.nrows(),
-                a.ncols(),
-                self.len()
-            )));
-        }
+        self.check_square(a.nrows(), a.ncols())?;
         let n = self.len();
         let mut coo = crate::CooMatrix::with_capacity(n, n, a.nnz());
         let rp = a.pattern().row_ptr();
@@ -123,7 +124,14 @@ impl Permutation {
         Ok(coo.to_csr())
     }
 
-    /// Plans [`Permutation::apply_matrix`] for every matrix over `pattern`.
+    /// Plans the lower triangle of [`Permutation::apply_matrix`] — its
+    /// entries with `col ≤ row`, the only ones an LDLᵀ factorization
+    /// reads — for every matrix over `pattern`.
+    ///
+    /// Permuted row `new` is source row `perm[new]`: its columns map
+    /// through `inv`, those at or below the new diagonal stay, and a sort
+    /// of the row's `(new column, source position)` pairs puts them in
+    /// order. Apart from one row's scratch, only the plan is allocated.
     ///
     /// # Errors
     ///
@@ -131,35 +139,58 @@ impl Permutation {
     /// [`SparseError::InvalidInput`] for a pattern with more than
     /// `u32::MAX` entries.
     pub fn gather_for(&self, pattern: &Arc<CsrPattern>) -> Result<MatrixGather> {
+        self.check_square(pattern.nrows(), pattern.ncols())?;
         if u32::try_from(pattern.nnz()).is_err() {
             return Err(SparseError::InvalidInput(
                 "pattern too large for a 32-bit gather index".into(),
             ));
         }
-        // Permute a matrix whose values are their own positions: what
-        // comes out is, per permuted entry, the position it was read from
-        // (exact in an f64 far beyond any u32).
-        let positions = (0..pattern.nnz()).map(|k| k as f64).collect();
-        let tagged =
-            self.apply_matrix(&CsrMatrix::with_pattern(Arc::clone(pattern), positions)?)?;
-        let src = tagged.values().iter().map(|&k| k as u32).collect();
+        let n = self.len();
+        let (rp, ci) = (pattern.row_ptr(), pattern.col_idx());
+        // Row `new`'s kept entries as `(new column, source position)`.
+        let lower = |new: usize| {
+            let old = self.perm[new] as usize;
+            (rp[old]..rp[old + 1]).filter_map(move |k| {
+                let c = self.inv[ci[k] as usize];
+                (c as usize <= new).then_some((c, k as u32))
+            })
+        };
+        // Count first, so every array is allocated at its length.
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        for new in 0..n {
+            row_ptr.push(row_ptr[new] + lower(new).count());
+        }
+        let nnz = row_ptr[n];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut src = Vec::with_capacity(nnz);
+        let mut row: Vec<(u32, u32)> = Vec::new();
+        for new in 0..n {
+            row.clear();
+            row.extend(lower(new));
+            row.sort_unstable_by_key(|&(c, _)| c);
+            col_idx.extend(row.iter().map(|&(c, _)| c));
+            src.extend(row.iter().map(|&(_, k)| k));
+        }
         Ok(MatrixGather {
             source: Arc::clone(pattern),
             src,
-            permuted: tagged,
+            permuted: CsrMatrix::from_parts_unchecked(n, n, row_ptr, col_idx, vec![0.0; nnz]),
         })
     }
 }
 
-/// A symmetric permutation of one fixed sparsity pattern, reduced to what
-/// does not depend on the values: the permuted pattern and, for each of
-/// its entries, where in the source matrix the value comes from. Applying
-/// it is a gather — no triplets, no sort.
+/// The lower triangle of a symmetric permutation of one fixed sparsity
+/// pattern, reduced to what does not depend on the values: the permuted
+/// pattern's entries with `col ≤ row` and, for each of them, where in the
+/// source matrix the value comes from. Applying it is a gather — no
+/// triplets, no sort.
 #[derive(Debug, Clone)]
 pub struct MatrixGather {
     source: Arc<CsrPattern>,
     src: Vec<u32>,
-    /// The permuted matrix, refilled by each [`MatrixGather::apply`].
+    /// The permuted lower triangle, refilled by each
+    /// [`MatrixGather::apply`].
     permuted: CsrMatrix,
 }
 
@@ -169,10 +200,11 @@ impl MatrixGather {
         std::ptr::eq(&*self.source, pattern)
     }
 
-    /// The permuted matrix for `a`, bit for bit what
-    /// [`Permutation::apply_matrix`] returns, and whether any of its
-    /// values differs in some bit from the previous `apply`'s (on the
-    /// first, from an arbitrary fill).
+    /// The lower triangle of the permuted matrix for `a` — bit for bit the
+    /// `col ≤ row` entries [`Permutation::apply_matrix`] returns — and
+    /// whether any of its values differs in some bit from the previous
+    /// `apply`'s (on the first, from a fill of +0.0). Entries above the
+    /// diagonal are neither read nor compared.
     ///
     /// # Panics
     ///
@@ -256,6 +288,7 @@ impl Permutation {
 mod tests {
     use super::*;
     use crate::CooMatrix;
+    use proptest::prelude::*;
 
     fn arrow_matrix(n: usize) -> CsrMatrix {
         // Dense first row/col + diagonal: worst case for bandwidth, great
@@ -324,46 +357,158 @@ mod tests {
         assert!(after < before);
     }
 
-    #[test]
-    fn gather_is_bit_identical_to_apply_matrix() {
-        // Scrambled band with signed zeros, a NaN and an infinity among
-        // the values: the gather must reproduce `apply_matrix` bit for
-        // bit, including its -0.0 -> +0.0.
-        let n = 24;
-        let shuffle: Vec<u32> = (0..n as u32).map(|i| (i * 7 + 3) % n as u32).collect();
-        let mut a = banded(n, &shuffle);
-        let p = rcm(a.pattern());
-        let mut gather = p.gather_for(&a.pattern_arc()).unwrap();
-        for round in 0..3u32 {
-            for (k, v) in a.values_mut().iter_mut().enumerate() {
-                *v = match (k as u32 + round) % 7 {
-                    0 => -0.0,
-                    1 => 0.0,
-                    2 if round == 2 => f64::NAN,
-                    3 if round == 2 => f64::NEG_INFINITY,
-                    m => (k as f64 - 11.5) * (m as f64 + 0.25),
-                };
+    /// The `col ≤ row` entries of `m`, values copied bit for bit.
+    fn lower_triangle(m: &CsrMatrix) -> CsrMatrix {
+        let (rp, ci) = (m.pattern().row_ptr(), m.pattern().col_idx());
+        let mut row_ptr = vec![0];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for r in 0..m.nrows() {
+            for k in rp[r]..rp[r + 1] {
+                if ci[k] as usize <= r {
+                    cols.push(ci[k]);
+                    vals.push(m.values()[k]);
+                }
             }
-            let want = p.apply_matrix(&a).unwrap();
-            let (got, changed) = gather.apply(&a);
-            assert!(changed, "round {round}");
-            assert_eq!(got.pattern(), want.pattern());
-            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(&want), "round {round}");
+            row_ptr.push(cols.len());
         }
-        // The same values again, NaN included: nothing changed.
+        let pattern = CsrPattern::new(m.nrows(), m.ncols(), row_ptr, cols).unwrap();
+        CsrMatrix::with_pattern(Arc::new(pattern), vals).unwrap()
+    }
+
+    fn bits(m: &CsrMatrix) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A permutation of `0..n`: the identity for `seed` 0, else a
+    /// Fisher-Yates shuffle driven by a xorshift generator.
+    fn shuffled(n: usize, seed: u64) -> Permutation {
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut x = seed;
+        for i in (1..n).rev().filter(|_| seed != 0) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            perm.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        Permutation::new(perm).unwrap()
+    }
+
+    /// An assembled stiffness's pattern over a node graph: every node is
+    /// a dense `dpn`-dof block and every edge couples two nodes' blocks
+    /// both ways — structurally symmetric, with a full diagonal.
+    fn fe_pattern(nodes: usize, dpn: usize, edges: &[(usize, usize)]) -> CsrMatrix {
+        let n = nodes * dpn;
+        let mut coo = CooMatrix::new(n, n);
+        let mut couple = |a: usize, b: usize| {
+            for i in 0..dpn {
+                for j in 0..dpn {
+                    coo.push(a * dpn + i, b * dpn + j, 1.0);
+                }
+            }
+        };
+        for a in 0..nodes {
+            couple(a, a);
+        }
+        for &(a, b) in edges {
+            couple(a % nodes, b % nodes);
+            couple(b % nodes, a % nodes);
+        }
+        coo.to_csr()
+    }
+
+    /// Round `round`'s values: signed zeros everywhere, a NaN and an
+    /// infinity in round 2.
+    fn fill(a: &mut CsrMatrix, round: u32) {
+        for (k, v) in a.values_mut().iter_mut().enumerate() {
+            *v = match (k as u32 + round) % 7 {
+                0 => -0.0,
+                1 => 0.0,
+                2 if round == 2 => f64::NAN,
+                3 if round == 2 => f64::NEG_INFINITY,
+                m => (k as f64 - 11.5) * (m as f64 + 0.25),
+            };
+        }
+    }
+
+    /// The gather against its oracle, the lower triangle of
+    /// `apply_matrix`, over rounds of values: the same pattern, the same
+    /// bits (-0.0 -> +0.0 included), and `changed` exactly when a bit of
+    /// the lower triangle moved. Then the `changed` cases: the same values
+    /// (NaN included), a source zero that flips its sign, one ulp in the
+    /// lower triangle and one above it.
+    fn assert_gathers_the_lower_triangle(mut a: CsrMatrix, p: &Permutation) -> MatrixGather {
+        let mut gather = p.gather_for(&a.pattern_arc()).unwrap();
+        let mut before = vec![0u64; gather.src.len()];
+        for round in 0..3u32 {
+            fill(&mut a, round);
+            let want = lower_triangle(&p.apply_matrix(&a).unwrap());
+            let (got, changed) = gather.apply(&a);
+            assert_eq!(got.pattern(), want.pattern(), "round {round}");
+            assert_eq!(bits(got), bits(&want), "round {round}");
+            assert_eq!(changed, bits(&want) != before, "round {round}");
+            before = bits(&want);
+        }
         let (got, changed) = gather.apply(&a);
         assert!(!changed);
         let neg_zero = (-0.0f64).to_bits();
         assert!(got.values().iter().all(|v| v.to_bits() != neg_zero));
-        // A source zero that flips its sign gathers to the same +0.0.
-        let zero = a.values().iter().position(|v| *v == 0.0).unwrap();
-        a.values_mut()[zero] = -a.values()[zero];
+        let Some(&lower) = gather.src.first() else {
+            return gather;
+        };
+        let lower = lower as usize;
+        a.values_mut()[lower] = 0.0;
+        gather.apply(&a);
+        a.values_mut()[lower] = -0.0;
         assert!(!gather.apply(&a).1);
-        // One value one ulp away is a change.
-        let last = a.values().len() - 1;
-        a.values_mut()[last] = f64::from_bits(a.values()[last].to_bits() + 1);
+        a.values_mut()[lower] = f64::from_bits(a.values()[lower].to_bits() + 1);
         assert!(gather.apply(&a).1);
+        if let Some(upper) = (0..a.nnz()).find(|k| !gather.src.contains(&(*k as u32))) {
+            a.values_mut()[upper] = f64::from_bits(a.values()[upper].to_bits() ^ 1);
+            assert!(
+                !gather.apply(&a).1,
+                "an entry above the diagonal is not read"
+            );
+        }
+        gather
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn gather_is_bit_identical_to_the_lower_triangle_of_apply_matrix(
+            n in 1usize..30,
+            seed in any::<u64>(),
+            entries in prop::collection::vec((0usize..30, 0usize..30), 0..120)
+        ) {
+            // Any pattern: unsymmetric, rows empty, diagonals missing.
+            let mut coo = CooMatrix::new(n, n);
+            for &(i, j) in &entries {
+                coo.push(i % n, j % n, 1.0);
+            }
+            assert_gathers_the_lower_triangle(coo.to_csr(), &shuffled(n, seed));
+        }
+
+        #[test]
+        fn fe_shaped_gather_keeps_half_the_off_diagonal(
+            nodes in 1usize..20,
+            dpn in 1usize..5,
+            seed in any::<u64>(),
+            ordering in 0usize..3,
+            edges in prop::collection::vec((0usize..20, 0usize..20), 0..50)
+        ) {
+            // Natural, shuffled and RCM order, as the solver runs it.
+            let a = fe_pattern(nodes, dpn, &edges);
+            let n = a.nrows();
+            let p = match ordering {
+                0 => Permutation::identity(n),
+                1 => shuffled(n, seed),
+                _ => rcm(a.pattern()),
+            };
+            let nnz = a.nnz();
+            let gather = assert_gathers_the_lower_triangle(a, &p);
+            prop_assert_eq!(gather.src.len(), (nnz + n) / 2);
+        }
     }
 
     #[test]

@@ -136,7 +136,9 @@ fn visit_order<'s>(
 }
 
 impl SymbolicLdl {
-    /// Runs symbolic analysis on the *upper triangle* of `a`.
+    /// Runs symbolic analysis on the entries of `a` below the diagonal,
+    /// the only ones it reads (the numeric phase reads those and the
+    /// diagonal), so a matrix that stores only its lower triangle will do.
     ///
     /// # Errors
     ///
@@ -969,6 +971,32 @@ mod tests {
             edges in prop::collection::vec((0usize..24, 0usize..24, -1.0f64..1.0), 1..60)
         ) {
             assert_matches_scalar(&fe_shaped(nodes, dpn, spd, shuffle, reorder, &edges));
+        }
+
+        #[test]
+        fn the_permuted_lower_triangle_factors_as_the_full_matrix(
+            nodes in 2usize..24,
+            dpn in 1usize..5,
+            spd in any::<bool>(),
+            shuffle in any::<u64>(),
+            edges in prop::collection::vec((0usize..24, 0usize..24, -1.0f64..1.0), 1..60)
+        ) {
+            // What the solver factors — the gathered lower triangle — must
+            // give the factor of the whole permuted matrix, bit for bit.
+            let a = fe_shaped(nodes, dpn, spd, shuffle, false, &edges);
+            let p = rcm(a.pattern());
+            let full = p.apply_matrix(&a).unwrap();
+            let mut gather = p.gather_for(&a.pattern_arc()).unwrap();
+            let lower = gather.apply(&a).0;
+            match (LdlFactor::new(&full), LdlFactor::new(lower)) {
+                (Ok(f), Ok(g)) => {
+                    prop_assert_eq!(f.l_row_idx(), g.l_row_idx());
+                    prop_assert_eq!(bits(&f.lx), bits(&g.lx));
+                    prop_assert_eq!(bits(&f.d), bits(&g.d));
+                }
+                (Err(e), Err(g)) => prop_assert_eq!(e, g),
+                other => panic!("the full and lower-only factors disagree: {other:?}"),
+            }
         }
     }
 

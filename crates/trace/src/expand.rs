@@ -169,6 +169,9 @@ impl std::fmt::Debug for Expander<'_> {
 pub struct Footprint {
     /// Ops the buffer has room for.
     pub capacity: usize,
+    /// The most ops the buffer had room for since the last refill began,
+    /// before [`Footprint::capacity`] was given back.
+    pub peak_capacity: usize,
     /// Stored ops of the largest trip generated so far.
     pub largest_trip: usize,
     /// Stream position where the latest trip started.
@@ -239,6 +242,7 @@ impl<'a> Expander<'a> {
         let chunk_at = self.emitted - self.emit.buf.len() as u64;
         Footprint {
             capacity: self.emit.buf.capacity(),
+            peak_capacity: self.emit.peak_capacity,
             largest_trip: self.emit.largest_trip,
             last_trip_at: chunk_at + self.emit.trip_start as u64,
         }
@@ -1074,6 +1078,8 @@ struct Emit {
     trip_start: usize,
     /// Stored ops of the largest trip so far.
     largest_trip: usize,
+    /// The buffer's largest capacity since the last `restart`.
+    peak_capacity: usize,
 }
 
 impl Default for Emit {
@@ -1087,6 +1093,7 @@ impl Default for Emit {
             cat: FnCategory::Internal,
             trip_start: 0,
             largest_trip: 0,
+            peak_capacity: 0,
         }
     }
 }
@@ -1102,6 +1109,7 @@ impl Emit {
         self.room = room;
         self.fill = CHUNK_OPS.min(room);
         self.buf.reserve_exact(self.fill + self.largest_trip);
+        self.peak_capacity = self.buf.capacity();
     }
 
     /// Gives back what a record trip grew the buffer by past a chunk plus
@@ -1141,10 +1149,26 @@ impl Emit {
 
     fn add(&mut self, op: MicroOp) -> usize {
         let at = self.pos();
-        if self.buf.len() < self.room {
+        let len = self.buf.len();
+        if len < self.room {
+            if len == self.buf.capacity() {
+                self.grow();
+            }
             self.buf.push(op);
         }
         at
+    }
+
+    /// Room for a record trip that outgrew the reserve, not a doubling of
+    /// the whole chunk: as many ops again as the larger of the trip so far
+    /// and the largest trip before it (a kernel's trips are alike, so one
+    /// step mostly suffices). Neither exceeds the largest trip once this
+    /// one ends, so the buffer stays below a chunk plus twice that.
+    #[cold]
+    fn grow(&mut self) {
+        let trip = self.buf.len() - self.trip_start;
+        self.buf.reserve_exact(trip.max(self.largest_trip).max(1));
+        self.peak_capacity = self.peak_capacity.max(self.buf.capacity());
     }
 
     fn load(&mut self, at: u32, addr: u64, size: u8, dep: impl Into<Dep>) -> usize {
@@ -1199,7 +1223,8 @@ impl Emit {
         // mul/add, with divides inserted at chain boundaries.
         let total_fp = (m.fp_add + m.fp_mul) / sample.max(1);
         let chains = m.chains.max(1);
-        let mut tail: Vec<Dep> = vec![None; chains];
+        let mut tail = [None; MAX_CHAINS];
+        let tail = &mut tail[..chains];
         for t in 0..total_fp {
             let kind = if t % 2 == 0 {
                 OpKind::FpMul
@@ -1259,6 +1284,10 @@ struct MaterialProfile {
     serial_loads: bool,
 }
 
+/// The most dependency chains a material row may name: a material-point
+/// block keeps its chains' tails in a fixed array of this length.
+const MAX_CHAINS: usize = 10;
+
 /// The material rows: one constitutive cost row per class.
 #[rustfmt::skip]
 fn material_profile(m: MaterialClass) -> MaterialProfile {
@@ -1301,6 +1330,16 @@ mod tests {
             row_ptr.push(col.len());
         }
         Arc::new(CsrPattern::new(n, n, row_ptr, col).unwrap())
+    }
+
+    #[test]
+    fn every_material_row_fits_the_chain_tails() {
+        let rows: Vec<MaterialClass> = (0..=u8::MAX).filter_map(MaterialClass::from_tag).collect();
+        assert!(!rows.is_empty());
+        for m in rows {
+            let chains = material_profile(m).chains;
+            assert!(chains <= MAX_CHAINS, "{m:?}: {chains} chains");
+        }
     }
 
     #[test]
@@ -1914,6 +1953,7 @@ mod tests {
             proptest::prop_assert!(limit == 0 || ex.footprint().last_trip_at < limit);
             let footprint = ex.footprint();
             proptest::prop_assert!(footprint.capacity <= CHUNK_OPS + footprint.largest_trip);
+            proptest::prop_assert!(footprint.peak_capacity <= CHUNK_OPS + 2 * footprint.largest_trip);
             proptest::prop_assert_eq!(truncated(limit).total_ops_up_to(u64::MAX), kept);
         }
     }
