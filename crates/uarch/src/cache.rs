@@ -1,11 +1,25 @@
-//! Set-associative caches with LRU replacement, write-back/write-allocate
-//! policy and MSHR-limited outstanding misses, composed into the
-//! L1I / L1D / shared-L2 / DRAM hierarchy of Table II.
+//! Set-associative caches with exact LRU replacement,
+//! write-back/write-allocate policy and MSHR-limited outstanding misses,
+//! composed into the L1I / L1D / shared-L2 / DRAM hierarchy of Table II.
+//!
+//! A set's replacement state is the order of its ways, most recently
+//! touched first: a hit probes the ways in that order and moves the one
+//! it found to the front, and a miss evicts the last way and moves it to
+//! the front as it fills. Each order starts as `[assoc-1, …, 1, 0]`, so
+//! while a set still has invalid ways they form its tail in descending
+//! order and the victim is the lowest-numbered one: the rule "first
+//! invalid way, else the least recently used" falls out of the order
+//! with no scan. A line costs its 8-byte tag, a 2-byte slot in the order
+//! and a dirty bit: 10.125 bytes.
 
 use crate::config::CacheConfig;
 use crate::dram::Dram;
 
 /// One set-associative cache level.
+///
+/// Replacement is exact LRU kept as one recency order per set (see the
+/// module docs); a line's dirty bit lives apart from its tag, because
+/// with 1-byte lines the tag is the whole address.
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
@@ -16,13 +30,13 @@ pub struct Cache {
     line_shift: u32,
     /// `tags[set * assoc + way]`; `u64::MAX` = invalid.
     tags: Vec<u64>,
-    dirty: Vec<bool>,
-    lru: Vec<u64>,
-    /// Most-recently-touched way per set, probed before the way scan.
-    /// Pure lookup acceleration: hit/miss/victim decisions are
-    /// unchanged (a matching tag is unique within a set).
-    mru_way: Vec<u16>,
-    stamp: u64,
+    /// `order[set * assoc..][..assoc]`: the set's way indices, most
+    /// recently touched first.
+    order: Vec<u16>,
+    /// Dirty bit of line `set * assoc + way`, 64 lines a word. An
+    /// invalid line's bit is clear: bits are set only on valid lines,
+    /// and a line never becomes invalid again.
+    dirty: Vec<u64>,
     hit_latency: u64,
     mshrs: usize,
     /// Completion cycles of outstanding misses.
@@ -51,16 +65,18 @@ impl Cache {
     /// Builds a level from its configuration.
     pub fn new(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets();
+        let lines = sets * cfg.assoc;
         Cache {
             sets,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
             assoc: cfg.assoc,
             line_shift: cfg.line_bytes.trailing_zeros(),
-            tags: vec![u64::MAX; sets * cfg.assoc],
-            dirty: vec![false; sets * cfg.assoc],
-            lru: vec![0; sets * cfg.assoc],
-            mru_way: vec![0; sets],
-            stamp: 0,
+            tags: vec![u64::MAX; lines],
+            // Every set's order starts as `[assoc-1, …, 1, 0]`.
+            order: (0..lines)
+                .map(|i| (cfg.assoc - 1 - i % cfg.assoc) as u16)
+                .collect(),
+            dirty: vec![0; lines.div_ceil(64)],
             hit_latency: cfg.hit_latency,
             mshrs: cfg.mshrs,
             outstanding: Vec::new(),
@@ -108,10 +124,10 @@ impl Cache {
         self.outstanding.iter().copied().filter(|&c| c >= now).min()
     }
 
-    /// Drops all outstanding-miss timestamps (tags, dirty bits and LRU
-    /// state are kept). Called when a new timed run starts at cycle 0 on
-    /// an already-warm cache, so stale completion times from a previous
-    /// run cannot block MSHRs.
+    /// Drops all outstanding-miss timestamps (tags, dirty bits and
+    /// recency orders are kept). Called when a new timed run starts at
+    /// cycle 0 on an already-warm cache, so stale completion times from
+    /// a previous run cannot block MSHRs.
     pub fn reset_timing(&mut self) {
         self.outstanding.clear();
     }
@@ -120,55 +136,33 @@ impl Cache {
     /// `write` marks the line dirty on hit or after allocation.
     pub fn access(&mut self, addr: u64, write: bool) -> Probe {
         self.accesses += 1;
-        self.stamp += 1;
         let line = addr >> self.line_shift;
         let set = match self.set_mask {
             Some(mask) => (line as usize) & mask,
             None => (line as usize) % self.sets,
         };
         let base = set * self.assoc;
-        // Hit check: most caches hit the way they hit last time, so
-        // probe it first; the full scan re-visiting it is harmless.
-        let m = self.mru_way[set] as usize;
-        if self.tags[base + m] == line {
-            self.lru[base + m] = self.stamp;
+        let tags = &mut self.tags[base..base + self.assoc];
+        let order = &mut self.order[base..base + self.assoc];
+        // Most caches hit the way they touched last, which leads the
+        // order: probing in recency order finds it first.
+        if let Some(pos) = order.iter().position(|&w| tags[w as usize] == line) {
+            let way = order[pos] as usize;
+            order[..=pos].rotate_right(1);
             if write {
-                self.dirty[base + m] = true;
+                set_bit(&mut self.dirty, base + way, true);
             }
             return Probe::Hit;
         }
-        for w in 0..self.assoc {
-            if self.tags[base + w] == line {
-                self.lru[base + w] = self.stamp;
-                if write {
-                    self.dirty[base + w] = true;
-                }
-                self.mru_way[set] = w as u16;
-                return Probe::Hit;
-            }
-        }
         self.misses += 1;
-        // Victim: LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.lru[base + w] < oldest {
-                oldest = self.lru[base + w];
-                victim = w;
-            }
-        }
-        let victim_dirty = self.tags[base + victim] != u64::MAX && self.dirty[base + victim];
+        let victim = order[self.assoc - 1] as usize;
+        order.rotate_right(1);
+        let victim_dirty = bit(&self.dirty, base + victim);
         if victim_dirty {
             self.writebacks += 1;
         }
-        self.tags[base + victim] = line;
-        self.dirty[base + victim] = write;
-        self.lru[base + victim] = self.stamp;
-        self.mru_way[set] = victim as u16;
+        tags[victim] = line;
+        set_bit(&mut self.dirty, base + victim, write);
         Probe::Miss { victim_dirty }
     }
 
@@ -180,6 +174,23 @@ impl Cache {
         } else {
             self.misses as f64 / kilo_insts
         }
+    }
+}
+
+/// Bit `i` of a packed bit vector.
+#[inline]
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Sets bit `i` of a packed bit vector to `on`.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize, on: bool) {
+    let mask = 1 << (i % 64);
+    if on {
+        words[i / 64] |= mask;
+    } else {
+        words[i / 64] &= !mask;
     }
 }
 
@@ -323,6 +334,174 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::CoreConfig;
+    use proptest::prelude::*;
+
+    /// The replacement state the recency order replaced, kept as the
+    /// differential oracle: a per-line last-use stamp, a dirty byte, an
+    /// MRU-way hint per set, and a victim found by scanning the set for
+    /// its first invalid way, else its smallest stamp.
+    struct StampCache {
+        sets: usize,
+        set_mask: Option<usize>,
+        assoc: usize,
+        line_shift: u32,
+        tags: Vec<u64>,
+        dirty: Vec<bool>,
+        lru: Vec<u64>,
+        mru_way: Vec<u16>,
+        stamp: u64,
+        accesses: u64,
+        misses: u64,
+        writebacks: u64,
+    }
+
+    impl StampCache {
+        fn new(cfg: &CacheConfig) -> Self {
+            let sets = cfg.sets();
+            StampCache {
+                sets,
+                set_mask: sets.is_power_of_two().then(|| sets - 1),
+                assoc: cfg.assoc,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                tags: vec![u64::MAX; sets * cfg.assoc],
+                dirty: vec![false; sets * cfg.assoc],
+                lru: vec![0; sets * cfg.assoc],
+                mru_way: vec![0; sets],
+                stamp: 0,
+                accesses: 0,
+                misses: 0,
+                writebacks: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> Probe {
+            self.accesses += 1;
+            self.stamp += 1;
+            let line = addr >> self.line_shift;
+            let set = match self.set_mask {
+                Some(mask) => (line as usize) & mask,
+                None => (line as usize) % self.sets,
+            };
+            let base = set * self.assoc;
+            let m = self.mru_way[set] as usize;
+            if self.tags[base + m] == line {
+                self.lru[base + m] = self.stamp;
+                if write {
+                    self.dirty[base + m] = true;
+                }
+                return Probe::Hit;
+            }
+            for w in 0..self.assoc {
+                if self.tags[base + w] == line {
+                    self.lru[base + w] = self.stamp;
+                    if write {
+                        self.dirty[base + w] = true;
+                    }
+                    self.mru_way[set] = w as u16;
+                    return Probe::Hit;
+                }
+            }
+            self.misses += 1;
+            let mut victim = 0;
+            let mut oldest = u64::MAX;
+            for w in 0..self.assoc {
+                if self.tags[base + w] == u64::MAX {
+                    victim = w;
+                    break;
+                }
+                if self.lru[base + w] < oldest {
+                    oldest = self.lru[base + w];
+                    victim = w;
+                }
+            }
+            let victim_dirty = self.tags[base + victim] != u64::MAX && self.dirty[base + victim];
+            if victim_dirty {
+                self.writebacks += 1;
+            }
+            self.tags[base + victim] = line;
+            self.dirty[base + victim] = write;
+            self.lru[base + victim] = self.stamp;
+            self.mru_way[set] = victim as u16;
+            Probe::Miss { victim_dirty }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn recency_order_matches_the_stamp_scan(
+            assoc in 1usize..21,
+            sets in 1usize..13,
+            pow2_sets in any::<bool>(),
+            line_log2 in 0u32..8,
+            pool_tenths in 1usize..41,
+            stream in prop::collection::vec((0u64..1 << 20, 0u8..4), 1..600),
+        ) {
+            // Power-of-two set counts take the mask, others the modulo.
+            let sets = if pow2_sets { 1 << (sets % 6) } else { sets };
+            let cfg = CacheConfig {
+                size_bytes: (sets * assoc) << line_log2,
+                assoc,
+                line_bytes: 1 << line_log2,
+                hit_latency: 1,
+                mshrs: 1,
+            };
+            let mut cache = Cache::new(&cfg);
+            let mut oracle = StampCache::new(&cfg);
+            // Lines come from a pool of a tenth of to four times the
+            // lines the cache holds, so they are reused, evicted and
+            // refilled; their offsets within a line vary.
+            let pool = (sets * assoc * pool_tenths / 10).max(1) as u64;
+            for (i, (draw, kind)) in stream.into_iter().enumerate() {
+                let addr = ((draw % pool) << line_log2) | ((draw >> 12) % (1 << line_log2));
+                let write = kind == 0;
+                prop_assert_eq!(cache.access(addr, write), oracle.access(addr, write), "access {}", i);
+            }
+            prop_assert_eq!(cache.accesses, oracle.accesses);
+            prop_assert_eq!(cache.misses, oracle.misses);
+            prop_assert_eq!(cache.writebacks, oracle.writebacks);
+            // Which way holds which line is not observable through a
+            // probe, but the state must be the oracle's too: the same
+            // line in every way, the same dirty lines, and each set's
+            // order its valid ways by falling stamp, then its invalid
+            // ways by falling index.
+            prop_assert_eq!(&cache.tags, &oracle.tags);
+            let dirty: Vec<bool> = (0..cache.tags.len()).map(|i| bit(&cache.dirty, i)).collect();
+            prop_assert_eq!(dirty, oracle.dirty.clone());
+            for base in (0..cache.tags.len()).step_by(assoc) {
+                let mut expected: Vec<u16> = (0..assoc as u16).rev().collect();
+                expected.sort_by_key(|&w| {
+                    let i = base + w as usize;
+                    std::cmp::Reverse((oracle.tags[i] != u64::MAX).then_some(oracle.lru[i]))
+                });
+                prop_assert_eq!(&cache.order[base..base + assoc], &expected[..], "set at {}", base);
+            }
+        }
+    }
+
+    /// Heap bytes a cache holds per line for its tags, replacement state
+    /// and dirty flags.
+    fn heap_bytes_per_line(c: &Cache) -> f64 {
+        let bytes = c.tags.capacity() * size_of::<u64>()
+            + c.order.capacity() * size_of::<u16>()
+            + c.dirty.capacity() * size_of::<u64>()
+            + c.outstanding.capacity() * size_of::<u64>();
+        bytes as f64 / c.tags.len() as f64
+    }
+
+    #[test]
+    fn a_line_costs_a_tag_an_order_slot_and_a_dirty_bit() {
+        for cfg in [CoreConfig::gem5_baseline(), CoreConfig::host_like()] {
+            let per_line = heap_bytes_per_line(&Cache::new(&cfg.l2));
+            assert!(
+                per_line <= 10.25,
+                "{} B per line in a {} B L2",
+                per_line,
+                cfg.l2.size_bytes
+            );
+        }
+    }
 
     fn small_cache() -> Cache {
         Cache::new(&CacheConfig {

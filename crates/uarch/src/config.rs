@@ -189,10 +189,15 @@ record!(CacheConfig {
     mshrs: COUNT,
 });
 
+/// The most ways a cache set may have: a set's recency order holds its
+/// way indices as `u16`.
+const MAX_WAYS: usize = 1 << 16;
+
 impl CacheConfig {
     /// Number of sets, when the line is a power of two (a cache indexes
-    /// by shifting it off) and the size a whole, non-zero number of
-    /// `assoc * line` sets.
+    /// by shifting it off), a set at most 65 536 ways (its recency order
+    /// holds way indices as `u16`) and the size a whole, non-zero number
+    /// of `assoc * line` sets.
     ///
     /// # Errors
     ///
@@ -202,6 +207,12 @@ impl CacheConfig {
             return Err(format!(
                 "line_bytes must be a power of two, got {}",
                 self.line_bytes
+            ));
+        }
+        if self.assoc > MAX_WAYS {
+            return Err(format!(
+                "assoc must be at most {MAX_WAYS}, got {}",
+                self.assoc
             ));
         }
         let set_bytes = self.assoc.saturating_mul(self.line_bytes);
@@ -693,6 +704,27 @@ mod tests {
                 ..c.l1d
             }),
             "config.l1d: line_bytes must be a power of two, got 48"
+        );
+        // A whole number of 1-byte-line sets, but one way too many for a
+        // `u16` way index.
+        assert_eq!(
+            broken(|c| c.l2 = CacheConfig {
+                size_bytes: MAX_WAYS + 1,
+                assoc: MAX_WAYS + 1,
+                line_bytes: 1,
+                ..c.l2
+            }),
+            "config.l2: assoc must be at most 65536, got 65537"
+        );
+        assert_eq!(
+            CacheConfig {
+                size_bytes: MAX_WAYS,
+                assoc: MAX_WAYS,
+                line_bytes: 1,
+                ..base.l2
+            }
+            .geometry(),
+            Ok(1)
         );
     }
 

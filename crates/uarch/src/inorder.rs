@@ -40,10 +40,10 @@ pub struct InOrderCore {
     machine: Machine,
 }
 
-/// Completion record of a recent op: (cycle its result is ready, whether
-/// the producer was a load — used to attribute dependent stalls to
-/// memory vs core).
-type Completion = (u64, bool);
+/// Set in a completion-ring slot when the producer was a load — used to
+/// attribute dependent stalls to memory vs core. The rest of the slot is
+/// the cycle the op's result is ready, so a slot is one `u64`.
+const LOAD_BIT: u64 = 1 << 63;
 
 impl InOrderCore {
     /// Builds an in-order core for one configuration.
@@ -69,7 +69,7 @@ impl InOrderCore {
         // `done_window_for` is always a power of two: ring indexing is a
         // mask, never a modulo.
         let wmask = ring - 1;
-        let mut done_at: Vec<Completion> = vec![(0, false); ring as usize];
+        let mut done_at: Vec<u64> = vec![0; ring as usize];
 
         // The issue clock: cycle the previous op issued (scalar machine,
         // at most one issue per cycle).
@@ -124,11 +124,12 @@ impl InOrderCore {
                 }
                 at = fe_ready;
             }
-            let dep = |d: u32| -> Completion {
+            let dep = |d: u32| -> (u64, bool) {
                 if d == 0 || d as u64 > idx || d as u64 >= ring {
                     return (0, false);
                 }
-                done_at[((idx - d as u64) & wmask) as usize]
+                let slot = done_at[((idx - d as u64) & wmask) as usize];
+                (slot & !LOAD_BIT, slot & LOAD_BIT != 0)
             };
             let (d1, m1) = dep(op.dep1);
             let (d2, m2) = dep(op.dep2);
@@ -200,7 +201,8 @@ impl InOrderCore {
                 }
                 _ => {}
             }
-            done_at[(idx & wmask) as usize] = (done, is_load);
+            debug_assert!(done < LOAD_BIT, "cycle {done} overflows a ring slot");
+            done_at[(idx & wmask) as usize] = done | if is_load { LOAD_BIT } else { 0 };
             issue_clock = at;
             started = true;
             if done > last_done {
