@@ -122,12 +122,46 @@ impl ScatterPlan {
 }
 
 /// Reusable global-matrix accumulator bound to a fixed pattern.
+///
+/// The assembler knows when its matrix changed, so a solver need not
+/// compare values: every write marks it ([`Assembler::reset`], both
+/// scatters, [`Assembler::apply_dirichlet`]) and
+/// [`Assembler::take_changed`] reads and clears the mark. It also keeps a
+/// stiffness that does not change within a solve without a second copy:
+/// after [`Assembler::checkpoint`], every write saves the original of each
+/// entry it overwrites, and [`Assembler::restore`] writes them back.
 #[derive(Debug, Clone)]
 pub struct Assembler {
     matrix: CsrMatrix,
     /// Dirichlet scratch, all-`false` / all-zero between calls.
     fixed: Vec<bool>,
     value: Vec<f64>,
+    /// After a checkpoint, the original of every entry written since, as
+    /// `(position, value)` in write order.
+    undo: Option<Vec<(usize, f64)>>,
+    /// The dofs of the last Dirichlet pass, in its order.
+    dirichlet_dofs: Vec<usize>,
+    /// What the values are now, and what they were at the last
+    /// [`Assembler::take_changed`].
+    now: Values,
+    taken: Values,
+    /// Some write may have changed a value since the last
+    /// [`Assembler::take_changed`].
+    changed: bool,
+}
+
+/// What an assembler's values are, as far as it can tell without reading
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Values {
+    /// Written in some other way.
+    Other,
+    /// The checkpoint's.
+    Checkpoint,
+    /// The checkpoint's after one Dirichlet pass over `dirichlet_dofs`:
+    /// a pass writes values that depend on its dofs and on the values it
+    /// starts from alone.
+    Constrained,
 }
 
 impl Assembler {
@@ -139,23 +173,78 @@ impl Assembler {
                 .expect("values sized from the pattern"),
             fixed: vec![false; n],
             value: vec![0.0; n],
+            undo: None,
+            dirichlet_dofs: Vec::new(),
+            now: Values::Other,
+            taken: Values::Other,
+            changed: true,
         }
     }
 
-    /// Zeroes all values (start of a stiffness pass).
+    /// Zeroes all values (start of a stiffness pass) and drops the
+    /// checkpoint, if any.
     pub fn reset(&mut self) {
         self.matrix.values_mut().fill(0.0);
+        self.undo = None;
+        self.wrote();
     }
 
-    /// Overwrites all values with `values`, a copy of an earlier
-    /// `matrix().values()`: a stiffness that does not change within a
-    /// solve is assembled once and restored after.
+    /// Whether the values may differ from those at the previous call (true
+    /// on the first), clearing the mark. Every write marks them, except
+    /// that a [`Assembler::restore`], alone or followed by a Dirichlet pass
+    /// over the same dofs, that rebuilds exactly the values last taken
+    /// does not.
+    pub fn take_changed(&mut self) -> bool {
+        self.taken = self.now;
+        std::mem::take(&mut self.changed)
+    }
+
+    /// Marks the values written in some way the assembler cannot follow.
+    fn wrote(&mut self) {
+        self.now = Values::Other;
+        self.changed = true;
+    }
+
+    /// After a restore or a Dirichlet pass: the values are known, and
+    /// unchanged if they are the ones last taken.
+    fn settle(&mut self) {
+        self.changed = self.now == Values::Other || self.now != self.taken;
+    }
+
+    /// Makes the current values the ones [`Assembler::restore`] returns
+    /// to: a stiffness that does not change within a solve is assembled
+    /// once, checkpointed, and restored before each later solve. From here
+    /// on every write saves the original of each entry it overwrites (the
+    /// Dirichlet rows and columns, a contact penalty's diagonal), so the
+    /// checkpoint costs those entries, not a copy of the matrix.
+    pub fn checkpoint(&mut self) {
+        self.undo = Some(Vec::new());
+        self.now = Values::Checkpoint;
+        // Values taken before this were relative to another checkpoint.
+        self.taken = Values::Other;
+    }
+
+    /// True between a [`Assembler::checkpoint`] and the next
+    /// [`Assembler::reset`].
+    pub fn has_checkpoint(&self) -> bool {
+        self.undo.is_some()
+    }
+
+    /// Returns the values to the checkpoint's, bit for bit, by writing
+    /// back the saved originals, latest first.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is not one value per pattern entry.
-    pub(crate) fn restore(&mut self, values: &[f64]) {
-        self.matrix.values_mut().copy_from_slice(values);
+    /// Panics without a checkpoint.
+    pub fn restore(&mut self) {
+        let undo = self.undo.as_mut().expect("restore needs a checkpoint");
+        let vals = self.matrix.values_mut();
+        for &(k, v) in undo.iter().rev() {
+            vals[k] = v;
+        }
+        undo.clear();
+        self.now = Values::Checkpoint;
+        self.settle();
     }
 
     /// Shared pattern handle.
@@ -186,12 +275,17 @@ impl Assembler {
                 if v == 0.0 {
                     continue;
                 }
-                match row.binary_search(&(gj as u32)) {
-                    Ok(k) => vals[base + k] += v,
+                let k = match row.binary_search(&(gj as u32)) {
+                    Ok(k) => base + k,
                     Err(_) => panic!("dof pair ({gi}, {gj}) missing from pattern"),
+                };
+                if let Some(undo) = &mut self.undo {
+                    undo.push((k, vals[k]));
                 }
+                vals[k] += v;
             }
         }
+        self.wrote();
     }
 
     /// Scatters element `elem`'s dense block through `plan`: entry for
@@ -203,8 +297,9 @@ impl Assembler {
     ///
     /// # Panics
     ///
-    /// Panics if `plan` was built for another pattern or the block is not
-    /// `(npe * comps)²` long.
+    /// Panics if `plan` was built for another pattern, the block is not
+    /// `(npe * comps)²` long, or a checkpoint is held: a stiffness pass
+    /// starts with [`Assembler::reset`].
     pub fn scatter_planned(
         &mut self,
         plan: &ScatterPlan,
@@ -213,6 +308,8 @@ impl Assembler {
         comps: usize,
         block: &[f64],
     ) {
+        assert!(self.undo.is_none(), "a stiffness pass starts with reset");
+        self.wrote();
         let (npe, dpn) = (plan.npe, plan.dofs_per_node);
         let (pattern, vals) = self.matrix.parts_mut();
         assert!(
@@ -256,14 +353,28 @@ impl Assembler {
     /// moves `K[:, dof] * du` to the RHS, zeroes row+column, sets the
     /// diagonal to its original magnitude scale and the RHS entry to
     /// `diag * du` so the solve returns exactly `du` there.
+    ///
+    /// The matrix values it writes depend on the dofs and on the values it
+    /// starts from, not on the increments: after a
+    /// [`Assembler::restore`], a pass over the dofs of the one before it
+    /// rebuilds that pass's values.
     pub fn apply_dirichlet(&mut self, rhs: &mut [f64], constraints: &[(usize, f64)]) {
         if constraints.is_empty() {
             return;
+        }
+        let dofs = constraints.iter().map(|&(d, _)| d);
+        if !dofs.clone().eq(self.dirichlet_dofs.iter().copied()) {
+            self.dirichlet_dofs.clear();
+            self.dirichlet_dofs.extend(dofs);
+            // What was taken was constrained over other dofs.
+            self.taken = Values::Other;
         }
         let Assembler {
             matrix,
             fixed,
             value,
+            undo,
+            ..
         } = self;
         let (pattern, vals) = matrix.parts_mut();
         let n = pattern.nrows();
@@ -273,6 +384,27 @@ impl Assembler {
         }
         let rp = pattern.row_ptr();
         let ci = pattern.col_idx();
+        if let Some(undo) = undo {
+            // Every entry of a fixed row and of a fixed column, once.
+            let overwrites: usize = (0..n)
+                .map(|r| {
+                    let cols = &ci[rp[r]..rp[r + 1]];
+                    if fixed[r] {
+                        cols.len()
+                    } else {
+                        cols.iter().filter(|&&c| fixed[c as usize]).count()
+                    }
+                })
+                .sum();
+            undo.reserve_exact(overwrites);
+        }
+        // Writes entry `k`, saving its original after a checkpoint.
+        let mut set = |vals: &mut [f64], k: usize, v: f64| {
+            if let Some(undo) = undo.as_mut() {
+                undo.push((k, vals[k]));
+            }
+            vals[k] = v;
+        };
         // Representative diagonal scale keeps conditioning reasonable.
         let mut diag_scale = 0.0f64;
         for r in 0..n {
@@ -287,7 +419,7 @@ impl Assembler {
             if fixed[r] {
                 // Zero the whole row, then pin the diagonal.
                 for k in rp[r]..rp[r + 1] {
-                    vals[k] = if ci[k] as usize == r { diag_scale } else { 0.0 };
+                    set(vals, k, if ci[k] as usize == r { diag_scale } else { 0.0 });
                 }
                 rhs[r] = diag_scale * value[r];
             } else {
@@ -296,7 +428,7 @@ impl Assembler {
                     let c = ci[k] as usize;
                     if fixed[c] {
                         rhs[r] -= vals[k] * value[c];
-                        vals[k] = 0.0;
+                        set(vals, k, 0.0);
                     }
                 }
             }
@@ -305,6 +437,11 @@ impl Assembler {
             fixed[d] = false;
             value[d] = 0.0;
         }
+        self.now = match self.now {
+            Values::Checkpoint => Values::Constrained,
+            _ => Values::Other,
+        };
+        self.settle();
     }
 }
 
@@ -441,6 +578,99 @@ mod tests {
         for r in 1..n {
             assert_eq!(m.get(r, 0), 0.0);
         }
+    }
+
+    /// A 1-D chain of `nodes` nodes assembled as a Laplacian.
+    fn chain(nodes: usize) -> Assembler {
+        let mesh = Mesh::box_hex(nodes - 1, 1, 1, 1.0, 1.0, 1.0);
+        let mut asm = Assembler::new(build_pattern(&mesh, 1));
+        asm.reset();
+        for e in 0..mesh.num_elems() {
+            let nodes: Vec<usize> = mesh.element(e).iter().map(|&n| n as usize).collect();
+            for w in nodes.windows(2) {
+                asm.scatter(&[w[0], w[1]], &[1.0, -1.0, -1.0, 1.0]);
+            }
+        }
+        asm
+    }
+
+    fn bits(asm: &Assembler) -> Vec<u64> {
+        asm.matrix().values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn restore_undoes_every_write_since_the_checkpoint() {
+        let mut asm = chain(4);
+        let assembled = bits(&asm);
+        asm.checkpoint();
+        let mut rhs = vec![0.0; asm.matrix().nrows()];
+        for round in 0..3 {
+            // Penalty diagonals, one on a constrained dof, then the
+            // Dirichlet rows and columns: overlapping writes.
+            asm.scatter(&[0], &[2.5]);
+            asm.scatter(&[5], &[-0.0]);
+            asm.scatter(&[6], &[1e3 * (round + 1) as f64]);
+            asm.apply_dirichlet(&mut rhs, &[(0, 0.1), (6, 0.0)]);
+            assert_ne!(bits(&asm), assembled);
+            let saved = asm.undo.as_ref().unwrap().len();
+            assert!(saved < asm.matrix().nnz(), "{saved} saved entries");
+            asm.restore();
+            assert_eq!(bits(&asm), assembled, "round {round}");
+        }
+    }
+
+    #[test]
+    fn take_changed_follows_every_write() {
+        let mut asm = chain(3);
+        let mut rhs = vec![0.0; asm.matrix().nrows()];
+        let fixed = [(0, 0.5)];
+        assert!(asm.take_changed(), "a new assembler is changed");
+        assert!(!asm.take_changed());
+        asm.scatter(&[1], &[0.0]);
+        assert!(asm.take_changed(), "any scatter marks it");
+        asm.checkpoint();
+        assert!(!asm.take_changed(), "a checkpoint writes nothing");
+        asm.apply_dirichlet(&mut rhs, &fixed);
+        assert!(asm.take_changed());
+        // Restore + the same Dirichlet pass rebuild the values taken.
+        for _ in 0..2 {
+            asm.restore();
+            asm.apply_dirichlet(&mut rhs, &[(0, -1.0)]);
+            assert!(!asm.take_changed());
+        }
+        // Not alone, not with a penalty, not over other dofs, not twice.
+        asm.restore();
+        assert!(asm.take_changed(), "the checkpoint's values were not taken");
+        asm.apply_dirichlet(&mut rhs, &fixed);
+        assert!(asm.take_changed(), "a pass on constrained values");
+        asm.restore();
+        asm.scatter(&[0], &[1.0]);
+        asm.apply_dirichlet(&mut rhs, &fixed);
+        assert!(asm.take_changed(), "a penalty");
+        asm.restore();
+        asm.apply_dirichlet(&mut rhs, &fixed);
+        assert!(asm.take_changed(), "after the penalty's values");
+        asm.restore();
+        asm.apply_dirichlet(&mut rhs, &[(1, 0.0)]);
+        assert!(asm.take_changed(), "other dofs");
+        // A restore back to values taken at the checkpoint is no change.
+        asm.restore();
+        assert!(asm.take_changed());
+        asm.restore();
+        assert!(!asm.take_changed());
+        asm.reset();
+        assert!(asm.take_changed());
+        assert!(!asm.has_checkpoint(), "a reset drops the checkpoint");
+    }
+
+    #[test]
+    #[should_panic(expected = "a stiffness pass starts with reset")]
+    fn planned_scatter_refuses_a_checkpointed_assembler() {
+        let mesh = Mesh::box_hex(1, 1, 1, 1.0, 1.0, 1.0);
+        let plan = ScatterPlan::build(&mesh, 1);
+        let mut asm = Assembler::new(Arc::clone(plan.pattern()));
+        asm.checkpoint();
+        asm.scatter_planned(&plan, 0, 0, 1, &[1.0; 64]);
     }
 
     #[test]

@@ -80,20 +80,20 @@ pub struct SolveReport {
     /// Part of `wall_time` spent in element assembly: every iteration's
     /// residual pass (constitutive update, internal force) and, in each
     /// iteration that goes on to a linear solve, the stiffness pass or the
-    /// restore of its constant copy.
+    /// restore of its checkpoint.
     pub assemble_time: Duration,
     /// Part of `wall_time` spent in linear solves: the Dirichlet rows and,
-    /// for LDLᵀ, permute, numeric factorization (when the matrix changed)
-    /// and triangular solves.
+    /// for LDLᵀ, numeric factorization (when the matrix changed) and the
+    /// permuted triangular solves.
     pub linear_time: Duration,
     /// Element stiffness assemblies run: one per iteration that solves,
     /// but one per solve when every material is linear (later iterations
     /// restore it), and one per iteration for the fluid, whose residual
     /// pass assembles its operator.
     pub stiffness_assemblies: usize,
-    /// Numeric LDLᵀ factorizations run: a solve whose matrix is bit for
-    /// bit the one last factored reuses that factor (0 for the iterative
-    /// solvers).
+    /// Numeric LDLᵀ factorizations run: a solve whose matrix no write
+    /// changed since the last factorization (the assembler tracks its
+    /// writes) reuses that factor (0 for the iterative solvers).
     pub factorizations: usize,
     /// Total dof count.
     pub n_dofs: usize,
@@ -355,6 +355,21 @@ impl FeModel {
     /// [`FemError::InvertedElement`] / linear-solver failures from the
     /// substrate, and [`FemError::NewtonDiverged`] in strict mode.
     pub fn solve(&mut self) -> Result<SolveReport> {
+        self.solve_observing(|_| {})
+    }
+
+    /// [`FeModel::solve`], handing `observe` the stiffness of every
+    /// iteration that goes on to a linear solve, as assembled or restored
+    /// — before contact penalties and Dirichlet rows are written into it.
+    /// This is the seam a constant stiffness's restore is tested through.
+    ///
+    /// # Errors
+    ///
+    /// As in [`FeModel::solve`].
+    pub fn solve_observing(
+        &mut self,
+        mut observe: impl FnMut(&belenos_sparse::CsrMatrix),
+    ) -> Result<SolveReport> {
         let start = Instant::now();
         let dpn = self.formulation.dofs_per_node();
         if self.materials.is_empty() {
@@ -406,11 +421,11 @@ impl FeModel {
         // stiffness in a pass of its own, only when an iteration solves;
         // with every material linear in strain, history-free and
         // time-independent, that stiffness is the same at every iterate,
-        // so the pass runs once and later iterations restore a copy.
+        // so the pass runs once, the assembler checkpoints it, and later
+        // iterations restore it.
         let stiffness_in_residual = self.stiffness_in_residual();
         let stiffness_is_constant =
             !stiffness_in_residual && self.materials.iter().all(|m| m.is_linear());
-        let mut constant_stiffness: Option<Vec<f64>> = None;
 
         for step in 1..=self.steps {
             let t = step as f64 * self.dt;
@@ -524,28 +539,28 @@ impl FeModel {
                 // --- stiffness pass, for the iterate the residual saw ---
                 if !stiffness_in_residual {
                     let assemble_start = Instant::now();
-                    match &constant_stiffness {
-                        Some(values) => asm.assembler.restore(values),
-                        None => {
-                            self.assemble(
-                                &mut asm,
-                                Pass::Stiffness,
-                                &u,
-                                &u_old,
-                                &states_old,
-                                &mut states_new,
-                                &state_offsets,
-                                gp_count,
-                                t,
-                            )?;
-                            stiffness_assemblies += 1;
-                            if stiffness_is_constant {
-                                constant_stiffness = Some(asm.assembler.matrix().values().to_vec());
-                            }
+                    if asm.assembler.has_checkpoint() {
+                        asm.assembler.restore();
+                    } else {
+                        self.assemble(
+                            &mut asm,
+                            Pass::Stiffness,
+                            &u,
+                            &u_old,
+                            &states_old,
+                            &mut states_new,
+                            &state_offsets,
+                            gp_count,
+                            t,
+                        )?;
+                        stiffness_assemblies += 1;
+                        if stiffness_is_constant {
+                            asm.assembler.checkpoint();
                         }
                     }
                     assemble_time += assemble_start.elapsed();
                 }
+                observe(asm.assembler.matrix());
                 // Penalty stiffness on the diagonal.
                 for &(d, k) in &penalties {
                     asm.assembler.scatter(&[d], &[k]);
@@ -554,9 +569,11 @@ impl FeModel {
                 // --- linear solve ---
                 let linear_start = Instant::now();
                 asm.assembler.apply_dirichlet(&mut rhs, &constraints);
+                let changed = asm.assembler.take_changed();
                 let du = solve_linear(
                     self.solver,
                     asm.assembler.matrix(),
+                    changed,
                     &rhs,
                     &mut cache,
                     &mut log,

@@ -5,7 +5,7 @@
 //! run it with. Every solve records the kernels it ran so the trace layer
 //! can replay them.
 
-use belenos_sparse::reorder::{rcm, MatrixGather, Permutation};
+use belenos_sparse::reorder::rcm;
 use belenos_sparse::solver::cg::{self, CgOptions};
 use belenos_sparse::solver::fgmres::{self, FgmresOptions};
 use belenos_sparse::solver::ldl::LdlFactor;
@@ -28,24 +28,17 @@ pub enum LinearSolver {
     Fgmres,
 }
 
-/// Everything about an LDLᵀ solve that depends on the pattern alone: the
-/// fill-reducing permutation (PARDISO computes one internally; so do we,
-/// via reverse Cuthill-McKee), the gather that fills the permuted
-/// matrix's lower triangle — the only half the factor reads — straight
-/// from the stiffness, and the factor whose structure and work vectors
-/// each refactorization reuses.
-#[derive(Debug)]
-struct LdlState {
-    perm: Permutation,
-    gather: MatrixGather,
-    factor: LdlFactor,
-}
-
 /// Cached symbolic/structure data reused across Newton iterations, and
 /// the last numeric factor while its matrix is unchanged.
 #[derive(Debug, Default)]
 pub struct SolverCache {
-    ldl: Option<LdlState>,
+    /// The LDLᵀ factor of the last pattern solved. It owns everything
+    /// that depends on the pattern alone — the fill-reducing ordering
+    /// (PARDISO computes one internally; so do we, via reverse
+    /// Cuthill-McKee), L's structure and the visit plan — and reads the
+    /// stiffness through that ordering where it lies, so no permuted copy
+    /// of it exists.
+    ldl: Option<LdlFactor>,
     factorizations: usize,
 }
 
@@ -63,10 +56,13 @@ impl SolverCache {
 
 /// Solves `K du = r`, recording the kernels into `log`.
 ///
-/// LDLᵀ refactors only when the permuted lower triangle differs in some
-/// bit from the one its factor holds; the log records a factorization
-/// either way, as FEBio's iteration runs one. A failed factorization drops
-/// the cached state, so no later solve reuses a half-written factor.
+/// `changed` says whether some write may have changed `matrix` since the
+/// last solve through `cache` (the [`crate::assembly::Assembler`] tracks
+/// its writes). LDLᵀ refactors only then, or on the first solve over a
+/// pattern; otherwise the factor it holds is of exactly this matrix. The
+/// log records a factorization either way, as FEBio's iteration runs one.
+/// A failed factorization drops the cached factor, so no later solve
+/// reuses a half-written one. The iterative solvers ignore `changed`.
 ///
 /// # Errors
 ///
@@ -76,49 +72,42 @@ impl SolverCache {
 pub fn solve_linear(
     solver: LinearSolver,
     matrix: &CsrMatrix,
+    changed: bool,
     rhs: &[f64],
     cache: &mut SolverCache,
     log: &mut PhaseLog,
 ) -> Result<Vec<f64>> {
     match solver {
         LinearSolver::Ldl => {
-            let state = match &mut cache.ldl {
-                Some(state) if state.gather.is_for(matrix.pattern()) => {
-                    let (pm, changed) = state.gather.apply(matrix);
+            let factor = match &mut cache.ldl {
+                Some(factor) if factor.symbolic().is_for(matrix.pattern()) => {
                     if changed {
-                        if let Err(e) = state.factor.refactorize(pm) {
+                        if let Err(e) = factor.refactorize(matrix) {
                             cache.ldl = None;
                             return Err(e.into());
                         }
                         cache.factorizations += 1;
                     }
-                    state
+                    factor
                 }
-                // First solve over this pattern: order, plan, analyse.
+                // First solve over this pattern: order, analyse, factor.
                 slot => {
-                    let perm = rcm(matrix.pattern());
-                    let mut gather = perm.gather_for(&matrix.pattern_arc())?;
-                    let factor = LdlFactor::new(gather.apply(matrix).0)?;
+                    let factor = LdlFactor::with_ordering(matrix, rcm(matrix.pattern()))?;
                     cache.factorizations += 1;
-                    slot.insert(LdlState {
-                        perm,
-                        gather,
-                        factor,
-                    })
+                    slot.insert(factor)
                 }
             };
-            let pb = state.perm.apply_vec(rhs);
-            let sym = state.factor.symbolic();
+            let sym = factor.symbolic();
             log.record(KernelCall::LdlFactor {
                 col_ptr: Arc::clone(sym.l_col_ptr()),
                 row_idx: Arc::clone(sym.l_row_idx()),
             });
-            let y = state.factor.solve(&pb)?;
+            let x = factor.solve(rhs)?;
             log.record(KernelCall::LdlSolve {
                 col_ptr: Arc::clone(sym.l_col_ptr()),
                 row_idx: Arc::clone(sym.l_row_idx()),
             });
-            Ok(state.perm.apply_inv_vec(&y))
+            Ok(x)
         }
         LinearSolver::Cg => {
             let opts = CgOptions {
@@ -178,7 +167,7 @@ mod tests {
         for solver in [LinearSolver::Ldl, LinearSolver::Cg, LinearSolver::Fgmres] {
             let mut cache = SolverCache::new();
             let mut log = PhaseLog::new();
-            let x = solve_linear(solver, &a, &b, &mut cache, &mut log).unwrap();
+            let x = solve_linear(solver, &a, true, &b, &mut cache, &mut log).unwrap();
             for (u, v) in x.iter().zip(&x_true) {
                 assert!((u - v).abs() < 1e-6, "{solver:?}: {u} vs {v}");
             }
@@ -193,24 +182,38 @@ mod tests {
         let mut cache = SolverCache::new();
         let mut log = PhaseLog::new();
         let structure = |cache: &SolverCache| {
-            let sym = cache.ldl.as_ref().expect("ldl state").factor.symbolic();
+            let sym = cache.ldl.as_ref().expect("ldl factor").symbolic();
             Arc::as_ptr(sym.l_col_ptr())
         };
-        let first = solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        let first = solve_linear(LinearSolver::Ldl, &a, true, &b, &mut cache, &mut log).unwrap();
         let before = structure(&cache);
-        let again = solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        let again = solve_linear(LinearSolver::Ldl, &a, false, &b, &mut cache, &mut log).unwrap();
         assert_eq!(before, structure(&cache), "factor structure must be cached");
         assert_eq!(log.len(), 4); // factor + solve, twice
 
         // The unchanged matrix reuses its numeric factor too; a changed
-        // one is refactored.
+        // one is refactored, with the structure kept.
         assert_eq!(cache.factorizations(), 1);
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&first), bits(&again));
         let mut scaled = a.clone();
         scaled.values_mut()[0] *= 2.0;
-        solve_linear(LinearSolver::Ldl, &scaled, &b, &mut cache, &mut log).unwrap();
+        let x = solve_linear(LinearSolver::Ldl, &scaled, true, &b, &mut cache, &mut log).unwrap();
         assert_eq!(cache.factorizations(), 2);
+        assert_eq!(before, structure(&cache));
+        let fresh = solve_linear(
+            LinearSolver::Ldl,
+            &scaled,
+            true,
+            &b,
+            &mut SolverCache::new(),
+            &mut log,
+        );
+        assert_eq!(
+            bits(&x),
+            bits(&fresh.unwrap()),
+            "a refactor is a fresh factor"
+        );
     }
 
     #[test]
@@ -230,9 +233,9 @@ mod tests {
         }
         let mut cache = SolverCache::new();
         let mut log = PhaseLog::new();
-        solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        solve_linear(LinearSolver::Ldl, &a, true, &b, &mut cache, &mut log).unwrap();
         for attempt in 0..2 {
-            let result = solve_linear(LinearSolver::Ldl, &singular, &b, &mut cache, &mut log);
+            let result = solve_linear(LinearSolver::Ldl, &singular, true, &b, &mut cache, &mut log);
             assert!(
                 matches!(
                     result,
@@ -241,7 +244,7 @@ mod tests {
                 "attempt {attempt}: {result:?}"
             );
         }
-        let x = solve_linear(LinearSolver::Ldl, &a, &b, &mut cache, &mut log).unwrap();
+        let x = solve_linear(LinearSolver::Ldl, &a, true, &b, &mut cache, &mut log).unwrap();
         let r = a.spmv(&x).unwrap();
         assert!(r.iter().zip(&b).all(|(ri, bi)| (ri - bi).abs() < 1e-12));
     }
@@ -255,7 +258,7 @@ mod tests {
         for solver in [LinearSolver::Ldl, LinearSolver::Cg, LinearSolver::Fgmres] {
             let mut cache = SolverCache::new();
             let mut log = PhaseLog::new();
-            solve_linear(solver, &a, &b, &mut cache, &mut log).unwrap();
+            solve_linear(solver, &a, true, &b, &mut cache, &mut log).unwrap();
             let calls = log.calls();
             let expected = match solver {
                 LinearSolver::Ldl => matches!(

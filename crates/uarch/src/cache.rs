@@ -9,8 +9,8 @@
 //! while a set still has invalid ways they form its tail in descending
 //! order and the victim is the lowest-numbered one: the rule "first
 //! invalid way, else the least recently used" falls out of the order
-//! with no scan. A line costs its 8-byte tag, a 2-byte slot in the order
-//! and a dirty bit: 10.125 bytes.
+//! with no scan. A line costs its 8-byte tag, a 2-byte slot in the order,
+//! a valid bit and a dirty bit: 10.25 bytes.
 
 use crate::config::CacheConfig;
 use crate::dram::Dram;
@@ -18,8 +18,9 @@ use crate::dram::Dram;
 /// One set-associative cache level.
 ///
 /// Replacement is exact LRU kept as one recency order per set (see the
-/// module docs); a line's dirty bit lives apart from its tag, because
-/// with 1-byte lines the tag is the whole address.
+/// module docs); a line's valid and dirty bits live apart from its tag,
+/// because with 1-byte lines the tag is the whole address: no tag value
+/// is free to mean "invalid".
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
@@ -28,7 +29,7 @@ pub struct Cache {
     set_mask: Option<usize>,
     assoc: usize,
     line_shift: u32,
-    /// `tags[set * assoc + way]`; `u64::MAX` = invalid.
+    /// `tags[set * assoc + way]`, meaningful on a valid line only.
     tags: Vec<u64>,
     /// `order[set * assoc..][..assoc]`: the set's way indices, most
     /// recently touched first.
@@ -37,6 +38,9 @@ pub struct Cache {
     /// invalid line's bit is clear: bits are set only on valid lines,
     /// and a line never becomes invalid again.
     dirty: Vec<u64>,
+    /// Valid bit of each line, packed as `dirty`: set when the line is
+    /// first filled, never cleared.
+    valid: Vec<u64>,
     hit_latency: u64,
     mshrs: usize,
     /// Completion cycles of outstanding misses.
@@ -77,6 +81,7 @@ impl Cache {
                 .map(|i| (cfg.assoc - 1 - i % cfg.assoc) as u16)
                 .collect(),
             dirty: vec![0; lines.div_ceil(64)],
+            valid: vec![0; lines.div_ceil(64)],
             hit_latency: cfg.hit_latency,
             mshrs: cfg.mshrs,
             outstanding: Vec::new(),
@@ -145,8 +150,13 @@ impl Cache {
         let tags = &mut self.tags[base..base + self.assoc];
         let order = &mut self.order[base..base + self.assoc];
         // Most caches hit the way they touched last, which leads the
-        // order: probing in recency order finds it first.
-        if let Some(pos) = order.iter().position(|&w| tags[w as usize] == line) {
+        // order: probing in recency order finds it first. An invalid
+        // way's tag is stale; only a matching tag's valid bit is read.
+        let valid = &self.valid;
+        if let Some(pos) = order
+            .iter()
+            .position(|&w| tags[w as usize] == line && bit(valid, base + w as usize))
+        {
             let way = order[pos] as usize;
             order[..=pos].rotate_right(1);
             if write {
@@ -162,6 +172,7 @@ impl Cache {
             self.writebacks += 1;
         }
         tags[victim] = line;
+        set_bit(&mut self.valid, base + victim, true);
         set_bit(&mut self.dirty, base + victim, write);
         Probe::Miss { victim_dirty }
     }
@@ -337,15 +348,16 @@ mod tests {
     use proptest::prelude::*;
 
     /// The replacement state the recency order replaced, kept as the
-    /// differential oracle: a per-line last-use stamp, a dirty byte, an
-    /// MRU-way hint per set, and a victim found by scanning the set for
-    /// its first invalid way, else its smallest stamp.
+    /// differential oracle: a per-line last-use stamp, a valid and a dirty
+    /// byte, an MRU-way hint per set, and a victim found by scanning the
+    /// set for its first invalid way, else its smallest stamp.
     struct StampCache {
         sets: usize,
         set_mask: Option<usize>,
         assoc: usize,
         line_shift: u32,
         tags: Vec<u64>,
+        valid: Vec<bool>,
         dirty: Vec<bool>,
         lru: Vec<u64>,
         mru_way: Vec<u16>,
@@ -364,6 +376,7 @@ mod tests {
                 assoc: cfg.assoc,
                 line_shift: cfg.line_bytes.trailing_zeros(),
                 tags: vec![u64::MAX; sets * cfg.assoc],
+                valid: vec![false; sets * cfg.assoc],
                 dirty: vec![false; sets * cfg.assoc],
                 lru: vec![0; sets * cfg.assoc],
                 mru_way: vec![0; sets],
@@ -384,7 +397,7 @@ mod tests {
             };
             let base = set * self.assoc;
             let m = self.mru_way[set] as usize;
-            if self.tags[base + m] == line {
+            if self.valid[base + m] && self.tags[base + m] == line {
                 self.lru[base + m] = self.stamp;
                 if write {
                     self.dirty[base + m] = true;
@@ -392,7 +405,7 @@ mod tests {
                 return Probe::Hit;
             }
             for w in 0..self.assoc {
-                if self.tags[base + w] == line {
+                if self.valid[base + w] && self.tags[base + w] == line {
                     self.lru[base + w] = self.stamp;
                     if write {
                         self.dirty[base + w] = true;
@@ -405,7 +418,7 @@ mod tests {
             let mut victim = 0;
             let mut oldest = u64::MAX;
             for w in 0..self.assoc {
-                if self.tags[base + w] == u64::MAX {
+                if !self.valid[base + w] {
                     victim = w;
                     break;
                 }
@@ -414,11 +427,12 @@ mod tests {
                     victim = w;
                 }
             }
-            let victim_dirty = self.tags[base + victim] != u64::MAX && self.dirty[base + victim];
+            let victim_dirty = self.valid[base + victim] && self.dirty[base + victim];
             if victim_dirty {
                 self.writebacks += 1;
             }
             self.tags[base + victim] = line;
+            self.valid[base + victim] = true;
             self.dirty[base + victim] = write;
             self.lru[base + victim] = self.stamp;
             self.mru_way[set] = victim as u16;
@@ -436,6 +450,7 @@ mod tests {
             pow2_sets in any::<bool>(),
             line_log2 in 0u32..8,
             pool_tenths in 1usize..41,
+            top in any::<bool>(),
             stream in prop::collection::vec((0u64..1 << 20, 0u8..4), 1..600),
         ) {
             // Power-of-two set counts take the mask, others the modulo.
@@ -451,10 +466,12 @@ mod tests {
             let mut oracle = StampCache::new(&cfg);
             // Lines come from a pool of a tenth of to four times the
             // lines the cache holds, so they are reused, evicted and
-            // refilled; their offsets within a line vary.
+            // refilled; their offsets within a line vary. With `top` the
+            // pool ends at the last address, whose tag is all ones.
             let pool = (sets * assoc * pool_tenths / 10).max(1) as u64;
             for (i, (draw, kind)) in stream.into_iter().enumerate() {
                 let addr = ((draw % pool) << line_log2) | ((draw >> 12) % (1 << line_log2));
+                let addr = if top { !addr } else { addr };
                 let write = kind == 0;
                 prop_assert_eq!(cache.access(addr, write), oracle.access(addr, write), "access {}", i);
             }
@@ -467,13 +484,15 @@ mod tests {
             // order its valid ways by falling stamp, then its invalid
             // ways by falling index.
             prop_assert_eq!(&cache.tags, &oracle.tags);
+            let valid: Vec<bool> = (0..cache.tags.len()).map(|i| bit(&cache.valid, i)).collect();
+            prop_assert_eq!(valid, oracle.valid.clone());
             let dirty: Vec<bool> = (0..cache.tags.len()).map(|i| bit(&cache.dirty, i)).collect();
             prop_assert_eq!(dirty, oracle.dirty.clone());
             for base in (0..cache.tags.len()).step_by(assoc) {
                 let mut expected: Vec<u16> = (0..assoc as u16).rev().collect();
                 expected.sort_by_key(|&w| {
                     let i = base + w as usize;
-                    std::cmp::Reverse((oracle.tags[i] != u64::MAX).then_some(oracle.lru[i]))
+                    std::cmp::Reverse(oracle.valid[i].then_some(oracle.lru[i]))
                 });
                 prop_assert_eq!(&cache.order[base..base + assoc], &expected[..], "set at {}", base);
             }
@@ -481,11 +500,12 @@ mod tests {
     }
 
     /// Heap bytes a cache holds per line for its tags, replacement state
-    /// and dirty flags.
+    /// and valid and dirty flags.
     fn heap_bytes_per_line(c: &Cache) -> f64 {
         let bytes = c.tags.capacity() * size_of::<u64>()
             + c.order.capacity() * size_of::<u16>()
             + c.dirty.capacity() * size_of::<u64>()
+            + c.valid.capacity() * size_of::<u64>()
             + c.outstanding.capacity() * size_of::<u64>();
         bytes as f64 / c.tags.len() as f64
     }
@@ -514,6 +534,30 @@ mod tests {
     }
 
     use crate::config::CacheConfig;
+
+    #[test]
+    fn the_all_ones_tag_misses_in_a_cold_cache() {
+        // With 1-byte lines the tag is the whole address: `u64::MAX` is
+        // a line like any other, not a marker that matches a never-filled
+        // way.
+        let cfg = CacheConfig {
+            size_bytes: 4,
+            assoc: 2,
+            line_bytes: 1,
+            hit_latency: 1,
+            mshrs: 1,
+        };
+        let (mut cache, mut oracle) = (Cache::new(&cfg), StampCache::new(&cfg));
+        let victim_clean = Probe::Miss {
+            victim_dirty: false,
+        };
+        assert_eq!(cache.access(u64::MAX, true), victim_clean);
+        assert_eq!((cache.accesses, cache.misses), (1, 1));
+        assert_eq!(cache.access(u64::MAX, false), Probe::Hit);
+        assert_eq!(oracle.access(u64::MAX, true), victim_clean);
+        assert_eq!(oracle.access(u64::MAX, false), Probe::Hit);
+        assert_eq!(oracle.misses, 1);
+    }
 
     #[test]
     fn first_access_misses_then_hits() {

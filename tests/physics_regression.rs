@@ -182,36 +182,126 @@ fn catalog_solutions_are_bit_identical_to_the_pre_hoisting_solver() {
 }
 
 /// `(preset, Newton iterations, load steps, stiffness assemblies, numeric
-/// LDLᵀ factorizations)`. An iteration assembles the stiffness only when
-/// it goes on to a linear solve, so each load step's converged iteration
-/// builds none; a model whose materials are all linear (`bp`, `co`)
-/// assembles it once per solve, and LDLᵀ refactors only a matrix that
-/// changed (`bp` factors once for its four solves; `co` solves with CG).
-/// Before the residual-first iteration, every iteration assembled and
-/// every LDLᵀ solve factored: `bp` 8 assemblies and 4 factorizations,
-/// `co` 10 and 0, `pd` 17 and 13, `tu` 6 and 3.
-const REUSE_PINS: [(&str, usize, usize, usize, usize); 4] = [
-    ("bp", 8, 4, 1, 1),
+/// LDLᵀ factorizations)` for every distinct preset, in
+/// `distinct_presets()` order, captured at a4fa14f. An iteration assembles
+/// the stiffness only when it goes on to a linear solve, so each load
+/// step's converged iteration builds none; a model whose materials are all
+/// linear (`bp`, `co`, `rj`, ...) assembles it once per solve, and LDLᵀ
+/// refactors only a stiffness some write changed (`bp` factors once for
+/// its four solves; `co`, the fluids and `fs` solve iteratively). Before
+/// the residual-first iteration, every iteration assembled and every LDLᵀ
+/// solve factored: `bp` 8 assemblies and 4 factorizations, `co` 10 and 0,
+/// `pd` 17 and 13, `tu` 6 and 3.
+const REUSE_PINS: [(&str, usize, usize, usize, usize); 31] = [
+    ("bp07", 8, 4, 1, 1),
+    ("bp08", 8, 4, 1, 1),
+    ("bp09", 8, 4, 1, 1),
+    ("fl33", 5, 1, 5, 0),
+    ("fl34", 20, 4, 20, 0),
+    ("ma26", 8, 4, 4, 4),
+    ("ma27", 8, 4, 4, 4),
+    ("ma28", 8, 4, 4, 4),
+    ("ma29", 8, 4, 4, 4),
+    ("ma30", 8, 4, 4, 4),
+    ("ma31", 8, 4, 4, 4),
+    ("eye", 8, 2, 6, 6),
+    ("ar", 12, 3, 9, 9),
     ("co", 10, 4, 1, 0),
-    ("pd", 17, 4, 13, 13),
+    ("dm", 36, 4, 33, 33),
+    ("ma", 8, 4, 4, 4),
+    ("rj", 8, 4, 1, 1),
     ("tu", 6, 3, 3, 3),
+    ("bp", 8, 4, 1, 1),
+    ("fl", 20, 4, 20, 0),
+    ("mu", 7, 3, 4, 4),
+    ("mp", 8, 4, 1, 1),
+    ("te", 8, 2, 6, 6),
+    ("ri", 6, 3, 1, 1),
+    ("ps", 3, 2, 1, 1),
+    ("pd", 17, 4, 13, 13),
+    ("mg", 8, 4, 4, 4),
+    ("fs", 18, 3, 18, 0),
+    ("mi", 15, 3, 12, 12),
+    ("vc", 4, 2, 1, 1),
+    ("bi", 8, 4, 1, 1),
 ];
 
 #[test]
 fn catalog_solves_assemble_and_factor_only_what_changed() {
-    for &(id, iterations, steps, assemblies, factorizations) in &REUSE_PINS {
-        let spec = belenos_workloads::by_id(id).unwrap_or_else(|| panic!("preset {id} missing"));
-        let mut model = spec.build_model().unwrap_or_else(|e| panic!("{id}: {e}"));
-        let report = model.solve().unwrap_or_else(|e| panic!("{id}: {e}"));
+    let presets = belenos_workloads::distinct_presets();
+    let ids: Vec<&str> = presets.iter().map(|s| s.id.as_str()).collect();
+    let pinned: Vec<&str> = REUSE_PINS.iter().map(|row| row.0).collect();
+    assert_eq!(ids, pinned, "one pin per distinct preset, in order");
+    for (spec, &(id, iterations, steps, assemblies, factorizations)) in
+        presets.iter().zip(&REUSE_PINS)
+    {
         assert_eq!(
-            (
-                report.total_iterations,
-                report.steps_completed,
-                report.stiffness_assemblies,
-                report.factorizations
-            ),
+            reuse_row(spec),
             (iterations, steps, assemblies, factorizations),
             "{id}: (iterations, steps, stiffness assemblies, factorizations)"
         );
     }
+}
+
+/// A stiffness linear in strain is assembled once, checkpointed, and
+/// restored before each later solve by writing back the entries the
+/// Dirichlet rows and columns — and in `co` the contact penalties'
+/// diagonals — overwrote. Each restore must leave it bit for bit what a
+/// restore from a full copy of the first assembly would: that assembly.
+/// `(preset, linear solves)`: one per iteration but each step's last.
+#[test]
+fn an_undo_log_restores_a_constant_stiffness_bit_for_bit() {
+    for (id, solves) in [("bp", 4), ("co", 6)] {
+        let spec = belenos_workloads::by_id(id).unwrap_or_else(|| panic!("preset {id} missing"));
+        let mut model = spec.build_model().unwrap_or_else(|e| panic!("{id}: {e}"));
+        let mut full_copy: Option<Vec<u64>> = None;
+        let mut restores = 0;
+        let report = model
+            .solve_observing(|k| {
+                let bits: Vec<u64> = k.values().iter().map(|v| v.to_bits()).collect();
+                match &full_copy {
+                    None => full_copy = Some(bits),
+                    Some(copy) => {
+                        restores += 1;
+                        assert!(*copy == bits, "{id}: restore {restores} differs");
+                    }
+                }
+            })
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert_eq!(report.stiffness_assemblies, 1, "{id}");
+        assert_eq!(restores + 1, solves, "{id}: solves");
+    }
+}
+
+/// `(iterations, steps, stiffness assemblies, factorizations)` of one
+/// preset's solve.
+fn reuse_row(spec: &belenos_workloads::ScenarioSpec) -> (usize, usize, usize, usize) {
+    let id = &spec.id;
+    let mut model = spec.build_model().unwrap_or_else(|e| panic!("{id}: {e}"));
+    let report = model.solve().unwrap_or_else(|e| panic!("{id}: {e}"));
+    (
+        report.total_iterations,
+        report.steps_completed,
+        report.stiffness_assemblies,
+        report.factorizations,
+    )
+}
+
+/// Prints [`REUSE_PINS`] in source form, one row per distinct preset.
+/// Recapture only after an intentional change to what a solve assembles
+/// or factors: `cargo test -p belenos --release --test physics_regression
+/// capture_reuse_pins -- --ignored --nocapture`.
+#[test]
+#[ignore = "capture tool: prints the reuse pins of every distinct preset"]
+fn capture_reuse_pins() {
+    let presets = belenos_workloads::distinct_presets();
+    println!(
+        "const REUSE_PINS: [(&str, usize, usize, usize, usize); {}] = [",
+        presets.len()
+    );
+    for spec in &presets {
+        let (i, s, a, f) = reuse_row(spec);
+        println!("    (\"{}\", {i}, {s}, {a}, {f}),", spec.id);
+    }
+    println!("];");
 }
